@@ -43,7 +43,7 @@ Extending (a complete new architecture, nothing else to edit)::
     Session(EngineSpec(system="tiny", architecture="mine")).pipeline()
 """
 
-from ..architectures import ARCHITECTURES, legacy_architecture_options
+from ..architectures import ARCHITECTURES
 from ..registry import (
     Registry,
     RegistryEntry,
@@ -117,6 +117,5 @@ __all__ = [
     "parse_assignment",
     "decode_options",
     "encode_options",
-    "legacy_architecture_options",
     "score_volume",
 ]

@@ -359,8 +359,7 @@ class Session:
         The phantom is insonified *once* with the shared simulator (or pass
         pre-acquired ``channel_data`` to skip the simulation entirely);
         every variant beamforms the identical channel data, so result
-        differences come from delay generation (and nothing else) — this
-        subsumes the old ``repro.pipeline.compare_architectures``.
+        differences come from delay generation (and nothing else).
 
         With ``backends=None`` the result maps each architecture name to
         the envelope image of the centre elevation plane (the classic

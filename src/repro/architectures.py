@@ -70,19 +70,3 @@ def _build_tablesteer_float(system: SystemConfig,
                             options: None) -> TableSteerDelayGenerator:
     return TableSteerDelayGenerator.from_config(
         system, TableSteerConfig(total_bits=None))
-
-
-def legacy_architecture_options(architecture: str,
-                                tablefree_config: TableFreeConfig | None = None,
-                                tablesteer_bits: int = 18):
-    """Map the historical per-architecture keyword knobs onto registry options.
-
-    ``ImagingPipeline`` / ``BeamformingService`` / ``make_delay_provider``
-    used to thread ``tablefree_config`` and ``tablesteer_bits`` by hand; this
-    keeps those call sites working while the registry owns construction.
-    """
-    if architecture == "tablefree":
-        return tablefree_config
-    if architecture == "tablesteer":
-        return TableSteerConfig(total_bits=tablesteer_bits)
-    return None

@@ -268,8 +268,8 @@ class SystemConfig:
 
         Two configurations with identical acoustic, transducer, volume and
         beamformer parameters produce the same key even if their ``name``
-        differs, so delay/weight tensors cached under the key (see
-        :class:`repro.runtime.cache.DelayTableCache`) are shared between
+        differs, so compiled plans cached under the key (see
+        :class:`repro.runtime.cache.PlanCache`) are shared between
         presets that describe the same probe and grid.  The key is a hex
         string, safe to embed in file names or composite dictionary keys.
         """

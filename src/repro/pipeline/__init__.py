@@ -1,20 +1,11 @@
 """High-level imaging pipeline and multi-insonification acquisition."""
 
 from .compounding import InsonificationPlan, acquisition_summary, compound_volume
-from .imaging import (
-    DelayArchitecture,
-    ImagingPipeline,
-    architecture_name,
-    compare_architectures,
-    make_delay_provider,
-)
+from .imaging import ImagingPipeline, architecture_name
 
 __all__ = [
-    "DelayArchitecture",
     "ImagingPipeline",
     "architecture_name",
-    "make_delay_provider",
-    "compare_architectures",
     "InsonificationPlan",
     "compound_volume",
     "acquisition_summary",

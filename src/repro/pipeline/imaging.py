@@ -9,23 +9,18 @@ an end user of the paper's system would.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..runtime.cache import PlanCache
+    from ..scenarios.engine import SchemeEngine
 
 from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
-from ..architectures import (
-    ARCHITECTURES,
-    architecture_name,
-    legacy_architecture_options,
-)
+from ..architectures import ARCHITECTURES, architecture_name
 from ..beamformer.das import ApodizationSettings, DelayAndSumBeamformer, DelayProvider
 from ..beamformer.drivers import (
     BeamformedVolume,
@@ -36,52 +31,10 @@ from ..beamformer.drivers import (
 from ..beamformer.image import envelope, log_compress
 from ..beamformer.interpolation import InterpolationKind
 from ..config import SystemConfig
-from ..core.tablefree import TableFreeConfig
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
 from ..kernels import Precision, resolve_precision
 from ..observability.tracing import resolve_tracer
-
-
-class DelayArchitecture(str, Enum):
-    """The four built-in delay-generation architectures.
-
-    Kept for backward compatibility; the open set of architectures now
-    lives in :data:`repro.architectures.ARCHITECTURES`, and every
-    construction path accepts plain registered names (including ones not in
-    this enum).
-    """
-
-    EXACT = "exact"
-    TABLEFREE = "tablefree"
-    TABLESTEER = "tablesteer"
-    TABLESTEER_FLOAT = "tablesteer_float"
-
-
-def make_delay_provider(system: SystemConfig,
-                        architecture: DelayArchitecture | str,
-                        tablefree_config: TableFreeConfig | None = None,
-                        tablesteer_bits: int = 18,
-                        options: object | None = None) -> DelayProvider:
-    """Instantiate the delay generator for the requested architecture.
-
-    .. deprecated::
-        Thin shim over ``ARCHITECTURES.create(name, system, options=...)``;
-        call the registry directly.  The historical ``tablefree_config`` /
-        ``tablesteer_bits`` knobs are mapped onto the registered options
-        dataclasses when ``options`` is not given.
-    """
-    warnings.warn(
-        "make_delay_provider() is deprecated; use "
-        "repro.architectures.ARCHITECTURES.create(name, system, "
-        "options=...) instead",
-        DeprecationWarning, stacklevel=2)
-    name = architecture_name(architecture)
-    if options is None:
-        options = legacy_architecture_options(
-            name, tablefree_config=tablefree_config,
-            tablesteer_bits=tablesteer_bits)
-    return ARCHITECTURES.create(name, system, options=options)
 
 
 @dataclass
@@ -92,18 +45,20 @@ class ImagingPipeline:
     ``reference`` keeps the classic per-scanline drivers, ``vectorized`` and
     ``sharded`` route volume reconstruction through the batched
     :mod:`repro.runtime` backends (sharing delay tensors via ``cache`` when
-    one is provided).  ``simulator``, ``transducer`` and ``grid`` accept
-    pre-built objects so several pipelines over the same system (e.g. one
-    per delay architecture) can share them instead of rebuilding.
+    one is provided).  Every backend is built by a
+    :class:`repro.scenarios.SchemeEngine`: a focused one serves
+    :meth:`image_volume` (and the compounding methods when the scheme is
+    trivial), a per-firing one is built lazily for any other scheme.
+    ``simulator``, ``transducer`` and ``grid`` accept pre-built objects so
+    several pipelines over the same system (e.g. one per delay
+    architecture) can share them instead of rebuilding.
     """
 
     system: SystemConfig
-    architecture: DelayArchitecture | str = "exact"
+    architecture: str = "exact"
     apodization: ApodizationSettings = field(default_factory=ApodizationSettings)
     interpolation: InterpolationKind = InterpolationKind.NEAREST
     architecture_options: object | None = None
-    tablefree_config: TableFreeConfig | None = None
-    tablesteer_bits: int = 18
     backend: str = "reference"
     backend_options: object | None = None
     precision: Precision | str | None = None
@@ -133,7 +88,7 @@ class ImagingPipeline:
     exceed it execute tiled (:class:`repro.kernels.TiledPlan`),
     bit-identical to untiled; budgets too small for one scanline are
     rejected at construction.  ``None`` = unbounded (historical
-    behaviour)."""
+    behaviour).  Read back parsed, in bytes."""
     tracer: object | None = None
     """Optional :class:`repro.observability.Tracer`; spans cover acoustic
     ``simulate``, the runtime backend's ``compile``/``execute`` stages and
@@ -148,59 +103,35 @@ class ImagingPipeline:
         self.quantization = QuantizationSpec.coerce(self.quantization)
         self.scheme = resolve_scheme(self.system, self.scheme,
                                      self.scheme_options)
-        self._scheme_engine = None
         self._simulator = self.simulator or EchoSimulator.from_config(self.system)
-        if self.provider is not None:
-            self._provider = self.provider
-        else:
-            options = self.architecture_options
-            if options is None:
-                options = legacy_architecture_options(
-                    self.architecture, tablefree_config=self.tablefree_config,
-                    tablesteer_bits=self.tablesteer_bits)
-            self._provider = ARCHITECTURES.create(
-                self.architecture, self.system, options=options)
+        self._provider = self.provider if self.provider is not None \
+            else ARCHITECTURES.create(self.architecture, self.system,
+                                      options=self.architecture_options)
         self._beamformer = DelayAndSumBeamformer(
             self.system, self._provider, apodization=self.apodization,
             interpolation=self.interpolation,
             transducer=self.transducer, grid=self.grid,
             precision=self.precision, quantization=self.quantization)
-        self._runtime_backend = None
-        if self.backend != "reference":
-            # Imported lazily: repro.runtime depends on this module.
-            from ..runtime.backends import BACKENDS
-            self._runtime_backend = BACKENDS.create(
-                self.backend, self._beamformer, self.cache, self.precision,
-                options=self.backend_options)
-            self._runtime_backend.tracer = self.tracer
-            if self.memory_budget_bytes is not None:
-                self._runtime_backend.set_memory_budget(
-                    self.memory_budget_bytes)
-        elif self.memory_budget_bytes is not None:
-            # The reference drivers stream one scanline at a time and never
-            # compile a plan, so any scanline-feasible budget holds; still
-            # validate it (and normalise to an int) so an impossible budget
-            # fails here exactly as it does on the plan-based backends.
-            from ..kernels.tiling import TilePlanner, parse_memory_budget
-            budget = parse_memory_budget(self.memory_budget_bytes)
-            TilePlanner.for_beamformer(self._beamformer, budget,
-                                       precision=self.precision)
-            self.memory_budget_bytes = budget
+        # Built eagerly, so an unavailable backend or an impossible budget
+        # fails here rather than at the first volume.
+        self._focused = self._build_engine(resolve_scheme(self.system))
+        self.memory_budget_bytes = self._focused.memory_budget_bytes
+        self._scheme_engine = self._focused if self.scheme.is_trivial() \
+            else None
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Release the execution backend(s) this pipeline constructed.
 
-        Shuts the ``sharded`` backend's worker pool down and closes the
-        lazily built scheme engine's per-firing backends; shared caches are
+        Closes the focused engine and the lazily built scheme engine
+        (shutting ``sharded`` worker pools down); shared caches are
         untouched.  Idempotent, and the pipeline stays usable (pools
         rebuild lazily).  The pipeline is a context manager::
 
             with ImagingPipeline(system, backend="sharded") as pipeline:
                 pipeline.image_volume(channel_data)
         """
-        if self._runtime_backend is not None:
-            self._runtime_backend.close()
+        self._focused.close()
         if self._scheme_engine is not None:
             self._scheme_engine.close()
 
@@ -248,19 +179,19 @@ class ImagingPipeline:
         """Reconstruct the full volume.
 
         With the default ``reference`` backend the volume is built by the
-        classic drivers in the requested traversal ``order``; the batched
-        runtime backends reconstruct all scanlines at once (both traversal
-        orders yield the identical volume) and tag the volume with the
-        backend name instead.
+        classic drivers in the requested traversal ``order`` (the paper's
+        two loop nests); the other backends reconstruct all scanlines at
+        once on the focused engine (both traversal orders yield the
+        identical volume) and tag the volume with the backend name instead.
         """
         if order not in ("nappe", "scanline"):
             raise ValueError("order must be 'nappe' or 'scanline'")
-        if self._runtime_backend is not None:
-            rf = self._runtime_backend.beamform_volume(channel_data)
-            return BeamformedVolume(rf=rf, order=self.backend)
-        if order == "nappe":
-            return reconstruct_nappe_order(self._beamformer, channel_data)
-        return reconstruct_scanline_order(self._beamformer, channel_data)
+        if self.backend == "reference":
+            driver = reconstruct_nappe_order if order == "nappe" \
+                else reconstruct_scanline_order
+            return driver(self._beamformer, channel_data)
+        rf = self._focused.beamform_volume((channel_data,))
+        return BeamformedVolume(rf=rf, order=self.backend)
 
     def image_phantom(self, phantom: Phantom, noise_std: float = 0.0,
                       seed: int = 0, i_phi: int | None = None) -> np.ndarray:
@@ -269,15 +200,21 @@ class ImagingPipeline:
         return self.image_plane(channel_data, i_phi=i_phi)
 
     # ----------------------------------------------------------- schemes
-    def _engine(self):
-        """The lazy per-firing compounding engine for this pipeline's scheme."""
+    def _build_engine(self, scheme: object) -> "SchemeEngine":
+        """An engine running ``scheme`` on this pipeline's backend."""
+        # Imported lazily: repro.scenarios builds on repro.runtime, which
+        # depends on this module.
+        from ..scenarios.engine import SchemeEngine
+        return SchemeEngine(
+            self._beamformer, scheme, backend=self.backend,
+            backend_options=self.backend_options, cache=self.cache,
+            precision=self.precision, tracer=self.tracer,
+            memory_budget_bytes=self.memory_budget_bytes)
+
+    def _engine(self) -> "SchemeEngine":
+        """The engine for this pipeline's scheme, built on first use."""
         if self._scheme_engine is None:
-            from ..scenarios.engine import SchemeEngine
-            self._scheme_engine = SchemeEngine(
-                self._beamformer, self.scheme, backend=self.backend,
-                backend_options=self.backend_options, cache=self.cache,
-                precision=self.precision, tracer=self.tracer,
-                memory_budget_bytes=self.memory_budget_bytes)
+            self._scheme_engine = self._build_engine(self.scheme)
         return self._scheme_engine
 
     def acquire_firings(self, phantom: Phantom, noise_std: float = 0.0,
@@ -318,31 +255,3 @@ class ImagingPipeline:
         """One-call convenience: acquire all firings and compound them."""
         return self.compound_volume(self.acquire_firings(
             phantom, noise_std=noise_std, seed=seed))
-
-
-def compare_architectures(system: SystemConfig, phantom: Phantom,
-                          architectures: tuple[str, ...] = ("exact", "tablefree",
-                                                            "tablesteer"),
-                          noise_std: float = 0.0,
-                          seed: int = 0) -> dict[str, np.ndarray]:
-    """Image the same phantom with several architectures (shared channel data).
-
-    Returns a mapping from architecture name to envelope image of the centre
-    elevation plane; the channel data are simulated once so the images differ
-    only through the delay generation.
-
-    .. deprecated::
-        Delegates to :meth:`repro.api.Session.sweep`, which additionally
-        sweeps backends and accepts arbitrary registered architectures;
-        call that instead.
-    """
-    warnings.warn(
-        "compare_architectures() is deprecated; use "
-        "repro.api.Session(EngineSpec(system=system)).sweep(phantom, "
-        "architectures=...) instead",
-        DeprecationWarning, stacklevel=2)
-    from ..api import EngineSpec, Session  # lazy: repro.api sits above us
-
-    session = Session(EngineSpec(system=system))
-    return session.sweep(phantom, architectures=architectures,
-                         noise_std=noise_std, seed=seed)

@@ -13,7 +13,8 @@ II-C/V-B asks of the hardware.
   ``sharded`` / ``compiled`` execution backends, all running through the
   kernel layer (``compiled`` needs the optional numba package and raises
   :class:`repro.kernels.BackendUnavailable` at build time without it).
-* :mod:`repro.runtime.scheduler` — frame queue and cine-sequence builders.
+* :mod:`repro.runtime.scheduler` — frame requests/results and
+  cine-sequence builders.
 * :mod:`repro.runtime.service` — the :class:`BeamformingService` facade
   with per-frame latency, aggregate throughput metrics and batched
   multi-frame submission.
@@ -44,14 +45,11 @@ from .backends import (
     ShardedBackend,
     ShardedOptions,
     VectorizedBackend,
-    make_backend,
-    tables_key,
 )
-from .cache import CacheStats, DelayTableCache, PlanCache
+from .cache import CacheStats, PlanCache
 from .scheduler import (
     FrameRequest,
     FrameResult,
-    FrameScheduler,
     moving_point_cine,
     static_cine,
 )
@@ -66,11 +64,9 @@ __all__ = [
     "CacheStats",
     "CompiledBackend",
     "CompiledOptions",
-    "DelayTableCache",
     "ExecutionBackend",
     "FrameRequest",
     "FrameResult",
-    "FrameScheduler",
     "PlanCache",
     "Precision",
     "QuantizationSpec",
@@ -82,9 +78,7 @@ __all__ = [
     "VectorizedBackend",
     "compile_plan",
     "compile_quantized_plan",
-    "make_backend",
     "moving_point_cine",
     "plan_key",
     "static_cine",
-    "tables_key",
 ]

@@ -34,10 +34,9 @@ All three produce numerically identical volumes at ``float64``; under
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,22 +59,8 @@ from ..kernels.compiled import (
 )
 from ..kernels.plan import BATCH_BLOCK_ELEMENTS
 from ..observability.tracing import resolve_tracer
-from ..registry import Registry, RegistryError
+from ..registry import Registry
 from .cache import PlanCache
-
-
-def tables_key(beamformer: DelayAndSumBeamformer,
-               precision: Precision | str | None = None) -> Hashable:
-    """Stable cache key for a beamformer's compiled tensors.
-
-    Alias of :func:`repro.kernels.plan_key`; the key covers the physical
-    system digest, the delay architecture (class, design, origin), the
-    apodization settings, the interpolation kind and the execution dtype —
-    so a cache shared across engines can never return tensors built under a
-    different interpolation or precision (the historical ``tables_key``
-    omitted those last two components).
-    """
-    return plan_key(beamformer, precision)
 
 
 class ExecutionBackend:
@@ -103,8 +88,8 @@ class ExecutionBackend:
         self.beamformer = beamformer
         self.cache = cache
         self.precision = resolve_precision(precision)
-        # Mutable on purpose: the service/pipeline layers build backends
-        # through the BACKENDS registry and attach their tracer afterwards.
+        # Mutable on purpose: repro.scenarios.SchemeEngine builds backends
+        # through the BACKENDS registry and attaches its tracer afterwards.
         self.tracer = resolve_tracer(tracer)
         quantization = getattr(beamformer, "quantization", None)
         if quantization is not None:
@@ -539,30 +524,3 @@ def _build_compiled(beamformer: DelayAndSumBeamformer,
 
 BACKEND_NAMES: tuple[str, ...] = BACKENDS.names()
 """Built-in backend names (snapshot; prefer ``BACKENDS.names()``)."""
-
-
-def make_backend(name: str, beamformer: DelayAndSumBeamformer,
-                 cache: PlanCache | None = None,
-                 options: object | None = None,
-                 precision: Precision | str | None = None,
-                 **kwargs) -> ExecutionBackend:
-    """Deprecated shim over ``BACKENDS.create(name, ...)``.
-
-    .. deprecated::
-        Call ``BACKENDS.create(name, beamformer, cache, precision,
-        options=options)`` directly; this wrapper (and its bare-keyword
-        options form) will be removed.
-    """
-    warnings.warn(
-        "make_backend() is deprecated; use "
-        "repro.runtime.backends.BACKENDS.create(name, beamformer, cache, "
-        "precision, options=...) instead",
-        DeprecationWarning, stacklevel=2)
-    if kwargs:
-        if options is not None:
-            raise RegistryError(
-                "pass backend options either via 'options' or as keyword "
-                "arguments, not both")
-        options = kwargs
-    return BACKENDS.create(name, beamformer, cache, precision,
-                           options=options)

@@ -16,8 +16,6 @@ whose hit/miss/eviction counters are
 regression tests) assert on them to prove that repeated frames skip
 compilation, and the same instruments export as a Prometheus-style snapshot
 without a second bookkeeping path.
-
-``DelayTableCache`` is the class's historical name, kept as an alias.
 """
 
 from __future__ import annotations
@@ -262,7 +260,3 @@ class PlanCache:
                               bytes=int(self._bytes),
                               peak_bytes=int(self._peak_bytes),
                               max_bytes=self.max_bytes)
-
-
-DelayTableCache = PlanCache
-"""Backward-compatible alias from before the cache held compiled plans."""

@@ -1,11 +1,11 @@
-"""Frame scheduling for streaming acquisition sequences.
+"""Frame requests and results for streaming acquisition sequences.
 
 A cine acquisition is an ordered stream of frames — either pre-recorded
 channel data or phantoms still to be insonified (e.g. a scatterer moving
-between frames).  :class:`FrameScheduler` is the FIFO queue between the
-acquisition side and the :class:`repro.runtime.service.BeamformingService`
-that consumes it; it assigns frame ids and preserves submission order, which
-is what keeps per-frame latency measurements meaningful.
+between frames).  A :class:`FrameRequest` carries one frame into
+:class:`repro.runtime.service.BeamformingService`, which streams any
+iterable of requests in order, and a :class:`FrameResult` carries its
+volume and latency back out.
 
 The module also provides scenario builders (:func:`moving_point_cine`,
 :func:`static_cine`) used by the CLI ``stream`` command, experiment E11 and
@@ -14,9 +14,7 @@ the runtime tests.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,48 +68,6 @@ class FrameResult:
     def voxel_count(self) -> int:
         """Number of reconstructed voxels."""
         return int(np.prod(self.rf.shape))
-
-
-@dataclass
-class FrameScheduler:
-    """FIFO queue of :class:`FrameRequest` objects with id assignment."""
-
-    _queue: deque = field(default_factory=deque)
-    _next_id: int = 0
-
-    def submit(self, phantom: Phantom | None = None,
-               channel_data: ChannelData | None = None,
-               noise_std: float = 0.0, seed: int = 0) -> FrameRequest:
-        """Enqueue one frame and return the request (with its assigned id)."""
-        request = FrameRequest(frame_id=self._next_id, phantom=phantom,
-                               channel_data=channel_data,
-                               noise_std=noise_std, seed=seed)
-        self._next_id += 1
-        self._queue.append(request)
-        return request
-
-    def extend(self, requests: Iterable[FrameRequest]) -> None:
-        """Enqueue pre-built requests (ids are kept as given).
-
-        Later :meth:`submit` calls continue above the highest id seen so the
-        two submission styles can be mixed without id collisions.
-        """
-        for request in requests:
-            self._queue.append(request)
-            self._next_id = max(self._next_id, request.frame_id + 1)
-
-    @property
-    def pending(self) -> int:
-        """Number of frames waiting to be beamformed."""
-        return len(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def drain(self) -> Iterator[FrameRequest]:
-        """Pop requests in submission order until the queue is empty."""
-        while self._queue:
-            yield self._queue.popleft()
 
 
 # --------------------------------------------------------------- scenarios

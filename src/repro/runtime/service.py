@@ -29,25 +29,17 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
-from ..architectures import (
-    ARCHITECTURES,
-    architecture_name,
-    legacy_architecture_options,
-)
+from ..architectures import ARCHITECTURES, architecture_name
 from ..beamformer.das import ApodizationSettings, DelayAndSumBeamformer
 from ..beamformer.interpolation import InterpolationKind
 from ..config import SystemConfig
-from ..core.tablefree import TableFreeConfig
 from ..kernels import Precision, QuantizationSpec, resolve_precision
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import resolve_tracer
-from .backends import BACKENDS, ExecutionBackend
 from .cache import CacheStats, PlanCache
-from .scheduler import FrameRequest, FrameResult, FrameScheduler
+from .scheduler import FrameRequest, FrameResult
 
 
 @dataclass(frozen=True)
@@ -113,9 +105,7 @@ class BeamformingService:
         :data:`repro.runtime.backends.BACKENDS`.
     architecture_options:
         Options dataclass instance (or plain dict) for the architecture;
-        ``None`` uses the registered defaults.  The historical
-        ``tablefree_config`` / ``tablesteer_bits`` keywords are still
-        honoured when this is not given.
+        ``None`` uses the registered defaults.
     precision:
         Execution dtype policy (``"float64"`` exact / ``"float32"`` fast;
         see :class:`repro.kernels.Precision`).  Applies to the beamformer
@@ -133,10 +123,11 @@ class BeamformingService:
     scheme:
         Transmit scheme: a registered :data:`repro.scenarios.SCHEMES`
         name, a pre-built :class:`repro.scenarios.TransmitScheme` or
-        ``None`` (the focused baseline).  Multi-firing schemes simulate
-        one acquisition per event and coherently compound the per-firing
-        volumes; the focused baseline keeps the historical
-        single-acquisition path bit for bit.
+        ``None`` (the focused baseline).  Every frame runs through one
+        :class:`repro.scenarios.SchemeEngine`: multi-firing schemes
+        simulate one acquisition per event and coherently compound the
+        per-firing volumes; the focused baseline is a one-firing engine on
+        the bare architecture, with no transmit wrap.
     scheme_options:
         Options dataclass/dict for a scheme given by name.
     simulator:
@@ -156,6 +147,10 @@ class BeamformingService:
         registers its instruments in (frame/voxel counters, the latency
         histogram).  ``None`` creates a private registry; see
         :meth:`export_metrics` for the exported view.
+    memory_budget_bytes:
+        Plan-memory budget (bytes or a suffixed string like ``"64K"``);
+        grids whose plan would exceed it execute tiled.  Read back parsed,
+        in bytes.
     """
 
     def __init__(self, system: SystemConfig,
@@ -165,8 +160,6 @@ class BeamformingService:
                  interpolation: InterpolationKind = InterpolationKind.NEAREST,
                  cache: PlanCache | None = None,
                  architecture_options: object | None = None,
-                 tablefree_config: TableFreeConfig | None = None,
-                 tablesteer_bits: int = 18,
                  simulator: EchoSimulator | None = None,
                  backend_options: object | None = None,
                  precision: Precision | str | None = None,
@@ -192,32 +185,20 @@ class BeamformingService:
         # span several services) and is merged in export_metrics().
         self.cache = cache if cache is not None \
             else PlanCache(metrics=self.metrics)
-        if architecture_options is None:
-            architecture_options = legacy_architecture_options(
-                self.architecture, tablefree_config=tablefree_config,
-                tablesteer_bits=tablesteer_bits)
         provider = ARCHITECTURES.create(self.architecture, system,
                                         options=architecture_options)
         self.beamformer = DelayAndSumBeamformer(
             system, provider, apodization=apodization,
             interpolation=interpolation, precision=self.precision,
             quantization=self.quantization)
-        self._backend: ExecutionBackend = BACKENDS.create(
-            backend, self.beamformer, self.cache, self.precision,
-            options=backend_options)
-        self._backend.tracer = self.tracer
-        self.memory_budget_bytes = memory_budget_bytes
-        if memory_budget_bytes is not None:
-            # Tile the service's backend(s) under the budget; also
-            # byte-bounds the (possibly shared) plan cache.
-            self._backend.set_memory_budget(memory_budget_bytes)
-        # The trivial focused scheme keeps the historical single-backend
-        # path; anything else compounds per-firing engines.
-        self._scheme_engine = None if self.scheme.is_trivial() else \
-            SchemeEngine(self.beamformer, self.scheme, backend=backend,
-                         backend_options=backend_options, cache=self.cache,
-                         precision=self.precision, tracer=self.tracer,
-                         memory_budget_bytes=memory_budget_bytes)
+        # A budget tiles every per-firing backend and byte-bounds the
+        # (possibly shared) plan cache.
+        self._engine = SchemeEngine(
+            self.beamformer, self.scheme, backend=backend,
+            backend_options=backend_options, cache=self.cache,
+            precision=self.precision, tracer=self.tracer,
+            memory_budget_bytes=memory_budget_bytes)
+        self.memory_budget_bytes = self._engine.memory_budget_bytes
         self._simulator = simulator or EchoSimulator.from_config(system)
         # Monotonic id source for auto-assigned frames; unlike the stats
         # counters it survives reset_stats(), so ids never repeat within
@@ -241,25 +222,22 @@ class BeamformingService:
     @property
     def backend_name(self) -> str:
         """Name of the active execution backend."""
-        return self._backend.name
+        return self._engine.backends[0].name
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Release the execution backend(s) this service constructed.
 
-        Shuts worker pools down (the ``sharded`` backend, and every
-        per-firing backend of a multi-firing scheme engine) and drops
-        privately memoised plans; a shared :class:`PlanCache` is left
-        untouched — its plans belong to whoever owns the cache.  Idempotent,
-        and the service remains usable afterwards (pools rebuild lazily),
-        so ``close()`` is always safe.  The service is a context manager::
+        Shuts the engine's worker pools down (one per ``sharded``
+        per-firing backend) and drops privately memoised plans; a shared
+        :class:`PlanCache` is left untouched — its plans belong to whoever
+        owns the cache.  Idempotent, and the service remains usable
+        afterwards (pools rebuild lazily), so ``close()`` is always safe.  The service is a context manager::
 
             with BeamformingService(system, backend="sharded") as service:
                 service.submit_frame(frame)
         """
-        self._backend.close()
-        if self._scheme_engine is not None:
-            self._scheme_engine.close()
+        self._engine.close()
 
     def __enter__(self) -> "BeamformingService":
         return self
@@ -300,56 +278,24 @@ class BeamformingService:
         self._next_frame_id = max(self._next_frame_id, request.frame_id + 1)
         return request
 
-    def _acquire(self, request: FrameRequest) -> tuple[object, float]:
-        """Beamformable payload of one request + acquisition time spent.
+    def _acquire(self, request: FrameRequest
+                 ) -> tuple[tuple[ChannelData, ...], float]:
+        """One request's per-firing channel data + acquisition time spent.
 
-        The payload is one :class:`ChannelData` on the focused baseline,
-        or the per-firing sequence of the active multi-firing scheme.
+        A bare :class:`ChannelData` is a one-firing frame.  The engine
+        checks the firing count when it beamforms.
         """
-        if request.channel_data is not None:
-            payload = request.channel_data
-            if self._scheme_engine is not None:
-                firings = payload if isinstance(payload, (tuple, list)) \
-                    else (payload,)
-                if len(firings) != self._scheme_engine.firing_count:
-                    raise ValueError(
-                        f"scheme {self.scheme.name!r} expects "
-                        f"{self._scheme_engine.firing_count} pre-recorded "
-                        f"firing(s) per frame, got {len(firings)}")
-                return tuple(firings), 0.0
-            if not isinstance(payload, ChannelData):
-                # _coerce_request guarantees a non-empty all-ChannelData
-                # tuple here; a one-firing sequence is a valid frame for
-                # the single-firing baseline.
-                if len(payload) == 1:
-                    return payload[0], 0.0
-                raise ValueError(
-                    f"scheme {self.scheme.name!r} takes one firing per "
-                    f"frame, got {len(payload)} pre-recorded firings")
-            return payload, 0.0
+        payload = request.channel_data
+        if isinstance(payload, ChannelData):
+            return (payload,), 0.0
+        if payload is not None:
+            return tuple(payload), 0.0
         start = time.perf_counter()
         with self.tracer.span("simulate"):
-            if self._scheme_engine is not None:
-                payload = tuple(self._scheme_engine.acquire(
-                    self._simulator, request.phantom,
-                    noise_std=request.noise_std, seed=request.seed))
-            else:
-                payload = self._simulator.simulate(
-                    request.phantom, noise_std=request.noise_std,
-                    seed=request.seed)
-        return payload, time.perf_counter() - start
-
-    def _beamform_volume(self, payload: object) -> np.ndarray:
-        """Route one acquired payload to the backend or the scheme engine."""
-        if self._scheme_engine is not None:
-            return self._scheme_engine.beamform_volume(payload)
-        return self._backend.beamform_volume(payload)
-
-    def _beamform_batch(self, payloads: Sequence[object]) -> np.ndarray:
-        """Route one acquired batch to the backend or the scheme engine."""
-        if self._scheme_engine is not None:
-            return self._scheme_engine.beamform_batch(payloads)
-        return self._backend.beamform_batch(payloads)
+            firings = tuple(self._engine.acquire(
+                self._simulator, request.phantom,
+                noise_std=request.noise_std, seed=request.seed))
+        return firings, time.perf_counter() - start
 
     def _record(self, result: FrameResult) -> FrameResult:
         """Fold one frame's figures into the aggregate instruments."""
@@ -370,15 +316,15 @@ class BeamformingService:
         """
         request = self._coerce_request(frame, noise_std, seed)
         with self.tracer.span("frame", frame_id=request.frame_id):
-            payload, acquire_seconds = self._acquire(request)
+            firings, acquire_seconds = self._acquire(request)
 
             start = time.perf_counter()
             with self.tracer.span("beamform"):
-                rf = self._beamform_volume(payload)
+                rf = self._engine.beamform_volume(firings)
             beamform_seconds = time.perf_counter() - start
 
         return self._record(FrameResult(
-            frame_id=request.frame_id, rf=rf, backend=self._backend.name,
+            frame_id=request.frame_id, rf=rf, backend=self.backend_name,
             acquire_seconds=acquire_seconds,
             beamform_seconds=beamform_seconds))
 
@@ -388,12 +334,12 @@ class BeamformingService:
                      ) -> list[FrameResult]:
         """Beamform several frames in one batched kernel execution.
 
-        All frames are beamformed by a single
-        :meth:`ExecutionBackend.beamform_batch` call (one stacked gather on
-        the plan-based backends), which amortises per-frame dispatch; the
-        batch's beamform time is attributed evenly across its frames so the
-        aggregate throughput stats stay comparable with per-frame
-        submission.
+        All frames are beamformed by one
+        :meth:`ExecutionBackend.beamform_batch` call per firing (one stacked
+        gather on the plan-based backends), which amortises per-frame
+        dispatch; the batch's beamform time is attributed evenly across its
+        frames so the aggregate throughput stats stay comparable with
+        per-frame submission.
         """
         requests = [self._coerce_request(frame, noise_std, seed)
                     for frame in frames]
@@ -404,8 +350,8 @@ class BeamformingService:
 
             start = time.perf_counter()
             with self.tracer.span("beamform"):
-                volumes = self._beamform_batch(
-                    [payload for payload, _ in acquired])
+                volumes = self._engine.beamform_batch(
+                    [firings for firings, _ in acquired])
             per_frame_seconds = (time.perf_counter() - start) / len(requests)
 
         # copy() decouples each frame's lifetime from the whole batch
@@ -413,12 +359,12 @@ class BeamformingService:
         # volumes in memory.
         return [self._record(FrameResult(
             frame_id=request.frame_id, rf=volumes[i].copy(),
-            backend=self._backend.name, acquire_seconds=acquire_seconds,
+            backend=self.backend_name, acquire_seconds=acquire_seconds,
             beamform_seconds=per_frame_seconds))
             for i, (request, (_, acquire_seconds))
             in enumerate(zip(requests, acquired))]
 
-    def stream(self, frames: Iterable[FrameRequest] | FrameScheduler,
+    def stream(self, frames: Iterable[FrameRequest],
                batch_size: int = 1) -> Iterator[FrameResult]:
         """Beamform a sequence of frames lazily, in submission order.
 
@@ -428,13 +374,12 @@ class BeamformingService:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        source = frames.drain() if isinstance(frames, FrameScheduler) else frames
         if batch_size == 1:
-            for request in source:
+            for request in frames:
                 yield self.submit_frame(request)
             return
         pending: list[FrameRequest] = []
-        for request in source:
+        for request in frames:
             pending.append(request)
             if len(pending) == batch_size:
                 yield from self.submit_batch(pending)
@@ -442,7 +387,7 @@ class BeamformingService:
         if pending:
             yield from self.submit_batch(pending)
 
-    def stream_all(self, frames: Iterable[FrameRequest] | FrameScheduler,
+    def stream_all(self, frames: Iterable[FrameRequest],
                    batch_size: int = 1) -> list[FrameResult]:
         """Eager variant of :meth:`stream` returning all results at once."""
         return list(self.stream(frames, batch_size=batch_size))
@@ -458,7 +403,7 @@ class BeamformingService:
         """
         latency = self._latency
         return RuntimeStats(
-            backend=self._backend.name,
+            backend=self.backend_name,
             precision=self.precision.value,
             frames=int(self._frames.value),
             voxels=int(self._voxels.value),
@@ -469,8 +414,8 @@ class BeamformingService:
             cache=self.cache.stats,
             quantization=self.quantization.describe()
             if self.quantization is not None else None,
-            scheme=self.scheme.describe()
-            if self._scheme_engine is not None else None,
+            scheme=None if self.scheme.is_trivial()
+            else self.scheme.describe(),
             p50_latency_seconds=latency.percentile(50),
             p95_latency_seconds=latency.percentile(95),
             p99_latency_seconds=latency.percentile(99),

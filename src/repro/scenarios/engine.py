@@ -11,6 +11,13 @@ base, and an execution backend resolved through
 :data:`repro.runtime.backends.BACKENDS` — so every scheme runs on every
 backend, per frame or batched, without new kernel code.
 
+This is the one place that turns a beamformer into executing backends:
+:class:`repro.runtime.BeamformingService` and
+:class:`repro.pipeline.ImagingPipeline` both execute through a
+:class:`SchemeEngine`.  The trivial focused scheme is a one-firing engine
+on the base beamformer itself, with no transmit wrap, so it keeps the bare
+architecture's plan key, compile cost and bits.
+
 Compounding is a plain ordered sum of per-firing volumes.  The summation
 order is the event order of the scheme in both the per-frame and the
 batched path, so the compounded volume is bit-identical across backends
@@ -20,6 +27,7 @@ pins at ``float64``).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Sequence
 
 import numpy as np
@@ -61,7 +69,9 @@ class SchemeEngine:
         interpolation, precision and quantisation are shared by every
         per-firing engine.
     scheme:
-        The transmit scheme; one execution backend is built per event.
+        The transmit scheme; one execution backend is built per event.  A
+        trivial scheme (:meth:`TransmitScheme.is_trivial`) runs its single
+        backend on ``beamformer`` unwrapped and opens no ``compound`` span.
     backend:
         Registered execution-backend name (``reference`` included — the
         conformance matrix runs every scheme on every backend).
@@ -78,7 +88,8 @@ class SchemeEngine:
         Optional plan-memory budget applied to every per-firing backend
         (see :meth:`repro.runtime.backends.ExecutionBackend.set_memory_budget`);
         a shared cache is byte-bounded once and the per-firing segment
-        plans stream through it.
+        plans stream through it.  Read back parsed, in bytes, from
+        :attr:`memory_budget_bytes`.
     """
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
@@ -90,29 +101,35 @@ class SchemeEngine:
         self.scheme = scheme
         self.backend_name = backend
         self.tracer = resolve_tracer(tracer)
+        self._compounds = not scheme.is_trivial()
         if cache is not None and hasattr(cache, "reserve"):
             # One plan slot per firing, or a smaller shared cache would
             # evict and recompile the whole event bank every frame.
             cache.reserve(scheme.firing_count)
+        beamformers = [self._event_beamformer(event)
+                       for event in scheme.events] \
+            if self._compounds else [beamformer]
         self.backends = []
-        for event in scheme.events:
-            provider = TransmitAdjustedProvider.from_provider(
-                beamformer.delays, event, beamformer.system,
-                grid=beamformer.grid)
-            event_beamformer = DelayAndSumBeamformer(
-                beamformer.system, provider,
-                apodization=beamformer.apodization,
-                interpolation=beamformer.interpolation,
-                transducer=beamformer.transducer, grid=beamformer.grid,
-                precision=beamformer.precision,
-                quantization=beamformer.quantization)
+        for event_beamformer in beamformers:
             event_backend = BACKENDS.create(
                 backend, event_beamformer, cache, precision,
                 options=backend_options)
             event_backend.tracer = self.tracer
-            if memory_budget_bytes is not None:
-                event_backend.set_memory_budget(memory_budget_bytes)
+            event_backend.set_memory_budget(memory_budget_bytes)
             self.backends.append(event_backend)
+        self.memory_budget_bytes: int | None = \
+            self.backends[0].memory_budget_bytes
+
+    def _event_beamformer(self, event: Any) -> DelayAndSumBeamformer:
+        """The base beamformer with its transmit leg swapped for ``event``."""
+        base = self.beamformer
+        provider = TransmitAdjustedProvider.from_provider(
+            base.delays, event, base.system, grid=base.grid)
+        return DelayAndSumBeamformer(
+            base.system, provider, apodization=base.apodization,
+            interpolation=base.interpolation, transducer=base.transducer,
+            grid=base.grid, precision=base.precision,
+            quantization=base.quantization)
 
     @property
     def firing_count(self) -> int:
@@ -152,12 +169,19 @@ class SchemeEngine:
                 f"{self.firing_count} firing(s) per frame, got "
                 f"{len(firings)}")
 
+    def _compound_span(self, **attributes: Any) -> Any:
+        """The ``compound`` span; a trivial scheme has nothing to compound."""
+        if not self._compounds:
+            return nullcontext()
+        return self.tracer.span("compound", firings=self.firing_count,
+                                **attributes)
+
     # ------------------------------------------------------------ execute
     def beamform_volume(self, firings: Sequence[ChannelData]) -> np.ndarray:
         """Coherently compound one frame's firings into an RF volume."""
         self._check_firings(firings)
         volume = None
-        with self.tracer.span("compound", firings=self.firing_count):
+        with self._compound_span():
             for backend, firing in zip(self.backends, firings):
                 contribution = backend.beamform_volume(firing)
                 volume = contribution if volume is None \
@@ -180,8 +204,7 @@ class SchemeEngine:
         for firings in frames:
             self._check_firings(firings)
         volumes = None
-        with self.tracer.span("compound", firings=self.firing_count,
-                              frames=len(frames)):
+        with self._compound_span(frames=len(frames)):
             for index, backend in enumerate(self.backends):
                 contribution = backend.beamform_batch(
                     [firings[index] for firings in frames])

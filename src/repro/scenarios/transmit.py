@@ -182,11 +182,11 @@ class TransmitScheme:
         return len(self.events)
 
     def is_trivial(self) -> bool:
-        """True for the single centred focused firing — the legacy path.
+        """True for the single centred focused firing.
 
-        Engines may keep their historical single-acquisition code path for
-        trivial schemes; everything else goes through per-event
-        compounding.
+        A :class:`repro.scenarios.SchemeEngine` runs a trivial scheme on
+        the base beamformer without a transmit wrap; everything else goes
+        through per-event compounding.
         """
         return len(self.events) == 1 and self.events[0].is_centred_focused()
 

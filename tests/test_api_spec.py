@@ -40,6 +40,14 @@ class TestEngineSpecValidation:
         assert set(SCENARIOS.names()) >= {"moving_point", "static_point",
                                           "speckle"}
 
+    @pytest.mark.parametrize("name", ["exact", "tablefree", "tablesteer",
+                                      "tablesteer_float"])
+    def test_builtin_architecture_builds_provider(self, name):
+        system = tiny_system()
+        provider = ARCHITECTURES.create(name, system)
+        delays = provider.delays_samples([[0.0, 0.0, 0.01]])
+        assert delays.shape == (1, system.transducer.element_count)
+
     def test_unknown_architecture_lists_registered(self):
         with pytest.raises(ValueError, match="tablesteer_float"):
             EngineSpec(architecture="magic")

@@ -13,12 +13,7 @@ from repro.pipeline.compounding import (
     acquisition_summary,
     compound_volume,
 )
-from repro.pipeline.imaging import (
-    DelayArchitecture,
-    ImagingPipeline,
-    compare_architectures,
-    make_delay_provider,
-)
+from repro.pipeline.imaging import ImagingPipeline
 
 
 @pytest.fixture(scope="module")
@@ -31,34 +26,6 @@ def centred_target(system):
     from repro.geometry.volume import FocalGrid
     grid = FocalGrid.from_config(system)
     return point_target(depth=float(grid.depths[len(grid.depths) // 2]))
-
-
-class TestMakeDelayProvider:
-    @pytest.mark.parametrize("architecture", ["exact", "tablefree", "tablesteer",
-                                              "tablesteer_float"])
-    def test_provider_construction(self, system, architecture):
-        with pytest.warns(DeprecationWarning, match="make_delay_provider"):
-            provider = make_delay_provider(system, architecture)
-        points = np.array([[0.0, 0.0, 0.01]])
-        delays = provider.delays_samples(points)
-        assert delays.shape == (1, system.transducer.element_count)
-
-    def test_enum_and_string_equivalent(self, system):
-        with pytest.warns(DeprecationWarning):
-            a = make_delay_provider(system, DelayArchitecture.TABLEFREE)
-            b = make_delay_provider(system, "tablefree")
-        assert type(a) is type(b)
-
-    def test_unknown_architecture_rejected(self, system):
-        with pytest.raises(ValueError), \
-                pytest.warns(DeprecationWarning):
-            make_delay_provider(system, "magic")
-
-    def test_registry_path_does_not_warn(self, system, recwarn):
-        from repro.architectures import ARCHITECTURES
-        ARCHITECTURES.create("exact", system)
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
 
 
 class TestImagingPipeline:
@@ -114,8 +81,8 @@ class TestPipelineBackends:
         np.testing.assert_allclose(got.rf, want.rf, rtol=0, atol=1e-9)
 
     def test_backend_shares_cache(self, system, centred_target):
-        from repro.runtime import DelayTableCache
-        cache = DelayTableCache()
+        from repro.runtime import PlanCache
+        cache = PlanCache()
         pipeline = ImagingPipeline(system, backend="vectorized", cache=cache)
         data = pipeline.acquire(centred_target)
         pipeline.image_volume(data)
@@ -164,54 +131,6 @@ class TestRegistryIntegration:
         as_dict = ImagingPipeline(system, architecture="tablesteer",
                                   architecture_options={"total_bits": 13})
         assert as_dict.delay_provider.design.total_bits == 13
-
-    def test_legacy_knobs_still_honoured(self, system):
-        from repro.core.tablefree import TableFreeConfig
-        pipeline = ImagingPipeline(
-            system, architecture="tablefree",
-            tablefree_config=TableFreeConfig(delta=0.5))
-        assert pipeline.delay_provider.design.delta == 0.5
-        steer = ImagingPipeline(system, architecture="tablesteer",
-                                tablesteer_bits=14)
-        assert steer.delay_provider.design.total_bits == 14
-
-    def test_deprecation_shims_still_import(self):
-        # Historical public entry points must keep importing and working.
-        from repro.pipeline import (  # noqa: F401
-            DelayArchitecture,
-            compare_architectures,
-            make_delay_provider,
-        )
-        from repro.pipeline.imaging import (  # noqa: F401
-            architecture_name,
-        )
-        from repro.runtime import BACKEND_NAMES, make_backend  # noqa: F401
-        assert architecture_name(DelayArchitecture.EXACT) == "exact"
-        assert set(BACKEND_NAMES) == {"reference", "vectorized", "sharded",
-                                      "compiled"}
-
-
-class TestCompareArchitectures:
-    def test_shim_emits_deprecation_warning(self, system, centred_target):
-        with pytest.warns(DeprecationWarning, match="compare_architectures"):
-            compare_architectures(system, centred_target,
-                                  architectures=("exact",))
-
-    def test_all_requested_architectures_present(self, system, centred_target):
-        with pytest.warns(DeprecationWarning):
-            images = compare_architectures(system, centred_target,
-                                           architectures=("exact", "tablesteer"))
-        assert set(images) == {"exact", "tablesteer"}
-
-    def test_images_similar_across_architectures(self, system, centred_target):
-        with pytest.warns(DeprecationWarning):
-            images = compare_architectures(system, centred_target)
-        reference = images["exact"]
-        for name, image in images.items():
-            assert image.shape == reference.shape
-            peak_ref = np.unravel_index(np.argmax(reference), reference.shape)
-            peak_img = np.unravel_index(np.argmax(image), image.shape)
-            assert abs(peak_ref[1] - peak_img[1]) <= 1, name
 
 
 class TestInsonificationPlan:

@@ -17,7 +17,7 @@ import pytest
 from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
-from repro.kernels import CompiledOptions, Precision, numba_available
+from repro.kernels import CompiledOptions, Precision, numba_available, plan_key
 from repro.runtime import (
     BACKEND_NAMES,
     BACKENDS,
@@ -25,8 +25,6 @@ from repro.runtime import (
     PlanCache,
     ReferenceBackend,
     ShardedBackend,
-    make_backend,
-    tables_key,
 )
 
 ARCH_NAMES = ("exact", "tablefree", "tablesteer")
@@ -105,15 +103,6 @@ class TestBackendEquivalence:
         assert set(BACKEND_NAMES) == {"reference", "vectorized", "sharded",
                                       "compiled"}
 
-    def test_make_backend_shim_warns_and_delegates(self, beamformers,
-                                                   tiny_channel_data):
-        with pytest.warns(DeprecationWarning, match="make_backend"):
-            backend = make_backend("vectorized", beamformers["exact"])
-        reference = ReferenceBackend(beamformers["exact"]).beamform_volume(
-            tiny_channel_data)
-        np.testing.assert_allclose(backend.beamform_volume(tiny_channel_data),
-                                   reference, rtol=0, atol=1e-9)
-
 
 class TestCompiledBackendFallback:
     """The no-numba degradation contract (runs on every host: the tests pin
@@ -168,8 +157,7 @@ class TestCompiledBackendFallback:
         """Compiled plans must never share cache entries with NumPy plans,
         and fastmath must get its own entry (different float semantics)."""
         beamformer = beamformers["exact"]
-        numpy_key = tables_key(beamformer)
-        from repro.kernels import plan_key
+        numpy_key = plan_key(beamformer)
         exact_key = plan_key(beamformer, None,
                              variant=CompiledOptions().variant())
         fastmath_key = plan_key(
@@ -223,10 +211,10 @@ class TestShardedEdgeCases:
 
 class TestPlanCacheKeys:
     def test_key_stability_and_architecture_separation(self, beamformers):
-        keys = {tables_key(b) for b in beamformers.values()}
+        keys = {plan_key(b) for b in beamformers.values()}
         assert len(keys) == len(ARCH_NAMES)
         one = beamformers["exact"]
-        assert tables_key(one) == tables_key(one)
+        assert plan_key(one) == plan_key(one)
 
     def test_key_distinguishes_interpolation(self, tiny):
         """Engines differing only in interpolation must never share plans."""
@@ -234,13 +222,13 @@ class TestPlanCacheKeys:
         nearest = DelayAndSumBeamformer(tiny, provider)
         linear = DelayAndSumBeamformer(
             tiny, provider, interpolation=InterpolationKind.LINEAR)
-        assert tables_key(nearest) != tables_key(linear)
+        assert plan_key(nearest) != plan_key(linear)
 
     def test_key_distinguishes_precision(self, beamformers):
         """Engines differing only in dtype must never share plans."""
         beamformer = beamformers["exact"]
-        assert tables_key(beamformer, "float64") != \
-            tables_key(beamformer, "float32")
+        assert plan_key(beamformer, "float64") != \
+            plan_key(beamformer, "float32")
 
     def test_key_distinguishes_quantization(self, tiny):
         """Engines differing only in quantisation spec must never share
@@ -249,7 +237,7 @@ class TestPlanCacheKeys:
         float_engine = DelayAndSumBeamformer(tiny, provider)
         q18 = DelayAndSumBeamformer(tiny, provider, quantization=18)
         q13 = DelayAndSumBeamformer(tiny, provider, quantization=13)
-        keys = {tables_key(float_engine), tables_key(q18), tables_key(q13)}
+        keys = {plan_key(float_engine), plan_key(q18), plan_key(q13)}
         assert len(keys) == 3
         # The spec's rounding/overflow policy is part of the key too.
         from repro.fixedpoint.quantize import RoundingMode
@@ -258,7 +246,7 @@ class TestPlanCacheKeys:
             tiny, provider,
             quantization=QuantizationSpec.from_total_bits(
                 18, rounding=RoundingMode.NEAREST_EVEN))
-        assert tables_key(nearest_even) != tables_key(q18)
+        assert plan_key(nearest_even) != plan_key(q18)
 
     def test_shared_cache_isolates_quantization(self, tiny,
                                                 tiny_channel_data):
@@ -349,10 +337,6 @@ class TestPlanCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
-
-    def test_legacy_alias(self):
-        from repro.runtime import DelayTableCache
-        assert DelayTableCache is PlanCache
 
     def test_shared_cache_serves_both_batched_backends(self, beamformers,
                                                        tiny_channel_data):

@@ -13,11 +13,10 @@ import pytest
 
 from repro.acoustics.phantom import point_target
 from repro.kernels import Precision
+from repro.pipeline import ImagingPipeline
 from repro.runtime import (
     BeamformingService,
-    DelayTableCache,
     FrameRequest,
-    FrameScheduler,
     PlanCache,
     moving_point_cine,
     static_cine,
@@ -35,31 +34,6 @@ class TestFrameRequest:
             FrameRequest(frame_id=0, phantom=phantom,
                          channel_data=tiny_channel_data)
         assert FrameRequest(frame_id=0, phantom=phantom).phantom is phantom
-
-
-class TestFrameScheduler:
-    def test_fifo_order_and_ids(self, tiny_channel_data):
-        scheduler = FrameScheduler()
-        for _ in range(5):
-            scheduler.submit(channel_data=tiny_channel_data)
-        assert scheduler.pending == len(scheduler) == 5
-        drained = [request.frame_id for request in scheduler.drain()]
-        assert drained == [0, 1, 2, 3, 4]
-        assert scheduler.pending == 0
-
-    def test_extend_with_cine(self, tiny):
-        scheduler = FrameScheduler()
-        scheduler.extend(moving_point_cine(tiny, n_frames=3))
-        assert scheduler.pending == 3
-
-    def test_submit_after_extend_does_not_reuse_ids(self, tiny,
-                                                    tiny_channel_data):
-        scheduler = FrameScheduler()
-        scheduler.extend(moving_point_cine(tiny, n_frames=3))  # ids 0..2
-        request = scheduler.submit(channel_data=tiny_channel_data)
-        assert request.frame_id == 3
-        ids = [r.frame_id for r in scheduler.drain()]
-        assert ids == [0, 1, 2, 3]
 
 
 class TestCineScenarios:
@@ -110,7 +84,7 @@ class TestBeamformingService:
                 np.testing.assert_allclose(got.rf, want.rf, rtol=0, atol=1e-9)
 
     def test_cached_frames_skip_delay_regeneration(self, tiny):
-        cache = DelayTableCache()
+        cache = PlanCache()
         service = BeamformingService(tiny, backend="vectorized", cache=cache)
         service.stream_all(moving_point_cine(tiny, n_frames=N_FRAMES))
         stats = service.stats()
@@ -171,7 +145,7 @@ class TestBeamformingService:
         assert as_dict.beamformer.delays.design.total_bits == 13
 
     def test_reset_stats_keeps_cache(self, tiny, tiny_channel_data):
-        cache = DelayTableCache()
+        cache = PlanCache()
         service = BeamformingService(tiny, backend="vectorized", cache=cache)
         service.submit_frame(tiny_channel_data)
         service.reset_stats()
@@ -183,6 +157,16 @@ class TestBeamformingService:
     def test_backend_name_exposed(self, tiny):
         service = BeamformingService(tiny, backend="sharded")
         assert service.backend_name == "sharded"
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("build", [BeamformingService, ImagingPipeline],
+                         ids=["service", "pipeline"])
+def test_memory_budget_reads_back_parsed(tiny, build, backend):
+    """A suffixed budget reads back as the int it was parsed to, on every
+    backend and on both facades."""
+    engine = build(tiny, backend=backend, memory_budget_bytes="64K")
+    assert engine.memory_budget_bytes == 64 * 1024
 
 
 class TestPrecisionPolicy:

@@ -3,6 +3,9 @@ scan registry and the spec/CLI threading."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -223,6 +226,34 @@ class TestSchemeEngine:
             scheme)
         assert engine.beamform_batch([]).shape == (0, 8, 8, 16)
 
+    def test_trivial_scheme_runs_the_bare_beamformer(self, tiny):
+        # No transmit wrap: the focused engine keeps the architecture's own
+        # plan key, so it shares plans with every other focused engine.
+        beamformer = DelayAndSumBeamformer(
+            tiny, ARCHITECTURES.create("tablesteer", tiny))
+        (backend,) = SchemeEngine(beamformer, resolve_scheme(tiny)).backends
+        assert backend.beamformer is beamformer
+        assert backend._key == plan_key(beamformer, None)
+
+
+def test_only_the_scheme_engine_assembles_backends():
+    """SchemeEngine is the one place that builds and budgets backends.
+
+    The service and the pipeline execute through it; a second assembly
+    path would let the two drift apart in tracer, budget or cache wiring.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    assembly = re.compile(r"BACKENDS\.create\(|\.set_memory_budget\(")
+    offenders = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for path in src.rglob("*.py")
+        if path.relative_to(src).as_posix() != "scenarios/engine.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if assembly.search(line)]
+    assert not offenders, (
+        "backend assembly outside repro/scenarios/engine.py:\n"
+        + "\n".join(offenders))
+
 
 class TestScoring:
     def test_score_volume_always_reports_every_key(self, tiny):
@@ -374,7 +405,7 @@ class TestServiceScheme:
         session = Session(EngineSpec(system="tiny", scheme="planewave",
                                      scheme_options={"n_angles": 2}))
         firings = session.acquire_firings(phantom)
-        with pytest.raises(ValueError, match="2 pre-recorded"):
+        with pytest.raises(ValueError, match="expects 2 firing"):
             session.service().submit_frame(firings[0])
 
     def test_focused_service_keeps_legacy_stats(self, phantom):
@@ -393,7 +424,7 @@ class TestServiceScheme:
         result = service.submit_frame((channel_data,))
         np.testing.assert_array_equal(
             result.rf, service.submit_frame(channel_data).rf)
-        with pytest.raises(ValueError, match="one firing per frame"):
+        with pytest.raises(ValueError, match="expects 1 firing"):
             service.submit_frame((channel_data, channel_data))
 
     def test_direct_service_reserves_cache_for_firings(self, tiny, phantom):

@@ -446,11 +446,11 @@ class TestSessionFacade:
         session = Session(TINY.with_updates(backend="sharded"))
         service = session.service()
         service.submit_frame(_phantom(session.system))
-        pool = service._backend._pool
-        assert pool is not None
+        (backend,) = service._engine.backends
+        assert backend._pool is not None
         session.close()
         # The sharded pool was shut down by Session.close().
-        assert service._backend._pool is None
+        assert backend._pool is None
         # Idempotent and re-usable: pools rebuild lazily.
         session.close()
 
