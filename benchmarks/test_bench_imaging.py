@@ -3,20 +3,26 @@
 Regenerates the implicit image-quality claim of the paper: a beamformer fed
 by TABLEFREE or TABLESTEER delays produces essentially the same image as one
 fed by exact delays, with the TABLESTEER degradation confined to steered /
-edge regions.
+edge regions.  It also times the echo simulation every image starts from.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.acoustics.echo import EchoSimulator
 from repro.acoustics.phantom import point_target
+from repro.api import ScanSpec
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.drivers import reconstruct_plane
-from repro.config import tiny_system
+from repro.config import small_system, tiny_system
 from repro.core.exact import ExactDelayEngine
 from repro.experiments import e10_imaging
+
+BENCH_STRICT = os.environ.get("REPRO_BENCH_STRICT", "") not in ("", "0")
+"""Whether the wall-clock bound is enforced (any value but ``0``/empty)."""
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +61,23 @@ def test_bench_imaging_comparison(benchmark, on_axis, off_axis, report):
     # TABLESTEER's steering approximation hurts more off axis than on axis.
     assert off_axis["comparisons"]["tablesteer_18b"]["nrms_vs_exact"] >= \
         on_axis["comparisons"]["tablesteer_18b"]["nrms_vs_exact"] - 0.05
+
+
+def test_bench_echo_simulation_small_cyst(benchmark, report):
+    """One ``small`` cyst firing: the channel data every sweep cell starts
+    from.  Under ``REPRO_BENCH_STRICT`` it must take less than 0.5 s."""
+    system = small_system()
+    phantom = ScanSpec(scenario="cyst").build_frames(system)[0].phantom
+    simulator = EchoSimulator.from_config(system)
+    data = benchmark.pedantic(simulator.simulate, args=(phantom,),
+                              rounds=3, iterations=1)
+    assert data.samples.shape == (system.transducer.element_count,
+                                  system.echo_buffer_samples)
+    seconds = benchmark.stats.stats.min
+    report(f"echo simulation: small cyst firing ({phantom.scatterer_count} "
+           f"scatterers x {data.element_count} elements) in "
+           f"{seconds * 1e3:.0f} ms"
+           + ("" if BENCH_STRICT else "   [REPRO_BENCH_STRICT unset: "
+                                      "0.5 s bound reported, not asserted]"))
+    if BENCH_STRICT:
+        assert seconds < 0.5

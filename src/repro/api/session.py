@@ -323,8 +323,9 @@ class Session:
         :meth:`repro.pipeline.ImagingPipeline.compound_volume`.
         """
         resolved = self._resolve_scheme_variant(scheme, scheme_options)
-        return acquire_firings(self.simulator, resolved, phantom,
-                               noise_std=noise_std, seed=seed)
+        with self.tracer.span("simulate", firings=resolved.firing_count):
+            return acquire_firings(self.simulator, resolved, phantom,
+                                   noise_std=noise_std, seed=seed)
 
     def stream(self, scan: ScanSpec | Mapping | None = None,
                batch_size: int = 1,

@@ -227,8 +227,9 @@ class ImagingPipeline:
         :func:`repro.scenarios.acquire_firings` for why.
         """
         from ..scenarios.engine import acquire_firings
-        return acquire_firings(self._simulator, self.scheme, phantom,
-                               noise_std=noise_std, seed=seed)
+        with self.tracer.span("simulate", firings=self.scheme.firing_count):
+            return acquire_firings(self._simulator, self.scheme, phantom,
+                                   noise_std=noise_std, seed=seed)
 
     def compound_volume(self, firings: "list[ChannelData]"
                         ) -> BeamformedVolume:

@@ -2,12 +2,103 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.acoustics.echo import ChannelData, EchoSimulator
-from repro.acoustics.phantom import Phantom, point_target
+from repro.acoustics import echo
+from repro.acoustics.echo import SCATTER_BLOCK_ENTRIES, ChannelData, EchoSimulator
+from repro.acoustics.phantom import Phantom, point_target, speckle_phantom
+from repro.acoustics.pulse import GaussianPulse
+from repro.api import ScanSpec
+from repro.config import get_preset, tiny_system
 from repro.core.exact import ExactDelayEngine
+from repro.scenarios import SCHEMES, TransmitEvent
+
+
+def _loop_simulate_event(simulator: EchoSimulator, phantom: Phantom,
+                         transmit: object, noise_std: float = 0.0,
+                         seed: "int | tuple[int, ...]" = 0) -> np.ndarray:
+    """The reference: one buffered ``+=`` per (scatterer, element) pair.
+
+    This is the loop ``EchoSimulator.simulate_event`` ran before it became
+    a chunked scatter-add; the simulator must match it bit for bit.
+    """
+    acoustic = simulator.system.acoustic
+    fs = acoustic.sampling_frequency
+    c = acoustic.speed_of_sound
+    n_samples = simulator.system.echo_buffer_samples
+    n_elements = simulator.transducer.element_count
+    traces = np.zeros((n_elements, n_samples))
+
+    pulse_times, pulse_amps = simulator.pulse.waveform()
+    pulse_offsets = np.round(pulse_times * fs).astype(np.int64)
+
+    positions = simulator.transducer.positions
+    for scatterer, amplitude in zip(phantom.positions, phantom.amplitudes):
+        tx_distance = transmit.transmit_distance(scatterer)
+        rx_distances = np.linalg.norm(positions - scatterer[None, :], axis=1)
+        delays = (tx_distance + rx_distances) / c
+        center_samples = np.round(delays * fs).astype(np.int64)
+        spreading = 1.0 / np.maximum(rx_distances, 1e-4)
+        spreading = spreading / np.max(spreading)
+        for element in range(n_elements):
+            indices = center_samples[element] + pulse_offsets
+            valid = (indices >= 0) & (indices < n_samples)
+            if not np.any(valid):
+                continue
+            traces[element, indices[valid]] += (amplitude
+                                                * spreading[element]
+                                                * pulse_amps[valid])
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        traces = traces + rng.normal(0.0, noise_std, traces.shape)
+    return traces
+
+
+NOISES = ((0.0, 0), (0.01, 7), (0.01, (7, 2)))
+"""``(noise_std, seed)``: clean, an int seed, a ``(seed, firing)`` pair."""
+
+
+def _events(system) -> dict[str, "TransmitEvent | None"]:
+    """Every transmit kind; ``None`` is the simulator's own origin, run
+    through :meth:`EchoSimulator.simulate`."""
+    events: dict[str, TransmitEvent | None] = {
+        "origin": None,
+        "focused_off_origin": TransmitEvent.focused(
+            origin=np.array([1e-3, -5e-4, 0.0])),
+    }
+    planewave = SCHEMES.create("planewave", system, options={"n_angles": 3})
+    for i, event in enumerate(planewave.events):
+        events[f"planewave{i}"] = event
+    aperture = SCHEMES.create("synthetic_aperture", system).events
+    events["aperture_first"] = aperture[0]
+    events["aperture_last"] = aperture[-1]
+    return events
+
+
+def _assert_matches_loop(simulator: EchoSimulator, phantom: Phantom,
+                         event: "TransmitEvent | None", noise_std: float,
+                         seed) -> None:
+    if event is None:
+        data = simulator.simulate(phantom, noise_std=noise_std, seed=seed)
+        event = TransmitEvent.focused(origin=simulator.origin)
+    else:
+        data = simulator.simulate_event(phantom, event, noise_std=noise_std,
+                                        seed=seed)
+    expected = _loop_simulate_event(simulator, phantom, event, noise_std, seed)
+    assert np.array_equal(data.samples, expected)
+
+
+def _scenario_phantom(system, scenario: str) -> Phantom:
+    """The last frame of a two-frame cine (moving scenarios differ per
+    frame)."""
+    return ScanSpec(scenario=scenario, frames=2, seed=3) \
+        .build_frames(system)[-1].phantom
 
 
 class TestChannelData:
@@ -99,3 +190,117 @@ class TestEchoSimulator:
         deep = point_target(depth=10.0)
         data = simulator.simulate(deep)
         assert np.all(data.samples == 0)
+
+
+class TestMatchesReferenceLoop:
+    """The chunked scatter-add is bit-identical to the per-scatterer loop."""
+
+    @pytest.mark.parametrize("system_name", ["tiny", "small"])
+    @pytest.mark.parametrize("scenario", ["static_point", "moving_scatterers"])
+    def test_every_event_and_noise(self, system_name, scenario):
+        system = get_preset(system_name)
+        simulator = EchoSimulator.from_config(system)
+        phantom = _scenario_phantom(system, scenario)
+        for event in _events(system).values():
+            for noise_std, seed in NOISES:
+                _assert_matches_loop(simulator, phantom, event, noise_std,
+                                     seed)
+
+    # The dense phantoms cost the reference loop seconds per firing, so
+    # each runs one event and one noise setting per system.
+    @pytest.mark.parametrize("system_name, scenario, event_name, noise", [
+        ("tiny", "cyst", "planewave1", NOISES[2]),
+        ("tiny", "speckle", "aperture_last", NOISES[0]),
+        ("small", "cyst", "origin", NOISES[1]),
+        ("small", "speckle", "focused_off_origin", NOISES[0]),
+    ])
+    def test_dense_phantoms(self, system_name, scenario, event_name, noise):
+        system = get_preset(system_name)
+        _assert_matches_loop(EchoSimulator.from_config(system),
+                             _scenario_phantom(system, scenario),
+                             _events(system)[event_name], *noise)
+
+    def test_output_does_not_depend_on_the_chunk_size(self, tiny,
+                                                      monkeypatch):
+        simulator = EchoSimulator.from_config(tiny)
+        phantom = _scenario_phantom(tiny, "cyst")
+        event = _events(tiny)["planewave0"]
+        default = simulator.simulate_event(phantom, event).samples
+        for entries in (1, 10 ** 12):  # one scatterer; the whole phantom
+            monkeypatch.setattr(echo, "SCATTER_BLOCK_ENTRIES", entries)
+            chunked = simulator.simulate_event(phantom, event).samples
+            assert np.array_equal(chunked, default)
+
+    def test_duplicate_pulse_offsets_land_only_the_last_sample(self, tiny):
+        """A pulse spanning ~6.2 samples rounds two of its 8 samples to the
+        same offset; the loop's buffered ``+=`` lands only the later one."""
+        fs = tiny.acoustic.sampling_frequency
+        fc = tiny.acoustic.center_frequency
+        sigma_t = 6.2 / (8.0 * fs)  # duration = 8 sigma_t = 6.2 samples
+        sigma_f = 1.0 / (2.0 * np.pi * sigma_t)
+        pulse = GaussianPulse(
+            center_frequency=fc,
+            fractional_bandwidth=2.0 * np.sqrt(2.0 * np.log(2.0)) * sigma_f / fc,
+            sampling_frequency=fs)
+        offsets = np.round(pulse.waveform()[0] * fs)
+        assert np.unique(offsets).size < offsets.size
+        simulator = dataclasses.replace(EchoSimulator.from_config(tiny),
+                                        pulse=pulse)
+        phantom = _scenario_phantom(tiny, "moving_scatterers")
+        for event in (None, _events(tiny)["planewave2"]):
+            _assert_matches_loop(simulator, phantom, event, *NOISES[0])
+
+    def test_firing_memory_is_the_trace_buffer_plus_a_bounded_chunk(
+            self, small):
+        """About 34 bytes per chunk entry were measured; 48 is the bound."""
+        simulator = EchoSimulator.from_config(small)
+        phantom = speckle_phantom(small, n_scatterers=2000)
+        simulator.simulate(phantom)  # first-call allocations are not the cost
+        tracemalloc.start()
+        try:
+            simulator.simulate(phantom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace_bytes = small.transducer.element_count \
+            * small.echo_buffer_samples * 8
+        assert peak <= trace_bytes + 48 * SCATTER_BLOCK_ENTRIES
+
+
+_TINY = tiny_system()
+_TINY_SIMULATOR = EchoSimulator.from_config(_TINY)
+_TINY_EVENTS = list(_events(_TINY).values())
+_coordinate = st.floats(min_value=-6e-3, max_value=6e-3)
+_point = st.one_of(
+    # In the field of view, or behind the probe (negative plane-wave delays).
+    st.tuples(_coordinate, _coordinate,
+              st.floats(min_value=-5e-3, max_value=16e-3)),
+    # On an element: receive distance below the 1e-4 m spreading clamp.
+    st.tuples(st.integers(0, _TINY.transducer.element_count - 1),
+              st.floats(min_value=0.0, max_value=5e-5)).map(
+        lambda p: tuple(_TINY_SIMULATOR.transducer.positions[p[0]]
+                        + np.array([0.0, 0.0, p[1]]))),
+    # Past the echo buffer.
+    st.tuples(_coordinate, _coordinate,
+              st.floats(min_value=2e-2, max_value=1.0)),
+)
+_amplitude = st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0))
+
+
+_ON_ELEMENT = tuple(_TINY_SIMULATOR.transducer.positions[5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(scatterers=st.lists(st.tuples(_point, _amplitude), max_size=6),
+       event=st.sampled_from(_TINY_EVENTS),
+       noise=st.sampled_from(NOISES))
+@example(scatterers=[], event=None, noise=NOISES[2])
+@example(scatterers=[((0.0, 0.0, 8e-3), 0.0)], event=None, noise=NOISES[0])
+@example(scatterers=[((0.0, 0.0, 0.5), 1.0)], event=None, noise=NOISES[0])
+@example(scatterers=[(_ON_ELEMENT, 1.0), ((0.0, 0.0, 8e-3), -1.0)],
+         event=None, noise=NOISES[0])
+def test_random_phantoms_match_reference_loop(scatterers, event, noise):
+    phantom = Phantom(
+        positions=np.array([p for p, _ in scatterers]).reshape(-1, 3),
+        amplitudes=np.array([a for _, a in scatterers]))
+    _assert_matches_loop(_TINY_SIMULATOR, phantom, event, *noise)

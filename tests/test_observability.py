@@ -45,6 +45,7 @@ from repro.observability.benchgate import (
     compare_benchmarks,
     main as benchgate_main,
 )
+from repro.scenarios import SCHEMES
 
 
 # ------------------------------------------------------------------ tracer
@@ -441,6 +442,17 @@ class TestServiceObservability:
         service.submit_frame(tiny_channel_data)
         assert len(session.tracer.find("compile")) == 1
         assert len(session.tracer.find("frame")) == 2
+
+    def test_acquire_firings_opens_a_simulate_span(self, session):
+        phantom = ScanSpec(scenario="static_point").build_frames(
+            session.system)[0].phantom
+        session.acquire_firings(phantom, scheme="planewave")
+        pipeline = session.pipeline(scheme="synthetic_aperture")
+        pipeline.acquire_firings(phantom)
+        assert [span.attributes["firings"]
+                for span in session.tracer.find("simulate")] == [
+            SCHEMES.create("planewave", session.system).firing_count,
+            pipeline.scheme.firing_count]
 
     def test_export_metrics(self, session, tiny_channel_data):
         service = session.service()

@@ -17,6 +17,7 @@ from repro.api import EngineSpec, Session, SweepSpec
 from repro.cli import main
 from repro.experiments.e10_imaging import scheme_quality_sweep
 from repro.runtime.cache import PlanCache
+from repro.scenarios import SCHEMES
 from repro.sweep import (
     SweepExecutor,
     SweepRunSpec,
@@ -477,6 +478,20 @@ def test_sweep_emits_cell_spans():
     cells = session.tracer.find("cell")
     assert len(cells) == 2
     assert all(span.attributes["cached"] is False for span in cells)
+
+
+def test_sweep_traces_one_simulate_span_per_scenario_and_scheme():
+    grid = SweepSpec(scenarios=("static_point", "moving_scatterers"),
+                     schemes=("focused", "planewave"),
+                     architectures=("exact", "tablesteer"))
+    with Session(TINY.with_updates(trace=True)) as session:
+        session.sweep(spec=grid)
+    planewave = SCHEMES.create("planewave", session.system)
+    (sweep,) = session.tracer.find("sweep")
+    simulates = [span for span in sweep.children if span.name == "simulate"]
+    assert len(session.tracer.find("simulate")) == len(simulates) == 4
+    assert [span.attributes["firings"] for span in simulates] == \
+        [1, planewave.firing_count] * 2
 
 
 # --------------------------------------------------------------------- CLI
