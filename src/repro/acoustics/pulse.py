@@ -68,7 +68,7 @@ class GaussianPulse:
         return self.envelope(t) * np.cos(2.0 * np.pi * self.center_frequency * t)
 
     def waveform(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled pulse: ``(times, amplitudes)`` covering +/- 4 sigma."""
+        """Sampled pulse: ``(times, amplitudes)`` spanning +/- 4 sigma."""
         half = self.duration / 2.0
         n = max(2, int(np.ceil(self.duration * self.sampling_frequency)) + 1)
         t = np.linspace(-half, half, n)

@@ -71,7 +71,7 @@ def sample_volume_points(system: SystemConfig,
                          max_points: int = 4000,
                          seed: int = 7,
                          include_extremes: bool = True) -> np.ndarray:
-    """A deterministic sample of focal points covering the imaging volume.
+    """A deterministic sample of focal points spanning the imaging volume.
 
     The sample always includes the grid corners and edge mid-points when
     ``include_extremes`` is set (the regions where the TABLESTEER error

@@ -76,15 +76,12 @@ class Session:
         self.metrics = MetricsRegistry()
         # A spec-level memory budget byte-bounds the shared cache: every
         # pipeline/service/server this session vends then streams tiled
-        # plan segments through it instead of overflowing it.
+        # plan segments through it instead of overflowing it.  Without a
+        # budget, each engine built on it grows its slot count to the
+        # engine's firings x tiles.
         self.cache = PlanCache(capacity=spec.cache_capacity,
                                metrics=self.metrics,
                                max_bytes=spec.memory_budget_bytes)
-        # A multi-firing scheme needs one plan slot per firing, or every
-        # compounded frame would recompile its whole event bank (per-call
-        # scheme overrides reserve their own slots in
-        # _resolve_scheme_variant).
-        self.cache.reserve(self.scheme.firing_count)
         # Everything closeable the session vends (pipelines, services,
         # servers) is remembered so close() can release the worker pools
         # the session caused to exist.
@@ -155,9 +152,7 @@ class Session:
         the spec's scheme *name* with the given options; a different name
         switches to that scheme's registered defaults unless options are
         given.  The result is always a resolved
-        :class:`repro.scenarios.TransmitScheme`, and the shared plan
-        cache is grown to its firing count so multi-firing compounding
-        never thrashes its own per-event plans.
+        :class:`repro.scenarios.TransmitScheme`.
         """
         if scheme is None:
             if scheme_options is None:
@@ -165,9 +160,7 @@ class Session:
             scheme = self.spec.scheme
         elif scheme == self.spec.scheme and scheme_options is None:
             return self.scheme
-        resolved = resolve_scheme(self.system, scheme, scheme_options)
-        self.cache.reserve(resolved.firing_count)
-        return resolved
+        return resolve_scheme(self.system, scheme, scheme_options)
 
     def pipeline(self, architecture: str | None = None,
                  backend: str | None = None,

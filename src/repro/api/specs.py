@@ -103,7 +103,7 @@ class EngineSpec:
     cache_capacity: int = 4
     """Capacity of the session's shared compiled-plan LRU cache.
 
-    Sessions grow this to the scheme's firing count when needed, so
+    Engines grow this to one slot per firing and tile when needed, so
     multi-firing compounding never thrashes its own per-event plans."""
 
     trace: bool = False

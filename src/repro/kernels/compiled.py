@@ -443,34 +443,20 @@ class CompiledPlan(BeamformingPlan):
     def _block_size(self, options: CompiledOptions) -> int:
         return int(options.block_size or DEFAULT_BLOCK_POINTS)
 
-    def _run_frame(self, samples: np.ndarray, rows: slice | None,
-                   out: np.ndarray, options: CompiledOptions) -> None:
-        """Launch the single-frame kernel over ``rows`` (None = all)."""
+    def _run_frame(self, samples: np.ndarray, out: np.ndarray,
+                   options: CompiledOptions) -> None:
+        """Launch the single-frame kernel over every point."""
         kernels = self.kernels()
         index = self.gather_index(samples.shape[-1])
         _set_threads(options.threads)
         block = self._block_size(options)
         if self.interpolation.value == "nearest":
-            indices, valid = index.indices, index.valid
-            weights = self.weights
-            if rows is not None:
-                indices, valid = indices[rows], valid[rows]
-                weights = weights[rows]
-            kernels["nearest_frame"](samples, indices, valid, weights,
-                                     out, block)
+            kernels["nearest_frame"](samples, index.indices, index.valid,
+                                     self.weights, out, block)
         else:
-            fraction = self._fraction(index)
-            lower, upper = index.lower, index.upper
-            lower_valid, upper_valid = index.lower_valid, index.upper_valid
-            weights = self.weights
-            if rows is not None:
-                lower, upper = lower[rows], upper[rows]
-                fraction = fraction[rows]
-                lower_valid = lower_valid[rows]
-                upper_valid = upper_valid[rows]
-                weights = weights[rows]
-            kernels["linear_frame"](samples, lower, upper, fraction,
-                                    lower_valid, upper_valid, weights,
+            kernels["linear_frame"](samples, index.lower, index.upper,
+                                    self._fraction(index), index.lower_valid,
+                                    index.upper_valid, self.weights,
                                     out, block)
 
     # ------------------------------------------------------------ execution
@@ -487,23 +473,9 @@ class CompiledPlan(BeamformingPlan):
         samples = np.ascontiguousarray(self.coerce_samples(channel_data))
         out = np.empty(self.n_points, dtype=self.dtype)
         with tracer.span("fused") as span:
-            self._run_frame(samples, None, out, options)
+            self._run_frame(samples, out, options)
             span.set(bytes=int(samples.nbytes), points=self.n_points)
         return out.reshape(self.grid_shape)
-
-    def execute_rows(self, channel_data: "ChannelData | np.ndarray",
-                     rows: slice, tracer=None,
-                     options: CompiledOptions | None = None) -> np.ndarray:
-        """One contiguous point block, fused; returns the flat rows."""
-        tracer = resolve_tracer(tracer)
-        options = self.options if options is None else options
-        samples = np.ascontiguousarray(self.coerce_samples(channel_data))
-        n_rows = len(range(*rows.indices(self.n_points)))
-        out = np.empty(n_rows, dtype=self.dtype)
-        with tracer.span("fused") as span:
-            self._run_frame(samples, rows, out, options)
-            span.set(bytes=int(samples.nbytes), points=n_rows)
-        return out
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
                       tracer=None, options: CompiledOptions | None = None

@@ -6,10 +6,11 @@ apodization, interpolation, precision)`` — everything that determines the
 per-frame arithmetic — and then executed against any number of frames:
 
 * :meth:`BeamformingPlan.execute` — one frame -> one volume;
-* :meth:`BeamformingPlan.execute_rows` — a contiguous point block (what the
-  sharded backend's workers run);
 * :meth:`BeamformingPlan.execute_batch` — a stacked cine -> stacked volumes
   in one gather, amortising index setup and NumPy dispatch across frames.
+
+The tiled and ``sharded`` paths run whole *segment* plans, one per tile
+(``compile_plan(..., tile=...)``), through the same two methods.
 
 Compilation materialises the full ``(n_points, n_elements)`` delay and
 weight tensors and pre-resolves the fractional delays into clipped integer
@@ -254,7 +255,7 @@ class BeamformingPlan:
     def _reduce(self, gathered: np.ndarray, weights: np.ndarray,
                 tracer=NULL_TRACER, *, reuse_gathered: bool = False
                 ) -> np.ndarray:
-        """Weight-and-accumulate stage shared by all three execute paths.
+        """Weight-and-accumulate stage shared by both execute paths.
 
         The float plan multiplies by the apodization weights and sums over
         the element axis; :class:`repro.kernels.quantized.QuantizedPlan`
@@ -301,24 +302,6 @@ class BeamformingPlan:
                             reuse_gathered=True)
         return flat.reshape(self.grid_shape)
 
-    def execute_rows(self, channel_data: "ChannelData | np.ndarray",
-                     rows: slice, tracer=None) -> np.ndarray:
-        """Beamform one contiguous point block; returns the flat rows.
-
-        The unit of work of the sharded backend: index and weights are
-        row-sliced views, so concurrent workers share the compiled tensors.
-        Spans opened here land on the calling thread's stack — under the
-        sharded backend's pool each worker contributes its own roots.
-        """
-        tracer = resolve_tracer(tracer)
-        samples = self.coerce_samples(channel_data)
-        index = self.gather_index(samples.shape[-1]).rows(rows)
-        with tracer.span("gather") as span:
-            gathered = gather_interp(samples, index)
-            span.set(bytes=int(gathered.nbytes))
-        return self._reduce(gathered, self.weights[rows], tracer,
-                            reuse_gathered=True)
-
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
                       tracer=None) -> np.ndarray:
         """Beamform a cine batch at once; shape ``(n_frames, *grid_shape)``.
@@ -333,12 +316,15 @@ class BeamformingPlan:
         chunking is invisible numerically — each focal point's sum is
         independent, so the result is bit-identical to the single-shot
         gather.  Frames must share one buffer length (always true for one
-        acquisition system).
+        acquisition system).  A pre-stacked ``(n_frames, n_elements,
+        n_samples)`` array is coerced in place of the stack — the tiled
+        path shares one stack across all its tiles.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        stacked = np.stack([self.coerce_samples(frame) for frame in frames])
+        stacked = self.coerce_samples(frames) if isinstance(frames, np.ndarray) \
+            else np.stack([self.coerce_samples(frame) for frame in frames])
         index = self.gather_index(stacked.shape[-1])
         block = max(1, BATCH_BLOCK_ELEMENTS // (len(frames) * self.n_elements))
         if block >= self.n_points:
@@ -384,7 +370,7 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     raising :class:`repro.kernels.compiled.BackendUnavailable` when numba is
     not importable.  The default ``None`` is the NumPy plan.
 
-    ``tile`` compiles a *segment* plan covering only that
+    ``tile`` compiles a *segment* plan for only that
     :class:`repro.kernels.tiling.Tile` of the focal grid: tensors come
     from the streaming per-scanline path (:func:`_tile_tensors`), the key
     carries the tile's point range, and ``grid_shape`` degenerates to

@@ -270,11 +270,11 @@ class QuantizedPlan(BeamformingPlan):
     * :meth:`_reduce` rounds every weighted product into the accumulator
       format, sums, and saturates the final value to the same format.
 
-    ``execute`` / ``execute_rows`` / ``execute_batch`` are inherited
-    unchanged, which is what makes the quantized mode a first-class runtime
-    workload: the vectorized, sharded and batched streaming paths all work,
-    and all are bit-identical to each other (the chunked batch gather
-    commutes with per-point quantisation).
+    ``execute`` / ``execute_batch`` are inherited unchanged, which is what
+    makes the quantized mode a first-class runtime workload: the
+    vectorized, sharded, tiled and batched streaming paths all work, and
+    all are bit-identical to each other (the chunked batch gather commutes
+    with per-point quantisation).
     """
 
     spec: QuantizationSpec | None = field(default=None)
@@ -337,7 +337,7 @@ def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
     paths as :func:`repro.kernels.plan.compile_plan` and then quantised once
     at compile time; the gather index is built from the quantised delays.
 
-    ``tile`` compiles the segment covering one
+    ``tile`` compiles the segment for one
     :class:`repro.kernels.tiling.Tile` only: the tensors come from the
     streaming per-scanline path and are quantised with the same
     ``quantize_delays`` / ``quantize_weights`` stages (elementwise, so the
@@ -385,7 +385,7 @@ def quantized_delay_and_sum(samples: np.ndarray, delays_samples: np.ndarray,
     used where delays are produced per call (the per-scanline reference
     loop, arbitrary-point beamforming).  All four datapath values are
     quantised with ``spec`` before the float kernels run, so the result is
-    bit-identical to a :class:`QuantizedPlan` covering the same points —
+    bit-identical to a :class:`QuantizedPlan` over the same points —
     inputs that are already quantised pass through unchanged (quantisation
     is idempotent), which lets callers hoist the echo-buffer quantisation
     out of per-scanline loops.

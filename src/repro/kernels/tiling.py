@@ -10,12 +10,15 @@ that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``):
   :class:`Tile` ranges whose per-tile plan cost
   (:func:`~repro.kernels.plan.plan_storage_bytes`) fits the budget,
   aligned to whole scanlines by default (the minimal unit the per-scanline
-  delay providers stream);
+  delay providers stream), and with ``workers`` tiles executing at once
+  to an even share of the scanlines and of the budget;
 * :class:`TiledPlan` mirrors the :class:`BeamformingPlan` execute surface
   but compiles one *segment* plan per tile on demand — via
   ``compile_plan(..., tile=...)``, whose tensors come from the streaming
   per-scanline path, never the whole-grid bulk path — and writes each
-  tile's rows into the caller's output array;
+  tile's rows into the caller's output array, serially or on the
+  ``sharded`` backend's thread pool: one partition is both the unit of
+  plan memory and of parallel work (the paper's Fig. 4 blocks);
 * segments are cached in a byte-budgeted
   :class:`repro.runtime.cache.PlanCache` (segment-level LRU): the budget is
   *enforced*, never silently exceeded, and the achieved peak is reported
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,7 +117,7 @@ class Tile:
 
 
 class TilePlanner:
-    """Split a voxel grid into budget-sized tiles from per-point plan cost.
+    """Split a voxel grid into tiles from per-point plan cost and workers.
 
     Parameters
     ----------
@@ -123,8 +126,9 @@ class TilePlanner:
     n_elements:
         Receive-channel count (sets the per-point plan cost).
     memory_budget_bytes:
-        The plan-memory cap, as bytes or a suffixed string (``"8G"``).
-        Tiles are sized so one segment plan never exceeds it; the
+        The plan-memory cap, as bytes or a suffixed string (``"8G"``), or
+        ``None`` for no cap.  Tiles are sized so the ``workers`` segment
+        plans executing at once never exceed it together; the
         byte-budgeted :class:`repro.runtime.cache.PlanCache` then enforces
         it across however many segments are resident.
     precision / interpolation:
@@ -135,17 +139,22 @@ class TilePlanner:
         scanlines, the minimal unit the per-scanline delay providers
         stream.  Property tests use ``granularity=1`` (single-voxel tiles)
         to pin the degenerate partition.
+    workers:
+        How many tiles execute concurrently.  A tile holds at most
+        ``ceil(units / workers)`` granularity units, so every worker gets
+        one, and at most ``budget // workers`` bytes.
 
-    A budget too small to hold even one granularity unit is rejected with
-    an actionable error (the MWA-pointing stance: fail loudly, never
-    degrade silently).
+    A budget too small to give every worker one granularity unit is
+    rejected with an actionable error naming the real minimum (the
+    MWA-pointing stance: fail loudly, never degrade silently).
     """
 
     def __init__(self, grid_shape: Sequence[int], n_elements: int,
-                 memory_budget_bytes: int | str, *,
+                 memory_budget_bytes: int | str | None = None, *,
                  precision: Precision | str | None = None,
                  interpolation="nearest",
-                 granularity: int | None = None) -> None:
+                 granularity: int | None = None,
+                 workers: int = 1) -> None:
         self.grid_shape = tuple(int(n) for n in grid_shape)
         if len(self.grid_shape) != 3 or min(self.grid_shape) < 1:
             raise ValueError(f"grid_shape must be three positive extents, "
@@ -153,27 +162,37 @@ class TilePlanner:
         n_theta, n_phi, n_depth = self.grid_shape
         self.n_points = n_theta * n_phi * n_depth
         self.n_elements = int(n_elements)
-        self.memory_budget_bytes = parse_memory_budget(memory_budget_bytes)
+        self.memory_budget_bytes = None if memory_budget_bytes is None \
+            else parse_memory_budget(memory_budget_bytes)
         self.precision = resolve_precision(precision)
         self.interpolation = interpolation
         self.granularity = n_depth if granularity is None else int(granularity)
         if self.granularity < 1:
             raise ValueError("tile granularity must be at least 1 point")
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         self.bytes_per_point = plan_storage_bytes(
             1, self.n_elements, self.precision, self.interpolation)
         unit_bytes = self.bytes_per_point * self.granularity
-        units = self.memory_budget_bytes // unit_bytes
-        if units < 1:
-            unit = "scanline" if granularity is None else \
-                f"{self.granularity}-point tile"
-            raise ValueError(
-                f"memory budget of {self.memory_budget_bytes} bytes cannot "
-                f"hold one {unit}: a single segment plan of "
-                f"{self.granularity} points x {self.n_elements} elements "
-                f"costs {unit_bytes} bytes "
-                f"({self.bytes_per_point} bytes/point at "
-                f"{self.precision.value}); raise the budget to at least "
-                f"{unit_bytes} bytes")
+        units = math.ceil(math.ceil(self.n_points / self.granularity)
+                          / self.workers)
+        if self.memory_budget_bytes is not None:
+            budget_units = self.memory_budget_bytes // (self.workers
+                                                        * unit_bytes)
+            if budget_units < 1:
+                unit = "scanline" if granularity is None else \
+                    f"{self.granularity}-point tile"
+                raise ValueError(
+                    f"memory budget of {self.memory_budget_bytes} bytes "
+                    f"cannot hold one {unit} for each of {self.workers} "
+                    f"concurrent worker(s): a single segment plan of "
+                    f"{self.granularity} points x {self.n_elements} "
+                    f"elements costs {unit_bytes} bytes "
+                    f"({self.bytes_per_point} bytes/point at "
+                    f"{self.precision.value}); raise the budget to at least "
+                    f"{self.workers * unit_bytes} bytes")
+            units = min(units, budget_units)
         self.tile_points = int(min(units * self.granularity, self.n_points))
         self.n_tiles = math.ceil(self.n_points / self.tile_points)
 
@@ -192,20 +211,11 @@ class TilePlanner:
         (no overlap, no gap, full coverage; pinned by the property suite)."""
         return tuple(self.tile(i) for i in range(self.n_tiles))
 
-    def covering(self, rows: slice) -> Iterator[Tile]:
-        """The tiles intersecting a flat-point range (sharded row blocks)."""
-        start, stop, _ = rows.indices(self.n_points)
-        if stop <= start:
-            return
-        first = start // self.tile_points
-        last = (stop - 1) // self.tile_points
-        for index in range(first, last + 1):
-            yield self.tile(index)
-
     # ------------------------------------------------------------- costing
     @property
     def tile_bytes(self) -> int:
-        """Plan cost of one full-size tile segment [bytes] (<= budget)."""
+        """Plan cost of one full-size tile segment [bytes]; ``workers`` of
+        them fit the budget together."""
         return self.tile_points * self.bytes_per_point
 
     def tile_nbytes(self, tile: Tile) -> int:
@@ -219,28 +229,33 @@ class TilePlanner:
 
     @classmethod
     def for_beamformer(cls, beamformer: "DelayAndSumBeamformer",
-                       memory_budget_bytes: int | str, *,
+                       memory_budget_bytes: int | str | None, *,
                        precision: Precision | str | None = None,
-                       granularity: int | None = None) -> "TilePlanner":
+                       granularity: int | None = None,
+                       workers: int = 1) -> "TilePlanner":
         """Planner for a configured beamformer's grid/channels/interp."""
         return cls(beamformer.grid.shape,
                    beamformer.transducer.element_count,
                    memory_budget_bytes, precision=precision,
                    interpolation=beamformer.interpolation,
-                   granularity=granularity)
+                   granularity=granularity, workers=workers)
 
 
 class TiledPlan:
     """Budget-bounded drop-in for a whole-grid plan: segments on demand.
 
     Mirrors the :class:`~repro.kernels.plan.BeamformingPlan` execute
-    surface (``execute`` / ``execute_rows`` / ``execute_batch``) so the
-    runtime backends can hold one regardless of tiling.  Each call walks
-    the planner's tiles, fetches the tile's segment plan from the
-    byte-budgeted cache (compiling through the streaming
-    ``compile_plan(..., tile=...)`` path on miss, under a ``compile``
-    span), executes it, and writes the rows into the output array — one
-    ``tile`` tracer span per tile.
+    surface (``execute`` / ``execute_batch``) so the runtime backends can
+    hold one regardless of tiling.  Each call maps one body over the
+    planner's tiles: fetch the tile's segment plan from the byte-budgeted
+    cache (compiling through the streaming ``compile_plan(..., tile=...)``
+    path on miss, under a ``compile`` span), execute it whole, and write
+    its rows into the output array — one ``tile`` tracer span per tile.
+
+    ``map`` runs that body over the tiles: the builtin ``map`` (serial, the
+    default) or a thread pool's ``map`` (the ``sharded`` backend).  The
+    caller's current span is handed to every tile, so spans opened on pool
+    threads nest under it; the first exception a tile raises propagates.
 
     ``variant="compiled"`` streams fused
     :class:`~repro.kernels.compiled.CompiledPlan` segments instead (keyed
@@ -254,32 +269,36 @@ class TiledPlan:
                  precision: Precision | str | None = None, *,
                  cache: "PlanCache | None" = None,
                  variant: str | None = None,
-                 options: object | None = None) -> None:
+                 options: object | None = None,
+                 map: Callable[[Callable, Iterable], Iterable] = map) -> None:
         self.beamformer = beamformer
         self.planner = planner
+        self.map = map
         self.precision = resolve_precision(precision)
         self.grid_shape = beamformer.grid.shape
-        self.interpolation = beamformer.interpolation
-        self.n_samples = beamformer.system.echo_buffer_samples
         self.quantization = getattr(beamformer, "quantization", None)
         if variant is not None and variant != "compiled":
             raise ValueError(f"unknown plan variant {variant!r}; "
                              "available: compiled")
         self._variant = variant
         self._options = options
+        key_variant = None
         if variant == "compiled":
             from .compiled import CompiledOptions
             options = CompiledOptions() if options is None else options
             self._options = options
-            self._key_variant = options.variant()
-        else:
-            self._key_variant = None
+            key_variant = options.variant()
+        # Keyed once per tile, not per lookup: a key hashes the whole
+        # system config, a per-tile cost on every frame otherwise.
+        self._keys = [plan_key(beamformer, self.precision,
+                               variant=key_variant, tile=tile)
+                      for tile in planner.tiles()]
         if cache is None:
-            # Private per-plan cache, bounded by the same budget the tiles
-            # were sized for.  Imported lazily: repro.runtime imports the
-            # kernels package, not the other way round.
+            # Private per-plan cache with a slot per tile, bounded by the
+            # same budget the tiles were sized for.  Imported lazily:
+            # repro.runtime imports the kernels package, not the reverse.
             from ..runtime.cache import PlanCache
-            cache = PlanCache(metrics=None,
+            cache = PlanCache(capacity=planner.n_tiles, metrics=None,
                               max_bytes=planner.memory_budget_bytes)
         self.cache = cache
 
@@ -290,27 +309,9 @@ class TiledPlan:
         return self.planner.n_points
 
     @property
-    def n_elements(self) -> int:
-        """Number of receive channels."""
-        return self.planner.n_elements
-
-    @property
     def dtype(self) -> np.dtype:
         """Execution dtype of the output volumes."""
         return self.precision.dtype
-
-    @property
-    def nbytes(self) -> int:
-        """Per-segment working set [bytes] — the streaming footprint, not
-        the (budget-violating) whole-grid tensor cost."""
-        return self.planner.tile_bytes
-
-    @property
-    def peak_plan_bytes(self) -> int:
-        """Highest resident segment-plan byte count seen so far (from the
-        cache's tracked-bytes high-water mark) — the number E9 reports
-        against the budget."""
-        return int(self.cache.stats.peak_bytes)
 
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
@@ -331,8 +332,6 @@ class TiledPlan:
     def segment(self, tile: Tile, tracer=None):
         """The compiled segment plan for one tile (cached; builds on miss)."""
         tracer = resolve_tracer(tracer)
-        key = plan_key(self.beamformer, self.precision,
-                       variant=self._key_variant, tile=tile)
 
         def build():
             with tracer.span("compile") as span:
@@ -340,98 +339,75 @@ class TiledPlan:
                                     variant=self._variant,
                                     options=self._options, tile=tile)
                 span.set(bytes=int(plan.nbytes), points=tile.n_points,
-                         elements=self.n_elements, tile=tile.index)
+                         elements=self.planner.n_elements,
+                         tile=tile.index)
             return plan
 
         return self.cache.get_or_build(
-            key, build, size_hint=self.planner.tile_nbytes(tile))
+            self._keys[tile.index], build,
+            size_hint=self.planner.tile_nbytes(tile))
 
     def _segment_kwargs(self, options) -> dict:
         if self._variant == "compiled":
             return {"options": self._options if options is None else options}
         return {}
 
+    def _map_tiles(self, body: Callable, tracer) -> None:
+        """Run ``body(tile, segment)`` for every tile through :attr:`map`.
+
+        Each tile runs under a ``tile`` span (index, point count, segment
+        bytes) nested in the caller's current span, whichever thread runs
+        it.  Draining the results re-raises the first tile's exception.
+        """
+        parent = tracer.current()
+
+        def run(tile: Tile) -> None:
+            with tracer.adopt(parent), \
+                    tracer.span("tile", index=tile.index,
+                                tiles=self.planner.n_tiles,
+                                points=tile.n_points) as span:
+                segment = self.segment(tile, tracer)
+                span.set(bytes=int(segment.nbytes))
+                body(tile, segment)
+
+        for _ in self.map(run, self.planner.tiles()):
+            pass
+
     def execute(self, channel_data: "ChannelData | np.ndarray",
-                tracer=None, options=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """Beamform one frame tile by tile; shape ``grid_shape``.
-
-        ``out`` (optional) receives the volume in place — it must match
-        ``grid_shape`` and the execution dtype.  Each tile runs under a
-        ``tile`` span carrying its index, point count and segment bytes.
-        """
+                tracer=None, options=None) -> np.ndarray:
+        """Beamform one frame tile by tile; shape ``grid_shape``."""
         tracer = resolve_tracer(tracer)
         samples = self.coerce_samples(channel_data)
-        if out is None:
-            out = np.empty(self.grid_shape, dtype=self.dtype)
-        elif out.shape != self.grid_shape or out.dtype != self.dtype:
-            raise ValueError(
-                f"out must be shape {self.grid_shape} dtype {self.dtype}, "
-                f"got shape {out.shape} dtype {out.dtype}")
-        elif not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous (tile rows are "
-                             "written through a flat view)")
-        flat = out.reshape(-1)
+        out = np.empty(self.n_points, dtype=self.dtype)
         kwargs = self._segment_kwargs(options)
-        for tile in self.planner.tiles():
-            with tracer.span("tile", index=tile.index,
-                             tiles=self.planner.n_tiles,
-                             points=tile.n_points) as span:
-                segment = self.segment(tile, tracer)
-                span.set(bytes=int(segment.nbytes))
-                flat[tile.start:tile.stop] = segment.execute_rows(
-                    samples, slice(0, tile.n_points), tracer=tracer, **kwargs)
-        return out
 
-    def execute_rows(self, channel_data: "ChannelData | np.ndarray",
-                     rows: slice, tracer=None, options=None) -> np.ndarray:
-        """Beamform one contiguous flat-point block; returns the flat rows.
+        def body(tile: Tile, segment) -> None:
+            out[tile.rows] = segment.execute(
+                samples, tracer=tracer, **kwargs).reshape(-1)
 
-        The sharded backend's unit of work: global rows are mapped onto
-        the tiles they intersect, each segment executing only its local
-        sub-range — so shard boundaries and tile boundaries compose.  Like
-        the untiled plan, stacked multi-frame sample buffers are accepted
-        (the sharded batched path passes one); leading dims carry through.
-        """
-        tracer = resolve_tracer(tracer)
-        samples = self.coerce_samples(channel_data)
-        start, stop, _ = rows.indices(self.n_points)
-        out = np.empty((*samples.shape[:-2], max(stop - start, 0)),
-                       dtype=self.dtype)
-        kwargs = self._segment_kwargs(options)
-        for tile in self.planner.covering(slice(start, stop)):
-            lo, hi = max(start, tile.start), min(stop, tile.stop)
-            with tracer.span("tile", index=tile.index,
-                             points=hi - lo) as span:
-                segment = self.segment(tile, tracer)
-                span.set(bytes=int(segment.nbytes))
-                out[..., lo - start:hi - start] = segment.execute_rows(
-                    samples, slice(lo - tile.start, hi - tile.start),
-                    tracer=tracer, **kwargs)
-        return out
+        self._map_tiles(body, tracer)
+        return out.reshape(self.grid_shape)
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
                       tracer=None, options=None) -> np.ndarray:
         """Beamform a cine batch tile by tile; ``(n_frames, *grid_shape)``.
 
-        Frames are coerced once and every tile's segment executes the full
-        batch before moving on — the segment (the expensive artifact) is
-        amortised across frames, exactly the access order the LRU favours.
+        Frames are coerced and stacked once — every tile, on whichever
+        thread, gathers from the same buffer — and every tile's segment
+        executes the full batch before moving on: the segment (the
+        expensive artifact) is amortised across frames, exactly the access
+        order the LRU favours.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        coerced = [self.coerce_samples(frame) for frame in frames]
+        stacked = np.stack([self.coerce_samples(frame) for frame in frames])
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
         kwargs = self._segment_kwargs(options)
-        for tile in self.planner.tiles():
-            with tracer.span("tile", index=tile.index,
-                             tiles=self.planner.n_tiles,
-                             points=tile.n_points) as span:
-                segment = self.segment(tile, tracer)
-                span.set(bytes=int(segment.nbytes))
-                block = segment.execute_batch(coerced, tracer=tracer,
-                                              **kwargs)
-                out[:, tile.start:tile.stop] = \
-                    block.reshape(len(frames), tile.n_points)
+
+        def body(tile: Tile, segment) -> None:
+            out[:, tile.rows] = segment.execute_batch(
+                stacked, tracer=tracer, **kwargs).reshape(len(frames), -1)
+
+        self._map_tiles(body, tracer)
         return out.reshape((len(frames), *self.grid_shape))

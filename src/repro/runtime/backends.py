@@ -21,9 +21,11 @@ written exactly once:
     (or stacked multi-frame batches) with one batched gather/sum.
 
 ``sharded``
-    The same plan executed over contiguous point blocks dispatched on a
+    The tiles of a :class:`repro.kernels.tiling.TiledPlan` dispatched on a
     thread pool, modelling the paper's parallel delay-generation blocks
-    (Fig. 4).
+    (Fig. 4): each tile is both a unit of plan memory and a unit of
+    parallel work, sized so every worker gets one and the tiles executing
+    at once fit the memory budget together.
 
 All three produce numerically identical volumes at ``float64``; under
 ``float32`` they match the ``float64`` reference within the pinned
@@ -57,7 +59,7 @@ from ..kernels.compiled import (
     numba_available,
     require_numba,
 )
-from ..kernels.plan import BATCH_BLOCK_ELEMENTS
+from ..kernels.tiling import TiledPlan, TilePlanner, parse_memory_budget
 from ..observability.tracing import resolve_tracer
 from ..registry import Registry
 from .cache import PlanCache
@@ -101,7 +103,7 @@ class ExecutionBackend:
         self._key = plan_key(beamformer, self.precision)
         self._plan: BeamformingPlan | None = None
         self.memory_budget_bytes: int | None = None
-        self._planner = None
+        self._planner = self._plan_tiles(None)
         self._tiled = None
 
     # ----------------------------------------------------------- lifecycle
@@ -123,8 +125,9 @@ class ExecutionBackend:
 
         Builds the :class:`repro.kernels.tiling.TilePlanner` for the
         engine's grid/channels/precision immediately — a budget too small
-        to hold one scanline is rejected right here with an actionable
-        :class:`ValueError`, not at first frame.  When the planner needs
+        to hold one scanline (on ``sharded``: one per worker) is rejected
+        right here with an actionable :class:`ValueError`, not at first
+        frame.  When the planner needs
         more than one tile, :meth:`plan` hands out a streaming
         :class:`repro.kernels.tiling.TiledPlan` instead of the whole-grid
         plan; a budget large enough for the whole grid keeps the untiled
@@ -135,23 +138,34 @@ class ExecutionBackend:
         tiling: its per-scanline loop already streams one scanline of
         delays at a time (the budget floor).
         """
-        if memory_budget_bytes is None:
-            self.memory_budget_bytes = None
-            self._planner = None
-            self._tiled = None
-            return
-        from ..kernels.tiling import TilePlanner, parse_memory_budget
-        budget = parse_memory_budget(memory_budget_bytes)
-        self._planner = TilePlanner.for_beamformer(
-            self.beamformer, budget, precision=self.precision)
+        budget = None if memory_budget_bytes is None \
+            else parse_memory_budget(memory_budget_bytes)
+        self._planner = self._plan_tiles(budget)
         self.memory_budget_bytes = budget
         self._tiled = None
-        if self.cache is not None:
+        if budget is not None and self.cache is not None:
             self.cache.limit_bytes(budget)
 
-    def _build_tiled(self, planner):
+    def _plan_tiles(self, budget: int | None) -> TilePlanner | None:
+        """The tiling for ``budget``, or ``None`` to run the whole-grid plan.
+
+        The planner is built even when one tile would do, so a budget too
+        small for one scanline is rejected here; ``sharded`` overrides this
+        to always tile.
+        """
+        if budget is None:
+            return None
+        planner = TilePlanner.for_beamformer(self.beamformer, budget,
+                                             precision=self.precision)
+        return planner if planner.n_tiles > 1 else None
+
+    @property
+    def plan_slots(self) -> int:
+        """Plan-cache entries one frame uses: one per tile, or one plan."""
+        return 1 if self._planner is None else self._planner.n_tiles
+
+    def _build_tiled(self, planner: TilePlanner) -> TiledPlan:
         """Build the tiled streaming plan — variant backends override."""
-        from ..kernels.tiling import TiledPlan
         return TiledPlan(self.beamformer, planner, self.precision,
                          cache=self.cache)
 
@@ -188,13 +202,13 @@ class ExecutionBackend:
         the compile cost exactly once per cache miss.
 
         Under a memory budget that the whole-grid plan would violate
-        (:meth:`set_memory_budget`), a :class:`~repro.kernels.tiling.TiledPlan`
-        is returned instead — same execute surface, segments streamed
-        through the byte-budgeted cache.  The shell is memoised privately
-        (only its segments live in the shared cache; caching the shell too
-        would double-count the bytes).
+        (:meth:`set_memory_budget`), and always on ``sharded``, a
+        :class:`~repro.kernels.tiling.TiledPlan` is returned instead — same
+        execute surface, segments streamed through the cache.  The shell is
+        memoised privately (only its segments live in the shared cache;
+        caching the shell too would double-count the bytes).
         """
-        if self._planner is not None and self._planner.n_tiles > 1:
+        if self._planner is not None:
             if self._tiled is None:
                 self._tiled = self._build_tiled(self._planner)
             return self._tiled
@@ -271,26 +285,31 @@ class VectorizedBackend(ExecutionBackend):
 
     name = "vectorized"
 
+    def _execute_span(self, **attributes):
+        """The ``execute`` span around one kernel call."""
+        return self.tracer.span("execute", **attributes)
+
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         plan = self.plan()
-        with self.tracer.span("execute"):
+        with self._execute_span():
             return plan.execute(channel_data, tracer=self.tracer)
 
     def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
         plan = self.plan()
-        with self.tracer.span("execute", frames=len(frames)):
+        with self._execute_span(frames=len(frames)):
             return plan.execute_batch(frames, tracer=self.tracer)
 
 
-class ShardedBackend(ExecutionBackend):
-    """Plan execution over point blocks dispatched on a thread pool.
+class ShardedBackend(VectorizedBackend):
+    """The tiles of a :class:`~repro.kernels.tiling.TiledPlan` on a pool.
 
-    The focal grid is split into ``shards`` contiguous point blocks; each
-    worker gathers and sums its block independently (NumPy releases the GIL
-    inside the heavy kernels).  Per-row arithmetic is identical to the
-    vectorized backend — both run :meth:`BeamformingPlan.execute_rows`
-    slices of the same plan — so the volumes match exactly.  Worker
-    exceptions propagate to the caller; a failed shard never hangs the pool.
+    The plan is always tiled: a tile holds at most
+    ``ceil(scanlines / max_workers)`` scanlines, so every worker gets one,
+    and under a budget at most ``budget // max_workers`` bytes, so the tiles
+    executing at once fit it together.  Workers compile and execute whole
+    segments (NumPy releases the GIL in the heavy kernels), bit-identical
+    to the vectorized backend.  A tile's exception propagates to the
+    caller; a failed tile never hangs the pool.
 
     The thread pool is created lazily on the first volume and *reused for
     every later one* (spinning a pool up per frame cost more than a tiny
@@ -305,12 +324,11 @@ class ShardedBackend(ExecutionBackend):
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  cache: PlanCache | None = None,
                  precision: Precision | str | None = None,
-                 shards: int | None = None,
                  max_workers: int | None = None) -> None:
-        super().__init__(beamformer, cache=cache, precision=precision)
-        self.shards = shards or min(8, os.cpu_count() or 1)
+        # Set first: the base constructor plans the tiles from it.
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self._pool: ThreadPoolExecutor | None = None
+        super().__init__(beamformer, cache=cache, precision=precision)
 
     def _executor(self) -> ThreadPoolExecutor:
         """The persistent worker pool, created on first use."""
@@ -337,73 +355,28 @@ class ShardedBackend(ExecutionBackend):
         if pool is not None:
             pool.shutdown(wait=False)
 
-    def _blocks(self, n_points: int, n_frames: int = 1) -> list[slice]:
-        """Split ``n_points`` into at least ``shards`` non-empty blocks.
+    def _plan_tiles(self, budget: int | None) -> TilePlanner:
+        return TilePlanner.for_beamformer(self.beamformer, budget,
+                                          precision=self.precision,
+                                          workers=self.max_workers)
 
-        More shards than points simply yields one block per point.  For
-        batched execution the split additionally honours the
-        :data:`repro.kernels.plan.BATCH_BLOCK_ELEMENTS` cache bound — a
-        worker gathering ``n_frames`` frames of a wide block at once would
-        otherwise materialise out-of-cache temporaries and run slower than
-        the per-frame path.
-        """
-        n_blocks = self.shards
-        cap = max(1, BATCH_BLOCK_ELEMENTS
-                  // max(1, n_frames * self.beamformer.transducer.element_count))
-        n_blocks = max(n_blocks, -(-n_points // cap))
-        bounds = np.linspace(0, n_points, n_blocks + 1).astype(int)
-        return [slice(int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    def _build_tiled(self, planner: TilePlanner) -> TiledPlan:
+        # close() drops the memoised plan with the pool, so a rebuilt
+        # plan always maps on the live pool.
+        return TiledPlan(self.beamformer, planner, self.precision,
+                         cache=self.cache, map=self._executor().map)
 
-    def _execute_rows(self, plan: BeamformingPlan, channel_data,
-                      rows: slice) -> np.ndarray:
-        """One worker's unit of work (separate method so tests can fault it).
-
-        Workers run on pool threads, so their gather/weights/accumulate
-        spans land on per-thread stacks and surface as additional tracer
-        roots rather than children of the backend's ``execute`` span.
-        """
-        return plan.execute_rows(channel_data, rows, tracer=self.tracer)
-
-    def _run_sharded(self, plan: BeamformingPlan, samples: np.ndarray,
-                     out: np.ndarray, n_frames: int = 1) -> None:
-        """Fill ``out[..., rows]`` per block on the pool, propagating errors."""
-        def work(rows: slice) -> None:
-            out[..., rows] = self._execute_rows(plan, samples, rows)
-
-        blocks = self._blocks(plan.n_points, n_frames)
-        with self.tracer.span("execute", shards=len(blocks),
-                              workers=self.max_workers):
-            # list() drains the iterator so worker exceptions re-raise
-            # here instead of being swallowed with the discarded futures.
-            list(self._executor().map(work, blocks))
-
-    def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
-        plan = self.plan()
-        out = np.empty(plan.n_points, dtype=plan.dtype)
-        # Coerce once here, not once per shard inside execute_rows.
-        self._run_sharded(plan, plan.coerce_samples(channel_data), out)
-        return out.reshape(plan.grid_shape)
-
-    def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
-        plan = self.plan()
-        if len(frames) == 0:
-            return np.empty((0, *plan.grid_shape), dtype=plan.dtype)
-        stacked = np.stack([plan.coerce_samples(f) for f in frames])
-        out = np.empty((len(frames), plan.n_points), dtype=plan.dtype)
-        self._run_sharded(plan, stacked, out, n_frames=len(frames))
-        return out.reshape((len(frames), *plan.grid_shape))
+    def _execute_span(self, **attributes):
+        return self.tracer.span("execute", tiles=self._planner.n_tiles,
+                                workers=self.max_workers, **attributes)
 
 
 @dataclass(frozen=True)
 class ShardedOptions:
     """Options for the ``sharded`` backend (``None`` means auto-size)."""
 
-    shards: int | None = None
-    """Number of contiguous point blocks the grid is split into."""
-
     max_workers: int | None = None
-    """Thread-pool size used to dispatch the blocks."""
+    """Thread-pool size; the grid is tiled so every worker gets a tile."""
 
 
 class CompiledBackend(ExecutionBackend):
@@ -452,8 +425,7 @@ class CompiledBackend(ExecutionBackend):
         return compile_plan(self.beamformer, self.precision,
                             variant="compiled", options=self.options)
 
-    def _build_tiled(self, planner):
-        from ..kernels.tiling import TiledPlan
+    def _build_tiled(self, planner: TilePlanner) -> TiledPlan:
         return TiledPlan(self.beamformer, planner, self.precision,
                          cache=self.cache, variant="compiled",
                          options=self.options)
@@ -498,13 +470,12 @@ def _build_vectorized(beamformer: DelayAndSumBeamformer,
 
 @BACKENDS.register(
     "sharded", options=ShardedOptions,
-    description="compiled plan over point blocks on a thread pool")
+    description="tiled plan segments on a thread pool")
 def _build_sharded(beamformer: DelayAndSumBeamformer,
                    cache: PlanCache | None,
                    precision: Precision | str | None,
                    options: ShardedOptions) -> ShardedBackend:
     return ShardedBackend(beamformer, cache=cache, precision=precision,
-                          shards=options.shards,
                           max_workers=options.max_workers)
 
 

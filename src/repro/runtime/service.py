@@ -118,8 +118,8 @@ class BeamformingService:
         plans.  Requires ``float64`` precision.
     cache:
         Compiled-plan cache; pass a shared instance to reuse plans across
-        services (e.g. a ``vectorized`` and a ``sharded`` service over the
-        same probe).  ``None`` creates a private cache.
+        services over the same probe and backend.  ``None`` creates a
+        private cache.
     scheme:
         Transmit scheme: a registered :data:`repro.scenarios.SCHEMES`
         name, a pre-built :class:`repro.scenarios.TransmitScheme` or
@@ -134,8 +134,8 @@ class BeamformingService:
         Optional pre-built echo simulator, shared with other services to
         avoid rebuilding the transducer per service.
     backend_options:
-        Extra keyword arguments for the backend constructor (``shards``,
-        ``max_workers`` for ``sharded``).
+        Options dataclass/dict for the backend (``max_workers`` for
+        ``sharded``).
     tracer:
         Optional :class:`repro.observability.Tracer`; opens ``frame`` /
         ``simulate`` / ``beamform`` spans (nesting the backend's

@@ -78,7 +78,8 @@ class SchemeEngine:
     cache:
         Optional shared :class:`repro.runtime.cache.PlanCache`; per-firing
         plans have distinct keys (the firing is part of the provider
-        design), so a shared cache never mixes firings.
+        design), so a shared cache never mixes firings.  A count-bounded
+        cache is grown to one slot per firing and tile.
     tracer:
         Optional :class:`repro.observability.Tracer`, shared with every
         per-firing backend; compounding opens a ``compound`` span whose
@@ -102,10 +103,6 @@ class SchemeEngine:
         self.backend_name = backend
         self.tracer = resolve_tracer(tracer)
         self._compounds = not scheme.is_trivial()
-        if cache is not None and hasattr(cache, "reserve"):
-            # One plan slot per firing, or a smaller shared cache would
-            # evict and recompile the whole event bank every frame.
-            cache.reserve(scheme.firing_count)
         beamformers = [self._event_beamformer(event)
                        for event in scheme.events] \
             if self._compounds else [beamformer]
@@ -117,6 +114,11 @@ class SchemeEngine:
             event_backend.tracer = self.tracer
             event_backend.set_memory_budget(memory_budget_bytes)
             self.backends.append(event_backend)
+        if cache is not None and cache.max_bytes is None:
+            # One slot per plan or tile segment (firings x tiles), or a
+            # smaller cache would recompile the event bank every frame.
+            # Under a byte budget the count bound is inert.
+            cache.reserve(sum(b.plan_slots for b in self.backends))
         self.memory_budget_bytes: int | None = \
             self.backends[0].memory_budget_bytes
 

@@ -69,13 +69,24 @@ class TestEngineSpecValidation:
         spec = EngineSpec(architecture="tablesteer",
                           architecture_options={"total_bits": 13},
                           backend="sharded",
-                          backend_options={"shards": 2},
+                          backend_options={"max_workers": 2},
                           apodization={"window": "hamming"},
                           interpolation="linear")
         assert spec.architecture_options == TableSteerConfig(total_bits=13)
-        assert spec.backend_options == ShardedOptions(shards=2)
+        assert spec.backend_options == ShardedOptions(max_workers=2)
         assert spec.apodization.window is WindowType.HAMMING
         assert spec.interpolation is InterpolationKind.LINEAR
+
+    def test_removed_shards_option_rejected(self, capsys):
+        """Tiles are the sharded backend's only partition: a spec still
+        carrying the old block count fails validation, and the CLI exits 2."""
+        with pytest.raises(ValueError,
+                           match=r"unknown option\(s\) for ShardedOptions"):
+            EngineSpec(backend="sharded", backend_options={"shards": 2})
+        from repro.cli import main
+        assert main(["stream", "--system", "tiny", "--backend", "sharded",
+                     "--set", "backend_options.shards=2"]) == 2
+        assert "ShardedOptions" in capsys.readouterr().err
 
     def test_bad_cache_capacity_rejected(self):
         with pytest.raises(ValueError, match="cache_capacity"):
@@ -102,7 +113,7 @@ class TestEngineSpecRoundTrip:
         spec = EngineSpec(system="tiny", architecture="tablesteer",
                           architecture_options=TableSteerConfig(total_bits=14),
                           backend="sharded",
-                          backend_options=ShardedOptions(shards=2),
+                          backend_options=ShardedOptions(max_workers=2),
                           apodization=ApodizationSettings(
                               window=WindowType.BLACKMAN),
                           interpolation=InterpolationKind.LINEAR,

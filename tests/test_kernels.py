@@ -222,12 +222,6 @@ class TestPlanExecution:
         np.testing.assert_array_equal(plan.execute(tiny_channel_data.samples),
                                       plan.execute(tiny_channel_data))
 
-    def test_execute_rows_tile_the_volume(self, plan, tiny_channel_data):
-        full = plan.execute(tiny_channel_data).ravel()
-        parts = [plan.execute_rows(tiny_channel_data, slice(lo, lo + 37))
-                 for lo in range(0, plan.n_points, 37)]
-        np.testing.assert_array_equal(np.concatenate(parts), full)
-
     def test_execute_batch_matches_per_frame(self, tiny, plan,
                                              tiny_channel_data):
         from repro.acoustics.echo import EchoSimulator

@@ -203,13 +203,6 @@ class TestCompiledPlanJitted:
         assert volume.dtype == expected.dtype
         TOLERANCES[Precision.FLOAT64].assert_allclose(volume, expected)
 
-    def test_execute_rows_matches_execute(self, plans, tiny_channel_data):
-        compiled, _ = plans
-        full = compiled.execute(tiny_channel_data).reshape(-1)
-        rows = slice(3, compiled.n_points - 2)
-        np.testing.assert_array_equal(
-            compiled.execute_rows(tiny_channel_data, rows), full[rows])
-
     def test_batch_bit_identical_to_per_frame(self, plans,
                                               tiny_channel_data):
         compiled, _ = plans

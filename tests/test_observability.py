@@ -155,6 +155,9 @@ class TestNullTracer:
         assert tracer.total_seconds == 0.0
         assert tracer.find("work") == []
         assert list(tracer.walk()) == []
+        assert tracer.current() is None
+        with tracer.adopt(None), tracer.adopt(object()):
+            pass
 
     def test_disabled_overhead_is_bounded(self):
         """The no-op span site must stay within ~3x of a bare function call.
@@ -442,6 +445,36 @@ class TestServiceObservability:
         service.submit_frame(tiny_channel_data)
         assert len(session.tracer.find("compile")) == 1
         assert len(session.tracer.find("frame")) == 2
+
+    def test_sharded_trace_has_one_root_per_frame(self, tiny_channel_data):
+        """No orphaned pool-thread roots: every tile nests under execute —
+        with more workers than cores and fast thread switching, so a lost
+        child append or a torn output write would show."""
+        import sys
+
+        from repro.kernels import compile_plan
+        session = Session(EngineSpec(system="tiny", backend="sharded",
+                                     backend_options={"max_workers": 8},
+                                     trace=True))
+        service = session.service()
+        expected = compile_plan(service.beamformer).execute(tiny_channel_data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                np.testing.assert_array_equal(
+                    service.submit_frame(tiny_channel_data).rf, expected)
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+        assert [root.name for root in session.tracer.roots] == ["frame"] * 3
+        tiles = 0
+        for execute in session.tracer.find("execute"):
+            assert execute.attributes["tiles"] == 8
+            assert {child.name for child in execute.children} == {"tile"}
+            tiles += len(execute.children)
+        assert tiles == len(session.tracer.find("tile")) == 3 * 8
+        assert len(session.tracer.find("compile")) == 8  # once per tile
 
     def test_acquire_firings_opens_a_simulate_span(self, session):
         phantom = ScanSpec(scenario="static_point").build_frames(

@@ -3,11 +3,9 @@
 These pin the invariants the tiled execution engine leans on:
 
 * :meth:`TilePlanner.tiles` is an *exact partition* of the flat focal-point
-  axis for any grid shape, budget and granularity — no overlap, no gap,
-  full coverage, in order — and no tile's segment cost exceeds the budget;
-* :meth:`TilePlanner.covering` returns exactly the tiles a row range
-  intersects (the contract the sharded backend composes shard boundaries
-  with tile boundaries through);
+  axis for any grid shape, budget, granularity and worker count — no
+  overlap, no gap, full coverage, in order — and the segments of all
+  workers executing at once never exceed the budget together;
 * :func:`parse_memory_budget` honours the binary suffix table and rejects
   garbage loudly;
 * degenerate budgets change nothing but the tiling: single-voxel tiles
@@ -45,16 +43,18 @@ def planners(draw):
     n_elements = draw(element_counts)
     interpolation = draw(interpolations)
     granularity = draw(st.one_of(st.none(), st.integers(1, 16)))
+    workers = draw(st.integers(1, 4))
     per_point = plan_storage_bytes(1, n_elements, None, interpolation)
     unit = granularity if granularity is not None else shape[2]
-    # From exactly one unit up to several times the whole grid, plus a
-    # ragged offset so budgets rarely divide evenly.
+    # From exactly one unit per worker up to several times the whole grid,
+    # plus a ragged offset so budgets rarely divide evenly.
     n_points = shape[0] * shape[1] * shape[2]
-    floor = per_point * unit  # one unit must fit, whatever the grid size
+    floor = per_point * unit * workers  # whatever the grid size
     budget = draw(st.integers(floor, max(floor, 4 * per_point * n_points))) \
         + draw(st.integers(0, per_point - 1))
     return TilePlanner(shape, n_elements, budget,
-                       interpolation=interpolation, granularity=granularity)
+                       interpolation=interpolation, granularity=granularity,
+                       workers=workers)
 
 
 @given(planner=planners())
@@ -75,28 +75,19 @@ def test_tiles_exactly_partition_the_grid(planner):
 @given(planner=planners())
 @settings(max_examples=200, deadline=None)
 def test_every_tile_fits_the_budget(planner):
-    """A segment plan can never be sized over the budget, and the planner's
-    predicted cost matches the storage model exactly."""
+    """The segments of all workers together can never be sized over the
+    budget, no tile holds more than an even share of the units, and the
+    planner's predicted cost matches the storage model exactly."""
     for tile in planner.tiles():
         cost = planner.tile_nbytes(tile)
-        assert cost <= planner.memory_budget_bytes
+        assert cost * planner.workers <= planner.memory_budget_bytes
         assert cost == plan_storage_bytes(tile.n_points, planner.n_elements,
                                           planner.precision,
                                           planner.interpolation)
-    assert planner.tile_bytes <= planner.memory_budget_bytes
-
-
-@given(planner=planners(), data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_covering_returns_exactly_the_intersecting_tiles(planner, data):
-    """``covering(rows)`` is the set a brute-force intersection finds."""
-    start = data.draw(st.integers(0, planner.n_points))
-    stop = data.draw(st.integers(start, planner.n_points))
-    covered = list(planner.covering(slice(start, stop)))
-    expected = [] if stop <= start else \
-        [tile for tile in planner.tiles()
-         if tile.start < stop and tile.stop > start]
-    assert [t.index for t in covered] == [t.index for t in expected]
+    assert planner.tile_bytes * planner.workers <= planner.memory_budget_bytes
+    units = -(-planner.n_points // planner.granularity)
+    assert planner.tile_points <= planner.granularity \
+        * -(-units // planner.workers)
 
 
 @given(n=st.integers(1, 10**6),
@@ -164,8 +155,7 @@ def test_oversized_budget_is_one_tile_and_bit_identical(tiled_substrate):
 @settings(max_examples=20, deadline=None)
 def test_any_scanline_budget_bit_identical(tiled_substrate, budget_units):
     """Whatever the budget (one scanline up to the whole grid), the tiled
-    volume equals the untiled volume bit for bit, and execute_rows agrees
-    with the matching row slice for an arbitrary block."""
+    volume equals the untiled volume bit for bit."""
     beamformer, frame, oracle = tiled_substrate
     per_scanline = plan_storage_bytes(
         16, beamformer.transducer.element_count, None,
@@ -174,6 +164,3 @@ def test_any_scanline_budget_bit_identical(tiled_substrate, budget_units):
                                          per_scanline * budget_units)
     plan = TiledPlan(beamformer, planner)
     np.testing.assert_array_equal(plan.execute(frame), oracle)
-    rows = slice(100, 900)
-    np.testing.assert_array_equal(plan.execute_rows(frame, rows),
-                                  oracle.reshape(-1)[rows])

@@ -248,12 +248,9 @@ class TestQuantizedPlan:
         np.testing.assert_array_equal(
             tiny_qplan.execute(once), tiny_qplan.execute(tiny_channel_data))
 
-    def test_rows_and_batch_bit_identical_to_execute(self, tiny_qplan,
-                                                     tiny_channel_data):
+    def test_batch_bit_identical_to_execute(self, tiny_qplan,
+                                            tiny_channel_data):
         full = tiny_qplan.execute(tiny_channel_data)
-        parts = [tiny_qplan.execute_rows(tiny_channel_data, slice(lo, lo + 37))
-                 for lo in range(0, tiny_qplan.n_points, 37)]
-        np.testing.assert_array_equal(np.concatenate(parts), full.ravel())
         batch = tiny_qplan.execute_batch([tiny_channel_data,
                                           tiny_channel_data])
         np.testing.assert_array_equal(batch[0], full)

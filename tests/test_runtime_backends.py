@@ -18,6 +18,7 @@ from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
 from repro.kernels import CompiledOptions, Precision, numba_available, plan_key
+from repro.kernels.tiling import TiledPlan
 from repro.runtime import (
     BACKEND_NAMES,
     BACKENDS,
@@ -171,42 +172,69 @@ class TestCompiledBackendFallback:
 
 
 class TestShardedEdgeCases:
-    def test_single_shard(self, beamformers, tiny_channel_data):
-        beamformer = beamformers["exact"]
-        one = ShardedBackend(beamformer, shards=1)
-        baseline = BACKENDS.create("vectorized", beamformer, None, None) \
-            .beamform_volume(tiny_channel_data)
+    """The sharded backend's unit of work is a tile of a TiledPlan."""
+
+    @pytest.fixture()
+    def baseline(self, beamformers, tiny_channel_data):
+        return BACKENDS.create("vectorized", beamformers["exact"], None,
+                               None).beamform_volume(tiny_channel_data)
+
+    def test_single_shard(self, beamformers, tiny_channel_data, baseline):
+        """One worker runs the whole grid as one tile."""
+        one = ShardedBackend(beamformers["exact"], max_workers=1)
+        assert one.plan().planner.n_tiles == 1
         np.testing.assert_array_equal(one.beamform_volume(tiny_channel_data),
                                       baseline)
-        assert len(one._blocks(baseline.size)) == 1
 
-    def test_more_shards_than_points(self, beamformers, tiny_channel_data):
+    def test_more_workers_than_scanlines(self, beamformers,
+                                         tiny_channel_data, baseline):
         beamformer = beamformers["exact"]
-        n_points = int(np.prod(beamformer.grid.shape))
-        over = ShardedBackend(beamformer, shards=n_points * 3, max_workers=2)
-        blocks = over._blocks(n_points)
-        # Every point covered exactly once, no empty blocks dispatched.
-        assert len(blocks) == n_points
-        assert all(block.stop > block.start for block in blocks)
-        baseline = BACKENDS.create("vectorized", beamformer, None, None) \
-            .beamform_volume(tiny_channel_data)
+        n_theta, n_phi, n_depth = beamformer.grid.shape
+        scanlines = n_theta * n_phi
+        over = ShardedBackend(beamformer, max_workers=scanlines * 3)
+        tiles = over.plan().planner.tiles()
+        # One scanline per tile, every point covered once, no empty tile.
+        assert len(tiles) == scanlines
+        assert all(tile.n_points == n_depth for tile in tiles)
         np.testing.assert_array_equal(over.beamform_volume(tiny_channel_data),
                                       baseline)
+        over.close()
 
-    def test_worker_exception_propagates(self, beamformers,
+    def test_worker_exception_propagates(self, beamformers, baseline,
                                          tiny_channel_data, monkeypatch):
-        """A failing shard must raise in the caller, not hang the pool."""
-        backend = ShardedBackend(beamformers["exact"], shards=4,
-                                 max_workers=2)
+        """A failing tile raises in the caller without hanging the pool,
+        and the next frame on the same backend still succeeds."""
+        backend = ShardedBackend(beamformers["exact"], max_workers=2)
 
-        def boom(plan, channel_data, rows):
-            raise RuntimeError("shard exploded")
+        def boom(plan, tile, tracer=None):
+            raise RuntimeError("tile exploded")
 
-        monkeypatch.setattr(backend, "_execute_rows", boom)
-        with pytest.raises(RuntimeError, match="shard exploded"):
+        monkeypatch.setattr(TiledPlan, "segment", boom)
+        with pytest.raises(RuntimeError, match="tile exploded"):
             backend.beamform_volume(tiny_channel_data)
-        with pytest.raises(RuntimeError, match="shard exploded"):
+        with pytest.raises(RuntimeError, match="tile exploded"):
             backend.beamform_batch([tiny_channel_data])
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            backend.beamform_volume(tiny_channel_data), baseline)
+        backend.close()
+
+    @pytest.mark.parametrize("max_workers", [2, 3])
+    def test_tiles_in_flight_fit_the_budget(self, beamformers, max_workers):
+        """Each tile gets an even share of the budget, so the segments
+        executing at once fit it together; a budget below one scanline per
+        worker is rejected with that real minimum."""
+        backend = ShardedBackend(beamformers["exact"],
+                                 max_workers=max_workers)
+        scanline = 16 * 64 * 25   # points x elements x bytes per entry
+        with pytest.raises(ValueError, match="raise the budget to at least "
+                                             f"{max_workers * scanline} bytes"):
+            backend.set_memory_budget(max_workers * scanline - 1)
+        for budget in (max_workers * scanline, 16 * scanline):
+            backend.set_memory_budget(budget)
+            planner = backend.plan().planner
+            assert planner.tile_bytes * max_workers <= budget
+            assert planner.n_tiles >= max_workers
 
 
 class TestPlanCacheKeys:
@@ -338,17 +366,19 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
 
-    def test_shared_cache_serves_both_batched_backends(self, beamformers,
-                                                       tiny_channel_data):
+    def test_shared_cache_serves_two_sharded_backends(self, beamformers,
+                                                      tiny_channel_data):
         beamformer = beamformers["tablesteer"]
         cache = PlanCache()
-        vectorized = BACKENDS.create("vectorized", beamformer, cache, None)
-        sharded = BACKENDS.create("sharded", beamformer, cache, None)
-        vectorized.beamform_volume(tiny_channel_data)
-        sharded.beamform_volume(tiny_channel_data)
+        first, second = (BACKENDS.create("sharded", beamformer, cache, None)
+                         for _ in range(2))
+        first.beamform_volume(tiny_channel_data)
+        n_tiles = first.plan().planner.n_tiles
+        assert cache.stats.misses == n_tiles   # one segment per tile
+        second.beamform_volume(tiny_channel_data)
         stats = cache.stats
-        assert stats.misses == 1      # compiled once by the first backend
-        assert stats.hits == 1        # reused by the second
+        assert stats.misses == n_tiles         # the second compiled nothing
+        assert stats.hits == n_tiles
 
 
 class _Sized:
