@@ -12,9 +12,8 @@ bookkeeping assertions (frame counts, zero drops under the lossless
 physically impossible, so the strict check becomes a bound on the
 multiplexing overhead instead of an ordering.
 
-The measured rows are the same shape ``repro.server.soak --json`` merges
-into ``BENCH_runtime.json`` under ``server_soak``, where the benchgate
-compares like-keyed rows across runs.
+The measured rows are the ones ``python -m repro.server.soak`` prints,
+labelled ``s{sessions}w{workers}``.
 
 Marked ``soak`` so CI can time-box it separately
 (``pytest benchmarks/test_bench_server.py -m soak``).
@@ -26,7 +25,7 @@ import os
 
 import pytest
 
-from repro.server.soak import run_soak, soak_key
+from repro.server.soak import run_soak
 
 pytestmark = pytest.mark.soak
 
@@ -62,7 +61,7 @@ def test_bench_server_soak_scales_with_workers(soak_rows, report):
     report(
         f"Server soak: {SESSIONS} sessions x {FRAMES_PER_SESSION} frames "
         "(system 'small', backend vectorized, policy block)",
-        *(f"  {soak_key(row['sessions'], row['workers']):<8s} "
+        *(f"  s{row['sessions']}w{row['workers']:<5d} "
           f"{row['workers']} worker(s): "
           f"{row['voxels_per_second']:12.3e} voxels/s   "
           f"p99 {row['p99_latency_seconds'] * 1e3:8.2f} ms   "
@@ -95,7 +94,7 @@ def test_bench_server_soak_scales_with_workers(soak_rows, report):
 
 
 def test_bench_server_soak_latency_percentiles(soak_rows):
-    """The soak rows carry the latency quantiles the benchgate reports."""
+    """The soak rows carry ordered p50/p95/p99 latency quantiles."""
     for row in soak_rows:
         assert 0 < row["p50_latency_seconds"] <= row["p95_latency_seconds"]
         assert row["p95_latency_seconds"] <= row["p99_latency_seconds"]

@@ -22,19 +22,15 @@ and batched, mean and p50/p95/p99 per-frame latency, speedup over the
 ``reference`` / ``float64`` per-scanline path, and the cache hit/miss
 counters proving that repeated frames skip plan compilation.  Every figure
 is read off the :mod:`repro.observability` metrics instruments backing
-:meth:`repro.runtime.BeamformingService.stats`.  ``write_bench_json``
-serialises the whole table to ``BENCH_runtime.json``; the committed copy at
-the repo root (measured on the ``small`` preset) is the baseline
-:mod:`repro.observability.benchgate` gates fresh CI runs against
-(``python -m repro.experiments.e11_runtime_throughput --json
-BENCH_fresh.json --system small`` then ``python -m
-repro.observability.benchgate BENCH_runtime.json BENCH_fresh.json``).
+:meth:`repro.runtime.BeamformingService.stats`.
+
+Each row is one single-shot sample: this experiment shows the *shape* of
+the comparison.  Repeated, noise-aware performance numbers come from the
+repository benchmark (``BENCHMARK.json``, ``bench/run.py``,
+``bench/compare.py``).
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from ..api import EngineSpec, ScanSpec, Session
 from ..config import SystemConfig, tiny_system
@@ -86,55 +82,58 @@ def run(system: SystemConfig | None = None,
         backends = default_backends()
     spec = EngineSpec(system=system if system is not None else tiny_system(),
                       architecture=architecture, scheme=scheme)
-    session = Session(spec)
-    system = session.system
-    scan = ScanSpec(scenario=scenario, frames=n_frames)
-    frames = scan.build_frames(system)
+    # Services close as soon as their row is measured, and the session on
+    # exit, so no sharded worker pool outlives the run.
+    with Session(spec) as session:
+        system = session.system
+        scan = ScanSpec(scenario=scenario, frames=n_frames)
+        frames = scan.build_frames(system)
 
-    # Pre-simulate the acquisitions once; all variants replay the same data.
-    if session.scheme.is_trivial():
-        recorded = [session.simulator.simulate(f.phantom, seed=f.seed)
-                    for f in frames]
-    else:
-        recorded = [tuple(session.acquire_firings(f.phantom, seed=f.seed))
-                    for f in frames]
+        # Pre-simulate the acquisitions once; all variants replay the same
+        # data.
+        if session.scheme.is_trivial():
+            recorded = [session.simulator.simulate(f.phantom, seed=f.seed)
+                        for f in frames]
+        else:
+            recorded = [tuple(session.acquire_firings(f.phantom, seed=f.seed))
+                        for f in frames]
 
-    results: dict[str, dict[str, dict[str, float]]] = {}
-    for backend in backends:
-        results[backend] = {}
-        for precision in precisions:
-            # A private cache per variant keeps the hit/miss counters
-            # comparable across rows.
-            service = session.service(backend=backend, cache=PlanCache(),
-                                      precision=precision)
-            for data in recorded:
-                service.submit_frame(data)
-            stats = service.stats()
+        results: dict[str, dict[str, dict[str, float]]] = {}
+        for backend in backends:
+            results[backend] = {}
+            for precision in precisions:
+                # A private cache per variant keeps the hit/miss counters
+                # comparable across rows.
+                with session.service(backend=backend, cache=PlanCache(),
+                                     precision=precision) as service:
+                    for data in recorded:
+                        service.submit_frame(data)
+                    stats = service.stats()
 
-            batched = session.service(backend=backend, cache=PlanCache(),
-                                      precision=precision)
-            batched.stream_all(list(recorded), batch_size=batch)
-            batched_stats = batched.stats()
+                with session.service(backend=backend, cache=PlanCache(),
+                                     precision=precision) as batched:
+                    batched.stream_all(list(recorded), batch_size=batch)
+                    batched_stats = batched.stats()
 
-            results[backend][precision] = {
-                "frames": stats.frames,
-                "frames_per_second": stats.frames_per_second,
-                "voxels_per_second": stats.voxels_per_second,
-                "mean_latency_seconds": stats.mean_latency_seconds,
-                "latency_p50_seconds": stats.p50_latency_seconds,
-                "latency_p95_seconds": stats.p95_latency_seconds,
-                "latency_p99_seconds": stats.p99_latency_seconds,
-                "cache_hits": stats.cache.hits,
-                "cache_misses": stats.cache.misses,
-                "batched_frames_per_second": batched_stats.frames_per_second,
-                "batched_voxels_per_second": batched_stats.voxels_per_second,
-            }
+                results[backend][precision] = {
+                    "frames": stats.frames,
+                    "frames_per_second": stats.frames_per_second,
+                    "voxels_per_second": stats.voxels_per_second,
+                    "mean_latency_seconds": stats.mean_latency_seconds,
+                    "latency_p50_seconds": stats.p50_latency_seconds,
+                    "latency_p95_seconds": stats.p95_latency_seconds,
+                    "latency_p99_seconds": stats.p99_latency_seconds,
+                    "cache_hits": stats.cache.hits,
+                    "cache_misses": stats.cache.misses,
+                    "batched_frames_per_second":
+                        batched_stats.frames_per_second,
+                    "batched_voxels_per_second":
+                        batched_stats.voxels_per_second,
+                }
 
     reference_fps = results.get("reference", {}).get("float64", {}) \
         .get("frames_per_second")
-    # None (JSON null) rather than NaN when the sweep excludes the
-    # reference row: json.dumps would otherwise emit the non-standard
-    # ``NaN`` token and break strict consumers of BENCH_runtime.json.
+    # None rather than NaN when the sweep excludes the reference row.
     for rows in results.values():
         for row in rows.values():
             row["speedup_vs_reference"] = (
@@ -163,39 +162,6 @@ def run(system: SystemConfig | None = None,
             "required_delay_rate": 2.5e12,
         },
     }
-
-
-def write_bench_json(path: str | Path,
-                     system: SystemConfig | None = None,
-                     **run_kwargs) -> dict[str, object]:
-    """Run the sweep and merge the frames/s / voxels/s table into ``path``.
-
-    This is the CI hook: the written ``BENCH_runtime.json`` records the
-    per-PR throughput trajectory per backend x dtype.  When ``path``
-    already holds a comparable document (same ``system`` preset), the new
-    per-backend rows are merged *into* it — a ``compiled``-only sweep on
-    the numba CI leg extends the committed NumPy table instead of erasing
-    it, and foreign sections (``server_soak``) survive.  A different
-    system resets the file wholesale: rows from different presets are not
-    comparable and must never cohabit.
-    """
-    result = run(system=system, **run_kwargs)
-    path = Path(path)
-    document: dict[str, object] = result
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            existing = None
-        if isinstance(existing, dict) \
-                and existing.get("system") == result["system"]:
-            merged_backends = dict(existing.get("backends", {}))
-            merged_backends.update(result["backends"])
-            document = {**existing, **result, "backends": merged_backends}
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-        + "\n")
-    return document
 
 
 def main(system: SystemConfig | None = None) -> None:
@@ -228,22 +194,7 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(
         description="E11 streaming runtime throughput")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the result table to FILE "
-                             "(e.g. BENCH_runtime.json)")
     parser.add_argument("--system", choices=sorted(PRESETS), default=None,
-                        help="system preset to measure on [default: tiny]; "
-                             "the committed baseline uses 'small'")
+                        help="system preset to measure on [default: tiny]")
     args = parser.parse_args()
-    chosen = get_preset(args.system) if args.system else None
-    if args.json:
-        result = write_bench_json(args.json, system=chosen)
-        print(f"wrote {args.json}")
-        rows = result["backends"]
-        for backend, by_precision in rows.items():
-            for precision, row in by_precision.items():
-                print(f"  {backend:<10s} {precision:<8s}: "
-                      f"{row['frames_per_second']:8.2f} frames/s "
-                      f"(batched {row['batched_frames_per_second']:8.2f})")
-    else:
-        main(system=chosen)
+    main(system=get_preset(args.system) if args.system else None)

@@ -17,9 +17,10 @@ the tests):
   Prometheus-style text snapshot and the human renderings behind the CLI's
   ``--trace`` / ``--trace-out`` / ``--metrics-out`` flags.
 
-:mod:`~repro.observability.benchgate` closes the loop: it compares a
-fresh E11 run against the committed ``BENCH_runtime.json`` baseline, so
-every later perf PR reports through this layer *and* is checked by it.
+Performance is measured outside this package, by the repository benchmark
+(``BENCHMARK.json``, ``bench/run.py``), whose per-layer rows are aggregated
+from the spans recorded here and whose regressions ``bench/compare.py``
+gates against measured noise.
 """
 
 from .export import (

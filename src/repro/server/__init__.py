@@ -7,7 +7,8 @@ document), :class:`SharedFrameRing` (zero-copy shared-memory frame
 transport), and the backpressure vocabulary
 (:class:`BackpressurePolicy`, :class:`FrameDropped`).  See
 ``docs/server.md`` for the architecture walk-through and
-:mod:`repro.server.soak` for the multi-session throughput benchmark.
+:mod:`repro.server.soak` for the multi-session throughput soak, which
+prints one aggregate-throughput row per run.
 """
 
 from .ring import RingExhausted, SharedFrameRing, SlotLease

@@ -3,27 +3,23 @@
 Drives one :class:`repro.server.BeamformingServer` with N concurrent
 client sessions, each pushing pre-recorded frames as fast as backpressure
 admits them, and measures the *aggregate* volume rate — the figure the
-paper's multi-channel front end is ultimately sized against.  Rows are
-keyed ``s{sessions}w{workers}`` and merge into ``BENCH_runtime.json``
-under ``"server_soak"``, where the benchgate compares like-configured
-rows between baseline and fresh runs (rows only one side has are
-reported, never gated — a CI smoke soak on a different shape cannot
-trip against the committed 8-session baseline).
+paper's multi-channel front end is ultimately sized against.  The CLI
+prints one row labelled ``s{sessions}w{workers}``; each run is a single
+sample, so compare widths over several alternating runs (see
+``docs/server.md``).
 
 Usage::
 
     PYTHONPATH=src python -m repro.server.soak --sessions 8 --workers 4 \
-        --frames 6 --json BENCH_runtime.json
+        --frames 4
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Sequence
 
 from ..acoustics.phantom import point_target
@@ -31,23 +27,7 @@ from ..api.specs import EngineSpec
 from .server import BeamformingServer, SessionHandle
 from .spec import ServerSpec
 
-__all__ = ["main", "run_soak", "soak_key"]
-
-
-def soak_key(sessions: int, workers: int,
-             backend: str = "vectorized") -> str:
-    """Benchmark-row key for one soak configuration.
-
-    The default ``vectorized`` backend keeps the historical bare
-    ``s{sessions}w{workers}`` spelling (the committed baseline rows), so
-    sweeping other backends — ``--backend compiled`` on the numba CI leg —
-    adds *new* ``s8w2-compiled``-style rows instead of clobbering the
-    gated NumPy ones.
-    """
-    key = f"s{sessions}w{workers}"
-    if backend != "vectorized":
-        key += f"-{backend}"
-    return key
+__all__ = ["main", "run_soak"]
 
 
 def _session_producer(handle: SessionHandle, payload: object,
@@ -125,23 +105,6 @@ def run_soak(sessions: int = 8, frames_per_session: int = 4,
     return row
 
 
-def merge_soak_rows(path: Path, system: str, rows: dict) -> dict:
-    """Merge soak rows into a benchmark JSON file under ``server_soak``.
-
-    The file's other content (the E11 table) is preserved; an absent file
-    starts a minimal document carrying the ``system`` key the benchgate
-    requires for comparability.
-    """
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {"system": system}
-    soak = data.setdefault("server_soak", {})
-    soak.update(rows)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point (see module docstring)."""
     parser = argparse.ArgumentParser(
@@ -157,9 +120,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="system preset (default small)")
     parser.add_argument("--backend", default="vectorized",
                         help="execution backend (default vectorized)")
-    parser.add_argument("--json", type=Path, default=None,
-                        help="merge the row into this benchmark JSON "
-                             "under 'server_soak'")
     args = parser.parse_args(argv)
     try:
         row = run_soak(sessions=args.sessions,
@@ -169,15 +129,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"soak error: {exc}", file=sys.stderr)
         return 2
-    key = soak_key(row["sessions"], row["workers"], args.backend)
-    print(f"server soak {key}: {row['frames']} frames in "
+    print(f"server soak s{row['sessions']}w{row['workers']} "
+          f"({row['backend']}): {row['frames']} frames in "
           f"{row['elapsed_seconds']:.2f}s — "
           f"{row['voxels_per_second']:.3e} voxels/s, "
           f"p99 {row['p99_latency_seconds'] * 1e3:.1f} ms, "
           f"{row['drops']} drops")
-    if args.json is not None:
-        merge_soak_rows(args.json, args.system, {key: row})
-        print(f"merged row {key!r} into {args.json}")
     return 0
 
 

@@ -256,56 +256,25 @@ class TestE11RuntimeThroughput:
                 assert row["cache_misses"] == slots
                 assert row["cache_hits"] == 3 * slots
 
-    def test_write_bench_json_roundtrips(self, tmp_path):
-        import json
-        path = tmp_path / "BENCH_runtime.json"
-        result = e11_runtime_throughput.write_bench_json(
-            path, tiny_system(), n_frames=2, batch=2,
-            backends=("vectorized",))
-        written = json.loads(path.read_text())
-        assert written["backends"].keys() == result["backends"].keys()
-        row = written["backends"]["vectorized"]["float32"]
-        assert row["frames_per_second"] > 0
-
     def test_speedup_reported_relative_to_reference(self, result):
         assert result["backends"]["reference"]["float64"][
             "speedup_vs_reference"] == pytest.approx(1.0)
+
+    def test_run_releases_sharded_worker_pools(self):
+        import gc
+        import threading
+
+        def sharded_threads():
+            return {t for t in threading.enumerate()
+                    if t.name.startswith("repro-sharded")}
+
+        before = sharded_threads()
+        e11_runtime_throughput.run(tiny_system(), n_frames=2, batch=2)
+        gc.collect()
+        assert sharded_threads() - before == set()
 
     def test_default_backends_tracks_numba_availability(self):
         from repro.kernels import numba_available
         backends = e11_runtime_throughput.default_backends()
         assert backends[:3] == ("reference", "vectorized", "sharded")
         assert ("compiled" in backends) == numba_available()
-
-    def test_write_bench_json_merges_same_system_rows(self, tmp_path):
-        """A partial sweep extends an existing same-system table — the
-        numba CI leg's compiled-only rerun must not erase the committed
-        NumPy rows or the server_soak section."""
-        import json
-        path = tmp_path / "BENCH_runtime.json"
-        e11_runtime_throughput.write_bench_json(
-            path, tiny_system(), n_frames=2, batch=2,
-            backends=("vectorized",))
-        data = json.loads(path.read_text())
-        data["server_soak"] = {"s8w2": {"frames": 16}}
-        path.write_text(json.dumps(data))
-        merged = e11_runtime_throughput.write_bench_json(
-            path, tiny_system(), n_frames=2, batch=2,
-            backends=("reference",))
-        assert set(merged["backends"]) == {"vectorized", "reference"}
-        assert merged["server_soak"] == {"s8w2": {"frames": 16}}
-        assert json.loads(path.read_text())["backends"].keys() \
-            == merged["backends"].keys()
-
-    def test_write_bench_json_resets_on_system_change(self, tmp_path):
-        """Rows from different presets are not comparable: a new system
-        replaces the file wholesale instead of mixing rows."""
-        import json
-        path = tmp_path / "BENCH_runtime.json"
-        path.write_text(json.dumps(
-            {"system": "small", "backends": {"vectorized": {}}}))
-        fresh = e11_runtime_throughput.write_bench_json(
-            path, tiny_system(), n_frames=2, batch=2,
-            backends=("reference",))
-        assert set(fresh["backends"]) == {"reference"}
-        assert "server_soak" not in fresh

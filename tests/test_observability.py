@@ -40,11 +40,6 @@ from repro.observability import (
     write_metrics,
     write_trace,
 )
-from repro.observability.benchgate import (
-    DEFAULT_THRESHOLD,
-    compare_benchmarks,
-    main as benchgate_main,
-)
 from repro.scenarios import SCHEMES
 
 
@@ -521,101 +516,3 @@ class TestSpecTraceField:
         assert EngineSpec(system="tiny").trace is False
         with pytest.raises(ValueError, match="trace"):
             EngineSpec(system="tiny", trace="yes")
-
-
-# -------------------------------------------------------------- bench gate
-def _bench_table(vps: float, batched_vps: float, system: str = "tiny"):
-    return {
-        "system": system,
-        "backends": {
-            "vectorized": {
-                "float32": {"voxels_per_second": vps,
-                            "batched_voxels_per_second": batched_vps},
-            },
-            "reference": {
-                "float32": {"voxels_per_second": 1.0,
-                            "batched_voxels_per_second": 1.0},
-            },
-        },
-    }
-
-
-class TestBenchGate:
-    def test_identical_tables_pass(self):
-        table = _bench_table(1e6, 2e6)
-        report, regressions = compare_benchmarks(table, table)
-        assert regressions == []
-        assert len(report) == 2  # two gated metrics, vectorized only
-
-    def test_drop_beyond_threshold_is_flagged(self):
-        baseline = _bench_table(1e6, 2e6)
-        fresh = _bench_table(0.5e6, 2e6)
-        _, regressions = compare_benchmarks(baseline, fresh)
-        assert len(regressions) == 1
-        assert "voxels_per_second" in regressions[0]
-
-    def test_drop_within_threshold_passes(self):
-        baseline = _bench_table(1e6, 2e6)
-        fresh = _bench_table((1 - DEFAULT_THRESHOLD + 0.01) * 1e6, 2e6)
-        _, regressions = compare_benchmarks(baseline, fresh)
-        assert regressions == []
-
-    def test_improvement_never_flags(self):
-        _, regressions = compare_benchmarks(_bench_table(1e6, 2e6),
-                                            _bench_table(5e6, 9e6))
-        assert regressions == []
-
-    def test_system_mismatch_raises(self):
-        with pytest.raises(ValueError, match="system mismatch"):
-            compare_benchmarks(_bench_table(1e6, 2e6, system="small"),
-                               _bench_table(1e6, 2e6, system="tiny"))
-
-    def test_bad_threshold_raises(self):
-        table = _bench_table(1e6, 2e6)
-        for threshold in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError, match="threshold"):
-                compare_benchmarks(table, table, threshold=threshold)
-
-    def test_missing_fresh_row_reported_not_gated(self):
-        baseline = _bench_table(1e6, 2e6)
-        fresh = _bench_table(1e6, 2e6)
-        del fresh["backends"]["vectorized"]["float32"]
-        report, regressions = compare_benchmarks(baseline, fresh)
-        assert regressions == []
-        assert any("missing" in line for line in report)
-
-    def test_cli_warn_mode_exits_zero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_BENCH_STRICT", raising=False)
-        baseline = tmp_path / "base.json"
-        fresh = tmp_path / "fresh.json"
-        baseline.write_text(json.dumps(_bench_table(1e6, 2e6)))
-        fresh.write_text(json.dumps(_bench_table(0.1e6, 2e6)))
-        assert benchgate_main([str(baseline), str(fresh)]) == 0
-        assert "WARN" in capsys.readouterr().out
-
-    def test_cli_strict_mode_fails(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_STRICT", "1")
-        baseline = tmp_path / "base.json"
-        fresh = tmp_path / "fresh.json"
-        baseline.write_text(json.dumps(_bench_table(1e6, 2e6)))
-        fresh.write_text(json.dumps(_bench_table(0.1e6, 2e6)))
-        assert benchgate_main([str(baseline), str(fresh)]) == 1
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_cli_mismatch_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        fresh = tmp_path / "fresh.json"
-        baseline.write_text(json.dumps(_bench_table(1e6, 2e6,
-                                                    system="small")))
-        fresh.write_text(json.dumps(_bench_table(1e6, 2e6)))
-        assert benchgate_main([str(baseline), str(fresh)]) == 2
-
-    def test_committed_baseline_gates_itself(self):
-        from pathlib import Path
-        baseline_path = Path(__file__).resolve().parent.parent \
-            / "BENCH_runtime.json"
-        baseline = json.loads(baseline_path.read_text())
-        assert baseline["system"] == "small"
-        report, regressions = compare_benchmarks(baseline, baseline)
-        assert regressions == []
-        assert report  # the gated rows exist in the committed table

@@ -31,6 +31,7 @@ from repro.server import (
     ServerSpec,
     SharedFrameRing,
 )
+from repro.server.soak import main as soak_main
 from repro.server.spec import resolve_policy
 
 
@@ -467,3 +468,17 @@ class TestSessionFacade:
         # close() ran; the service still works (pool rebuilds lazily).
         again = service.submit_frame(_phantom(system))
         np.testing.assert_array_equal(first.rf, again.rf)
+
+
+# ------------------------------------------------------------- soak CLI
+class TestSoakCli:
+    def test_tiny_soak_prints_its_row(self, capsys):
+        assert soak_main(["--sessions", "2", "--frames", "1",
+                          "--system", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("server soak s2w")
+        assert "2 frames in" in out and "0 drops" in out
+
+    def test_zero_sessions_is_rejected(self, capsys):
+        assert soak_main(["--sessions", "0", "--system", "tiny"]) == 2
+        assert "soak error" in capsys.readouterr().err
