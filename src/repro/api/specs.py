@@ -122,10 +122,10 @@ class EngineSpec:
 
     ``None`` (the default) keeps the historical unbounded behaviour.  With
     a budget, the session's :class:`repro.runtime.cache.PlanCache` is
-    byte-bounded, and any engine whose whole-grid plan would exceed the
-    budget executes tiled — :class:`repro.kernels.TilePlanner` /
-    :class:`repro.kernels.TiledPlan` stream per-tile segments through the
-    cache, bit-identical to untiled execution (see ``docs/memory.md``).
+    byte-bounded, and :class:`repro.kernels.TilePlanner` sizes every
+    engine's :class:`repro.kernels.TiledPlan` tiles to it — as many as the
+    budget needs, streamed through the cache, bit-identical to untiled
+    execution (see ``docs/memory.md``).
     A budget too small to hold even one scanline of the resolved system is
     rejected here with an actionable error."""
 

@@ -143,20 +143,6 @@ class DelayAndSumBeamformer:
             self._scanline_weights[key] = weights
         return weights
 
-    def volume_weights(self) -> np.ndarray:
-        """Receive weights for every grid point, shape ``(n_theta, n_phi, n_depth, n_elements)``.
-
-        Assembled from (and seeding) the per-scanline cache so the batched
-        runtime backends use the exact same values as the scanline path.
-        """
-        n_theta, n_phi, n_depth = self.grid.shape
-        out = np.empty((n_theta, n_phi, n_depth,
-                        self.transducer.element_count))
-        for i_theta in range(n_theta):
-            for i_phi in range(n_phi):
-                out[i_theta, i_phi] = self.weights_for_scanline(i_theta, i_phi)
-        return out
-
     def weights_for_points(self, points: np.ndarray) -> np.ndarray:
         """Receive weights ``w(S)`` for each (point, element) pair."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))

@@ -429,16 +429,17 @@ class CompiledPlan(BeamformingPlan):
         return _jit_kernels(self.options.fastmath)
 
     def _fraction(self, index) -> np.ndarray:
-        """Interpolation fractions in the execution dtype (memoised cast —
-        the NumPy path casts per call; here the cast would otherwise be the
-        only remaining per-frame temporary)."""
+        """Interpolation fractions in the execution dtype.  The compiled
+        index's cast is memoised (the NumPy path casts per call; here the
+        cast would otherwise be the only remaining per-frame temporary); a
+        transient index's is not, so the plan never grows per length."""
         if index.fraction.dtype == self.dtype:
             return index.fraction
-        cast = self._fractions.get(index.n_samples)
-        if cast is None:
-            cast = index.fraction.astype(self.dtype)
-            self._fractions[index.n_samples] = cast
-        return cast
+        if index is not self.index:
+            return index.fraction.astype(self.dtype)
+        if not self._fractions:
+            self._fractions[index.n_samples] = index.fraction.astype(self.dtype)
+        return self._fractions[index.n_samples]
 
     def _block_size(self, options: CompiledOptions) -> int:
         return int(options.block_size or DEFAULT_BLOCK_POINTS)
@@ -573,6 +574,6 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
         delays=base.delays, weights=base.weights,
         grid_shape=base.grid_shape, precision=base.precision,
         interpolation=base.interpolation, n_samples=base.n_samples,
-        _indices=dict(base._indices), options=options)
+        index=base.index, options=options)
     plan.warmup()
     return plan

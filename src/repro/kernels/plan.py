@@ -9,13 +9,14 @@ per-frame arithmetic — and then executed against any number of frames:
 * :meth:`BeamformingPlan.execute_batch` — a stacked cine -> stacked volumes
   in one gather, amortising index setup and NumPy dispatch across frames.
 
-The tiled and ``sharded`` paths run whole *segment* plans, one per tile
-(``compile_plan(..., tile=...)``), through the same two methods.
+The runtime backends run whole *segment* plans, one per tile of a
+:class:`repro.kernels.tiling.TiledPlan` (``compile_plan(..., tile=...)``),
+through the same two methods; an unbudgeted engine is one tile.
 
-Compilation materialises the full ``(n_points, n_elements)`` delay and
-weight tensors and pre-resolves the fractional delays into clipped integer
-gather indices (:func:`repro.kernels.ops.build_gather_index`) for the
-system's echo-buffer length — the software analogue of the paper's
+Compilation materialises the ``(n_points, n_elements)`` delay and weight
+tensors of its point range and pre-resolves the fractional delays into
+clipped integer gather indices (:func:`repro.kernels.ops.build_gather_index`)
+for the system's echo-buffer length — the software analogue of the paper's
 precomputed delay table: the expensive float work happens once, streaming
 frames only gather.  Plans are immutable and safe to share across backends
 and threads; :func:`plan_key` (which includes the interpolation kind and
@@ -25,6 +26,7 @@ execution dtype) is the key they are cached under in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Sequence
 
@@ -106,7 +108,7 @@ def plan_key(beamformer: "DelayAndSumBeamformer",
     the focal grid: the tile's flat point range joins the key, so segment
     plans of the same engine occupy distinct cache slots (the bounded
     :class:`~repro.runtime.cache.PlanCache` streams them under a byte
-    budget) and can never shadow the whole-grid plan.
+    budget), and different tilings never shadow one another.
     """
     precision = resolve_precision(precision)
     if quantization is None:
@@ -131,24 +133,31 @@ def plan_key(beamformer: "DelayAndSumBeamformer",
     return key
 
 
-def _tile_tensors(beamformer: "DelayAndSumBeamformer", tile
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Delay/weight rows for one tile, generated scanline by scanline.
+def _extent(beamformer: "DelayAndSumBeamformer", tile
+            ) -> tuple[int, int, tuple[int, int, int]]:
+    """Flat point range and volume shape of a plan: the whole grid for
+    ``tile=None``, else the tile's range folded as a one-scanline grid."""
+    if tile is None:
+        shape = beamformer.grid.shape
+        return 0, math.prod(shape), shape
+    start, stop = int(tile.start), int(tile.stop)
+    return start, stop, (1, 1, stop - start)
 
-    The streaming analogue of the bulk ``volume_delays_samples`` /
-    ``volume_weights`` pair: it materialises only the tile's
-    ``(tile.n_points, n_elements)`` rows, never the whole-grid tensors —
-    the entire point of tiled execution is that the full tensors do not
-    fit the memory budget.  Bit-identity is structural: the bulk volume
-    paths assemble their tensors from the very same per-scanline
-    ``scanline_delays_samples`` / ``weights_for_scanline`` calls, so each
-    tile's rows are exact row slices of what an untiled compile would
-    produce.  Both tensors are returned as ``float64``; the caller applies
-    the same dtype/quantisation coercions as the untiled compile.
+
+def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
+                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Delay/weight rows of flat points ``[start, stop)``, scanline by scanline.
+
+    The one tensor builder of every plan family (float, quantized,
+    compiled); a whole-grid plan is the range ``[0, n_points)``.  It
+    materialises only the range's ``(stop - start, n_elements)`` rows from
+    per-scanline ``scanline_delays_samples`` / ``weights_for_scanline``
+    calls, so a tile's rows are exact row slices of the whole-grid
+    tensors by construction.  Both tensors are returned as ``float64``;
+    the caller applies the dtype/quantisation coercions, all elementwise.
     """
     n_theta, n_phi, n_depth = beamformer.grid.shape
     n_elements = beamformer.transducer.element_count
-    start, stop = int(tile.start), int(tile.stop)
     n = stop - start
     delays = np.empty((n, n_elements), dtype=np.float64)
     weights = np.empty((n, n_elements), dtype=np.float64)
@@ -190,7 +199,11 @@ class BeamformingPlan:
     interpolation:
         Echo-sample interpolation the gather index was built for.
     n_samples:
-        Echo-buffer length the primary gather index addresses.
+        Echo-buffer length the compiled gather index addresses.
+    index:
+        The gather index for ``n_samples``-long buffers, built at compile
+        time and the plan's only addressing state: :attr:`nbytes` never
+        changes after compile.
     """
 
     key: Hashable
@@ -200,8 +213,7 @@ class BeamformingPlan:
     precision: Precision
     interpolation: InterpolationKind
     n_samples: int
-    _indices: dict[int, GatherIndex] = field(default_factory=dict,
-                                             repr=False, compare=False)
+    index: GatherIndex = field(repr=False, compare=False)
 
     # ------------------------------------------------------------ geometry
     @property
@@ -221,25 +233,22 @@ class BeamformingPlan:
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of tensors plus compiled gather indices [bytes]."""
-        return (self.delays.nbytes + self.weights.nbytes
-                + sum(index.nbytes for index in self._indices.values()))
+        """Memory footprint of tensors plus the compiled gather index [bytes]."""
+        return self.delays.nbytes + self.weights.nbytes + self.index.nbytes
 
     # ----------------------------------------------------------- addressing
     def gather_index(self, n_samples: int | None = None) -> GatherIndex:
-        """The compiled gather index for ``n_samples``-long echo buffers.
+        """The gather index for ``n_samples``-long echo buffers.
 
-        The index for the compile-time buffer length is built eagerly; other
-        lengths (unusual, e.g. externally recorded data) are built on first
-        use and memoised on the plan.
+        The compile-time buffer length gets the compiled :attr:`index`;
+        other lengths (unusual, e.g. externally recorded data) get a
+        transient index built per call and never stored, so a cached
+        plan's size stays what the cache charged for it.
         """
-        n_samples = self.n_samples if n_samples is None else int(n_samples)
-        index = self._indices.get(n_samples)
-        if index is None:
-            index = build_gather_index(self.delays, n_samples,
-                                       self.interpolation)
-            self._indices[n_samples] = index
-        return index
+        if n_samples is None or int(n_samples) == self.n_samples:
+            return self.index
+        return build_gather_index(self.delays, int(n_samples),
+                                  self.interpolation)
 
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
@@ -352,9 +361,9 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
                  tile: "object | None" = None) -> BeamformingPlan:
     """Compile the beamforming plan for a configured beamformer.
 
-    Generates the full delay tensor through the provider's bulk path, the
-    full weight tensor (cast to the execution dtype), and the gather index
-    for the system's echo-buffer length.  This is the expensive step the
+    Generates the delay tensor, the weight tensor (cast to the execution
+    dtype) and the gather index for the system's echo-buffer length, all
+    through :func:`_tile_tensors`.  This is the expensive step the
     :class:`repro.runtime.cache.PlanCache` amortises across frames and
     across backends.
 
@@ -370,14 +379,14 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     raising :class:`repro.kernels.compiled.BackendUnavailable` when numba is
     not importable.  The default ``None`` is the NumPy plan.
 
-    ``tile`` compiles a *segment* plan for only that
-    :class:`repro.kernels.tiling.Tile` of the focal grid: tensors come
-    from the streaming per-scanline path (:func:`_tile_tensors`), the key
-    carries the tile's point range, and ``grid_shape`` degenerates to
+    ``tile=None`` compiles the whole grid (``grid_shape`` is the grid's,
+    the key has no tile component).  A :class:`repro.kernels.tiling.Tile`
+    compiles a *segment* plan for only that range of the focal grid: the
+    key carries the tile's point range, and ``grid_shape`` degenerates to
     ``(1, 1, tile.n_points)`` — the segment behaves like a plan for a
     one-scanline grid of the tile's length.  Segments are what
-    :class:`repro.kernels.tiling.TiledPlan` streams through the bounded
-    cache; their rows are bit-identical slices of the untiled tensors.
+    :class:`repro.kernels.tiling.TiledPlan` streams through the cache;
+    their rows are bit-identical slices of the whole-grid tensors.
     """
     if getattr(beamformer, "quantization", None) is not None:
         if variant is not None:
@@ -395,21 +404,12 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
         return compile_compiled_plan(beamformer, precision, options,
                                      tile=tile)
     precision = resolve_precision(precision)
-    n_elements = beamformer.transducer.element_count
-    if tile is not None:
-        grid_shape = (1, 1, int(tile.stop) - int(tile.start))
-        delays, weights = _tile_tensors(beamformer, tile)
-        weights = weights.astype(precision.dtype)
-    else:
-        grid_shape = beamformer.grid.shape
-        delays = np.asarray(beamformer.delays.volume_delays_samples(),
-                            dtype=np.float64).reshape(-1, n_elements)
-        weights = beamformer.volume_weights().reshape(-1, n_elements) \
-            .astype(precision.dtype)
-    plan = BeamformingPlan(key=plan_key(beamformer, precision, tile=tile),
-                           delays=delays, weights=weights,
-                           grid_shape=grid_shape, precision=precision,
-                           interpolation=beamformer.interpolation,
-                           n_samples=beamformer.system.echo_buffer_samples)
-    plan.gather_index()   # resolve addressing at compile time, not per frame
-    return plan
+    start, stop, grid_shape = _extent(beamformer, tile)
+    delays, weights = _tile_tensors(beamformer, start, stop)
+    n_samples = beamformer.system.echo_buffer_samples
+    return BeamformingPlan(
+        key=plan_key(beamformer, precision, tile=tile), delays=delays,
+        weights=weights.astype(precision.dtype, copy=False),
+        grid_shape=grid_shape, precision=precision,
+        interpolation=beamformer.interpolation, n_samples=n_samples,
+        index=build_gather_index(delays, n_samples, beamformer.interpolation))

@@ -50,7 +50,7 @@ from ..fixedpoint.format import QFormat, signed, tablesteer_formats, unsigned
 from ..fixedpoint.quantize import OverflowMode, RoundingMode, quantize
 from ..observability.tracing import NULL_TRACER
 from .ops import accumulate, apply_weights, build_gather_index, gather_interp
-from .plan import BeamformingPlan, plan_key
+from .plan import BeamformingPlan, _extent, _tile_tensors, plan_key
 from .precision import Precision, Tolerance, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -333,15 +333,14 @@ def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
     """Compile the bit-true fixed-point plan for a configured beamformer.
 
     ``spec`` defaults to the beamformer's own ``quantization`` attribute.
-    Delays and weights are generated through the same bulk provider/weight
-    paths as :func:`repro.kernels.plan.compile_plan` and then quantised once
-    at compile time; the gather index is built from the quantised delays.
+    Delays and weights come from the same tensor builder as
+    :func:`repro.kernels.plan.compile_plan` and are then quantised once at
+    compile time; the gather index is built from the quantised delays.
 
     ``tile`` compiles the segment for one
-    :class:`repro.kernels.tiling.Tile` only: the tensors come from the
-    streaming per-scanline path and are quantised with the same
-    ``quantize_delays`` / ``quantize_weights`` stages (elementwise, so the
-    segment rows stay bit-true slices of the untiled quantised tensors).
+    :class:`repro.kernels.tiling.Tile` only (``None``: the whole grid);
+    the ``quantize_delays`` / ``quantize_weights`` stages are elementwise,
+    so segment rows stay bit-true slices of the whole-grid tensors.
     """
     if spec is None:
         spec = getattr(beamformer, "quantization", None)
@@ -349,31 +348,20 @@ def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
         raise ValueError("no QuantizationSpec: pass spec= or construct the "
                          "beamformer with quantization=...")
     precision = resolve_precision(precision)
-    # Validate before the expensive bulk delay generation (the plan's own
+    n_samples = beamformer.system.echo_buffer_samples
+    # Validate before the expensive delay generation (the plan's own
     # __post_init__ re-checks, but only after the tensors exist).
-    spec.validate_for(precision, beamformer.interpolation,
-                      beamformer.system.echo_buffer_samples)
-    n_elements = beamformer.transducer.element_count
-    if tile is not None:
-        from .plan import _tile_tensors
-        grid_shape = (1, 1, int(tile.stop) - int(tile.start))
-        raw_delays, raw_weights = _tile_tensors(beamformer, tile)
-        delays = spec.quantize_delays(raw_delays)
-        weights = spec.quantize_weights(raw_weights)
-    else:
-        grid_shape = beamformer.grid.shape
-        delays = spec.quantize_delays(
-            np.asarray(beamformer.delays.volume_delays_samples(),
-                       dtype=np.float64).reshape(-1, n_elements))
-        weights = spec.quantize_weights(
-            beamformer.volume_weights().reshape(-1, n_elements))
-    plan = QuantizedPlan(
+    spec.validate_for(precision, beamformer.interpolation, n_samples)
+    start, stop, grid_shape = _extent(beamformer, tile)
+    raw_delays, raw_weights = _tile_tensors(beamformer, start, stop)
+    delays = spec.quantize_delays(raw_delays)
+    return QuantizedPlan(
         key=plan_key(beamformer, precision, quantization=spec, tile=tile),
-        delays=delays, weights=weights, grid_shape=grid_shape,
-        precision=precision, interpolation=beamformer.interpolation,
-        n_samples=beamformer.system.echo_buffer_samples, spec=spec)
-    plan.gather_index()   # resolve fixed-point addressing at compile time
-    return plan
+        delays=delays, weights=spec.quantize_weights(raw_weights),
+        grid_shape=grid_shape, precision=precision,
+        interpolation=beamformer.interpolation, n_samples=n_samples,
+        index=build_gather_index(delays, n_samples, beamformer.interpolation),
+        spec=spec)
 
 
 def quantized_delay_and_sum(samples: np.ndarray, delays_samples: np.ndarray,

@@ -14,22 +14,22 @@ that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``):
   to an even share of the scanlines and of the budget;
 * :class:`TiledPlan` mirrors the :class:`BeamformingPlan` execute surface
   but compiles one *segment* plan per tile on demand — via
-  ``compile_plan(..., tile=...)``, whose tensors come from the streaming
-  per-scanline path, never the whole-grid bulk path — and writes each
-  tile's rows into the caller's output array, serially or on the
-  ``sharded`` backend's thread pool: one partition is both the unit of
-  plan memory and of parallel work (the paper's Fig. 4 blocks);
+  ``compile_plan(..., tile=...)`` — and writes each tile's rows into the
+  caller's output array, serially or on the ``sharded`` backend's thread
+  pool: one partition is both the unit of plan memory and of parallel
+  work (the paper's Fig. 4 blocks).  Every plan-backed runtime backend
+  executes through one; without a budget it is a single tile;
 * segments are cached in a byte-budgeted
   :class:`repro.runtime.cache.PlanCache` (segment-level LRU): the budget is
   *enforced*, never silently exceeded, and the achieved peak is reported
   through the cache's ``plan_cache_peak_bytes`` gauge.
 
 Bit-identity with untiled execution is structural, and pinned by the
-conformance matrix and ``tests/test_property_tiling.py``: the bulk volume
-tensors are themselves assembled scanline-by-scanline from the same
-per-scanline calls, every dtype/quantisation coercion is elementwise, and
-every focal point's gather/weight/sum is independent of its neighbours —
-so a tile's rows are exact row slices of the untiled result.
+conformance matrix and ``tests/test_property_tiling.py``: every plan's
+tensors come from one per-scanline builder, every dtype/quantisation
+coercion is elementwise, and every focal point's gather/weight/sum is
+independent of its neighbours — so a tile's rows are exact row slices of
+the one-tile result.
 """
 
 from __future__ import annotations
@@ -242,15 +242,15 @@ class TilePlanner:
 
 
 class TiledPlan:
-    """Budget-bounded drop-in for a whole-grid plan: segments on demand.
+    """An engine's plan as tile segments, compiled and cached on demand.
 
     Mirrors the :class:`~repro.kernels.plan.BeamformingPlan` execute
-    surface (``execute`` / ``execute_batch``) so the runtime backends can
-    hold one regardless of tiling.  Each call maps one body over the
-    planner's tiles: fetch the tile's segment plan from the byte-budgeted
-    cache (compiling through the streaming ``compile_plan(..., tile=...)``
-    path on miss, under a ``compile`` span), execute it whole, and write
-    its rows into the output array — one ``tile`` tracer span per tile.
+    surface (``execute`` / ``execute_batch``); every plan-backed runtime
+    backend holds one, with a single tile when unbudgeted.  Each call maps
+    one body over the planner's tiles: fetch the tile's segment plan from
+    the cache (compiling through ``compile_plan(..., tile=...)`` on miss,
+    under a ``compile`` span), execute it whole, and write its rows into
+    the output array — one ``tile`` tracer span per tile.
 
     ``map`` runs that body over the tiles: the builtin ``map`` (serial, the
     default) or a thread pool's ``map`` (the ``sharded`` backend).  The
@@ -258,8 +258,9 @@ class TiledPlan:
     threads nest under it; the first exception a tile raises propagates.
 
     ``variant="compiled"`` streams fused
-    :class:`~repro.kernels.compiled.CompiledPlan` segments instead (keyed
-    by ``options.variant()`` exactly as the untiled compiled path is); a
+    :class:`~repro.kernels.compiled.CompiledPlan` segments instead, keyed
+    by ``options.variant()`` and launched with ``options`` (so a segment
+    shared through the cache runs with this plan's threads/block size); a
     beamformer carrying a ``quantization`` spec streams bit-true
     :class:`~repro.kernels.quantized.QuantizedPlan` segments automatically.
     """
@@ -281,18 +282,21 @@ class TiledPlan:
             raise ValueError(f"unknown plan variant {variant!r}; "
                              "available: compiled")
         self._variant = variant
-        self._options = options
+        # Compiled segments also take the options per execute call: a
+        # cached segment may have been built by a backend launching with
+        # other threads/block size.
+        self._variant_kwargs: dict = {}
         key_variant = None
         if variant == "compiled":
             from .compiled import CompiledOptions
             options = CompiledOptions() if options is None else options
-            self._options = options
+            self._variant_kwargs = {"options": options}
             key_variant = options.variant()
         # Keyed once per tile, not per lookup: a key hashes the whole
         # system config, a per-tile cost on every frame otherwise.
-        self._keys = [plan_key(beamformer, self.precision,
-                               variant=key_variant, tile=tile)
-                      for tile in planner.tiles()]
+        self._tile_keys = [plan_key(beamformer, self.precision,
+                                    variant=key_variant, tile=tile)
+                           for tile in planner.tiles()]
         if cache is None:
             # Private per-plan cache with a slot per tile, bounded by the
             # same budget the tiles were sized for.  Imported lazily:
@@ -336,21 +340,16 @@ class TiledPlan:
         def build():
             with tracer.span("compile") as span:
                 plan = compile_plan(self.beamformer, self.precision,
-                                    variant=self._variant,
-                                    options=self._options, tile=tile)
+                                    variant=self._variant, tile=tile,
+                                    **self._variant_kwargs)
                 span.set(bytes=int(plan.nbytes), points=tile.n_points,
                          elements=self.planner.n_elements,
                          tile=tile.index)
             return plan
 
         return self.cache.get_or_build(
-            self._keys[tile.index], build,
+            self._tile_keys[tile.index], build,
             size_hint=self.planner.tile_nbytes(tile))
-
-    def _segment_kwargs(self, options) -> dict:
-        if self._variant == "compiled":
-            return {"options": self._options if options is None else options}
-        return {}
 
     def _map_tiles(self, body: Callable, tracer) -> None:
         """Run ``body(tile, segment)`` for every tile through :attr:`map`.
@@ -374,22 +373,21 @@ class TiledPlan:
             pass
 
     def execute(self, channel_data: "ChannelData | np.ndarray",
-                tracer=None, options=None) -> np.ndarray:
+                tracer=None) -> np.ndarray:
         """Beamform one frame tile by tile; shape ``grid_shape``."""
         tracer = resolve_tracer(tracer)
         samples = self.coerce_samples(channel_data)
         out = np.empty(self.n_points, dtype=self.dtype)
-        kwargs = self._segment_kwargs(options)
 
         def body(tile: Tile, segment) -> None:
             out[tile.rows] = segment.execute(
-                samples, tracer=tracer, **kwargs).reshape(-1)
+                samples, tracer=tracer, **self._variant_kwargs).reshape(-1)
 
         self._map_tiles(body, tracer)
         return out.reshape(self.grid_shape)
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
-                      tracer=None, options=None) -> np.ndarray:
+                      tracer=None) -> np.ndarray:
         """Beamform a cine batch tile by tile; ``(n_frames, *grid_shape)``.
 
         Frames are coerced and stacked once — every tile, on whichever
@@ -403,11 +401,11 @@ class TiledPlan:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
         stacked = np.stack([self.coerce_samples(frame) for frame in frames])
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
-        kwargs = self._segment_kwargs(options)
 
         def body(tile: Tile, segment) -> None:
             out[:, tile.rows] = segment.execute_batch(
-                stacked, tracer=tracer, **kwargs).reshape(len(frames), -1)
+                stacked, tracer=tracer,
+                **self._variant_kwargs).reshape(len(frames), -1)
 
         self._map_tiles(body, tracer)
         return out.reshape((len(frames), *self.grid_shape))

@@ -84,9 +84,9 @@ class ImagingPipeline:
     (e.g. to share one provider across several per-backend pipelines)."""
     memory_budget_bytes: int | str | None = None
     """Plan-memory budget for every backend this pipeline builds (bytes or
-    a suffixed string like ``"8G"``).  Grids whose whole-grid plan would
-    exceed it execute tiled (:class:`repro.kernels.TiledPlan`),
-    bit-identical to untiled; budgets too small for one scanline are
+    a suffixed string like ``"8G"``), which sizes the tiles of each
+    backend's :class:`repro.kernels.TiledPlan` — output bit-identical to
+    untiled; budgets too small for one scanline are
     rejected at construction.  ``None`` = unbounded (historical
     behaviour).  Read back parsed, in bytes."""
     tracer: object | None = None

@@ -18,7 +18,8 @@ written exactly once:
     Compiles the plan once per ``(SystemConfig, architecture, apodization,
     interpolation, precision)`` — optionally through a shared
     :class:`repro.runtime.cache.PlanCache` — and beamforms whole volumes
-    (or stacked multi-frame batches) with one batched gather/sum.
+    (or stacked multi-frame batches) with one batched gather/sum per tile:
+    one tile without a memory budget, budget-sized tiles under one.
 
 ``sharded``
     The tiles of a :class:`repro.kernels.tiling.TiledPlan` dispatched on a
@@ -45,11 +46,8 @@ import numpy as np
 from ..acoustics.echo import ChannelData
 from ..beamformer.das import DelayAndSumBeamformer
 from ..kernels import (
-    BeamformingPlan,
     Precision,
-    compile_plan,
     delay_and_sum,
-    plan_key,
     quantized_delay_and_sum,
     resolve_precision,
 )
@@ -82,6 +80,8 @@ class ExecutionBackend:
     """
 
     name: str = "abstract"
+    workers: int = 1
+    """Tiles executing at once (``sharded``: its pool size)."""
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  cache: PlanCache | None = None,
@@ -100,11 +100,9 @@ class ExecutionBackend:
             # silently truncate the exact fixed-point codes under float32.
             quantization.validate_for(self.precision,
                                       beamformer.interpolation)
-        self._key = plan_key(beamformer, self.precision)
-        self._plan: BeamformingPlan | None = None
         self.memory_budget_bytes: int | None = None
         self._planner = self._plan_tiles(None)
-        self._tiled = None
+        self._tiled: TiledPlan | None = None
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -115,8 +113,13 @@ class ExecutionBackend:
         ``sharded`` backend additionally shuts its worker pool down.  A
         closed backend may be used again — pools are rebuilt lazily.
         """
-        self._plan = None
         self._tiled = None
+
+    def __enter__(self) -> "ExecutionBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -------------------------------------------------------- memory budget
     def set_memory_budget(self, memory_budget_bytes: int | str | None
@@ -124,15 +127,13 @@ class ExecutionBackend:
         """Cap this backend's plan memory; ``None`` removes the cap.
 
         Builds the :class:`repro.kernels.tiling.TilePlanner` for the
-        engine's grid/channels/precision immediately — a budget too small
-        to hold one scanline (on ``sharded``: one per worker) is rejected
+        engine's grid/channels/precision and :attr:`workers` immediately —
+        a budget too small to hold one scanline per worker is rejected
         right here with an actionable :class:`ValueError`, not at first
-        frame.  When the planner needs
-        more than one tile, :meth:`plan` hands out a streaming
-        :class:`repro.kernels.tiling.TiledPlan` instead of the whole-grid
-        plan; a budget large enough for the whole grid keeps the untiled
-        fast path.  A shared :class:`PlanCache` is tightened to the same
-        byte bound so resident plans can never exceed it either.
+        frame.  Without a budget the planner has one tile per worker (one
+        tile for every backend but ``sharded``).  A shared
+        :class:`PlanCache` is tightened to the same byte bound so resident
+        plans can never exceed it either.
 
         The ``reference`` backend inherits the same validation but needs no
         tiling: its per-scanline loop already streams one scanline of
@@ -146,77 +147,35 @@ class ExecutionBackend:
         if budget is not None and self.cache is not None:
             self.cache.limit_bytes(budget)
 
-    def _plan_tiles(self, budget: int | None) -> TilePlanner | None:
-        """The tiling for ``budget``, or ``None`` to run the whole-grid plan.
-
-        The planner is built even when one tile would do, so a budget too
-        small for one scanline is rejected here; ``sharded`` overrides this
-        to always tile.
-        """
-        if budget is None:
-            return None
-        planner = TilePlanner.for_beamformer(self.beamformer, budget,
-                                             precision=self.precision)
-        return planner if planner.n_tiles > 1 else None
+    def _plan_tiles(self, budget: int | None) -> TilePlanner:
+        """The tiling for ``budget`` across :attr:`workers`."""
+        return TilePlanner.for_beamformer(self.beamformer, budget,
+                                          precision=self.precision,
+                                          workers=self.workers)
 
     @property
     def plan_slots(self) -> int:
-        """Plan-cache entries one frame uses: one per tile, or one plan."""
-        return 1 if self._planner is None else self._planner.n_tiles
+        """Plan-cache entries one frame uses: one per tile."""
+        return self._planner.n_tiles
 
-    def _build_tiled(self, planner: TilePlanner) -> TiledPlan:
-        """Build the tiled streaming plan — variant backends override."""
-        return TiledPlan(self.beamformer, planner, self.precision,
+    def _build_tiled(self) -> TiledPlan:
+        """Build the tiled plan — variant backends override."""
+        return TiledPlan(self.beamformer, self._planner, self.precision,
                          cache=self.cache)
 
-    def __enter__(self) -> "ExecutionBackend":
-        return self
+    def plan(self) -> TiledPlan:
+        """The :class:`~repro.kernels.tiling.TiledPlan` for this engine.
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _compile_plan(self) -> BeamformingPlan:
-        """Build the plan object — the hook plan-variant backends override.
-
-        Runs inside the ``compile`` span opened by :meth:`_compile`, so
-        whatever a variant's compilation costs (for ``compiled``: the Numba
-        JIT warm-up) is attributed to compile time in traces.
-        """
-        return compile_plan(self.beamformer, self.precision)
-
-    def _compile(self) -> BeamformingPlan:
-        """Compile this backend's plan under a ``compile`` span."""
-        with self.tracer.span("compile") as span:
-            plan = self._compile_plan()
-            span.set(bytes=int(plan.nbytes), points=plan.n_points,
-                     elements=plan.n_elements)
-        return plan
-
-    def plan(self) -> BeamformingPlan:
-        """The (possibly cached) compiled plan for this backend's engine.
-
-        With a cache attached, every frame goes through the cache — the
-        hit/miss counters then directly record that repeated frames from the
-        same engine configuration skip plan compilation.  The ``compile``
-        span is opened only when a plan is actually built, so a trace shows
-        the compile cost exactly once per cache miss.
-
-        Under a memory budget that the whole-grid plan would violate
-        (:meth:`set_memory_budget`), and always on ``sharded``, a
-        :class:`~repro.kernels.tiling.TiledPlan` is returned instead — same
-        execute surface, segments streamed through the cache.  The shell is
-        memoised privately (only its segments live in the shared cache;
+        Its tile segments are compiled on first use, through the shared
+        cache when one is attached — the hit/miss counters then directly
+        record that repeated frames skip plan compilation, and a ``compile``
+        span is opened only when a segment is actually built.  The shell
+        is memoised privately (only its segments live in the shared cache;
         caching the shell too would double-count the bytes).
         """
-        if self._planner is not None:
-            if self._tiled is None:
-                self._tiled = self._build_tiled(self._planner)
-            return self._tiled
-        if self.cache is not None:
-            return self.cache.get_or_build(self._key, self._compile)
-        if self._plan is None:
-            self._plan = self._compile()
-        return self._plan
+        if self._tiled is None:
+            self._tiled = self._build_tiled()
+        return self._tiled
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         """Beamformed RF volume, shape ``(n_theta, n_phi, n_depth)``."""
@@ -281,13 +240,14 @@ class ReferenceBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """Whole-volume batched gather/sum over a compiled plan."""
+    """Batched gather/sum over the tiles of a compiled plan, in order."""
 
     name = "vectorized"
 
     def _execute_span(self, **attributes):
-        """The ``execute`` span around one kernel call."""
-        return self.tracer.span("execute", **attributes)
+        """The ``execute`` span around one plan call."""
+        return self.tracer.span("execute", tiles=self._planner.n_tiles,
+                                workers=self.workers, **attributes)
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         plan = self.plan()
@@ -303,9 +263,9 @@ class VectorizedBackend(ExecutionBackend):
 class ShardedBackend(VectorizedBackend):
     """The tiles of a :class:`~repro.kernels.tiling.TiledPlan` on a pool.
 
-    The plan is always tiled: a tile holds at most
-    ``ceil(scanlines / max_workers)`` scanlines, so every worker gets one,
-    and under a budget at most ``budget // max_workers`` bytes, so the tiles
+    :attr:`workers` is the pool size: a tile holds at most
+    ``ceil(scanlines / workers)`` scanlines, so every worker gets one, and
+    under a budget at most ``budget // workers`` bytes, so the tiles
     executing at once fit it together.  Workers compile and execute whole
     segments (NumPy releases the GIL in the heavy kernels), bit-identical
     to the vectorized backend.  A tile's exception propagates to the
@@ -326,7 +286,7 @@ class ShardedBackend(VectorizedBackend):
                  precision: Precision | str | None = None,
                  max_workers: int | None = None) -> None:
         # Set first: the base constructor plans the tiles from it.
-        self.max_workers = max_workers or min(4, os.cpu_count() or 1)
+        self.workers = max_workers or min(4, os.cpu_count() or 1)
         self._pool: ThreadPoolExecutor | None = None
         super().__init__(beamformer, cache=cache, precision=precision)
 
@@ -334,7 +294,7 @@ class ShardedBackend(VectorizedBackend):
         """The persistent worker pool, created on first use."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
+                max_workers=self.workers,
                 thread_name_prefix="repro-sharded")
         return self._pool
 
@@ -355,20 +315,11 @@ class ShardedBackend(VectorizedBackend):
         if pool is not None:
             pool.shutdown(wait=False)
 
-    def _plan_tiles(self, budget: int | None) -> TilePlanner:
-        return TilePlanner.for_beamformer(self.beamformer, budget,
-                                          precision=self.precision,
-                                          workers=self.max_workers)
-
-    def _build_tiled(self, planner: TilePlanner) -> TiledPlan:
+    def _build_tiled(self) -> TiledPlan:
         # close() drops the memoised plan with the pool, so a rebuilt
         # plan always maps on the live pool.
-        return TiledPlan(self.beamformer, planner, self.precision,
+        return TiledPlan(self.beamformer, self._planner, self.precision,
                          cache=self.cache, map=self._executor().map)
-
-    def _execute_span(self, **attributes):
-        return self.tracer.span("execute", tiles=self._planner.n_tiles,
-                                workers=self.max_workers, **attributes)
 
 
 @dataclass(frozen=True)
@@ -379,10 +330,10 @@ class ShardedOptions:
     """Thread-pool size; the grid is tiled so every worker gets a tile."""
 
 
-class CompiledBackend(ExecutionBackend):
+class CompiledBackend(VectorizedBackend):
     """Fused Numba-jitted gather/weight/sum over parallel voxel blocks.
 
-    Executes a :class:`repro.kernels.compiled.CompiledPlan` — the same
+    Executes :class:`repro.kernels.compiled.CompiledPlan` segments — the same
     delay/weight/index tensors as the NumPy plan, consumed by a single
     fused pass per focal point with no intermediate
     ``(n_points, n_elements)`` arrays, ``prange``-parallel over voxel
@@ -415,32 +366,14 @@ class CompiledBackend(ExecutionBackend):
         require_numba()
         super().__init__(beamformer, cache=cache, precision=precision)
         self.options = options if options is not None else CompiledOptions()
-        # Variant-extended key: a cache shared with NumPy backends must
-        # never serve this backend a plain BeamformingPlan (or serve a
+
+    def _build_tiled(self) -> TiledPlan:
+        # The variant joins the segment keys: a cache shared with NumPy
+        # backends never serves this backend a plain BeamformingPlan (or a
         # fastmath plan where strict math was requested).
-        self._key = plan_key(beamformer, self.precision,
-                             variant=self.options.variant())
-
-    def _compile_plan(self) -> BeamformingPlan:
-        return compile_plan(self.beamformer, self.precision,
-                            variant="compiled", options=self.options)
-
-    def _build_tiled(self, planner: TilePlanner) -> TiledPlan:
-        return TiledPlan(self.beamformer, planner, self.precision,
+        return TiledPlan(self.beamformer, self._planner, self.precision,
                          cache=self.cache, variant="compiled",
                          options=self.options)
-
-    def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
-        plan = self.plan()
-        with self.tracer.span("execute"):
-            return plan.execute(channel_data, tracer=self.tracer,
-                                options=self.options)
-
-    def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
-        plan = self.plan()
-        with self.tracer.span("execute", frames=len(frames)):
-            return plan.execute_batch(frames, tracer=self.tracer,
-                                      options=self.options)
 
 
 BACKENDS = Registry("backend")

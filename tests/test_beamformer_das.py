@@ -53,15 +53,6 @@ class TestWeights:
         beamformer.beamform_scanline(data, 0, 3)
         assert set(beamformer._scanline_weights) == {(0, 3)}
 
-    def test_volume_weights_match_scanline_weights(self, tiny_setup):
-        system, exact, beamformer, _data, _depth = tiny_setup
-        volume = beamformer.volume_weights()
-        n_theta, n_phi, n_depth = beamformer.grid.shape
-        assert volume.shape == (n_theta, n_phi, n_depth,
-                                system.transducer.element_count)
-        np.testing.assert_array_equal(volume[3, 1],
-                                      beamformer.weights_for_scanline(3, 1))
-
     def test_weights_shape(self, tiny_setup):
         system, exact, beamformer, _data, _depth = tiny_setup
         points = exact.grid.scanline_points(0, 0)[:7]

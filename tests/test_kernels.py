@@ -28,6 +28,8 @@ from repro.kernels import (
     plan_key,
     resolve_precision,
 )
+from repro.kernels.tiling import Tile
+from repro.scenarios import TransmitAdjustedProvider, TransmitEvent
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +173,14 @@ class TestPlanCompile:
     def test_compile_precompiles_gather_index(self, plan):
         assert plan.gather_index() is plan.gather_index(plan.n_samples)
 
-    def test_foreign_buffer_length_memoised(self, plan):
+    def test_foreign_buffer_length_is_transient(self, plan):
+        """Another buffer length gets a fresh index per call, never stored:
+        a cached plan stays the size the cache charged for it."""
+        before = plan.nbytes
         other = plan.gather_index(plan.n_samples + 7)
         assert other.n_samples == plan.n_samples + 7
-        assert plan.gather_index(plan.n_samples + 7) is other
+        assert plan.gather_index(plan.n_samples + 7) is not other
+        assert plan.nbytes == before
 
     def test_float32_plan_casts_weights_only(self, exact_beamformer):
         plan32 = compile_plan(exact_beamformer, "float32")
@@ -204,6 +210,39 @@ class TestPlanCompile:
                         quantization=QuantizationSpec.from_total_bits(18)) \
             == plan_key(quantized)
         assert compile_plan(quantized).key == plan_key(quantized)
+
+
+@pytest.mark.parametrize("datapath", ["float64", "float32", "quantized"])
+@pytest.mark.parametrize("firing", ["focused", "planewave"])
+@pytest.mark.parametrize("architecture", ["exact", "tablefree", "tablesteer"])
+def test_whole_grid_plan_is_its_one_tile(tiny, architecture, firing,
+                                          datapath):
+    """One tensor builder: the whole-grid plan equals its one-tile segment
+    and the bulk ``volume_delays_samples`` tensor, bit for bit."""
+    provider = ARCHITECTURES.create(architecture, tiny)
+    if firing == "planewave":
+        provider = TransmitAdjustedProvider.from_provider(
+            provider, TransmitEvent.plane_wave(0.2), tiny)
+    quantized = datapath == "quantized"
+    beamformer = DelayAndSumBeamformer(
+        tiny, provider, quantization=18 if quantized else None)
+    precision = None if quantized else datapath
+    whole = compile_plan(beamformer, precision)
+    one = compile_plan(beamformer, precision,
+                       tile=Tile(0, 0, whole.n_points))
+    assert whole.grid_shape == beamformer.grid.shape
+    assert whole.key == plan_key(beamformer, precision)
+    assert one.key == whole.key + (("tile", 0, whole.n_points),)
+    bulk = np.asarray(provider.volume_delays_samples(), dtype=np.float64) \
+        .reshape(whole.delays.shape)
+    if quantized:
+        bulk = beamformer.quantization.quantize_delays(bulk)
+    np.testing.assert_array_equal(whole.delays, bulk)
+    for a, b in ((one.delays, whole.delays), (one.weights, whole.weights),
+                 (one.index.indices, whole.index.indices),
+                 (one.index.valid, whole.index.valid)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 class TestPlanExecution:

@@ -234,8 +234,10 @@ class TestCompiledPlanJitted:
         backend = CompiledBackend(_beamformer(tiny))
         backend.tracer = tracer = Tracer()
         volume = backend.beamform_volume(tiny_channel_data)
-        assert isinstance(backend.plan(), CompiledPlan)
-        assert volume.shape == backend.plan().grid_shape
+        plan = backend.plan()
+        (tile,) = plan.planner.tiles()
+        assert isinstance(plan.segment(tile), CompiledPlan)
+        assert volume.shape == plan.grid_shape
         assert tracer.find("compile")
         assert tracer.find("fused")
         for stage in ("gather", "weights", "accumulate"):

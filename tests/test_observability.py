@@ -425,21 +425,26 @@ class TestServiceObservability:
         assert stats.cache.misses == 1
 
     def test_span_taxonomy(self, session, tiny_channel_data):
+        """The exact tree of an unbudgeted frame: one tile under execute,
+        compiled on the first frame only."""
+        def tree(span):
+            return (span.name, [tree(child) for child in span.children])
+
         service = session.service()
-        service.submit_frame(tiny_channel_data)
-        (frame,) = session.tracer.find("frame")
-        assert [child.name for child in frame.children] == ["beamform"]
-        names = {span.name for span, _ in frame.walk()}
-        assert {"frame", "beamform", "compile", "execute",
-                "gather", "weights", "accumulate"} <= names
+        for _ in range(2):
+            service.submit_frame(tiny_channel_data)
+        first, second = session.tracer.find("frame")
+        stages = [("gather", []), ("weights", []), ("accumulate", [])]
+        for frame, compiled in ((first, [("compile", [])]), (second, [])):
+            assert tree(frame) == ("frame", [("beamform", [("execute", [
+                ("tile", compiled + stages)])])])
+        (execute, _) = session.tracer.find("execute")
+        assert (execute.attributes["tiles"], execute.attributes["workers"]) \
+            == (1, 1)
         (compile_span,) = session.tracer.find("compile")
         assert compile_span.attributes["bytes"] > 0
-        (gather,) = session.tracer.find("gather")
+        gather = session.tracer.find("gather")[0]
         assert gather.attributes["bytes"] > 0
-        # A second frame hits the plan cache: no new compile span.
-        service.submit_frame(tiny_channel_data)
-        assert len(session.tracer.find("compile")) == 1
-        assert len(session.tracer.find("frame")) == 2
 
     def test_sharded_trace_has_one_root_per_frame(self, tiny_channel_data):
         """No orphaned pool-thread roots: every tile nests under execute —

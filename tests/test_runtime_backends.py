@@ -380,6 +380,26 @@ class TestPlanCache:
         assert stats.misses == n_tiles         # the second compiled nothing
         assert stats.hits == n_tiles
 
+    def test_off_length_frame_keeps_cached_bytes_honest(
+            self, beamformers, tiny_channel_data):
+        """A frame of another buffer length must not grow a cached plan
+        behind the cache's back: the bytes it charged at insert stay the
+        bytes resident, before and after an eviction."""
+        cache = PlanCache(capacity=1)
+        backend = BACKENDS.create("vectorized", beamformers["tablesteer"],
+                                  cache, None)
+        backend.beamform_volume(tiny_channel_data)
+        charged = cache.stats.bytes
+        backend.beamform_volume(np.pad(tiny_channel_data.samples,
+                                       ((0, 0), (0, 7))))
+        (cached,) = cache._entries.values()
+        assert cached.nbytes == charged == cache.stats.bytes
+        BACKENDS.create("vectorized", beamformers["exact"], cache,
+                        None).beamform_volume(tiny_channel_data)
+        (resident,) = cache._entries.values()
+        assert cache.stats.evictions == 1
+        assert cache.stats.bytes == resident.nbytes
+
 
 class _Sized:
     """A fake plan exposing just the ``nbytes`` the cache tracks."""

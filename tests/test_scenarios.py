@@ -228,12 +228,14 @@ class TestSchemeEngine:
 
     def test_trivial_scheme_runs_the_bare_beamformer(self, tiny):
         # No transmit wrap: the focused engine keeps the architecture's own
-        # plan key, so it shares plans with every other focused engine.
+        # plan keys, so it shares plans with every other focused engine.
         beamformer = DelayAndSumBeamformer(
             tiny, ARCHITECTURES.create("tablesteer", tiny))
         (backend,) = SchemeEngine(beamformer, resolve_scheme(tiny)).backends
         assert backend.beamformer is beamformer
-        assert backend._key == plan_key(beamformer, None)
+        plan = backend.plan()
+        (tile,) = plan.planner.tiles()
+        assert plan.segment(tile).key == plan_key(beamformer, None, tile=tile)
 
 
 def test_only_the_scheme_engine_assembles_backends():
@@ -253,6 +255,20 @@ def test_only_the_scheme_engine_assembles_backends():
     assert not offenders, (
         "backend assembly outside repro/scenarios/engine.py:\n"
         + "\n".join(offenders))
+
+
+def test_only_tiled_plans_compile_above_the_kernels():
+    """Above the kernel layer every plan is a TiledPlan segment: no module
+    in these packages calls ``compile_plan(`` and opens a second path."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for package in ("runtime", "scenarios", "api", "pipeline", "server",
+                        "sweep")
+        for path in (src / package).rglob("*.py")
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "compile_plan(" in line]
+    assert not offenders, "direct plan compiles:\n" + "\n".join(offenders)
 
 
 class TestScoring:
