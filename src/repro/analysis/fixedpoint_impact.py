@@ -214,10 +214,19 @@ def kernel_fixed_point_sweep(system: SystemConfig | None = None,
     channel_data = EchoSimulator.from_config(system).simulate(
         point_target(depth=depth))
 
+    def buffer_indices(provider, spec=None) -> np.ndarray:
+        # The echo-buffer sample each plan addresses: its (quantised)
+        # delays rounded to nearest and clipped into the buffer.
+        delays = np.asarray(provider.volume_delays_samples(), dtype=np.float64)
+        if spec is not None:
+            delays = spec.quantize_delays(delays)
+        return np.clip(np.floor(delays + 0.5), 0,
+                       system.echo_buffer_samples - 1)
+
     float_provider = TableSteerDelayGenerator.from_config(
         system, TableSteerConfig(total_bits=None))
     float_plan = compile_plan(DelayAndSumBeamformer(system, float_provider))
-    reference_indices = float_plan.gather_index().indices
+    reference_indices = buffer_indices(float_provider)
     reference_volume = float_plan.execute(channel_data)
     peak = float(np.max(np.abs(reference_volume))) or 1.0
 
@@ -225,11 +234,10 @@ def kernel_fixed_point_sweep(system: SystemConfig | None = None,
     for bits in bit_widths:
         provider = TableSteerDelayGenerator.from_config(
             system, TableSteerConfig(total_bits=bits))
-        beamformer = DelayAndSumBeamformer(
-            system, provider,
-            quantization=QuantizationSpec.from_total_bits(bits))
-        plan = compile_plan(beamformer)
-        index_error = plan.gather_index().indices - reference_indices
+        spec = QuantizationSpec.from_total_bits(bits)
+        plan = compile_plan(DelayAndSumBeamformer(system, provider,
+                                                  quantization=spec))
+        index_error = buffer_indices(provider, spec) - reference_indices
         volume = plan.execute(channel_data)
         rms = float(np.sqrt(np.mean((volume - reference_volume) ** 2)))
         result = KernelFixedPointResult(

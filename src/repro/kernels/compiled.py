@@ -12,8 +12,11 @@ contiguous voxel blocks.
 Layering
 --------
 The kernel bodies (:func:`_fused_nearest_frame` and friends) are plain
-module-level Python functions over the same precompiled
-:class:`repro.kernels.ops.GatherIndex` tensors the NumPy plan uses.  They
+module-level Python functions over the frame buffer padded by
+:func:`repro.kernels.ops.pad_samples` and the same flat int32
+:class:`repro.kernels.ops.GatherIndex` the NumPy plan uses: each fetch is
+``padded[flat[p, e]]`` (``padded[flat[p, e], f]`` for a stack), with no
+validity branch.  They
 are jitted lazily, per ``fastmath`` flag, on first use — so importing this
 module never imports ``numba`` and the rest of the library works untouched
 on a numba-free interpreter.  Building the ``compiled`` backend without
@@ -25,9 +28,9 @@ pins their numerics against the NumPy plan.
 Bit-identity stance
 -------------------
 Per (focal point, element) the fused kernel performs *exactly* the scalar
-operations of the NumPy path, in the same order — invalid fetches contribute
-a true zero, linear interpolation is ``(1-f)*below + f*above`` in the
-execution dtype.  The one difference is summation order across the element
+operations of the NumPy path, in the same order — out-of-buffer fetches read
+the zero pad slot, linear interpolation is ``(1-f)*below + f*above`` in the
+execution dtype (the index stores the fraction in that dtype).  The one difference is summation order across the element
 axis: ``np.sum`` uses a pairwise reduction whose exact association is a
 build/SIMD-width detail of NumPy itself, so no independent implementation
 can promise bit-identity across machines.  The fused kernels instead pin
@@ -54,6 +57,7 @@ import numpy as np
 
 from ..observability.tracing import resolve_tracer
 from ..registry import RegistryError
+from .ops import pad_samples
 from .plan import BeamformingPlan, compile_plan, plan_key
 from .precision import Precision, resolve_precision
 
@@ -173,195 +177,158 @@ class CompiledOptions:
 prange = range
 
 
-def _fused_nearest_frame(samples, indices, valid, weights, out, block_size):
-    """One frame, nearest addressing: ``out[p] = sum_e w*sample``."""
-    n_points, n_elements = indices.shape
-    zero = np.zeros(1, samples.dtype)[0]
+def _fused_nearest_frame(padded, flat, weights, out, block_size):
+    """One frame, nearest addressing: ``out[p] = sum_e w*padded[flat]``."""
+    n_points, n_elements = flat.shape
+    zero = np.zeros(1, padded.dtype)[0]
     n_blocks = (n_points + block_size - 1) // block_size
     for b in prange(n_blocks):
         lo = b * block_size
         hi = min(lo + block_size, n_points)
-        r = np.empty(8, samples.dtype)
+        r = np.empty(8, padded.dtype)
         for p in range(lo, hi):
             if n_elements < 8:
                 acc = zero
                 for e in range(n_elements):
-                    v = samples[e, indices[p, e]] if valid[p, e] else zero
-                    acc = acc + weights[p, e] * v
+                    acc = acc + weights[p, e] * padded[flat[p, e]]
             else:
                 for k in range(8):
-                    v = samples[k, indices[p, k]] if valid[p, k] else zero
-                    r[k] = weights[p, k] * v
+                    r[k] = weights[p, k] * padded[flat[p, k]]
                 e = 8
                 tail = n_elements - (n_elements % 8)
                 while e < tail:
                     for k in range(8):
-                        v = samples[e + k, indices[p, e + k]] \
-                            if valid[p, e + k] else zero
-                        r[k] = r[k] + weights[p, e + k] * v
+                        r[k] = r[k] + weights[p, e + k] * padded[flat[p, e + k]]
                     e += 8
                 acc = ((r[0] + r[1]) + (r[2] + r[3])) \
                     + ((r[4] + r[5]) + (r[6] + r[7]))
                 while e < n_elements:
-                    v = samples[e, indices[p, e]] if valid[p, e] else zero
-                    acc = acc + weights[p, e] * v
+                    acc = acc + weights[p, e] * padded[flat[p, e]]
                     e += 1
             out[p] = acc
 
 
-def _fused_linear_frame(samples, lower, upper, fraction, lower_valid,
-                        upper_valid, weights, out, block_size):
+def _fused_linear_frame(padded, flat, upper, fraction, weights, out,
+                        block_size):
     """One frame, linear interpolation: ``v = (1-f)*below + f*above``."""
-    n_points, n_elements = lower.shape
-    zero = np.zeros(1, samples.dtype)[0]
-    one = np.ones(1, samples.dtype)[0]
+    n_points, n_elements = flat.shape
+    zero = np.zeros(1, padded.dtype)[0]
+    one = np.ones(1, padded.dtype)[0]
     n_blocks = (n_points + block_size - 1) // block_size
     for b in prange(n_blocks):
         lo = b * block_size
         hi = min(lo + block_size, n_points)
-        r = np.empty(8, samples.dtype)
+        r = np.empty(8, padded.dtype)
         for p in range(lo, hi):
             if n_elements < 8:
                 acc = zero
                 for e in range(n_elements):
-                    below = samples[e, lower[p, e]] \
-                        if lower_valid[p, e] else zero
-                    above = samples[e, upper[p, e]] \
-                        if upper_valid[p, e] else zero
                     f = fraction[p, e]
-                    acc = acc + weights[p, e] * ((one - f) * below
-                                                 + f * above)
+                    acc = acc + weights[p, e] * ((one - f) * padded[flat[p, e]]
+                                                 + f * padded[upper[p, e]])
             else:
                 for k in range(8):
-                    below = samples[k, lower[p, k]] \
-                        if lower_valid[p, k] else zero
-                    above = samples[k, upper[p, k]] \
-                        if upper_valid[p, k] else zero
                     f = fraction[p, k]
-                    r[k] = weights[p, k] * ((one - f) * below + f * above)
+                    r[k] = weights[p, k] * ((one - f) * padded[flat[p, k]]
+                                            + f * padded[upper[p, k]])
                 e = 8
                 tail = n_elements - (n_elements % 8)
                 while e < tail:
                     for k in range(8):
-                        below = samples[e + k, lower[p, e + k]] \
-                            if lower_valid[p, e + k] else zero
-                        above = samples[e + k, upper[p, e + k]] \
-                            if upper_valid[p, e + k] else zero
                         f = fraction[p, e + k]
-                        r[k] = r[k] + weights[p, e + k] * ((one - f) * below
-                                                           + f * above)
+                        r[k] = r[k] + weights[p, e + k] * (
+                            (one - f) * padded[flat[p, e + k]]
+                            + f * padded[upper[p, e + k]])
                     e += 8
                 acc = ((r[0] + r[1]) + (r[2] + r[3])) \
                     + ((r[4] + r[5]) + (r[6] + r[7]))
                 while e < n_elements:
-                    below = samples[e, lower[p, e]] \
-                        if lower_valid[p, e] else zero
-                    above = samples[e, upper[p, e]] \
-                        if upper_valid[p, e] else zero
                     f = fraction[p, e]
-                    acc = acc + weights[p, e] * ((one - f) * below
-                                                 + f * above)
+                    acc = acc + weights[p, e] * ((one - f) * padded[flat[p, e]]
+                                                 + f * padded[upper[p, e]])
                     e += 1
             out[p] = acc
 
 
-def _fused_nearest_batch(samples, indices, valid, weights, out, block_size):
+def _fused_nearest_batch(padded, flat, weights, out, block_size):
     """Stacked cine, nearest addressing; per point identical to the frame
     kernel (same scalar ops, same order), so batched == per-frame bitwise."""
-    n_points, n_elements = indices.shape
-    n_frames = samples.shape[0]
-    zero = np.zeros(1, samples.dtype)[0]
+    n_points, n_elements = flat.shape
+    n_frames = padded.shape[1]
+    zero = np.zeros(1, padded.dtype)[0]
     n_blocks = (n_points + block_size - 1) // block_size
     for b in prange(n_blocks):
         lo = b * block_size
         hi = min(lo + block_size, n_points)
-        r = np.empty(8, samples.dtype)
+        r = np.empty(8, padded.dtype)
         for fi in range(n_frames):
-            frame = samples[fi]
             for p in range(lo, hi):
                 if n_elements < 8:
                     acc = zero
                     for e in range(n_elements):
-                        v = frame[e, indices[p, e]] if valid[p, e] else zero
-                        acc = acc + weights[p, e] * v
+                        acc = acc + weights[p, e] * padded[flat[p, e], fi]
                 else:
                     for k in range(8):
-                        v = frame[k, indices[p, k]] if valid[p, k] else zero
-                        r[k] = weights[p, k] * v
+                        r[k] = weights[p, k] * padded[flat[p, k], fi]
                     e = 8
                     tail = n_elements - (n_elements % 8)
                     while e < tail:
                         for k in range(8):
-                            v = frame[e + k, indices[p, e + k]] \
-                                if valid[p, e + k] else zero
-                            r[k] = r[k] + weights[p, e + k] * v
+                            r[k] = r[k] + weights[p, e + k] \
+                                * padded[flat[p, e + k], fi]
                         e += 8
                     acc = ((r[0] + r[1]) + (r[2] + r[3])) \
                         + ((r[4] + r[5]) + (r[6] + r[7]))
                     while e < n_elements:
-                        v = frame[e, indices[p, e]] if valid[p, e] else zero
-                        acc = acc + weights[p, e] * v
+                        acc = acc + weights[p, e] * padded[flat[p, e], fi]
                         e += 1
                 out[fi, p] = acc
 
 
-def _fused_linear_batch(samples, lower, upper, fraction, lower_valid,
-                        upper_valid, weights, out, block_size):
+def _fused_linear_batch(padded, flat, upper, fraction, weights, out,
+                        block_size):
     """Stacked cine, linear interpolation; per point identical to the frame
     kernel."""
-    n_points, n_elements = lower.shape
-    n_frames = samples.shape[0]
-    zero = np.zeros(1, samples.dtype)[0]
-    one = np.ones(1, samples.dtype)[0]
+    n_points, n_elements = flat.shape
+    n_frames = padded.shape[1]
+    zero = np.zeros(1, padded.dtype)[0]
+    one = np.ones(1, padded.dtype)[0]
     n_blocks = (n_points + block_size - 1) // block_size
     for b in prange(n_blocks):
         lo = b * block_size
         hi = min(lo + block_size, n_points)
-        r = np.empty(8, samples.dtype)
+        r = np.empty(8, padded.dtype)
         for fi in range(n_frames):
-            frame = samples[fi]
             for p in range(lo, hi):
                 if n_elements < 8:
                     acc = zero
                     for e in range(n_elements):
-                        below = frame[e, lower[p, e]] \
-                            if lower_valid[p, e] else zero
-                        above = frame[e, upper[p, e]] \
-                            if upper_valid[p, e] else zero
                         f = fraction[p, e]
-                        acc = acc + weights[p, e] * ((one - f) * below
-                                                     + f * above)
+                        acc = acc + weights[p, e] * (
+                            (one - f) * padded[flat[p, e], fi]
+                            + f * padded[upper[p, e], fi])
                 else:
                     for k in range(8):
-                        below = frame[k, lower[p, k]] \
-                            if lower_valid[p, k] else zero
-                        above = frame[k, upper[p, k]] \
-                            if upper_valid[p, k] else zero
                         f = fraction[p, k]
-                        r[k] = weights[p, k] * ((one - f) * below
-                                                + f * above)
+                        r[k] = weights[p, k] * (
+                            (one - f) * padded[flat[p, k], fi]
+                            + f * padded[upper[p, k], fi])
                     e = 8
                     tail = n_elements - (n_elements % 8)
                     while e < tail:
                         for k in range(8):
-                            below = frame[e + k, lower[p, e + k]] \
-                                if lower_valid[p, e + k] else zero
-                            above = frame[e + k, upper[p, e + k]] \
-                                if upper_valid[p, e + k] else zero
                             f = fraction[p, e + k]
-                            r[k] = r[k] + weights[p, e + k] \
-                                * ((one - f) * below + f * above)
+                            r[k] = r[k] + weights[p, e + k] * (
+                                (one - f) * padded[flat[p, e + k], fi]
+                                + f * padded[upper[p, e + k], fi])
                         e += 8
                     acc = ((r[0] + r[1]) + (r[2] + r[3])) \
                         + ((r[4] + r[5]) + (r[6] + r[7]))
                     while e < n_elements:
-                        below = frame[e, lower[p, e]] \
-                            if lower_valid[p, e] else zero
-                        above = frame[e, upper[p, e]] \
-                            if upper_valid[p, e] else zero
                         f = fraction[p, e]
-                        acc = acc + weights[p, e] * ((one - f) * below
-                                                     + f * above)
+                        acc = acc + weights[p, e] * (
+                            (one - f) * padded[flat[p, e], fi]
+                            + f * padded[upper[p, e], fi])
                         e += 1
                 out[fi, p] = acc
 
@@ -410,8 +377,8 @@ def _set_threads(threads: int | None) -> None:
 class CompiledPlan(BeamformingPlan):
     """A :class:`BeamformingPlan` executed by the fused Numba kernels.
 
-    Holds the *same* delay/weight/gather-index tensors as the NumPy plan it
-    was compiled from — only execution differs, so the plan stays safe to
+    Holds the *same* weights and gather index as the NumPy plan it was
+    compiled from — only execution differs, so the plan stays safe to
     share across threads and (cache-keyed by :meth:`CompiledOptions.variant`)
     across backends.  ``options`` records the build-time defaults; backends
     pass their own options per call, so two engines differing only in
@@ -420,45 +387,26 @@ class CompiledPlan(BeamformingPlan):
 
     options: CompiledOptions = field(default_factory=CompiledOptions,
                                      compare=False)
-    _fractions: dict[int, np.ndarray] = field(default_factory=dict,
-                                              repr=False, compare=False)
 
     # ------------------------------------------------------------ plumbing
     def kernels(self) -> dict[str, Callable]:
         """The jitted kernel set this plan executes with (memoised)."""
         return _jit_kernels(self.options.fastmath)
 
-    def _fraction(self, index) -> np.ndarray:
-        """Interpolation fractions in the execution dtype.  The compiled
-        index's cast is memoised (the NumPy path casts per call; here the
-        cast would otherwise be the only remaining per-frame temporary); a
-        transient index's is not, so the plan never grows per length."""
-        if index.fraction.dtype == self.dtype:
-            return index.fraction
-        if index is not self.index:
-            return index.fraction.astype(self.dtype)
-        if not self._fractions:
-            self._fractions[index.n_samples] = index.fraction.astype(self.dtype)
-        return self._fractions[index.n_samples]
-
-    def _block_size(self, options: CompiledOptions) -> int:
-        return int(options.block_size or DEFAULT_BLOCK_POINTS)
-
-    def _run_frame(self, samples: np.ndarray, out: np.ndarray,
-                   options: CompiledOptions) -> None:
-        """Launch the single-frame kernel over every point."""
+    def _launch(self, shape: str, padded: np.ndarray, out: np.ndarray,
+                options: CompiledOptions) -> None:
+        """Run the ``shape`` (``frame``/``batch``) kernel over every point."""
         kernels = self.kernels()
-        index = self.gather_index(samples.shape[-1])
         _set_threads(options.threads)
-        block = self._block_size(options)
-        if self.interpolation.value == "nearest":
-            kernels["nearest_frame"](samples, index.indices, index.valid,
-                                     self.weights, out, block)
+        block = int(options.block_size or DEFAULT_BLOCK_POINTS)
+        index = self.index
+        if index.upper is None:
+            kernels[f"nearest_{shape}"](padded, index.flat, self.weights,
+                                        out, block)
         else:
-            kernels["linear_frame"](samples, index.lower, index.upper,
-                                    self._fraction(index), index.lower_valid,
-                                    index.upper_valid, self.weights,
-                                    out, block)
+            kernels[f"linear_{shape}"](padded, index.flat, index.upper,
+                                       index.fraction, self.weights, out,
+                                       block)
 
     # ------------------------------------------------------------ execution
     def execute(self, channel_data: "ChannelData | np.ndarray",
@@ -471,11 +419,12 @@ class CompiledPlan(BeamformingPlan):
         """
         tracer = resolve_tracer(tracer)
         options = self.options if options is None else options
-        samples = np.ascontiguousarray(self.coerce_samples(channel_data))
+        samples = self.coerce_samples(channel_data)
+        padded = pad_samples(samples, self.gather_index(samples.shape[-1]))
         out = np.empty(self.n_points, dtype=self.dtype)
         with tracer.span("fused") as span:
-            self._run_frame(samples, out, options)
-            span.set(bytes=int(samples.nbytes), points=self.n_points)
+            self._launch("frame", padded, out, options)
+            span.set(bytes=int(padded.nbytes), points=self.n_points)
         return out.reshape(self.grid_shape)
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
@@ -492,23 +441,12 @@ class CompiledPlan(BeamformingPlan):
         options = self.options if options is None else options
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        stacked = np.ascontiguousarray(
-            np.stack([self.coerce_samples(frame) for frame in frames]))
-        index = self.gather_index(stacked.shape[-1])
-        kernels = self.kernels()
-        _set_threads(options.threads)
-        block = self._block_size(options)
+        stacked = np.stack([self.coerce_samples(frame) for frame in frames])
+        padded = pad_samples(stacked, self.gather_index(stacked.shape[-1]))
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
         with tracer.span("fused") as span:
-            if self.interpolation.value == "nearest":
-                kernels["nearest_batch"](stacked, index.indices, index.valid,
-                                         self.weights, out, block)
-            else:
-                kernels["linear_batch"](stacked, index.lower, index.upper,
-                                        self._fraction(index),
-                                        index.lower_valid, index.upper_valid,
-                                        self.weights, out, block)
-            span.set(bytes=int(stacked.nbytes), points=self.n_points,
+            self._launch("batch", padded, out, options)
+            span.set(bytes=int(padded.nbytes), points=self.n_points,
                      frames=len(frames))
         return out.reshape((len(frames), *self.grid_shape))
 
@@ -522,22 +460,21 @@ class CompiledPlan(BeamformingPlan):
         """
         kernels = self.kernels()
         dtype = self.dtype
-        frame = np.zeros((1, 2), dtype=dtype)
-        batch = np.zeros((1, 1, 2), dtype=dtype)
+        frame = np.zeros(2, dtype=dtype)
+        batch = np.zeros((2, 1), dtype=dtype)
         weights = np.ones((1, 1), dtype=dtype)
-        ones = np.ones((1, 1), dtype=np.bool_)
-        idx = np.zeros((1, 1), dtype=np.int64)
+        flat = np.zeros((1, 1), dtype=np.int32)
         out = np.empty(1, dtype=dtype)
         out_batch = np.empty((1, 1), dtype=dtype)
         if self.interpolation.value == "nearest":
-            kernels["nearest_frame"](frame, idx, ones, weights, out, 1)
-            kernels["nearest_batch"](batch, idx, ones, weights, out_batch, 1)
+            kernels["nearest_frame"](frame, flat, weights, out, 1)
+            kernels["nearest_batch"](batch, flat, weights, out_batch, 1)
         else:
             fraction = np.zeros((1, 1), dtype=dtype)
-            kernels["linear_frame"](frame, idx, idx, fraction, ones, ones,
-                                    weights, out, 1)
-            kernels["linear_batch"](batch, idx, idx, fraction, ones, ones,
-                                    weights, out_batch, 1)
+            kernels["linear_frame"](frame, flat, flat, fraction, weights,
+                                    out, 1)
+            kernels["linear_batch"](batch, flat, flat, fraction, weights,
+                                    out_batch, 1)
 
 
 def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
@@ -548,7 +485,7 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
     """Compile a :class:`CompiledPlan` (tensors + jitted kernels) for an
     engine.
 
-    The delay/weight tensors and gather index are built by the standard
+    The weights and gather index are built by the standard
     :func:`repro.kernels.plan.compile_plan` path — the fused kernels consume
     the very same artifacts, which is what keeps the backend a drop-in peer.
     The plan key carries :meth:`CompiledOptions.variant`, so a cache shared
@@ -571,9 +508,8 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
     plan = CompiledPlan(
         key=plan_key(beamformer, precision, variant=options.variant(),
                      tile=tile),
-        delays=base.delays, weights=base.weights,
-        grid_shape=base.grid_shape, precision=base.precision,
-        interpolation=base.interpolation, n_samples=base.n_samples,
+        weights=base.weights, grid_shape=base.grid_shape,
+        precision=base.precision, interpolation=base.interpolation,
         index=base.index, options=options)
     plan.warmup()
     return plan

@@ -13,18 +13,18 @@ This module is the single implementation of those steps.  The kernels are
 shape-polymorphic over a leading batch axis: ``samples`` may be one frame
 ``(n_elements, n_samples)`` or a stacked cine ``(n_frames, n_elements,
 n_samples)`` and every kernel broadcasts accordingly, which is what makes
-multi-frame execution one fancy-index instead of a Python loop per frame.
+multi-frame execution one ``np.take`` instead of a Python loop per frame.
 
-Addressing is split from gathering: :func:`build_gather_index` converts a
-fractional-delay tensor into the integer indices, validity masks and (for
-linear interpolation) fractions once, so a compiled
+Addressing is split from gathering: :func:`build_gather_index` rounds
+fractional-sample delays once into an int32 *flat* index into the frame
+raveled by :func:`pad_samples`, out-of-buffer fetches pointing at its zero
+pad slot, so a gather needs no masks and a compiled
 :class:`repro.kernels.plan.BeamformingPlan` pays the float->index conversion
-at compile time rather than per frame — the software analogue of the paper's
-precomputed delay table.
+at compile time — the software analogue of the paper's delay table.
 
 Arithmetic runs in the dtype of ``samples`` (see
-:class:`repro.kernels.precision.Precision`); delay tensors and the index
-build are always ``float64`` so echo addressing is precision-independent.
+:class:`repro.kernels.precision.Precision`); delays are always rounded in
+``float64``, so echo addressing is precision-independent.
 """
 
 from __future__ import annotations
@@ -50,120 +50,136 @@ __all__ = [
     "build_gather_index",
     "delay_and_sum",
     "gather_interp",
+    "gather_padded",
+    "pad_samples",
 ]
 
 
 @dataclass(frozen=True)
 class GatherIndex:
-    """Precomputed echo-buffer addressing for one delay tensor.
+    """Precomputed echo-buffer addressing for ``(n_points, n_elements)`` delays.
 
-    For ``NEAREST`` only ``indices``/``valid`` are set; for ``LINEAR`` the
-    ``lower``/``upper`` index pair, their masks and the interpolation
-    ``fraction`` are set.  All arrays have the delay tensor's
-    ``(n_points, n_elements)`` shape; indices are pre-clipped into the
-    buffer so gathering never faults, and the masks zero the out-of-range
-    fetches (a hardware echo buffer addressed past its end contributes
-    nothing).
+    ``flat`` (int32) holds ``element * n_samples + sample`` — the nearest
+    sample, or the lower neighbour for ``LINEAR`` — into a frame padded by
+    :func:`pad_samples`; a fetch outside the echo buffer points at its zero
+    pad slot ``n_elements * n_samples`` (a hardware echo buffer addressed
+    past its end contributes nothing).  ``LINEAR`` adds the ``upper``
+    neighbour and the interpolation ``fraction`` in the execution dtype.
     """
 
     kind: "InterpolationKind | str"
     n_samples: int
-    element_indices: np.ndarray
-    indices: np.ndarray | None = None
-    valid: np.ndarray | None = None
-    lower: np.ndarray | None = None
+    n_elements: int
+    flat: np.ndarray
     upper: np.ndarray | None = None
     fraction: np.ndarray | None = None
-    lower_valid: np.ndarray | None = None
-    upper_valid: np.ndarray | None = None
+
+    @classmethod
+    def empty(cls, kind: "InterpolationKind | str", n_points: int,
+              n_elements: int, n_samples: int,
+              dtype: np.dtype | type = np.float64) -> "GatherIndex":
+        """An unfilled index of ``n_points`` rows; :meth:`write` fills it."""
+        if n_elements * n_samples + 1 > np.iinfo(np.int32).max:
+            raise ValueError(f"a padded {n_elements} x {n_samples}-sample "
+                             "echo buffer exceeds the int32 index range")
+        kind_value = getattr(kind, "value", kind)
+        if kind_value not in (_NEAREST, _LINEAR):
+            raise ValueError(f"unknown interpolation kind: {kind!r}")
+        shape = (n_points, n_elements)
+        linear = kind_value == _LINEAR
+        return cls(kind=kind, n_samples=n_samples, n_elements=n_elements,
+                   flat=np.empty(shape, dtype=np.int32),
+                   upper=np.empty(shape, dtype=np.int32) if linear else None,
+                   fraction=np.empty(shape, dtype=dtype) if linear else None)
 
     @property
     def n_points(self) -> int:
         """Number of focal points addressed."""
-        return self.element_indices.shape[0]
+        return self.flat.shape[0]
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of the owned index/mask tensors [bytes].
-
-        ``element_indices`` is a broadcast view and costs nothing.
-        """
-        arrays = (self.indices, self.valid, self.lower, self.upper,
-                  self.fraction, self.lower_valid, self.upper_valid)
-        return sum(a.nbytes for a in arrays if a is not None)
+        """Memory footprint of the index arrays [bytes]."""
+        return sum(a.nbytes for a in (self.flat, self.upper, self.fraction)
+                   if a is not None)
 
     def rows(self, rows: slice) -> "GatherIndex":
         """A view of this index restricted to a contiguous point block."""
         def cut(array: np.ndarray | None) -> np.ndarray | None:
             return array[rows] if array is not None else None
 
-        return replace(self, element_indices=self.element_indices[rows],
-                       indices=cut(self.indices), valid=cut(self.valid),
-                       lower=cut(self.lower), upper=cut(self.upper),
-                       fraction=cut(self.fraction),
-                       lower_valid=cut(self.lower_valid),
-                       upper_valid=cut(self.upper_valid))
+        return replace(self, flat=self.flat[rows], upper=cut(self.upper),
+                       fraction=cut(self.fraction))
+
+    def write(self, rows: slice, delays: np.ndarray) -> None:
+        """Round the ``float64`` fractional-sample ``delays`` of ``rows``
+        into place — the only place delays are rounded, so nearest/linear
+        addressing is defined here once for every execution path."""
+        if self.upper is None:
+            self.flat[rows] = self._offsets(np.floor(delays + 0.5))
+            return
+        lower = np.floor(delays)
+        self.flat[rows] = self._offsets(lower)
+        self.upper[rows] = self._offsets(lower + 1.0)
+        self.fraction[rows] = delays - lower
+
+    def _offsets(self, sample: np.ndarray) -> np.ndarray:
+        """Whole-sample positions -> flat offsets (pad slot when outside)."""
+        inside = (sample >= 0) & (sample < self.n_samples)
+        bases = np.arange(self.n_elements) * self.n_samples
+        return np.where(inside, sample + bases,
+                        self.n_elements * self.n_samples)
 
 
 def build_gather_index(delays_samples: np.ndarray, n_samples: int,
-                       kind: "InterpolationKind | str" = _NEAREST
-                       ) -> GatherIndex:
-    """Convert fractional-sample delays into clipped gather indices + masks.
+                       kind: "InterpolationKind | str" = _NEAREST,
+                       dtype: np.dtype | type = np.float64) -> GatherIndex:
+    """Round fractional-sample delays into a flat gather index.
 
     ``delays_samples`` has shape ``(n_points, n_elements)``; ``n_samples``
-    is the echo-buffer length the indices address.  This is the only place
-    delays are rounded, so nearest/linear addressing is defined here once
-    for every execution path.
+    is the echo-buffer length the index addresses, and ``dtype`` the
+    execution dtype the ``LINEAR`` fraction is stored in.
     """
     delays = np.asarray(delays_samples, dtype=np.float64)
     if delays.ndim != 2:
         raise ValueError("delays must have shape (n_points, n_elements), "
                          f"got {delays.shape}")
-    element_indices = np.broadcast_to(np.arange(delays.shape[1]),
-                                      delays.shape)
-    kind_value = getattr(kind, "value", kind)
-    if kind_value == _NEAREST:
-        indices = np.floor(delays + 0.5).astype(np.int64)
-        valid = (indices >= 0) & (indices < n_samples)
-        return GatherIndex(kind=kind, n_samples=n_samples,
-                           element_indices=element_indices,
-                           indices=np.clip(indices, 0, n_samples - 1),
-                           valid=valid)
-    if kind_value == _LINEAR:
-        lower = np.floor(delays)
-        fraction = delays - lower
-        lower_idx = lower.astype(np.int64)
-        upper_idx = lower_idx + 1
-        lower_valid = (lower_idx >= 0) & (lower_idx < n_samples)
-        upper_valid = (upper_idx >= 0) & (upper_idx < n_samples)
-        return GatherIndex(kind=kind, n_samples=n_samples,
-                           element_indices=element_indices,
-                           lower=np.clip(lower_idx, 0, n_samples - 1),
-                           upper=np.clip(upper_idx, 0, n_samples - 1),
-                           fraction=fraction,
-                           lower_valid=lower_valid, upper_valid=upper_valid)
-    raise ValueError(f"unknown interpolation kind: {kind!r}")
+    index = GatherIndex.empty(kind, *delays.shape, n_samples, dtype)
+    index.write(slice(None), delays)
+    return index
 
 
-def _take(samples: np.ndarray, element_indices: np.ndarray,
-          sample_indices: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Fancy-index fetch with invalid entries zeroed.
-
-    ``samples`` is ``(n_elements, n_samples)`` or ``(n_frames, n_elements,
-    n_samples)``; the result is ``(n_points, n_elements)`` or ``(n_frames,
-    n_points, n_elements)``.
+def pad_samples(samples: np.ndarray, index: GatherIndex) -> np.ndarray:
+    """Ravel each ``(n_elements, n_samples)`` frame and append the zero pad
+    slot: ``(E*S + 1,)`` for one frame, ``(E*S + 1, n_frames)`` for a stack
+    — frames innermost, so one flat offset fetches every frame's sample
+    from one cache line.  One copy per call; every chunk gathers from it.
     """
-    if samples.ndim == 2:
-        values = samples[element_indices, sample_indices]
-    else:
-        # Batched fancy indexing places the frame axis innermost in memory;
-        # copy to C order so the element-axis reduction is contiguous — that
-        # keeps NumPy's pairwise summation (bit-identical with the per-frame
-        # path) and is faster than reducing a strided view.
-        values = np.ascontiguousarray(samples[:, element_indices,
-                                              sample_indices])
-    values[..., ~valid] = 0.0
-    return values
+    samples = np.asarray(samples)
+    n = index.n_elements * index.n_samples
+    if samples.ndim not in (2, 3) or \
+            samples.shape[-2:] != (index.n_elements, index.n_samples):
+        raise ValueError(f"samples must be ([n_frames,] {index.n_elements}, "
+                         f"{index.n_samples}) for this gather index, got "
+                         f"{samples.shape}")
+    padded = np.empty((n + 1, *samples.shape[:-2]), dtype=samples.dtype)
+    padded[:n] = np.moveaxis(samples.reshape(*samples.shape[:-2], n), -1, 0)
+    padded[n] = 0
+    return padded
+
+
+def gather_padded(padded: np.ndarray, index: GatherIndex) -> np.ndarray:
+    """Fetch (and, for LINEAR, interpolate) from a :func:`pad_samples`
+    buffer: one ``np.take`` per neighbour, no masks.  A stacked buffer gives
+    a C-contiguous ``(n_frames, n_points, n_elements)`` result."""
+    values = np.take(padded, index.flat, axis=0)
+    if index.upper is not None:
+        fraction = index.fraction.astype(padded.dtype, copy=False)
+        fraction = fraction.reshape(fraction.shape + (1,) * (padded.ndim - 1))
+        values = (1.0 - fraction) * values \
+            + fraction * np.take(padded, index.upper, axis=0)
+    return np.ascontiguousarray(np.moveaxis(values, 2, 0)) \
+        if padded.ndim == 2 else values
 
 
 def gather_interp(samples: np.ndarray, index: GatherIndex) -> np.ndarray:
@@ -172,24 +188,7 @@ def gather_interp(samples: np.ndarray, index: GatherIndex) -> np.ndarray:
     The result is carried in ``samples.dtype`` — cast the buffer once before
     calling to select the execution precision.
     """
-    samples = np.asarray(samples)
-    if samples.ndim not in (2, 3):
-        raise ValueError("samples must be (n_elements, n_samples) or "
-                         "(n_frames, n_elements, n_samples), "
-                         f"got {samples.shape}")
-    if samples.shape[-1] != index.n_samples:
-        raise ValueError(
-            f"gather index was built for {index.n_samples}-sample buffers, "
-            f"got {samples.shape[-1]} samples")
-    if getattr(index.kind, "value", index.kind) == _NEAREST:
-        return _take(samples, index.element_indices, index.indices,
-                     index.valid)
-    below = _take(samples, index.element_indices, index.lower,
-                  index.lower_valid)
-    above = _take(samples, index.element_indices, index.upper,
-                  index.upper_valid)
-    fraction = index.fraction.astype(samples.dtype, copy=False)
-    return (1.0 - fraction) * below + fraction * above
+    return gather_padded(pad_samples(samples, index), index)
 
 
 def apply_weights(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -214,5 +213,5 @@ def delay_and_sum(samples: np.ndarray, delays_samples: np.ndarray,
     :class:`repro.kernels.plan.BeamformingPlan` instead.
     """
     samples = np.asarray(samples, dtype=dtype)
-    index = build_gather_index(delays_samples, samples.shape[-1], kind)
+    index = build_gather_index(delays_samples, samples.shape[-1], kind, dtype)
     return accumulate(apply_weights(gather_interp(samples, index), weights))

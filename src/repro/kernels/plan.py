@@ -1,4 +1,4 @@
-"""Compiled beamforming plans: delays + weights + addressing, frozen once.
+"""Compiled beamforming plans: gather index + weights, frozen once.
 
 A :class:`BeamformingPlan` is the cacheable artifact every execution path
 shares.  It is compiled **once** from ``(SystemConfig, delay architecture,
@@ -9,19 +9,21 @@ per-frame arithmetic — and then executed against any number of frames:
 * :meth:`BeamformingPlan.execute_batch` — a stacked cine -> stacked volumes
   in one gather, amortising index setup and NumPy dispatch across frames.
 
-The runtime backends run whole *segment* plans, one per tile of a
+Both run one chunked loop (a frame is a batch of one).  The runtime
+backends run whole *segment* plans, one per tile of a
 :class:`repro.kernels.tiling.TiledPlan` (``compile_plan(..., tile=...)``),
 through the same two methods; an unbudgeted engine is one tile.
 
-Compilation materialises the ``(n_points, n_elements)`` delay and weight
-tensors of its point range and pre-resolves the fractional delays into
-clipped integer gather indices (:func:`repro.kernels.ops.build_gather_index`)
-for the system's echo-buffer length — the software analogue of the paper's
-precomputed delay table: the expensive float work happens once, streaming
-frames only gather.  Plans are immutable and safe to share across backends
-and threads; :func:`plan_key` (which includes the interpolation kind and
-execution dtype) is the key they are cached under in
-:class:`repro.runtime.cache.PlanCache`.
+Compilation materialises the ``(n_points, n_elements)`` weight tensor of
+its point range and the flat int32 gather index
+(:class:`repro.kernels.ops.GatherIndex`) for the system's echo-buffer
+length, rounding each scanline's delay rows into index rows as they are
+generated — no delay tensor is ever held.  It is the software analogue of
+the paper's precomputed delay table: the expensive float work happens once,
+streaming frames only gather.  Plans are immutable and safe to share
+across backends and threads; :func:`plan_key` (which includes the
+interpolation kind and execution dtype) is the key they are cached under
+in :class:`repro.runtime.cache.PlanCache`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 
 from ..beamformer.interpolation import InterpolationKind
 from ..observability.tracing import NULL_TRACER, resolve_tracer
-from .ops import GatherIndex, accumulate, apply_weights, build_gather_index, \
-    gather_interp
+from .ops import GatherIndex, accumulate, apply_weights, gather_padded, \
+    pad_samples
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -46,10 +48,12 @@ __all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
            "plan_key", "plan_storage_bytes"]
 
 
-BATCH_BLOCK_ELEMENTS = 1 << 20
-"""Target gathered-value count per batched-execution chunk (~8 MB at
-float64).  Keeps the ``(n_frames, block, n_elements)`` temporaries inside
-the CPU caches; see :meth:`BeamformingPlan.execute_batch`."""
+BATCH_BLOCK_ELEMENTS = 1 << 17
+"""Target gathered-value count per execution chunk (~1 MB at float64).
+Keeps the ``(n_frames, block, n_elements)`` temporaries inside the CPU
+caches; see :meth:`BeamformingPlan.execute_batch`.  Measured on the
+``small`` preset (one frame, 2-vCPU Xeon host): 2^16-2^18 gather in
+~30-38 ms, 2^20 in ~100 ms."""
 
 
 def plan_storage_bytes(n_points: int, n_elements: int,
@@ -58,22 +62,18 @@ def plan_storage_bytes(n_points: int, n_elements: int,
                        ) -> int:
     """Predicted memory footprint of a compiled plan, without compiling it.
 
-    Counts the ``float64`` delay tensor, the weights in the execution dtype
-    and the compiled gather index (indices + validity masks, plus the
-    interpolation fractions for ``linear``).  Used by experiment E9 to put
-    the software plan against the paper's delay-table storage wall: at
-    paper scale the plan is terabytes — the very reason the paper generates
-    delays on the fly — while the scaled-down presets fit in megabytes.
+    Counts the weights and the compiled gather index: the int32 flat
+    index, plus for ``linear`` the int32 upper neighbour and the fraction
+    in the execution dtype.  Used by experiment E9 to put the software plan
+    against the paper's delay-table storage wall: at paper scale the plan
+    is terabytes — the very reason the paper generates delays on the fly —
+    while the scaled-down presets fit in megabytes.
     """
-    precision = resolve_precision(precision)
-    entries = int(n_points) * int(n_elements)
-    per_entry = 8 + precision.dtype.itemsize        # delays + weights
-    kind = getattr(interpolation, "value", interpolation)
-    if kind == "linear":
-        per_entry += 2 * 8 + 8 + 2                  # lower/upper, frac, masks
-    else:
-        per_entry += 8 + 1                          # indices + valid mask
-    return entries * per_entry
+    itemsize = resolve_precision(precision).dtype.itemsize
+    per_entry = itemsize + 4                        # weights + flat index
+    if getattr(interpolation, "value", interpolation) == "linear":
+        per_entry += 4 + itemsize                   # upper + fraction
+    return int(n_points) * int(n_elements) * per_entry
 
 
 def plan_key(beamformer: "DelayAndSumBeamformer",
@@ -145,36 +145,45 @@ def _extent(beamformer: "DelayAndSumBeamformer", tile
 
 
 def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
-                  stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay/weight rows of flat points ``[start, stop)``, scanline by scanline.
+                  stop: int, dtype: np.dtype, quantization=None
+                  ) -> tuple[GatherIndex, np.ndarray]:
+    """Gather index and weights of flat points ``[start, stop)``, scanline
+    by scanline.
 
     The one tensor builder of every plan family (float, quantized,
-    compiled); a whole-grid plan is the range ``[0, n_points)``.  It
-    materialises only the range's ``(stop - start, n_elements)`` rows from
-    per-scanline ``scanline_delays_samples`` / ``weights_for_scanline``
-    calls, so a tile's rows are exact row slices of the whole-grid
-    tensors by construction.  Both tensors are returned as ``float64``;
-    the caller applies the dtype/quantisation coercions, all elementwise.
+    compiled); a whole-grid plan is the range ``[0, n_points)``.  Each
+    ``scanline_delays_samples`` / ``weights_for_scanline`` call's rows are
+    rounded into index rows (:meth:`GatherIndex.write`) and cast into the
+    ``dtype`` weight rows as they arrive, so no ``(n_points, n_elements)``
+    delay tensor is ever held.  ``quantization`` (the quantized plan's
+    spec) first quantises both row blocks.  Every step is elementwise, so
+    a tile's rows are exact row slices of the whole-grid tensors.
     """
     n_theta, n_phi, n_depth = beamformer.grid.shape
     n_elements = beamformer.transducer.element_count
     n = stop - start
-    delays = np.empty((n, n_elements), dtype=np.float64)
-    weights = np.empty((n, n_elements), dtype=np.float64)
+    index = GatherIndex.empty(beamformer.interpolation, n, n_elements,
+                              beamformer.system.echo_buffer_samples, dtype)
+    weights = np.empty((n, n_elements), dtype=dtype)
     row, filled = start, 0
     while filled < n:
         line, depth = divmod(row, n_depth)
         i_theta, i_phi = divmod(line, n_phi)
         take = min(n_depth - depth, n - filled)
-        scanline = np.asarray(
+        rows = slice(filled, filled + take)
+        delays = np.asarray(
             beamformer.delays.scanline_delays_samples(i_theta, i_phi),
-            dtype=np.float64)
-        delays[filled:filled + take] = scanline[depth:depth + take]
-        weights[filled:filled + take] = \
+            dtype=np.float64)[depth:depth + take]
+        scan_weights = \
             beamformer.weights_for_scanline(i_theta, i_phi)[depth:depth + take]
+        if quantization is not None:
+            delays = quantization.quantize_delays(delays)
+            scan_weights = quantization.quantize_weights(scan_weights)
+        index.write(rows, delays)
+        weights[rows] = scan_weights
         filled += take
         row += take
-    return delays, weights
+    return index, weights
 
 
 @dataclass(frozen=True)
@@ -185,12 +194,10 @@ class BeamformingPlan:
     ----------
     key:
         The :func:`plan_key` this plan was compiled under.
-    delays:
-        Fractional-sample delays, ``(n_points, n_elements)`` ``float64``,
-        points in scanline-major ``(i_theta, i_phi, i_depth)`` order.
-        Kept for introspection; execution uses the precompiled index.
     weights:
-        Receive apodization weights in the execution dtype, same shape.
+        Receive apodization weights in the execution dtype,
+        ``(n_points, n_elements)``, points in scanline-major
+        ``(i_theta, i_phi, i_depth)`` order.
     grid_shape:
         Focal-grid shape ``(n_theta, n_phi, n_depth)`` used to fold the
         flat point axis back into a volume.
@@ -198,33 +205,34 @@ class BeamformingPlan:
         Execution dtype policy (see :class:`repro.kernels.Precision`).
     interpolation:
         Echo-sample interpolation the gather index was built for.
-    n_samples:
-        Echo-buffer length the compiled gather index addresses.
     index:
-        The gather index for ``n_samples``-long buffers, built at compile
-        time and the plan's only addressing state: :attr:`nbytes` never
-        changes after compile.
+        The flat gather index, same shape as ``weights``, built at compile
+        time for the system's echo-buffer length and the plan's only
+        addressing state: :attr:`nbytes` never changes after compile.
     """
 
     key: Hashable
-    delays: np.ndarray
     weights: np.ndarray
     grid_shape: tuple[int, int, int]
     precision: Precision
     interpolation: InterpolationKind
-    n_samples: int
     index: GatherIndex = field(repr=False, compare=False)
 
     # ------------------------------------------------------------ geometry
     @property
     def n_points(self) -> int:
         """Number of focal points (product of ``grid_shape``)."""
-        return self.delays.shape[0]
+        return self.weights.shape[0]
 
     @property
     def n_elements(self) -> int:
         """Number of receive channels."""
-        return self.delays.shape[1]
+        return self.weights.shape[1]
+
+    @property
+    def n_samples(self) -> int:
+        """Echo-buffer length the compiled gather index addresses."""
+        return self.index.n_samples
 
     @property
     def dtype(self) -> np.dtype:
@@ -233,22 +241,21 @@ class BeamformingPlan:
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of tensors plus the compiled gather index [bytes]."""
-        return self.delays.nbytes + self.weights.nbytes + self.index.nbytes
+        """Memory footprint of the weights plus the gather index [bytes]."""
+        return self.weights.nbytes + self.index.nbytes
 
     # ----------------------------------------------------------- addressing
     def gather_index(self, n_samples: int | None = None) -> GatherIndex:
-        """The gather index for ``n_samples``-long echo buffers.
+        """The compiled gather index, checked against a buffer length.
 
-        The compile-time buffer length gets the compiled :attr:`index`;
-        other lengths (unusual, e.g. externally recorded data) get a
-        transient index built per call and never stored, so a cached
-        plan's size stays what the cache charged for it.
+        A plan addresses only its compile-time echo-buffer length; a frame
+        of any other length raises :class:`ValueError` naming both.
         """
-        if n_samples is None or int(n_samples) == self.n_samples:
-            return self.index
-        return build_gather_index(self.delays, int(n_samples),
-                                  self.interpolation)
+        if n_samples is not None and int(n_samples) != self.n_samples:
+            raise ValueError(
+                f"plan was compiled for {self.n_samples}-sample echo "
+                f"buffers; got a frame of {int(n_samples)} samples")
+        return self.index
 
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
@@ -264,7 +271,7 @@ class BeamformingPlan:
     def _reduce(self, gathered: np.ndarray, weights: np.ndarray,
                 tracer=NULL_TRACER, *, reuse_gathered: bool = False
                 ) -> np.ndarray:
-        """Weight-and-accumulate stage shared by both execute paths.
+        """Weight-and-accumulate stage of the execute loop.
 
         The float plan multiplies by the apodization weights and sums over
         the element axis; :class:`repro.kernels.quantized.QuantizedPlan`
@@ -276,8 +283,8 @@ class BeamformingPlan:
         arithmetic, so traced and untraced reductions are bit-identical.
 
         ``reuse_gathered`` lets the caller declare that ``gathered`` is a
-        private buffer (every plan execute path freshly allocates it in
-        :func:`repro.kernels.ops.gather_interp`): the weight multiply then
+        private buffer (the execute loop freshly allocates it in
+        :func:`repro.kernels.ops.gather_padded`): the weight multiply then
         writes in place instead of allocating a second
         ``(..., n_points, n_elements)`` array — same multiply, same bits,
         roughly a third less peak memory per frame.  Callers passing a
@@ -295,39 +302,34 @@ class BeamformingPlan:
 
     def execute(self, channel_data: "ChannelData | np.ndarray",
                 tracer=None) -> np.ndarray:
-        """Beamform one frame into a volume of shape ``grid_shape``.
+        """Beamform one frame into a volume of shape ``grid_shape``: the
+        one-frame case of :meth:`execute_batch`.
 
         ``tracer`` (default: the process default tracer, normally a no-op)
         records ``gather`` / ``weights`` / ``accumulate`` spans with wall
         time and gathered byte counts.
         """
-        tracer = resolve_tracer(tracer)
-        samples = self.coerce_samples(channel_data)
-        index = self.gather_index(samples.shape[-1])
-        with tracer.span("gather") as span:
-            gathered = gather_interp(samples, index)
-            span.set(bytes=int(gathered.nbytes))
-        flat = self._reduce(gathered, self.weights, tracer,
-                            reuse_gathered=True)
-        return flat.reshape(self.grid_shape)
+        samples = np.asarray(getattr(channel_data, "samples", channel_data))
+        return self.execute_batch(samples[np.newaxis], tracer)[0]
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
                       tracer=None) -> np.ndarray:
         """Beamform a cine batch at once; shape ``(n_frames, *grid_shape)``.
 
         All frames are stacked into one ``(n_frames, n_elements, n_samples)``
-        buffer and gathered with batched fancy-indexes, so per-frame NumPy
-        dispatch and masking costs are paid once per batch.  The gather is
-        chunked over point blocks of ~:data:`BATCH_BLOCK_ELEMENTS` gathered
-        values: without the bound, a wide batch materialises a
-        ``(n_frames, n_points, n_elements)`` temporary that falls out of
-        the CPU caches and runs *slower* than per-frame execution.  The
-        chunking is invisible numerically — each focal point's sum is
-        independent, so the result is bit-identical to the single-shot
-        gather.  Frames must share one buffer length (always true for one
-        acquisition system).  A pre-stacked ``(n_frames, n_elements,
-        n_samples)`` array is coerced in place of the stack — the tiled
-        path shares one stack across all its tiles.
+        buffer, copied once per call into the padded, frames-innermost
+        layout the flat index addresses
+        (:func:`repro.kernels.ops.pad_samples`), and gathered with one
+        ``np.take`` per chunk, so per-frame NumPy dispatch is paid once per
+        batch and each fetch reads every frame's sample from one cache
+        line.  The gather is chunked over point blocks of
+        ~:data:`BATCH_BLOCK_ELEMENTS` gathered values, which keeps the
+        ``(n_frames, block, n_elements)`` temporaries inside the CPU caches.
+        The chunking is invisible numerically — each focal point's sum is
+        independent, so the result is bit-identical to a single-shot
+        gather.  Frames must share the plan's buffer length.  A pre-stacked
+        ``(n_frames, n_elements, n_samples)`` array is coerced in place of
+        the stack — the tiled path shares one stack across all its tiles.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
@@ -335,19 +337,13 @@ class BeamformingPlan:
         stacked = self.coerce_samples(frames) if isinstance(frames, np.ndarray) \
             else np.stack([self.coerce_samples(frame) for frame in frames])
         index = self.gather_index(stacked.shape[-1])
+        padded = pad_samples(stacked, index)
         block = max(1, BATCH_BLOCK_ELEMENTS // (len(frames) * self.n_elements))
-        if block >= self.n_points:
-            with tracer.span("gather") as span:
-                gathered = gather_interp(stacked, index)
-                span.set(bytes=int(gathered.nbytes))
-            flat = self._reduce(gathered, self.weights, tracer,
-                                reuse_gathered=True)
-            return flat.reshape((len(frames), *self.grid_shape))
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
         for lo in range(0, self.n_points, block):
             rows = slice(lo, min(lo + block, self.n_points))
             with tracer.span("gather") as span:
-                gathered = gather_interp(stacked, index.rows(rows))
+                gathered = gather_padded(padded, index.rows(rows))
                 span.set(bytes=int(gathered.nbytes))
             out[:, rows] = self._reduce(gathered, self.weights[rows], tracer,
                                         reuse_gathered=True)
@@ -361,9 +357,9 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
                  tile: "object | None" = None) -> BeamformingPlan:
     """Compile the beamforming plan for a configured beamformer.
 
-    Generates the delay tensor, the weight tensor (cast to the execution
-    dtype) and the gather index for the system's echo-buffer length, all
-    through :func:`_tile_tensors`.  This is the expensive step the
+    Generates the weight tensor (in the execution dtype) and the gather
+    index for the system's echo-buffer length, both through
+    :func:`_tile_tensors`.  This is the expensive step the
     :class:`repro.runtime.cache.PlanCache` amortises across frames and
     across backends.
 
@@ -405,11 +401,8 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
                                      tile=tile)
     precision = resolve_precision(precision)
     start, stop, grid_shape = _extent(beamformer, tile)
-    delays, weights = _tile_tensors(beamformer, start, stop)
-    n_samples = beamformer.system.echo_buffer_samples
+    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype)
     return BeamformingPlan(
-        key=plan_key(beamformer, precision, tile=tile), delays=delays,
-        weights=weights.astype(precision.dtype, copy=False),
+        key=plan_key(beamformer, precision, tile=tile), weights=weights,
         grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, n_samples=n_samples,
-        index=build_gather_index(delays, n_samples, beamformer.interpolation))
+        interpolation=beamformer.interpolation, index=index)

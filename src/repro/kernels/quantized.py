@@ -21,8 +21,8 @@ plus one :class:`~repro.fixedpoint.quantize.RoundingMode` and one
 matching the rounding semantics of ``repro.analysis.fixedpoint_impact``.
 
 A :class:`QuantizedPlan` is the compiled artifact: a
-:class:`repro.kernels.plan.BeamformingPlan` whose delay and weight tensors
-are quantised at compile time (the gather index is therefore built from the
+:class:`repro.kernels.plan.BeamformingPlan` whose delays and weights are
+quantised at compile time (the gather index is therefore built from the
 *quantised* delays, exactly as hardware addresses the buffer with its
 fixed-point delay sum) and whose execution quantises the samples, the
 products and the final sums.  Every value is carried in ``float64`` — each
@@ -261,10 +261,10 @@ class QuantizationSpec:
 class QuantizedPlan(BeamformingPlan):
     """A beamforming plan whose whole datapath runs in fixed point.
 
-    The inherited ``delays``/``weights`` tensors hold the *quantised*
-    values (so the precompiled gather index addresses the buffer exactly as
-    the hardware's fixed-point delay sum would), and execution overrides the
-    two :class:`BeamformingPlan` hooks:
+    The inherited gather index is rounded from the *quantised* delays (so
+    it addresses the buffer exactly as the hardware's fixed-point delay sum
+    would), the inherited ``weights`` hold the quantised weights, and
+    execution overrides the two :class:`BeamformingPlan` hooks:
 
     * :meth:`coerce_samples` quantises each frame into ``sample_format``;
     * :meth:`_reduce` rounds every weighted product into the accumulator
@@ -334,8 +334,8 @@ def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
 
     ``spec`` defaults to the beamformer's own ``quantization`` attribute.
     Delays and weights come from the same tensor builder as
-    :func:`repro.kernels.plan.compile_plan` and are then quantised once at
-    compile time; the gather index is built from the quantised delays.
+    :func:`repro.kernels.plan.compile_plan`, which quantises each
+    scanline's rows before rounding the delays into the gather index.
 
     ``tile`` compiles the segment for one
     :class:`repro.kernels.tiling.Tile` only (``None``: the whole grid);
@@ -353,15 +353,12 @@ def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
     # __post_init__ re-checks, but only after the tensors exist).
     spec.validate_for(precision, beamformer.interpolation, n_samples)
     start, stop, grid_shape = _extent(beamformer, tile)
-    raw_delays, raw_weights = _tile_tensors(beamformer, start, stop)
-    delays = spec.quantize_delays(raw_delays)
+    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype,
+                                   quantization=spec)
     return QuantizedPlan(
         key=plan_key(beamformer, precision, quantization=spec, tile=tile),
-        delays=delays, weights=spec.quantize_weights(raw_weights),
-        grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, n_samples=n_samples,
-        index=build_gather_index(delays, n_samples, beamformer.interpolation),
-        spec=spec)
+        weights=weights, grid_shape=grid_shape, precision=precision,
+        interpolation=beamformer.interpolation, index=index, spec=spec)
 
 
 def quantized_delay_and_sum(samples: np.ndarray, delays_samples: np.ndarray,

@@ -1,8 +1,8 @@
 """LRU cache for compiled beamforming plans.
 
-Compiling a :class:`repro.kernels.BeamformingPlan` — generating the full
-``(n_points, n_elements)`` delay and weight tensors and resolving them into
-gather indices — is by far the most expensive part of beamforming a volume
+Compiling a :class:`repro.kernels.BeamformingPlan` — generating every
+(point, element) delay and weight and rounding the delays into a gather
+index — is by far the most expensive part of beamforming a volume
 in software, exactly the bottleneck the paper attacks in hardware.  In a
 streaming setting the probe geometry is fixed across a cine sequence, so the
 plan is identical for every frame; :class:`PlanCache` stores it under

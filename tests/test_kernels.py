@@ -26,8 +26,10 @@ from repro.kernels import (
     delay_and_sum,
     gather_interp,
     plan_key,
+    plan_storage_bytes,
     resolve_precision,
 )
+from repro.kernels.compiled import numba_available
 from repro.kernels.tiling import Tile
 from repro.scenarios import TransmitAdjustedProvider, TransmitEvent
 
@@ -130,6 +132,15 @@ class TestGatherIndex:
         with pytest.raises(ValueError, match="samples must be"):
             gather_interp(np.zeros(7), index)
 
+    def test_flat_index_must_fit_int32(self):
+        """The pad slot ``n_elements * n_samples`` must be addressable by
+        an int32 index; the paper preset (~8.0e7 entries) fits."""
+        with pytest.raises(ValueError, match="int32"):
+            build_gather_index(np.zeros((1, 2)), 2**30)
+        paper = build_gather_index(np.full((1, 10_000), 9000.0), 8001)
+        assert paper.flat.dtype == np.int32
+        np.testing.assert_array_equal(paper.flat, 10_000 * 8001)
+
 
 class TestKernelComposition:
     def test_delay_and_sum_matches_manual_composition(self, tiny_channel_data,
@@ -161,31 +172,59 @@ class TestPlanCompile:
     def test_plan_shapes_and_metadata(self, tiny, exact_beamformer, plan):
         n_points = tiny.volume.focal_point_count
         n_elements = tiny.transducer.element_count
-        assert plan.delays.shape == (n_points, n_elements)
+        assert plan.index.flat.shape == (n_points, n_elements)
         assert plan.weights.shape == (n_points, n_elements)
         assert plan.grid_shape == exact_beamformer.grid.shape
         assert plan.n_points == n_points and plan.n_elements == n_elements
         assert plan.precision is Precision.FLOAT64
         assert plan.dtype == np.float64
         assert plan.n_samples == tiny.echo_buffer_samples
-        assert plan.nbytes > plan.delays.nbytes + plan.weights.nbytes
+        assert plan.nbytes == plan.weights.nbytes + plan.index.nbytes
 
     def test_compile_precompiles_gather_index(self, plan):
         assert plan.gather_index() is plan.gather_index(plan.n_samples)
 
-    def test_foreign_buffer_length_is_transient(self, plan):
-        """Another buffer length gets a fresh index per call, never stored:
-        a cached plan stays the size the cache charged for it."""
-        before = plan.nbytes
-        other = plan.gather_index(plan.n_samples + 7)
-        assert other.n_samples == plan.n_samples + 7
-        assert plan.gather_index(plan.n_samples + 7) is not other
-        assert plan.nbytes == before
+    def test_foreign_buffer_length_is_rejected(self, plan, tiny_channel_data):
+        """A plan addresses only its compile-time buffer length: a frame of
+        any other length is refused, naming both lengths."""
+        longer = np.pad(tiny_channel_data.samples, ((0, 0), (0, 7)))
+        message = f"{plan.n_samples}-sample.*{plan.n_samples + 7} samples"
+        with pytest.raises(ValueError, match=message):
+            plan.gather_index(plan.n_samples + 7)
+        with pytest.raises(ValueError, match=message):
+            plan.execute(longer)
+        with pytest.raises(ValueError, match=message):
+            plan.execute_batch([longer])
 
-    def test_float32_plan_casts_weights_only(self, exact_beamformer):
+    def test_float32_plan_casts_weights_only(self, exact_beamformer, plan):
         plan32 = compile_plan(exact_beamformer, "float32")
         assert plan32.weights.dtype == np.float32
-        assert plan32.delays.dtype == np.float64   # addressing stays exact
+        # Addressing stays exact: the same index as the float64 plan.
+        np.testing.assert_array_equal(plan32.index.flat, plan.index.flat)
+
+    @pytest.mark.parametrize("family, precision, kind", [
+        *((family, precision, kind) for family in ("float", "compiled")
+          for precision in ("float64", "float32")
+          for kind in ("nearest", "linear")),
+        ("quantized", "float64", "nearest")])
+    def test_nbytes_matches_storage_prediction(self, tiny, exact_beamformer,
+                                               monkeypatch, family, precision,
+                                               kind):
+        """Every plan family holds exactly the predicted weights + index."""
+        if family == "compiled" and not numba_available():
+            # The un-jitted kernel bodies stand in for numba's.
+            from repro.kernels import compiled
+            monkeypatch.setattr(compiled, "NUMBA_AVAILABLE", True)
+            monkeypatch.setitem(compiled._JITTED, False,
+                                compiled._KERNEL_BODIES)
+        beamformer = DelayAndSumBeamformer(
+            tiny, exact_beamformer.delays,
+            interpolation=InterpolationKind(kind),
+            quantization=18 if family == "quantized" else None)
+        built = compile_plan(beamformer, precision, tile=Tile(0, 16, 48),
+                             variant="compiled" if family == "compiled"
+                             else None)
+        assert built.nbytes == plan_storage_bytes(32, 64, precision, kind)
 
     def test_key_includes_interpolation_and_dtype(self, tiny,
                                                   exact_beamformer):
@@ -234,13 +273,14 @@ def test_whole_grid_plan_is_its_one_tile(tiny, architecture, firing,
     assert whole.key == plan_key(beamformer, precision)
     assert one.key == whole.key + (("tile", 0, whole.n_points),)
     bulk = np.asarray(provider.volume_delays_samples(), dtype=np.float64) \
-        .reshape(whole.delays.shape)
+        .reshape(whole.weights.shape)
     if quantized:
         bulk = beamformer.quantization.quantize_delays(bulk)
-    np.testing.assert_array_equal(whole.delays, bulk)
-    for a, b in ((one.delays, whole.delays), (one.weights, whole.weights),
-                 (one.index.indices, whole.index.indices),
-                 (one.index.valid, whole.index.valid)):
+    expected = build_gather_index(bulk, whole.n_samples,
+                                  beamformer.interpolation)
+    np.testing.assert_array_equal(whole.index.flat, expected.flat)
+    for a, b in ((one.index.flat, whole.index.flat),
+                 (one.weights, whole.weights)):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 

@@ -22,8 +22,10 @@ from repro.kernels import (
     CompiledOptions,
     CompiledPlan,
     Precision,
+    build_gather_index,
     compile_plan,
 )
+from repro.kernels import compiled
 from repro.kernels.compiled import (
     _fused_linear_batch,
     _fused_linear_frame,
@@ -31,6 +33,7 @@ from repro.kernels.compiled import (
     _fused_nearest_frame,
     numba_available,
 )
+from repro.kernels.ops import pad_samples
 
 requires_numba = pytest.mark.skipif(
     not numba_available(),
@@ -44,33 +47,30 @@ def _beamformer(system, interpolation=InterpolationKind.NEAREST):
 
 def _run_frame_body(plan, samples, block_size=1024):
     """Execute the un-jitted frame kernel body over a full plan."""
-    samples = np.ascontiguousarray(plan.coerce_samples(samples))
+    samples = plan.coerce_samples(samples)
     index = plan.gather_index(samples.shape[-1])
+    padded = pad_samples(samples, index)
     out = np.empty(plan.n_points, dtype=plan.dtype)
     if plan.interpolation is InterpolationKind.NEAREST:
-        _fused_nearest_frame(samples, index.indices, index.valid,
-                             plan.weights, out, block_size)
+        _fused_nearest_frame(padded, index.flat, plan.weights, out,
+                             block_size)
     else:
-        _fused_linear_frame(samples, index.lower, index.upper,
-                            index.fraction.astype(plan.dtype),
-                            index.lower_valid, index.upper_valid,
+        _fused_linear_frame(padded, index.flat, index.upper, index.fraction,
                             plan.weights, out, block_size)
     return out.reshape(plan.grid_shape)
 
 
 def _run_batch_body(plan, frames, block_size=1024):
     """Execute the un-jitted batch kernel body over a full plan."""
-    stacked = np.ascontiguousarray(
-        np.stack([plan.coerce_samples(frame) for frame in frames]))
+    stacked = np.stack([plan.coerce_samples(frame) for frame in frames])
     index = plan.gather_index(stacked.shape[-1])
+    padded = pad_samples(stacked, index)
     out = np.empty((len(frames), plan.n_points), dtype=plan.dtype)
     if plan.interpolation is InterpolationKind.NEAREST:
-        _fused_nearest_batch(stacked, index.indices, index.valid,
-                             plan.weights, out, block_size)
+        _fused_nearest_batch(padded, index.flat, plan.weights, out,
+                             block_size)
     else:
-        _fused_linear_batch(stacked, index.lower, index.upper,
-                            index.fraction.astype(plan.dtype),
-                            index.lower_valid, index.upper_valid,
+        _fused_linear_batch(padded, index.flat, index.upper, index.fraction,
                             plan.weights, out, block_size)
     return out.reshape((len(frames), *plan.grid_shape))
 
@@ -101,11 +101,31 @@ class TestKernelBodyNumerics:
     def test_batch_body_bit_identical_to_frame_body(self, tiny,
                                                     tiny_channel_data, kind):
         plan = compile_plan(_beamformer(tiny, kind))
-        frame = _run_frame_body(plan, tiny_channel_data)
-        batch = _run_batch_body(plan, [tiny_channel_data] * 3)
-        assert batch.shape == (3, *frame.shape)
-        for i in range(3):
-            np.testing.assert_array_equal(batch[i], frame)
+        frames = [np.roll(tiny_channel_data.samples, 5 * i, axis=-1)
+                  for i in range(3)]
+        batch = _run_batch_body(plan, frames)
+        assert batch.shape == (3, *plan.grid_shape)
+        for i, frame in enumerate(frames):
+            np.testing.assert_array_equal(batch[i],
+                                          _run_frame_body(plan, frame))
+
+    @pytest.mark.parametrize("kind", [InterpolationKind.NEAREST,
+                                      InterpolationKind.LINEAR])
+    def test_compiled_plan_runs_unjitted_bodies_bit_identically(
+            self, tiny, tiny_channel_data, monkeypatch, kind):
+        """CompiledPlan's own plumbing — warm-up signatures, padding,
+        kernel launch — driven through the un-jitted bodies in place of
+        the numba kernel set."""
+        monkeypatch.setattr("repro.kernels.compiled.NUMBA_AVAILABLE", True)
+        monkeypatch.setitem(compiled._JITTED, False, compiled._KERNEL_BODIES)
+        beamformer = _beamformer(tiny, kind)
+        plan = compiled.compile_compiled_plan(beamformer)
+        expected = compile_plan(beamformer).execute(tiny_channel_data)
+        np.testing.assert_array_equal(plan.execute(tiny_channel_data),
+                                      expected)
+        batch = plan.execute_batch([tiny_channel_data.samples[::-1],
+                                    tiny_channel_data])
+        np.testing.assert_array_equal(batch[1], expected)
 
     def test_block_size_never_changes_bits(self, tiny, tiny_channel_data):
         """The block decomposition is pure scheduling: any block size must
@@ -119,27 +139,31 @@ class TestKernelBodyNumerics:
 
     def test_small_element_count_tail_path(self):
         """n_elements < 8 takes the plain sequential branch; pin it against
-        a hand-computed masked weighted sum."""
+        a hand-computed weighted sum with out-of-buffer fetches zeroed."""
         rng = np.random.default_rng(7)
         n_points, n_elements, n_samples = 5, 3, 11
         samples = rng.normal(size=(n_elements, n_samples))
-        indices = rng.integers(0, n_samples, size=(n_points, n_elements))
-        valid = rng.random((n_points, n_elements)) > 0.3
+        delays = rng.uniform(-4, n_samples + 4, size=(n_points, n_elements))
+        index = build_gather_index(delays, n_samples)
         weights = rng.normal(size=(n_points, n_elements))
         out = np.empty(n_points)
-        _fused_nearest_frame(samples, indices, valid, weights, out, 2)
-        gathered = np.where(
-            valid, samples[np.arange(n_elements)[None, :], indices], 0.0)
+        _fused_nearest_frame(pad_samples(samples, index), index.flat,
+                             weights, out, 2)
+        nearest = np.floor(delays + 0.5).astype(int)
+        inside = (nearest >= 0) & (nearest < n_samples)
+        gathered = np.where(inside, samples[np.arange(n_elements)[None, :],
+                                            np.clip(nearest, 0,
+                                                    n_samples - 1)], 0.0)
         np.testing.assert_allclose(out, (weights * gathered).sum(axis=1),
                                    rtol=0, atol=1e-15)
 
     def test_all_invalid_fetches_give_zero(self):
         samples = np.ones((16, 4))
-        indices = np.zeros((3, 16), dtype=np.int64)
-        valid = np.zeros((3, 16), dtype=bool)
+        index = build_gather_index(np.full((3, 16), -1.0), 4)
         weights = np.ones((3, 16))
         out = np.full(3, np.nan)
-        _fused_nearest_frame(samples, indices, valid, weights, out, 1024)
+        _fused_nearest_frame(pad_samples(samples, index), index.flat,
+                             weights, out, 1024)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_float32_stays_float32(self):
@@ -147,18 +171,19 @@ class TestKernelBodyNumerics:
         float64 literal would silently promote every product."""
         rng = np.random.default_rng(3)
         samples = rng.normal(size=(16, 8)).astype(np.float32)
-        lower = rng.integers(0, 7, size=(4, 16))
-        fraction = rng.random((4, 16)).astype(np.float32)
-        ones = np.ones((4, 16), dtype=bool)
+        delays = rng.uniform(0, 7, size=(4, 16))
+        index = build_gather_index(delays, 8, "linear", np.float32)
+        assert index.fraction.dtype == np.float32
         weights = rng.normal(size=(4, 16)).astype(np.float32)
         out = np.empty(4, dtype=np.float32)
-        _fused_linear_frame(samples, lower, lower + 1, fraction, ones, ones,
-                            weights, out, 1024)
+        _fused_linear_frame(pad_samples(samples, index), index.flat,
+                            index.upper, index.fraction, weights, out, 1024)
+        lower = np.floor(delays).astype(int)
         below = samples[np.arange(16)[None, :], lower]
         above = samples[np.arange(16)[None, :], lower + 1]
-        expected = (weights.astype(np.float32)
-                    * ((np.float32(1.0) - fraction) * below
-                       + fraction * above))
+        fraction = index.fraction
+        expected = (weights * ((np.float32(1.0) - fraction) * below
+                               + fraction * above))
         np.testing.assert_allclose(
             out, expected.sum(axis=1, dtype=np.float32), rtol=2e-6, atol=0)
 

@@ -10,9 +10,15 @@ from repro.acoustics.echo import ChannelData, EchoSimulator
 from repro.acoustics.phantom import Phantom, point_target
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.image import envelope, log_compress, normalized_rms_difference
-from repro.beamformer.interpolation import fetch_linear, fetch_nearest
+from repro.beamformer.interpolation import (
+    InterpolationKind,
+    fetch_linear,
+    fetch_nearest,
+    fetch_samples,
+)
 from repro.config import tiny_system
 from repro.core.exact import ExactDelayEngine
+from repro.kernels import build_gather_index, gather_interp
 
 SYSTEM = tiny_system()
 EXACT = ExactDelayEngine.from_config(SYSTEM)
@@ -130,6 +136,48 @@ class TestInterpolationProperties:
         values = fetch_nearest(data, elements, delays)
         for value, element in zip(values, elements):
             assert value in samples[element]
+
+    @given(n_points=st.integers(min_value=1, max_value=12),
+           n_elements=st.integers(min_value=1, max_value=6),
+           n_samples=st.integers(min_value=1, max_value=40),
+           kind=st.sampled_from(list(InterpolationKind)),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           n_frames=st.sampled_from([None, 1, 3]),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_flat_gather_matches_legacy_fetch(self, n_points, n_elements,
+                                              n_samples, kind, dtype,
+                                              n_frames, seed):
+        """The maskless flat gather equals the legacy per-element fetch,
+        out-of-range and far-out delays included, in both dtypes, for one
+        frame and for a stack."""
+        rng = np.random.default_rng(seed)
+        delays = rng.uniform(-n_samples, 2 * n_samples,
+                             size=(n_points, n_elements))
+        far = rng.random(delays.shape) < 0.1
+        delays[far] = rng.choice([-1e12, 1e12], size=int(far.sum()))
+        frames = rng.normal(size=(n_frames or 1, n_elements, n_samples)) \
+            .astype(dtype)
+        elements = np.broadcast_to(np.arange(n_elements), delays.shape)
+
+        def legacy(frame):
+            data = ChannelData(samples=frame, sampling_frequency=32e6)
+            if kind is InterpolationKind.NEAREST or dtype == np.float64:
+                return fetch_samples(data, elements, delays, kind)
+            # float32 linear: the legacy neighbour fetches, interpolated in
+            # the execution dtype as the kernels do.
+            lower = np.floor(delays)
+            fraction = (delays - lower).astype(dtype)
+            return (1.0 - fraction) * fetch_samples(data, elements, lower) \
+                + fraction * fetch_samples(data, elements, lower + 1.0)
+
+        index = build_gather_index(delays, n_samples, kind, dtype)
+        expected = np.stack([legacy(frame) for frame in frames])
+        gathered = gather_interp(frames if n_frames else frames[0], index)
+        assert gathered.dtype == dtype
+        assert gathered.flags.c_contiguous
+        np.testing.assert_array_equal(
+            gathered, expected if n_frames else expected[0])
 
 
 class TestPhantomProperties:

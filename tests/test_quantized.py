@@ -26,6 +26,7 @@ from repro.kernels import (
     Precision,
     QuantizationSpec,
     QuantizedPlan,
+    build_gather_index,
     compile_plan,
     compile_quantized_plan,
     parse_qformat,
@@ -206,8 +207,12 @@ class TestQuantizedPlan:
     def test_delays_and_weights_are_quantised_at_compile_time(
             self, tiny_beamformer_q18, tiny_qplan):
         spec = tiny_qplan.spec
-        np.testing.assert_array_equal(spec.quantize_delays(tiny_qplan.delays),
-                                      tiny_qplan.delays)
+        bulk = spec.quantize_delays(np.asarray(
+            tiny_beamformer_q18.delays.volume_delays_samples(),
+            dtype=np.float64)).reshape(tiny_qplan.weights.shape)
+        np.testing.assert_array_equal(
+            build_gather_index(bulk, tiny_qplan.n_samples).flat,
+            tiny_qplan.index.flat)
         np.testing.assert_array_equal(
             spec.quantize_weights(tiny_qplan.weights), tiny_qplan.weights)
 
@@ -354,3 +359,20 @@ class TestQuantizedBackends:
             < by_bits[13].affected_fraction
         assert by_bits[20].volume_rms_error < by_bits[13].volume_rms_error
         assert all(r.volume_rms_error < 0.1 for r in kernel)
+
+    def test_kernel_sweep_rows_pinned(self, tiny):
+        """The E6 kernel rows on tiny at the paper widths, pinned: index
+        errors from the providers' rounded, clipped delays; volumes from
+        the quantized plans."""
+        from repro.analysis.fixedpoint_impact import kernel_fixed_point_sweep
+        rows = kernel_fixed_point_sweep(tiny, bit_widths=(13, 14, 16))
+        expected = [
+            (13, 0.3834228515625, 1, 0.3834228515625, 0.03483526838656069),
+            (14, 0.4351806640625, 2, 0.44561767578125, 0.023210280711708383),
+            (16, 0.07904052734375, 1, 0.07904052734375, 0.00946480018841087),
+        ]
+        for row, (bits, affected, worst, mean, rms) in zip(rows, expected):
+            assert (row.total_bits, row.sample_count, row.affected_fraction,
+                    row.max_index_error, row.mean_abs_index_error) \
+                == (bits, 65536, affected, worst, mean)
+            assert row.volume_rms_error == pytest.approx(rms, rel=1e-12)

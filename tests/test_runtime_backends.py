@@ -226,7 +226,7 @@ class TestShardedEdgeCases:
         worker is rejected with that real minimum."""
         backend = ShardedBackend(beamformers["exact"],
                                  max_workers=max_workers)
-        scanline = 16 * 64 * 25   # points x elements x bytes per entry
+        scanline = 16 * 64 * 12   # points x elements x bytes per entry
         with pytest.raises(ValueError, match="raise the budget to at least "
                                              f"{max_workers * scanline} bytes"):
             backend.set_memory_budget(max_workers * scanline - 1)
@@ -380,18 +380,19 @@ class TestPlanCache:
         assert stats.misses == n_tiles         # the second compiled nothing
         assert stats.hits == n_tiles
 
-    def test_off_length_frame_keeps_cached_bytes_honest(
+    def test_off_length_frame_is_rejected_cache_bytes_kept(
             self, beamformers, tiny_channel_data):
-        """A frame of another buffer length must not grow a cached plan
-        behind the cache's back: the bytes it charged at insert stay the
+        """A frame of another buffer length is refused and leaves the
+        cached plan as charged: the bytes it charged at insert stay the
         bytes resident, before and after an eviction."""
         cache = PlanCache(capacity=1)
         backend = BACKENDS.create("vectorized", beamformers["tablesteer"],
                                   cache, None)
         backend.beamform_volume(tiny_channel_data)
         charged = cache.stats.bytes
-        backend.beamform_volume(np.pad(tiny_channel_data.samples,
-                                       ((0, 0), (0, 7))))
+        with pytest.raises(ValueError, match="sample"):
+            backend.beamform_volume(np.pad(tiny_channel_data.samples,
+                                           ((0, 0), (0, 7))))
         (cached,) = cache._entries.values()
         assert cached.nbytes == charged == cache.stats.bytes
         BACKENDS.create("vectorized", beamformers["exact"], cache,
