@@ -33,8 +33,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 class DelayProvider(Protocol):
     """Anything that can produce per-element delays for focal points.
 
-    All three delay engines of :mod:`repro.core` (exact, TABLEFREE,
-    TABLESTEER) satisfy this protocol.
+    Every delay provider of :mod:`repro.core` (exact, TABLEFREE,
+    TABLESTEER, recursive) and the scheme layer's transmit-adjusted
+    wrapper satisfy this protocol.  The grid accessors all address the
+    same scanline-major flat point order, ``(i_theta, i_phi, i_depth)``:
+    the per-scanline and per-nappe methods serve the classic traversal
+    loops (and are the oracle the bulk path is tested against), while
+    plan compilation asks only for flat ranges through
+    :meth:`tile_delays_samples`.  Providers inherit that method and
+    :meth:`volume_delays_samples` from
+    :class:`repro.core.bulk.BulkDelayProviderMixin` (a scanline loop) or
+    override it with one vectorised evaluation; either way its rows equal
+    the scanline rows bit for bit.
     """
 
     def delays_samples(self, points: np.ndarray) -> np.ndarray:
@@ -49,12 +59,13 @@ class DelayProvider(Protocol):
         """Delays for a grid nappe, shape ``(n_theta, n_phi, n_elements)``."""
         ...  # pragma: no cover - protocol definition
 
-    def volume_delays_samples(self) -> np.ndarray:
-        """Delays for the whole grid, shape ``(n_theta, n_phi, n_depth, n_elements)``.
+    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)``, shape
+        ``(stop - start, n_elements)``; the range may cut scanlines."""
+        ...  # pragma: no cover - protocol definition
 
-        All providers in :mod:`repro.core` inherit a scanline-stacking
-        default from :class:`repro.core.bulk.BulkDelayProviderMixin`.
-        """
+    def volume_delays_samples(self) -> np.ndarray:
+        """Delays for the whole grid, shape ``(n_theta, n_phi, n_depth, n_elements)``."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -127,10 +138,16 @@ class DelayAndSumBeamformer:
         self._aperture_weights = aperture_apodization(
             self.transducer, self.apodization.window).ravel()
         # The focal grid is static for the lifetime of the beamformer, so the
-        # per-scanline receive weights are computed once and reused across
-        # every frame (they used to be rebuilt for every scanline of every
-        # volume, dominating the reference path's run time).
+        # per-scanline receive weights of the classic loop are computed once
+        # and reused across every frame (they used to be rebuilt for every
+        # scanline of every volume, dominating the reference path's run
+        # time).  Compiled plans do not use this memo.
         self._scanline_weights: dict[tuple[int, int], np.ndarray] = {}
+        # The shared receive-weight tensors this beamformer's plans were
+        # compiled with (repro.kernels.plan.receive_weights, by memo key):
+        # holding them keeps that weak memo's entries alive, so an evicted
+        # plan segment recompiles without recomputing its weights.
+        self._plan_weights: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------- weights
     def weights_for_scanline(self, i_theta: int, i_phi: int) -> np.ndarray:

@@ -1,15 +1,17 @@
-"""Bulk (whole-volume) delay generation shared by all delay providers.
+"""Bulk (flat point range) delay generation shared by all delay providers.
 
-The streaming runtime (:mod:`repro.runtime`) beamforms entire volumes in one
-batched pass, which needs the complete ``(n_points, n_elements)`` delay
-tensor instead of the per-scanline slices the hardware-style providers
-naturally emit.  Rather than teaching every provider a second bulk code
-path, this mixin derives the volume tensor from the provider's existing
-``scanline_delays_samples`` — scanline by scanline, in the same traversal
-order the reference beamformer uses — so the bulk tensor is numerically
-*identical* to what the per-scanline path would have produced.  Providers
-with a cheaper native batch computation (the exact engine) simply override
-:meth:`volume_delays_samples`.
+Plan compilation (:mod:`repro.kernels.plan`) asks a provider for the delays
+of a flat, scanline-major range of focal points — a tile, in blocks of a
+bounded number of entries — through ``tile_delays_samples(start, stop)``,
+never for the whole ``(n_points, n_elements)`` tensor at once.  The exact,
+TABLEFREE, TABLESTEER and transmit-adjusted providers answer with one
+vectorised evaluation over the range.  This mixin supplies the default for
+everything else (the recursive generator, third-party providers): the
+range assembled from the provider's own ``scanline_delays_samples`` rows,
+in the traversal order the reference beamformer uses — so the bulk rows
+are numerically *identical* to what the per-scanline path produces.  It is
+the only scanline loop left on the compile path.  ``volume_delays_samples``
+is the whole range folded back into the grid's shape.
 """
 
 from __future__ import annotations
@@ -18,29 +20,37 @@ import numpy as np
 
 
 class BulkDelayProviderMixin:
-    """Default whole-volume delay generation for scanline-oriented providers.
+    """Default flat-range and whole-volume delay generation.
 
     Requires the host class to expose a ``grid`` attribute (a
     :class:`repro.geometry.volume.FocalGrid`) and the standard
     ``scanline_delays_samples(i_theta, i_phi)`` method.
     """
 
+    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)`` (``start < stop``)
+        in fractional samples, shape ``(stop - start, n_elements)``.
+
+        The range may start and end anywhere inside a scanline; it is cut
+        from the ``scanline_delays_samples`` rows of every scanline it
+        touches, so it matches the per-scanline API bit for bit.
+        """
+        _n_theta, n_phi, n_depth = self.grid.shape
+        rows, point = [], start
+        while point < stop:
+            line, depth = divmod(point, n_depth)
+            take = min(n_depth - depth, stop - point)
+            scanline = self.scanline_delays_samples(*divmod(line, n_phi))
+            rows.append(np.asarray(scanline, dtype=np.float64)
+                        [depth:depth + take])
+            point += take
+        return np.concatenate(rows)
+
     def volume_delays_samples(self) -> np.ndarray:
         """Delays for every focal point of the grid, in fractional samples.
 
-        Returns an array of shape ``(n_theta, n_phi, n_depth, n_elements)``
-        assembled scanline by scanline, so it matches the per-scanline API
-        bit for bit.
+        Returns an array of shape ``(n_theta, n_phi, n_depth, n_elements)``:
+        the whole flat range of :meth:`tile_delays_samples`.
         """
-        grid = self.grid
-        n_theta, n_phi, n_depth = grid.shape
-        first = np.asarray(self.scanline_delays_samples(0, 0))
-        n_elements = first.shape[-1]
-        out = np.empty((n_theta, n_phi, n_depth, n_elements))
-        out[0, 0] = first
-        for i_theta in range(n_theta):
-            for i_phi in range(n_phi):
-                if i_theta == 0 and i_phi == 0:
-                    continue
-                out[i_theta, i_phi] = self.scanline_delays_samples(i_theta, i_phi)
-        return out
+        return self.tile_delays_samples(0, self.grid.point_count) \
+            .reshape(*self.grid.shape, -1)

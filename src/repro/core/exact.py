@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SystemConfig
-from ..geometry.coordinates import spherical_to_cartesian
+from ..geometry.coordinates import pairwise_distances, spherical_to_cartesian
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
 from .bulk import BulkDelayProviderMixin
@@ -51,17 +51,18 @@ def propagation_delay(origin: np.ndarray,
     elements = np.atleast_2d(np.asarray(elements, dtype=np.float64))
     if points.shape[-1] != 3 or elements.shape[-1] != 3:
         raise ValueError("points and elements must have a trailing dimension of 3")
-    transmit = np.linalg.norm(points - origin[None, :], axis=-1)
-    receive = np.linalg.norm(points[:, None, :] - elements[None, :, :], axis=-1)
-    return (transmit[:, None] + receive) / speed_of_sound
+    delays = pairwise_distances(points, elements)
+    delays += pairwise_distances(points, origin[None, :])
+    delays /= speed_of_sound
+    return delays
 
 
 def transmit_delay(origin: np.ndarray, points: np.ndarray,
                    speed_of_sound: float) -> np.ndarray:
     """One-way delay from the sound origin to each focal point [s]."""
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
+    origin = np.asarray(origin, dtype=np.float64).reshape(1, 3)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return np.linalg.norm(points - origin[None, :], axis=-1) / speed_of_sound
+    return pairwise_distances(points, origin)[:, 0] / speed_of_sound
 
 
 def receive_delay(points: np.ndarray, elements: np.ndarray,
@@ -69,8 +70,7 @@ def receive_delay(points: np.ndarray, elements: np.ndarray,
     """One-way delay from each focal point back to each element [s]."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     elements = np.atleast_2d(np.asarray(elements, dtype=np.float64))
-    dist = np.linalg.norm(points[:, None, :] - elements[None, :, :], axis=-1)
-    return dist / speed_of_sound
+    return pairwise_distances(points, elements) / speed_of_sound
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,14 @@ class ExactDelayEngine(BulkDelayProviderMixin):
         points = self.grid.scanline_points(i_theta, i_phi)
         return self.delays_samples(points)
 
+    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)``, one batched call.
+
+        The distance arithmetic is elementwise, so the rows equal the
+        matching :meth:`scanline_delays_samples` rows bit for bit.
+        """
+        return self.delays_samples(self.grid.range_points(start, stop))
+
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays (fractional samples) for one nappe, shape ``(n_theta, n_phi, n_elements)``."""
         points = self.grid.nappe_points(i_depth)
@@ -130,17 +138,6 @@ class ExactDelayEngine(BulkDelayProviderMixin):
         flat = points.reshape(-1, 3)
         delays = self.delays_samples(flat)
         return delays.reshape(*shape, -1)
-
-    def volume_delays_samples(self) -> np.ndarray:
-        """Delays for the whole grid, shape ``(n_theta, n_phi, n_depth, n_elements)``.
-
-        Overrides the scanline-stacking default with one batched evaluation;
-        the distance arithmetic is elementwise, so the result is identical.
-        """
-        n_theta, n_phi, n_depth = self.grid.shape
-        points = self.grid.all_points().reshape(-1, 3)
-        delays = self.delays_samples(points)
-        return delays.reshape(n_theta, n_phi, n_depth, -1)
 
     def scanline_points(self, theta: float, phi: float,
                         depths: np.ndarray | None = None) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..fixedpoint.format import QFormat, signed, unsigned
 from ..fixedpoint.quantize import quantize
+from ..geometry.coordinates import squared_distances
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
 from .bulk import BulkDelayProviderMixin
@@ -138,10 +139,8 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         scale = self._samples_per_meter()
-        tx_delta = (points - self.origin[None, :]) * scale
-        tx_sq = np.sum(tx_delta * tx_delta, axis=-1)
-        rx_delta = (points[:, None, :] - self.transducer.positions[None, :, :]) * scale
-        rx_sq = np.sum(rx_delta * rx_delta, axis=-1)
+        tx_sq = squared_distances(points, self.origin[None, :], scale)[:, 0]
+        rx_sq = squared_distances(points, self.transducer.positions, scale)
         return tx_sq, rx_sq
 
     def delays_samples(self, points: np.ndarray) -> np.ndarray:
@@ -167,6 +166,12 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
     def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
         """Delays for one grid scanline, shape ``(n_depth, n_elements)``."""
         return self.delays_samples(self.grid.scanline_points(i_theta, i_phi))
+
+    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)``: the PWL datapath
+        over the whole range in one call, elementwise, so bit-identical to
+        the matching :meth:`scanline_delays_samples` rows."""
+        return self.delays_samples(self.grid.range_points(start, stop))
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)``."""

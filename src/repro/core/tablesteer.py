@@ -19,8 +19,9 @@ The generator supports
 Like the other delay providers it exposes ``delays_samples`` /
 ``delay_indices`` on arbitrary points (mapped to the nearest grid scanline
 and depth, since TABLESTEER is by construction a gridded generator) plus
-grid-native accessors (``scanline_delays_samples``, ``nappe_delays_samples``)
-used by the beamformer and the accuracy experiments.
+grid-native accessors (``scanline_delays_samples``, ``nappe_delays_samples``,
+the flat-range ``tile_delays_samples`` plans compile from) used by the
+beamformer and the accuracy experiments.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..fixedpoint.array import FixedPointArray
 from ..fixedpoint.format import QFormat, tablesteer_formats
+from ..fixedpoint.quantize import quantize
 from ..geometry.coordinates import cartesian_to_spherical
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
@@ -89,31 +91,34 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         return generator
 
     # ------------------------------------------------------------- grid API
+    #
+    # Every delay is reference(depth) + correction plane(scanline), one
+    # float add per (point, element); the methods below differ only in
+    # which depths and scanlines they pair up.
     def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
         """Delays for one grid scanline, shape ``(n_depth, n_elements)`` [samples]."""
-        n_depth = len(self.grid.depths)
-        reference = self._reference_all_depths()          # (n_depth, ex, ey)
-        plane = self._correction_plane(i_theta, i_phi)     # (ex, ey)
-        total = reference + plane[None, :, :]
-        return total.reshape(n_depth, -1)
+        depths = np.arange(len(self.grid.depths))
+        return self._reference_rows(depths) \
+            + self._correction_planes([i_theta], [i_phi])
+
+    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)`` [samples]."""
+        _n_theta, n_phi, n_depth = self.grid.shape
+        line, i_depth = np.divmod(np.arange(start, stop), n_depth)
+        return self._delays(*np.divmod(line, n_phi), i_depth)
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)`` [samples]."""
-        reference = self._reference_at_depth(i_depth)      # (ex, ey)
-        n_theta = len(self.grid.thetas)
-        n_phi = len(self.grid.phis)
-        out = np.empty((n_theta, n_phi, reference.size))
-        for i_theta in range(n_theta):
-            for i_phi in range(n_phi):
-                plane = self._correction_plane(i_theta, i_phi)
-                out[i_theta, i_phi] = (reference + plane).ravel()
-        return out
+        n_theta, n_phi, _n_depth = self.grid.shape
+        delays = self._correction_planes(
+            *np.divmod(np.arange(n_theta * n_phi), n_phi))
+        delays += self._reference_rows([i_depth])
+        return delays.reshape(n_theta, n_phi, -1)
 
     def grid_delay_samples(self, i_theta: int, i_phi: int, i_depth: int) -> np.ndarray:
         """Delays for a single focal point, shape ``(n_elements,)`` [samples]."""
-        reference = self._reference_at_depth(i_depth)
-        plane = self._correction_plane(i_theta, i_phi)
-        return (reference + plane).ravel()
+        return (self._reference_rows([i_depth])
+                + self._correction_planes([i_theta], [i_phi]))[0]
 
     # ----------------------------------------------------- point-based API
     def delays_samples(self, points: np.ndarray) -> np.ndarray:
@@ -130,12 +135,7 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         i_theta = _nearest_index(self.grid.thetas, theta)
         i_phi = _nearest_index(self.grid.phis, phi)
         i_depth = _nearest_index(self.grid.depths, r)
-        out = np.empty((points.shape[0], self.transducer.element_count))
-        for row in range(points.shape[0]):
-            out[row] = self.grid_delay_samples(int(i_theta[row]),
-                                               int(i_phi[row]),
-                                               int(i_depth[row]))
-        return out
+        return self._delays(i_theta, i_phi, i_depth)
 
     def delay_indices(self, points: np.ndarray) -> np.ndarray:
         """Delays rounded to integer echo-buffer indices."""
@@ -143,33 +143,45 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         return np.floor(samples + 0.5).astype(np.int64)
 
     # ------------------------------------------------------------ internals
-    def _correction_plane(self, i_theta: int, i_phi: int) -> np.ndarray:
-        if not self.design.is_fixed_point:
-            return self.corrections.plane(i_theta, i_phi)
-        # The hardware stores the separable x- and y-terms individually
-        # (Section V-B: the overall delay is a sum of three stored values),
-        # so each term is quantised on its own before the addition.
-        from ..fixedpoint.quantize import quantize
-        _ref_fmt, corr_fmt = self.design.formats()
-        x_term = quantize(self.corrections.x_terms[:, i_theta, i_phi], corr_fmt)
-        y_term = quantize(self.corrections.y_terms[:, i_phi], corr_fmt)
-        return x_term[:, None] + y_term[None, :]
+    def _delays(self, i_theta: np.ndarray, i_phi: np.ndarray,
+                i_depth: np.ndarray) -> np.ndarray:
+        """Delays of the grid points ``(i_theta[k], i_phi[k], i_depth[k])``,
+        shape ``(n, n_elements)``: the plane of each distinct scanline and
+        the reference row of each distinct depth are built once, then
+        gathered per point and added."""
+        n_phi = len(self.grid.phis)
+        lines, line_of = np.unique(np.asarray(i_theta) * n_phi + i_phi,
+                                   return_inverse=True)
+        depths, depth_of = np.unique(i_depth, return_inverse=True)
+        delays = self._correction_planes(*np.divmod(lines, n_phi))[line_of]
+        delays += self._reference_rows(depths)[depth_of]
+        return delays
 
-    def _reference_at_depth(self, i_depth: int) -> np.ndarray:
-        if not self.design.is_fixed_point:
-            return self.reference.lookup(int(i_depth))
-        quadrant = self._reference_fixed[:, :, int(i_depth)]
-        expanded = quadrant[self.reference.quadrant_x_index]
-        return expanded[:, self.reference.quadrant_y_index]
+    def _correction_planes(self, i_theta, i_phi) -> np.ndarray:
+        """Correction planes of scanlines ``(i_theta[k], i_phi[k])``, shape
+        ``(n, n_elements)`` [samples], element ``ix * ey + iy``."""
+        x_terms = self.corrections.x_terms[:, i_theta, i_phi].T   # (n, ex)
+        y_terms = self.corrections.y_terms[:, i_phi].T            # (n, ey)
+        if self.design.is_fixed_point:
+            # The hardware stores the separable x- and y-terms individually
+            # (Section V-B: the overall delay is a sum of three stored
+            # values), so each term is quantised on its own before the
+            # addition.
+            _ref_fmt, corr_fmt = self.design.formats()
+            x_terms = quantize(x_terms, corr_fmt)
+            y_terms = quantize(y_terms, corr_fmt)
+        planes = x_terms[:, :, None] + y_terms[:, None, :]
+        return planes.reshape(len(planes), self.transducer.element_count)
 
-    def _reference_all_depths(self) -> np.ndarray:
-        indices = np.arange(len(self.grid.depths))
-        if not self.design.is_fixed_point:
-            return self.reference.lookup(indices)
-        quadrant = self._reference_fixed[:, :, indices]
-        expanded = quadrant[self.reference.quadrant_x_index]
-        expanded = expanded[:, self.reference.quadrant_y_index]
-        return np.moveaxis(expanded, -1, 0)
+    def _reference_rows(self, i_depth) -> np.ndarray:
+        """Reference delays at depths ``i_depth``, shape ``(n, n_elements)``
+        [samples]: the stored (quantised) quadrant expanded by symmetry."""
+        quadrant = self._reference_fixed if self.design.is_fixed_point \
+            else self.reference.quadrant
+        rows = np.moveaxis(quadrant[:, :, i_depth], -1, 0)     # (n, qx, qy)
+        rows = rows[:, self.reference.quadrant_x_index]
+        rows = rows[:, :, self.reference.quadrant_y_index]
+        return rows.reshape(len(rows), self.transducer.element_count)
 
     # ----------------------------------------------------------- reporting
     def fixed_point_datapath(self, i_theta: int, i_phi: int,
@@ -186,7 +198,7 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         ex = self.transducer.config.elements_x
         ey = self.transducer.config.elements_y
         reference = FixedPointArray.from_float(
-            self._reference_at_depth(i_depth).ravel(), ref_fmt)
+            self._reference_rows([i_depth])[0], ref_fmt)
         x_term = FixedPointArray.from_float(
             np.repeat(self.corrections.x_terms[:, i_theta, i_phi], ey), corr_fmt)
         y_term = FixedPointArray.from_float(

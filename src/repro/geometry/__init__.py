@@ -13,6 +13,7 @@ from .coordinates import (
     off_axis_angle,
     pairwise_distances,
     spherical_to_cartesian,
+    squared_distances,
 )
 from .transducer import MatrixTransducer
 from .traversal import (
@@ -40,6 +41,7 @@ __all__ = [
     "cartesian_to_spherical",
     "distances",
     "pairwise_distances",
+    "squared_distances",
     "off_axis_angle",
     "TraversalStep",
     "TraversalStats",

@@ -69,9 +69,30 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
     numpy.ndarray
         Matrix of shape ``(na, nb)`` with Euclidean distances.
     """
-    a = np.asarray(points_a, dtype=np.float64)[:, None, :]
-    b = np.asarray(points_b, dtype=np.float64)[None, :, :]
-    return np.linalg.norm(a - b, axis=-1)
+    total = squared_distances(points_a, points_b)
+    return np.sqrt(total, out=total)
+
+
+def squared_distances(points_a: np.ndarray, points_b: np.ndarray,
+                      scale: float = 1.0) -> np.ndarray:
+    """Squared distances ``(na, nb)`` between two point sets, each
+    coordinate difference first multiplied by ``scale`` (a unit change).
+
+    Computed per coordinate: the three squares are summed in the order
+    ``np.linalg.norm`` and ``np.sum`` use over a 3-wide axis, so the result
+    is bit-identical to them, without the ``(na, nb, 3)`` difference
+    temporary.
+    """
+    a = np.asarray(points_a, dtype=np.float64)
+    b = np.asarray(points_b, dtype=np.float64)
+    total = None
+    for k in range(3):
+        delta = a[:, None, k] - b[None, :, k]
+        if scale != 1.0:
+            delta *= scale
+        delta *= delta
+        total = delta if total is None else np.add(total, delta, out=total)
+    return total
 
 
 def off_axis_angle(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
@@ -93,11 +114,11 @@ def off_axis_angle(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Angles in radians, shape ``(np_, no)``.
     """
-    p = np.asarray(points, dtype=np.float64)[:, None, :]
-    o = np.asarray(origins, dtype=np.float64)[None, :, :]
-    delta = p - o
-    dz = delta[..., 2]
-    norm = np.linalg.norm(delta, axis=-1)
+    p = np.asarray(points, dtype=np.float64)
+    o = np.asarray(origins, dtype=np.float64)
+    dz = p[:, None, 2] - o[None, :, 2]
+    norm = pairwise_distances(p, o)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_angle = np.divide(dz, norm, out=np.ones_like(dz), where=norm > 0)
-    return np.arccos(np.clip(cos_angle, -1.0, 1.0))
+    np.clip(cos_angle, -1.0, 1.0, out=cos_angle)
+    return np.arccos(cos_angle, out=cos_angle)

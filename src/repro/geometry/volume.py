@@ -71,6 +71,20 @@ class FocalGrid:
                                       self.phis[i_phi],
                                       self.depths)
 
+    def range_points(self, start: int, stop: int) -> np.ndarray:
+        """Focal points ``[start, stop)`` of the scanline-major flat point
+        axis (``(i_theta, i_phi, i_depth)`` order), shape ``(stop - start, 3)``.
+
+        The conversion is elementwise, so each row is bit-identical to the
+        matching row of :meth:`scanline_points`; a range may start and end
+        anywhere inside a scanline.
+        """
+        _n_theta, n_phi, n_depth = self.shape
+        line, i_depth = np.divmod(np.arange(start, stop), n_depth)
+        i_theta, i_phi = np.divmod(line, n_phi)
+        return spherical_to_cartesian(self.thetas[i_theta], self.phis[i_phi],
+                                      self.depths[i_depth])
+
     def nappe_points(self, i_depth: int) -> np.ndarray:
         """All focal points of one nappe (constant depth), shape ``(n_theta, n_phi, 3)``.
 

@@ -13,7 +13,8 @@ every entry point at once.
   :func:`delay_and_sum` composition.
 * :mod:`repro.kernels.plan` — :class:`BeamformingPlan`, a frozen artifact
   compiled once per ``(system, architecture, apodization, interpolation,
-  precision)`` and executed per frame / per row block / per batch.
+  precision)`` and executed per frame / per batch, over the
+  :func:`receive_weights` tensor every plan of one geometry shares.
 * :mod:`repro.kernels.precision` — the :class:`Precision` dtype policy
   (``float64`` exact / ``float32`` fast) with pinned equivalence
   tolerances.
@@ -51,7 +52,13 @@ from .ops import (
     delay_and_sum,
     gather_interp,
 )
-from .plan import BeamformingPlan, compile_plan, plan_key, plan_storage_bytes
+from .plan import (
+    BeamformingPlan,
+    compile_plan,
+    plan_key,
+    plan_storage_bytes,
+    receive_weights,
+)
 from .precision import TOLERANCES, Precision, Tolerance, resolve_precision
 from .quantized import (
     QuantizationSpec,
@@ -90,5 +97,6 @@ __all__ = [
     "plan_key",
     "plan_storage_bytes",
     "quantized_delay_and_sum",
+    "receive_weights",
     "resolve_precision",
 ]

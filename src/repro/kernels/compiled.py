@@ -462,7 +462,10 @@ class CompiledPlan(BeamformingPlan):
         dtype = self.dtype
         frame = np.zeros(2, dtype=dtype)
         batch = np.zeros((2, 1), dtype=dtype)
+        # Read-only like the shared receive-weight tensor, which numba
+        # types as a distinct signature.
         weights = np.ones((1, 1), dtype=dtype)
+        weights.flags.writeable = False
         flat = np.zeros((1, 1), dtype=np.int32)
         out = np.empty(1, dtype=dtype)
         out_batch = np.empty((1, 1), dtype=dtype)
@@ -487,7 +490,9 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
 
     The weights and gather index are built by the standard
     :func:`repro.kernels.plan.compile_plan` path — the fused kernels consume
-    the very same artifacts, which is what keeps the backend a drop-in peer.
+    the very same artifacts (the weights being the shared, read-only
+    :func:`repro.kernels.plan.receive_weights` tensor), which is what keeps
+    the backend a drop-in peer.
     The plan key carries :meth:`CompiledOptions.variant`, so a cache shared
     with NumPy backends can never serve a :class:`CompiledPlan` where a
     NumPy plan is expected (or vice versa), and fastmath plans never

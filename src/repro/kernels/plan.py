@@ -14,11 +14,13 @@ backends run whole *segment* plans, one per tile of a
 :class:`repro.kernels.tiling.TiledPlan` (``compile_plan(..., tile=...)``),
 through the same two methods; an unbudgeted engine is one tile.
 
-Compilation materialises the ``(n_points, n_elements)`` weight tensor of
-its point range and the flat int32 gather index
-(:class:`repro.kernels.ops.GatherIndex`) for the system's echo-buffer
-length, rounding each scanline's delay rows into index rows as they are
-generated — no delay tensor is ever held.  It is the software analogue of
+Compilation builds the flat int32 gather index
+(:class:`repro.kernels.ops.GatherIndex`) of its point range for the
+system's echo-buffer length, rounding the provider's bulk delays into
+index rows block by block as they are generated — no delay tensor is ever
+held — and references the ``(n_points, n_elements)`` receive-weight
+tensor of that range, built once per geometry and shared by every plan
+(:func:`receive_weights`).  It is the software analogue of
 the paper's precomputed delay table: the expensive float work happens once,
 streaming frames only gather.  Plans are immutable and safe to share
 across backends and threads; :func:`plan_key` (which includes the
@@ -29,8 +31,10 @@ in :class:`repro.runtime.cache.PlanCache`.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..beamformer.das import DelayAndSumBeamformer
 
 __all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
-           "plan_key", "plan_storage_bytes"]
+           "plan_key", "plan_storage_bytes", "receive_weights"]
 
 
 BATCH_BLOCK_ELEMENTS = 1 << 17
@@ -144,46 +148,95 @@ def _extent(beamformer: "DelayAndSumBeamformer", tile
     return start, stop, (1, 1, stop - start)
 
 
+def _blocks(start: int, stop: int, n_elements: int
+            ) -> Iterator[tuple[int, int]]:
+    """``[lo, hi)`` point blocks of ``[start, stop)`` holding about
+    :data:`BATCH_BLOCK_ELEMENTS` (point, element) entries each — the bound
+    on every compile-time transient."""
+    block = max(1, BATCH_BLOCK_ELEMENTS // n_elements)
+    for lo in range(start, stop, block):
+        yield lo, min(lo + block, stop)
+
+
+_WEIGHTS: "weakref.WeakValueDictionary[Hashable, np.ndarray]" = \
+    weakref.WeakValueDictionary()
+_WEIGHTS_LOCK = threading.Lock()
+
+
+def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
+                    stop: int, dtype: np.dtype | type,
+                    quantization=None) -> np.ndarray:
+    """The read-only receive-weight tensor of flat points ``[start, stop)``,
+    shape ``(stop - start, n_elements)``, in ``dtype`` (quantised by the
+    ``quantization`` spec first, when given).
+
+    Weights depend only on the geometry and the apodization — not on the
+    delay architecture or the transmit firing — so one tensor serves every
+    plan of the same range: it is memoised under (``system.cache_key()``,
+    apodization, dtype, quantisation, range), the same geometry assumption
+    :func:`plan_key` makes, in a process-wide weak map.  Any engine of the
+    same geometry gets the same array, and plans reference it without
+    copying.  The beamformer keeps a strong reference to each tensor it
+    compiled with, so the memo entry lives as long as an engine that may
+    recompile an evicted segment; once every holder is gone it goes too.
+
+    Built in blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries from
+    :meth:`~repro.beamformer.das.DelayAndSumBeamformer.weights_for_points`
+    over :meth:`~repro.geometry.volume.FocalGrid.range_points`; every step
+    is elementwise, so the rows equal ``weights_for_scanline`` rows (cast
+    or quantised) bit for bit.
+    """
+    dtype = np.dtype(dtype)
+    key = (beamformer.system.cache_key(), repr(beamformer.apodization),
+           dtype.str, repr(quantization), int(start), int(stop))
+    with _WEIGHTS_LOCK:
+        weights = _WEIGHTS.get(key)
+    if weights is None:
+        # Built outside the lock so concurrent tiles compile in parallel;
+        # a racing duplicate is dropped in favour of the first stored.
+        built = np.empty((stop - start, beamformer.transducer.element_count),
+                         dtype=dtype)
+        for lo, hi in _blocks(start, stop, built.shape[1]):
+            rows = beamformer.weights_for_points(
+                beamformer.grid.range_points(lo, hi))
+            if quantization is not None:
+                rows = quantization.quantize_weights(rows)
+            built[lo - start:hi - start] = rows
+        built.flags.writeable = False
+        with _WEIGHTS_LOCK:
+            weights = _WEIGHTS.setdefault(key, built)
+    beamformer._plan_weights[key] = weights
+    return weights
+
+
 def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
                   stop: int, dtype: np.dtype, quantization=None
                   ) -> tuple[GatherIndex, np.ndarray]:
-    """Gather index and weights of flat points ``[start, stop)``, scanline
-    by scanline.
+    """Gather index and weights of flat points ``[start, stop)``.
 
     The one tensor builder of every plan family (float, quantized,
-    compiled); a whole-grid plan is the range ``[0, n_points)``.  Each
-    ``scanline_delays_samples`` / ``weights_for_scanline`` call's rows are
-    rounded into index rows (:meth:`GatherIndex.write`) and cast into the
-    ``dtype`` weight rows as they arrive, so no ``(n_points, n_elements)``
-    delay tensor is ever held.  ``quantization`` (the quantized plan's
-    spec) first quantises both row blocks.  Every step is elementwise, so
-    a tile's rows are exact row slices of the whole-grid tensors.
+    compiled); a whole-grid plan is the range ``[0, n_points)``.  Delays
+    come from the provider's bulk ``tile_delays_samples`` in blocks of
+    ~:data:`BATCH_BLOCK_ELEMENTS` entries, each rounded into its index
+    rows (:meth:`GatherIndex.write`) as it arrives, so no
+    ``(n_points, n_elements)`` delay tensor is ever held; the weights are
+    the shared :func:`receive_weights` tensor.  ``quantization`` (the
+    quantized plan's spec) first quantises both.  Every step is
+    elementwise, so a tile's rows are exact row slices of the whole-grid
+    tensors.
     """
-    n_theta, n_phi, n_depth = beamformer.grid.shape
     n_elements = beamformer.transducer.element_count
-    n = stop - start
-    index = GatherIndex.empty(beamformer.interpolation, n, n_elements,
+    index = GatherIndex.empty(beamformer.interpolation, stop - start,
+                              n_elements,
                               beamformer.system.echo_buffer_samples, dtype)
-    weights = np.empty((n, n_elements), dtype=dtype)
-    row, filled = start, 0
-    while filled < n:
-        line, depth = divmod(row, n_depth)
-        i_theta, i_phi = divmod(line, n_phi)
-        take = min(n_depth - depth, n - filled)
-        rows = slice(filled, filled + take)
-        delays = np.asarray(
-            beamformer.delays.scanline_delays_samples(i_theta, i_phi),
-            dtype=np.float64)[depth:depth + take]
-        scan_weights = \
-            beamformer.weights_for_scanline(i_theta, i_phi)[depth:depth + take]
+    for lo, hi in _blocks(start, stop, n_elements):
+        delays = np.asarray(beamformer.delays.tile_delays_samples(lo, hi),
+                            dtype=np.float64)
         if quantization is not None:
             delays = quantization.quantize_delays(delays)
-            scan_weights = quantization.quantize_weights(scan_weights)
-        index.write(rows, delays)
-        weights[rows] = scan_weights
-        filled += take
-        row += take
-    return index, weights
+        index.write(slice(lo - start, hi - start), delays)
+    return index, receive_weights(beamformer, start, stop, dtype,
+                                  quantization)
 
 
 @dataclass(frozen=True)
@@ -197,7 +250,9 @@ class BeamformingPlan:
     weights:
         Receive apodization weights in the execution dtype,
         ``(n_points, n_elements)``, points in scanline-major
-        ``(i_theta, i_phi, i_depth)`` order.
+        ``(i_theta, i_phi, i_depth)`` order: the read-only
+        :func:`receive_weights` tensor, shared with every plan of the same
+        geometry and range.
     grid_shape:
         Focal-grid shape ``(n_theta, n_phi, n_depth)`` used to fold the
         flat point axis back into a volume.
@@ -241,7 +296,11 @@ class BeamformingPlan:
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of the weights plus the gather index [bytes]."""
+        """Memory footprint of the weights plus the gather index [bytes].
+
+        The weights are counted in full even though plans of one geometry
+        share them, so summed over plans this is an upper bound.
+        """
         return self.weights.nbytes + self.index.nbytes
 
     # ----------------------------------------------------------- addressing
@@ -357,9 +416,9 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
                  tile: "object | None" = None) -> BeamformingPlan:
     """Compile the beamforming plan for a configured beamformer.
 
-    Generates the weight tensor (in the execution dtype) and the gather
-    index for the system's echo-buffer length, both through
-    :func:`_tile_tensors`.  This is the expensive step the
+    Generates the gather index for the system's echo-buffer length and
+    fetches the shared weight tensor (in the execution dtype), both
+    through :func:`_tile_tensors`.  This is the expensive step the
     :class:`repro.runtime.cache.PlanCache` amortises across frames and
     across backends.
 

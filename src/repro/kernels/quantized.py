@@ -334,8 +334,9 @@ def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
 
     ``spec`` defaults to the beamformer's own ``quantization`` attribute.
     Delays and weights come from the same tensor builder as
-    :func:`repro.kernels.plan.compile_plan`, which quantises each
-    scanline's rows before rounding the delays into the gather index.
+    :func:`repro.kernels.plan.compile_plan`, which quantises each delay
+    block before rounding it into the gather index and shares the
+    quantised weight tensor between plans of one geometry.
 
     ``tile`` compiles the segment for one
     :class:`repro.kernels.tiling.Tile` only (``None``: the whole grid);

@@ -26,7 +26,7 @@ that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``):
 
 Bit-identity with untiled execution is structural, and pinned by the
 conformance matrix and ``tests/test_property_tiling.py``: every plan's
-tensors come from one per-scanline builder, every dtype/quantisation
+tensors come from one flat-range builder, every dtype/quantisation
 coercion is elementwise, and every focal point's gather/weight/sum is
 independent of its neighbours — so a tile's rows are exact row slices of
 the one-tile result.

@@ -26,17 +26,20 @@ from typing import Any
 import numpy as np
 
 from ..config import SystemConfig
+from ..core.bulk import BulkDelayProviderMixin
 from ..geometry.volume import FocalGrid
 from .transmit import TransmitEvent
 
 
 @dataclass(frozen=True, eq=False)
-class TransmitAdjustedProvider:
+class TransmitAdjustedProvider(BulkDelayProviderMixin):
     """A delay provider with its transmit leg swapped for a scheme event.
 
     Satisfies the full :class:`repro.beamformer.das.DelayProvider`
-    protocol, so it drops into the classic per-scanline path, plan
-    compilation and every runtime backend unchanged.  Identity equality
+    protocol (``volume_delays_samples`` from the bulk mixin, over its own
+    :meth:`tile_delays_samples`), so it drops into the classic
+    per-scanline path, plan compilation and every runtime backend
+    unchanged.  Identity equality
     (``eq=False``), like the architecture providers it wraps; plan-level
     identity lives in :attr:`design`.
     """
@@ -113,16 +116,16 @@ class TransmitAdjustedProvider:
         points = self.grid.scanline_points(i_theta, i_phi)
         return base + self.transmit_correction_samples(points)[:, None]
 
+    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)``: the base's bulk
+        rows plus one transmit correction over the range's points."""
+        base = self.base.tile_delays_samples(start, stop)
+        points = self.grid.range_points(start, stop)
+        return base + self.transmit_correction_samples(points)[:, None]
+
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for a grid nappe, shape ``(n_theta, n_phi, n_elements)``."""
         base = self.base.nappe_delays_samples(i_depth)
         points = self.grid.nappe_points(i_depth)
-        correction = self.transmit_correction_samples(points.reshape(-1, 3))
-        return base + correction.reshape(points.shape[:-1])[..., None]
-
-    def volume_delays_samples(self) -> np.ndarray:
-        """Delays for the whole grid, ``(n_theta, n_phi, n_depth, n_elements)``."""
-        base = np.asarray(self.base.volume_delays_samples())
-        points = self.grid.all_points()
         correction = self.transmit_correction_samples(points.reshape(-1, 3))
         return base + correction.reshape(points.shape[:-1])[..., None]

@@ -13,7 +13,9 @@ from repro.core.tablesteer import (
     lagrange_error_bound_seconds,
     _nearest_index,
 )
-from repro.geometry.coordinates import spherical_to_cartesian
+from repro.fixedpoint.quantize import quantize
+from repro.geometry.coordinates import cartesian_to_spherical, \
+    spherical_to_cartesian
 
 
 class TestNearestIndex:
@@ -222,3 +224,77 @@ class TestErrorBounds:
 
     def test_lagrange_bound_positive(self, paper):
         assert lagrange_error_bound_seconds(paper) > 0
+
+
+# ------------------------------------------------ vectorised grid methods
+def _loop_plane(generator, i_theta, i_phi):
+    """One correction plane, as the per-scanline datapath forms it."""
+    x_term = generator.corrections.x_terms[:, i_theta, i_phi]
+    y_term = generator.corrections.y_terms[:, i_phi]
+    if generator.design.is_fixed_point:
+        _ref_fmt, corr_fmt = generator.design.formats()
+        x_term, y_term = quantize(x_term, corr_fmt), quantize(y_term, corr_fmt)
+    return x_term[:, None] + y_term[None, :]
+
+
+def _loop_reference(generator, i_depth):
+    """One reference slice, read from the stored quadrant by symmetry."""
+    quadrant = generator._reference_fixed if generator.design.is_fixed_point \
+        else generator.reference.quadrant
+    sliced = quadrant[:, :, int(i_depth)]
+    return sliced[generator.reference.quadrant_x_index][
+        :, generator.reference.quadrant_y_index]
+
+
+def _loop_point(generator, i_theta, i_phi, i_depth):
+    return (_loop_reference(generator, i_depth)
+            + _loop_plane(generator, i_theta, i_phi)).ravel()
+
+
+@pytest.mark.parametrize("total_bits", [13, 14, 18, None])
+class TestVectorisedGridMethods:
+    """``delays_samples`` (one indexed gather) and ``nappe_delays_samples``
+    (one broadcast add) reproduce the per-point / per-scanline loops they
+    replaced, bit for bit, for every paper width and the float design."""
+
+    def test_delays_samples_match_point_loop(self, tiny, total_bits):
+        generator = TableSteerDelayGenerator.from_config(
+            tiny, TableSteerConfig(total_bits=total_bits))
+        grid = generator.grid
+        rng = np.random.default_rng(total_bits or 0)
+        on_grid = grid.all_points().reshape(-1, 3)[
+            rng.integers(0, grid.point_count, 120)]
+        points = np.concatenate(
+            [on_grid, on_grid + rng.normal(scale=1e-3, size=on_grid.shape)])
+        theta, phi, r = cartesian_to_spherical(points)
+        expected = np.stack([
+            _loop_point(generator, a, b, c) for a, b, c in zip(
+                _nearest_index(grid.thetas, theta),
+                _nearest_index(grid.phis, phi),
+                _nearest_index(grid.depths, r))])
+        np.testing.assert_array_equal(generator.delays_samples(points),
+                                      expected)
+        assert generator.delays_samples(np.empty((0, 3))).shape == \
+            (0, tiny.transducer.element_count)
+
+    def test_nappe_matches_scanline_loop(self, tiny, total_bits):
+        generator = TableSteerDelayGenerator.from_config(
+            tiny, TableSteerConfig(total_bits=total_bits))
+        n_theta, n_phi, n_depth = generator.grid.shape
+        for i_depth in (0, n_depth // 2, n_depth - 1):
+            expected = np.stack([
+                np.stack([_loop_point(generator, a, b, i_depth)
+                          for b in range(n_phi)]) for a in range(n_theta)])
+            np.testing.assert_array_equal(
+                generator.nappe_delays_samples(i_depth), expected)
+
+    def test_scanline_and_point_match_loop(self, tiny, total_bits):
+        generator = TableSteerDelayGenerator.from_config(
+            tiny, TableSteerConfig(total_bits=total_bits))
+        n_depth = len(generator.grid.depths)
+        np.testing.assert_array_equal(
+            generator.scanline_delays_samples(5, 2),
+            np.stack([_loop_point(generator, 5, 2, d)
+                      for d in range(n_depth)]))
+        np.testing.assert_array_equal(generator.grid_delay_samples(1, 6, 3),
+                                      _loop_point(generator, 1, 6, 3))

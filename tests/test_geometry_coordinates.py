@@ -13,6 +13,7 @@ from repro.geometry.coordinates import (
     off_axis_angle,
     pairwise_distances,
     spherical_to_cartesian,
+    squared_distances,
 )
 
 
@@ -85,6 +86,24 @@ class TestDistances:
         b = rng.normal(size=(7, 3))
         np.testing.assert_allclose(pairwise_distances(a, b),
                                    pairwise_distances(b, a).T)
+
+    @pytest.mark.parametrize("n_a", [1, 7, 300])
+    def test_per_coordinate_forms_are_bitwise_numpy_reductions(self, rng,
+                                                               n_a):
+        """The per-coordinate sums add the squares in the order
+        ``np.linalg.norm`` / ``np.sum`` reduce a 3-wide axis."""
+        a = rng.normal(size=(n_a, 3)) * 0.03
+        b = rng.normal(size=(64, 3)) * 0.01
+        delta = a[:, None, :] - b[None, :, :]
+        np.testing.assert_array_equal(pairwise_distances(a, b),
+                                      np.linalg.norm(delta, axis=-1))
+        scaled = delta * 20779.2
+        np.testing.assert_array_equal(squared_distances(a, b, 20779.2),
+                                      np.sum(scaled * scaled, axis=-1))
+        cos_angle = np.clip(delta[..., 2] / np.linalg.norm(delta, axis=-1),
+                            -1.0, 1.0)
+        np.testing.assert_array_equal(off_axis_angle(a, b),
+                                      np.arccos(cos_angle))
 
 
 class TestOffAxisAngle:

@@ -69,6 +69,20 @@ class TestPointAccessors:
         np.testing.assert_allclose(all_points[1, 2, :],
                                    tiny_grid.scanline_points(1, 2))
 
+    @pytest.mark.parametrize("grid_name", ["tiny_grid", "small_grid"])
+    def test_range_points_are_scanline_rows_bitwise(self, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        n_theta, n_phi, _ = grid.shape
+        rows = np.concatenate([grid.scanline_points(a, b)
+                               for a in range(n_theta) for b in range(n_phi)])
+        np.testing.assert_array_equal(grid.range_points(0, grid.point_count),
+                                      rows)
+        # Ranges cutting scanlines, single points and empty ranges.
+        for start, stop in ((5, 37), (17, 18), (grid.point_count - 3,
+                                                grid.point_count), (9, 9)):
+            np.testing.assert_array_equal(grid.range_points(start, stop),
+                                          rows[start:stop])
+
     def test_broadside_scanline_lies_on_z_axis_for_odd_grid(self, tiny):
         # Build a grid with odd angular counts so theta = phi = 0 exists.
         system = tiny.with_volume(n_theta=5, n_phi=5)

@@ -9,11 +9,22 @@ identical to per-frame execution.
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import re
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.acoustics.phantom import point_target
+from repro.api import EngineSpec, Session
 from repro.architectures import ARCHITECTURES
-from repro.beamformer.das import DelayAndSumBeamformer
+from repro.beamformer.das import ApodizationSettings, DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind, fetch_samples
 from repro.kernels import (
     TOLERANCES,
@@ -27,8 +38,10 @@ from repro.kernels import (
     gather_interp,
     plan_key,
     plan_storage_bytes,
+    receive_weights,
     resolve_precision,
 )
+from repro.kernels import plan as plan_module
 from repro.kernels.compiled import numba_available
 from repro.kernels.tiling import Tile
 from repro.scenarios import TransmitAdjustedProvider, TransmitEvent
@@ -330,3 +343,151 @@ class TestPlanExecution:
         assert isinstance(plan, BeamformingPlan)
         with pytest.raises(AttributeError):
             plan.precision = Precision.FLOAT32   # frozen
+
+
+# ------------------------------------------------- shared receive weights
+def _segments(service) -> list:
+    """Every segment plan of a service's engine (compiling on first use),
+    firing by firing."""
+    plans = []
+    for backend in service._engine.backends:
+        tiled = backend.plan()
+        plans += [tiled.segment(tile) for tile in tiled.planner.tiles()]
+    return plans
+
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestSharedReceiveWeights:
+    def test_architectures_and_firings_share_one_tensor(self, tiny):
+        spec = EngineSpec(system=tiny, backend="vectorized",
+                          scheme="planewave", scheme_options={"n_angles": 2})
+        with Session(spec) as session:
+            plans = [plan for architecture in ("exact", "tablesteer")
+                     for plan in _segments(
+                         session.service(architecture=architecture))]
+        assert len({plan.key for plan in plans}) == 4
+        assert all(plan.weights is plans[0].weights for plan in plans)
+        assert not plans[0].weights.flags.writeable
+
+    def test_evicted_segments_recompile_without_rebuilding_weights(
+            self, small, monkeypatch):
+        """Under the 32M budget every frame evicts and recompiles a
+        segment; the beamformer's hold on its tensors keeps the memo warm,
+        so the weights builder runs for the first frame only."""
+        calls = []
+        build = DelayAndSumBeamformer.weights_for_points
+
+        def counting(self, points):
+            calls.append(len(points))
+            return build(self, points)
+
+        monkeypatch.setattr(DelayAndSumBeamformer, "weights_for_points",
+                            counting)
+        # An apodization no other test compiles with: a cold memo.
+        spec = EngineSpec(system=small, architecture="tablesteer",
+                          backend="vectorized", memory_budget_bytes="32M",
+                          apodization=ApodizationSettings(
+                              directivity_rolloff=0.11))
+        with Session(spec) as session:
+            service = session.service()
+            target = point_target(depth=float(session.grid.depths[20]))
+            service.submit_frame(target)
+            built, before = sum(calls), session.cache.stats
+            for _ in range(2):
+                service.submit_frame(target)
+            after = session.cache.stats
+        assert built == small.volume.focal_point_count
+        assert after.misses - before.misses == 4
+        assert after.evictions > before.evictions
+        assert sum(calls) == built
+
+    def test_memo_entries_die_with_their_engines(self, tiny):
+        """Bounded state: once every engine and cache holding a tensor is
+        dropped, its weak memo entry is gone."""
+        apodization = ApodizationSettings(directivity_rolloff=0.07)
+        before = set(plan_module._WEIGHTS.keys())
+        session = Session(EngineSpec(system=tiny, backend="vectorized",
+                                     apodization=apodization,
+                                     scheme="planewave",
+                                     scheme_options={"n_angles": 2}))
+        for architecture in ("exact", "tablefree"):
+            _segments(session.service(architecture=architecture))
+        ours = set(plan_module._WEIGHTS.keys()) - before
+        assert ours and all(repr(apodization) in key for key in ours)
+        session.close()
+        del session
+        gc.collect()
+        assert not set(plan_module._WEIGHTS.keys()) - before
+
+    @pytest.mark.parametrize("family", ["float", "quantized", "compiled"])
+    def test_execution_leaves_the_shared_tensor_untouched(
+            self, tiny, tiny_channel_data, monkeypatch, family):
+        if family == "compiled" and not numba_available():
+            # The un-jitted kernel bodies stand in for numba's.
+            from repro.kernels import compiled
+            monkeypatch.setattr(compiled, "NUMBA_AVAILABLE", True)
+            monkeypatch.setitem(compiled._JITTED, False,
+                                compiled._KERNEL_BODIES)
+        beamformer = DelayAndSumBeamformer(
+            tiny, ARCHITECTURES.create("tablesteer", tiny),
+            quantization=18 if family == "quantized" else None)
+        plan = compile_plan(beamformer, tile=Tile(0, 16, 48),
+                            variant="compiled" if family == "compiled"
+                            else None)
+        digest = _digest(plan.weights)
+        plan.execute(tiny_channel_data)
+        plan.execute_batch([tiny_channel_data, tiny_channel_data.samples])
+        assert _digest(plan.weights) == digest
+
+
+def test_plan_builder_makes_no_scanline_calls():
+    source = Path(plan_module.__file__).read_text()
+    for method in ("scanline_delays_samples", "weights_for_scanline"):
+        assert not re.search(rf"\b{method}\s*\(", source), method
+
+
+@pytest.mark.parametrize("architecture", ["exact", "tablefree", "tablesteer"])
+def test_compile_transients_stay_block_sized(small, architecture):
+    """Compiling a one-tile ``small`` plan holds the plan plus block-sized
+    transients only — no whole-tile delay or weight temporary."""
+    beamformer = DelayAndSumBeamformer(
+        small, ARCHITECTURES.create(architecture, small),
+        # A cold weights memo, so the tensor is built under the trace.
+        apodization=ApodizationSettings(
+            directivity_rolloff=0.2 + 0.01 * len(architecture)))
+    tracemalloc.start()
+    try:
+        plan = compile_plan(beamformer, tile=Tile(0, 0, small.volume
+                                                  .focal_point_count))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - plan.nbytes < 16 * 2**20
+
+
+def test_racing_builds_share_one_tensor(tiny):
+    """Threads (more than cores) racing to build the same ranges all get
+    the one stored tensor: a lost update would hand out two arrays."""
+    apodization = ApodizationSettings(directivity_rolloff=0.05)
+    provider = ARCHITECTURES.create("exact", tiny)
+    beamformers = [DelayAndSumBeamformer(tiny, provider,
+                                         apodization=apodization)
+                   for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(beamformers)) as pool:
+            for stop in (16, 48, 160, 1024):
+                barrier = threading.Barrier(len(beamformers))
+
+                def build(beamformer, stop=stop, barrier=barrier):
+                    barrier.wait(timeout=30)
+                    return receive_weights(beamformer, 0, stop, np.float64)
+
+                tensors = list(pool.map(build, beamformers, timeout=60))
+                assert all(tensor is tensors[0] for tensor in tensors)
+    finally:
+        sys.setswitchinterval(interval)
