@@ -7,8 +7,9 @@ segments for the paper's argument range (Section IV-B / Fig. 2).
 
 Two evaluation strategies are provided:
 
-* :meth:`PiecewiseSqrt.evaluate` — find the segment by binary search; this is
-  what a naive implementation would do for every sample.
+* :meth:`PiecewiseSqrt.evaluate` — find the segment with a direct-mapped
+  table indexed by the argument's exponent and top mantissa bits, plus at
+  most one compare-and-step (the same segment a binary search finds).
 * :class:`IncrementalSqrtEvaluator` — track the active segment incrementally,
   exploiting the paper's observation that the square-root argument changes
   only slightly between consecutive focal points, so the correct segment is
@@ -25,6 +26,7 @@ argument range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +86,50 @@ def _widest_segment_end(a: float, x_max: float, delta: float) -> float:
     return lo
 
 
+#: Largest ``k`` (table bins per octave ``2**k``) :func:`_segment_table`
+#: tries; a segmentation needing finer bins falls back to binary search.
+MAX_TABLE_BITS = 6
+
+
+def _segment_table(breakpoints: np.ndarray
+                   ) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Direct-mapped segment lookup for increasing float64 breakpoints.
+
+    Clamped to the domain, the segment of ``x`` is the number of interior
+    breakpoints (all but the first and last) at or below ``x``.  The int64
+    view of a float64 shifted right by ``52 - k`` keeps its sign, exponent
+    and top ``k`` mantissa bits: a bin number, monotonic in ``x`` for
+    ``x >= 0``, with ``2**k`` bins per octave.  ``k`` is the smallest
+    value for which no bin holds two interior breakpoints.  The table has
+    one entry per possible bin (``2**(12 + k)``, negative bins wrapping
+    to the top half as ``take`` indexes them), so a lookup needs no
+    clamp.  Entry ``b`` is the segment containing the bin's lower edge and
+    the next interior breakpoint, so one compare (``x >= upper``) steps to
+    the only other segment the bin can reach.  Past the last interior
+    breakpoint the upper bound is NaN, which no compare passes.
+
+    Returns ``(shift, segments, uppers)`` or ``None`` when the interior
+    breakpoints are negative or no ``k <= MAX_TABLE_BITS`` separates them.
+    """
+    interior = breakpoints[1:-1]
+    if np.signbit(interior).any():
+        return None  # the view is monotonic for non-negatives only
+    bits = interior.view(np.int64)
+    for k in range(MAX_TABLE_BITS + 1):
+        shift = 52 - k
+        if np.all(np.diff(bits >> shift) > 0):
+            break
+    else:
+        return None
+    size = 1 << (12 + k)
+    bins = np.arange(size, dtype=np.int64)
+    bins[size // 2:] -= size
+    edges = (bins << shift).view(np.float64)
+    segments = np.searchsorted(interior, edges, side="right")
+    uppers = np.append(interior, np.nan)[segments]
+    return shift, segments, uppers
+
+
 @dataclass(frozen=True)
 class PiecewiseSqrt:
     """A piecewise-linear approximation of ``sqrt`` on ``[x_min, x_max]``.
@@ -104,6 +150,11 @@ class PiecewiseSqrt:
     slopes: np.ndarray
     intercepts: np.ndarray
     delta: float
+
+    @cached_property
+    def _table(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        return _segment_table(
+            np.ascontiguousarray(self.breakpoints, dtype=np.float64))
 
     @classmethod
     def build(cls, x_min: float, x_max: float, delta: float) -> "PiecewiseSqrt":
@@ -157,13 +208,24 @@ class PiecewiseSqrt:
         return float(self.breakpoints[-1])
 
     def segment_index(self, x: np.ndarray | float) -> np.ndarray:
-        """Index of the segment containing each ``x`` (clamped to the domain)."""
+        """Index of the segment containing each ``x`` (clamped to the domain).
+
+        Equal to ``clip(searchsorted(breakpoints, x, "right") - 1)`` for
+        every non-NaN ``x``, found by the direct-mapped table of
+        :func:`_segment_table`.
+        """
         x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return np.clip(idx, 0, self.segment_count - 1)
+        if self._table is None:
+            idx = np.searchsorted(self.breakpoints, x, side="right") - 1
+            return np.clip(idx, 0, self.segment_count - 1)
+        shift, segments, uppers = self._table
+        bins = x.view(np.int64) >> shift
+        idx = segments.take(bins)
+        idx += x >= uppers.take(bins)
+        return idx
 
     def evaluate(self, x: np.ndarray | float) -> np.ndarray:
-        """Evaluate the PWL approximation (binary-search segment selection)."""
+        """Evaluate the PWL approximation (table segment selection)."""
         x = np.asarray(x, dtype=np.float64)
         idx = self.segment_index(x)
         return self.slopes[idx] * x + self.intercepts[idx]

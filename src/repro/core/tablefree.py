@@ -27,7 +27,6 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..fixedpoint.format import QFormat, signed, unsigned
-from ..fixedpoint.quantize import quantize
 from ..geometry.coordinates import squared_distances
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
@@ -144,18 +143,35 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
         return tx_sq, rx_sq
 
     def delays_samples(self, points: np.ndarray) -> np.ndarray:
-        """Approximate delays in fractional sample units, shape ``(n_points, n_elements)``."""
-        tx_sq, rx_sq = self._squared_args_samples(points)
-        rx = self.pwl.evaluate(rx_sq)
+        """Approximate delays in fractional sample units, shape ``(n_points, n_elements)``.
+
+        The receive PWL, the transmit add and the fixed-point rounding of
+        the accumulated delay run in place on the squared-argument buffer.
+        This is bit-identical to ``quantize(tx + pwl.evaluate(rx_sq),
+        unsigned(delay_index_bits, fraction))`` because every term is
+        >= 0: slopes are positive, intercepts are unsigned when quantised
+        and a minimax intercept is >= sqrt(a)/2 when not, and squared
+        arguments are non-negative.  On a non-negative total the
+        quantiser's round-half-away is ``floor(s + 0.5)``, no -0.0 can
+        arise, and the saturating clip only has its upper bound to apply.
+        """
+        tx_sq, total = self._squared_args_samples(points)
+        pwl = self.pwl
+        idx = pwl.segment_index(total)
+        total *= pwl.slopes.take(idx)
+        total += pwl.intercepts.take(idx)
         if self.design.approximate_transmit:
-            tx = self.pwl.evaluate(tx_sq)
+            total += pwl.evaluate(tx_sq)[:, None]
         else:
-            tx = np.sqrt(tx_sq)
-        total = tx[:, None] + rx
+            total += np.sqrt(tx_sq)[:, None]
         fraction = self.design.delay_fraction_bits
         if fraction is not None and fraction >= 0:
             accumulate_fmt = unsigned(self.system.delay_index_bits, fraction)
-            total = quantize(total, accumulate_fmt)
+            total *= 2.0 ** fraction
+            total += 0.5
+            np.floor(total, out=total)
+            np.minimum(total, accumulate_fmt.max_raw, out=total)
+            total *= accumulate_fmt.resolution
         return total
 
     def delay_indices(self, points: np.ndarray) -> np.ndarray:

@@ -10,13 +10,16 @@
 2. With a store and ``resume=True``, cells whose key is already complete
    in the store are *skipped* — their artifacts are read back instead
    (``sweep_cells_cached_total``).  ``overwrite=True`` forces recompute.
-3. Pending cells execute either in-process (``workers=1``, sharing
-   firings per scenario x scheme and one delay provider per architecture,
-   exactly like the historical ``Session._run_sweep_grid``) or across
-   ``repro.runtime.mp`` spawn workers (``workers>1``), each worker
-   handling whole (scenario, scheme, architecture) groups so the
-   firings/provider sharing — and therefore bit-identity with serial
-   execution — is preserved inside every group.
+3. Pending cells run *plan-major*, one (scheme, architecture) group at a
+   time, through :func:`run_group`: a group's plans are compiled for its
+   first scenario, reused by every other scenario of the scheme, then
+   left for the plan cache's LRU to evict, so the cache only has to hold
+   one group's working set (``max(firing_count)`` plans), not the whole
+   grid's.  ``workers=1`` loops :func:`run_group` in-process, keeping
+   the current scheme's firings and one delay provider per architecture;
+   ``workers>1`` hands each group to a ``repro.runtime.mp`` spawn worker
+   (:func:`repro.sweep.worker.run_cell_group`) that rebuilds the session
+   and calls the same function.
 4. Results always come back in grid order as the same
    ``{(scenario, scheme, architecture[, backend]): {"volume", "metrics"}}``
    mapping ``Session.sweep`` has always produced; cached, serial and
@@ -32,7 +35,7 @@ pools) stayed alive in ``Session._owned`` until session close.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, TYPE_CHECKING
+from typing import Any, Iterator, TYPE_CHECKING
 
 from ..api.specs import ScanSpec, SweepSpec
 from ..kernels.plan import plan_storage_bytes
@@ -43,7 +46,8 @@ from .store import SweepStore
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.session import Session
 
-__all__ = ["SweepExecutor", "acquire_cell_inputs", "execute_cell"]
+__all__ = ["SweepExecutor", "acquire_cell_inputs", "execute_cell",
+           "run_group"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,42 @@ def execute_cell(session: "Session", sweep: SweepSpec, scenario: str,
         cell["metrics"] = score_volume(session.system, volume,
                                        scenario=scenario, options=options)
     return cell, provider
+
+
+def run_group(session: "Session", sweep: SweepSpec, scheme: str,
+              architecture: str, cells: list[tuple[str, str]],
+              providers: dict[str, Any], store: SweepStore | None,
+              inputs: dict[str, tuple[list, Any]]
+              ) -> Iterator[tuple[str, str, dict]]:
+    """Compute one (scheme, architecture) group; yields each finished cell.
+
+    ``cells`` are the group's pending ``(scenario, backend)`` pairs in grid
+    order.  Every scenario shares the group's plans (they are phantom- and
+    backend-independent), so the plans compile for the first scenario and
+    are cache hits for the rest.  Each scenario's firings are acquired
+    once into ``inputs`` (pass the same dict to every architecture of a
+    scheme to share them), the architecture's delay provider is taken from
+    and kept in ``providers``, and each cell is written to ``store`` (if
+    any) under its unchanged key as soon as it is computed, before
+    ``(scenario, backend, cell_dict)`` is yielded.
+    """
+    for scenario, backend in cells:
+        if scenario not in inputs:
+            inputs[scenario] = acquire_cell_inputs(session, sweep,
+                                                   scenario, scheme)
+        firings, options = inputs[scenario]
+        with session.tracer.span("cell", scenario=scenario, scheme=scheme,
+                                 architecture=architecture, backend=backend,
+                                 cached=False):
+            result, providers[architecture] = execute_cell(
+                session, sweep, scenario, scheme, architecture, backend,
+                firings, options, providers.get(architecture))
+        if store is not None:
+            spec = resolved_cell_spec(session.spec, sweep, scenario, scheme,
+                                      architecture, backend)
+            store.write(cell_key(spec), result["volume"],
+                        result.get("metrics"), spec)
+        yield scenario, backend, result
 
 
 class SweepExecutor:
@@ -200,17 +240,14 @@ class SweepExecutor:
     def _run_cells(self, sweep: SweepSpec, cells: list[_Cell],
                    architectures: tuple[str, ...]) -> dict[tuple, dict]:
         session = self.session
-        # The grid's whole plan working set is sum(firings) x architectures
-        # (plans are phantom- and backend-independent); reserving it up
-        # front lets later scenarios reuse every plan instead of evicting
-        # and recompiling the previous cell's event bank.  Under a byte
-        # budget the count cannot be honoured, so the working-set byte
-        # figure rides along and PlanCache.reserve warns when it exceeds
-        # the budget (possible segment thrash) instead of staying silent.
-        firing_total = sum(
-            session._resolve_scheme_variant(s, None).firing_count
-            for s in sweep.schemes)
-        slots = firing_total * len(architectures)
+        # Cells run plan-major (see run_group), so the working set is one
+        # (scheme, architecture) group's plans: the largest scheme's firing
+        # count.  Under a byte budget the count cannot be honoured, so the
+        # working-set byte figure rides along and PlanCache.reserve warns
+        # when it exceeds the budget (possible segment thrash) instead of
+        # staying silent.
+        slots = max(session._resolve_scheme_variant(s, None).firing_count
+                    for s in sweep.schemes)
         per_plan = plan_storage_bytes(
             session.grid.point_count, session.transducer.element_count,
             session.spec.precision, session.spec.interpolation)
@@ -219,13 +256,21 @@ class SweepExecutor:
         cached = set()
         if self.store is not None and not self.overwrite and self.resume:
             cached = {cell for cell in cells if cell.store_key in self.store}
-        pending = [cell for cell in cells if cell not in cached]
+        # Pending cells by (scheme, architecture) group, groups in grid
+        # order and cells in grid order within each group.
+        groups: dict[tuple[str, str], list[_Cell]] = {
+            (scheme, architecture): []
+            for scheme in sweep.schemes for architecture in architectures}
+        for cell in cells:
+            if cell not in cached:
+                groups[(cell.scheme, cell.architecture)].append(cell)
+        groups = {key: group for key, group in groups.items() if group}
         computed: dict[tuple, dict] = {}
-        if pending:
+        if groups:
             if self.workers > 1:
-                self._run_parallel(sweep, pending)
+                self._run_parallel(sweep, groups)
             else:
-                self._run_serial(sweep, pending, computed)
+                self._run_serial(sweep, groups, computed)
 
         results: dict[tuple, dict] = {}
         self.statuses = {}
@@ -250,74 +295,55 @@ class SweepExecutor:
         return results
 
     # -------------------------------------------------------------- serial
-    def _run_serial(self, sweep: SweepSpec, pending: list[_Cell],
+    def _run_serial(self, sweep: SweepSpec,
+                    groups: dict[tuple[str, str], list[_Cell]],
                     computed: dict[tuple, dict]) -> None:
-        session = self.session
         # One delay provider per architecture for the *whole* grid: the
         # provider is scheme-independent (the per-firing engines wrap it
-        # per event), so rebuilding it per scenario x scheme cell would
-        # repeat the most expensive step.
+        # per event), so rebuilding it per group would repeat the most
+        # expensive step.  Firings are kept for the current scheme only.
         providers: dict[str, Any] = {}
-        groups: dict[tuple[str, str], list[_Cell]] = {}
-        for cell in pending:
-            groups.setdefault((cell.scenario, cell.scheme), []).append(cell)
-        for (scenario, scheme), group in groups.items():
-            firings, options = acquire_cell_inputs(session, sweep,
-                                                   scenario, scheme)
-            for cell in group:
-                with session.tracer.span("cell", scenario=cell.scenario,
-                                         scheme=cell.scheme,
-                                         architecture=cell.architecture,
-                                         backend=cell.backend, cached=False):
-                    try:
-                        result, provider = execute_cell(
-                            session, sweep, cell.scenario, cell.scheme,
-                            cell.architecture, cell.backend, firings,
-                            options, providers.get(cell.architecture))
-                    except BaseException:
-                        self._failed.inc()
-                        raise
-                    providers[cell.architecture] = provider
-                if self.store is not None:
-                    self.store.write(
-                        cell.store_key, result["volume"],
-                        result.get("metrics"),
-                        resolved_cell_spec(session.spec, sweep,
-                                           cell.scenario, cell.scheme,
-                                           cell.architecture, cell.backend))
-                computed[cell.result_key] = result
-                self._completed.inc()
+        inputs: dict[str, tuple[list, Any]] = {}
+        current = None
+        for (scheme, architecture), group in groups.items():
+            if scheme != current:
+                current, inputs = scheme, {}
+            by_pair = {(cell.scenario, cell.backend): cell for cell in group}
+            try:
+                for scenario, backend, result in run_group(
+                        self.session, sweep, scheme, architecture,
+                        list(by_pair), providers, self.store, inputs):
+                    computed[by_pair[(scenario, backend)].result_key] = result
+                    self._completed.inc()
+            except BaseException:
+                self._failed.inc()
+                raise
 
     # ------------------------------------------------------------ parallel
-    def _run_parallel(self, sweep: SweepSpec, pending: list[_Cell]) -> None:
-        """Dispatch pending cells to spawn workers, results via the store.
+    def _run_parallel(self, sweep: SweepSpec,
+                      groups: dict[tuple[str, str], list[_Cell]]) -> None:
+        """Dispatch each group to a spawn worker, results via the store.
 
-        Work units are whole (scenario, scheme, architecture) groups: each
-        worker acquires the group's firings once and shares one delay
-        provider across its backends — the same sharing a serial run does
-        inside the group, so worker output is bit-identical to serial
-        (acquisition and provider construction are deterministic).
+        The work unit is the serial path's (scheme, architecture) group:
+        the worker rebuilds the session and calls :func:`run_group`, so it
+        compiles each of the group's plans once for all its scenarios.
+        Worker output is bit-identical to serial because acquisition and
+        provider construction are deterministic in the specs.
         """
         from ..runtime.mp import spawn_context
         from .worker import run_cell_group
 
-        session = self.session
-        engine_json = session.spec.to_json(indent=None)
+        engine_json = self.session.spec.to_json(indent=None)
         sweep_json = sweep.to_json(indent=None)
-        groups: dict[tuple[str, str, str], list[str]] = {}
-        for cell in pending:
-            groups.setdefault(
-                (cell.scenario, cell.scheme, cell.architecture),
-                []).append(cell.backend)
         jobs = [(engine_json, sweep_json, str(self.store.root),
-                 scenario, scheme, architecture, backends)
-                for (scenario, scheme, architecture), backends
-                in groups.items()]
+                 scheme, architecture,
+                 tuple((cell.scenario, cell.backend) for cell in group))
+                for (scheme, architecture), group in groups.items()]
         ctx = spawn_context()
         pool = ctx.Pool(processes=min(self.workers, len(jobs)))
         try:
-            for keys_done in pool.imap_unordered(run_cell_group, jobs):
-                self._completed.inc(len(keys_done))
+            for done in pool.imap_unordered(run_cell_group, jobs):
+                self._completed.inc(len(done))
         except BaseException:
             self._failed.inc()
             raise

@@ -1,16 +1,17 @@
-"""Spawn-worker entry point for parallel sweep cell dispatch.
+"""Spawn-worker entry point for parallel sweep dispatch.
 
 :func:`run_cell_group` is the picklable function
 :meth:`repro.sweep.SweepExecutor._run_parallel` maps over a
-``repro.runtime.mp`` spawn pool.  Each job is one whole
-(scenario, scheme, architecture) group of the grid: the worker rebuilds
-the session from the engine spec's JSON (specs are the portability
-boundary — exactly what they exist for), re-acquires the group's firings
-once, shares one delay provider across the group's backends, computes
-every cell and writes its artifact into the shared
-:class:`repro.sweep.SweepStore`.  The *keys* travel back through the
-pool; the *results* travel through the store — no volume ever crosses
-the pickle boundary.
+``repro.runtime.mp`` spawn pool.  Each job is one (scheme, architecture)
+group of the grid — the same unit the serial path runs: the worker
+rebuilds the session from the engine spec's JSON (specs are the
+portability boundary — exactly what they exist for) and calls
+:func:`repro.sweep.executor.run_group`, which acquires each scenario's
+firings once, compiles the group's plans once for all its scenarios and
+writes every cell's artifact into the shared
+:class:`repro.sweep.SweepStore`.  Only the finished cells' names travel
+back through the pool; the *results* travel through the store — no
+volume ever crosses the pickle boundary.
 
 Bit-identity with serial execution holds because every step is
 deterministic in the specs: the phantom is built from the scenario
@@ -23,41 +24,25 @@ in memory.  The conformance suite pins this.
 from __future__ import annotations
 
 from ..api.specs import EngineSpec, SweepSpec
-from .executor import acquire_cell_inputs, execute_cell
-from .hashing import cell_key, resolved_cell_spec
+from .executor import run_group
 from .store import SweepStore
 
 __all__ = ["run_cell_group"]
 
 
-def run_cell_group(job: tuple) -> list[str]:
-    """Compute one (scenario, scheme, architecture) group; returns the keys.
+def run_cell_group(job: tuple) -> list[tuple[str, str]]:
+    """Compute one (scheme, architecture) group; returns its finished cells.
 
-    ``job`` is ``(engine_json, sweep_json, store_root, scenario, scheme,
-    architecture, backends)`` — plain strings and tuples only, so the
+    ``job`` is ``(engine_json, sweep_json, store_root, scheme,
+    architecture, cells)`` with ``cells`` the group's pending
+    ``(scenario, backend)`` pairs — plain strings and tuples only, so the
     payload pickles under the spawn start method without importing
     anything session-shaped in the parent's address space.
     """
-    (engine_json, sweep_json, store_root,
-     scenario, scheme, architecture, backends) = job
+    engine_json, sweep_json, store_root, scheme, architecture, cells = job
     from ..api.session import Session
 
-    engine = EngineSpec.from_json(engine_json)
-    sweep = SweepSpec.from_json(sweep_json)
-    store = SweepStore(store_root)
-    written: list[str] = []
-    with Session(engine) as session:
-        firings, options = acquire_cell_inputs(session, sweep,
-                                               scenario, scheme)
-        provider = None
-        for backend in backends:
-            result, provider = execute_cell(
-                session, sweep, scenario, scheme, architecture, backend,
-                firings, options, provider)
-            spec_echo = resolved_cell_spec(engine, sweep, scenario, scheme,
-                                           architecture, backend)
-            key = cell_key(spec_echo)
-            store.write(key, result["volume"], result.get("metrics"),
-                        spec_echo)
-            written.append(key)
-    return written
+    with Session(EngineSpec.from_json(engine_json)) as session:
+        return [(scenario, backend) for scenario, backend, _ in run_group(
+            session, SweepSpec.from_json(sweep_json), scheme, architecture,
+            cells, {}, SweepStore(store_root), {})]

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.analysis.accuracy import sample_volume_points
+from repro.config import paper_system, small_system, tiny_system
+from repro.core.piecewise import PiecewiseSqrt
 from repro.core.tablefree import TableFreeConfig, TableFreeDelayGenerator
+from repro.fixedpoint.format import unsigned
+from repro.fixedpoint.quantize import quantize
 
 
 class TestConstruction:
@@ -125,3 +131,86 @@ class TestSegmentTracking:
         xs = np.sort(rng.uniform(0, small_tablefree.pwl.x_max, 200))
         np.testing.assert_allclose(evaluator.evaluate_sequence(xs),
                                    small_tablefree.pwl.evaluate(xs))
+
+
+def _searchsorted_pwl(pwl, x):
+    """PWL evaluation with the binary-search segment index."""
+    idx = np.clip(np.searchsorted(pwl.breakpoints, x, side="right") - 1,
+                  0, pwl.segment_count - 1)
+    return pwl.slopes[idx] * x + pwl.intercepts[idx]
+
+
+def _reference_delays(generator, points):
+    """The datapath as separate passes: PWL terms, add, then the generic
+    round-half-away quantiser of the accumulated delay."""
+    tx_sq, rx_sq = generator._squared_args_samples(points)
+    rx = _searchsorted_pwl(generator.pwl, rx_sq)
+    if generator.design.approximate_transmit:
+        tx = _searchsorted_pwl(generator.pwl, tx_sq)
+    else:
+        tx = np.sqrt(tx_sq)
+    total = tx[:, None] + rx
+    fraction = generator.design.delay_fraction_bits
+    if fraction is not None and fraction >= 0:
+        total = quantize(total, unsigned(generator.system.delay_index_bits,
+                                         fraction))
+    return total
+
+
+class TestFusedDatapath:
+    @pytest.mark.parametrize("preset", ["tiny", "small", "paper"])
+    def test_table_index_equals_searchsorted_on_preset_grid(self, preset):
+        system = {"tiny": tiny_system, "small": small_system,
+                  "paper": paper_system}[preset]()
+        generator = TableFreeDelayGenerator.from_config(system)
+        if preset == "paper":  # 16M points x 10k elements: sample it
+            points = sample_volume_points(system, max_points=40)
+        else:
+            points = generator.grid.range_points(0, generator.grid.point_count)
+        tx_sq, rx_sq = generator._squared_args_samples(points)
+        pwl = generator.pwl
+        assert pwl._table is not None
+        for args in (rx_sq, tx_sq):
+            expected = np.clip(
+                np.searchsorted(pwl.breakpoints, args, side="right") - 1,
+                0, pwl.segment_count - 1)
+            np.testing.assert_array_equal(pwl.segment_index(args), expected)
+
+    @pytest.mark.parametrize("design", [
+        TableFreeConfig(),
+        TableFreeConfig(approximate_transmit=False),
+        TableFreeConfig(quantize_coefficients=False),
+        TableFreeConfig(delay_fraction_bits=None),
+        TableFreeConfig(delay_fraction_bits=0),
+        TableFreeConfig(delta=0.1, delay_fraction_bits=3),
+    ], ids=["default", "exact_transmit", "float_coefficients",
+            "no_rounding", "integer_rounding", "fine"])
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    def test_tile_rows_bit_identical_to_separate_passes(self, preset,
+                                                        design):
+        system = tiny_system() if preset == "tiny" else small_system()
+        generator = TableFreeDelayGenerator.from_config(system, design)
+        stop = min(generator.grid.point_count, 2048)
+        delays = generator.tile_delays_samples(0, stop)
+        expected = _reference_delays(generator,
+                                     generator.grid.range_points(0, stop))
+        np.testing.assert_array_equal(delays, expected)
+        assert not np.signbit(delays).any()
+
+    @pytest.mark.parametrize("lsb_halves", [1, 3, 5, 8191])
+    def test_rounding_ties_go_away_from_zero(self, tiny_tablefree,
+                                             lsb_halves):
+        """Each PWL term is an odd number of quarter LSBs, so every
+        accumulated delay is an exact tie, which the quantiser rounds away
+        from zero (not to even)."""
+        fraction = tiny_tablefree.design.delay_fraction_bits
+        c0 = lsb_halves * 2.0 ** -(fraction + 2)
+        flat = PiecewiseSqrt(breakpoints=np.array([0.0, 1e12]),
+                             slopes=np.zeros(1), intercepts=np.array([c0]),
+                             delta=1.0)
+        generator = dataclasses.replace(tiny_tablefree, pwl=flat)
+        delays = generator.tile_delays_samples(0, 64)
+        expected = _reference_delays(generator,
+                                     generator.grid.range_points(0, 64))
+        np.testing.assert_array_equal(delays, expected)
+        assert np.all(delays == (lsb_halves + 1) // 2 * 2.0 ** -fraction)

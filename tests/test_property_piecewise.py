@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.piecewise import IncrementalSqrtEvaluator, PiecewiseSqrt, minimax_linear_sqrt
+from repro.fixedpoint.format import signed, unsigned
 from repro.geometry.coordinates import cartesian_to_spherical, spherical_to_cartesian
 
 
@@ -71,6 +72,47 @@ class TestPiecewiseProperties:
         fine = PiecewiseSqrt.build(0.0, x_max, delta_small)
         coarse = PiecewiseSqrt.build(0.0, x_max, delta_large)
         assert fine.segment_count >= coarse.segment_count
+
+
+def searchsorted_segment(pwl: PiecewiseSqrt, x: np.ndarray) -> np.ndarray:
+    """The binary-search segment index the lookup table replaces."""
+    idx = np.searchsorted(pwl.breakpoints, x, side="right") - 1
+    return np.clip(idx, 0, pwl.segment_count - 1)
+
+
+class TestSegmentTable:
+    @given(x_max=st.floats(min_value=1.0, max_value=2e7, allow_nan=False),
+           delta=st.floats(min_value=0.1, max_value=2.0, allow_nan=False),
+           start=st.sampled_from([0.0, 0.01, 0.5]),
+           quantized=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_table_index_equals_searchsorted_at_every_breakpoint(
+            self, x_max, delta, start, quantized):
+        """At, and one ulp either side of, every breakpoint, plus zero,
+        values below the domain and values past ``x_max``."""
+        pwl = PiecewiseSqrt.build(start * x_max, x_max, delta)
+        if quantized:
+            pwl = pwl.quantized(signed(3, 26), unsigned(13, 8))
+        assert pwl._table is not None  # the table, not the fallback
+        bp = pwl.breakpoints
+        xs = np.concatenate([
+            bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+            [0.0, -0.0, 5e-324, -1.0, x_max * 1.5, x_max * 1e6, np.inf,
+             -np.inf]])
+        np.testing.assert_array_equal(pwl.segment_index(xs),
+                                      searchsorted_segment(pwl, xs))
+        for x in xs[:4]:  # scalars take the same path
+            assert pwl.segment_index(float(x)) == \
+                searchsorted_segment(pwl, x)
+
+    def test_unseparable_breakpoints_fall_back_to_binary_search(self):
+        bp = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 4.0])
+        pwl = PiecewiseSqrt(breakpoints=bp, slopes=np.ones(3),
+                            intercepts=np.zeros(3), delta=1.0)
+        assert pwl._table is None
+        xs = np.array([-1.0, 0.5, 1.0, bp[2], 3.0, 9.0])
+        np.testing.assert_array_equal(pwl.segment_index(xs),
+                                      searchsorted_segment(pwl, xs))
 
 
 class TestCoordinateProperties:

@@ -16,6 +16,7 @@ from repro.analysis.fixedpoint_impact import kernel_fixed_point_sweep
 from repro.api import EngineSpec, Session, SweepSpec
 from repro.cli import main
 from repro.experiments.e10_imaging import scheme_quality_sweep
+from repro.kernels.plan import plan_storage_bytes
 from repro.runtime.cache import PlanCache
 from repro.scenarios import SCHEMES
 from repro.sweep import (
@@ -226,20 +227,18 @@ class _Interrupted(BaseException):
     """Stand-in for the KeyboardInterrupt that kills a real sweep."""
 
 
-def test_interrupted_sweep_resumes_with_only_remaining_cells(
-        tmp_path, monkeypatch):
-    """Kill after 2 of 4 cells; the rerun computes exactly the other 2 and
-    the merged results are bit-identical to an uninterrupted sweep."""
+def _interrupt_then_resume(tmp_path, monkeypatch, grid: SweepSpec,
+                           survived: int) -> list[str]:
+    """Kill a serial, store-backed sweep as its cell ``survived + 1``
+    starts; the rerun computes exactly the remaining cells and the merged
+    results are bit-identical to an uninterrupted sweep.  Returns the keys
+    the killed run left in the store."""
     import repro.sweep.executor as executor_mod
 
-    grid = SweepSpec(scenarios=("static_point",), schemes=("focused",),
-                     architectures=("exact", "tablefree", "tablesteer"),
-                     backends=("reference", "vectorized"))
     with Session(TINY) as session:
         uninterrupted = session.sweep(spec=grid)
 
     real_execute = executor_mod.execute_cell
-    survived = 2
     calls = {"n": 0}
 
     def dying_execute(*args, **kwargs):
@@ -256,6 +255,7 @@ def test_interrupted_sweep_resumes_with_only_remaining_cells(
             executor.run(grid)
         assert executor.completed == survived
         assert executor.failed == 1
+        assert session.metrics.snapshot()["sweep_cells_failed_total"] == 1
     store = SweepStore(store_dir)
     done = list(store.keys())
     assert len(done) == survived
@@ -277,6 +277,35 @@ def test_interrupted_sweep_resumes_with_only_remaining_cells(
                                       resumed[key]["volume"])
         np.testing.assert_equal(uninterrupted[key]["metrics"],
                                 resumed[key]["metrics"])
+    return done
+
+
+def test_interrupted_sweep_resumes_with_only_remaining_cells(
+        tmp_path, monkeypatch):
+    """Kill after 2 of 6 cells; the rerun computes exactly the other 4 and
+    the merged results are bit-identical to an uninterrupted sweep."""
+    grid = SweepSpec(scenarios=("static_point",), schemes=("focused",),
+                     architectures=("exact", "tablefree", "tablesteer"),
+                     backends=("reference", "vectorized"))
+    _interrupt_then_resume(tmp_path, monkeypatch, grid, survived=2)
+
+
+def test_sweep_interrupted_mid_group_keeps_plan_major_prefix(
+        tmp_path, monkeypatch):
+    """The 4th cell of a 2 x 2 x 2 grid raises inside the second
+    (scheme, architecture) group: the three cells before it, in plan-major
+    order, are durable, and resume completes the grid bit-identically."""
+    grid = SweepSpec(scenarios=("static_point", "cyst"),
+                     schemes=("focused", "planewave"),
+                     architectures=("exact", "tablesteer"))
+    done = _interrupt_then_resume(tmp_path, monkeypatch, grid, survived=3)
+    first = [("static_point", "focused", "exact"),
+             ("cyst", "focused", "exact"),
+             ("static_point", "focused", "tablesteer")]
+    assert set(done) == {
+        cell_key(resolved_cell_spec(TINY, grid, scenario, scheme,
+                                    architecture, TINY.backend))
+        for scenario, scheme, architecture in first}
 
 
 def test_run_sweep_convenience_from_json(tmp_path):
@@ -315,6 +344,47 @@ def test_parallel_dispatch_bit_identical_to_serial(tmp_path):
                                       parallel[key]["volume"])
         np.testing.assert_equal(in_process[key]["metrics"],
                                 parallel[key]["metrics"])
+
+
+GROUPS = SweepSpec(scenarios=("static_point", "cyst"),
+                   schemes=("focused", "planewave"),
+                   architectures=("exact", "tablefree", "tablesteer"))
+
+
+def test_sweep_keeps_one_plan_group_resident():
+    """Plan-major: each plan compiles once, serves both scenarios, and the
+    cache never holds more than one group's plans (or its own capacity)."""
+    with Session(TINY) as session:
+        session.sweep(spec=GROUPS)
+        stats = session.cache.stats
+        firings = [SCHEMES.create(name, session.system).firing_count
+                   for name in GROUPS.schemes]
+        per_plan = plan_storage_bytes(
+            session.grid.point_count, session.transducer.element_count,
+            TINY.precision, TINY.interpolation)
+    assert stats.misses == sum(firings) * len(GROUPS.architectures)
+    assert stats.hits == stats.misses
+    assert stats.peak_bytes <= max(TINY.cache_capacity, max(firings)) \
+        * per_plan
+
+
+@pytest.mark.conformance
+def test_parallel_groups_write_the_serial_store(tmp_path):
+    """workers=2 runs (scheme, architecture) groups of two scenarios each;
+    every volume it stores equals the serial store's."""
+    with Session(TINY) as session:
+        SweepExecutor(session, store=tmp_path / "serial").run(GROUPS)
+    with Session(TINY) as session:
+        executor = SweepExecutor(session, store=tmp_path / "parallel",
+                                 workers=2)
+        executor.run(GROUPS)
+        assert executor.completed == 12 and executor.failed == 0
+    serial = SweepStore(tmp_path / "serial")
+    parallel = SweepStore(tmp_path / "parallel")
+    assert sorted(serial.keys()) == sorted(parallel.keys())
+    for key in serial.keys():
+        np.testing.assert_array_equal(serial.read(key)["volume"],
+                                      parallel.read(key)["volume"])
 
 
 # ------------------------------------------------------- session leak fixes
@@ -490,8 +560,10 @@ def test_sweep_traces_one_simulate_span_per_scenario_and_scheme():
     (sweep,) = session.tracer.find("sweep")
     simulates = [span for span in sweep.children if span.name == "simulate"]
     assert len(session.tracer.find("simulate")) == len(simulates) == 4
+    # Plan-major: each scheme's scenarios are acquired before the next
+    # scheme's, once, and shared by both architectures.
     assert [span.attributes["firings"] for span in simulates] == \
-        [1, planewave.firing_count] * 2
+        [1, 1, planewave.firing_count, planewave.firing_count]
 
 
 # --------------------------------------------------------------------- CLI
