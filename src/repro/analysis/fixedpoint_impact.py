@@ -117,7 +117,8 @@ class KernelFixedPointResult:
     Where :class:`FixedPointImpactResult` Monte-Carlos random delay
     triples, this result comes from compiling the real TABLESTEER delay
     tensors at one representation width into a bit-true
-    :class:`repro.kernels.QuantizedPlan` and comparing its echo-buffer
+    :class:`repro.kernels.BeamformingPlan` (carrying that width's
+    :class:`repro.kernels.QuantizationSpec`) and comparing its echo-buffer
     addressing (and the beamformed volume) against the unquantised
     TABLESTEER plan — the runtime and the experiment share one code path,
     so they cannot drift apart.
@@ -153,8 +154,9 @@ def kernel_fixed_point_sweep(system: SystemConfig | None = None,
 
     For each width the TABLESTEER delay generator is built *at that width*
     (its fixed-point three-value sum is the very datapath the Monte-Carlo
-    models) and compiled into a :class:`repro.kernels.QuantizedPlan` whose
-    delay format matches the width, so the whole engine — delay generation,
+    models) and compiled into a quantized
+    :class:`repro.kernels.BeamformingPlan` whose spec's delay format
+    matches the width, so the whole engine — delay generation,
     echo addressing, weighting and accumulation — is hardware-faithful.
     The unquantised reference is the floating-point TABLESTEER plan (same
     algorithmic far-field approximation, no quantisation), which isolates

@@ -11,7 +11,7 @@ depends only on delay accuracy, not on the generation architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -23,10 +23,8 @@ from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
 from ..kernels.ops import delay_and_sum
 from ..kernels.precision import Precision, resolve_precision
+from ..kernels.quantized import QuantizationSpec
 from .interpolation import InterpolationKind
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from ..kernels.quantized import QuantizationSpec
 
 
 @runtime_checkable
@@ -119,11 +117,6 @@ class DelayAndSumBeamformer:
                  precision: Precision | str | None = None,
                  quantization: "QuantizationSpec | str | int | None" = None
                  ) -> None:
-        # Imported here, not at module top: repro.kernels.quantized builds
-        # on repro.kernels.plan, which imports our sibling interpolation
-        # module — a top-level import would deadlock `import repro.kernels`.
-        from ..kernels.quantized import QuantizationSpec
-
         self.system = system
         self.delays = delays
         self.apodization = apodization or ApodizationSettings()
@@ -203,12 +196,7 @@ class DelayAndSumBeamformer:
     def _sum_with_delays(self, channel_data: ChannelData,
                          delays_samples: np.ndarray,
                          weights: np.ndarray) -> np.ndarray:
-        if self.quantization is not None:
-            from ..kernels.quantized import quantized_delay_and_sum
-            return quantized_delay_and_sum(channel_data.samples,
-                                           delays_samples, weights,
-                                           self.quantization,
-                                           kind=self.interpolation)
         return delay_and_sum(channel_data.samples, delays_samples, weights,
                              kind=self.interpolation,
-                             dtype=self.precision.dtype)
+                             dtype=self.precision.dtype,
+                             quantization=self.quantization)

@@ -29,8 +29,9 @@ def run(system: SystemConfig | None = None,
     Alongside the paper's Monte-Carlo over random delay triples, the same
     bit-width sweep is executed through the bit-true quantized kernel path
     (:func:`repro.analysis.fixedpoint_impact.kernel_fixed_point_sweep`):
-    real TABLESTEER delay tensors at each width, compiled into a
-    ``QuantizedPlan`` and compared against the unquantised plan.  The
+    real TABLESTEER delay tensors at each width, compiled into a plan
+    carrying that width's ``QuantizationSpec`` and compared against the
+    unquantised plan.  The
     kernel sweep runs on a scaled preset (``kernel_system``, default
     ``tiny``) because it compiles full delay tensors; the error trends are
     scale-free.  ``store`` (a :class:`repro.sweep.SweepStore` directory)
@@ -77,7 +78,7 @@ def main(system: SystemConfig | None = None) -> None:
     for entry in result["sweep"]:
         print(f"    {entry['total_bits']:.0f} bits -> "
               f"{100 * entry['affected_fraction']:.2f}% affected")
-    print("  kernel-path sweep (bit-true QuantizedPlan, tiny preset):")
+    print("  kernel-path sweep (bit-true quantized plan, tiny preset):")
     for entry in result["kernel_sweep"]:
         print(f"    {entry['total_bits']:.0f} bits -> "
               f"{100 * entry['affected_fraction']:.2f}% of gather indices "

@@ -9,20 +9,23 @@ every entry point at once.
 
 * :mod:`repro.kernels.ops` — the three primitive kernels
   (:func:`gather_interp`, :func:`apply_weights`, :func:`accumulate`), the
-  precompiled :class:`GatherIndex` addressing and the uncompiled
-  :func:`delay_and_sum` composition.
+  precompiled :class:`GatherIndex` addressing, the uncompiled
+  :func:`delay_and_sum` composition, and the datapath helpers
+  (``coerce_samples``, ``weigh``, ``total``) that are the only code
+  applying a quantization spec at execution time.
 * :mod:`repro.kernels.plan` — :class:`BeamformingPlan`, a frozen artifact
   compiled once per ``(system, architecture, apodization, interpolation,
-  precision)`` and executed per frame / per batch, over the
+  precision, quantization)`` and executed per frame / per batch, over the
   :func:`receive_weights` tensor every plan of one geometry shares.
 * :mod:`repro.kernels.precision` — the :class:`Precision` dtype policy
   (``float64`` exact / ``float32`` fast) with pinned equivalence
   tolerances.
 * :mod:`repro.kernels.quantized` — the bit-true fixed-point execution
   mode: :class:`QuantizationSpec` (per-stage Q-formats + rounding/overflow
-  policy), :class:`QuantizedPlan` and the uncompiled
-  :func:`quantized_delay_and_sum`, modelling the paper's hardware datapath
-  exactly as :mod:`repro.fixedpoint` does.
+  policy).  It rides on the one :class:`BeamformingPlan` (its
+  ``quantization`` field) and on :func:`delay_and_sum` (``quantization=``),
+  modelling the paper's hardware datapath exactly as
+  :mod:`repro.fixedpoint` does.
 * :mod:`repro.kernels.compiled` — the fused Numba-jitted datapath:
   :class:`CompiledPlan` executes the same plan tensors in a single
   gather/weight/accumulate pass per focal point, ``prange``-parallel over
@@ -32,7 +35,7 @@ every entry point at once.
 * :mod:`repro.kernels.tiling` — memory-budgeted tiled execution:
   :class:`TilePlanner` splits any grid into budget-sized :class:`Tile`
   ranges from per-point plan cost, and :class:`TiledPlan` streams per-tile
-  segment plans (NumPy, quantized or compiled) through a byte-budgeted
+  segment plans (NumPy or compiled) through a byte-budgeted
   :class:`repro.runtime.cache.PlanCache` — the software analogue of the
   paper's on-the-fly delay generation (see ``docs/memory.md``).
 """
@@ -60,13 +63,7 @@ from .plan import (
     receive_weights,
 )
 from .precision import TOLERANCES, Precision, Tolerance, resolve_precision
-from .quantized import (
-    QuantizationSpec,
-    QuantizedPlan,
-    compile_quantized_plan,
-    parse_qformat,
-    quantized_delay_and_sum,
-)
+from .quantized import QuantizationSpec, parse_qformat
 from .tiling import Tile, TiledPlan, TilePlanner, parse_memory_budget
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "GatherIndex",
     "Precision",
     "QuantizationSpec",
-    "QuantizedPlan",
     "TOLERANCES",
     "Tile",
     "TilePlanner",
@@ -88,7 +84,6 @@ __all__ = [
     "build_gather_index",
     "compile_compiled_plan",
     "compile_plan",
-    "compile_quantized_plan",
     "delay_and_sum",
     "gather_interp",
     "numba_available",
@@ -96,7 +91,6 @@ __all__ = [
     "parse_qformat",
     "plan_key",
     "plan_storage_bytes",
-    "quantized_delay_and_sum",
     "receive_weights",
     "resolve_precision",
 ]

@@ -42,9 +42,10 @@ practice the volumes agree to ~1e-13 of peak).  ``fastmath=True`` lets LLVM
 reassociate that sum for SIMD speed and therefore *forfeits* the tolerance
 pin — it is off by default and plans built with it get their own cache key.
 
-The quantized datapath (:class:`repro.kernels.quantized.QuantizedPlan`)
-stays on the NumPy plan; the ``compiled`` backend rejects quantized engines
-explicitly rather than silently skipping the per-element rounding stages.
+A plan carrying a :class:`repro.kernels.quantized.QuantizationSpec` stays
+on the NumPy execute loop, whose datapath helpers apply the per-element
+rounding stages; the ``compiled`` backend rejects quantized engines
+explicitly rather than silently skipping those stages.
 """
 
 from __future__ import annotations

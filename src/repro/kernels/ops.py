@@ -25,6 +25,15 @@ at compile time — the software analogue of the paper's delay table.
 Arithmetic runs in the dtype of ``samples`` (see
 :class:`repro.kernels.precision.Precision`); delays are always rounded in
 ``float64``, so echo addressing is precision-independent.
+
+Fixed point is the same datapath with rounding steps: given a
+:class:`repro.kernels.quantized.QuantizationSpec`, :func:`coerce_samples`
+quantises the echo samples into the sample format, :func:`weigh` rounds
+every product into the accumulator format and :func:`total` saturates each
+sum to it.  These three helpers are the only code that applies a spec at
+execution time; every path (the plan execute loop, tiled plans, the
+reference loop, arbitrary-point beamforming) calls them, with ``None`` for
+float.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..beamformer.interpolation import InterpolationKind
+    from .quantized import QuantizationSpec
 
 # InterpolationKind is a str-valued enum; the kernels compare by value so
 # this module stays below repro.beamformer in the import graph (das.py
@@ -48,10 +58,13 @@ __all__ = [
     "accumulate",
     "apply_weights",
     "build_gather_index",
+    "coerce_samples",
     "delay_and_sum",
     "gather_interp",
     "gather_padded",
     "pad_samples",
+    "total",
+    "weigh",
 ]
 
 
@@ -201,17 +214,73 @@ def accumulate(weighted: np.ndarray) -> np.ndarray:
     return np.sum(weighted, axis=-1)
 
 
+def coerce_samples(samples: "np.ndarray | object", dtype: np.dtype | type,
+                   quantization: "QuantizationSpec | None" = None
+                   ) -> np.ndarray:
+    """The raw samples of a frame (a ``ChannelData`` or an array), cast to
+    the execution ``dtype`` — or, under ``quantization``, quantised into its
+    sample format as the front-end registers deliver them.
+
+    Both coercions are idempotent, so a caller may coerce a frame once and
+    hand it to paths that coerce again without changing a bit.
+    """
+    samples = np.asarray(getattr(samples, "samples", samples), dtype=dtype)
+    if quantization is None:
+        return samples
+    return quantization.quantize_samples(samples)
+
+
+def weigh(gathered: np.ndarray, weights: np.ndarray,
+          quantization: "QuantizationSpec | None" = None) -> np.ndarray:
+    """Apodize a *private* gathered buffer in place (the multiply of
+    :func:`apply_weights`, without a second ``(..., n_points,
+    n_elements)`` array) — and, under ``quantization``, round every product
+    into the accumulator format: one hardware rounding stage per element.
+    """
+    weighted = np.multiply(weights.astype(gathered.dtype, copy=False),
+                           gathered, out=gathered)
+    if quantization is None:
+        return weighted
+    return quantization.quantize_accumulator(weighted)
+
+
+def total(weighted: np.ndarray,
+          quantization: "QuantizationSpec | None" = None) -> np.ndarray:
+    """:func:`accumulate`, then — under ``quantization`` — saturate each
+    sum into the accumulator format.  Quantised products are dyadic
+    rationals well inside 53 bits, so the float sum between the two
+    rounding stages is exact: the hardware's arithmetic, bit for bit."""
+    summed = accumulate(weighted)
+    if quantization is None:
+        return summed
+    return quantization.quantize_accumulator(summed)
+
+
 def delay_and_sum(samples: np.ndarray, delays_samples: np.ndarray,
                   weights: np.ndarray,
                   kind: "InterpolationKind | str" = _NEAREST,
-                  dtype: np.dtype | type = np.float64) -> np.ndarray:
+                  dtype: np.dtype | type = np.float64,
+                  quantization: "QuantizationSpec | None" = None
+                  ) -> np.ndarray:
     """One-shot gather/weight/accumulate for freshly generated delays.
 
     The uncompiled entry point: used where delays are produced per call (the
-    per-scanline classic loop, arbitrary-point beamforming) and caching an
+    per-scanline reference loop, arbitrary-point beamforming) and caching an
     index would buy nothing.  Compiled execution goes through
     :class:`repro.kernels.plan.BeamformingPlan` instead.
+
+    ``quantization`` runs the bit-true fixed-point datapath: delays and
+    weights are quantised here as a plan quantises them at compile time,
+    so the result equals the plan's over the same points bit for bit.
+    Inputs already quantised pass through unchanged, which lets callers
+    hoist the echo-buffer coercion out of per-scanline loops.
     """
-    samples = np.asarray(samples, dtype=dtype)
+    if quantization is not None:
+        quantization.validate_for(dtype, kind)
+        delays_samples = quantization.quantize_delays(
+            np.asarray(delays_samples, dtype=np.float64))
+        weights = quantization.quantize_weights(weights)
+    samples = coerce_samples(samples, dtype, quantization)
     index = build_gather_index(delays_samples, samples.shape[-1], kind, dtype)
-    return accumulate(apply_weights(gather_interp(samples, index), weights))
+    return total(weigh(gather_interp(samples, index), weights, quantization),
+                 quantization)

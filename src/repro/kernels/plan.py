@@ -2,14 +2,18 @@
 
 A :class:`BeamformingPlan` is the cacheable artifact every execution path
 shares.  It is compiled **once** from ``(SystemConfig, delay architecture,
-apodization, interpolation, precision)`` — everything that determines the
-per-frame arithmetic — and then executed against any number of frames:
+apodization, interpolation, precision, quantization)`` — everything that
+determines the per-frame arithmetic — and then executed against any number
+of frames:
 
 * :meth:`BeamformingPlan.execute` — one frame -> one volume;
 * :meth:`BeamformingPlan.execute_batch` — a stacked cine -> stacked volumes
   in one gather, amortising index setup and NumPy dispatch across frames.
 
-Both run one chunked loop (a frame is a batch of one).  The runtime
+Both run one chunked loop (a frame is a batch of one) through the
+datapath helpers of :mod:`repro.kernels.ops`; a plan carrying a
+:class:`~repro.kernels.quantized.QuantizationSpec` is the bit-true
+fixed-point datapath of the same loop, not another plan class.  The runtime
 backends run whole *segment* plans, one per tile of a
 :class:`repro.kernels.tiling.TiledPlan` (``compile_plan(..., tile=...)``),
 through the same two methods; an unbudgeted engine is one tile.
@@ -39,14 +43,15 @@ from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
 import numpy as np
 
 from ..beamformer.interpolation import InterpolationKind
-from ..observability.tracing import NULL_TRACER, resolve_tracer
-from .ops import GatherIndex, accumulate, apply_weights, gather_padded, \
-    pad_samples
+from ..observability.tracing import resolve_tracer
+from .ops import GatherIndex, coerce_samples, gather_padded, pad_samples, \
+    total, weigh
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..acoustics.echo import ChannelData
     from ..beamformer.das import DelayAndSumBeamformer
+    from .quantized import QuantizationSpec
 
 __all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
            "plan_key", "plan_storage_bytes", "receive_weights"]
@@ -210,18 +215,19 @@ def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
 
 
 def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
-                  stop: int, dtype: np.dtype, quantization=None
+                  stop: int, dtype: np.dtype,
+                  quantization: "QuantizationSpec | None"
                   ) -> tuple[GatherIndex, np.ndarray]:
     """Gather index and weights of flat points ``[start, stop)``.
 
-    The one tensor builder of every plan family (float, quantized,
-    compiled); a whole-grid plan is the range ``[0, n_points)``.  Delays
+    The one tensor builder of every plan (NumPy or compiled, float or
+    quantized); a whole-grid plan is the range ``[0, n_points)``.  Delays
     come from the provider's bulk ``tile_delays_samples`` in blocks of
     ~:data:`BATCH_BLOCK_ELEMENTS` entries, each rounded into its index
     rows (:meth:`GatherIndex.write`) as it arrives, so no
     ``(n_points, n_elements)`` delay tensor is ever held; the weights are
     the shared :func:`receive_weights` tensor.  ``quantization`` (the
-    quantized plan's spec) first quantises both.  Every step is
+    beamformer's spec) first quantises both.  Every step is
     elementwise, so a tile's rows are exact row slices of the whole-grid
     tensors.
     """
@@ -264,6 +270,13 @@ class BeamformingPlan:
         The flat gather index, same shape as ``weights``, built at compile
         time for the system's echo-buffer length and the plan's only
         addressing state: :attr:`nbytes` never changes after compile.
+    quantization:
+        The fixed-point datapath spec, or ``None`` for float execution.
+        Quantised, the index was rounded from quantised delays and the
+        weights are quantised; execution then quantises the samples, every
+        product and every sum (:func:`repro.kernels.ops.weigh`,
+        :func:`repro.kernels.ops.total`).  Validated against the precision,
+        interpolation and buffer length on construction.
     """
 
     key: Hashable
@@ -272,6 +285,13 @@ class BeamformingPlan:
     precision: Precision
     interpolation: InterpolationKind
     index: GatherIndex = field(repr=False, compare=False)
+    quantization: "QuantizationSpec | None" = None
+
+    def __post_init__(self) -> None:
+        if self.quantization is not None:
+            self.quantization.validate_for(self.precision,
+                                           self.interpolation,
+                                           self.n_samples)
 
     # ------------------------------------------------------------ geometry
     @property
@@ -319,45 +339,14 @@ class BeamformingPlan:
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
                        ) -> np.ndarray:
-        """Raw sample array of one frame, cast to the execution dtype.
+        """Raw sample array of one frame (or stack) in the execution dtype,
+        quantised into the sample format when the plan is quantised.
 
-        The single definition of frame coercion — the backends reuse it so
-        every execution path accepts exactly the same payloads.
+        The single definition of frame coercion
+        (:func:`repro.kernels.ops.coerce_samples`) — the backends reuse it
+        so every execution path accepts exactly the same payloads.
         """
-        samples = getattr(channel_data, "samples", channel_data)
-        return np.asarray(samples, dtype=self.dtype)
-
-    def _reduce(self, gathered: np.ndarray, weights: np.ndarray,
-                tracer=NULL_TRACER, *, reuse_gathered: bool = False
-                ) -> np.ndarray:
-        """Weight-and-accumulate stage of the execute loop.
-
-        The float plan multiplies by the apodization weights and sums over
-        the element axis; :class:`repro.kernels.quantized.QuantizedPlan`
-        overrides this hook with the fixed-point product/accumulator
-        rounding stages.  Per focal point the reduction is independent, so
-        any execution path may call it on row slices or stacked batches and
-        stay bit-identical to the whole-volume call.  ``tracer`` times the
-        ``weights`` and ``accumulate`` stages; timing never touches the
-        arithmetic, so traced and untraced reductions are bit-identical.
-
-        ``reuse_gathered`` lets the caller declare that ``gathered`` is a
-        private buffer (the execute loop freshly allocates it in
-        :func:`repro.kernels.ops.gather_padded`): the weight multiply then
-        writes in place instead of allocating a second
-        ``(..., n_points, n_elements)`` array — same multiply, same bits,
-        roughly a third less peak memory per frame.  Callers passing a
-        buffer they still need must leave it ``False``.
-        """
-        with tracer.span("weights"):
-            if reuse_gathered:
-                weighted = np.multiply(
-                    weights.astype(gathered.dtype, copy=False), gathered,
-                    out=gathered)
-            else:
-                weighted = apply_weights(gathered, weights)
-        with tracer.span("accumulate"):
-            return accumulate(weighted)
+        return coerce_samples(channel_data, self.dtype, self.quantization)
 
     def execute(self, channel_data: "ChannelData | np.ndarray",
                 tracer=None) -> np.ndarray:
@@ -386,9 +375,13 @@ class BeamformingPlan:
         ``(n_frames, block, n_elements)`` temporaries inside the CPU caches.
         The chunking is invisible numerically — each focal point's sum is
         independent, so the result is bit-identical to a single-shot
-        gather.  Frames must share the plan's buffer length.  A pre-stacked
-        ``(n_frames, n_elements, n_samples)`` array is coerced in place of
-        the stack — the tiled path shares one stack across all its tiles.
+        gather.  Each chunk's gathered buffer is private, so the weight
+        multiply reuses it in place (:func:`repro.kernels.ops.weigh`).
+        ``tracer`` times the ``gather``, ``weights`` and ``accumulate``
+        stages of every chunk; timing never touches the arithmetic.  Frames
+        must share the plan's buffer length.  A pre-stacked ``(n_frames,
+        n_elements, n_samples)`` array is coerced in place of the stack —
+        the tiled path shares one stack across all its tiles.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
@@ -404,8 +397,12 @@ class BeamformingPlan:
             with tracer.span("gather") as span:
                 gathered = gather_padded(padded, index.rows(rows))
                 span.set(bytes=int(gathered.nbytes))
-            out[:, rows] = self._reduce(gathered, self.weights[rows], tracer,
-                                        reuse_gathered=True)
+            with tracer.span("weights"):
+                weighted = weigh(gathered, self.weights[rows],
+                                 self.quantization)
+            with tracer.span("accumulate"):
+                summed = total(weighted, self.quantization)
+            out[:, rows] = summed
         return out.reshape((len(frames), *self.grid_shape))
 
 
@@ -422,10 +419,10 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     :class:`repro.runtime.cache.PlanCache` amortises across frames and
     across backends.
 
-    A beamformer built with a ``quantization`` spec is dispatched to
-    :func:`repro.kernels.quantized.compile_quantized_plan` — compiling an
-    unquantised plan under a quantised key would be exactly the
-    cache-poisoning class of bug the key extension exists to prevent.
+    The beamformer's ``quantization`` spec rides on the plan: its delays
+    and weights are quantised at compile time and its execution runs the
+    fixed-point rounding stages.  :func:`plan_key` keys on the spec, so a
+    float and a quantised plan never share a cache slot.
 
     ``variant`` selects an alternative plan implementation over the same
     tensors: ``"compiled"`` dispatches to
@@ -443,14 +440,6 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     :class:`repro.kernels.tiling.TiledPlan` streams through the cache;
     their rows are bit-identical slices of the whole-grid tensors.
     """
-    if getattr(beamformer, "quantization", None) is not None:
-        if variant is not None:
-            raise ValueError(
-                f"plan variant {variant!r} does not support quantized "
-                "execution; quantized engines compile to the NumPy "
-                "QuantizedPlan only")
-        from .quantized import compile_quantized_plan
-        return compile_quantized_plan(beamformer, precision, tile=tile)
     if variant is not None:
         if variant != "compiled":
             raise ValueError(f"unknown plan variant {variant!r}; "
@@ -460,8 +449,11 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
                                      tile=tile)
     precision = resolve_precision(precision)
     start, stop, grid_shape = _extent(beamformer, tile)
-    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype)
+    quantization = beamformer.quantization
+    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype,
+                                   quantization)
     return BeamformingPlan(
         key=plan_key(beamformer, precision, tile=tile), weights=weights,
         grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, index=index)
+        interpolation=beamformer.interpolation, index=index,
+        quantization=quantization)

@@ -1,4 +1,4 @@
-"""Bit-true quantized execution: the paper's fixed-point datapath as a plan.
+"""Bit-true quantized execution: the paper's fixed-point datapath as a spec.
 
 The hardware beamformer the paper builds never touches floating point on the
 per-sample critical path: delays, apodization weights and the accumulating
@@ -20,67 +20,42 @@ plus one :class:`~repro.fixedpoint.quantize.RoundingMode` and one
 :class:`~repro.fixedpoint.quantize.OverflowMode` shared by every stage,
 matching the rounding semantics of ``repro.analysis.fixedpoint_impact``.
 
-A :class:`QuantizedPlan` is the compiled artifact: a
-:class:`repro.kernels.plan.BeamformingPlan` whose delays and weights are
-quantised at compile time (the gather index is therefore built from the
-*quantised* delays, exactly as hardware addresses the buffer with its
-fixed-point delay sum) and whose execution quantises the samples, the
-products and the final sums.  Every value is carried in ``float64`` — each
-quantised value is a dyadic rational with far fewer than 53 significant
-bits, so the float arithmetic between quantisation stages is exact and the
-whole path is bit-identical to operating on the raw integer codes (the
-conformance suite pins this against an oracle built directly on
-:mod:`repro.fixedpoint`).
+There is no separate quantized plan or kernel.  The spec rides on the one
+:class:`repro.kernels.plan.BeamformingPlan` (its ``quantization`` field,
+set by :func:`repro.kernels.plan.compile_plan` from the beamformer's spec)
+and on :func:`repro.kernels.ops.delay_and_sum` (its ``quantization=``
+argument).  Delays and weights are quantised at compile time — the gather
+index is therefore built from the *quantised* delays, exactly as hardware
+addresses the buffer with its fixed-point delay sum — and the three
+datapath helpers of :mod:`repro.kernels.ops` (``coerce_samples``, ``weigh``,
+``total``) quantise the samples, the products and the final sums.  Every
+value is carried in ``float64`` — each quantised value is a dyadic rational
+with far fewer than 53 significant bits, so the float arithmetic between
+quantisation stages is exact and the whole path is bit-identical to
+operating on the raw integer codes (the conformance suite pins this
+against an oracle built directly on :mod:`repro.fixedpoint`).
 
 Quantisation is idempotent (re-quantising a representable value is the
 identity), which the execution paths rely on: a backend may pre-quantise a
-frame once via :meth:`QuantizedPlan.coerce_samples` and the per-row /
-per-batch kernels may quantise again without changing a single bit.
+frame once and the per-tile / per-scanline kernels may quantise again
+without changing a single bit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..fixedpoint.format import QFormat, signed, tablesteer_formats, unsigned
 from ..fixedpoint.quantize import OverflowMode, RoundingMode, quantize
-from ..observability.tracing import NULL_TRACER
-from .ops import accumulate, apply_weights, build_gather_index, gather_interp
-from .plan import BeamformingPlan, _extent, _tile_tensors, plan_key
 from .precision import Precision, Tolerance, resolve_precision
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..beamformer.das import DelayAndSumBeamformer
-
-__all__ = [
-    "QuantizationSpec",
-    "QuantizedPlan",
-    "compile_quantized_plan",
-    "parse_qformat",
-    "quantized_delay_and_sum",
-]
+__all__ = ["QuantizationSpec", "parse_qformat"]
 
 
 _QFORMAT_PATTERN = re.compile(r"^([USQ])(\d+)\.(\d+)$", re.IGNORECASE)
-
-
-def _require_nearest(kind) -> None:
-    """Quantized execution models the paper's integer echo addressing.
-
-    Linear interpolation would multiply by unquantised fractional weights
-    between the sample fetch and the apodization stage — a datapath the
-    hardware does not have — so it is rejected rather than silently given
-    undefined fixed-point semantics.
-    """
-    if getattr(kind, "value", kind) != "nearest":
-        raise ValueError(
-            "quantized execution supports only 'nearest' interpolation "
-            "(the paper's integer echo-buffer addressing); got "
-            f"{getattr(kind, 'value', kind)!r}")
 
 
 def parse_qformat(text: str) -> QFormat:
@@ -208,9 +183,11 @@ class QuantizationSpec:
         Raises :class:`ValueError` unless the execution precision is
         ``float64`` (the fixed-point codes are carried exactly in doubles —
         ``float32`` would silently truncate them), the interpolation is
-        ``nearest`` (the hardware's integer echo addressing), and — when the
-        echo-buffer length is known — the delay format can actually address
-        the whole buffer.  A delay format too narrow for the buffer would
+        ``nearest`` (the hardware's integer echo addressing: linear
+        interpolation would multiply by unquantised fractional weights
+        between the sample fetch and the apodization stage, a datapath the
+        hardware does not have), and — when the echo-buffer length is
+        known — the delay format can actually address the whole buffer.  A delay format too narrow for the buffer would
         saturate every delay and produce a structurally valid but
         meaningless volume, which is far worse than failing loudly.
         """
@@ -219,7 +196,11 @@ class QuantizationSpec:
                 "quantized execution carries exact fixed-point codes in "
                 "float64; it cannot be combined with "
                 f"precision={resolve_precision(precision).value!r}")
-        _require_nearest(interpolation)
+        kind = getattr(interpolation, "value", interpolation)
+        if kind != "nearest":
+            raise ValueError(
+                "quantized execution supports only 'nearest' interpolation "
+                f"(the paper's integer echo-buffer addressing); got {kind!r}")
         if n_samples is not None and \
                 self.delay_format.max_value < n_samples - 1:
             raise ValueError(
@@ -255,133 +236,3 @@ class QuantizationSpec:
                 f"weights {self.weight_format.describe()}, "
                 f"accumulator {self.accumulator_format.describe()}, "
                 f"{self.rounding.value}/{self.overflow.value}")
-
-
-@dataclass(frozen=True)
-class QuantizedPlan(BeamformingPlan):
-    """A beamforming plan whose whole datapath runs in fixed point.
-
-    The inherited gather index is rounded from the *quantised* delays (so
-    it addresses the buffer exactly as the hardware's fixed-point delay sum
-    would), the inherited ``weights`` hold the quantised weights, and
-    execution overrides the two :class:`BeamformingPlan` hooks:
-
-    * :meth:`coerce_samples` quantises each frame into ``sample_format``;
-    * :meth:`_reduce` rounds every weighted product into the accumulator
-      format, sums, and saturates the final value to the same format.
-
-    ``execute`` / ``execute_batch`` are inherited unchanged, which is what
-    makes the quantized mode a first-class runtime workload: the
-    vectorized, sharded, tiled and batched streaming paths all work, and
-    all are bit-identical to each other (the chunked batch gather commutes
-    with per-point quantisation).
-    """
-
-    spec: QuantizationSpec | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.spec is None:
-            raise ValueError("QuantizedPlan requires a QuantizationSpec")
-        self.spec.validate_for(self.precision, self.interpolation,
-                               self.n_samples)
-
-    # ------------------------------------------------------------ execution
-    def coerce_samples(self, channel_data) -> np.ndarray:
-        """One frame quantised into ``sample_format`` (idempotent)."""
-        samples = getattr(channel_data, "samples", channel_data)
-        return self.spec.quantize_samples(
-            np.asarray(samples, dtype=np.float64))
-
-    def _reduce(self, gathered: np.ndarray, weights: np.ndarray,
-                tracer=NULL_TRACER, *, reuse_gathered: bool = False
-                ) -> np.ndarray:
-        """The fixed-point weight-and-accumulate stage (Eq. 1 in Q-format).
-
-        The product of a quantised sample and a quantised weight is exact in
-        float64; it is then rounded into the accumulator format (one
-        hardware rounding stage per element) and summed.  The sum of
-        ``n_elements`` accumulator-format values is again exact in float64,
-        so the only inexact steps are the explicit quantisations — which is
-        precisely the hardware's arithmetic.  The ``weights`` span covers
-        the product/rounding stage, ``accumulate`` the sum plus its final
-        saturation — same taxonomy as the float plan, so traces compare
-        across datapaths.
-
-        ``reuse_gathered`` has the same meaning as on the float plan (the
-        execute paths pass a private buffer); here the accumulator rounding
-        allocates its own output either way, so the flag only spares the
-        weight-product temporary.
-        """
-        spec = self.spec
-        with tracer.span("weights"):
-            if reuse_gathered:
-                weighted = np.multiply(
-                    weights.astype(gathered.dtype, copy=False), gathered,
-                    out=gathered)
-            else:
-                weighted = apply_weights(gathered, weights)
-            products = spec.quantize_accumulator(weighted)
-        with tracer.span("accumulate"):
-            return spec.quantize_accumulator(accumulate(products))
-
-
-def compile_quantized_plan(beamformer: "DelayAndSumBeamformer",
-                           precision: Precision | str | None = None,
-                           spec: QuantizationSpec | None = None, *,
-                           tile: "object | None" = None
-                           ) -> QuantizedPlan:
-    """Compile the bit-true fixed-point plan for a configured beamformer.
-
-    ``spec`` defaults to the beamformer's own ``quantization`` attribute.
-    Delays and weights come from the same tensor builder as
-    :func:`repro.kernels.plan.compile_plan`, which quantises each delay
-    block before rounding it into the gather index and shares the
-    quantised weight tensor between plans of one geometry.
-
-    ``tile`` compiles the segment for one
-    :class:`repro.kernels.tiling.Tile` only (``None``: the whole grid);
-    the ``quantize_delays`` / ``quantize_weights`` stages are elementwise,
-    so segment rows stay bit-true slices of the whole-grid tensors.
-    """
-    if spec is None:
-        spec = getattr(beamformer, "quantization", None)
-    if spec is None:
-        raise ValueError("no QuantizationSpec: pass spec= or construct the "
-                         "beamformer with quantization=...")
-    precision = resolve_precision(precision)
-    n_samples = beamformer.system.echo_buffer_samples
-    # Validate before the expensive delay generation (the plan's own
-    # __post_init__ re-checks, but only after the tensors exist).
-    spec.validate_for(precision, beamformer.interpolation, n_samples)
-    start, stop, grid_shape = _extent(beamformer, tile)
-    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype,
-                                   quantization=spec)
-    return QuantizedPlan(
-        key=plan_key(beamformer, precision, quantization=spec, tile=tile),
-        weights=weights, grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, index=index, spec=spec)
-
-
-def quantized_delay_and_sum(samples: np.ndarray, delays_samples: np.ndarray,
-                            weights: np.ndarray, spec: QuantizationSpec,
-                            kind="nearest") -> np.ndarray:
-    """Uncompiled fixed-point gather/weight/accumulate for fresh delays.
-
-    The quantized counterpart of :func:`repro.kernels.ops.delay_and_sum`:
-    used where delays are produced per call (the per-scanline reference
-    loop, arbitrary-point beamforming).  All four datapath values are
-    quantised with ``spec`` before the float kernels run, so the result is
-    bit-identical to a :class:`QuantizedPlan` over the same points —
-    inputs that are already quantised pass through unchanged (quantisation
-    is idempotent), which lets callers hoist the echo-buffer quantisation
-    out of per-scanline loops.
-    """
-    _require_nearest(kind)
-    samples = spec.quantize_samples(np.asarray(samples, dtype=np.float64))
-    delays = spec.quantize_delays(np.asarray(delays_samples,
-                                             dtype=np.float64))
-    index = build_gather_index(delays, samples.shape[-1], kind)
-    gathered = gather_interp(samples, index)
-    products = spec.quantize_accumulator(
-        apply_weights(gathered, spec.quantize_weights(weights)))
-    return spec.quantize_accumulator(accumulate(products))

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from ..observability.tracing import resolve_tracer
+from .ops import coerce_samples
 from .plan import compile_plan, plan_key, plan_storage_bytes
 from .precision import Precision, resolve_precision
 
@@ -261,8 +262,8 @@ class TiledPlan:
     :class:`~repro.kernels.compiled.CompiledPlan` segments instead, keyed
     by ``options.variant()`` and launched with ``options`` (so a segment
     shared through the cache runs with this plan's threads/block size); a
-    beamformer carrying a ``quantization`` spec streams bit-true
-    :class:`~repro.kernels.quantized.QuantizedPlan` segments automatically.
+    beamformer carrying a ``quantization`` spec compiles segments that
+    carry it, and frames are coerced once into its sample format.
     """
 
     def __init__(self, beamformer: "DelayAndSumBeamformer",
@@ -277,7 +278,7 @@ class TiledPlan:
         self.map = map
         self.precision = resolve_precision(precision)
         self.grid_shape = beamformer.grid.shape
-        self.quantization = getattr(beamformer, "quantization", None)
+        self.quantization = beamformer.quantization
         if variant is not None and variant != "compiled":
             raise ValueError(f"unknown plan variant {variant!r}; "
                              "available: compiled")
@@ -318,21 +319,6 @@ class TiledPlan:
         return self.precision.dtype
 
     # ------------------------------------------------------------ execution
-    def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
-                       ) -> np.ndarray:
-        """One frame coerced exactly as the segments will re-coerce it.
-
-        Hoists the cast (float) or sample quantisation (fixed-point) out
-        of the per-tile loop; both coercions are idempotent, so the
-        segments' own ``coerce_samples`` passes the result through
-        unchanged and tiled output stays bit-identical to untiled.
-        """
-        samples = getattr(channel_data, "samples", channel_data)
-        if self.quantization is not None:
-            return self.quantization.quantize_samples(
-                np.asarray(samples, dtype=np.float64))
-        return np.asarray(samples, dtype=self.dtype)
-
     def segment(self, tile: Tile, tracer=None):
         """The compiled segment plan for one tile (cached; builds on miss)."""
         tracer = resolve_tracer(tracer)
@@ -376,7 +362,9 @@ class TiledPlan:
                 tracer=None) -> np.ndarray:
         """Beamform one frame tile by tile; shape ``grid_shape``."""
         tracer = resolve_tracer(tracer)
-        samples = self.coerce_samples(channel_data)
+        # Coerced once here; the segments' own (idempotent) coercion passes
+        # the result through unchanged.
+        samples = coerce_samples(channel_data, self.dtype, self.quantization)
         out = np.empty(self.n_points, dtype=self.dtype)
 
         def body(tile: Tile, segment) -> None:
@@ -399,7 +387,9 @@ class TiledPlan:
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        stacked = np.stack([self.coerce_samples(frame) for frame in frames])
+        stacked = np.stack([coerce_samples(frame, self.dtype,
+                                           self.quantization)
+                            for frame in frames])
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
 
         def body(tile: Tile, segment) -> None:

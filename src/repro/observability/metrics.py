@@ -15,9 +15,10 @@ Three instrument types, deliberately minimal:
 
 * :class:`Counter` — monotonically increasing float (``_total`` names);
 * :class:`Gauge` — a value that can go up and down (sizes, rates);
-* :class:`Histogram` — stores every observation exactly and computes
-  percentiles with :func:`numpy.percentile` (runs here are thousands of
-  frames, not millions, so exact storage beats bucketing error).
+* :class:`Histogram` — exact running count/sum/min/max, and percentiles
+  computed with :func:`numpy.percentile` over the most recent
+  :attr:`Histogram.WINDOW` observations kept exactly (no bucketing error,
+  and a long-running server's memory stays bounded).
 
 Instruments are get-or-create by name: asking a registry twice for the
 same counter returns the same object, and asking for an existing name as
@@ -27,6 +28,8 @@ immediately instead of silently splitting a series.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from typing import Iterator, Union
 
 import numpy as np
@@ -106,62 +109,74 @@ class Gauge:
 
 
 class Histogram:
-    """Exact-storage distribution with :func:`numpy.percentile` quantiles.
+    """Running totals plus a window of exact recent observations.
 
-    Every observation is kept, so ``percentile(q)`` agrees with
-    ``numpy.percentile(observations, q)`` bit for bit (pinned in the
-    tests) and the empty histogram reports 0.0 everywhere — the guard
-    that keeps a fresh/reset service's ``stats()`` away from
-    ``np.mean([])``.
+    ``count``/``sum``/``min``/``max`` are exact running values over every
+    observation.  The most recent :attr:`WINDOW` observations are kept
+    exactly, so ``percentile(q)`` agrees with ``numpy.percentile`` over that
+    window bit for bit (pinned in the tests) while a long-running service
+    holds a bounded amount of memory.  The empty histogram reports 0.0
+    everywhere — the guard that keeps a fresh/reset service's ``stats()``
+    away from ``np.mean([])``.
     """
 
-    __slots__ = ("name", "description", "_values")
+    WINDOW = 65_536
+    """Observations kept for percentiles and :attr:`values`."""
+
+    __slots__ = ("name", "description", "_window", "_count", "_sum", "_min",
+                 "_max")
 
     def __init__(self, name: str, description: str = "") -> None:
         self.name = name
         self.description = description
-        self._values: list[float] = []
+        self.reset()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self._values.append(float(value))
+        value = float(value)
+        self._window.append(value)
+        self._count += 1
+        self._sum += value
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
 
     # ------------------------------------------------------------ summaries
     @property
     def count(self) -> int:
         """Number of observations."""
-        return len(self._values)
+        return self._count
 
     @property
     def sum(self) -> float:
         """Sum of observations (0.0 when empty)."""
-        return float(sum(self._values))
+        return self._sum
 
     @property
     def mean(self) -> float:
         """Mean observation (0.0 when empty)."""
-        return self.sum / len(self._values) if self._values else 0.0
+        return self._sum / self._count if self._count else 0.0
 
     @property
     def min(self) -> float:
         """Smallest observation (0.0 when empty)."""
-        return float(min(self._values)) if self._values else 0.0
+        return self._min if self._count else 0.0
 
     @property
     def max(self) -> float:
         """Largest observation (0.0 when empty)."""
-        return float(max(self._values)) if self._values else 0.0
+        return self._max if self._count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (linear interpolation; 0.0 when empty)."""
-        if not self._values:
+        """The ``q``-th percentile of the window (linear interpolation; 0.0
+        when empty)."""
+        if not self._window:
             return 0.0
-        return float(np.percentile(self._values, q))
+        return float(np.percentile(self.values, q))
 
     @property
     def values(self) -> np.ndarray:
-        """Copy of the raw observations."""
-        return np.asarray(self._values, dtype=float)
+        """Copy of the windowed observations, oldest first."""
+        return np.fromiter(self._window, dtype=float, count=len(self._window))
 
     def summary(self) -> dict[str, float]:
         """Count/sum/mean/min/max plus the p50/p95/p99 service quantiles."""
@@ -178,7 +193,11 @@ class Histogram:
 
     def reset(self) -> None:
         """Drop every observation."""
-        self._values = []
+        self._window = deque(maxlen=self.WINDOW)
+        self._count = 0
+        self._sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Histogram({self.name!r}, count={self.count})"

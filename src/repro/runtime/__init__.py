@@ -30,9 +30,7 @@ from ..kernels import (
     BeamformingPlan,
     Precision,
     QuantizationSpec,
-    QuantizedPlan,
     compile_plan,
-    compile_quantized_plan,
     plan_key,
 )
 from .backends import (
@@ -70,14 +68,12 @@ __all__ = [
     "PlanCache",
     "Precision",
     "QuantizationSpec",
-    "QuantizedPlan",
     "ReferenceBackend",
     "RuntimeStats",
     "ShardedBackend",
     "ShardedOptions",
     "VectorizedBackend",
     "compile_plan",
-    "compile_quantized_plan",
     "moving_point_cine",
     "plan_key",
     "static_cine",

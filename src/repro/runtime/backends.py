@@ -45,18 +45,14 @@ import numpy as np
 
 from ..acoustics.echo import ChannelData
 from ..beamformer.das import DelayAndSumBeamformer
-from ..kernels import (
-    Precision,
-    delay_and_sum,
-    quantized_delay_and_sum,
-    resolve_precision,
-)
+from ..kernels import Precision, delay_and_sum, resolve_precision
 from ..kernels.compiled import (
     BackendUnavailable as BackendUnavailable,  # re-exported for callers
     CompiledOptions,
     numba_available,
     require_numba,
 )
+from ..kernels.ops import coerce_samples
 from ..kernels.tiling import TiledPlan, TilePlanner, parse_memory_budget
 from ..observability.tracing import resolve_tracer
 from ..registry import Registry
@@ -207,35 +203,26 @@ class ReferenceBackend(ExecutionBackend):
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         beamformer = self.beamformer
-        quantization = getattr(beamformer, "quantization", None)
+        quantization = beamformer.quantization
+        dtype = self.precision.dtype
         n_theta, n_phi, n_depth = beamformer.grid.shape
-        rf = np.empty((n_theta, n_phi, n_depth), dtype=self.precision.dtype)
+        rf = np.empty((n_theta, n_phi, n_depth), dtype=dtype)
         # Cast (or quantise) the echo buffer once per volume, not once per
         # scanline — otherwise the float32 baseline pays a full-buffer copy
-        # per scanline and benchmarks slower than float64.  Re-quantising
-        # the pre-quantised buffer inside the scanline kernel is the
-        # identity, so the hoisting is invisible numerically.
-        if quantization is not None:
-            samples = quantization.quantize_samples(
-                np.asarray(channel_data.samples, dtype=np.float64))
-        else:
-            samples = np.asarray(channel_data.samples,
-                                 dtype=self.precision.dtype)
+        # per scanline and benchmarks slower than float64.  Re-coercing the
+        # coerced buffer inside the scanline kernel is the identity, so the
+        # hoisting is invisible numerically.
+        samples = coerce_samples(channel_data, dtype, quantization)
         with self.tracer.span("execute", scanlines=n_theta * n_phi):
             for i_theta in range(n_theta):
                 for i_phi in range(n_phi):
-                    delays = beamformer.delays.scanline_delays_samples(
-                        i_theta, i_phi)
-                    weights = beamformer.weights_for_scanline(i_theta, i_phi)
-                    if quantization is not None:
-                        rf[i_theta, i_phi] = quantized_delay_and_sum(
-                            samples, delays, weights, quantization,
-                            kind=beamformer.interpolation)
-                    else:
-                        rf[i_theta, i_phi] = delay_and_sum(
-                            samples, delays, weights,
-                            kind=beamformer.interpolation,
-                            dtype=self.precision.dtype)
+                    rf[i_theta, i_phi] = delay_and_sum(
+                        samples,
+                        beamformer.delays.scanline_delays_samples(
+                            i_theta, i_phi),
+                        beamformer.weights_for_scanline(i_theta, i_phi),
+                        kind=beamformer.interpolation, dtype=dtype,
+                        quantization=quantization)
         return rf
 
 

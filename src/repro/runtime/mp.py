@@ -6,10 +6,12 @@ arbitrary snapshot of the parent — thread locks mid-acquire, BLAS thread
 pools, open shared-memory handles — which is exactly the class of
 platform-dependent behaviour a bit-pinned reproduction cannot tolerate.
 Everything in this repo that creates processes or process-shared state
-(:mod:`repro.server` and, should it ever grow a process mode, the sharded
-execution backend) therefore resolves its context through
-:func:`spawn_context` instead of touching :mod:`multiprocessing` directly,
-so the start method is pinned to ``spawn`` in exactly one line.
+— the server's shared-memory frame ring (:mod:`repro.server.ring`), whose
+segments spawned producers attach to by name, and the sweep executor's
+spawn workers (:class:`repro.sweep.SweepExecutor` with ``workers > 1``) —
+therefore resolves its context through :func:`spawn_context` instead of
+touching :mod:`multiprocessing` directly, so the start method is pinned to
+``spawn`` in exactly one line.
 
 ``tests/test_mp.py`` enforces the "one place" rule mechanically: it scans
 ``src/repro`` for stray ``get_context``/``set_start_method``/``Process(``

@@ -236,6 +236,47 @@ class TestMetrics:
         assert histogram.percentile(95.0) == 0.0
         assert histogram.summary()["p50"] == 0.0
 
+    def test_histogram_memory_is_bounded_by_its_window(self):
+        """A long-running server observes without bound; the histogram keeps
+        exact running totals and only the last WINDOW observations, and its
+        traced memory stops growing once that window is full."""
+        import tracemalloc
+
+        window = Histogram.WINDOW
+        samples = np.random.default_rng(11).exponential(
+            scale=0.01, size=1_000_000).tolist()
+        histogram = Histogram("h")
+        for value in samples[:-2 * window]:
+            histogram.observe(value)
+        # Traced from here: once one more window has replaced every kept
+        # observation, each further one frees as much as it allocates.
+        tracemalloc.start()
+        try:
+            for value in samples[-2 * window:-window]:
+                histogram.observe(value)
+            filled, _ = tracemalloc.get_traced_memory()
+            for value in samples[-window:]:
+                histogram.observe(value)
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(histogram.values) == window
+        assert grown - filled < 64 * 1024
+        assert histogram.count == len(samples)
+        running = 0.0
+        for value in samples:
+            running += value
+        assert histogram.sum == running
+        assert histogram.min == min(samples)
+        assert histogram.max == max(samples)
+        recent = samples[-window:]
+        np.testing.assert_array_equal(histogram.values, recent)
+        for q in (50.0, 95.0, 99.0):
+            assert histogram.percentile(q) == float(np.percentile(recent, q))
+        histogram.reset()
+        assert histogram.count == 0 and len(histogram.values) == 0
+        assert histogram.summary()["max"] == 0.0
+
     def test_registry_get_or_create_and_type_collision(self):
         registry = MetricsRegistry()
         counter = registry.counter("frames_total", "frames")

@@ -19,8 +19,8 @@ from repro.fixedpoint.quantize import OverflowMode, RoundingMode, quantize, to_r
 from repro.kernels import (
     QuantizationSpec,
     build_gather_index,
+    delay_and_sum,
     gather_interp,
-    quantized_delay_and_sum,
 )
 
 formats = st.builds(
@@ -137,7 +137,7 @@ def test_quantized_delay_and_sum_saturates_and_stays_in_buffer(
     samples = rng.normal(scale=100.0, size=(4, n_samples))
     delays = rng.uniform(-1e5, 1e5, size=(6, 4))
     weights = rng.uniform(0.0, 10.0, size=(6, 4))
-    result = quantized_delay_and_sum(samples, delays, weights, spec)
+    result = delay_and_sum(samples, delays, weights, quantization=spec)
     fmt = spec.accumulator_format
     assert np.all(result >= fmt.min_value)
     assert np.all(result <= fmt.max_value)

@@ -1,6 +1,7 @@
 """Conformance suite for the bit-true quantized kernel execution path.
 
-The headline pin: a :class:`repro.kernels.QuantizedPlan` must be
+The headline pin: a :class:`repro.kernels.BeamformingPlan` compiled from a
+quantized beamformer must be
 *bit-identical* to an oracle that models the paper's fixed-point datapath
 directly with :mod:`repro.fixedpoint` arrays (raw integer codes, explicit
 per-stage quantisation) — at the paper's bit widths, on the ``small``
@@ -10,6 +11,9 @@ rest of this module asserts.
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +29,11 @@ from repro.geometry.volume import FocalGrid
 from repro.kernels import (
     Precision,
     QuantizationSpec,
-    QuantizedPlan,
     build_gather_index,
     compile_plan,
-    compile_quantized_plan,
+    delay_and_sum,
     parse_qformat,
     plan_key,
-    quantized_delay_and_sum,
 )
 from repro.runtime import BACKENDS, BeamformingService, PlanCache, static_cine
 
@@ -98,7 +100,7 @@ def tiny_beamformer_q18(tiny, tiny_exact):
 
 @pytest.fixture(scope="module")
 def tiny_qplan(tiny_beamformer_q18):
-    return compile_quantized_plan(tiny_beamformer_q18)
+    return compile_plan(tiny_beamformer_q18)
 
 
 class TestOracleConformance:
@@ -110,7 +112,7 @@ class TestOracleConformance:
         spec = QuantizationSpec.from_total_bits(total_bits)
         beamformer = DelayAndSumBeamformer(small, small_exact,
                                            quantization=spec)
-        plan = compile_quantized_plan(beamformer)
+        plan = compile_plan(beamformer)
         n_elements = small.transducer.element_count
         delays = np.asarray(small_exact.volume_delays_samples(),
                             dtype=np.float64).reshape(-1, n_elements)
@@ -127,7 +129,7 @@ class TestOracleConformance:
             overflow=OverflowMode.SATURATE)
         beamformer = DelayAndSumBeamformer(tiny, tiny_exact,
                                            quantization=spec)
-        plan = compile_quantized_plan(beamformer)
+        plan = compile_plan(beamformer)
         n_elements = tiny.transducer.element_count
         delays = np.asarray(tiny_exact.volume_delays_samples(),
                             dtype=np.float64).reshape(-1, n_elements)
@@ -190,23 +192,19 @@ class TestQuantizationSpec:
 
 class TestQuantizedPlan:
     def test_requires_spec_and_float64(self, tiny_beamformer_q18, tiny_qplan):
-        assert isinstance(tiny_qplan, QuantizedPlan)
+        assert tiny_qplan.quantization is tiny_beamformer_q18.quantization
         assert tiny_qplan.precision is Precision.FLOAT64
         with pytest.raises(ValueError, match="float32"):
-            compile_quantized_plan(tiny_beamformer_q18, "float32")
-        with pytest.raises(ValueError, match="QuantizationSpec"):
-            compile_quantized_plan(
-                DelayAndSumBeamformer(tiny_beamformer_q18.system,
-                                      tiny_beamformer_q18.delays))
+            compile_plan(tiny_beamformer_q18, "float32")
 
     def test_compile_plan_dispatches_to_quantized(self, tiny_beamformer_q18):
         plan = compile_plan(tiny_beamformer_q18)
-        assert isinstance(plan, QuantizedPlan)
+        assert plan.quantization is tiny_beamformer_q18.quantization
         assert plan.key == plan_key(tiny_beamformer_q18)
 
     def test_delays_and_weights_are_quantised_at_compile_time(
             self, tiny_beamformer_q18, tiny_qplan):
-        spec = tiny_qplan.spec
+        spec = tiny_qplan.quantization
         bulk = spec.quantize_delays(np.asarray(
             tiny_beamformer_q18.delays.volume_delays_samples(),
             dtype=np.float64)).reshape(tiny_qplan.weights.shape)
@@ -222,10 +220,9 @@ class TestQuantizedPlan:
                                   interpolation=InterpolationKind.LINEAR,
                                   quantization=18)
         with pytest.raises(ValueError, match="nearest"):
-            quantized_delay_and_sum(np.zeros((2, 8)), np.zeros((3, 2)),
-                                    np.ones((3, 2)),
-                                    QuantizationSpec.from_total_bits(14),
-                                    kind="linear")
+            delay_and_sum(np.zeros((2, 8)), np.zeros((3, 2)),
+                          np.ones((3, 2)), kind="linear",
+                          quantization=QuantizationSpec.from_total_bits(14))
 
     def test_float32_beamformer_rejected(self, tiny, tiny_exact):
         with pytest.raises(ValueError, match="float64"):
@@ -244,16 +241,12 @@ class TestQuantizedPlan:
                                                          tiny_exact):
         """A delay format that saturates below the echo-buffer length would
         produce a structurally valid but meaningless volume; it must fail
-        loudly — at the beamformer, the spec and the compile entry points."""
+        loudly — at the beamformer and the spec entry points."""
         with pytest.raises(ValueError, match="echo buffer"):
             DelayAndSumBeamformer(tiny, tiny_exact, quantization="Q4.14")
         from repro.api import EngineSpec
         with pytest.raises(ValueError, match="echo buffer"):
             EngineSpec(system="tiny", quantization="Q4.14")
-        narrow = QuantizationSpec(delay_format=QFormat(4, 14, signed=True))
-        with pytest.raises(ValueError, match="echo buffer"):
-            compile_quantized_plan(DelayAndSumBeamformer(tiny, tiny_exact),
-                                   spec=narrow)
 
     def test_coerce_samples_is_idempotent_quantisation(self, tiny_qplan,
                                                        tiny_channel_data):
@@ -289,7 +282,7 @@ class TestQuantizedPlan:
                 tiny_channel_data)
         quantized = tiny_qplan.execute(tiny_channel_data)
         assert not np.array_equal(quantized, reference)
-        tiny_qplan.spec.tolerance.assert_allclose(quantized, reference)
+        tiny_qplan.quantization.tolerance.assert_allclose(quantized, reference)
 
 
 class TestQuantizedBackends:
@@ -376,3 +369,54 @@ class TestQuantizedBackends:
                     row.max_index_error, row.mean_abs_index_error) \
                 == (bits, 65536, affected, worst, mean)
             assert row.volume_rms_error == pytest.approx(rms, rel=1e-12)
+
+
+# ------------------------------------------------------- one datapath rule
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC_ROOT = REPO_ROOT / "src" / "repro"
+
+
+def _offending_lines(paths, pattern, allowed=lambda path, line: False):
+    offenders = []
+    for path in paths:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if pattern.search(line) and not allowed(path, line):
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}: "
+                                 f"{line.strip()}")
+    return offenders
+
+
+def test_quantization_applied_only_by_the_datapath_helpers():
+    """Fixed point is one datapath with rounding steps: only
+    ``repro.kernels.ops`` (coerce_samples / weigh / total) quantises
+    samples and accumulator values at execution time, and
+    ``repro.kernels.quantized`` only defines the stage quantisers."""
+    kernels = SRC_ROOT / "kernels"
+    pattern = re.compile(r"\bquantize_(samples|accumulator)\(")
+
+    def allowed(path, line):
+        return path == kernels / "ops.py" or (
+            path == kernels / "quantized.py"
+            and line.lstrip().startswith("def "))
+
+    offenders = _offending_lines(SRC_ROOT.rglob("*.py"), pattern, allowed)
+    assert not offenders, ("sample/accumulator quantisation outside "
+                           "repro/kernels/ops.py:\n" + "\n".join(offenders))
+
+
+def test_no_second_quantized_datapath_is_named():
+    """The retired float/fixed-point split (a plan subclass, its compile
+    entry point, a second uncompiled kernel and the plan's reduce hook)
+    stays gone from the code, the tests, the examples and the docs."""
+    retired = ["QuantizedPlan", "compile_quantized_plan",
+               "quantized_delay_and_sum", "reuse_gathered"]
+    pattern = re.compile(r"\b(" + "|".join(retired) + r")\b|_reduce\(")
+    paths = [REPO_ROOT / "README.md"]
+    for folder in ("src", "tests", "examples", "benchmarks", "docs"):
+        paths += [path for path in (REPO_ROOT / folder).rglob("*")
+                  if path.suffix in (".py", ".md")]
+    this_file = Path(__file__).resolve()
+    offenders = _offending_lines(
+        [path for path in paths if path.resolve() != this_file], pattern)
+    assert not offenders, ("retired quantized datapath names:\n"
+                           + "\n".join(offenders))

@@ -295,9 +295,8 @@ class TestPlanCacheKeys:
         assert cache.stats.hits == 3
         assert not np.array_equal(volumes[None], volumes[18])
         assert not np.array_equal(volumes[18], volumes[13])
-        from repro.kernels import QuantizedPlan
-        cached_types = {type(plan) for plan in cache._entries.values()}
-        assert QuantizedPlan in cached_types
+        assert any(plan.quantization is not None
+                   for plan in cache._entries.values())
 
     def test_shared_cache_isolates_interpolation_and_dtype(
             self, tiny, tiny_channel_data):

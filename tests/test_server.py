@@ -333,6 +333,47 @@ class TestRingIngest:
             ring.close()
 
 
+# ------------------------------------------------------------ worker faults
+class TestWorkerFaults:
+    def test_raising_frame_fails_only_its_ticket(self, server):
+        """A frame whose beamforming raises resolves its own ticket with the
+        error and counts one server error; its ring slot comes back, the
+        session's next frame is unaffected, and so is every other session."""
+        system = TINY.resolve_system()
+        faulty = server.open_session()
+        healthy = server.open_session()
+        payload = server._simulators[system.cache_key()] \
+            .simulate(_phantom(system), seed=5)
+        expected = healthy.submit(payload).result(timeout=60).rf
+
+        injected = RuntimeError("injected beamforming fault")
+        service = faulty._state.service
+        original = service.submit_frame
+        faults = [injected]
+
+        def fail_once(frame, noise_std=0.0, seed=0):
+            if faults:
+                raise faults.pop()
+            return original(frame, noise_std=noise_std, seed=seed)
+
+        service.submit_frame = fail_once
+        lease = faulty.acquire_slot()
+        ring = faulty._state.ring
+        before = ring.free_slots
+        lease.array[:] = payload.samples
+        ticket = faulty.submit_slot(lease)
+        assert ticket.exception(timeout=60) is injected
+        _wait(lambda: ring.free_slots == before + 1)
+        assert server.metrics.get("server_errors_total").value == 1
+
+        np.testing.assert_array_equal(
+            faulty.submit(payload).result(timeout=60).rf, expected)
+        np.testing.assert_array_equal(
+            healthy.submit(payload).result(timeout=60).rf, expected)
+        assert server.metrics.get("server_errors_total").value == 1
+        assert (faulty.stats().frames, healthy.stats().frames) == (1, 2)
+
+
 # ----------------------------------------------------------------- metrics
 class TestMetrics:
     def test_export_covers_server_and_sessions(self, server):
