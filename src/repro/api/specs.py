@@ -199,7 +199,8 @@ class EngineSpec:
                 (system.volume.n_theta, system.volume.n_phi,
                  system.volume.n_depth),
                 system.transducer.element_count, budget,
-                precision=self.precision, interpolation=self.interpolation)
+                precision=self.precision, interpolation=self.interpolation,
+                quantization=self.quantization)
             object.__setattr__(self, "memory_budget_bytes", budget)
 
     # ------------------------------------------------------------ building

@@ -10,13 +10,16 @@ every entry point at once.
 * :mod:`repro.kernels.ops` — the three primitive kernels
   (:func:`gather_interp`, :func:`apply_weights`, :func:`accumulate`), the
   precompiled :class:`GatherIndex` addressing, the uncompiled
-  :func:`delay_and_sum` composition, and the datapath helpers
+  :func:`delay_and_sum` composition, the datapath helpers
   (``coerce_samples``, ``weigh``, ``total``) that are the only code
-  applying a quantization spec at execution time.
+  applying a quantization spec at execution time, and NumPy's summation
+  order (``summation_leaves``, ``combine_leaf_sums``, ``LeafLayout``).
 * :mod:`repro.kernels.plan` — :class:`BeamformingPlan`, a frozen artifact
   compiled once per ``(system, architecture, apodization, interpolation,
   precision, quantization)`` and executed per frame / per batch, over the
-  :func:`receive_weights` tensor every plan of one geometry shares.
+  :func:`receive_weights` tensor every plan of one geometry shares; a
+  float nearest plan executes as one leaf-ordered CSR product, bit for
+  bit the chunked loop's ``np.sum``.
 * :mod:`repro.kernels.precision` — the :class:`Precision` dtype policy
   (``float64`` exact / ``float32`` fast) with pinned equivalence
   tolerances.
@@ -27,11 +30,11 @@ every entry point at once.
   modelling the paper's hardware datapath exactly as
   :mod:`repro.fixedpoint` does.
 * :mod:`repro.kernels.compiled` — the fused Numba-jitted datapath:
-  :class:`CompiledPlan` executes the same plan tensors in a single
-  gather/weight/accumulate pass per focal point, ``prange``-parallel over
-  voxel blocks.  Optional: importable (and introspectable) without numba,
-  but building a plan raises :class:`BackendUnavailable` unless numba is
-  installed.
+  :class:`CompiledPlan` executes the same (natural-order) tensors in a
+  single gather/weight/accumulate pass per focal point,
+  ``prange``-parallel over voxel blocks.  Optional: importable (and
+  introspectable) without numba, but building a plan raises
+  :class:`BackendUnavailable` unless numba is installed.
 * :mod:`repro.kernels.tiling` — memory-budgeted tiled execution:
   :class:`TilePlanner` splits any grid into budget-sized :class:`Tile`
   ranges from per-point plan cost, and :class:`TiledPlan` streams per-tile

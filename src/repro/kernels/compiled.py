@@ -1,9 +1,9 @@
 """Fused, Numba-compiled execution of a :class:`BeamformingPlan`.
 
-The NumPy plan executes Eq. 1 as three array passes — gather, weight,
-accumulate — each materialising a full ``(n_points, n_elements)``
-intermediate.  At paper scale that is gigabytes of memory traffic per frame
-for arithmetic that a CPU core could stream through registers.  This module
+The chunked NumPy plans (linear, quantized) execute Eq. 1 as three array
+passes — gather, weight, accumulate — over ``(points, n_elements)``
+intermediates; the float nearest NumPy plan is one single-threaded SciPy
+CSR product, bit-identical to ``np.sum``.  This module
 is the native-speed datapath ROADMAP item #1 asks for: a single fused pass
 per focal point (gather -> weight -> accumulate with **no** intermediate
 arrays), JIT-compiled with Numba and parallelised with ``prange`` over
@@ -14,7 +14,8 @@ Layering
 The kernel bodies (:func:`_fused_nearest_frame` and friends) are plain
 module-level Python functions over the frame buffer padded by
 :func:`repro.kernels.ops.pad_samples` and the same flat int32
-:class:`repro.kernels.ops.GatherIndex` the NumPy plan uses: each fetch is
+:class:`repro.kernels.ops.GatherIndex` the chunked NumPy plans use, in
+natural ``(n_points, n_elements)`` order: each fetch is
 ``padded[flat[p, e]]`` (``padded[flat[p, e], f]`` for a stack), with no
 validity branch.  They
 are jitted lazily, per ``fastmath`` flag, on first use — so importing this
@@ -32,8 +33,9 @@ operations of the NumPy path, in the same order — out-of-buffer fetches read
 the zero pad slot, linear interpolation is ``(1-f)*below + f*above`` in the
 execution dtype (the index stores the fraction in that dtype).  The one difference is summation order across the element
 axis: ``np.sum`` uses a pairwise reduction whose exact association is a
-build/SIMD-width detail of NumPy itself, so no independent implementation
-can promise bit-identity across machines.  The fused kernels instead pin
+detail of NumPy's implementation — the NumPy CSR plan copies it leaf by
+leaf (:func:`repro.kernels.ops.summation_leaves`), pinned by test.  The
+fused kernels instead pin
 NumPy's *scalar* pairwise base case (8 interleaved partial sums, combined
 pairwise) for any element count — deterministic everywhere, and within the
 pinned :data:`repro.kernels.precision.TOLERANCES` ``float64`` row (whose
@@ -59,7 +61,7 @@ import numpy as np
 from ..observability.tracing import resolve_tracer
 from ..registry import RegistryError
 from .ops import pad_samples
-from .plan import BeamformingPlan, compile_plan, plan_key
+from .plan import BeamformingPlan, _extent, _tile_tensors, plan_key
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -400,14 +402,14 @@ class CompiledPlan(BeamformingPlan):
         kernels = self.kernels()
         _set_threads(options.threads)
         block = int(options.block_size or DEFAULT_BLOCK_POINTS)
-        index = self.index
+        index = self.stored_index
         if index.upper is None:
-            kernels[f"nearest_{shape}"](padded, index.flat, self.weights,
-                                        out, block)
+            kernels[f"nearest_{shape}"](padded, index.flat,
+                                        self.stored_weights, out, block)
         else:
             kernels[f"linear_{shape}"](padded, index.flat, index.upper,
-                                       index.fraction, self.weights, out,
-                                       block)
+                                       index.fraction, self.stored_weights,
+                                       out, block)
 
     # ------------------------------------------------------------ execution
     def execute(self, channel_data: "ChannelData | np.ndarray",
@@ -489,9 +491,10 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
     """Compile a :class:`CompiledPlan` (tensors + jitted kernels) for an
     engine.
 
-    The weights and gather index are built by the standard
-    :func:`repro.kernels.plan.compile_plan` path — the fused kernels consume
-    the very same artifacts (the weights being the shared, read-only
+    The weights and gather index are built by the NumPy plan's tensor
+    builder, in natural ``(n_points, n_elements)`` order (the kernels index
+    ``[p, e]``) — the fused kernels consume the very same artifacts as the
+    chunked NumPy plans (the weights being the shared, read-only
     :func:`repro.kernels.plan.receive_weights` tensor), which is what keeps
     the backend a drop-in peer.
     The plan key carries :meth:`CompiledOptions.variant`, so a cache shared
@@ -510,12 +513,14 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
     require_numba()
     options = CompiledOptions() if options is None else options
     precision = resolve_precision(precision)
-    base = compile_plan(beamformer, precision, tile=tile)
+    start, stop, grid_shape = _extent(beamformer, tile)
+    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype,
+                                   None, leaf_ordered=False)
     plan = CompiledPlan(
         key=plan_key(beamformer, precision, variant=options.variant(),
                      tile=tile),
-        weights=base.weights, grid_shape=base.grid_shape,
-        precision=base.precision, interpolation=base.interpolation,
-        index=base.index, options=options)
+        stored_weights=weights, grid_shape=grid_shape, precision=precision,
+        interpolation=beamformer.interpolation, stored_index=index,
+        options=options)
     plan.warmup()
     return plan

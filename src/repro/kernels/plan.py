@@ -8,12 +8,19 @@ of frames:
 
 * :meth:`BeamformingPlan.execute` — one frame -> one volume;
 * :meth:`BeamformingPlan.execute_batch` — a stacked cine -> stacked volumes
-  in one gather, amortising index setup and NumPy dispatch across frames.
+  in one pass, amortising index setup and NumPy dispatch across frames.
 
-Both run one chunked loop (a frame is a batch of one) through the
-datapath helpers of :mod:`repro.kernels.ops`; a plan carrying a
-:class:`~repro.kernels.quantized.QuantizationSpec` is the bit-true
-fixed-point datapath of the same loop, not another plan class.  The runtime
+A frame is a batch of one.  The float nearest-sample plan is a sparse
+matrix: it executes as one SciPy CSR product of its leaf-ordered tensors
+(:class:`repro.kernels.ops.LeafLayout`) with the padded frames, its leaf
+sums then added in NumPy's summation order
+(:func:`repro.kernels.ops.combine_leaf_sums`) — bit for bit the chunked
+loop's ``np.sum``.  Linear and quantised plans run one chunked
+gather/weigh/total loop through the datapath helpers of
+:mod:`repro.kernels.ops`: a linear sum weights an interpolated sample, and
+a plan carrying a :class:`~repro.kernels.quantized.QuantizationSpec` (the
+bit-true fixed-point datapath of the same loop, not another plan class)
+rounds every product, so neither is one product.  The runtime
 backends run whole *segment* plans, one per tile of a
 :class:`repro.kernels.tiling.TiledPlan` (``compile_plan(..., tile=...)``),
 through the same two methods; an unbudgeted engine is one tile.
@@ -22,14 +29,16 @@ Compilation builds the flat int32 gather index
 (:class:`repro.kernels.ops.GatherIndex`) of its point range for the
 system's echo-buffer length, rounding the provider's bulk delays into
 index rows block by block as they are generated — no delay tensor is ever
-held — and references the ``(n_points, n_elements)`` receive-weight
-tensor of that range, built once per geometry and shared by every plan
-(:func:`receive_weights`).  It is the software analogue of
-the paper's precomputed delay table: the expensive float work happens once,
-streaming frames only gather.  Plans are immutable and safe to share
-across backends and threads; :func:`plan_key` (which includes the
-interpolation kind and execution dtype) is the key they are cached under
-in :class:`repro.runtime.cache.PlanCache`.
+held — and references the receive-weight tensor of that range, built once
+per geometry and layout and shared by every plan
+(:func:`receive_weights`).  A float nearest plan writes both straight into
+leaf order, so its CSR matrix is views of them, built without a copy.  It
+is the software analogue of the paper's precomputed delay table: the
+expensive float work happens once, streaming frames only gather.  Plans
+are immutable and safe to share across backends and threads;
+:func:`plan_key` (which includes the interpolation kind and execution
+dtype) is the key they are cached under in
+:class:`repro.runtime.cache.PlanCache`.
 """
 
 from __future__ import annotations
@@ -41,11 +50,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ..beamformer.interpolation import InterpolationKind
 from ..observability.tracing import resolve_tracer
-from .ops import GatherIndex, coerce_samples, gather_padded, pad_samples, \
-    total, weigh
+from .ops import GatherIndex, LeafLayout, coerce_samples, gather_padded, \
+    pad_samples, total, weigh
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -59,30 +69,47 @@ __all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
 
 BATCH_BLOCK_ELEMENTS = 1 << 17
 """Target gathered-value count per execution chunk (~1 MB at float64).
-Keeps the ``(n_frames, block, n_elements)`` temporaries inside the CPU
-caches; see :meth:`BeamformingPlan.execute_batch`.  Measured on the
+Keeps the chunked plans' ``(n_frames, block, n_elements)`` temporaries
+inside the CPU caches; see :meth:`BeamformingPlan._chunked`.  Measured on the
 ``small`` preset (one frame, 2-vCPU Xeon host): 2^16-2^18 gather in
 ~30-38 ms, 2^20 in ~100 ms."""
 
 
+def _leaf_ordered(interpolation: "InterpolationKind | str",
+                 quantization: object | None = None,
+                 variant: Hashable = None) -> bool:
+    """Whether a plan family runs as the leaf-ordered CSR product: the
+    NumPy plan (``variant=None``) of a float (unquantised) nearest-sample
+    engine."""
+    return variant is None and quantization is None and \
+        getattr(interpolation, "value", interpolation) == "nearest"
+
+
 def plan_storage_bytes(n_points: int, n_elements: int,
                        precision: Precision | str | None = None,
-                       interpolation: "InterpolationKind | str" = "nearest"
-                       ) -> int:
+                       interpolation: "InterpolationKind | str" = "nearest",
+                       *, quantization: object | None = None,
+                       variant: Hashable = None) -> int:
     """Predicted memory footprint of a compiled plan, without compiling it.
 
     Counts the weights and the compiled gather index: the int32 flat
     index, plus for ``linear`` the int32 upper neighbour and the fraction
-    in the execution dtype.  Used by experiment E9 to put the software plan
-    against the paper's delay-table storage wall: at paper scale the plan
-    is terabytes — the very reason the paper generates delays on the fly —
-    while the scaled-down presets fit in megabytes.
+    in the execution dtype, plus for the leaf-ordered CSR plan
+    (:func:`_leaf_ordered` of ``interpolation``, ``quantization`` and
+    ``variant``) one int32 row pointer per (point, leaf).  Used by
+    experiment E9 to put the software plan against the paper's delay-table
+    storage wall: at paper scale the plan is terabytes — the very reason
+    the paper generates delays on the fly — while the scaled-down presets
+    fit in megabytes.
     """
     itemsize = resolve_precision(precision).dtype.itemsize
     per_entry = itemsize + 4                        # weights + flat index
     if getattr(interpolation, "value", interpolation) == "linear":
         per_entry += 4 + itemsize                   # upper + fraction
-    return int(n_points) * int(n_elements) * per_entry
+    per_point = int(n_elements) * per_entry
+    if _leaf_ordered(interpolation, quantization, variant):
+        per_point += 4 * LeafLayout.of(int(n_elements)).n_leaves
+    return int(n_points) * per_point
 
 
 def plan_key(beamformer: "DelayAndSumBeamformer",
@@ -170,15 +197,19 @@ _WEIGHTS_LOCK = threading.Lock()
 
 def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
                     stop: int, dtype: np.dtype | type,
-                    quantization=None) -> np.ndarray:
+                    quantization=None, *,
+                    leaf_ordered: bool = False) -> np.ndarray:
     """The read-only receive-weight tensor of flat points ``[start, stop)``,
     shape ``(stop - start, n_elements)``, in ``dtype`` (quantised by the
-    ``quantization`` spec first, when given).
+    ``quantization`` spec first, when given) — or, ``leaf_ordered``, the
+    same values stored flat in :class:`~repro.kernels.ops.LeafLayout`
+    order: the ``data`` of a CSR plan.
 
     Weights depend only on the geometry and the apodization — not on the
     delay architecture or the transmit firing — so one tensor serves every
-    plan of the same range: it is memoised under (``system.cache_key()``,
-    apodization, dtype, quantisation, range), the same geometry assumption
+    plan of the same range and layout: it is memoised under
+    (``system.cache_key()``, apodization, dtype, quantisation, layout,
+    range), the same geometry assumption
     :func:`plan_key` makes, in a process-wide weak map.  Any engine of the
     same geometry gets the same array, and plans reference it without
     copying.  The beamformer keeps a strong reference to each tensor it
@@ -187,26 +218,35 @@ def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
 
     Built in blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries from
     :meth:`~repro.beamformer.das.DelayAndSumBeamformer.weights_for_points`
-    over :meth:`~repro.geometry.volume.FocalGrid.range_points`; every step
-    is elementwise, so the rows equal ``weights_for_scanline`` rows (cast
-    or quantised) bit for bit.
+    over :meth:`~repro.geometry.volume.FocalGrid.range_points`, each block
+    written straight into its layout; every step is elementwise, so the
+    rows equal ``weights_for_scanline`` rows (cast or quantised) bit for
+    bit.
     """
     dtype = np.dtype(dtype)
     key = (beamformer.system.cache_key(), repr(beamformer.apodization),
-           dtype.str, repr(quantization), int(start), int(stop))
+           dtype.str, repr(quantization), bool(leaf_ordered), int(start),
+           int(stop))
     with _WEIGHTS_LOCK:
         weights = _WEIGHTS.get(key)
     if weights is None:
         # Built outside the lock so concurrent tiles compile in parallel;
         # a racing duplicate is dropped in favour of the first stored.
-        built = np.empty((stop - start, beamformer.transducer.element_count),
-                         dtype=dtype)
-        for lo, hi in _blocks(start, stop, built.shape[1]):
+        n_points = stop - start
+        n_elements = beamformer.transducer.element_count
+        layout = LeafLayout.of(n_elements) if leaf_ordered else None
+        built = np.empty((n_points, n_elements) if layout is None
+                         else n_points * n_elements, dtype=dtype)
+        for lo, hi in _blocks(start, stop, n_elements):
             rows = beamformer.weights_for_points(
                 beamformer.grid.range_points(lo, hi))
             if quantization is not None:
                 rows = quantization.quantize_weights(rows)
-            built[lo - start:hi - start] = rows
+            if layout is None:
+                built[lo - start:hi - start] = rows
+            else:
+                layout.write(built, n_points, slice(lo - start, hi - start),
+                             rows)
         built.flags.writeable = False
         with _WEIGHTS_LOCK:
             weights = _WEIGHTS.setdefault(key, built)
@@ -216,9 +256,10 @@ def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
 
 def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
                   stop: int, dtype: np.dtype,
-                  quantization: "QuantizationSpec | None"
-                  ) -> tuple[GatherIndex, np.ndarray]:
-    """Gather index and weights of flat points ``[start, stop)``.
+                  quantization: "QuantizationSpec | None",
+                  leaf_ordered: bool) -> tuple[GatherIndex, np.ndarray]:
+    """Gather index and weights of flat points ``[start, stop)``, in
+    natural order or, ``leaf_ordered``, in the CSR plan's leaf order.
 
     The one tensor builder of every plan (NumPy or compiled, float or
     quantized); a whole-grid plan is the range ``[0, n_points)``.  Delays
@@ -234,7 +275,8 @@ def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
     n_elements = beamformer.transducer.element_count
     index = GatherIndex.empty(beamformer.interpolation, stop - start,
                               n_elements,
-                              beamformer.system.echo_buffer_samples, dtype)
+                              beamformer.system.echo_buffer_samples, dtype,
+                              leaf_ordered=leaf_ordered)
     for lo, hi in _blocks(start, stop, n_elements):
         delays = np.asarray(beamformer.delays.tile_delays_samples(lo, hi),
                             dtype=np.float64)
@@ -242,7 +284,7 @@ def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
             delays = quantization.quantize_delays(delays)
         index.write(slice(lo - start, hi - start), delays)
     return index, receive_weights(beamformer, start, stop, dtype,
-                                  quantization)
+                                  quantization, leaf_ordered=leaf_ordered)
 
 
 @dataclass(frozen=True)
@@ -253,12 +295,13 @@ class BeamformingPlan:
     ----------
     key:
         The :func:`plan_key` this plan was compiled under.
-    weights:
-        Receive apodization weights in the execution dtype,
-        ``(n_points, n_elements)``, points in scanline-major
-        ``(i_theta, i_phi, i_depth)`` order: the read-only
-        :func:`receive_weights` tensor, shared with every plan of the same
-        geometry and range.
+    stored_weights:
+        Receive apodization weights in the execution dtype, as stored: the
+        read-only :func:`receive_weights` tensor, shared with every plan of
+        the same geometry, range and layout.  Natural ``(n_points,
+        n_elements)`` with points in scanline-major ``(i_theta, i_phi,
+        i_depth)`` order, or flat in the index's leaf order; :attr:`weights`
+        is always natural (read-only).
     grid_shape:
         Focal-grid shape ``(n_theta, n_phi, n_depth)`` used to fold the
         flat point axis back into a volume.
@@ -266,10 +309,11 @@ class BeamformingPlan:
         Execution dtype policy (see :class:`repro.kernels.Precision`).
     interpolation:
         Echo-sample interpolation the gather index was built for.
-    index:
-        The flat gather index, same shape as ``weights``, built at compile
-        time for the system's echo-buffer length and the plan's only
-        addressing state: :attr:`nbytes` never changes after compile.
+    stored_index:
+        The flat gather index in the layout of ``stored_weights``, built at
+        compile time for the system's echo-buffer length and the plan's
+        only addressing state: :attr:`nbytes` never changes after compile.
+        :attr:`index` (and :meth:`gather_index`) is always natural.
     quantization:
         The fixed-point datapath spec, or ``None`` for float execution.
         Quantised, the index was rounded from quantised delays and the
@@ -277,37 +321,68 @@ class BeamformingPlan:
         product and every sum (:func:`repro.kernels.ops.weigh`,
         :func:`repro.kernels.ops.total`).  Validated against the precision,
         interpolation and buffer length on construction.
+    matrix:
+        For a leaf-ordered index, the ``(n_leaves * n_points, n_elements *
+        n_samples + 1)`` CSR matrix whose ``data``, ``indices`` and
+        ``indptr`` *are* the stored weights, flat index and row pointers
+        (no copy); ``None`` for the chunked plans.
     """
 
     key: Hashable
-    weights: np.ndarray
+    stored_weights: np.ndarray
     grid_shape: tuple[int, int, int]
     precision: Precision
     interpolation: InterpolationKind
-    index: GatherIndex = field(repr=False, compare=False)
+    stored_index: GatherIndex = field(repr=False, compare=False)
     quantization: "QuantizationSpec | None" = None
+    matrix: "sparse.csr_array | None" = field(init=False, repr=False,
+                                              compare=False)
+    _natural: "weakref.WeakValueDictionary[str, object]" = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.quantization is not None:
             self.quantization.validate_for(self.precision,
                                            self.interpolation,
                                            self.n_samples)
+        self._attach()
+
+    def _attach(self) -> None:
+        """Set the views derived from the stored tensors: the CSR matrix
+        over them (no copy) and the empty memo of natural copies."""
+        index = self.stored_index
+        matrix = None if index.leaves is None else sparse.csr_array(
+            (self.stored_weights, index.flat, index.indptr),
+            shape=(index.leaves.n_leaves * self.n_points,
+                   self.n_elements * self.n_samples + 1), copy=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_natural", weakref.WeakValueDictionary())
+
+    def __getstate__(self) -> dict:
+        # A pickled matrix would unpickle as copies of the stored tensors,
+        # and the memo is process-local: both are rebuilt instead.
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("matrix", "_natural")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._attach()
 
     # ------------------------------------------------------------ geometry
     @property
     def n_points(self) -> int:
         """Number of focal points (product of ``grid_shape``)."""
-        return self.weights.shape[0]
+        return self.stored_index.n_points
 
     @property
     def n_elements(self) -> int:
         """Number of receive channels."""
-        return self.weights.shape[1]
+        return self.stored_index.n_elements
 
     @property
     def n_samples(self) -> int:
         """Echo-buffer length the compiled gather index addresses."""
-        return self.index.n_samples
+        return self.stored_index.n_samples
 
     @property
     def dtype(self) -> np.dtype:
@@ -321,20 +396,54 @@ class BeamformingPlan:
         The weights are counted in full even though plans of one geometry
         share them, so summed over plans this is an upper bound.
         """
-        return self.weights.nbytes + self.index.nbytes
+        return self.stored_weights.nbytes + self.stored_index.nbytes
 
     # ----------------------------------------------------------- addressing
+    def _unpermuted(self, name: str, build):
+        """A natural-order copy of a leaf-ordered tensor, built on demand
+        and shared while any caller still holds it."""
+        value = self._natural.get(name)
+        if value is None:
+            value = build()
+            self._natural[name] = value
+        return value
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Receive weights in natural ``(n_points, n_elements)`` order
+        (read-only): the stored tensor, or its un-permuted copy."""
+        leaves = self.stored_index.leaves
+        if leaves is None:
+            return self.stored_weights
+
+        def build() -> np.ndarray:
+            weights = leaves.natural(self.stored_weights, self.n_points)
+            weights.flags.writeable = False
+            return weights
+
+        return self._unpermuted("weights", build)
+
+    @property
+    def index(self) -> GatherIndex:
+        """The gather index in natural ``(n_points, n_elements)`` order:
+        the stored index, or its un-permuted copy."""
+        return self._unpermuted("index", self.stored_index.natural)
+
     def gather_index(self, n_samples: int | None = None) -> GatherIndex:
-        """The compiled gather index, checked against a buffer length.
+        """The natural-order :attr:`index`, checked against a buffer
+        length.
 
         A plan addresses only its compile-time echo-buffer length; a frame
         of any other length raises :class:`ValueError` naming both.
         """
+        self._check_samples(n_samples)
+        return self.index
+
+    def _check_samples(self, n_samples: int | None) -> None:
         if n_samples is not None and int(n_samples) != self.n_samples:
             raise ValueError(
                 f"plan was compiled for {self.n_samples}-sample echo "
                 f"buffers; got a frame of {int(n_samples)} samples")
-        return self.index
 
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
@@ -354,8 +463,8 @@ class BeamformingPlan:
         one-frame case of :meth:`execute_batch`.
 
         ``tracer`` (default: the process default tracer, normally a no-op)
-        records ``gather`` / ``weights`` / ``accumulate`` spans with wall
-        time and gathered byte counts.
+        records one ``spmv`` span (CSR plan) or per-chunk ``gather`` /
+        ``weights`` / ``accumulate`` spans with wall time and byte counts.
         """
         samples = np.asarray(getattr(channel_data, "samples", channel_data))
         return self.execute_batch(samples[np.newaxis], tracer)[0]
@@ -367,43 +476,75 @@ class BeamformingPlan:
         All frames are stacked into one ``(n_frames, n_elements, n_samples)``
         buffer, copied once per call into the padded, frames-innermost
         layout the flat index addresses
-        (:func:`repro.kernels.ops.pad_samples`), and gathered with one
-        ``np.take`` per chunk, so per-frame NumPy dispatch is paid once per
-        batch and each fetch reads every frame's sample from one cache
-        line.  The gather is chunked over point blocks of
-        ~:data:`BATCH_BLOCK_ELEMENTS` gathered values, which keeps the
-        ``(n_frames, block, n_elements)`` temporaries inside the CPU caches.
-        The chunking is invisible numerically — each focal point's sum is
-        independent, so the result is bit-identical to a single-shot
-        gather.  Each chunk's gathered buffer is private, so the weight
-        multiply reuses it in place (:func:`repro.kernels.ops.weigh`).
-        ``tracer`` times the ``gather``, ``weights`` and ``accumulate``
-        stages of every chunk; timing never touches the arithmetic.  Frames
-        must share the plan's buffer length.  A pre-stacked ``(n_frames,
-        n_elements, n_samples)`` array is coerced in place of the stack —
-        the tiled path shares one stack across all its tiles.
+        (:func:`repro.kernels.ops.pad_samples`), so per-frame NumPy dispatch
+        is paid once per batch and each fetch reads every frame's sample
+        from one cache line.  A CSR plan then runs one sparse product over
+        the whole batch (:meth:`_leaf_products`); the chunked plans gather
+        block by block (:meth:`_chunked`).  Frames must share the plan's
+        buffer length.  A pre-stacked ``(n_frames, n_elements, n_samples)``
+        array is coerced in place of the stack — the tiled path shares one
+        stack across all its tiles.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
         stacked = self.coerce_samples(frames) if isinstance(frames, np.ndarray) \
             else np.stack([self.coerce_samples(frame) for frame in frames])
-        index = self.gather_index(stacked.shape[-1])
-        padded = pad_samples(stacked, index)
-        block = max(1, BATCH_BLOCK_ELEMENTS // (len(frames) * self.n_elements))
-        out = np.empty((len(frames), self.n_points), dtype=self.dtype)
+        self._check_samples(stacked.shape[-1])
+        padded = pad_samples(stacked, self.stored_index)
+        out = self._chunked(padded, tracer) if self.matrix is None \
+            else self._leaf_products(padded, tracer)
+        return out.reshape((len(frames), *self.grid_shape))
+
+    def _leaf_products(self, padded: np.ndarray, tracer) -> np.ndarray:
+        """``(n_frames, n_points)`` sums of a CSR plan, under one ``spmv``
+        span.
+
+        Row ``l * n_points + p`` of :attr:`matrix` sums leaf ``l`` of point
+        ``p`` sequentially (SciPy's row loop, over the same ``w * x``
+        products the chunked loop forms), so the product is every leaf sum
+        at once; adding the ``(n_points, n_frames)`` leaf slabs in NumPy's
+        pairwise order (:meth:`repro.kernels.ops.LeafLayout.combine`)
+        reproduces ``np.sum(w * x[flat], axis=-1)`` bit for bit.  No
+        gathered ``(n_frames, n_points, n_elements)`` values exist.
+        """
+        n_frames = padded.shape[1]
+        with tracer.span("spmv") as span:
+            sums = self.matrix @ (padded[:, 0] if n_frames == 1 else padded)
+            summed = self.stored_index.leaves.combine(
+                sums.reshape(-1, self.n_points, n_frames))
+            span.set(bytes=int(self.nbytes))
+        # A copy, never a view: a volume must not pin the leaf sums.
+        return summed.T.copy()
+
+    def _chunked(self, padded: np.ndarray, tracer) -> np.ndarray:
+        """``(n_frames, n_points)`` sums gathered in point blocks of
+        ~:data:`BATCH_BLOCK_ELEMENTS` gathered values, which keeps the
+        ``(n_frames, block, n_elements)`` temporaries inside the CPU caches.
+
+        The chunking is invisible numerically — each focal point's sum is
+        independent, so the result is bit-identical to a single-shot
+        gather.  Each chunk's gathered buffer is private, so the weight
+        multiply reuses it in place (:func:`repro.kernels.ops.weigh`).
+        ``tracer`` times the ``gather``, ``weights`` and ``accumulate``
+        stages of every chunk; timing never touches the arithmetic.
+        """
+        n_frames = padded.shape[1]
+        index = self.stored_index
+        block = max(1, BATCH_BLOCK_ELEMENTS // (n_frames * self.n_elements))
+        out = np.empty((n_frames, self.n_points), dtype=self.dtype)
         for lo in range(0, self.n_points, block):
             rows = slice(lo, min(lo + block, self.n_points))
             with tracer.span("gather") as span:
                 gathered = gather_padded(padded, index.rows(rows))
                 span.set(bytes=int(gathered.nbytes))
             with tracer.span("weights"):
-                weighted = weigh(gathered, self.weights[rows],
+                weighted = weigh(gathered, self.stored_weights[rows],
                                  self.quantization)
             with tracer.span("accumulate"):
                 summed = total(weighted, self.quantization)
             out[:, rows] = summed
-        return out.reshape((len(frames), *self.grid_shape))
+        return out
 
 
 def compile_plan(beamformer: "DelayAndSumBeamformer",
@@ -415,9 +556,10 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
 
     Generates the gather index for the system's echo-buffer length and
     fetches the shared weight tensor (in the execution dtype), both
-    through :func:`_tile_tensors`.  This is the expensive step the
-    :class:`repro.runtime.cache.PlanCache` amortises across frames and
-    across backends.
+    through :func:`_tile_tensors` — leaf-ordered, so the plan runs as one
+    CSR product, for a float nearest-sample engine.  This is the expensive
+    step the :class:`repro.runtime.cache.PlanCache` amortises across frames
+    and across backends.
 
     The beamformer's ``quantization`` spec rides on the plan: its delays
     and weights are quantised at compile time and its execution runs the
@@ -425,7 +567,7 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     float and a quantised plan never share a cache slot.
 
     ``variant`` selects an alternative plan implementation over the same
-    tensors: ``"compiled"`` dispatches to
+    tensors in natural order: ``"compiled"`` dispatches to
     :func:`repro.kernels.compiled.compile_compiled_plan` (fused Numba
     kernels; ``options`` is its :class:`~repro.kernels.compiled.CompiledOptions`),
     raising :class:`repro.kernels.compiled.BackendUnavailable` when numba is
@@ -450,10 +592,11 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     precision = resolve_precision(precision)
     start, stop, grid_shape = _extent(beamformer, tile)
     quantization = beamformer.quantization
-    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype,
-                                   quantization)
+    index, weights = _tile_tensors(
+        beamformer, start, stop, precision.dtype, quantization,
+        _leaf_ordered(beamformer.interpolation, quantization))
     return BeamformingPlan(
-        key=plan_key(beamformer, precision, tile=tile), weights=weights,
-        grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, index=index,
+        key=plan_key(beamformer, precision, tile=tile),
+        stored_weights=weights, grid_shape=grid_shape, precision=precision,
+        interpolation=beamformer.interpolation, stored_index=index,
         quantization=quantization)

@@ -132,9 +132,10 @@ class TilePlanner:
         plans executing at once never exceed it together; the
         byte-budgeted :class:`repro.runtime.cache.PlanCache` then enforces
         it across however many segments are resident.
-    precision / interpolation:
-        Execution dtype and gather interpolation — both change the
-        per-point cost (see :func:`~repro.kernels.plan.plan_storage_bytes`).
+    precision / interpolation / quantization / variant:
+        Execution dtype, gather interpolation, fixed-point spec and plan
+        implementation — all change the per-point cost (see
+        :func:`~repro.kernels.plan.plan_storage_bytes`).
     granularity:
         Tile alignment in points.  Defaults to ``n_depth`` — whole
         scanlines, the minimal unit the per-scanline delay providers
@@ -154,6 +155,8 @@ class TilePlanner:
                  memory_budget_bytes: int | str | None = None, *,
                  precision: Precision | str | None = None,
                  interpolation="nearest",
+                 quantization: object | None = None,
+                 variant: str | None = None,
                  granularity: int | None = None,
                  workers: int = 1) -> None:
         self.grid_shape = tuple(int(n) for n in grid_shape)
@@ -174,7 +177,8 @@ class TilePlanner:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         self.bytes_per_point = plan_storage_bytes(
-            1, self.n_elements, self.precision, self.interpolation)
+            1, self.n_elements, self.precision, self.interpolation,
+            quantization=quantization, variant=variant)
         unit_bytes = self.bytes_per_point * self.granularity
         units = math.ceil(math.ceil(self.n_points / self.granularity)
                           / self.workers)
@@ -232,13 +236,16 @@ class TilePlanner:
     def for_beamformer(cls, beamformer: "DelayAndSumBeamformer",
                        memory_budget_bytes: int | str | None, *,
                        precision: Precision | str | None = None,
+                       variant: str | None = None,
                        granularity: int | None = None,
                        workers: int = 1) -> "TilePlanner":
-        """Planner for a configured beamformer's grid/channels/interp."""
+        """Planner for a configured beamformer's grid/channels/interp/spec,
+        compiling ``variant`` plans."""
         return cls(beamformer.grid.shape,
                    beamformer.transducer.element_count,
                    memory_budget_bytes, precision=precision,
                    interpolation=beamformer.interpolation,
+                   quantization=beamformer.quantization, variant=variant,
                    granularity=granularity, workers=workers)
 
 

@@ -2,8 +2,9 @@
 
 A :class:`Tracer` records a tree of named, timed :class:`Span` objects —
 the per-stage breakdown the paper's throughput argument needs in software:
-how much of a frame's latency is plan ``compile`` versus echo-buffer
-``gather`` versus ``weights``/``accumulate`` arithmetic versus scheme
+how much of a frame's latency is plan ``compile`` versus the fused
+sparse ``spmv`` of a float nearest plan (or the echo-buffer ``gather`` and
+``weights``/``accumulate`` arithmetic of a chunked one) versus scheme
 ``compound`` versus acoustic ``simulate``.  The runtime layers
 (:class:`repro.kernels.BeamformingPlan`, the execution backends,
 :class:`repro.scenarios.SchemeEngine`, :class:`repro.runtime.BeamformingService`,
@@ -18,9 +19,11 @@ computes bit-identical volumes, because spans only ever *time* stages.
 
 Span taxonomy (see ``docs/observability.md`` for the full table):
 
-``frame`` > ``simulate`` / ``beamform`` > ``compound`` > ``compile`` /
-``execute`` / ``gather`` / ``weights`` / ``accumulate``, plus ``batch``,
-``sweep`` and ``cell`` at the session level.
+``frame`` > ``simulate`` / ``beamform`` > ``compound`` > ``execute`` >
+``tile`` > ``compile`` / ``spmv`` (float nearest plans) or ``gather`` /
+``weights`` / ``accumulate`` (linear and quantized plans, per point
+chunk) or ``fused`` (compiled plans), plus ``batch``, ``sweep`` and
+``cell`` at the session level.
 
 Thread-safety: each thread nests spans on its own stack, and root
 registration is locked, so one tracer may observe a multi-threaded run

@@ -354,6 +354,13 @@ class CompiledBackend(VectorizedBackend):
         super().__init__(beamformer, cache=cache, precision=precision)
         self.options = options if options is not None else CompiledOptions()
 
+    def _plan_tiles(self, budget: int | None) -> TilePlanner:
+        # Natural-order segments: no CSR row pointers to budget for.
+        return TilePlanner.for_beamformer(self.beamformer, budget,
+                                          precision=self.precision,
+                                          variant="compiled",
+                                          workers=self.workers)
+
     def _build_tiled(self) -> TiledPlan:
         # The variant joins the segment keys: a cache shared with NumPy
         # backends never serves this backend a plain BeamformingPlan (or a

@@ -250,7 +250,8 @@ class SweepExecutor:
                     for s in sweep.schemes)
         per_plan = plan_storage_bytes(
             session.grid.point_count, session.transducer.element_count,
-            session.spec.precision, session.spec.interpolation)
+            session.spec.precision, session.spec.interpolation,
+            quantization=session.spec.quantization)
         session.cache.reserve(slots, nbytes=per_plan * slots)
 
         cached = set()

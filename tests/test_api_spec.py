@@ -179,9 +179,10 @@ class TestEngineSpecRoundTrip:
             EngineSpec(system="tiny").to_json()).memory_budget_bytes is None
 
     def test_memory_budget_too_small_rejected_actionably(self):
-        # tiny: one scanline is 16 points x 64 elements x 12 B = 12288 B.
+        # tiny: one scanline is 16 points x (64 elements x 12 B + 8 CSR
+        # row pointers x 4 B) = 12800 B.
         with pytest.raises(ValueError, match="raise the budget to at least "
-                                             "12288 bytes"):
+                                             "12800 bytes"):
             EngineSpec(system="tiny", memory_budget_bytes=100)
         with pytest.raises(ValueError, match="scanline"):
             EngineSpec(system="tiny").with_updates(memory_budget_bytes="1K")

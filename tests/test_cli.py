@@ -168,7 +168,8 @@ class TestCommands:
         assert main(["stream", "--system", "tiny", "--frames", "1",
                      "--memory-budget", "10"]) == 2
         err = capsys.readouterr().err
-        assert "raise the budget to at least 12288 bytes" in err
+        # 16 points x (64 elements x 12 B + 8 CSR row pointers x 4 B).
+        assert "raise the budget to at least 12800 bytes" in err
 
     def test_stream_garbage_memory_budget_exits_2(self, capsys):
         assert main(["stream", "--system", "tiny",

@@ -192,7 +192,8 @@ class TestPlanCompile:
         assert plan.precision is Precision.FLOAT64
         assert plan.dtype == np.float64
         assert plan.n_samples == tiny.echo_buffer_samples
-        assert plan.nbytes == plan.weights.nbytes + plan.index.nbytes
+        assert plan.nbytes == plan.stored_weights.nbytes \
+            + plan.stored_index.nbytes
 
     def test_compile_precompiles_gather_index(self, plan):
         assert plan.gather_index() is plan.gather_index(plan.n_samples)
@@ -223,7 +224,8 @@ class TestPlanCompile:
     def test_nbytes_matches_storage_prediction(self, tiny, exact_beamformer,
                                                monkeypatch, family, precision,
                                                kind):
-        """Every plan family holds exactly the predicted weights + index."""
+        """Every plan family holds exactly the predicted weights + index
+        (+ CSR row pointers for the leaf-ordered float nearest plan)."""
         if family == "compiled" and not numba_available():
             # The un-jitted kernel bodies stand in for numba's.
             from repro.kernels import compiled
@@ -234,10 +236,12 @@ class TestPlanCompile:
             tiny, exact_beamformer.delays,
             interpolation=InterpolationKind(kind),
             quantization=18 if family == "quantized" else None)
+        variant = "compiled" if family == "compiled" else None
         built = compile_plan(beamformer, precision, tile=Tile(0, 16, 48),
-                             variant="compiled" if family == "compiled"
-                             else None)
-        assert built.nbytes == plan_storage_bytes(32, 64, precision, kind)
+                             variant=variant)
+        assert built.nbytes == plan_storage_bytes(
+            32, 64, precision, kind, quantization=beamformer.quantization,
+            variant=variant)
 
     def test_key_includes_interpolation_and_dtype(self, tiny,
                                                   exact_beamformer):
@@ -369,8 +373,10 @@ class TestSharedReceiveWeights:
                      for plan in _segments(
                          session.service(architecture=architecture))]
         assert len({plan.key for plan in plans}) == 4
-        assert all(plan.weights is plans[0].weights for plan in plans)
-        assert not plans[0].weights.flags.writeable
+        assert all(plan.stored_weights is plans[0].stored_weights
+                   for plan in plans)
+        assert plans[0].stored_index.leaves is not None
+        assert not plans[0].stored_weights.flags.writeable
 
     def test_evicted_segments_recompile_without_rebuilding_weights(
             self, small, monkeypatch):

@@ -465,17 +465,17 @@ class TestServiceObservability:
         # The plan cache survives a stats reset.
         assert stats.cache.misses == 1
 
-    def test_span_taxonomy(self, session, tiny_channel_data):
-        """The exact tree of an unbudgeted frame: one tile under execute,
-        compiled on the first frame only."""
+    @staticmethod
+    def _frame_trees(session, channel_data, stages):
+        """Two frames: one tile under execute, compiled on the first frame
+        only, its execution the exact ``stages`` subtree."""
         def tree(span):
             return (span.name, [tree(child) for child in span.children])
 
         service = session.service()
         for _ in range(2):
-            service.submit_frame(tiny_channel_data)
+            service.submit_frame(channel_data)
         first, second = session.tracer.find("frame")
-        stages = [("gather", []), ("weights", []), ("accumulate", [])]
         for frame, compiled in ((first, [("compile", [])]), (second, [])):
             assert tree(frame) == ("frame", [("beamform", [("execute", [
                 ("tile", compiled + stages)])])])
@@ -484,6 +484,28 @@ class TestServiceObservability:
             == (1, 1)
         (compile_span,) = session.tracer.find("compile")
         assert compile_span.attributes["bytes"] > 0
+        return compile_span
+
+    def test_span_taxonomy(self, session, tiny_channel_data):
+        """The exact tree of an unbudgeted float nearest frame: its CSR
+        plan runs as one fused ``spmv`` span reading the whole plan."""
+        compile_span = self._frame_trees(session, tiny_channel_data,
+                                         [("spmv", [])])
+        for name in ("gather", "weights", "accumulate"):
+            assert not session.tracer.find(name)
+        spmv = session.tracer.find("spmv")[0]
+        assert spmv.attributes["bytes"] == compile_span.attributes["bytes"]
+
+    def test_span_taxonomy_of_a_linear_plan(self, tiny_channel_data):
+        """A linear plan keeps its chunked gather / weights / accumulate
+        stages (one chunk on ``tiny``) and no ``spmv`` span."""
+        session = Session(EngineSpec(system="tiny", architecture="tablesteer",
+                                     backend="vectorized",
+                                     interpolation="linear", trace=True))
+        self._frame_trees(session, tiny_channel_data,
+                          [("gather", []), ("weights", []),
+                           ("accumulate", [])])
+        assert not session.tracer.find("spmv")
         gather = session.tracer.find("gather")[0]
         assert gather.attributes["bytes"] > 0
 

@@ -226,7 +226,8 @@ class TestShardedEdgeCases:
         worker is rejected with that real minimum."""
         backend = ShardedBackend(beamformers["exact"],
                                  max_workers=max_workers)
-        scanline = 16 * 64 * 12   # points x elements x bytes per entry
+        # points x (elements x bytes per entry + leaves x CSR row pointer)
+        scanline = 16 * (64 * 12 + 8 * 4)
         with pytest.raises(ValueError, match="raise the budget to at least "
                                              f"{max_workers * scanline} bytes"):
             backend.set_memory_budget(max_workers * scanline - 1)
