@@ -156,14 +156,17 @@ class DelayAndSumBeamformer:
     def weights_for_points(self, points: np.ndarray) -> np.ndarray:
         """Receive weights ``w(S)`` for each (point, element) pair."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        weights = np.broadcast_to(self._aperture_weights,
-                                  (points.shape[0], self.transducer.element_count)).copy()
-        if self.apodization.use_directivity:
-            angles = off_axis_angle(points, self.transducer.positions)
-            weights *= directivity_weights(
-                angles,
-                self.transducer.config.directivity_max_angle,
-                self.apodization.directivity_rolloff)
+        if not self.apodization.use_directivity:
+            return np.broadcast_to(
+                self._aperture_weights,
+                (points.shape[0], self.transducer.element_count)).copy()
+        weights = directivity_weights(
+            off_axis_angle(points, self.transducer.positions),
+            self.transducer.config.directivity_max_angle,
+            self.apodization.directivity_rolloff)
+        # Directivity times aperture, in place: IEEE products commute, so
+        # this equals the aperture scaled by the directivity bit for bit.
+        weights *= self._aperture_weights
         return weights
 
     # ---------------------------------------------------------------- core

@@ -81,12 +81,13 @@ def squared_distances(points_a: np.ndarray, points_b: np.ndarray,
     Computed per coordinate: the three squares are summed in the order
     ``np.linalg.norm`` and ``np.sum`` use over a 3-wide axis, so the result
     is bit-identical to them, without the ``(na, nb, 3)`` difference
-    temporary.
+    temporary.  Points with fewer columns give the partial sum of their
+    coordinates' squares, in the same order.
     """
     a = np.asarray(points_a, dtype=np.float64)
     b = np.asarray(points_b, dtype=np.float64)
     total = None
-    for k in range(3):
+    for k in range(a.shape[1]):
         delta = a[:, None, k] - b[None, :, k]
         if scale != 1.0:
             delta *= scale
@@ -117,8 +118,15 @@ def off_axis_angle(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
     p = np.asarray(points, dtype=np.float64)
     o = np.asarray(origins, dtype=np.float64)
     dz = p[:, None, 2] - o[None, :, 2]
-    norm = pairwise_distances(p, o)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_angle = np.divide(dz, norm, out=np.ones_like(dz), where=norm > 0)
+    # pairwise_distances with the z difference reused: the same squares
+    # summed in the same order, so the same bits.
+    norm = squared_distances(p[:, :2], o[:, :2])
+    norm += np.square(dz)
+    np.sqrt(norm, out=norm)
+    # Divided in place.  A point on an element (or a NaN distance) has no
+    # direction: its cosine is 1, angle 0.
+    seen = norm > 0
+    cos_angle = np.divide(dz, norm, out=dz, where=seen)
+    cos_angle[~seen] = 1.0
     np.clip(cos_angle, -1.0, 1.0, out=cos_angle)
     return np.arccos(cos_angle, out=cos_angle)

@@ -13,13 +13,15 @@ every entry point at once.
   :func:`delay_and_sum` composition, the datapath helpers
   (``coerce_samples``, ``weigh``, ``total``) that are the only code
   applying a quantization spec at execution time, and NumPy's summation
-  order (``summation_leaves``, ``combine_leaf_sums``, ``LeafLayout``).
+  order (``summation_leaves``, ``combine_leaf_sums``, ``LeafLayout``) with
+  the pruned ``LeafRows`` a CSR plan stores.
 * :mod:`repro.kernels.plan` — :class:`BeamformingPlan`, a frozen artifact
   compiled once per ``(system, architecture, apodization, interpolation,
   precision, quantization)`` and executed per frame / per batch, over the
   :func:`receive_weights` tensor every plan of one geometry shares; a
-  float nearest plan executes as one leaf-ordered CSR product, bit for
-  bit the chunked loop's ``np.sum``.
+  float nearest plan executes as one leaf-ordered CSR product of only its
+  non-zero-weight entries (the shared :func:`leaf_rows`), bit for bit the
+  chunked loop's ``np.sum``.
 * :mod:`repro.kernels.precision` — the :class:`Precision` dtype policy
   (``float64`` exact / ``float32`` fast) with pinned equivalence
   tolerances.
@@ -61,6 +63,7 @@ from .ops import (
 from .plan import (
     BeamformingPlan,
     compile_plan,
+    leaf_rows,
     plan_key,
     plan_storage_bytes,
     receive_weights,
@@ -89,6 +92,7 @@ __all__ = [
     "compile_plan",
     "delay_and_sum",
     "gather_interp",
+    "leaf_rows",
     "numba_available",
     "parse_memory_budget",
     "parse_qformat",

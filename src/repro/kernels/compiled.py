@@ -440,18 +440,29 @@ class CompiledPlan(BeamformingPlan):
         so its working set is the echo buffers plus the plan regardless of
         batch width.
         """
-        tracer = resolve_tracer(tracer)
-        options = self.options if options is None else options
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
         stacked = np.stack([self.coerce_samples(frame) for frame in frames])
         padded = pad_samples(stacked, self.gather_index(stacked.shape[-1]))
-        out = np.empty((len(frames), self.n_points), dtype=self.dtype)
+        return self.execute_padded(padded, tracer, options).reshape(
+            (len(frames), *self.grid_shape))
+
+    def execute_padded(self, padded: np.ndarray, tracer=None,
+                       options: CompiledOptions | None = None
+                       ) -> np.ndarray:
+        """``(n_frames, n_points)`` sums of a stacked
+        :func:`~repro.kernels.ops.pad_samples` buffer in one batch-kernel
+        launch (the buffer a :class:`~repro.kernels.tiling.TiledPlan`
+        shares across its segments)."""
+        tracer = resolve_tracer(tracer)
+        options = self.options if options is None else options
+        self._check_padded(padded)
+        out = np.empty((padded.shape[1], self.n_points), dtype=self.dtype)
         with tracer.span("fused") as span:
             self._launch("batch", padded, out, options)
             span.set(bytes=int(padded.nbytes), points=self.n_points,
-                     frames=len(frames))
-        return out.reshape((len(frames), *self.grid_shape))
+                     frames=padded.shape[1])
+        return out
 
     # -------------------------------------------------------------- warmup
     def warmup(self) -> None:

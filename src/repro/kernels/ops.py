@@ -27,9 +27,10 @@ instead: every focal point is a fixed weighted sum of echo samples, and
 :func:`summation_leaves` / :func:`combine_leaf_sums` split that sum into
 sequentially summed *leaves* recombined in NumPy's own pairwise order, so
 one CSR product per plan reproduces :func:`accumulate` bit for bit.
-:class:`LeafLayout` is the ``(leaf, point, j)`` order such a plan stores
-its index and weights in; :meth:`GatherIndex.write` rounds delays straight
-into it.
+:class:`LeafLayout` is the ``(leaf, point, j)`` order of such a plan's
+rows, and :class:`LeafRows` those rows with the zero-weight entries
+pruned — a dropped ``(±0.0)·x`` term changes no bit of a sum of finite
+samples; :meth:`GatherIndex.write` rounds delays straight into them.
 
 Arithmetic runs in the dtype of ``samples`` (see
 :class:`repro.kernels.precision.Precision`); delays are always rounded in
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -66,6 +67,7 @@ _LINEAR = "linear"
 __all__ = [
     "GatherIndex",
     "LeafLayout",
+    "LeafRows",
     "accumulate",
     "apply_weights",
     "build_gather_index",
@@ -173,7 +175,7 @@ def _fold(sums: np.ndarray, slots, node) -> int:
 @dataclass(frozen=True, eq=False)
 class LeafLayout:
     """The ``(leaf, point, j)`` storage order of a plan's ``(n_points,
-    n_elements)`` tensors, for executing them as one CSR product.
+    n_elements)`` entries, for executing them as one CSR product.
 
     Stored flat, CSR row ``l * n_points + p`` is leaf ``l`` of point ``p``:
     its entries are that leaf's elements in summation order, so SciPy's
@@ -182,8 +184,9 @@ class LeafLayout:
     :meth:`combine` adds contiguously.  Leaf-major rows keep adjacent
     points of one leaf — nearby samples of the same elements — adjacent.
     Leaves of equal length are stored together as one ``(n, n_points, k)``
-    block (longest first), so writing a block of rows is one strided copy
-    per distinct length (at most 16) for any element count.
+    block (longest first), so permuting a block of rows is one strided
+    copy per distinct length (at most 16) for any element count.  A plan
+    stores the pruned :class:`LeafRows` of this order.
     """
 
     n_elements: int
@@ -226,13 +229,15 @@ class LeafLayout:
                    .reshape(n, n_points, k), positions)
             offset += n * n_points * k
 
-    def write(self, stored: np.ndarray, n_points: int, rows: slice,
-              values: np.ndarray) -> None:
-        """Write the natural ``(len(rows), n_elements)`` ``values`` of
-        point ``rows`` into the flat ``stored`` tensor of ``n_points``."""
+    def _rows(self, stored: np.ndarray, n_points: int
+              ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(slot, (n_points, k) view of stored, element positions)`` of
+        every leaf, in storage order."""
+        slot = 0
         for block, positions in self._blocks(stored, n_points):
-            block[:, rows] = np.moveaxis(np.take(values, positions, axis=1),
-                                         1, 0)
+            for view, leaf in zip(block, positions):
+                yield slot, view, leaf
+                slot += 1
 
     def natural(self, stored: np.ndarray, n_points: int) -> np.ndarray:
         """A natural-order ``(n_points, n_elements)`` copy of ``stored``:
@@ -250,18 +255,138 @@ class LeafLayout:
                                 for positions in self.groups])
         return np.take(grouped, np.argsort(order), axis=1)
 
-    def indptr(self, n_points: int) -> np.ndarray:
-        """The int32 CSR row pointers of ``n_points`` points."""
-        shapes = [positions.shape for positions in self.groups]
-        lengths = np.repeat([k for _, k in shapes],
-                            [n * n_points for n, _ in shapes])
-        indptr = np.zeros(lengths.size + 1, dtype=np.int32)
-        np.cumsum(lengths, dtype=np.int32, out=indptr[1:])
-        return indptr
-
     def combine(self, sums: np.ndarray) -> np.ndarray:
         """:func:`combine_leaf_sums` over stored-order ``sums``."""
         return combine_leaf_sums(sums, self.n_elements, self.slots)
+
+
+_COMPRESS_BLOCK = 1 << 16
+"""Entries compressed per step of :meth:`LeafRows.build`."""
+
+
+def _in_leaf_order(layout: LeafLayout, n_points: int,
+                  blocks: Iterable[tuple[slice, np.ndarray]]) -> np.ndarray:
+    """A fresh flat array of ``n_points`` points' values in ``layout``
+    order, written block by block from natural ``(rows, values)`` pairs."""
+    stored = None
+    for rows, values in blocks:
+        if stored is None:
+            stored = np.empty(n_points * layout.n_elements,
+                              dtype=values.dtype)
+        for block, positions in layout._blocks(stored, n_points):
+            block[:, rows] = np.moveaxis(np.take(values, positions, axis=1),
+                                         1, 0)
+    return stored
+
+
+@dataclass(frozen=True, eq=False)
+class LeafRows:
+    """The leaf rows of one point range with their structural zeros
+    pruned: the CSR row pointers and ``data`` of a float nearest plan.
+
+    Directivity apodization weights an element that cannot see a point
+    by exactly zero.  Such a term is ``(±0.0)·x``, which is ±0.0 for a
+    finite sample ``x``; SciPy's row sum starts at +0.0, a sum that starts
+    at +0.0 never becomes −0.0, and adding ±0.0 to it changes nothing.  So
+    a leaf row that skips those terms sums to the same bits, and only the
+    ``kept`` entries — the weights non-zero in the execution dtype — are
+    stored, gathered and multiplied.  Rows keep the :class:`LeafLayout`
+    order (row ``slot * n_points + p``, entries in summation order); their
+    lengths vary, so ``indptr`` delimits them.
+
+    Built once per geometry, dtype and point range (:meth:`build`) and
+    shared, read-only, by every plan of that range; a plan adds only its
+    own gather index, written through :meth:`write`.
+    """
+
+    layout: LeafLayout
+    n_points: int
+    kept: np.ndarray
+    """Which entries are stored: bool, flat in :attr:`layout` order."""
+    indptr: np.ndarray
+    """int32 CSR row pointers, one row per (leaf, point)."""
+    weights: np.ndarray
+    """The kept weights in row order: the CSR ``data``."""
+
+    @classmethod
+    def build(cls, n_elements: int, n_points: int,
+              blocks: Iterable[tuple[slice, np.ndarray]]) -> "LeafRows":
+        """The leaf rows of ``n_points`` points from ``blocks`` of weights:
+        ``(rows, values)`` pairs covering the points in order, ``values``
+        the natural ``(len(rows), n_elements)`` weights of point ``rows``
+        in the execution dtype.
+
+        The blocks are permuted into leaf order as they arrive (one
+        strided copy per distinct leaf length).  The range is then masked
+        and counted row by row, and its weights are compressed in place,
+        front to back — a kept entry only ever moves left — before the
+        pruned tail is handed back: the unpruned tensor is the one
+        range-sized buffer the build holds.  The CSR matrix needs int32
+        row pointers (SciPy would copy the index into int64 otherwise), so
+        a range of more than 2^31 - 1 unpruned entries is refused before
+        anything is built, naming the memory budget that splits it into
+        segments.
+        """
+        if n_points * n_elements > np.iinfo(np.int32).max:
+            raise ValueError(
+                f"a plan of {n_points} points x {n_elements} elements "
+                "exceeds the int32 range of its sparse row pointers; set a "
+                "memory budget (memory_budget_bytes) so it compiles as "
+                "smaller tile segments")
+        layout = LeafLayout.of(n_elements)
+        weights = _in_leaf_order(layout, n_points, blocks)
+        kept = np.not_equal(weights, 0)
+        indptr = np.zeros(layout.n_leaves * n_points + 1, dtype=np.int32)
+        row = 0
+        for mask, positions in layout._blocks(kept, n_points):
+            n, k = positions.shape
+            # A leaf has at most 16 entries, so a uint8 sum counts it.
+            indptr[row + 1:row + n * n_points + 1] = np.einsum(
+                "ij->i", mask.reshape(n * n_points, k).view(np.uint8))
+            row += n * n_points
+        np.cumsum(indptr, dtype=np.int32, out=indptr)
+        end = 0
+        for lo in range(0, weights.size, _COMPRESS_BLOCK):
+            chunk = weights[lo:lo + _COMPRESS_BLOCK][
+                kept[lo:lo + _COMPRESS_BLOCK]]
+            weights[end:end + chunk.size] = chunk
+            end += chunk.size
+        # No view of the buffer is left, so the shrinking realloc (which
+        # may move it) is safe.
+        weights.resize(end, refcheck=False)
+        for array in (kept, indptr, weights):
+            array.flags.writeable = False
+        return cls(layout=layout, n_points=int(n_points), kept=kept,
+                   indptr=indptr, weights=weights)
+
+    @property
+    def n_leaves(self) -> int:
+        """Leaves per point: CSR rows per point."""
+        return self.layout.n_leaves
+
+    @property
+    def nnz(self) -> int:
+        """Kept entries: the stored length of every tensor of the range."""
+        return int(self.indptr[-1])
+
+    def write(self, stored: np.ndarray, rows: slice,
+              values: np.ndarray) -> None:
+        """Write the kept entries of the natural ``(len(rows),
+        n_elements)`` ``values`` of point ``rows`` into their places in
+        the flat ``stored`` tensor (one entry per kept weight): per leaf,
+        a ``take`` of its elements compressed by its mask."""
+        lo, hi, _ = rows.indices(self.n_points)
+        for slot, mask, leaf in self.layout._rows(self.kept, self.n_points):
+            row = slot * self.n_points
+            stored[self.indptr[row + lo]:self.indptr[row + hi]] = \
+                np.take(values, leaf, axis=1)[mask[lo:hi]]
+
+    def natural(self, stored: np.ndarray, fill) -> np.ndarray:
+        """A natural-order ``(n_points, n_elements)`` copy of the kept
+        ``stored`` entries, ``fill`` at every pruned position."""
+        full = np.full(self.kept.size, fill, dtype=stored.dtype)
+        full[self.kept] = stored
+        return self.layout.natural(full, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -276,9 +401,9 @@ class GatherIndex:
     neighbour and the interpolation ``fraction`` in the execution dtype.
 
     A ``leaves`` index (nearest only) stores ``flat`` one-dimensional in
-    that :class:`LeafLayout`'s ``(leaf, point, j)`` order, beside the int32
-    CSR row pointers ``indptr``: the ``indices`` and ``indptr`` of the
-    plan's sparse matrix.  :meth:`natural` un-permutes it.
+    the row order of those :class:`LeafRows`, one offset per kept weight:
+    the ``indices`` of the plan's sparse matrix, whose ``indptr`` and
+    ``data`` the shared rows hold.  :meth:`natural` un-permutes it.
     """
 
     kind: "InterpolationKind | str"
@@ -287,44 +412,37 @@ class GatherIndex:
     flat: np.ndarray
     upper: np.ndarray | None = None
     fraction: np.ndarray | None = None
-    leaves: LeafLayout | None = None
-    indptr: np.ndarray | None = None
+    leaves: LeafRows | None = None
 
     @classmethod
     def empty(cls, kind: "InterpolationKind | str", n_points: int,
               n_elements: int, n_samples: int,
               dtype: np.dtype | type = np.float64, *,
-              leaf_ordered: bool = False) -> "GatherIndex":
+              leaves: LeafRows | None = None) -> "GatherIndex":
         """An unfilled index of ``n_points`` rows; :meth:`write` fills it.
 
-        ``leaf_ordered`` stores it in :meth:`LeafLayout.of` order.  Its
-        sparse matrix holds ``n_points * n_elements`` entries, which must
-        fit the int32 row pointers (or SciPy would copy the index into
-        int64): a larger range is refused, naming the memory budget that
-        splits it into segments.
+        Given ``leaves`` (the range's :class:`LeafRows`), it stores one
+        offset per kept entry in their row order.
         """
-        int32 = np.iinfo(np.int32).max
-        if n_elements * n_samples + 1 > int32:
+        if n_elements * n_samples + 1 > np.iinfo(np.int32).max:
             raise ValueError(f"a padded {n_elements} x {n_samples}-sample "
                              "echo buffer exceeds the int32 index range")
         kind_value = getattr(kind, "value", kind)
         if kind_value not in (_NEAREST, _LINEAR):
             raise ValueError(f"unknown interpolation kind: {kind!r}")
         shape = (n_points, n_elements)
-        if leaf_ordered:
+        if leaves is not None:
             if kind_value != _NEAREST:
                 raise ValueError("only a nearest-sample index is a sparse "
                                  "matrix; a linear one stays natural")
-            if n_points * n_elements > int32:
-                raise ValueError(
-                    f"a plan of {n_points} points x {n_elements} elements "
-                    "exceeds the int32 range of its sparse row pointers; "
-                    "set a memory budget (memory_budget_bytes) so it "
-                    "compiles as smaller tile segments")
-            layout = LeafLayout.of(n_elements)
+            if (leaves.n_points, leaves.layout.n_elements) != shape:
+                raise ValueError(f"leaf rows of {leaves.n_points} x "
+                                 f"{leaves.layout.n_elements} entries do "
+                                 f"not fit a {n_points} x {n_elements} "
+                                 "index")
             return cls(kind=kind, n_samples=n_samples, n_elements=n_elements,
-                       flat=np.empty(n_points * n_elements, dtype=np.int32),
-                       leaves=layout, indptr=layout.indptr(n_points))
+                       flat=np.empty(leaves.nnz, dtype=np.int32),
+                       leaves=leaves)
         linear = kind_value == _LINEAR
         return cls(kind=kind, n_samples=n_samples, n_elements=n_elements,
                    flat=np.empty(shape, dtype=np.int32),
@@ -335,28 +453,36 @@ class GatherIndex:
     def n_points(self) -> int:
         """Number of focal points addressed."""
         if self.leaves is not None:
-            return self.flat.size // self.n_elements
+            return self.leaves.n_points
         return self.flat.shape[0]
+
+    @property
+    def pad_slot(self) -> int:
+        """The flat offset of the zero pad slot: every out-of-buffer
+        fetch."""
+        return self.n_elements * self.n_samples
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the index arrays [bytes]: a leaf-ordered
         index adds one int32 row pointer per (leaf, point) — the leading
         zero of ``indptr`` is not counted, so the footprint is linear in
-        the point count."""
-        pointers = 0 if self.indptr is None else self.indptr[1:].nbytes
+        the point count.  The row pointers are shared by every index of
+        the range, like the weights, but counted in each."""
+        pointers = 0 if self.leaves is None else self.leaves.indptr[1:].nbytes
         return pointers + sum(a.nbytes for a in
                               (self.flat, self.upper, self.fraction)
                               if a is not None)
 
     def natural(self) -> "GatherIndex":
         """This index in natural ``(n_points, n_elements)`` order: itself,
-        or an un-permuted copy of a leaf-ordered one."""
+        or an un-permuted copy of a leaf-ordered one, pruned entries
+        pointing at the pad slot (which a gather reads as zero)."""
         if self.leaves is None:
             return self
         return replace(self, flat=self.leaves.natural(self.flat,
-                                                      self.n_points),
-                       leaves=None, indptr=None)
+                                                      self.pad_slot),
+                       leaves=None)
 
     def rows(self, rows: slice) -> "GatherIndex":
         """A view of this (natural-order) index restricted to a contiguous
@@ -374,27 +500,39 @@ class GatherIndex:
     def write(self, rows: slice, delays: np.ndarray) -> None:
         """Round the ``float64`` fractional-sample ``delays`` of ``rows``
         into place — the only place delays are rounded, so nearest/linear
-        addressing is defined here once for every execution path."""
+        addressing is defined here once for every execution path.  The
+        delays must be finite (every delay provider's are)."""
         if self.upper is None:
-            offsets = self._offsets(np.floor(delays + 0.5))
+            sample = np.add(delays, 0.5)
+            offsets = self._offsets(np.floor(sample, out=sample))
             if self.leaves is None:
                 self.flat[rows] = offsets
             else:
-                # Cast while contiguous: the permuting copy then moves int32.
-                self.leaves.write(self.flat, self.n_points, rows,
-                                  offsets.astype(np.int32))
+                self.leaves.write(self.flat, rows, offsets)
             return
         lower = np.floor(delays)
-        self.flat[rows] = self._offsets(lower)
-        self.upper[rows] = self._offsets(lower + 1.0)
         self.fraction[rows] = delays - lower
+        self.flat[rows] = self._offsets(lower)
+        lower += 1.0
+        self.upper[rows] = self._offsets(lower)
 
     def _offsets(self, sample: np.ndarray) -> np.ndarray:
-        """Whole-sample positions -> flat offsets (pad slot when outside)."""
-        inside = (sample >= 0) & (sample < self.n_samples)
-        bases = np.arange(self.n_elements) * self.n_samples
-        return np.where(inside, sample + bases,
-                        self.n_elements * self.n_samples)
+        """Whole-sample positions -> int32 flat offsets (pad slot when
+        outside the echo buffer).
+
+        The positions are cast first, so ``0 <= sample < n_samples`` is one
+        unsigned compare: a negative position wraps past ``n_samples``, and
+        one beyond the int32 range casts to a value that does too.  The
+        element bases are then added in place.  Inside the buffer every
+        step is exact, so the offsets equal the float sum's.
+        """
+        with np.errstate(invalid="ignore"):
+            offsets = sample.astype(np.int32)
+        outside = offsets.view(np.uint32) >= self.n_samples
+        offsets += np.arange(0, self.pad_slot, self.n_samples,
+                             dtype=np.int32)
+        np.putmask(offsets, outside, self.pad_slot)
+        return offsets
 
 
 def build_gather_index(delays_samples: np.ndarray, n_samples: int,
@@ -415,19 +553,23 @@ def build_gather_index(delays_samples: np.ndarray, n_samples: int,
     return index
 
 
-def pad_samples(samples: np.ndarray, index: GatherIndex) -> np.ndarray:
+def pad_samples(samples: np.ndarray,
+                index: GatherIndex | None = None) -> np.ndarray:
     """Ravel each ``(n_elements, n_samples)`` frame and append the zero pad
     slot: ``(E*S + 1,)`` for one frame, ``(E*S + 1, n_frames)`` for a stack
     — frames innermost, so one flat offset fetches every frame's sample
-    from one cache line.  One copy per call; every chunk gathers from it.
+    from one cache line.  One copy per call; every chunk (and every tile
+    segment) gathers from it.  Given an ``index``, the frames must have the
+    shape it addresses.
     """
     samples = np.asarray(samples)
-    n = index.n_elements * index.n_samples
-    if samples.ndim not in (2, 3) or \
+    if samples.ndim not in (2, 3) or index is not None and \
             samples.shape[-2:] != (index.n_elements, index.n_samples):
-        raise ValueError(f"samples must be ([n_frames,] {index.n_elements}, "
-                         f"{index.n_samples}) for this gather index, got "
-                         f"{samples.shape}")
+        expected = "n_elements, n_samples" if index is None else \
+            f"{index.n_elements}, {index.n_samples}"
+        raise ValueError(f"samples must be ([n_frames,] {expected}) for "
+                         f"this gather index, got {samples.shape}")
+    n = samples.shape[-2] * samples.shape[-1]
     padded = np.empty((n + 1, *samples.shape[:-2]), dtype=samples.dtype)
     padded[:n] = np.moveaxis(samples.reshape(*samples.shape[:-2], n), -1, 0)
     padded[n] = 0

@@ -12,11 +12,11 @@ of frames:
 
 A frame is a batch of one.  The float nearest-sample plan is a sparse
 matrix: it executes as one SciPy CSR product of its leaf-ordered tensors
-(:class:`repro.kernels.ops.LeafLayout`) with the padded frames, its leaf
-sums then added in NumPy's summation order
-(:func:`repro.kernels.ops.combine_leaf_sums`) — bit for bit the chunked
-loop's ``np.sum``.  Linear and quantised plans run one chunked
-gather/weigh/total loop through the datapath helpers of
+(:class:`repro.kernels.ops.LeafRows`, which keep only the entries with a
+non-zero weight) with the padded frames, its leaf sums then added in
+NumPy's summation order (:func:`repro.kernels.ops.combine_leaf_sums`) —
+bit for bit the chunked loop's ``np.sum`` for finite samples.  Linear and
+quantised plans run one chunked gather/weigh/total loop through the datapath helpers of
 :mod:`repro.kernels.ops`: a linear sum weights an interpolated sample, and
 a plan carrying a :class:`~repro.kernels.quantized.QuantizationSpec` (the
 bit-true fixed-point datapath of the same loop, not another plan class)
@@ -30,9 +30,10 @@ Compilation builds the flat int32 gather index
 system's echo-buffer length, rounding the provider's bulk delays into
 index rows block by block as they are generated — no delay tensor is ever
 held — and references the receive-weight tensor of that range, built once
-per geometry and layout and shared by every plan
-(:func:`receive_weights`).  A float nearest plan writes both straight into
-leaf order, so its CSR matrix is views of them, built without a copy.  It
+per geometry and layout and shared by every plan (:func:`receive_weights`,
+or :func:`leaf_rows` for the CSR plan).  A float nearest plan writes its
+index's kept entries straight into leaf order, so its CSR matrix is views
+of the stored arrays, built without a copy.  It
 is the software analogue of the paper's precomputed delay table: the
 expensive float work happens once, streaming frames only gather.  Plans
 are immutable and safe to share across backends and threads;
@@ -54,8 +55,8 @@ from scipy import sparse
 
 from ..beamformer.interpolation import InterpolationKind
 from ..observability.tracing import resolve_tracer
-from .ops import GatherIndex, LeafLayout, coerce_samples, gather_padded, \
-    pad_samples, total, weigh
+from .ops import GatherIndex, LeafLayout, LeafRows, coerce_samples, \
+    gather_padded, pad_samples, total, weigh
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -64,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .quantized import QuantizationSpec
 
 __all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
-           "plan_key", "plan_storage_bytes", "receive_weights"]
+           "leaf_rows", "plan_key", "plan_storage_bytes", "receive_weights"]
 
 
 BATCH_BLOCK_ELEMENTS = 1 << 17
@@ -96,11 +97,14 @@ def plan_storage_bytes(n_points: int, n_elements: int,
     index, plus for ``linear`` the int32 upper neighbour and the fraction
     in the execution dtype, plus for the leaf-ordered CSR plan
     (:func:`_leaf_ordered` of ``interpolation``, ``quantization`` and
-    ``variant``) one int32 row pointer per (point, leaf).  Used by
-    experiment E9 to put the software plan against the paper's delay-table
-    storage wall: at paper scale the plan is terabytes — the very reason
-    the paper generates delays on the fly — while the scaled-down presets
-    fit in megabytes.
+    ``variant``) one int32 row pointer per (point, leaf).  Exact for every
+    plan but the CSR plan, which stores only its non-zero-weight entries
+    (:class:`~repro.kernels.ops.LeafRows`): for it, this is the upper
+    bound with every entry kept, which is what :class:`TilePlanner` sizes
+    tiles by.  Used by experiment E9 to put the software plan against the
+    paper's delay-table storage wall: at paper scale the plan is
+    terabytes — the very reason the paper generates delays on the fly —
+    while the scaled-down presets fit in megabytes.
     """
     itemsize = resolve_precision(precision).dtype.itemsize
     per_entry = itemsize + 4                        # weights + flat index
@@ -110,6 +114,30 @@ def plan_storage_bytes(n_points: int, n_elements: int,
     if _leaf_ordered(interpolation, quantization, variant):
         per_point += 4 * LeafLayout.of(int(n_elements)).n_leaves
     return int(n_points) * per_point
+
+
+def check_samples(compiled: int, n_samples: int) -> None:
+    """Refuse a frame of ``n_samples`` samples for plans compiled for
+    ``compiled``-sample echo buffers, naming both lengths."""
+    if int(n_samples) != int(compiled):
+        raise ValueError(
+            f"plan was compiled for {int(compiled)}-sample echo buffers; "
+            f"got a frame of {int(n_samples)} samples")
+
+
+def check_finite(padded: np.ndarray) -> None:
+    """Refuse a CSR plan's padded buffer holding a NaN or infinite sample.
+
+    The CSR plan skips its zero-weight terms, which leaves every sum's bits
+    unchanged only for finite samples (``0 * inf`` is NaN).  Checked in the
+    execution dtype, once per buffer: a float64 sample beyond float32's
+    range is finite before a float32 plan coerces it and infinite after.
+    """
+    if not np.isfinite(padded).all():
+        raise ValueError(
+            "frames hold non-finite echo samples (NaN or inf) in the "
+            "execution dtype; the float nearest CSR plan skips zero-weight "
+            "terms, which is exact only for finite samples")
 
 
 def plan_key(beamformer: "DelayAndSumBeamformer",
@@ -190,40 +218,18 @@ def _blocks(start: int, stop: int, n_elements: int
         yield lo, min(lo + block, stop)
 
 
-_WEIGHTS: "weakref.WeakValueDictionary[Hashable, np.ndarray]" = \
+_WEIGHTS: "weakref.WeakValueDictionary[Hashable, object]" = \
     weakref.WeakValueDictionary()
 _WEIGHTS_LOCK = threading.Lock()
 
 
-def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
-                    stop: int, dtype: np.dtype | type,
-                    quantization=None, *,
-                    leaf_ordered: bool = False) -> np.ndarray:
-    """The read-only receive-weight tensor of flat points ``[start, stop)``,
-    shape ``(stop - start, n_elements)``, in ``dtype`` (quantised by the
-    ``quantization`` spec first, when given) — or, ``leaf_ordered``, the
-    same values stored flat in :class:`~repro.kernels.ops.LeafLayout`
-    order: the ``data`` of a CSR plan.
-
-    Weights depend only on the geometry and the apodization — not on the
-    delay architecture or the transmit firing — so one tensor serves every
-    plan of the same range and layout: it is memoised under
+def _shared_weights(beamformer: "DelayAndSumBeamformer", start: int,
+                    stop: int, dtype: np.dtype, quantization,
+                    leaf_ordered: bool, build):
+    """The memoised weights of a range: ``build()``'s result, made once per
     (``system.cache_key()``, apodization, dtype, quantisation, layout,
-    range), the same geometry assumption
-    :func:`plan_key` makes, in a process-wide weak map.  Any engine of the
-    same geometry gets the same array, and plans reference it without
-    copying.  The beamformer keeps a strong reference to each tensor it
-    compiled with, so the memo entry lives as long as an engine that may
-    recompile an evicted segment; once every holder is gone it goes too.
-
-    Built in blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries from
-    :meth:`~repro.beamformer.das.DelayAndSumBeamformer.weights_for_points`
-    over :meth:`~repro.geometry.volume.FocalGrid.range_points`, each block
-    written straight into its layout; every step is elementwise, so the
-    rows equal ``weights_for_scanline`` rows (cast or quantised) bit for
-    bit.
-    """
-    dtype = np.dtype(dtype)
+    range) — the geometry assumption :func:`plan_key` makes — in a
+    process-wide weak map, and held by ``beamformer`` while it lives."""
     key = (beamformer.system.cache_key(), repr(beamformer.apodization),
            dtype.str, repr(quantization), bool(leaf_ordered), int(start),
            int(stop))
@@ -232,26 +238,83 @@ def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
     if weights is None:
         # Built outside the lock so concurrent tiles compile in parallel;
         # a racing duplicate is dropped in favour of the first stored.
-        n_points = stop - start
-        n_elements = beamformer.transducer.element_count
-        layout = LeafLayout.of(n_elements) if leaf_ordered else None
-        built = np.empty((n_points, n_elements) if layout is None
-                         else n_points * n_elements, dtype=dtype)
-        for lo, hi in _blocks(start, stop, n_elements):
-            rows = beamformer.weights_for_points(
-                beamformer.grid.range_points(lo, hi))
-            if quantization is not None:
-                rows = quantization.quantize_weights(rows)
-            if layout is None:
-                built[lo - start:hi - start] = rows
-            else:
-                layout.write(built, n_points, slice(lo - start, hi - start),
-                             rows)
-        built.flags.writeable = False
+        built = build()
         with _WEIGHTS_LOCK:
             weights = _WEIGHTS.setdefault(key, built)
     beamformer._plan_weights[key] = weights
     return weights
+
+
+def _weight_blocks(beamformer: "DelayAndSumBeamformer", start: int,
+                   stop: int, quantization
+                   ) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, weights)`` of ``[start, stop)`` in blocks of
+    ~:data:`BATCH_BLOCK_ELEMENTS` entries, rows relative to ``start``."""
+    n_elements = beamformer.transducer.element_count
+    for lo, hi in _blocks(start, stop, n_elements):
+        rows = beamformer.weights_for_points(
+            beamformer.grid.range_points(lo, hi))
+        if quantization is not None:
+            rows = quantization.quantize_weights(rows)
+        yield slice(lo - start, hi - start), rows
+
+
+def receive_weights(beamformer: "DelayAndSumBeamformer", start: int,
+                    stop: int, dtype: np.dtype | type,
+                    quantization=None) -> np.ndarray:
+    """The read-only receive-weight tensor of flat points ``[start, stop)``,
+    shape ``(stop - start, n_elements)``, in ``dtype`` (quantised by the
+    ``quantization`` spec first, when given).
+
+    Weights depend only on the geometry and the apodization — not on the
+    delay architecture or the transmit firing — so one tensor serves every
+    plan of the same range: it is memoised under (``system.cache_key()``,
+    apodization, dtype, quantisation, layout, range), the same geometry
+    assumption :func:`plan_key` makes, in a process-wide weak map.  Any
+    engine of the same geometry gets the same array, and plans reference
+    it without copying.  The beamformer keeps a strong reference to each
+    tensor it compiled with, so the memo entry lives as long as an engine
+    that may recompile an evicted segment; once every holder is gone it
+    goes too.
+
+    Built in blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries from
+    :meth:`~repro.beamformer.das.DelayAndSumBeamformer.weights_for_points`
+    over :meth:`~repro.geometry.volume.FocalGrid.range_points`; every step
+    is elementwise, so the rows equal ``weights_for_scanline`` rows (cast
+    or quantised) bit for bit.
+    """
+    dtype = np.dtype(dtype)
+
+    def build() -> np.ndarray:
+        built = np.empty((stop - start, beamformer.transducer.element_count),
+                         dtype=dtype)
+        for rows, values in _weight_blocks(beamformer, start, stop,
+                                           quantization):
+            built[rows] = values
+        built.flags.writeable = False
+        return built
+
+    return _shared_weights(beamformer, start, stop, dtype, quantization,
+                           False, build)
+
+
+def leaf_rows(beamformer: "DelayAndSumBeamformer", start: int, stop: int,
+              dtype: np.dtype | type) -> LeafRows:
+    """The pruned :class:`~repro.kernels.ops.LeafRows` of flat points
+    ``[start, stop)`` in ``dtype``: the kept mask, row pointers and kept
+    weights of a float nearest plan, memoised and shared exactly as
+    :func:`receive_weights` is (same key, leaf layout) — every plan of the
+    range, any architecture or firing, references the same three arrays
+    and adds only its own index."""
+    dtype = np.dtype(dtype)
+
+    def build() -> LeafRows:
+        return LeafRows.build(
+            beamformer.transducer.element_count, stop - start,
+            ((rows, values.astype(dtype, copy=False)) for rows, values
+             in _weight_blocks(beamformer, start, stop, None)))
+
+    return _shared_weights(beamformer, start, stop, dtype, None, True, build)
 
 
 def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
@@ -259,32 +322,39 @@ def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
                   quantization: "QuantizationSpec | None",
                   leaf_ordered: bool) -> tuple[GatherIndex, np.ndarray]:
     """Gather index and weights of flat points ``[start, stop)``, in
-    natural order or, ``leaf_ordered``, in the CSR plan's leaf order.
+    natural order or, ``leaf_ordered``, as the pruned leaf rows of a CSR
+    plan (the shared :func:`leaf_rows`).
 
     The one tensor builder of every plan (NumPy or compiled, float or
     quantized); a whole-grid plan is the range ``[0, n_points)``.  Delays
     come from the provider's bulk ``tile_delays_samples`` in blocks of
     ~:data:`BATCH_BLOCK_ELEMENTS` entries, each rounded into its index
-    rows (:meth:`GatherIndex.write`) as it arrives, so no
+    rows (:meth:`GatherIndex.write`) as it arrives — for a leaf-ordered
+    index, only the kept entries, straight into their places — so no
     ``(n_points, n_elements)`` delay tensor is ever held; the weights are
-    the shared :func:`receive_weights` tensor.  ``quantization`` (the
-    beamformer's spec) first quantises both.  Every step is
-    elementwise, so a tile's rows are exact row slices of the whole-grid
-    tensors.
+    shared.  ``quantization`` (the beamformer's spec) first quantises
+    both.  Every step is elementwise, so a tile's rows are exact row
+    slices of the whole-grid tensors.
     """
     n_elements = beamformer.transducer.element_count
+    if leaf_ordered:
+        leaves = leaf_rows(beamformer, start, stop, dtype)
+        weights = leaves.weights
+    else:
+        leaves = None
+        weights = receive_weights(beamformer, start, stop, dtype,
+                                  quantization)
     index = GatherIndex.empty(beamformer.interpolation, stop - start,
                               n_elements,
                               beamformer.system.echo_buffer_samples, dtype,
-                              leaf_ordered=leaf_ordered)
+                              leaves=leaves)
     for lo, hi in _blocks(start, stop, n_elements):
         delays = np.asarray(beamformer.delays.tile_delays_samples(lo, hi),
                             dtype=np.float64)
         if quantization is not None:
             delays = quantization.quantize_delays(delays)
         index.write(slice(lo - start, hi - start), delays)
-    return index, receive_weights(beamformer, start, stop, dtype,
-                                  quantization, leaf_ordered=leaf_ordered)
+    return index, weights
 
 
 @dataclass(frozen=True)
@@ -297,11 +367,12 @@ class BeamformingPlan:
         The :func:`plan_key` this plan was compiled under.
     stored_weights:
         Receive apodization weights in the execution dtype, as stored: the
-        read-only :func:`receive_weights` tensor, shared with every plan of
-        the same geometry, range and layout.  Natural ``(n_points,
+        read-only :func:`receive_weights` tensor, natural ``(n_points,
         n_elements)`` with points in scanline-major ``(i_theta, i_phi,
-        i_depth)`` order, or flat in the index's leaf order; :attr:`weights`
-        is always natural (read-only).
+        i_depth)`` order, or the kept weights of the index's
+        :class:`~repro.kernels.ops.LeafRows`, flat in their row order —
+        shared either way with every plan of the same geometry, range and
+        layout.  :attr:`weights` is always natural (read-only).
     grid_shape:
         Focal-grid shape ``(n_theta, n_phi, n_depth)`` used to fold the
         flat point axis back into a volume.
@@ -324,8 +395,9 @@ class BeamformingPlan:
     matrix:
         For a leaf-ordered index, the ``(n_leaves * n_points, n_elements *
         n_samples + 1)`` CSR matrix whose ``data``, ``indices`` and
-        ``indptr`` *are* the stored weights, flat index and row pointers
-        (no copy); ``None`` for the chunked plans.
+        ``indptr`` *are* the stored weights, flat index and the shared row
+        pointers (no copy), one entry per kept weight; ``None`` for the
+        chunked plans.
     """
 
     key: Hashable
@@ -352,9 +424,9 @@ class BeamformingPlan:
         over them (no copy) and the empty memo of natural copies."""
         index = self.stored_index
         matrix = None if index.leaves is None else sparse.csr_array(
-            (self.stored_weights, index.flat, index.indptr),
+            (self.stored_weights, index.flat, index.leaves.indptr),
             shape=(index.leaves.n_leaves * self.n_points,
-                   self.n_elements * self.n_samples + 1), copy=False)
+                   index.pad_slot + 1), copy=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_natural", weakref.WeakValueDictionary())
 
@@ -393,8 +465,10 @@ class BeamformingPlan:
     def nbytes(self) -> int:
         """Memory footprint of the weights plus the gather index [bytes].
 
-        The weights are counted in full even though plans of one geometry
-        share them, so summed over plans this is an upper bound.
+        The weights (and a CSR plan's row pointers) are counted in full even
+        though plans of one geometry share them, so summed over plans this
+        is an upper bound.  A CSR plan's kept mask, which only compiles
+        read, is not counted.
         """
         return self.stored_weights.nbytes + self.stored_index.nbytes
 
@@ -411,13 +485,14 @@ class BeamformingPlan:
     @property
     def weights(self) -> np.ndarray:
         """Receive weights in natural ``(n_points, n_elements)`` order
-        (read-only): the stored tensor, or its un-permuted copy."""
+        (read-only): the stored tensor, or its un-permuted copy with 0 at
+        every pruned entry."""
         leaves = self.stored_index.leaves
         if leaves is None:
             return self.stored_weights
 
         def build() -> np.ndarray:
-            weights = leaves.natural(self.stored_weights, self.n_points)
+            weights = leaves.natural(self.stored_weights, 0)
             weights.flags.writeable = False
             return weights
 
@@ -426,7 +501,9 @@ class BeamformingPlan:
     @property
     def index(self) -> GatherIndex:
         """The gather index in natural ``(n_points, n_elements)`` order:
-        the stored index, or its un-permuted copy."""
+        the stored index, or its un-permuted copy with every pruned entry
+        at the pad slot — so gathering, weighing and summing the natural
+        views reproduces the plan's volumes."""
         return self._unpermuted("index", self.stored_index.natural)
 
     def gather_index(self, n_samples: int | None = None) -> GatherIndex:
@@ -440,10 +517,15 @@ class BeamformingPlan:
         return self.index
 
     def _check_samples(self, n_samples: int | None) -> None:
-        if n_samples is not None and int(n_samples) != self.n_samples:
+        if n_samples is not None:
+            check_samples(self.n_samples, n_samples)
+
+    def _check_padded(self, padded: np.ndarray) -> None:
+        rows = self.stored_index.pad_slot + 1
+        if padded.ndim != 2 or padded.shape[0] != rows:
             raise ValueError(
-                f"plan was compiled for {self.n_samples}-sample echo "
-                f"buffers; got a frame of {int(n_samples)} samples")
+                f"a padded buffer of {self.n_elements} x {self.n_samples}-"
+                f"sample frames is ({rows}, n_frames); got {padded.shape}")
 
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
@@ -478,12 +560,11 @@ class BeamformingPlan:
         layout the flat index addresses
         (:func:`repro.kernels.ops.pad_samples`), so per-frame NumPy dispatch
         is paid once per batch and each fetch reads every frame's sample
-        from one cache line.  A CSR plan then runs one sparse product over
-        the whole batch (:meth:`_leaf_products`); the chunked plans gather
-        block by block (:meth:`_chunked`).  Frames must share the plan's
-        buffer length.  A pre-stacked ``(n_frames, n_elements, n_samples)``
-        array is coerced in place of the stack — the tiled path shares one
-        stack across all its tiles.
+        from one cache line; :meth:`execute_padded` then beamforms it.
+        Frames must share the plan's buffer length.  A pre-stacked
+        ``(n_frames, n_elements, n_samples)`` array is coerced in place of
+        the stack.  A CSR plan refuses a NaN or infinite sample
+        (:func:`check_finite`) with a :class:`ValueError`.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
@@ -492,9 +573,25 @@ class BeamformingPlan:
             else np.stack([self.coerce_samples(frame) for frame in frames])
         self._check_samples(stacked.shape[-1])
         padded = pad_samples(stacked, self.stored_index)
-        out = self._chunked(padded, tracer) if self.matrix is None \
+        if self.matrix is not None:
+            check_finite(padded)
+        return self.execute_padded(padded, tracer).reshape(
+            (len(frames), *self.grid_shape))
+
+    def execute_padded(self, padded: np.ndarray, tracer=None) -> np.ndarray:
+        """``(n_frames, n_points)`` sums of an ``(n_elements * n_samples +
+        1, n_frames)`` :func:`~repro.kernels.ops.pad_samples` buffer of
+        coerced frames — the buffer every segment of a
+        :class:`~repro.kernels.tiling.TiledPlan` shares.  A CSR plan runs
+        one sparse product over the whole batch (:meth:`_leaf_products`);
+        the chunked plans gather block by block (:meth:`_chunked`).  The
+        buffer's owner has refused non-finite samples (:func:`check_finite`;
+        :meth:`execute_batch` and ``TiledPlan.execute_batch`` do): a CSR
+        plan does not check again."""
+        tracer = resolve_tracer(tracer)
+        self._check_padded(padded)
+        return self._chunked(padded, tracer) if self.matrix is None \
             else self._leaf_products(padded, tracer)
-        return out.reshape((len(frames), *self.grid_shape))
 
     def _leaf_products(self, padded: np.ndarray, tracer) -> np.ndarray:
         """``(n_frames, n_points)`` sums of a CSR plan, under one ``spmv``
@@ -502,8 +599,9 @@ class BeamformingPlan:
 
         Row ``l * n_points + p`` of :attr:`matrix` sums leaf ``l`` of point
         ``p`` sequentially (SciPy's row loop, over the same ``w * x``
-        products the chunked loop forms), so the product is every leaf sum
-        at once; adding the ``(n_points, n_frames)`` leaf slabs in NumPy's
+        products the chunked loop forms, less the zero-weight ones, which
+        change no bit of a sum of finite samples), so the product is every
+        leaf sum at once; adding the ``(n_points, n_frames)`` leaf slabs in NumPy's
         pairwise order (:meth:`repro.kernels.ops.LeafLayout.combine`)
         reproduces ``np.sum(w * x[flat], axis=-1)`` bit for bit.  No
         gathered ``(n_frames, n_points, n_elements)`` values exist.
@@ -511,7 +609,7 @@ class BeamformingPlan:
         n_frames = padded.shape[1]
         with tracer.span("spmv") as span:
             sums = self.matrix @ (padded[:, 0] if n_frames == 1 else padded)
-            summed = self.stored_index.leaves.combine(
+            summed = self.stored_index.leaves.layout.combine(
                 sums.reshape(-1, self.n_points, n_frames))
             span.set(bytes=int(self.nbytes))
         # A copy, never a view: a volume must not pin the leaf sums.
@@ -556,8 +654,9 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
 
     Generates the gather index for the system's echo-buffer length and
     fetches the shared weight tensor (in the execution dtype), both
-    through :func:`_tile_tensors` — leaf-ordered, so the plan runs as one
-    CSR product, for a float nearest-sample engine.  This is the expensive
+    through :func:`_tile_tensors` — as pruned leaf rows, so the plan runs
+    as one CSR product of its non-zero-weight entries, for a float
+    nearest-sample engine.  This is the expensive
     step the :class:`repro.runtime.cache.PlanCache` amortises across frames
     and across backends.
 

@@ -41,8 +41,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from ..observability.tracing import resolve_tracer
-from .ops import coerce_samples
-from .plan import compile_plan, plan_key, plan_storage_bytes
+from .ops import coerce_samples, pad_samples
+from .plan import (_leaf_ordered, check_finite, check_samples, compile_plan,
+                   plan_key, plan_storage_bytes)
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -385,11 +386,14 @@ class TiledPlan:
                       tracer=None) -> np.ndarray:
         """Beamform a cine batch tile by tile; ``(n_frames, *grid_shape)``.
 
-        Frames are coerced and stacked once — every tile, on whichever
+        Frames are coerced, stacked and padded once
+        (:func:`~repro.kernels.ops.pad_samples`) — every tile, on whichever
         thread, gathers from the same buffer — and every tile's segment
         executes the full batch before moving on: the segment (the
         expensive artifact) is amortised across frames, exactly the access
-        order the LRU favours.
+        order the LRU favours.  CSR segments refuse a NaN or infinite
+        sample (:func:`~repro.kernels.plan.check_finite`), checked once
+        here for every tile.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
@@ -397,12 +401,17 @@ class TiledPlan:
         stacked = np.stack([coerce_samples(frame, self.dtype,
                                            self.quantization)
                             for frame in frames])
+        check_samples(self.beamformer.system.echo_buffer_samples,
+                      stacked.shape[-1])
+        padded = pad_samples(stacked)
+        if _leaf_ordered(self.beamformer.interpolation, self.quantization,
+                         self._variant):
+            check_finite(padded)
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
 
         def body(tile: Tile, segment) -> None:
-            out[:, tile.rows] = segment.execute_batch(
-                stacked, tracer=tracer,
-                **self._variant_kwargs).reshape(len(frames), -1)
+            out[:, tile.rows] = segment.execute_padded(
+                padded, tracer=tracer, **self._variant_kwargs)
 
         self._map_tiles(body, tracer)
         return out.reshape((len(frames), *self.grid_shape))

@@ -168,6 +168,8 @@ class ImagingPipeline:
         With ``dynamic_range_db`` set, the image is additionally
         log-compressed to that range.
         """
+        from ..scenarios.engine import require_finite
+        require_finite((channel_data,), 0)
         rf = reconstruct_plane(self._beamformer, channel_data, i_phi=i_phi)
         env = envelope(rf, axis=1)
         if dynamic_range_db is None:
@@ -187,6 +189,8 @@ class ImagingPipeline:
         if order not in ("nappe", "scanline"):
             raise ValueError("order must be 'nappe' or 'scanline'")
         if self.backend == "reference":
+            from ..scenarios.engine import require_finite
+            require_finite((channel_data,), 0)
             driver = reconstruct_nappe_order if order == "nappe" \
                 else reconstruct_scanline_order
             return driver(self._beamformer, channel_data)

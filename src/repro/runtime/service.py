@@ -320,7 +320,8 @@ class BeamformingService:
 
             start = time.perf_counter()
             with self.tracer.span("beamform"):
-                rf = self._engine.beamform_volume(firings)
+                rf = self._engine.beamform_volume(
+                    firings, frame_id=request.frame_id)
             beamform_seconds = time.perf_counter() - start
 
         return self._record(FrameResult(
@@ -351,7 +352,8 @@ class BeamformingService:
             start = time.perf_counter()
             with self.tracer.span("beamform"):
                 volumes = self._engine.beamform_batch(
-                    [firings for firings, _ in acquired])
+                    [firings for firings, _ in acquired],
+                    frame_ids=[request.frame_id for request in requests])
             per_frame_seconds = (time.perf_counter() - start) / len(requests)
 
         # copy() decouples each frame's lifetime from the whole batch

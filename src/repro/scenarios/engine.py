@@ -59,6 +59,23 @@ def acquire_firings(simulator: EchoSimulator, scheme: TransmitScheme,
             for index, event in enumerate(scheme.events)]
 
 
+def require_finite(firings: Sequence[ChannelData], frame: Any) -> None:
+    """Refuse a frame holding a NaN or infinite echo sample.
+
+    The float nearest plan skips the terms a zero weight switches off.
+    That leaves every sum's bits unchanged only for finite samples: a
+    skipped ``0 * inf`` would have been NaN.  So a frame is checked once
+    where the service or the pipeline hands it to a backend, and every
+    backend refuses it alike, with a :class:`ValueError` naming ``frame``.
+    """
+    for index, firing in enumerate(firings):
+        samples = np.asarray(getattr(firing, "samples", firing))
+        if not np.isfinite(samples).all():
+            raise ValueError(
+                f"frame {frame} holds non-finite echo samples (NaN or "
+                f"inf) in firing {index}; beamforming needs finite samples")
+
+
 class SchemeEngine:
     """Bank of per-firing backends + coherent compounding for one scheme.
 
@@ -164,12 +181,14 @@ class SchemeEngine:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _check_firings(self, firings: Sequence[ChannelData]) -> None:
+    def _check_firings(self, firings: Sequence[ChannelData],
+                       frame: Any) -> None:
         if len(firings) != self.firing_count:
             raise ValueError(
                 f"scheme {self.scheme.name!r} expects "
                 f"{self.firing_count} firing(s) per frame, got "
                 f"{len(firings)}")
+        require_finite(firings, frame)
 
     def _compound_span(self, **attributes: Any) -> Any:
         """The ``compound`` span; a trivial scheme has nothing to compound."""
@@ -179,9 +198,13 @@ class SchemeEngine:
                                 **attributes)
 
     # ------------------------------------------------------------ execute
-    def beamform_volume(self, firings: Sequence[ChannelData]) -> np.ndarray:
-        """Coherently compound one frame's firings into an RF volume."""
-        self._check_firings(firings)
+    def beamform_volume(self, firings: Sequence[ChannelData],
+                        frame_id: Any = 0) -> np.ndarray:
+        """Coherently compound one frame's firings into an RF volume.
+
+        A frame with a non-finite sample is refused (:func:`require_finite`),
+        named by ``frame_id``."""
+        self._check_firings(firings, frame_id)
         volume = None
         with self._compound_span():
             for backend, firing in zip(self.backends, firings):
@@ -190,21 +213,26 @@ class SchemeEngine:
                     else volume + contribution
         return volume
 
-    def beamform_batch(self, frames: Sequence[Sequence[ChannelData]]
+    def beamform_batch(self, frames: Sequence[Sequence[ChannelData]],
+                       frame_ids: Sequence[Any] | None = None
                        ) -> np.ndarray:
         """Compound a cine batch, shape ``(n_frames, n_theta, n_phi, n_depth)``.
 
         Each firing index is batched across frames on its own backend
         (one stacked gather per event), then the per-event batches are
         summed in event order — the same per-voxel addition order as
-        :meth:`beamform_volume`, so batching never changes the bits.
+        :meth:`beamform_volume`, so batching never changes the bits.  A
+        frame with a non-finite sample refuses the batch, named by its
+        ``frame_ids`` entry (default: its position in the batch).
         """
         if len(frames) == 0:
             grid_shape = self.beamformer.grid.shape
             return np.empty((0, *grid_shape),
                             dtype=self.beamformer.precision.dtype)
-        for firings in frames:
-            self._check_firings(firings)
+        if frame_ids is None:
+            frame_ids = range(len(frames))
+        for firings, frame_id in zip(frames, frame_ids):
+            self._check_firings(firings, frame_id)
         volumes = None
         with self._compound_span(frames=len(frames)):
             for index, backend in enumerate(self.backends):

@@ -224,8 +224,10 @@ class TestPlanCompile:
     def test_nbytes_matches_storage_prediction(self, tiny, exact_beamformer,
                                                monkeypatch, family, precision,
                                                kind):
-        """Every plan family holds exactly the predicted weights + index
-        (+ CSR row pointers for the leaf-ordered float nearest plan)."""
+        """Every chunked plan family holds exactly the predicted weights +
+        index; the pruned CSR plan (float nearest) holds one weight and one
+        index entry per kept entry plus a row pointer per (leaf, point),
+        which the prediction bounds from above."""
         if family == "compiled" and not numba_available():
             # The un-jitted kernel bodies stand in for numba's.
             from repro.kernels import compiled
@@ -239,9 +241,19 @@ class TestPlanCompile:
         variant = "compiled" if family == "compiled" else None
         built = compile_plan(beamformer, precision, tile=Tile(0, 16, 48),
                              variant=variant)
-        assert built.nbytes == plan_storage_bytes(
+        predicted = plan_storage_bytes(
             32, 64, precision, kind, quantization=beamformer.quantization,
             variant=variant)
+        leaves = built.stored_index.leaves
+        if leaves is None:
+            assert built.nbytes == predicted
+            return
+        itemsize = np.dtype(precision).itemsize
+        kept = int(np.count_nonzero(leaves.kept))
+        assert 0 < kept < 32 * 64
+        assert built.nbytes == kept * (itemsize + 4) \
+            + 4 * leaves.n_leaves * 32
+        assert built.nbytes <= predicted
 
     def test_key_includes_interpolation_and_dtype(self, tiny,
                                                   exact_beamformer):
@@ -274,7 +286,9 @@ class TestPlanCompile:
 def test_whole_grid_plan_is_its_one_tile(tiny, architecture, firing,
                                           datapath):
     """One tensor builder: the whole-grid plan equals its one-tile segment
-    and the bulk ``volume_delays_samples`` tensor, bit for bit."""
+    and the bulk ``volume_delays_samples`` tensor, bit for bit — at the
+    entries a pruned CSR plan keeps; the ones it drops read the pad
+    slot."""
     provider = ARCHITECTURES.create(architecture, tiny)
     if firing == "planewave":
         provider = TransmitAdjustedProvider.from_provider(
@@ -295,7 +309,10 @@ def test_whole_grid_plan_is_its_one_tile(tiny, architecture, firing,
         bulk = beamformer.quantization.quantize_delays(bulk)
     expected = build_gather_index(bulk, whole.n_samples,
                                   beamformer.interpolation)
-    np.testing.assert_array_equal(whole.index.flat, expected.flat)
+    kept = whole.weights != 0 if whole.stored_index.leaves is not None \
+        else np.ones(whole.weights.shape, dtype=bool)
+    np.testing.assert_array_equal(whole.index.flat[kept], expected.flat[kept])
+    assert np.all(whole.index.flat[~kept] == whole.index.pad_slot)
     for a, b in ((one.index.flat, whole.index.flat),
                  (one.weights, whole.weights)):
         assert a.dtype == b.dtype

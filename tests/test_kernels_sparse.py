@@ -10,8 +10,9 @@ Pins what the sparse execution promises beyond the conformance matrix:
 * linear and quantised plans keep the natural layout and the chunked loop;
 * the CSR ``data``/``indices``/``indptr`` are the stored tensors (no copy,
   int32 indices), every nearest float plan of one geometry shares one
-  leaf-ordered weight tensor, and the row pointers are counted in
-  ``nbytes`` and :func:`plan_storage_bytes`;
+  pruned :class:`~repro.kernels.ops.LeafRows` (mask, row pointers and
+  weights), a plan stores exactly its kept entries plus the row pointers
+  in ``nbytes``, and :func:`plan_storage_bytes` bounds that from above;
 * a segment too large for int32 row pointers is refused at compile, and
   a pickled plan rebuilds its matrix over the unpickled tensors.
 """
@@ -37,7 +38,8 @@ from repro.kernels import (
     plan_storage_bytes,
     receive_weights,
 )
-from repro.kernels.ops import gather_padded, pad_samples, total, weigh
+from repro.kernels.ops import LeafRows, gather_padded, pad_samples, total, \
+    weigh
 
 
 def _frames(system, n_frames: int, seed: int) -> np.ndarray:
@@ -121,28 +123,35 @@ def test_csr_arrays_are_the_stored_tensors(tiny):
     beamformer = DelayAndSumBeamformer(
         tiny, ARCHITECTURES.create("tablefree", tiny))
     plan = compile_plan(beamformer)
-    matrix, index = plan.matrix, plan.stored_index
+    matrix, index, leaves = plan.matrix, plan.stored_index, \
+        plan.stored_index.leaves
     assert np.shares_memory(matrix.data, plan.stored_weights)
     assert np.shares_memory(matrix.indices, index.flat)
-    assert np.shares_memory(matrix.indptr, index.indptr)
+    assert np.shares_memory(matrix.indptr, leaves.indptr)
     assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
-    n_leaves = index.leaves.n_leaves
+    n_leaves = leaves.n_leaves
     assert matrix.shape == (n_leaves * plan.n_points,
                             plan.n_elements * plan.n_samples + 1)
-    assert plan.nbytes == plan.stored_weights.nbytes + index.flat.nbytes \
-        + 4 * n_leaves * plan.n_points
-    assert plan.nbytes == plan_storage_bytes(plan.n_points, plan.n_elements)
+    # Exactly the entries the natural weights do not zero are kept.
+    kept = int(np.count_nonzero(plan.weights))
+    assert kept == matrix.nnz == leaves.nnz == int(leaves.kept.sum())
+    assert 0 < kept < plan.n_points * plan.n_elements
+    assert plan.nbytes == kept * (8 + 4) + 4 * n_leaves * plan.n_points
+    assert plan.nbytes <= plan_storage_bytes(plan.n_points, plan.n_elements)
 
 
 def test_one_leaf_ordered_weight_tensor_per_geometry(tiny):
-    """Plans of different architectures share the stored tensor; the
-    natural accessor un-permutes it to the natural memo's values."""
+    """Plans of different architectures share the stored leaf rows; the
+    natural accessor un-permutes them to the natural memo's values."""
     plans = [compile_plan(DelayAndSumBeamformer(
         tiny, ARCHITECTURES.create(name, tiny)))
         for name in ("tablesteer", "exact")]
+    assert plans[0].stored_index.leaves is plans[1].stored_index.leaves
     assert plans[0].stored_weights is plans[1].stored_weights
     assert plans[0].stored_weights.ndim == 1
-    assert not plans[0].stored_weights.flags.writeable
+    for array in (plans[0].stored_weights, plans[0].stored_index.leaves.kept,
+                  plans[0].stored_index.leaves.indptr):
+        assert not array.flags.writeable
     natural = plans[0].weights
     assert not natural.flags.writeable
     assert natural is plans[0].weights   # shared while held
@@ -157,10 +166,11 @@ def test_oversized_segment_is_refused_with_the_budget_named():
     n_elements = 64
     n_points = np.iinfo(np.int32).max // n_elements + 1
     with pytest.raises(ValueError, match="set a memory budget"):
-        GatherIndex.empty("nearest", n_points, n_elements, 128,
-                          leaf_ordered=True)
+        LeafRows.build(n_elements, n_points, iter(()))
+    leaves = LeafRows.build(n_elements, 4, [(slice(0, 4),
+                                             np.ones((4, n_elements)))])
     with pytest.raises(ValueError, match="linear one stays natural"):
-        GatherIndex.empty("linear", 4, n_elements, 128, leaf_ordered=True)
+        GatherIndex.empty("linear", 4, n_elements, 128, leaves=leaves)
 
 
 def test_pickled_plan_rebuilds_its_views(tiny, tiny_channel_data):

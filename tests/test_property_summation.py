@@ -11,10 +11,12 @@ NumPy, not a documented contract, so these tests pin it directly:
   preset's 10 000 elements, in float64 and float32, for single rows and
   for batched ``(n_frames, n_points, n)`` inputs — a NumPy upgrade that
   changes the association fails here, loudly;
-* SciPy's CSR product over a :class:`~repro.kernels.ops.LeafLayout` sums
-  each leaf row sequentially (a SciPy build contracting ``sum += a * x``
-  into a fused multiply-add would fail here);
-* the leaves partition the row, and the layout's write/natural pair and
+* SciPy's CSR product over pruned :class:`~repro.kernels.ops.LeafRows`
+  sums each leaf row sequentially (a SciPy build contracting ``sum += a *
+  x`` into a fused multiply-add would fail here);
+* pruning the zero-weight entries changes no byte of the product or of
+  the combine, against an unpruned matrix built independently;
+* the leaves partition the row, and the rows' build/write/natural and
   row pointers are exact.
 """
 
@@ -26,7 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.kernels.ops import LeafLayout, combine_leaf_sums, summation_leaves
+from repro.kernels.ops import LeafLayout, LeafRows, combine_leaf_sums, \
+    summation_leaves
 
 row_lengths = st.one_of(st.integers(1, 2048), st.just(10_000))
 dtypes = st.sampled_from([np.float64, np.float32])
@@ -105,30 +108,83 @@ def test_256_elements_are_16_leaves_of_16():
     np.testing.assert_array_equal(leaves[8], np.arange(128, 256, 8))
 
 
+def _leaf_rows(weights: np.ndarray, rows_per_block: int | None = None
+               ) -> LeafRows:
+    """The pruned leaf rows of ``weights``, built in blocks of rows."""
+    n_points, n = weights.shape
+    step = rows_per_block or n_points
+    return LeafRows.build(n, n_points, [
+        (slice(lo, min(lo + step, n_points)), weights[lo:lo + step])
+        for lo in range(0, n_points, step)])
+
+
+def _pruned_csr(weights: np.ndarray, index: np.ndarray, n_inputs: int):
+    """The plan's CSR matrix: pruned leaf rows plus their written index."""
+    leaves = _leaf_rows(weights)
+    indices = np.empty(leaves.nnz, dtype=np.int32)
+    leaves.write(indices, slice(None), index)
+    matrix = sparse.csr_array(
+        (leaves.weights, indices, leaves.indptr),
+        shape=(leaves.n_leaves * weights.shape[0], n_inputs), copy=False)
+    if leaves.nnz:
+        assert np.shares_memory(matrix.data, leaves.weights)
+        assert np.shares_memory(matrix.indices, indices)
+    return leaves, matrix
+
+
+def _unpruned_csr(weights: np.ndarray, index: np.ndarray, n_inputs: int):
+    """The same leaf rows with every entry kept, built independently of
+    :class:`LeafRows`: row ``slot * n_points + p`` is leaf ``slot`` (in
+    storage order) of point ``p``, zero weights included."""
+    n_points, n = weights.shape
+    leaves = summation_leaves(n)
+    stored = np.argsort(LeafLayout.of(n).slots)
+    data = np.concatenate([weights[:, leaves[leaf]].ravel()
+                           for leaf in stored])
+    indices = np.concatenate([index[:, leaves[leaf]].ravel()
+                              for leaf in stored]).astype(np.int32)
+    lengths = np.repeat([len(leaves[leaf]) for leaf in stored], n_points)
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    return sparse.csr_array((data, indices, indptr),
+                            shape=(len(leaves) * n_points, n_inputs))
+
+
+def _sparse_weights(seed: int, shape: tuple[int, int], dtype,
+                    zero_fraction: float) -> np.ndarray:
+    """Signed weights with exact zeros (some of them -0.0) and, for the
+    first point, one whole leaf zeroed: an empty CSR row."""
+    rng = np.random.default_rng(seed)
+    weights = _values(seed, shape, dtype)
+    zeros = rng.random(shape) < zero_fraction
+    weights[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    weights[0, summation_leaves(shape[1])[-1]] = -0.0
+    return weights
+
+
+def _samples(seed: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Echo samples with negative values, +0.0 and -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    samples = _values(seed, shape, dtype)
+    zeros = rng.random(shape) < 0.2
+    samples[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return samples
+
+
 @given(n=st.integers(1, 300) | st.sampled_from([1024, 1025, 10_000]),
        dtype=dtypes, n_frames=st.sampled_from([1, 3]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_csr_leaf_products_reproduce_numpy_sum(n, dtype, n_frames, seed):
-    """One SciPy product over a leaf-ordered CSR matrix, then the combine,
-    equals ``np.sum(w * x[index], axis=-1)`` bit for bit."""
+    """One SciPy product over a pruned leaf-ordered CSR matrix, then the
+    combine, equals ``np.sum(w * x[index], axis=-1)`` bit for bit."""
     rng = np.random.default_rng(seed)
     n_points, n_inputs = 7, 50
-    weights = _values(seed, (n_points, n), dtype)
+    weights = _sparse_weights(seed, (n_points, n), dtype, 0.3)
     index = rng.integers(0, n_inputs, size=(n_points, n)).astype(np.int32)
     inputs = _values(seed + 1, (n_inputs, n_frames), dtype)
-    layout = LeafLayout.of(n)
-    data = np.empty(n_points * n, dtype=dtype)
-    indices = np.empty(n_points * n, dtype=np.int32)
-    layout.write(data, n_points, slice(None), weights)
-    layout.write(indices, n_points, slice(None), index)
-    matrix = sparse.csr_array(
-        (data, indices, layout.indptr(n_points)),
-        shape=(layout.n_leaves * n_points, n_inputs), copy=False)
-    assert np.shares_memory(matrix.data, data)
-    assert np.shares_memory(matrix.indices, indices)
+    leaves, matrix = _pruned_csr(weights, index, n_inputs)
     sums = (matrix @ inputs).reshape(-1, n_points, n_frames)
-    combined = layout.combine(sums)
+    combined = leaves.layout.combine(sums)
     # Contiguous rows, as the chunked plan gathers them: np.sum associates
     # pairwise only along a contiguous axis.
     gathered = np.ascontiguousarray(np.moveaxis(inputs[index], 2, 0))
@@ -137,29 +193,74 @@ def test_csr_leaf_products_reproduce_numpy_sum(n, dtype, n_frames, seed):
     np.testing.assert_array_equal(combined.T, expected)
 
 
+@given(n=st.integers(1, 7) | st.integers(8, 128) | st.integers(129, 600),
+       dtype=dtypes, batch=st.sampled_from([None, 1, 3]),
+       zero_fraction=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=256, dtype=np.float64, batch=None, zero_fraction=0.3, seed=0)
+@example(n=5, dtype=np.float32, batch=3, zero_fraction=1.0, seed=1)
+@example(n=100, dtype=np.float32, batch=None, zero_fraction=0.9, seed=2)
+@settings(max_examples=80, deadline=None)
+def test_pruned_product_is_the_unpruned_product_byte_for_byte(
+        n, dtype, batch, zero_fraction, seed):
+    """Dropping the zero-weight entries changes no bit of any leaf sum or
+    of their combine: a dropped term is ``(±0.0) * x`` with ``x`` finite,
+    and a sum that starts at +0.0 is unchanged by adding ±0.0 — for every
+    leaf-tree regime (fewer than 8, 8 to 128, over 128 values), exact and
+    negative zeros, negative and zero samples, empty rows, one frame (a
+    vector) and a batch."""
+    rng = np.random.default_rng(seed)
+    n_points, n_inputs = 9, 64
+    weights = _sparse_weights(seed, (n_points, n), dtype, zero_fraction)
+    index = rng.integers(0, n_inputs, size=(n_points, n)).astype(np.int32)
+    shape = (n_inputs,) if batch is None else (n_inputs, batch)
+    inputs = _samples(seed + 1, shape, dtype)
+    leaves, pruned = _pruned_csr(weights, index, n_inputs)
+    unpruned = _unpruned_csr(weights, index, n_inputs)
+    assert pruned.nnz == np.count_nonzero(weights) < unpruned.nnz
+    pruned_sums, unpruned_sums = pruned @ inputs, unpruned @ inputs
+    assert pruned_sums.dtype == unpruned_sums.dtype == dtype
+    assert pruned_sums.tobytes() == unpruned_sums.tobytes()
+    frames = () if batch is None else (batch,)
+    combine = leaves.layout.combine
+    assert combine(pruned_sums.reshape(-1, n_points, *frames)).tobytes() \
+        == combine(unpruned_sums.reshape(-1, n_points, *frames)).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 5, 8, 13, 64, 129, 256, 1000])
 def test_layout_write_and_natural_round_trip(n):
-    """Block writes land where one whole write would, :meth:`natural`
-    inverts them, and the row pointers delimit each (leaf, point) row."""
+    """Block builds and writes land where one whole build and write
+    would, :meth:`LeafRows.natural` inverts them (the fill at every pruned
+    entry), and the row pointers delimit each (leaf, point) row's kept
+    entries."""
     n_points = 11
-    values = np.arange(n_points * n).reshape(n_points, n)
-    layout = LeafLayout.of(n)
-    whole = np.empty(n_points * n, dtype=values.dtype)
-    layout.write(whole, n_points, slice(None), values)
-    blocks = np.empty_like(whole)
+    values = np.arange(1, n_points * n + 1).reshape(n_points, n)
+    values[values % 3 == 0] = 0
+    index = np.arange(n_points * n, dtype=np.int32).reshape(n_points, n)
+    whole = _leaf_rows(values)
+    blocks = _leaf_rows(values, rows_per_block=4)
+    for name in ("kept", "indptr", "weights"):
+        np.testing.assert_array_equal(getattr(blocks, name),
+                                      getattr(whole, name))
+    flat = np.empty(whole.nnz, dtype=np.int32)
+    whole.write(flat, slice(None), index)
+    in_blocks = np.empty_like(flat)
     for lo in range(0, n_points, 4):
         rows = slice(lo, min(lo + 4, n_points))
-        layout.write(blocks, n_points, rows, values[rows])
-    np.testing.assert_array_equal(blocks, whole)
-    np.testing.assert_array_equal(layout.natural(whole, n_points), values)
-    indptr = layout.indptr(n_points)
+        whole.write(in_blocks, rows, index[rows])
+    np.testing.assert_array_equal(in_blocks, flat)
+    np.testing.assert_array_equal(whole.natural(whole.weights, 0), values)
+    np.testing.assert_array_equal(whole.natural(flat, -1),
+                                  np.where(values != 0, index, -1))
+    indptr = whole.indptr
     assert indptr.dtype == np.int32
-    assert indptr.size == layout.n_leaves * n_points + 1
-    assert indptr[-1] == n_points * n
+    assert indptr.size == whole.n_leaves * n_points + 1
+    assert indptr[-1] == whole.nnz == np.count_nonzero(values)
     leaves = summation_leaves(n)
-    for leaf, slot in enumerate(layout.slots):
+    for leaf, slot in enumerate(whole.layout.slots):
         for point in (0, n_points - 1):
             row = slot * n_points + point
+            kept = values[point, leaves[leaf]] != 0
             np.testing.assert_array_equal(
-                whole[indptr[row]:indptr[row + 1]],
-                values[point, leaves[leaf]])
+                flat[indptr[row]:indptr[row + 1]],
+                index[point, leaves[leaf]][kept])
