@@ -3,7 +3,9 @@
 The software counterpart of the E9 hardware throughput rows: an 8-frame
 cine sequence is streamed through the ``reference``, ``vectorized`` and
 ``sharded`` backends (plus ``compiled`` on numba hosts) under both kernel
-precisions, per-frame and batched.
+precisions, per-frame and batched.  A compile row times one budgeted
+``small`` segment per delay architecture: the regime where segments are
+regenerated on every batch.
 The compiled-plan backends amortise delay generation through the
 :class:`PlanCache`, so — like the paper's table-streaming architecture —
 they must beat the regenerate-per-scanline reference path; and the fast
@@ -25,8 +27,11 @@ import pytest
 
 from repro.acoustics.echo import EchoSimulator
 from repro.acoustics.phantom import point_target
-from repro.config import tiny_system
+from repro.architectures import ARCHITECTURES
+from repro.beamformer.das import DelayAndSumBeamformer
+from repro.config import small_system, tiny_system
 from repro.experiments import e11_runtime_throughput
+from repro.kernels import TilePlanner, compile_plan
 from repro.runtime import BeamformingService, PlanCache, static_cine
 
 BENCH_STRICT = os.environ.get("REPRO_BENCH_STRICT", "") not in ("", "0")
@@ -235,3 +240,20 @@ def test_bench_streamed_cine(benchmark):
 
     results = benchmark(lambda: service.stream_all(static_cine(data, 8)))
     assert len(results) == 8
+
+
+@pytest.mark.parametrize("architecture", ["exact", "tablefree",
+                                          "tablesteer"])
+def test_bench_compile_budgeted_segment(benchmark, architecture):
+    """Compile layer per architecture: the first segment of a ``32M``-
+    budgeted ``small`` engine (the float nearest CSR plan, compiled leaf by
+    leaf), as a budgeted stream recompiles it on every batch.  The shared
+    weights are built before timing, as a running engine holds them."""
+    system = small_system()
+    beamformer = DelayAndSumBeamformer(
+        system, ARCHITECTURES.create(architecture, system))
+    tile = next(iter(TilePlanner.for_beamformer(beamformer, "32M").tiles()))
+    compile_plan(beamformer, tile=tile)
+    plan = benchmark(compile_plan, beamformer, tile=tile)
+    assert plan.matrix is not None
+    assert plan.n_points == tile.n_points < system.volume.focal_point_count

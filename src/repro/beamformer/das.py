@@ -57,9 +57,13 @@ class DelayProvider(Protocol):
         """Delays for a grid nappe, shape ``(n_theta, n_phi, n_elements)``."""
         ...  # pragma: no cover - protocol definition
 
-    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
+    def tile_delays_samples(self, start: int, stop: int,
+                            elements: np.ndarray | None = None
+                            ) -> np.ndarray:
         """Delays of flat grid points ``[start, stop)``, shape
-        ``(stop - start, n_elements)``; the range may cut scanlines."""
+        ``(stop - start, n_elements)``; the range may cut scanlines.  Given
+        ``elements``, only those columns, in that order — bit-equal to
+        ``tile_delays_samples(start, stop)[:, elements]``."""
         ...  # pragma: no cover - protocol definition
 
     def volume_delays_samples(self) -> np.ndarray:

@@ -51,7 +51,10 @@ def propagation_delay(origin: np.ndarray,
     elements = np.atleast_2d(np.asarray(elements, dtype=np.float64))
     if points.shape[-1] != 3 or elements.shape[-1] != 3:
         raise ValueError("points and elements must have a trailing dimension of 3")
-    delays = pairwise_distances(points, elements)
+    # Element-major with the points innermost (the longer, contiguous
+    # loop), returned transposed: ``(e - p)**2`` is ``(p - e)**2`` bit for
+    # bit, so only the memory order differs from point-major.
+    delays = pairwise_distances(elements, points).T
     delays += pairwise_distances(points, origin[None, :])
     delays /= speed_of_sound
     return delays
@@ -99,15 +102,21 @@ class ExactDelayEngine(BulkDelayProviderMixin):
         return cls(config=config, transducer=transducer, grid=grid,
                    origin=np.asarray(origin, dtype=np.float64))
 
-    def delays_seconds(self, points: np.ndarray) -> np.ndarray:
-        """Exact delays in seconds for arbitrary focal ``points`` ((n, 3))."""
-        return propagation_delay(self.origin, points,
-                                 self.transducer.positions,
-                                 self.config.acoustic.speed_of_sound)
+    def delays_seconds(self, points: np.ndarray,
+                       elements: np.ndarray | None = None) -> np.ndarray:
+        """Exact delays in seconds for arbitrary focal ``points`` ((n, 3)),
+        at every element or at ``elements`` only."""
+        positions = self.transducer.positions
+        return propagation_delay(
+            self.origin, points,
+            positions if elements is None else positions[elements],
+            self.config.acoustic.speed_of_sound)
 
-    def delays_samples(self, points: np.ndarray) -> np.ndarray:
+    def delays_samples(self, points: np.ndarray,
+                       elements: np.ndarray | None = None) -> np.ndarray:
         """Exact delays in fractional sample units (at ``fs``)."""
-        return self.delays_seconds(points) * self.config.acoustic.sampling_frequency
+        return self.delays_seconds(points, elements) \
+            * self.config.acoustic.sampling_frequency
 
     def delay_indices(self, points: np.ndarray) -> np.ndarray:
         """Exact delays quantised to integer echo-buffer indices.
@@ -123,13 +132,18 @@ class ExactDelayEngine(BulkDelayProviderMixin):
         points = self.grid.scanline_points(i_theta, i_phi)
         return self.delays_samples(points)
 
-    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
-        """Delays of flat grid points ``[start, stop)``, one batched call.
+    def tile_delays_samples(self, start: int, stop: int,
+                            elements: np.ndarray | None = None
+                            ) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)``, one batched call
+        (at ``elements`` only, when given).
 
         The distance arithmetic is elementwise, so the rows equal the
-        matching :meth:`scanline_delays_samples` rows bit for bit.
+        matching :meth:`scanline_delays_samples` rows bit for bit, and the
+        columns of ``elements`` the full rows' columns.
         """
-        return self.delays_samples(self.grid.range_points(start, stop))
+        return self.delays_samples(self.grid.range_points(start, stop),
+                                   elements)
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays (fractional samples) for one nappe, shape ``(n_theta, n_phi, n_elements)``."""

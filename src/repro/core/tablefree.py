@@ -130,23 +130,36 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
         return (self.system.acoustic.sampling_frequency
                 / self.system.acoustic.speed_of_sound)
 
-    def _squared_args_samples(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _squared_args_samples(self, points: np.ndarray,
+                              elements: np.ndarray | None = None
+                              ) -> tuple[np.ndarray, np.ndarray]:
         """Squared TX and RX distances in squared-sample units.
 
         Returns ``(tx_sq, rx_sq)`` with shapes ``(n_points,)`` and
-        ``(n_points, n_elements)``.
+        ``(n_points, n_elements)`` (``(n_points, len(elements))`` at
+        ``elements`` only).  ``rx_sq`` is the transpose of an element-major
+        array, so a pass over ``rx_sq.T`` runs along the (longer,
+        contiguous) point axis; ``(e - p)**2`` is ``(p - e)**2`` bit for
+        bit, so only the memory order differs.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         scale = self._samples_per_meter()
+        positions = self.transducer.positions
+        if elements is not None:
+            positions = positions[elements]
         tx_sq = squared_distances(points, self.origin[None, :], scale)[:, 0]
-        rx_sq = squared_distances(points, self.transducer.positions, scale)
+        rx_sq = squared_distances(positions, points, scale).T
         return tx_sq, rx_sq
 
-    def delays_samples(self, points: np.ndarray) -> np.ndarray:
-        """Approximate delays in fractional sample units, shape ``(n_points, n_elements)``.
+    def delays_samples(self, points: np.ndarray,
+                       elements: np.ndarray | None = None) -> np.ndarray:
+        """Approximate delays in fractional sample units, shape ``(n_points, n_elements)``
+        (at ``elements`` only, when given: every step is elementwise, so
+        those columns bit for bit).
 
         The receive PWL, the transmit add and the fixed-point rounding of
-        the accumulated delay run in place on the squared-argument buffer.
+        the accumulated delay run in place on the (element-major)
+        squared-argument buffer; the result is its transpose.
         This is bit-identical to ``quantize(tx + pwl.evaluate(rx_sq),
         unsigned(delay_index_bits, fraction))`` because every term is
         >= 0: slopes are positive, intercepts are unsigned when quantised
@@ -154,25 +167,35 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
         arguments are non-negative.  On a non-negative total the
         quantiser's round-half-away is ``floor(s + 0.5)``, no -0.0 can
         arise, and the saturating clip only has its upper bound to apply.
+
+        The quantiser's ``2**fraction`` scale is folded into the PWL
+        coefficients and the ``(n_points,)`` transmit term rather than
+        applied to the full-size total: a power-of-two scale is exact, so
+        ``(x*s + c + t) * 2**f`` and ``x*(s*2**f) + c*2**f + t*2**f`` round
+        to the same bits.
         """
-        tx_sq, total = self._squared_args_samples(points)
+        tx_sq, rx_sq = self._squared_args_samples(points, elements)
+        total = rx_sq.T
         pwl = self.pwl
-        idx = pwl.segment_index(total)
-        total *= pwl.slopes.take(idx)
-        total += pwl.intercepts.take(idx)
-        if self.design.approximate_transmit:
-            total += pwl.evaluate(tx_sq)[:, None]
-        else:
-            total += np.sqrt(tx_sq)[:, None]
         fraction = self.design.delay_fraction_bits
-        if fraction is not None and fraction >= 0:
+        quantized = fraction is not None and fraction >= 0
+        scale = 2.0 ** fraction if quantized else 1.0
+        idx = pwl.segment_index(total)
+        total *= (pwl.slopes * scale).take(idx)
+        total += (pwl.intercepts * scale).take(idx)
+        if self.design.approximate_transmit:
+            transmit = pwl.evaluate(tx_sq)
+        else:
+            transmit = np.sqrt(tx_sq)
+        transmit *= scale
+        total += transmit
+        if quantized:
             accumulate_fmt = unsigned(self.system.delay_index_bits, fraction)
-            total *= 2.0 ** fraction
             total += 0.5
             np.floor(total, out=total)
             np.minimum(total, accumulate_fmt.max_raw, out=total)
             total *= accumulate_fmt.resolution
-        return total
+        return total.T
 
     def delay_indices(self, points: np.ndarray) -> np.ndarray:
         """Approximate delays rounded to integer echo-buffer indices."""
@@ -183,11 +206,15 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
         """Delays for one grid scanline, shape ``(n_depth, n_elements)``."""
         return self.delays_samples(self.grid.scanline_points(i_theta, i_phi))
 
-    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
-        """Delays of flat grid points ``[start, stop)``: the PWL datapath
-        over the whole range in one call, elementwise, so bit-identical to
-        the matching :meth:`scanline_delays_samples` rows."""
-        return self.delays_samples(self.grid.range_points(start, stop))
+    def tile_delays_samples(self, start: int, stop: int,
+                            elements: np.ndarray | None = None
+                            ) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)`` (at ``elements``
+        only, when given): the PWL datapath over the whole range in one
+        call, elementwise, so bit-identical to the matching
+        :meth:`scanline_delays_samples` rows and columns."""
+        return self.delays_samples(self.grid.range_points(start, stop),
+                                   elements)
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)``."""

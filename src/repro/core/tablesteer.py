@@ -73,6 +73,8 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
     transducer: MatrixTransducer
     grid: FocalGrid
     _reference_fixed: np.ndarray | None = field(default=None, repr=False)
+    _terms_fixed: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                               repr=False)
 
     @classmethod
     def from_config(cls, system: SystemConfig,
@@ -85,9 +87,16 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
                         corrections=corrections,
                         transducer=reference.transducer, grid=reference.grid)
         if design.is_fixed_point:
-            ref_fmt, _corr_fmt = design.formats()
+            # The hardware stores the separable x- and y-terms individually
+            # (Section V-B: the overall delay is a sum of three stored
+            # values), so each term is quantised on its own before the
+            # addition — once here, as the reference quadrant is.
+            ref_fmt, corr_fmt = design.formats()
             object.__setattr__(generator, "_reference_fixed",
                                reference.quantized_quadrant(ref_fmt))
+            object.__setattr__(generator, "_terms_fixed",
+                               (quantize(corrections.x_terms, corr_fmt),
+                                quantize(corrections.y_terms, corr_fmt)))
         return generator
 
     # ------------------------------------------------------------- grid API
@@ -101,11 +110,40 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         return self._reference_rows(depths) \
             + self._correction_planes([i_theta], [i_phi])
 
-    def tile_delays_samples(self, start: int, stop: int) -> np.ndarray:
-        """Delays of flat grid points ``[start, stop)`` [samples]."""
+    def tile_delays_samples(self, start: int, stop: int,
+                            elements: np.ndarray | None = None
+                            ) -> np.ndarray:
+        """Delays of flat grid points ``[start, stop)`` [samples], at
+        ``elements`` only when given.
+
+        Only the correction planes of the scanlines the range touches and
+        the reference rows of one scanline are built, each at the wanted
+        columns, and every whole scanline is their broadcast sum: the same
+        float add, plane plus row, as every other accessor.  A range cut
+        inside its first or last scanline adds that line's plane to the
+        rows it covers.
+        """
         _n_theta, n_phi, n_depth = self.grid.shape
-        line, i_depth = np.divmod(np.arange(start, stop), n_depth)
-        return self._delays(*np.divmod(line, n_phi), i_depth)
+        first = start // n_depth
+        planes = self._correction_planes(
+            *np.divmod(np.arange(first, -(-stop // n_depth)), n_phi),
+            elements)
+        rows = self._reference_rows(np.arange(n_depth), elements)
+        delays = np.empty((stop - start, planes.shape[1]))
+        point, line, depth = 0, 0, start - first * n_depth
+        if depth:  # the rest of a cut first scanline
+            point = min(n_depth - depth, stop - start)
+            np.add(planes[0], rows[depth:depth + point], out=delays[:point])
+            line = 1
+        whole = (stop - start - point) // n_depth
+        np.add(planes[line:line + whole, None], rows,
+               out=delays[point:point + whole * n_depth].reshape(
+                   whole, n_depth, planes.shape[1]))
+        point += whole * n_depth
+        # The start of a cut last scanline (empty rows when there is none).
+        np.add(planes[line + whole:line + whole + 1],
+               rows[:stop - start - point], out=delays[point:])
+        return delays
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)`` [samples]."""
@@ -157,27 +195,31 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         delays += self._reference_rows(depths)[depth_of]
         return delays
 
-    def _correction_planes(self, i_theta, i_phi) -> np.ndarray:
+    def _correction_planes(self, i_theta, i_phi, elements=None
+                           ) -> np.ndarray:
         """Correction planes of scanlines ``(i_theta[k], i_phi[k])``, shape
-        ``(n, n_elements)`` [samples], element ``ix * ey + iy``."""
-        x_terms = self.corrections.x_terms[:, i_theta, i_phi].T   # (n, ex)
-        y_terms = self.corrections.y_terms[:, i_phi].T            # (n, ey)
-        if self.design.is_fixed_point:
-            # The hardware stores the separable x- and y-terms individually
-            # (Section V-B: the overall delay is a sum of three stored
-            # values), so each term is quantised on its own before the
-            # addition.
-            _ref_fmt, corr_fmt = self.design.formats()
-            x_terms = quantize(x_terms, corr_fmt)
-            y_terms = quantize(y_terms, corr_fmt)
+        ``(n, n_elements)`` [samples], element ``ix * ey + iy`` — or only
+        the columns of ``elements``, ``(n, len(elements))``."""
+        x_terms, y_terms = self._terms_fixed if self.design.is_fixed_point \
+            else (self.corrections.x_terms, self.corrections.y_terms)
+        x_terms = x_terms[:, i_theta, i_phi].T                    # (n, ex)
+        y_terms = y_terms[:, i_phi].T                             # (n, ey)
+        if elements is not None:
+            i_x, i_y = np.divmod(elements, y_terms.shape[1])
+            return x_terms[:, i_x] + y_terms[:, i_y]
         planes = x_terms[:, :, None] + y_terms[:, None, :]
         return planes.reshape(len(planes), self.transducer.element_count)
 
-    def _reference_rows(self, i_depth) -> np.ndarray:
+    def _reference_rows(self, i_depth, elements=None) -> np.ndarray:
         """Reference delays at depths ``i_depth``, shape ``(n, n_elements)``
-        [samples]: the stored (quantised) quadrant expanded by symmetry."""
+        [samples]: the stored (quantised) quadrant expanded by symmetry —
+        or only the columns of ``elements``, ``(n, len(elements))``."""
         quadrant = self._reference_fixed if self.design.is_fixed_point \
             else self.reference.quadrant
+        if elements is not None:
+            i_x, i_y = np.divmod(elements, len(self.reference.quadrant_y_index))
+            return quadrant[self.reference.quadrant_x_index[i_x],
+                            self.reference.quadrant_y_index[i_y]][:, i_depth].T
         rows = np.moveaxis(quadrant[:, :, i_depth], -1, 0)     # (n, qx, qy)
         rows = rows[:, self.reference.quadrant_x_index]
         rows = rows[:, :, self.reference.quadrant_y_index]

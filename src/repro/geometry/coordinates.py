@@ -88,7 +88,9 @@ def squared_distances(points_a: np.ndarray, points_b: np.ndarray,
     b = np.asarray(points_b, dtype=np.float64)
     total = None
     for k in range(a.shape[1]):
-        delta = a[:, None, k] - b[None, :, k]
+        # A contiguous copy of the inner column: the subtraction's inner
+        # loop then reads unit-stride memory (same values, same bits).
+        delta = a[:, None, k] - np.ascontiguousarray(b[:, k])[None, :]
         if scale != 1.0:
             delta *= scale
         delta *= delta

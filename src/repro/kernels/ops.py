@@ -30,7 +30,8 @@ one CSR product per plan reproduces :func:`accumulate` bit for bit.
 :class:`LeafLayout` is the ``(leaf, point, j)`` order of such a plan's
 rows, and :class:`LeafRows` those rows with the zero-weight entries
 pruned — a dropped ``(±0.0)·x`` term changes no bit of a sum of finite
-samples; :meth:`GatherIndex.write` rounds delays straight into them.
+samples; :meth:`GatherIndex.write_leaves` rounds each leaf's delays
+straight into them.
 
 Arithmetic runs in the dtype of ``samples`` (see
 :class:`repro.kernels.precision.Precision`); delays are always rounded in
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,11 +72,13 @@ __all__ = [
     "accumulate",
     "apply_weights",
     "build_gather_index",
+    "check_samples",
     "coerce_samples",
     "combine_leaf_sums",
     "delay_and_sum",
     "gather_interp",
     "gather_padded",
+    "pad_frames",
     "pad_samples",
     "summation_leaves",
     "total",
@@ -194,6 +197,9 @@ class LeafLayout:
     """Element positions of each stored ``(n, k)`` block of leaves."""
     slots: tuple[int, ...]
     """Storage slot of each leaf of :func:`summation_leaves`."""
+    stored_leaves: tuple[np.ndarray, ...]
+    """Element positions of the leaf in each storage slot, in summation
+    order: the rows of :attr:`groups`, one after another."""
 
     @classmethod
     @lru_cache(maxsize=64)
@@ -212,7 +218,9 @@ class LeafLayout:
         for positions in groups:
             positions.flags.writeable = False
         return cls(n_elements=int(n_elements), groups=groups,
-                   slots=tuple(slots))
+                   slots=tuple(slots),
+                   stored_leaves=tuple(leaf for block in groups
+                                       for leaf in block))
 
     @property
     def n_leaves(self) -> int:
@@ -230,14 +238,11 @@ class LeafLayout:
             offset += n * n_points * k
 
     def _rows(self, stored: np.ndarray, n_points: int
-              ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """``(slot, (n_points, k) view of stored, element positions)`` of
-        every leaf, in storage order."""
-        slot = 0
-        for block, positions in self._blocks(stored, n_points):
-            for view, leaf in zip(block, positions):
-                yield slot, view, leaf
-                slot += 1
+              ) -> Iterator[np.ndarray]:
+        """The ``(n_points, k)`` view of ``stored`` of every leaf, in
+        storage order."""
+        for block, _positions in self._blocks(stored, n_points):
+            yield from block
 
     def natural(self, stored: np.ndarray, n_points: int) -> np.ndarray:
         """A natural-order ``(n_points, n_elements)`` copy of ``stored``:
@@ -296,7 +301,8 @@ class LeafRows:
 
     Built once per geometry, dtype and point range (:meth:`build`) and
     shared, read-only, by every plan of that range; a plan adds only its
-    own gather index, written through :meth:`write`.
+    own gather index, written leaf by leaf through
+    :meth:`GatherIndex.write_leaves`.
     """
 
     layout: LeafLayout
@@ -369,18 +375,6 @@ class LeafRows:
         """Kept entries: the stored length of every tensor of the range."""
         return int(self.indptr[-1])
 
-    def write(self, stored: np.ndarray, rows: slice,
-              values: np.ndarray) -> None:
-        """Write the kept entries of the natural ``(len(rows),
-        n_elements)`` ``values`` of point ``rows`` into their places in
-        the flat ``stored`` tensor (one entry per kept weight): per leaf,
-        a ``take`` of its elements compressed by its mask."""
-        lo, hi, _ = rows.indices(self.n_points)
-        for slot, mask, leaf in self.layout._rows(self.kept, self.n_points):
-            row = slot * self.n_points
-            stored[self.indptr[row + lo]:self.indptr[row + hi]] = \
-                np.take(values, leaf, axis=1)[mask[lo:hi]]
-
     def natural(self, stored: np.ndarray, fill) -> np.ndarray:
         """A natural-order ``(n_points, n_elements)`` copy of the kept
         ``stored`` entries, ``fill`` at every pruned position."""
@@ -419,7 +413,8 @@ class GatherIndex:
               n_elements: int, n_samples: int,
               dtype: np.dtype | type = np.float64, *,
               leaves: LeafRows | None = None) -> "GatherIndex":
-        """An unfilled index of ``n_points`` rows; :meth:`write` fills it.
+        """An unfilled index of ``n_points`` rows; :meth:`write` fills it,
+        or :meth:`write_leaves` a leaf-ordered one.
 
         Given ``leaves`` (the range's :class:`LeafRows`), it stores one
         offset per kept entry in their row order.
@@ -499,40 +494,91 @@ class GatherIndex:
 
     def write(self, rows: slice, delays: np.ndarray) -> None:
         """Round the ``float64`` fractional-sample ``delays`` of ``rows``
-        into place — the only place delays are rounded, so nearest/linear
-        addressing is defined here once for every execution path.  The
-        delays must be finite (every delay provider's are)."""
+        into place in a natural index.  With :meth:`write_leaves` (the
+        leaf-ordered index) this is the only place delays are rounded, both
+        through :meth:`_offsets`, so nearest/linear addressing is defined
+        once for every execution path.  The delays must be finite (every
+        delay provider's are)."""
+        if self.leaves is not None:
+            raise ValueError("a leaf-ordered index is written leaf by leaf "
+                             "(write_leaves)")
+        bases = np.arange(0, self.pad_slot, self.n_samples, dtype=np.int32)
         if self.upper is None:
-            sample = np.add(delays, 0.5)
-            offsets = self._offsets(np.floor(sample, out=sample))
-            if self.leaves is None:
-                self.flat[rows] = offsets
-            else:
-                self.leaves.write(self.flat, rows, offsets)
+            self._offsets(np.add(delays, 0.5), bases, self.flat[rows])
             return
         lower = np.floor(delays)
         self.fraction[rows] = delays - lower
-        self.flat[rows] = self._offsets(lower)
+        self._offsets(lower, bases, self.flat[rows])
         lower += 1.0
-        self.upper[rows] = self._offsets(lower)
+        self._offsets(lower, bases, self.upper[rows])
 
-    def _offsets(self, sample: np.ndarray) -> np.ndarray:
-        """Whole-sample positions -> int32 flat offsets (pad slot when
-        outside the echo buffer).
+    def write_leaves(self, slabs: Iterable[tuple[int, slice, np.ndarray]]
+                     ) -> None:
+        """Round a leaf-ordered index into place, one slab at a time.
 
-        The positions are cast first, so ``0 <= sample < n_samples`` is one
-        unsigned compare: a negative position wraps past ``n_samples``, and
-        one beyond the int32 range casts to a value that does too.  The
-        element bases are then added in place.  Inside the buffer every
-        step is exact, so the offsets equal the float sum's.
+        ``slabs`` yields ``(slot, rows, delays)``: ``delays`` are the
+        finite ``float64`` ``(len(rows), k)`` delays of point ``rows`` at
+        the elements of the leaf in storage ``slot``
+        (:attr:`LeafLayout.stored_leaves`), columns in that order — already
+        in summation order, so no natural-order block is ever permuted.
+        Each slab is rounded as :meth:`write` rounds a nearest index, in scratch
+        buffers reused from slab to slab: add 0.5, floor into int32, one
+        unsigned range test, add the leaf's element bases, the pad slot
+        where outside.  It is then compressed by the leaf's kept mask
+        straight into its contiguous run of ``flat``, the CSR rows ``slot *
+        n_points + rows``.  Every entry is rounded exactly as in the
+        natural index, so the result is that index permuted into leaf order
+        and pruned.
+        """
+        leaves = self.leaves
+        if leaves is None:
+            raise ValueError("a natural index is written by write()")
+        n_points, layout = leaves.n_points, leaves.layout
+        masks = tuple(layout._rows(leaves.kept, n_points))
+        scratch = (np.empty(0), np.empty(0, np.int32), np.empty(0, bool))
+        for slot, rows, delays in slabs:
+            lo, hi, _ = rows.indices(n_points)
+            leaf = layout.stored_leaves[slot]
+            delays = np.asarray(delays, dtype=np.float64)
+            if delays.shape != (hi - lo, leaf.size):
+                raise ValueError(f"leaf slot {slot} of rows [{lo}, {hi}) "
+                                 f"takes ({hi - lo}, {leaf.size}) delays, "
+                                 f"got {delays.shape}")
+            if delays.size > scratch[0].size:
+                scratch = tuple(np.empty(delays.size, dtype=buffer.dtype)
+                                for buffer in scratch)
+            sample, offsets, outside = (
+                buffer[:delays.size].reshape(delays.shape)
+                for buffer in scratch)
+            np.add(delays, 0.5, out=sample)
+            self._offsets(sample, leaf.astype(np.int32) * self.n_samples,
+                          offsets, outside)
+            row = slot * n_points
+            np.compress(masks[slot][lo:hi].ravel(), offsets.ravel(),
+                        out=self.flat[leaves.indptr[row + lo]:
+                                      leaves.indptr[row + hi]])
+
+    def _offsets(self, sample: np.ndarray, bases: np.ndarray,
+                 out: np.ndarray, outside: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """Sample positions -> int32 flat offsets into ``out``: ``bases``
+        (each column's element base) plus the floored position, or the pad
+        slot when outside the echo buffer.
+
+        The positions are floored straight into int32, so ``0 <= sample <
+        n_samples`` is one unsigned compare (into ``outside``, when given):
+        a negative position wraps past ``n_samples``, and one beyond the
+        int32 range casts to a value that does too.  The element bases are
+        then added in place.  Inside the buffer every step is exact, so the
+        offsets equal the float sum's.
         """
         with np.errstate(invalid="ignore"):
-            offsets = sample.astype(np.int32)
-        outside = offsets.view(np.uint32) >= self.n_samples
-        offsets += np.arange(0, self.pad_slot, self.n_samples,
-                             dtype=np.int32)
-        np.putmask(offsets, outside, self.pad_slot)
-        return offsets
+            np.floor(sample, out=out, casting="unsafe")
+        outside = np.greater_equal(out.view(np.uint32), self.n_samples,
+                                   out=outside)
+        out += bases
+        np.putmask(out, outside, self.pad_slot)
+        return out
 
 
 def build_gather_index(delays_samples: np.ndarray, n_samples: int,
@@ -573,6 +619,43 @@ def pad_samples(samples: np.ndarray,
     padded = np.empty((n + 1, *samples.shape[:-2]), dtype=samples.dtype)
     padded[:n] = np.moveaxis(samples.reshape(*samples.shape[:-2], n), -1, 0)
     padded[n] = 0
+    return padded
+
+
+def check_samples(compiled: int, n_samples: int) -> None:
+    """Refuse a frame of ``n_samples`` samples for plans compiled for
+    ``compiled``-sample echo buffers, naming both lengths."""
+    if int(n_samples) != int(compiled):
+        raise ValueError(
+            f"plan was compiled for {int(compiled)}-sample echo buffers; "
+            f"got a frame of {int(n_samples)} samples")
+
+
+def pad_frames(frames: "Sequence[object]", dtype: np.dtype | type,
+               quantization: "QuantizationSpec | None",
+               shape: tuple[int, int]) -> np.ndarray:
+    """:func:`pad_samples` of the coerced ``frames``, without stacking
+    them first: each frame is coerced (:func:`coerce_samples`) and written
+    straight into its column of the ``(E*S + 1, n_frames)`` buffer.
+
+    Every frame must be ``shape``, ``(n_elements, n_samples)``; a frame of
+    another buffer length is refused naming both lengths
+    (:func:`check_samples`).  ``frames`` is a non-empty sequence — of
+    ``ChannelData``, arrays, or the frames of an ``(n_frames, n_elements,
+    n_samples)`` array.
+    """
+    shape = tuple(shape)
+    n = shape[0] * shape[1]
+    padded = np.empty((n + 1, len(frames)), dtype=dtype)
+    padded[n] = 0
+    for column, frame in enumerate(frames):
+        samples = coerce_samples(frame, dtype, quantization)
+        if samples.shape != shape:
+            if samples.ndim == 2:
+                check_samples(shape[1], samples.shape[1])
+            raise ValueError(f"a frame must be {shape} (n_elements, "
+                             f"n_samples), got {samples.shape}")
+        padded[:n, column] = samples.reshape(n)
     return padded
 
 

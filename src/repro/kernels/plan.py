@@ -28,12 +28,14 @@ through the same two methods; an unbudgeted engine is one tile.
 Compilation builds the flat int32 gather index
 (:class:`repro.kernels.ops.GatherIndex`) of its point range for the
 system's echo-buffer length, rounding the provider's bulk delays into
-index rows block by block as they are generated — no delay tensor is ever
-held — and references the receive-weight tensor of that range, built once
-per geometry and layout and shared by every plan (:func:`receive_weights`,
-or :func:`leaf_rows` for the CSR plan).  A float nearest plan writes its
-index's kept entries straight into leaf order, so its CSR matrix is views
-of the stored arrays, built without a copy.  It
+place as they are generated — no delay tensor is ever held — and
+references the receive-weight tensor of that range, built once per
+geometry and layout and shared by every plan (:func:`receive_weights`, or
+:func:`leaf_rows` for the CSR plan).  A float nearest plan is compiled
+leaf-major: the provider generates each summation leaf's columns for a run
+of scanlines, and the slab is rounded and compressed straight into its run
+of the CSR index, so its matrix is views of the stored arrays, built
+without a copy.  It
 is the software analogue of the paper's precomputed delay table: the
 expensive float work happens once, streaming frames only gather.  Plans
 are immutable and safe to share across backends and threads;
@@ -55,8 +57,8 @@ from scipy import sparse
 
 from ..beamformer.interpolation import InterpolationKind
 from ..observability.tracing import resolve_tracer
-from .ops import GatherIndex, LeafLayout, LeafRows, coerce_samples, \
-    gather_padded, pad_samples, total, weigh
+from .ops import GatherIndex, LeafLayout, LeafRows, check_samples, \
+    coerce_samples, gather_padded, pad_frames, total, weigh
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -74,6 +76,12 @@ Keeps the chunked plans' ``(n_frames, block, n_elements)`` temporaries
 inside the CPU caches; see :meth:`BeamformingPlan._chunked`.  Measured on the
 ``small`` preset (one frame, 2-vCPU Xeon host): 2^16-2^18 gather in
 ~30-38 ms, 2^20 in ~100 ms."""
+
+
+_RUN_ENTRIES = 1 << 16
+"""Target entries of one leaf's slab in a leaf-ordered compile
+(:func:`_tile_tensors`): the size of the scratch buffers it rounds in.
+2^15 to 2^17 measured alike on ``small`` (2-vCPU Xeon host)."""
 
 
 def _leaf_ordered(interpolation: "InterpolationKind | str",
@@ -114,15 +122,6 @@ def plan_storage_bytes(n_points: int, n_elements: int,
     if _leaf_ordered(interpolation, quantization, variant):
         per_point += 4 * LeafLayout.of(int(n_elements)).n_leaves
     return int(n_points) * per_point
-
-
-def check_samples(compiled: int, n_samples: int) -> None:
-    """Refuse a frame of ``n_samples`` samples for plans compiled for
-    ``compiled``-sample echo buffers, naming both lengths."""
-    if int(n_samples) != int(compiled):
-        raise ValueError(
-            f"plan was compiled for {int(compiled)}-sample echo buffers; "
-            f"got a frame of {int(n_samples)} samples")
 
 
 def check_finite(padded: np.ndarray) -> None:
@@ -317,6 +316,16 @@ def leaf_rows(beamformer: "DelayAndSumBeamformer", start: int, stop: int,
     return _shared_weights(beamformer, start, stop, dtype, None, True, build)
 
 
+def _runs(start: int, stop: int, step: int) -> Iterator[tuple[int, int]]:
+    """``[lo, hi)`` runs of ``[start, stop)`` cut at the multiples of
+    ``step``: whole runs of ``step`` points, but for the range's ends."""
+    lo = start
+    while lo < stop:
+        hi = min(stop, (lo // step + 1) * step)
+        yield lo, hi
+        lo = hi
+
+
 def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
                   stop: int, dtype: np.dtype,
                   quantization: "QuantizationSpec | None",
@@ -327,34 +336,52 @@ def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
 
     The one tensor builder of every plan (NumPy or compiled, float or
     quantized); a whole-grid plan is the range ``[0, n_points)``.  Delays
-    come from the provider's bulk ``tile_delays_samples`` in blocks of
-    ~:data:`BATCH_BLOCK_ELEMENTS` entries, each rounded into its index
-    rows (:meth:`GatherIndex.write`) as it arrives — for a leaf-ordered
-    index, only the kept entries, straight into their places — so no
+    come from the provider's bulk ``tile_delays_samples``, so no
     ``(n_points, n_elements)`` delay tensor is ever held; the weights are
-    shared.  ``quantization`` (the beamformer's spec) first quantises
-    both.  Every step is elementwise, so a tile's rows are exact row
-    slices of the whole-grid tensors.
+    shared:
+
+    * natural: in point blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries,
+      each rounded into its index rows (:meth:`GatherIndex.write`) as it
+      arrives; ``quantization`` (the beamformer's spec) first quantises
+      delays and weights;
+    * leaf-ordered: leaf-major.  The range is cut into runs of whole
+      scanlines (~:data:`_RUN_ENTRIES` entries of the longest leaf); for
+      each run, every leaf slot in storage order asks the provider for
+      that leaf's columns only (``tile_delays_samples(lo, hi,
+      elements)``) — a slab already in summation order — which
+      :meth:`GatherIndex.write_leaves` rounds and compresses straight into
+      its run of the CSR index.  Consecutive calls share their range, so
+      a provider can reuse its per-point work across the leaves.
+
+    Every step is elementwise, so a tile's rows are exact row slices of
+    the whole-grid tensors, and the leaf-ordered index is the natural one
+    permuted and pruned.
     """
-    n_elements = beamformer.transducer.element_count
-    if leaf_ordered:
-        leaves = leaf_rows(beamformer, start, stop, dtype)
-        weights = leaves.weights
-    else:
-        leaves = None
-        weights = receive_weights(beamformer, start, stop, dtype,
-                                  quantization)
+    provider = beamformer.delays
+    leaves = leaf_rows(beamformer, start, stop, dtype) if leaf_ordered \
+        else None
     index = GatherIndex.empty(beamformer.interpolation, stop - start,
-                              n_elements,
+                              beamformer.transducer.element_count,
                               beamformer.system.echo_buffer_samples, dtype,
                               leaves=leaves)
-    for lo, hi in _blocks(start, stop, n_elements):
-        delays = np.asarray(beamformer.delays.tile_delays_samples(lo, hi),
+    if leaves is not None:
+        n_depth = beamformer.grid.shape[-1]
+        stored = leaves.layout.stored_leaves
+        step = n_depth * max(1, _RUN_ENTRIES // (stored[0].size * n_depth))
+        index.write_leaves(
+            (slot, slice(lo - start, hi - start),
+             provider.tile_delays_samples(lo, hi, leaf))
+            for lo, hi in _runs(start, stop, step)
+            for slot, leaf in enumerate(stored))
+        return index, leaves.weights
+    for lo, hi in _blocks(start, stop, index.n_elements):
+        delays = np.asarray(provider.tile_delays_samples(lo, hi),
                             dtype=np.float64)
         if quantization is not None:
             delays = quantization.quantize_delays(delays)
         index.write(slice(lo - start, hi - start), delays)
-    return index, weights
+    return index, receive_weights(beamformer, start, stop, dtype,
+                                  quantization)
 
 
 @dataclass(frozen=True)
@@ -555,24 +582,21 @@ class BeamformingPlan:
                       tracer=None) -> np.ndarray:
         """Beamform a cine batch at once; shape ``(n_frames, *grid_shape)``.
 
-        All frames are stacked into one ``(n_frames, n_elements, n_samples)``
-        buffer, copied once per call into the padded, frames-innermost
-        layout the flat index addresses
-        (:func:`repro.kernels.ops.pad_samples`), so per-frame NumPy dispatch
+        Each frame is coerced and copied once, straight into its column of
+        the padded, frames-innermost buffer the flat index addresses
+        (:func:`repro.kernels.ops.pad_frames`), so per-frame NumPy dispatch
         is paid once per batch and each fetch reads every frame's sample
         from one cache line; :meth:`execute_padded` then beamforms it.
         Frames must share the plan's buffer length.  A pre-stacked
-        ``(n_frames, n_elements, n_samples)`` array is coerced in place of
-        the stack.  A CSR plan refuses a NaN or infinite sample
+        ``(n_frames, n_elements, n_samples)`` array is a sequence of
+        frames too.  A CSR plan refuses a NaN or infinite sample
         (:func:`check_finite`) with a :class:`ValueError`.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        stacked = self.coerce_samples(frames) if isinstance(frames, np.ndarray) \
-            else np.stack([self.coerce_samples(frame) for frame in frames])
-        self._check_samples(stacked.shape[-1])
-        padded = pad_samples(stacked, self.stored_index)
+        padded = pad_frames(frames, self.dtype, self.quantization,
+                            (self.n_elements, self.n_samples))
         if self.matrix is not None:
             check_finite(padded)
         return self.execute_padded(padded, tracer).reshape(

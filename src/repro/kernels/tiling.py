@@ -41,8 +41,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from ..observability.tracing import resolve_tracer
-from .ops import coerce_samples, pad_samples
-from .plan import (_leaf_ordered, check_finite, check_samples, compile_plan,
+from .ops import coerce_samples, pad_frames
+from .plan import (_leaf_ordered, check_finite, compile_plan,
                    plan_key, plan_storage_bytes)
 from .precision import Precision, resolve_precision
 
@@ -386,10 +386,10 @@ class TiledPlan:
                       tracer=None) -> np.ndarray:
         """Beamform a cine batch tile by tile; ``(n_frames, *grid_shape)``.
 
-        Frames are coerced, stacked and padded once
-        (:func:`~repro.kernels.ops.pad_samples`) — every tile, on whichever
-        thread, gathers from the same buffer — and every tile's segment
-        executes the full batch before moving on: the segment (the
+        Frames are coerced and padded once, each written straight into its
+        column (:func:`~repro.kernels.ops.pad_frames`) — every tile, on
+        whichever thread, gathers from the same buffer — and every tile's
+        segment executes the full batch before moving on: the segment (the
         expensive artifact) is amortised across frames, exactly the access
         order the LRU favours.  CSR segments refuse a NaN or infinite
         sample (:func:`~repro.kernels.plan.check_finite`), checked once
@@ -398,12 +398,9 @@ class TiledPlan:
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        stacked = np.stack([coerce_samples(frame, self.dtype,
-                                           self.quantization)
-                            for frame in frames])
-        check_samples(self.beamformer.system.echo_buffer_samples,
-                      stacked.shape[-1])
-        padded = pad_samples(stacked)
+        padded = pad_frames(frames, self.dtype, self.quantization,
+                            (self.beamformer.transducer.element_count,
+                             self.beamformer.system.echo_buffer_samples))
         if _leaf_ordered(self.beamformer.interpolation, self.quantization,
                          self._variant):
             check_finite(padded)

@@ -13,6 +13,8 @@ Pins what the sparse execution promises beyond the conformance matrix:
   pruned :class:`~repro.kernels.ops.LeafRows` (mask, row pointers and
   weights), a plan stores exactly its kept entries plus the row pointers
   in ``nbytes``, and :func:`plan_storage_bytes` bounds that from above;
+* the leaf-major compile writes the natural index permuted and pruned,
+  over the whole grid and over tiles that cut scanlines;
 * a segment too large for int32 row pointers is refused at compile, and
   a pickled plan rebuilds its matrix over the unpickled tensors.
 """
@@ -38,8 +40,9 @@ from repro.kernels import (
     plan_storage_bytes,
     receive_weights,
 )
-from repro.kernels.ops import LeafRows, gather_padded, pad_samples, total, \
-    weigh
+from repro.kernels.ops import LeafLayout, LeafRows, gather_padded, \
+    pad_samples, total, weigh
+from repro.kernels.plan import _tile_tensors
 
 
 def _frames(system, n_frames: int, seed: int) -> np.ndarray:
@@ -95,6 +98,44 @@ def test_budgeted_segments_equal_the_split_replay(system, precision):
         rows = segment.execute_batch(list(frames)).reshape(2, -1)
         np.testing.assert_array_equal(rows, _replay(segment, frames))
         np.testing.assert_array_equal(tiled[:, tile.rows], rows)
+
+
+@pytest.mark.parametrize("architecture", ["exact", "tablefree",
+                                          "tablesteer"])
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_leaf_major_index_is_the_natural_index_permuted_and_pruned(
+        system, architecture, precision):
+    """The leaf-major compile (one provider slab per leaf and run, rounded
+    and compressed straight into its CSR run) writes exactly the natural
+    index of ``_tile_tensors(..., leaf_ordered=False)``, permuted into leaf
+    order and pruned of its zero-weight entries — over the whole grid and
+    over budgeted tiles that cut scanlines (a granularity not dividing
+    ``n_depth``)."""
+    beamformer = DelayAndSumBeamformer(
+        system, ARCHITECTURES.create(architecture, system))
+    dtype = np.dtype(precision)
+    n_depth = system.volume.n_depth
+    granularity = n_depth // 2 + 3
+    assert n_depth % granularity
+    per_point = plan_storage_bytes(1, system.transducer.element_count,
+                                   precision)
+    planner = TilePlanner.for_beamformer(
+        beamformer, per_point * system.volume.focal_point_count // 3,
+        precision=precision, granularity=granularity)
+    assert planner.n_tiles > 1
+    assert any(tile.start % n_depth for tile in planner.tiles())
+    stored = LeafLayout.of(system.transducer.element_count).stored_leaves
+    for start, stop in [(0, system.volume.focal_point_count),
+                        *((tile.start, tile.stop)
+                          for tile in planner.tiles())]:
+        index, _ = _tile_tensors(beamformer, start, stop, dtype, None, True)
+        natural, weights = _tile_tensors(beamformer, start, stop, dtype,
+                                         None, False)
+        expected = np.concatenate([natural.flat[:, leaf][weights[:, leaf]
+                                                         != 0]
+                                   for leaf in stored])
+        assert index.flat.dtype == np.int32
+        np.testing.assert_array_equal(index.flat, expected)
 
 
 def test_linear_and_quantised_plans_stay_chunked(tiny, tiny_channel_data):

@@ -6,10 +6,15 @@ Plan compilation asks providers for flat point ranges
 For any ``[start, stop)`` range — single points, ranges cutting scanlines,
 the whole grid — both must equal the concatenated per-scanline rows bit for
 bit, for every delay provider the library ships, a third-party provider
-relying on the bulk mixin, and transmit-adjusted (scheme) providers.
+relying on the bulk mixin, and transmit-adjusted (scheme) providers.  The
+columns a leaf-major compile asks for (``tile_delays_samples(start, stop,
+elements)``) must be those rows' columns, byte for byte.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from repro.beamformer.das import ApodizationSettings, DelayAndSumBeamformer
 from repro.config import tiny_system
 from repro.core.exact import ExactDelayEngine
 from repro.core.recursive import RecursiveDelayGenerator
+from repro.core.tablefree import TableFreeConfig, TableFreeDelayGenerator
 from repro.core.tablesteer import TableSteerConfig, TableSteerDelayGenerator
 from repro.geometry.apodization import WindowType
 from repro.kernels import QuantizationSpec, receive_weights
@@ -43,10 +49,17 @@ def _wrapped(base: str, scheme: str, event: int):
 PROVIDERS = {
     **{name: (lambda name=name: ARCHITECTURES.create(name, SYSTEM))
        for name in ARCHITECTURES.names()},
+    "tablesteer_13": lambda: TableSteerDelayGenerator.from_config(
+        SYSTEM, TableSteerConfig(total_bits=13)),
     "tablesteer_14": lambda: TableSteerDelayGenerator.from_config(
         SYSTEM, TableSteerConfig(total_bits=14)),
+    "tablefree_unrounded": lambda: TableFreeDelayGenerator.from_config(
+        SYSTEM, TableFreeConfig(delay_fraction_bits=None)),
+    "tablefree_integer": lambda: TableFreeDelayGenerator.from_config(
+        SYSTEM, TableFreeConfig(delay_fraction_bits=0)),
     "recursive": lambda: RecursiveDelayGenerator.from_config(SYSTEM),
     "toy": lambda: _ToyProvider(ExactDelayEngine.from_config(SYSTEM), 3.5),
+    "focused_tablesteer": lambda: _wrapped("tablesteer", "focused", 0),
     "planewave_exact": lambda: _wrapped("exact", "planewave", 0),
     "planewave_tablesteer": lambda: _wrapped("tablesteer", "planewave", 3),
     "diverging_tablefree": lambda: _wrapped("tablefree", "diverging", 1),
@@ -86,6 +99,74 @@ def test_tile_delays_are_scanline_rows(name, span):
     tile = provider.tile_delays_samples(start, stop)
     assert tile.dtype == np.float64
     np.testing.assert_array_equal(tile, rows[start:stop])
+
+
+@st.composite
+def element_sets(draw):
+    """Element numbers: any subset, in any order — up to a permutation of
+    every element."""
+    n = SYSTEM.transducer.element_count
+    return np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  max_size=n, unique=True)), dtype=np.intp)
+
+
+_N_ELEMENTS = SYSTEM.transducer.element_count
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+@settings(max_examples=20, deadline=None)
+@given(span=ranges(), elements=element_sets())
+@example(span=(3, 2 * N_DEPTH + 5), elements=np.arange(_N_ELEMENTS)[::-1])
+@example(span=(N_DEPTH - 1, N_DEPTH + 1),
+         elements=np.arange(1, _N_ELEMENTS, 8))
+@example(span=(0, N_POINTS), elements=np.array([_N_ELEMENTS - 1]))
+def test_tile_delays_at_elements_are_the_rows_columns(name, span, elements):
+    """``tile_delays_samples(start, stop, elements)`` — what a leaf-major
+    compile asks for — is the natural rows' ``[:, elements]`` byte for
+    byte: ranges cutting scanlines, element subsets and permutations, for
+    every provider (the recursive and third-party ones through the bulk
+    mixin)."""
+    provider, _rows = _provider_and_rows(name)
+    start, stop = span
+    columns = provider.tile_delays_samples(start, stop, elements)
+    natural = provider.tile_delays_samples(start, stop)
+    assert columns.dtype == np.float64
+    assert columns.shape == (stop - start, len(elements))
+    assert columns.tobytes() == natural[:, elements].tobytes()
+
+
+def test_concurrent_ranges_get_their_own_transmit_correction():
+    """Tiles compile concurrently on one transmit-adjusted provider (the
+    ``sharded`` pool), whose last-range correction may be replaced under a
+    caller: every call still returns its own range's rows, byte for byte."""
+    provider, serial = (_wrapped("exact", "planewave", 2) for _ in range(2))
+    leaves = [np.arange(0, _N_ELEMENTS, 8), np.arange(_N_ELEMENTS)]
+    spans = [(0, 40), (40, 300), (17, 517), (N_POINTS - 99, N_POINTS)]
+    expected = {(span, j): serial.tile_delays_samples(*span, leaf).tobytes()
+                for span in spans for j, leaf in enumerate(leaves)}
+    mismatches: list = []
+
+    def work(offset: int) -> None:
+        for k in range(60):
+            span = spans[(k + offset) % len(spans)]
+            for j, leaf in enumerate(leaves):
+                rows = provider.tile_delays_samples(*span, leaf).tobytes()
+                if rows != expected[span, j]:
+                    mismatches.append((span, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_volume_delays_are_the_whole_range():

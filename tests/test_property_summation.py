@@ -16,8 +16,8 @@ NumPy, not a documented contract, so these tests pin it directly:
   x`` into a fused multiply-add would fail here);
 * pruning the zero-weight entries changes no byte of the product or of
   the combine, against an unpruned matrix built independently;
-* the leaves partition the row, and the rows' build/write/natural and
-  row pointers are exact.
+* the leaves partition the row, and the rows' build, the leaf-ordered
+  index writer, natural copies and row pointers are exact.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.kernels.ops import LeafLayout, LeafRows, combine_leaf_sums, \
-    summation_leaves
+from repro.kernels.ops import GatherIndex, LeafLayout, LeafRows, \
+    build_gather_index, combine_leaf_sums, summation_leaves
 
 row_lengths = st.one_of(st.integers(1, 2048), st.just(10_000))
 dtypes = st.sampled_from([np.float64, np.float32])
@@ -118,11 +118,20 @@ def _leaf_rows(weights: np.ndarray, rows_per_block: int | None = None
         for lo in range(0, n_points, step)])
 
 
+def _leaf_index(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The kept entries of a natural ``index`` in leaf-row order, built
+    independently of :class:`LeafRows`: per storage slot, the leaf's
+    columns of every point, less those whose weight is zero."""
+    layout = LeafLayout.of(weights.shape[1])
+    return np.concatenate([index[:, leaf][weights[:, leaf] != 0]
+                           for leaf in layout.stored_leaves]).astype(np.int32)
+
+
 def _pruned_csr(weights: np.ndarray, index: np.ndarray, n_inputs: int):
-    """The plan's CSR matrix: pruned leaf rows plus their written index."""
+    """The plan's CSR matrix: pruned leaf rows plus their index."""
     leaves = _leaf_rows(weights)
-    indices = np.empty(leaves.nnz, dtype=np.int32)
-    leaves.write(indices, slice(None), index)
+    indices = _leaf_index(weights, index)
+    assert indices.size == leaves.nnz
     matrix = sparse.csr_array(
         (leaves.weights, indices, leaves.indptr),
         shape=(leaves.n_leaves * weights.shape[0], n_inputs), copy=False)
@@ -229,29 +238,37 @@ def test_pruned_product_is_the_unpruned_product_byte_for_byte(
 
 @pytest.mark.parametrize("n", [1, 5, 8, 13, 64, 129, 256, 1000])
 def test_layout_write_and_natural_round_trip(n):
-    """Block builds and writes land where one whole build and write
-    would, :meth:`LeafRows.natural` inverts them (the fill at every pruned
-    entry), and the row pointers delimit each (leaf, point) row's kept
-    entries."""
-    n_points = 11
+    """Block builds of the rows equal one whole build; the leaf-ordered
+    index written slab by slab (:meth:`GatherIndex.write_leaves`, slots in
+    storage order, blocks of rows cutting the range anywhere) is the
+    natural index (:meth:`GatherIndex.write`) permuted and pruned, out-of-
+    buffer delays at the pad slot included; :meth:`LeafRows.natural`
+    inverts the rows (the fill at every pruned entry), and the row pointers
+    delimit each (leaf, point) row's kept entries."""
+    n_points, n_samples = 11, 40
     values = np.arange(1, n_points * n + 1).reshape(n_points, n)
     values[values % 3 == 0] = 0
-    index = np.arange(n_points * n, dtype=np.int32).reshape(n_points, n)
+    delays = np.random.default_rng(n).uniform(-3, n_samples + 3,
+                                              (n_points, n))
+    delays[0, :3] = [-0.5, n_samples - 0.5, 1e12][:min(n, 3)]
     whole = _leaf_rows(values)
     blocks = _leaf_rows(values, rows_per_block=4)
     for name in ("kept", "indptr", "weights"):
         np.testing.assert_array_equal(getattr(blocks, name),
                                       getattr(whole, name))
-    flat = np.empty(whole.nnz, dtype=np.int32)
-    whole.write(flat, slice(None), index)
-    in_blocks = np.empty_like(flat)
-    for lo in range(0, n_points, 4):
-        rows = slice(lo, min(lo + 4, n_points))
-        whole.write(in_blocks, rows, index[rows])
-    np.testing.assert_array_equal(in_blocks, flat)
+    natural = build_gather_index(delays, n_samples).flat
+    index = GatherIndex.empty("nearest", n_points, n, n_samples,
+                              leaves=whole)
+    index.write_leaves(
+        (slot, slice(lo, min(lo + step, n_points)),
+         delays[lo:lo + step, leaf])
+        for slot, leaf in enumerate(whole.layout.stored_leaves)
+        for step in (3 + slot % 5,) for lo in range(0, n_points, step))
+    flat = index.flat
+    np.testing.assert_array_equal(flat, _leaf_index(values, natural))
     np.testing.assert_array_equal(whole.natural(whole.weights, 0), values)
     np.testing.assert_array_equal(whole.natural(flat, -1),
-                                  np.where(values != 0, index, -1))
+                                  np.where(values != 0, natural, -1))
     indptr = whole.indptr
     assert indptr.dtype == np.int32
     assert indptr.size == whole.n_leaves * n_points + 1
@@ -263,4 +280,17 @@ def test_layout_write_and_natural_round_trip(n):
             kept = values[point, leaves[leaf]] != 0
             np.testing.assert_array_equal(
                 flat[indptr[row]:indptr[row + 1]],
-                index[point, leaves[leaf]][kept])
+                natural[point, leaves[leaf]][kept])
+
+
+def test_leaf_slabs_must_fit_their_rows():
+    """A slab of the wrong shape is refused before anything is written,
+    and each layout writes through its own writer only."""
+    leaves = _leaf_rows(np.ones((4, 20)))    # 8 leaves of 2, 4 of 1
+    index = GatherIndex.empty("nearest", 4, 20, 16, leaves=leaves)
+    with pytest.raises(ValueError, match=r"takes \(4, 2\) delays"):
+        index.write_leaves([(0, slice(0, 4), np.zeros((4, 20)))])
+    with pytest.raises(ValueError, match="leaf by leaf"):
+        index.write(slice(0, 4), np.zeros((4, 20)))
+    with pytest.raises(ValueError, match="natural index"):
+        build_gather_index(np.zeros((4, 20)), 16).write_leaves([])
