@@ -1,8 +1,8 @@
 """Benchmark E11: streaming runtime throughput across backends x dtypes.
 
 The software counterpart of the E9 hardware throughput rows: an 8-frame
-cine sequence is streamed through the ``reference``, ``vectorized`` and
-``sharded`` backends (plus ``compiled`` on numba hosts) under both kernel
+cine sequence is streamed through the ``reference`` and ``vectorized``
+backends (plus ``compiled`` on numba hosts) under both kernel
 precisions, per-frame and batched.  A compile row times one budgeted
 ``small`` segment per delay architecture: the regime where segments are
 regenerated on every batch.
@@ -229,10 +229,10 @@ def test_bench_batched_float32_cine(benchmark):
 
 
 def test_bench_streamed_cine(benchmark):
-    """Throughput of an 8-frame static cine on the sharded backend."""
+    """Throughput of an 8-frame static cine submitted frame by frame."""
     system = tiny_system()
     service = BeamformingService(system, architecture="tablefree",
-                                 backend="sharded", cache=PlanCache())
+                                 backend="vectorized", cache=PlanCache())
     grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
     data = EchoSimulator.from_config(system).simulate(
         point_target(depth=grid_mid_depth))

@@ -7,8 +7,8 @@ scaled-down ``tiny`` preset:
    that the description round-trips through JSON);
 2. describe the acquisition as a :class:`repro.api.ScanSpec` cine;
 3. stream it through every registered execution backend (``reference``,
-   ``vectorized``, ``sharded`` — and ``compiled`` where the optional numba
-   JIT is installed; without it the backend reports itself unavailable and
+   ``vectorized`` — and ``compiled`` where the optional numba JIT is
+   installed; without it the backend reports itself unavailable and
    the example skips it) vended by one shared :class:`repro.api.Session`;
 4. report per-backend volume rate, voxel rate and plan-cache behaviour —
    only the first frame of each plan-based backend pays the compile cost,
@@ -79,8 +79,7 @@ def main() -> None:
             fast_result.rf, exact.submit_frame(frame).rf)
 
     reference_track = peak_tracks["reference"]
-    agree = all(peak_tracks[b] == reference_track
-                for b in ("vectorized", "sharded"))
+    agree = all(track == reference_track for track in peak_tracks.values())
     depths = [int(track[2]) for track in reference_track]
     print(f"  target depth index per frame : {depths} (drifts deeper)")
     print(f"  backends agree on every peak : {agree}")

@@ -52,7 +52,7 @@ from ..registry import (
     encode_options,
 )
 from ..kernels import Precision, QuantizationSpec
-from ..runtime.backends import BACKENDS, ShardedOptions
+from ..runtime.backends import BACKENDS
 from ..scenarios import (
     CystOptions,
     DivergingOptions,
@@ -99,7 +99,6 @@ __all__ = [
     "Registry",
     "RegistryEntry",
     "RegistryError",
-    "ShardedOptions",
     "CystOptions",
     "DivergingOptions",
     "FocusedOptions",

@@ -91,8 +91,8 @@ class Session:
     def close(self) -> None:
         """Release every pipeline/service/server this session vended.
 
-        Worker pools shut down; the shared simulator, grid and plan cache
-        stay (they hold no threads).  Idempotent, and the session remains
+        Server worker pools shut down and private plans are dropped; the
+        shared simulator, grid and plan cache stay.  Idempotent, and the session remains
         usable — later builders simply register anew.  The session is a
         context manager::
 
@@ -108,7 +108,7 @@ class Session:
 
         The counterpart of the ``self._owned.append`` in every builder,
         for engines built for a single call (a stream's service, a sweep
-        cell's pipeline): their worker pools are released immediately
+        cell's pipeline): their private plans are released immediately
         instead of accumulating until session close.  Tolerates an engine
         already dropped by :meth:`close`.
         """
@@ -337,8 +337,8 @@ class Session:
             return service.stream_all(scan.build_frames(self.system),
                                       batch_size=batch_size)
         finally:
-            # The service was built for this one call; release its worker
-            # pool now instead of holding it until the session closes.
+            # The service was built for this one call; release its plans
+            # now instead of holding them until the session closes.
             self._release(service)
 
     def sweep(self, phantom: Phantom | None = None,

@@ -472,7 +472,7 @@ def parse_assignment(text: str) -> tuple[str, Any]:
     """Split a ``key=value`` override; values parse as JSON, else strings.
 
     ``architecture_options.total_bits=14`` -> ``("architecture_options.total_bits", 14)``;
-    ``backend=sharded`` -> ``("backend", "sharded")``.
+    ``backend=reference`` -> ``("backend", "reference")``.
     """
     key, sep, raw = text.partition("=")
     key = key.strip()

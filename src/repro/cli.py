@@ -615,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "[default: small]")
     serve_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                               help="dotted ServerSpec override, e.g. "
-                                   "--set engine.backend=sharded or "
+                                   "--set engine.backend=reference or "
                                    "--set queue_capacity=4 (repeatable)")
     serve_parser.add_argument("--architecture", default=None,
                               help="delay architecture for the default "

@@ -37,14 +37,14 @@ from ..config import SystemConfig, tiny_system
 from ..kernels import numba_available
 from ..runtime import PlanCache
 
-DEFAULT_BACKENDS = ("reference", "vectorized", "sharded")
+DEFAULT_BACKENDS = ("reference", "vectorized")
 DEFAULT_PRECISIONS = ("float64", "float32")
 
 
 def default_backends() -> tuple[str, ...]:
     """The backends E11 sweeps on this host.
 
-    Always the three NumPy backends; ``compiled`` joins the sweep when the
+    Always the two NumPy backends; ``compiled`` joins the sweep when the
     optional numba package is importable, so the same invocation produces
     the extended table on the numba CI leg and the classic one everywhere
     else.
@@ -76,14 +76,14 @@ def run(system: SystemConfig | None = None,
     acquisition cost.  ``scenario`` picks the registered cine scenario.
 
     ``backends=None`` resolves to :func:`default_backends` — the NumPy
-    trio plus ``compiled`` when numba is installed.
+    pair plus ``compiled`` when numba is installed.
     """
     if backends is None:
         backends = default_backends()
     spec = EngineSpec(system=system if system is not None else tiny_system(),
                       architecture=architecture, scheme=scheme)
     # Services close as soon as their row is measured, and the session on
-    # exit, so no sharded worker pool outlives the run.
+    # exit.
     with Session(spec) as session:
         system = session.system
         scan = ScanSpec(scenario=scenario, frames=n_frames)

@@ -1,7 +1,7 @@
 """repro.kernels: the unified low-level beamforming kernel layer.
 
 Every path that *consumes* delays — the classic per-scanline loop in
-:mod:`repro.beamformer.das`, the ``reference``/``vectorized``/``sharded``
+:mod:`repro.beamformer.das`, the ``reference``/``vectorized``/``compiled``
 execution backends in :mod:`repro.runtime.backends`, and the batched
 multi-frame streaming path — executes through this package, so a speedup
 landed here (a dtype policy, a better gather, one day a GPU kernel) reaches

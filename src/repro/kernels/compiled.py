@@ -112,7 +112,7 @@ def require_numba() -> None:
             "the 'compiled' backend requires the optional 'numba' package, "
             "which is not installed in this environment; install it with "
             "'pip install numba' or select one of the NumPy backends "
-            "(vectorized, sharded) instead")
+            "(reference, vectorized) instead")
 
 
 @dataclass(frozen=True)
@@ -519,8 +519,8 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
         raise ValueError(
             "the 'compiled' backend does not support quantized execution: "
             "the bit-true fixed-point rounding stages run on the NumPy "
-            "plan only — use the 'vectorized' or 'sharded' backend for "
-            "quantized engines")
+            "plan only — use the 'vectorized' backend for quantized "
+            "engines")
     require_numba()
     options = CompiledOptions() if options is None else options
     precision = resolve_precision(precision)

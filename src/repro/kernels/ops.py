@@ -1,8 +1,8 @@
 """Low-level beamforming kernels: gather, weight, accumulate.
 
 Every consumer of delays in this codebase — the per-scanline classic loop,
-the whole-volume vectorized backend, the thread-sharded backend and the
-batched multi-frame path — ultimately performs the same three steps:
+the whole-volume vectorized backend and the batched multi-frame path —
+ultimately performs the same three steps:
 
 1. :func:`gather_interp` — fetch one echo sample per (focal point, element)
    from the channel buffers at the delayed index (nearest or linear);

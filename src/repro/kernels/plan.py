@@ -235,8 +235,9 @@ def _shared_weights(beamformer: "DelayAndSumBeamformer", start: int,
     with _WEIGHTS_LOCK:
         weights = _WEIGHTS.get(key)
     if weights is None:
-        # Built outside the lock so concurrent tiles compile in parallel;
-        # a racing duplicate is dropped in favour of the first stored.
+        # Built outside the lock so concurrent compiles (server sessions)
+        # run in parallel; a racing duplicate is dropped in favour of the
+        # first stored.
         built = build()
         with _WEIGHTS_LOCK:
             weights = _WEIGHTS.setdefault(key, built)

@@ -10,15 +10,13 @@ that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``):
   :class:`Tile` ranges whose per-tile plan cost
   (:func:`~repro.kernels.plan.plan_storage_bytes`) fits the budget,
   aligned to whole scanlines by default (the minimal unit the per-scanline
-  delay providers stream), and with ``workers`` tiles executing at once
-  to an even share of the scanlines and of the budget;
+  delay providers stream);
 * :class:`TiledPlan` mirrors the :class:`BeamformingPlan` execute surface
   but compiles one *segment* plan per tile on demand — via
   ``compile_plan(..., tile=...)`` — and writes each tile's rows into the
-  caller's output array, serially or on the ``sharded`` backend's thread
-  pool: one partition is both the unit of plan memory and of parallel
-  work (the paper's Fig. 4 blocks).  Every plan-backed runtime backend
-  executes through one; without a budget it is a single tile;
+  caller's output array, one tile after the other.  Every plan-backed
+  runtime backend executes through one; without a budget it is a single
+  tile;
 * segments are cached in a byte-budgeted
   :class:`repro.runtime.cache.PlanCache` (segment-level LRU): the budget is
   *enforced*, never silently exceeded, and the achieved peak is reported
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -63,7 +61,8 @@ def parse_memory_budget(value: int | str) -> int:
     Accepts plain integers, decimal strings, and binary-suffixed strings
     (``"8G"``, ``"512M"``, ``"64K"``, ``"1T"``, case-insensitive, optional
     trailing ``B`` as in ``"8GB"``; fractions like ``"0.5G"`` work too).
-    Raises :class:`ValueError` for anything non-positive or unparseable —
+    Raises :class:`ValueError` for anything non-positive, non-finite
+    (``"inf"``, ``"1e400"``, ``"nan"``) or unparseable —
     a budget is a hard promise, so a malformed one must fail loudly, never
     default.
     """
@@ -81,11 +80,15 @@ def parse_memory_budget(value: int | str) -> int:
             scale = _BUDGET_SUFFIXES[text[-1]]
             text = text[:-1]
         try:
-            budget = int(float(text) * scale)
+            size = float(text) * scale
         except ValueError:
             raise ValueError(
                 f"unparseable memory budget {value!r}: expected bytes or a "
                 "suffixed size like '8G', '512M', '64K'") from None
+        if not math.isfinite(size):
+            raise ValueError(f"memory budget must be a finite size, "
+                             f"got {value!r}")
+        budget = int(size)
     else:
         raise ValueError(f"memory budget must be an int or str, "
                          f"got {type(value).__name__}")
@@ -119,7 +122,7 @@ class Tile:
 
 
 class TilePlanner:
-    """Split a voxel grid into tiles from per-point plan cost and workers.
+    """Split a voxel grid into tiles from per-point plan cost.
 
     Parameters
     ----------
@@ -129,10 +132,10 @@ class TilePlanner:
         Receive-channel count (sets the per-point plan cost).
     memory_budget_bytes:
         The plan-memory cap, as bytes or a suffixed string (``"8G"``), or
-        ``None`` for no cap.  Tiles are sized so the ``workers`` segment
-        plans executing at once never exceed it together; the
-        byte-budgeted :class:`repro.runtime.cache.PlanCache` then enforces
-        it across however many segments are resident.
+        ``None`` for no cap.  Tiles are sized so one segment plan never
+        exceeds it; the byte-budgeted
+        :class:`repro.runtime.cache.PlanCache` then enforces it across
+        however many segments are resident.
     precision / interpolation / quantization / variant:
         Execution dtype, gather interpolation, fixed-point spec and plan
         implementation — all change the per-point cost (see
@@ -142,14 +145,10 @@ class TilePlanner:
         scanlines, the minimal unit the per-scanline delay providers
         stream.  Property tests use ``granularity=1`` (single-voxel tiles)
         to pin the degenerate partition.
-    workers:
-        How many tiles execute concurrently.  A tile holds at most
-        ``ceil(units / workers)`` granularity units, so every worker gets
-        one, and at most ``budget // workers`` bytes.
 
-    A budget too small to give every worker one granularity unit is
-    rejected with an actionable error naming the real minimum (the
-    MWA-pointing stance: fail loudly, never degrade silently).
+    A budget too small to hold one granularity unit is rejected with an
+    actionable error naming the real minimum (the MWA-pointing stance:
+    fail loudly, never degrade silently).
     """
 
     def __init__(self, grid_shape: Sequence[int], n_elements: int,
@@ -158,8 +157,7 @@ class TilePlanner:
                  interpolation="nearest",
                  quantization: object | None = None,
                  variant: str | None = None,
-                 granularity: int | None = None,
-                 workers: int = 1) -> None:
+                 granularity: int | None = None) -> None:
         self.grid_shape = tuple(int(n) for n in grid_shape)
         if len(self.grid_shape) != 3 or min(self.grid_shape) < 1:
             raise ValueError(f"grid_shape must be three positive extents, "
@@ -174,30 +172,24 @@ class TilePlanner:
         self.granularity = n_depth if granularity is None else int(granularity)
         if self.granularity < 1:
             raise ValueError("tile granularity must be at least 1 point")
-        self.workers = int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         self.bytes_per_point = plan_storage_bytes(
             1, self.n_elements, self.precision, self.interpolation,
             quantization=quantization, variant=variant)
         unit_bytes = self.bytes_per_point * self.granularity
-        units = math.ceil(math.ceil(self.n_points / self.granularity)
-                          / self.workers)
+        units = math.ceil(self.n_points / self.granularity)
         if self.memory_budget_bytes is not None:
-            budget_units = self.memory_budget_bytes // (self.workers
-                                                        * unit_bytes)
+            budget_units = self.memory_budget_bytes // unit_bytes
             if budget_units < 1:
                 unit = "scanline" if granularity is None else \
                     f"{self.granularity}-point tile"
                 raise ValueError(
                     f"memory budget of {self.memory_budget_bytes} bytes "
-                    f"cannot hold one {unit} for each of {self.workers} "
-                    f"concurrent worker(s): a single segment plan of "
+                    f"cannot hold one {unit}: a single segment plan of "
                     f"{self.granularity} points x {self.n_elements} "
                     f"elements costs {unit_bytes} bytes "
                     f"({self.bytes_per_point} bytes/point at "
                     f"{self.precision.value}); raise the budget to at least "
-                    f"{self.workers * unit_bytes} bytes")
+                    f"{unit_bytes} bytes")
             units = min(units, budget_units)
         self.tile_points = int(min(units * self.granularity, self.n_points))
         self.n_tiles = math.ceil(self.n_points / self.tile_points)
@@ -220,8 +212,8 @@ class TilePlanner:
     # ------------------------------------------------------------- costing
     @property
     def tile_bytes(self) -> int:
-        """Plan cost of one full-size tile segment [bytes]; ``workers`` of
-        them fit the budget together."""
+        """Plan cost of one full-size tile segment [bytes]; it fits the
+        budget."""
         return self.tile_points * self.bytes_per_point
 
     def tile_nbytes(self, tile: Tile) -> int:
@@ -238,8 +230,7 @@ class TilePlanner:
                        memory_budget_bytes: int | str | None, *,
                        precision: Precision | str | None = None,
                        variant: str | None = None,
-                       granularity: int | None = None,
-                       workers: int = 1) -> "TilePlanner":
+                       granularity: int | None = None) -> "TilePlanner":
         """Planner for a configured beamformer's grid/channels/interp/spec,
         compiling ``variant`` plans."""
         return cls(beamformer.grid.shape,
@@ -247,7 +238,7 @@ class TilePlanner:
                    memory_budget_bytes, precision=precision,
                    interpolation=beamformer.interpolation,
                    quantization=beamformer.quantization, variant=variant,
-                   granularity=granularity, workers=workers)
+                   granularity=granularity)
 
 
 class TiledPlan:
@@ -255,16 +246,11 @@ class TiledPlan:
 
     Mirrors the :class:`~repro.kernels.plan.BeamformingPlan` execute
     surface (``execute`` / ``execute_batch``); every plan-backed runtime
-    backend holds one, with a single tile when unbudgeted.  Each call maps
-    one body over the planner's tiles: fetch the tile's segment plan from
-    the cache (compiling through ``compile_plan(..., tile=...)`` on miss,
-    under a ``compile`` span), execute it whole, and write its rows into
-    the output array — one ``tile`` tracer span per tile.
-
-    ``map`` runs that body over the tiles: the builtin ``map`` (serial, the
-    default) or a thread pool's ``map`` (the ``sharded`` backend).  The
-    caller's current span is handed to every tile, so spans opened on pool
-    threads nest under it; the first exception a tile raises propagates.
+    backend holds one, with a single tile when unbudgeted.  Each call runs
+    one body over the planner's tiles in order: fetch the tile's segment
+    plan from the cache (compiling through ``compile_plan(..., tile=...)``
+    on miss, under a ``compile`` span), execute it whole, and write its
+    rows into the output array — one ``tile`` tracer span per tile.
 
     ``variant="compiled"`` streams fused
     :class:`~repro.kernels.compiled.CompiledPlan` segments instead, keyed
@@ -279,11 +265,9 @@ class TiledPlan:
                  precision: Precision | str | None = None, *,
                  cache: "PlanCache | None" = None,
                  variant: str | None = None,
-                 options: object | None = None,
-                 map: Callable[[Callable, Iterable], Iterable] = map) -> None:
+                 options: object | None = None) -> None:
         self.beamformer = beamformer
         self.planner = planner
-        self.map = map
         self.precision = resolve_precision(precision)
         self.grid_shape = beamformer.grid.shape
         self.quantization = beamformer.quantization
@@ -345,26 +329,19 @@ class TiledPlan:
             self._tile_keys[tile.index], build,
             size_hint=self.planner.tile_nbytes(tile))
 
-    def _map_tiles(self, body: Callable, tracer) -> None:
-        """Run ``body(tile, segment)`` for every tile through :attr:`map`.
-
-        Each tile runs under a ``tile`` span (index, point count, segment
-        bytes) nested in the caller's current span, whichever thread runs
-        it.  Draining the results re-raises the first tile's exception.
-        """
-        parent = tracer.current()
-
-        def run(tile: Tile) -> None:
-            with tracer.adopt(parent), \
-                    tracer.span("tile", index=tile.index,
-                                tiles=self.planner.n_tiles,
-                                points=tile.n_points) as span:
+    def _run_tiles(self, body: Callable, tracer) -> None:
+        """Run ``body(tile, segment)`` for every tile, in order, each under
+        a ``tile`` span (index, point count, segment bytes)."""
+        for tile in self.planner.tiles():
+            with tracer.span("tile", index=tile.index,
+                             tiles=self.planner.n_tiles,
+                             points=tile.n_points) as span:
                 segment = self.segment(tile, tracer)
                 span.set(bytes=int(segment.nbytes))
                 body(tile, segment)
-
-        for _ in self.map(run, self.planner.tiles()):
-            pass
+            # Held no longer than the cache holds it: an evicted segment
+            # must be freed before the next tile's segment is built.
+            del segment
 
     def execute(self, channel_data: "ChannelData | np.ndarray",
                 tracer=None) -> np.ndarray:
@@ -379,7 +356,7 @@ class TiledPlan:
             out[tile.rows] = segment.execute(
                 samples, tracer=tracer, **self._variant_kwargs).reshape(-1)
 
-        self._map_tiles(body, tracer)
+        self._run_tiles(body, tracer)
         return out.reshape(self.grid_shape)
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
@@ -387,8 +364,8 @@ class TiledPlan:
         """Beamform a cine batch tile by tile; ``(n_frames, *grid_shape)``.
 
         Frames are coerced and padded once, each written straight into its
-        column (:func:`~repro.kernels.ops.pad_frames`) — every tile, on
-        whichever thread, gathers from the same buffer — and every tile's
+        column (:func:`~repro.kernels.ops.pad_frames`) — every tile
+        gathers from the same buffer — and every tile's
         segment executes the full batch before moving on: the segment (the
         expensive artifact) is amortised across frames, exactly the access
         order the LRU favours.  CSR segments refuse a NaN or infinite
@@ -410,5 +387,5 @@ class TiledPlan:
             out[:, tile.rows] = segment.execute_padded(
                 padded, tracer=tracer, **self._variant_kwargs)
 
-        self._map_tiles(body, tracer)
+        self._run_tiles(body, tracer)
         return out.reshape((len(frames), *self.grid_shape))

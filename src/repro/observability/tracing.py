@@ -27,9 +27,8 @@ chunk) or ``fused`` (compiled plans), plus ``batch``, ``sweep`` and
 
 Thread-safety: each thread nests spans on its own stack, and root
 registration is locked, so one tracer may observe a multi-threaded run
-without corrupting the tree.  A span opened on a pool thread is an extra
-root unless the worker runs under :meth:`Tracer.adopt` of the dispatcher's
-:meth:`Tracer.current` span, as the ``sharded`` backend's tiles do.
+without corrupting the tree.  A span opened on a pool thread with no span
+open on that thread is a root (a server worker's ``serve`` span is one).
 
 A process-wide default tracer can be installed with
 :func:`set_default_tracer` / :func:`use_tracer`; every layer that takes
@@ -184,26 +183,6 @@ class Tracer:
         """A new span named ``name``; use it as a context manager."""
         return Span(name, attributes, tracer=self)
 
-    def current(self) -> Span | None:
-        """The innermost span open on this thread (``None`` outside any) —
-        what a dispatcher hands to pool workers for :meth:`adopt`."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    @contextmanager
-    def adopt(self, parent: Span | None) -> Iterator[None]:
-        """Nest the spans this thread opens inside the block under
-        ``parent``, a span open on another thread; ``None`` adopts nothing
-        (the spans become roots, as on any bare pool thread)."""
-        if parent is None:
-            yield
-            return
-        self._stack().append(parent)
-        try:
-            yield
-        finally:
-            self._close(parent)
-
     @property
     def roots(self) -> tuple[Span, ...]:
         """Top-level spans recorded so far (across all threads)."""
@@ -265,12 +244,6 @@ class NullTracer:
     enabled = False
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def current(self) -> None:
-        return None
-
-    def adopt(self, parent: object) -> _NullSpan:
         return _NULL_SPAN
 
     @property

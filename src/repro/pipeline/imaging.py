@@ -42,8 +42,8 @@ class ImagingPipeline:
     """A complete receive-imaging chain bound to one delay architecture.
 
     ``backend`` selects the execution backend used by :meth:`image_volume`:
-    ``reference`` keeps the classic per-scanline drivers, ``vectorized`` and
-    ``sharded`` route volume reconstruction through the batched
+    ``reference`` keeps the classic per-scanline drivers, ``vectorized``
+    (or ``compiled``) routes volume reconstruction through the batched
     :mod:`repro.runtime` backends (sharing delay tensors via ``cache`` when
     one is provided).  Every backend is built by a
     :class:`repro.scenarios.SchemeEngine`: a focused one serves
@@ -124,11 +124,11 @@ class ImagingPipeline:
         """Release the execution backend(s) this pipeline constructed.
 
         Closes the focused engine and the lazily built scheme engine
-        (shutting ``sharded`` worker pools down); shared caches are
-        untouched.  Idempotent, and the pipeline stays usable (pools
+        (dropping their privately memoised plans); shared caches are
+        untouched.  Idempotent, and the pipeline stays usable (plans
         rebuild lazily).  The pipeline is a context manager::
 
-            with ImagingPipeline(system, backend="sharded") as pipeline:
+            with ImagingPipeline(system, backend="vectorized") as pipeline:
                 pipeline.image_volume(channel_data)
         """
         self._focused.close()

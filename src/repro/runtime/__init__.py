@@ -10,8 +10,7 @@ II-C/V-B asks of the hardware.
   :class:`repro.kernels.BeamformingPlan` artifacts keyed by
   :func:`repro.kernels.plan_key`.
 * :mod:`repro.runtime.backends` — ``reference`` / ``vectorized`` /
-  ``sharded`` / ``compiled`` execution backends, all running through the
-  kernel layer (``compiled`` needs the optional numba package and raises
+  ``compiled`` execution backends, all running through the kernel layer (``compiled`` needs the optional numba package and raises
   :class:`repro.kernels.BackendUnavailable` at build time without it).
 * :mod:`repro.runtime.scheduler` — frame requests/results and
   cine-sequence builders.
@@ -40,8 +39,6 @@ from .backends import (
     CompiledOptions,
     ExecutionBackend,
     ReferenceBackend,
-    ShardedBackend,
-    ShardedOptions,
     VectorizedBackend,
 )
 from .cache import CacheStats, PlanCache
@@ -70,8 +67,6 @@ __all__ = [
     "QuantizationSpec",
     "ReferenceBackend",
     "RuntimeStats",
-    "ShardedBackend",
-    "ShardedOptions",
     "VectorizedBackend",
     "compile_plan",
     "moving_point_cine",

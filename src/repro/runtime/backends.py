@@ -21,14 +21,15 @@ written exactly once:
     (or stacked multi-frame batches) with one batched gather/sum per tile:
     one tile without a memory budget, budget-sized tiles under one.
 
-``sharded``
-    The tiles of a :class:`repro.kernels.tiling.TiledPlan` dispatched on a
-    thread pool, modelling the paper's parallel delay-generation blocks
-    (Fig. 4): each tile is both a unit of plan memory and a unit of
-    parallel work, sized so every worker gets one and the tiles executing
-    at once fit the memory budget together.
+``compiled``
+    The same tiles executed by fused Numba kernels (optional dependency).
 
-All three produce numerically identical volumes at ``float64``; under
+A NumPy backend runs a frame's tiles in order on the calling thread;
+frames run in parallel on the worker pool of
+:class:`repro.server.BeamformingServer` (``docs/runtime.md``, "One level
+of parallelism").
+
+The NumPy backends produce identical volumes at ``float64``; under
 ``float32`` they match the ``float64`` reference within the pinned
 :data:`repro.kernels.TOLERANCES`.  Both pins live in
 ``tests/test_runtime_backends.py`` and ``tests/test_kernels.py``.
@@ -36,9 +37,6 @@ All three produce numerically identical volumes at ``float64``; under
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,8 +74,6 @@ class ExecutionBackend:
     """
 
     name: str = "abstract"
-    workers: int = 1
-    """Tiles executing at once (``sharded``: its pool size)."""
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  cache: PlanCache | None = None,
@@ -102,12 +98,10 @@ class ExecutionBackend:
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release pooled resources; idempotent, safe on every backend.
+        """Drop the privately memoised plan; idempotent.
 
-        The base backends hold no pools, so this only drops the privately
-        memoised plan (a shared cache's entries belong to the cache); the
-        ``sharded`` backend additionally shuts its worker pool down.  A
-        closed backend may be used again — pools are rebuilt lazily.
+        A shared cache's entries belong to the cache.  A closed backend
+        may be used again — the plan is rebuilt lazily.
         """
         self._tiled = None
 
@@ -123,11 +117,10 @@ class ExecutionBackend:
         """Cap this backend's plan memory; ``None`` removes the cap.
 
         Builds the :class:`repro.kernels.tiling.TilePlanner` for the
-        engine's grid/channels/precision and :attr:`workers` immediately —
-        a budget too small to hold one scanline per worker is rejected
-        right here with an actionable :class:`ValueError`, not at first
-        frame.  Without a budget the planner has one tile per worker (one
-        tile for every backend but ``sharded``).  A shared
+        engine's grid/channels/precision immediately — a budget too small
+        to hold one scanline is rejected right here with an actionable
+        :class:`ValueError`, not at first frame.  Without a budget the
+        planner has one tile.  A shared
         :class:`PlanCache` is tightened to the same byte bound so resident
         plans can never exceed it either.
 
@@ -144,10 +137,9 @@ class ExecutionBackend:
             self.cache.limit_bytes(budget)
 
     def _plan_tiles(self, budget: int | None) -> TilePlanner:
-        """The tiling for ``budget`` across :attr:`workers`."""
+        """The tiling for ``budget``."""
         return TilePlanner.for_beamformer(self.beamformer, budget,
-                                          precision=self.precision,
-                                          workers=self.workers)
+                                          precision=self.precision)
 
     @property
     def plan_slots(self) -> int:
@@ -234,7 +226,7 @@ class VectorizedBackend(ExecutionBackend):
     def _execute_span(self, **attributes):
         """The ``execute`` span around one plan call."""
         return self.tracer.span("execute", tiles=self._planner.n_tiles,
-                                workers=self.workers, **attributes)
+                                **attributes)
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         plan = self.plan()
@@ -245,76 +237,6 @@ class VectorizedBackend(ExecutionBackend):
         plan = self.plan()
         with self._execute_span(frames=len(frames)):
             return plan.execute_batch(frames, tracer=self.tracer)
-
-
-class ShardedBackend(VectorizedBackend):
-    """The tiles of a :class:`~repro.kernels.tiling.TiledPlan` on a pool.
-
-    :attr:`workers` is the pool size: a tile holds at most
-    ``ceil(scanlines / workers)`` scanlines, so every worker gets one, and
-    under a budget at most ``budget // workers`` bytes, so the tiles
-    executing at once fit it together.  Workers compile and execute whole
-    segments (NumPy releases the GIL in the heavy kernels), bit-identical
-    to the vectorized backend.  A tile's exception propagates to the
-    caller; a failed tile never hangs the pool.
-
-    The thread pool is created lazily on the first volume and *reused for
-    every later one* (spinning a pool up per frame cost more than a tiny
-    frame's beamforming, and the historical per-call pool leaked worker
-    threads when a frame errored mid-map).  It is released by
-    :meth:`close` — the backend is a context manager — and as a backstop by
-    garbage collection.
-    """
-
-    name = "sharded"
-
-    def __init__(self, beamformer: DelayAndSumBeamformer,
-                 cache: PlanCache | None = None,
-                 precision: Precision | str | None = None,
-                 max_workers: int | None = None) -> None:
-        # Set first: the base constructor plans the tiles from it.
-        self.workers = max_workers or min(4, os.cpu_count() or 1)
-        self._pool: ThreadPoolExecutor | None = None
-        super().__init__(beamformer, cache=cache, precision=precision)
-
-    def _executor(self) -> ThreadPoolExecutor:
-        """The persistent worker pool, created on first use."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-sharded")
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (and drop the memoised plan).
-
-        Idempotent; a later :meth:`beamform_volume` simply rebuilds the
-        pool.  ``wait=True`` so no worker still holds a slice of a caller's
-        output array when this returns.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        super().close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def _build_tiled(self) -> TiledPlan:
-        # close() drops the memoised plan with the pool, so a rebuilt
-        # plan always maps on the live pool.
-        return TiledPlan(self.beamformer, self._planner, self.precision,
-                         cache=self.cache, map=self._executor().map)
-
-
-@dataclass(frozen=True)
-class ShardedOptions:
-    """Options for the ``sharded`` backend (``None`` means auto-size)."""
-
-    max_workers: int | None = None
-    """Thread-pool size; the grid is tiled so every worker gets a tile."""
 
 
 class CompiledBackend(VectorizedBackend):
@@ -348,8 +270,8 @@ class CompiledBackend(VectorizedBackend):
             raise ValueError(
                 "the 'compiled' backend does not support quantized "
                 "execution: the bit-true fixed-point rounding stages run "
-                "on the NumPy plan only — use the 'vectorized' or "
-                "'sharded' backend for quantized engines")
+                "on the NumPy plan only — use the 'vectorized' backend "
+                "for quantized engines")
         require_numba()
         super().__init__(beamformer, cache=cache, precision=precision)
         self.options = options if options is not None else CompiledOptions()
@@ -358,8 +280,7 @@ class CompiledBackend(VectorizedBackend):
         # Natural-order segments: no CSR row pointers to budget for.
         return TilePlanner.for_beamformer(self.beamformer, budget,
                                           precision=self.precision,
-                                          variant="compiled",
-                                          workers=self.workers)
+                                          variant="compiled")
 
     def _build_tiled(self) -> TiledPlan:
         # The variant joins the segment keys: a cache shared with NumPy
@@ -393,17 +314,6 @@ def _build_vectorized(beamformer: DelayAndSumBeamformer,
                       precision: Precision | str | None,
                       options: None) -> VectorizedBackend:
     return VectorizedBackend(beamformer, cache=cache, precision=precision)
-
-
-@BACKENDS.register(
-    "sharded", options=ShardedOptions,
-    description="tiled plan segments on a thread pool")
-def _build_sharded(beamformer: DelayAndSumBeamformer,
-                   cache: PlanCache | None,
-                   precision: Precision | str | None,
-                   options: ShardedOptions) -> ShardedBackend:
-    return ShardedBackend(beamformer, cache=cache, precision=precision,
-                          max_workers=options.max_workers)
 
 
 @BACKENDS.register(

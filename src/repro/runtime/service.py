@@ -134,8 +134,8 @@ class BeamformingService:
         Optional pre-built echo simulator, shared with other services to
         avoid rebuilding the transducer per service.
     backend_options:
-        Options dataclass/dict for the backend (``max_workers`` for
-        ``sharded``).
+        Options dataclass/dict for the backend (:class:`CompiledOptions`
+        for ``compiled``; the NumPy backends take none).
     tracer:
         Optional :class:`repro.observability.Tracer`; opens ``frame`` /
         ``simulate`` / ``beamform`` spans (nesting the backend's
@@ -228,13 +228,13 @@ class BeamformingService:
     def close(self) -> None:
         """Release the execution backend(s) this service constructed.
 
-        Shuts the engine's worker pools down (one per ``sharded``
-        per-firing backend) and drops privately memoised plans; a shared
-        :class:`PlanCache` is left untouched — its plans belong to whoever
-        owns the cache.  Idempotent, and the service remains usable
-        afterwards (pools rebuild lazily), so ``close()`` is always safe.  The service is a context manager::
+        Drops the privately memoised plans of every per-firing backend; a
+        shared :class:`PlanCache` is left untouched — its plans belong to
+        whoever owns the cache.  Idempotent, and the service remains
+        usable afterwards (plans rebuild lazily), so ``close()`` is always
+        safe.  The service is a context manager::
 
-            with BeamformingService(system, backend="sharded") as service:
+            with BeamformingService(system, backend="vectorized") as service:
                 service.submit_frame(frame)
         """
         self._engine.close()

@@ -167,10 +167,9 @@ class SchemeEngine:
     def close(self) -> None:
         """Close every per-firing backend (idempotent).
 
-        Frees the ``sharded`` backends' worker pools; the facades that
-        build a :class:`SchemeEngine` (service, pipeline) forward their
-        own ``close()`` here so a multi-firing engine never leaks one pool
-        per transmit event.
+        Drops their privately memoised plans; the facades that build a
+        :class:`SchemeEngine` (service, pipeline) forward their own
+        ``close()`` here.
         """
         for backend in self.backends:
             backend.close()

@@ -132,11 +132,10 @@ class TestSweep:
                                                       centred_target):
         volumes = tiny_session.sweep(
             centred_target, architectures=("tablefree",),
-            backends=("reference", "vectorized", "sharded"))
-        reference = volumes[("tablefree", "reference")]
-        for backend in ("vectorized", "sharded"):
-            np.testing.assert_allclose(volumes[("tablefree", backend)],
-                                       reference, rtol=0, atol=1e-9)
+            backends=("reference", "vectorized"))
+        np.testing.assert_allclose(volumes[("tablefree", "vectorized")],
+                                   volumes[("tablefree", "reference")],
+                                   rtol=0, atol=1e-9)
 
     def test_sweep_accepts_preacquired_channel_data(self, tiny_session,
                                                     centred_target):

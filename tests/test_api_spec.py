@@ -12,7 +12,6 @@ from repro.api import (
     SCENARIOS,
     EngineSpec,
     ScanSpec,
-    ShardedOptions,
     apply_overrides,
     parse_assignment,
 )
@@ -21,7 +20,7 @@ from repro.beamformer.interpolation import InterpolationKind
 from repro.config import SystemConfig, tiny_system
 from repro.core.tablefree import TableFreeConfig
 from repro.core.tablesteer import TableSteerConfig
-from repro.kernels import Precision
+from repro.kernels import CompiledOptions, Precision
 from repro.fixedpoint.format import signed
 from repro.geometry.apodization import WindowType
 
@@ -36,7 +35,7 @@ class TestEngineSpecValidation:
     def test_builtin_registries_are_populated(self):
         assert set(ARCHITECTURES.names()) >= {"exact", "tablefree",
                                               "tablesteer", "tablesteer_float"}
-        assert set(BACKENDS.names()) >= {"reference", "vectorized", "sharded"}
+        assert set(BACKENDS.names()) >= {"reference", "vectorized"}
         assert set(SCENARIOS.names()) >= {"moving_point", "static_point",
                                           "speckle"}
 
@@ -55,6 +54,9 @@ class TestEngineSpecValidation:
     def test_unknown_backend_lists_registered(self):
         with pytest.raises(ValueError, match="vectorized"):
             EngineSpec(backend="gpu")
+        # A removed backend is refused like any unknown name.
+        with pytest.raises(ValueError, match="unknown backend 'sharded'"):
+            EngineSpec(backend="sharded")
 
     def test_unknown_preset_lists_presets(self):
         with pytest.raises(ValueError, match="paper, small, tiny"):
@@ -68,25 +70,14 @@ class TestEngineSpecValidation:
     def test_options_coerced_from_dicts(self):
         spec = EngineSpec(architecture="tablesteer",
                           architecture_options={"total_bits": 13},
-                          backend="sharded",
-                          backend_options={"max_workers": 2},
+                          backend="compiled",
+                          backend_options={"threads": 2},
                           apodization={"window": "hamming"},
                           interpolation="linear")
         assert spec.architecture_options == TableSteerConfig(total_bits=13)
-        assert spec.backend_options == ShardedOptions(max_workers=2)
+        assert spec.backend_options == CompiledOptions(threads=2)
         assert spec.apodization.window is WindowType.HAMMING
         assert spec.interpolation is InterpolationKind.LINEAR
-
-    def test_removed_shards_option_rejected(self, capsys):
-        """Tiles are the sharded backend's only partition: a spec still
-        carrying the old block count fails validation, and the CLI exits 2."""
-        with pytest.raises(ValueError,
-                           match=r"unknown option\(s\) for ShardedOptions"):
-            EngineSpec(backend="sharded", backend_options={"shards": 2})
-        from repro.cli import main
-        assert main(["stream", "--system", "tiny", "--backend", "sharded",
-                     "--set", "backend_options.shards=2"]) == 2
-        assert "ShardedOptions" in capsys.readouterr().err
 
     def test_bad_cache_capacity_rejected(self):
         with pytest.raises(ValueError, match="cache_capacity"):
@@ -112,8 +103,8 @@ class TestEngineSpecRoundTrip:
     def test_preset_roundtrip(self):
         spec = EngineSpec(system="tiny", architecture="tablesteer",
                           architecture_options=TableSteerConfig(total_bits=14),
-                          backend="sharded",
-                          backend_options=ShardedOptions(max_workers=2),
+                          backend="compiled",
+                          backend_options=CompiledOptions(threads=2),
                           apodization=ApodizationSettings(
                               window=WindowType.BLACKMAN),
                           interpolation=InterpolationKind.LINEAR,
@@ -233,7 +224,8 @@ class TestScanSpec:
 
 class TestOverrides:
     def test_parse_assignment_json_and_string(self):
-        assert parse_assignment("backend=sharded") == ("backend", "sharded")
+        assert parse_assignment("backend=reference") == ("backend",
+                                                         "reference")
         assert parse_assignment("cache_capacity=8") == ("cache_capacity", 8)
         assert parse_assignment("a.b=0.5") == ("a.b", 0.5)
         assert parse_assignment("flag=true") == ("flag", True)

@@ -23,18 +23,23 @@ class TestParser:
                       "--set", "architecture=tablefree"],
                      ["spec", "--architecture", "tablesteer",
                       "--set", "architecture_options.total_bits=14"],
-                     ["stream", "--system", "tiny", "--backend", "sharded",
+                     ["stream", "--system", "tiny", "--backend", "vectorized",
                       "--architecture", "tablesteer", "--frames", "4"]):
             args = parser.parse_args(argv)
             assert callable(args.handler)
 
     def test_unknown_backend_rejected_with_registry_listing(self, capsys):
         # Names are validated against the registry at run time (so plugins
-        # work), not by a closed argparse choices list.
-        assert main(["stream", "--system", "tiny", "--backend", "gpu"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'gpu'" in err
-        assert "reference" in err and "vectorized" in err and "sharded" in err
+        # work), not by a closed argparse choices list.  A removed backend
+        # ('sharded') is refused the same way and is not listed.
+        for name in ("gpu", "sharded"):
+            assert main(["stream", "--system", "tiny",
+                         "--backend", name]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown backend '{name}'" in err
+            listing = err.split("available:", 1)[1]
+            assert "reference" in listing and "vectorized" in listing
+            assert "sharded" not in listing
 
     def test_unknown_architecture_rejected_with_registry_listing(self, capsys):
         assert main(["stream", "--system", "tiny",
@@ -66,7 +71,7 @@ class TestCommands:
         assert "Registered architectures:" in output
         assert "tablesteer_float" in output
         assert "Registered backends:" in output
-        assert "sharded" in output
+        assert "vectorized" in output
         assert "moving_point" in output
 
     def test_specs_prints_table1_numbers(self, capsys):
@@ -203,12 +208,12 @@ class TestSpecWorkflow:
         path = tmp_path / "engine.json"
         assert main(["spec", "--system", "tiny",
                      "--architecture", "tablefree",
-                     "--backend", "sharded", "--out", str(path)]) == 0
+                     "--backend", "vectorized", "--out", str(path)]) == 0
         capsys.readouterr()
         assert main(["stream", "--spec", str(path), "--frames", "2"]) == 0
         output = capsys.readouterr().out
         assert "architecture=tablefree" in output
-        assert "backend=sharded" in output
+        assert "backend=vectorized" in output
 
     def test_set_overrides_spec_file(self, tmp_path, capsys):
         path = tmp_path / "engine.json"

@@ -48,7 +48,7 @@ SCHEMES_UNDER_TEST = {
     "diverging": {"count": 2},
 }
 
-NUMPY_BACKENDS = ("reference", "vectorized", "sharded")
+NUMPY_BACKENDS = ("reference", "vectorized")
 requires_numba = pytest.mark.skipif(
     not numba_available(),
     reason="numba not installed (compiled backend unavailable)")

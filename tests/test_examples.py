@@ -74,7 +74,7 @@ class TestExamplesRun:
     def test_streaming_runtime(self, capsys):
         _load_example("streaming_runtime").main()
         output = capsys.readouterr().out
-        for backend in ("reference", "vectorized", "sharded"):
+        for backend in ("reference", "vectorized"):
             assert backend in output
         assert "cache 7 hits / 1 misses" in output
         assert "backends agree on every peak : True" in output

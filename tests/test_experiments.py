@@ -247,34 +247,17 @@ class TestE11RuntimeThroughput:
                 assert row["batched_frames_per_second"] > 0
 
     def test_cached_frames_skip_regeneration(self, result):
-        # vectorized caches one plan; sharded one segment per tile.
-        from repro.runtime.service import BeamformingService
-        sharded_tiles = BeamformingService(tiny_system(), backend="sharded") \
-            ._engine.backends[0].plan_slots
-        for backend, slots in (("vectorized", 1), ("sharded", sharded_tiles)):
-            for row in result["backends"][backend].values():
-                assert row["cache_misses"] == slots
-                assert row["cache_hits"] == 3 * slots
+        # vectorized caches one plan, compiled once, hit by later frames.
+        for row in result["backends"]["vectorized"].values():
+            assert row["cache_misses"] == 1
+            assert row["cache_hits"] == 3
 
     def test_speedup_reported_relative_to_reference(self, result):
         assert result["backends"]["reference"]["float64"][
             "speedup_vs_reference"] == pytest.approx(1.0)
 
-    def test_run_releases_sharded_worker_pools(self):
-        import gc
-        import threading
-
-        def sharded_threads():
-            return {t for t in threading.enumerate()
-                    if t.name.startswith("repro-sharded")}
-
-        before = sharded_threads()
-        e11_runtime_throughput.run(tiny_system(), n_frames=2, batch=2)
-        gc.collect()
-        assert sharded_threads() - before == set()
-
     def test_default_backends_tracks_numba_availability(self):
         from repro.kernels import numba_available
         backends = e11_runtime_throughput.default_backends()
-        assert backends[:3] == ("reference", "vectorized", "sharded")
+        assert backends[:2] == ("reference", "vectorized")
         assert ("compiled" in backends) == numba_available()

@@ -98,7 +98,7 @@ def test_golden_file_covers_every_config(golden):
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-@pytest.mark.parametrize("backend", ["reference", "vectorized", "sharded"])
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_backends_reproduce_golden_bit_for_bit(tiny, engine, golden,
                                                backend, config):
     """No execution strategy may drift from the frozen volumes."""

@@ -7,14 +7,14 @@ leaves every sum's bits unchanged only for finite samples (see
 finite one.  So the service and the pipeline check each frame once, before
 any backend sees it, and every path refuses it with the same
 :class:`ValueError`, naming the frame.  These tests inject NaN, +inf and
--inf into the ``reference``, ``vectorized``, ``sharded``, budgeted and
-served paths, and check that a refused frame leaves the engine serving
-the next finite frame unchanged.
+-inf into the ``reference``, ``vectorized``, budgeted and served paths,
+and check that a refused frame leaves the engine serving the next finite
+frame unchanged.
 
 A CSR plan also refuses such samples itself, once per padded buffer in the
 execution dtype, so the precondition holds on the public entry points
 below the service: ``compile_plan(...).execute``/``execute_batch``,
-``TiledPlan`` and the ``vectorized``/``sharded`` backends used directly.
+``TiledPlan`` and the ``vectorized`` backend used directly.
 The chunked (linear) plans skip no term and give the reference's NaN.
 """
 
@@ -31,7 +31,7 @@ from repro.beamformer.interpolation import InterpolationKind
 from repro.kernels import TiledPlan, TilePlanner, compile_plan, \
     plan_storage_bytes
 from repro.runtime import FrameRequest
-from repro.runtime.backends import ShardedBackend, VectorizedBackend
+from repro.runtime.backends import VectorizedBackend
 from repro.server import BeamformingServer, ServerSpec
 
 POISONS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
@@ -42,7 +42,6 @@ TILE_BUDGET = plan_storage_bytes(8 * 8 * 16, 64, "float64") // 4
 PATHS = {
     "reference": {"backend": "reference"},
     "vectorized": {"backend": "vectorized"},
-    "sharded": {"backend": "sharded"},
     "budgeted": {"backend": "vectorized", "memory_budget_bytes": TILE_BUDGET},
 }
 
@@ -153,7 +152,7 @@ def test_tiled_plan_refuses_non_finite_samples(tiny, tiny_channel_data,
 
 
 @pytest.mark.parametrize("budget", [None, TILE_BUDGET])
-@pytest.mark.parametrize("backend_type", [VectorizedBackend, ShardedBackend])
+@pytest.mark.parametrize("backend_type", [VectorizedBackend])
 def test_backends_used_directly_refuse_non_finite_samples(
         tiny, tiny_channel_data, backend_type, budget):
     bad = _poisoned(tiny_channel_data, np.nan)

@@ -68,7 +68,7 @@ class TestImagingPipeline:
 
 
 class TestPipelineBackends:
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_runtime_backend_matches_reference(self, system, centred_target,
                                                backend):
         reference = ImagingPipeline(system, architecture="tablefree")

@@ -136,8 +136,8 @@ def test_tile_delays_at_elements_are_the_rows_columns(name, span, elements):
 
 
 def test_concurrent_ranges_get_their_own_transmit_correction():
-    """Tiles compile concurrently on one transmit-adjusted provider (the
-    ``sharded`` pool), whose last-range correction may be replaced under a
+    """Threads sharing one transmit-adjusted provider may compile ranges
+    concurrently, and its last-range correction may be replaced under a
     caller: every call still returns its own range's rows, byte for byte."""
     provider, serial = (_wrapped("exact", "planewave", 2) for _ in range(2))
     leaves = [np.arange(0, _N_ELEMENTS, 8), np.arange(_N_ELEMENTS)]

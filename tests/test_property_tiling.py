@@ -3,9 +3,8 @@
 These pin the invariants the tiled execution engine leans on:
 
 * :meth:`TilePlanner.tiles` is an *exact partition* of the flat focal-point
-  axis for any grid shape, budget, granularity and worker count — no
-  overlap, no gap, full coverage, in order — and the segments of all
-  workers executing at once never exceed the budget together;
+  axis for any grid shape, budget and granularity — no overlap, no gap,
+  full coverage, in order — and no segment exceeds the budget;
 * :func:`parse_memory_budget` honours the binary suffix table and rejects
   garbage loudly;
 * degenerate budgets change nothing but the tiling: single-voxel tiles
@@ -43,18 +42,16 @@ def planners(draw):
     n_elements = draw(element_counts)
     interpolation = draw(interpolations)
     granularity = draw(st.one_of(st.none(), st.integers(1, 16)))
-    workers = draw(st.integers(1, 4))
     per_point = plan_storage_bytes(1, n_elements, None, interpolation)
     unit = granularity if granularity is not None else shape[2]
-    # From exactly one unit per worker up to several times the whole grid,
-    # plus a ragged offset so budgets rarely divide evenly.
+    # From exactly one unit up to several times the whole grid, plus a
+    # ragged offset so budgets rarely divide evenly.
     n_points = shape[0] * shape[1] * shape[2]
-    floor = per_point * unit * workers  # whatever the grid size
+    floor = per_point * unit  # whatever the grid size
     budget = draw(st.integers(floor, max(floor, 4 * per_point * n_points))) \
         + draw(st.integers(0, per_point - 1))
     return TilePlanner(shape, n_elements, budget,
-                       interpolation=interpolation, granularity=granularity,
-                       workers=workers)
+                       interpolation=interpolation, granularity=granularity)
 
 
 @given(planner=planners())
@@ -75,19 +72,18 @@ def test_tiles_exactly_partition_the_grid(planner):
 @given(planner=planners())
 @settings(max_examples=200, deadline=None)
 def test_every_tile_fits_the_budget(planner):
-    """The segments of all workers together can never be sized over the
-    budget, no tile holds more than an even share of the units, and the
-    planner's predicted cost matches the storage model exactly."""
+    """No segment can ever be sized over the budget, a tile holds whole
+    granularity units, and the planner's predicted cost matches the
+    storage model exactly."""
     for tile in planner.tiles():
         cost = planner.tile_nbytes(tile)
-        assert cost * planner.workers <= planner.memory_budget_bytes
+        assert cost <= planner.memory_budget_bytes
         assert cost == plan_storage_bytes(tile.n_points, planner.n_elements,
                                           planner.precision,
                                           planner.interpolation)
-    assert planner.tile_bytes * planner.workers <= planner.memory_budget_bytes
-    units = -(-planner.n_points // planner.granularity)
-    assert planner.tile_points <= planner.granularity \
-        * -(-units // planner.workers)
+    assert planner.tile_bytes <= planner.memory_budget_bytes
+    assert planner.tile_points % planner.granularity == 0 \
+        or planner.n_tiles == 1
 
 
 @given(n=st.integers(1, 10**6),
@@ -103,7 +99,7 @@ def test_parse_memory_budget_suffix_scaling(n, suffix, trailing_b):
 
 
 @pytest.mark.parametrize("bad", [0, -1, "0", "-2G", "eight gigs", "G",
-                                 None, 1.5, True])
+                                 None, 1.5, True, "inf", "1e400", "nan"])
 def test_parse_memory_budget_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_memory_budget(bad)
@@ -149,6 +145,35 @@ def test_oversized_budget_is_one_tile_and_bit_identical(tiled_substrate):
     assert planner.tile_points == planner.n_points
     volume = TiledPlan(beamformer, planner).execute(frame)
     np.testing.assert_array_equal(volume, oracle)
+
+
+def test_an_evicted_segment_is_freed_before_the_next_is_built(
+        tiled_substrate, monkeypatch):
+    """With room for one segment, each tile's segment is built after the
+    previous one is freed: the plan holds no segment the cache evicted."""
+    import weakref
+
+    from repro.kernels import tiling
+
+    beamformer, frame, oracle = tiled_substrate
+    per_scanline = plan_storage_bytes(
+        16, beamformer.transducer.element_count, None,
+        beamformer.interpolation)
+    planner = TilePlanner.for_beamformer(beamformer, per_scanline * 16)
+    assert planner.n_tiles > 1
+    built, live_at_build = [], []
+
+    def compile_and_track(*args, **kwargs):
+        live_at_build.append(sum(ref() is not None for ref in built))
+        plan = compile_plan(*args, **kwargs)
+        built.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(tiling, "compile_plan", compile_and_track)
+    plan = TiledPlan(beamformer, planner)
+    np.testing.assert_array_equal(plan.execute(frame), oracle)
+    np.testing.assert_array_equal(plan.execute_batch([frame])[0], oracle)
+    assert live_at_build == [0] * (2 * planner.n_tiles)
 
 
 @given(budget_units=st.integers(1, 64))

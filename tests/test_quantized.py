@@ -232,7 +232,7 @@ class TestQuantizedPlan:
     def test_float32_reference_backend_rejected(self, tiny_beamformer_q18):
         """The plan-less reference loop must refuse float32 too — its
         output array would silently truncate the exact fixed-point codes."""
-        for backend in ("reference", "vectorized", "sharded"):
+        for backend in ("reference", "vectorized"):
             with pytest.raises(ValueError, match="float64"):
                 BACKENDS.create(backend, tiny_beamformer_q18, None,
                                 "float32")
@@ -286,8 +286,7 @@ class TestQuantizedPlan:
 
 
 class TestQuantizedBackends:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized",
-                                         "sharded"])
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_backends_bit_identical_to_plan(self, tiny_beamformer_q18,
                                             tiny_qplan, tiny_channel_data,
                                             backend):

@@ -1,9 +1,8 @@
 """Tests for repro.runtime.backends and repro.runtime.cache.
 
 The load-bearing guarantee of the runtime is that execution strategy never
-changes the image: ``vectorized`` and ``sharded`` must reproduce the
-``reference`` per-scanline volume bit-for-bit at ``float64`` (all three run
-through the same :mod:`repro.kernels` math) and within the pinned tolerance
+changes the image: ``vectorized`` must reproduce the ``reference``
+per-scanline volume bit-for-bit at ``float64`` (both run through the same :mod:`repro.kernels` math) and within the pinned tolerance
 at ``float32``.  The cache tests pin the LRU bookkeeping — and the key
 isolation across interpolation/precision — that the throughput claims rest
 on.
@@ -18,14 +17,12 @@ from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
 from repro.kernels import CompiledOptions, Precision, numba_available, plan_key
-from repro.kernels.tiling import TiledPlan
 from repro.runtime import (
     BACKEND_NAMES,
     BACKENDS,
     BackendUnavailable,
     PlanCache,
     ReferenceBackend,
-    ShardedBackend,
 )
 
 ARCH_NAMES = ("exact", "tablefree", "tablesteer")
@@ -51,7 +48,7 @@ def beamformers(tiny):
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("architecture", ARCH_NAMES)
-    @pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_matches_reference_volume(self, beamformers, tiny_channel_data,
                                       architecture, backend):
         beamformer = beamformers[architecture]
@@ -101,8 +98,7 @@ class TestBackendEquivalence:
             BACKENDS.create("gpu", beamformers["exact"], None, None)
 
     def test_backend_registry_names(self):
-        assert set(BACKEND_NAMES) == {"reference", "vectorized", "sharded",
-                                      "compiled"}
+        assert set(BACKEND_NAMES) == {"reference", "vectorized", "compiled"}
 
 
 class TestCompiledBackendFallback:
@@ -169,73 +165,6 @@ class TestCompiledBackendFallback:
         assert plan_key(beamformer, None,
                         variant=CompiledOptions(threads=2).variant()) \
             == exact_key
-
-
-class TestShardedEdgeCases:
-    """The sharded backend's unit of work is a tile of a TiledPlan."""
-
-    @pytest.fixture()
-    def baseline(self, beamformers, tiny_channel_data):
-        return BACKENDS.create("vectorized", beamformers["exact"], None,
-                               None).beamform_volume(tiny_channel_data)
-
-    def test_single_shard(self, beamformers, tiny_channel_data, baseline):
-        """One worker runs the whole grid as one tile."""
-        one = ShardedBackend(beamformers["exact"], max_workers=1)
-        assert one.plan().planner.n_tiles == 1
-        np.testing.assert_array_equal(one.beamform_volume(tiny_channel_data),
-                                      baseline)
-
-    def test_more_workers_than_scanlines(self, beamformers,
-                                         tiny_channel_data, baseline):
-        beamformer = beamformers["exact"]
-        n_theta, n_phi, n_depth = beamformer.grid.shape
-        scanlines = n_theta * n_phi
-        over = ShardedBackend(beamformer, max_workers=scanlines * 3)
-        tiles = over.plan().planner.tiles()
-        # One scanline per tile, every point covered once, no empty tile.
-        assert len(tiles) == scanlines
-        assert all(tile.n_points == n_depth for tile in tiles)
-        np.testing.assert_array_equal(over.beamform_volume(tiny_channel_data),
-                                      baseline)
-        over.close()
-
-    def test_worker_exception_propagates(self, beamformers, baseline,
-                                         tiny_channel_data, monkeypatch):
-        """A failing tile raises in the caller without hanging the pool,
-        and the next frame on the same backend still succeeds."""
-        backend = ShardedBackend(beamformers["exact"], max_workers=2)
-
-        def boom(plan, tile, tracer=None):
-            raise RuntimeError("tile exploded")
-
-        monkeypatch.setattr(TiledPlan, "segment", boom)
-        with pytest.raises(RuntimeError, match="tile exploded"):
-            backend.beamform_volume(tiny_channel_data)
-        with pytest.raises(RuntimeError, match="tile exploded"):
-            backend.beamform_batch([tiny_channel_data])
-        monkeypatch.undo()
-        np.testing.assert_array_equal(
-            backend.beamform_volume(tiny_channel_data), baseline)
-        backend.close()
-
-    @pytest.mark.parametrize("max_workers", [2, 3])
-    def test_tiles_in_flight_fit_the_budget(self, beamformers, max_workers):
-        """Each tile gets an even share of the budget, so the segments
-        executing at once fit it together; a budget below one scanline per
-        worker is rejected with that real minimum."""
-        backend = ShardedBackend(beamformers["exact"],
-                                 max_workers=max_workers)
-        # points x (elements x bytes per entry + leaves x CSR row pointer)
-        scanline = 16 * (64 * 12 + 8 * 4)
-        with pytest.raises(ValueError, match="raise the budget to at least "
-                                             f"{max_workers * scanline} bytes"):
-            backend.set_memory_budget(max_workers * scanline - 1)
-        for budget in (max_workers * scanline, 16 * scanline):
-            backend.set_memory_budget(budget)
-            planner = backend.plan().planner
-            assert planner.tile_bytes * max_workers <= budget
-            assert planner.n_tiles >= max_workers
 
 
 class TestPlanCacheKeys:
@@ -366,12 +295,12 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
 
-    def test_shared_cache_serves_two_sharded_backends(self, beamformers,
-                                                      tiny_channel_data):
+    def test_shared_cache_serves_two_backends(self, beamformers,
+                                              tiny_channel_data):
         beamformer = beamformers["tablesteer"]
         cache = PlanCache()
-        first, second = (BACKENDS.create("sharded", beamformer, cache, None)
-                         for _ in range(2))
+        first, second = (BACKENDS.create("vectorized", beamformer, cache,
+                                         None) for _ in range(2))
         first.beamform_volume(tiny_channel_data)
         n_tiles = first.plan().planner.n_tiles
         assert cache.stats.misses == n_tiles   # one segment per tile

@@ -458,22 +458,6 @@ class TestServiceScheme:
         assert stats.misses == 5 and stats.evictions == 0
         assert stats.hits == 5
 
-    def test_sharded_multi_firing_reserves_a_slot_per_tile(self, phantom):
-        # Regression: reserving one slot per firing let 5 firings x 2 tiles
-        # thrash the default 4-slot cache (every lookup a miss).
-        session = Session(EngineSpec(system="tiny", backend="sharded",
-                                     scheme="planewave",
-                                     scheme_options={"n_angles": 5}))
-        service = session.service(backend_options={"max_workers": 2})
-        n_tiles = service._engine.backends[0].plan_slots
-        assert n_tiles == 2
-        for _ in range(4):
-            service.submit_frame(phantom)
-        stats = service.stats().cache
-        assert stats.misses == 5 * n_tiles
-        assert stats.evictions == 0
-        assert stats.hits == 3 * 5 * n_tiles
-        session.close()
 
 
 class TestCliScheme:

@@ -485,15 +485,15 @@ class TestSessionFacade:
                 engine=EngineSpec(system="paper")))
 
     def test_session_close_closes_vended_services(self):
-        session = Session(TINY.with_updates(backend="sharded"))
+        session = Session(TINY.with_updates(backend="vectorized"))
         service = session.service()
         service.submit_frame(_phantom(session.system))
         (backend,) = service._engine.backends
-        assert backend._pool is not None
+        assert backend._tiled is not None
         session.close()
-        # The sharded pool was shut down by Session.close().
-        assert backend._pool is None
-        # Idempotent and re-usable: pools rebuild lazily.
+        # The memoised plan was dropped by Session.close().
+        assert backend._tiled is None
+        # Idempotent and re-usable: the plan rebuilds lazily.
         session.close()
 
     def test_stream_releases_its_service(self):
@@ -504,9 +504,9 @@ class TestSessionFacade:
 
     def test_service_context_manager_usable_after_close(self):
         system = tiny_system()
-        with BeamformingService(system, backend="sharded") as service:
+        with BeamformingService(system, backend="vectorized") as service:
             first = service.submit_frame(_phantom(system))
-        # close() ran; the service still works (pool rebuilds lazily).
+        # close() ran; the service still works (the plan rebuilds lazily).
         again = service.submit_frame(_phantom(system))
         np.testing.assert_array_equal(first.rf, again.rf)
 
