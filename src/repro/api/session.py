@@ -58,10 +58,7 @@ class Session:
     """
 
     def __init__(self, spec: EngineSpec | Mapping | None = None) -> None:
-        if spec is None:
-            spec = EngineSpec()
-        elif isinstance(spec, Mapping):
-            spec = EngineSpec.from_dict(dict(spec))
+        spec = EngineSpec() if spec is None else EngineSpec.coerce(spec)
         self.spec = spec
         self.system = spec.resolve_system()
         self.transducer = MatrixTransducer.from_config(self.system)
@@ -274,8 +271,7 @@ class Session:
         if spec is None:
             spec = ServerSpec(engine=self.spec)
         else:
-            if isinstance(spec, Mapping):
-                spec = ServerSpec.from_dict(dict(spec))
+            spec = ServerSpec.coerce(spec)
             if spec.engine != EngineSpec():
                 raise ValueError(
                     "Session.server() binds the session's own spec as the "
@@ -328,10 +324,7 @@ class Session:
         ``batch_size > 1`` groups frames into batched kernel executions
         (see :meth:`BeamformingService.submit_batch`).
         """
-        if scan is None:
-            scan = ScanSpec()
-        elif isinstance(scan, Mapping):
-            scan = ScanSpec.from_dict(dict(scan))
+        scan = ScanSpec() if scan is None else ScanSpec.coerce(scan)
         service = self.service(**service_overrides)
         try:
             return service.stream_all(scan.build_frames(self.system),
@@ -380,10 +373,8 @@ class Session:
                     "SweepSpec document (scenarios, schemes, "
                     "architectures, backends, noise_std, seed); do not "
                     "also pass the per-call sweep arguments")
-            if isinstance(spec, str):
-                spec = SweepSpec.from_json(spec)
-            elif isinstance(spec, Mapping):
-                spec = SweepSpec.from_dict(dict(spec))
+            spec = SweepSpec.from_json(spec) if isinstance(spec, str) \
+                else SweepSpec.coerce(spec)
             return self._sweep_grid(spec)
         if architectures is None:
             architectures = (self.spec.architecture,)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..architectures import ARCHITECTURES, architecture_name
@@ -29,7 +30,7 @@ from ..beamformer.interpolation import InterpolationKind
 from ..config import PRESETS, SystemConfig, get_preset
 from ..kernels import Precision, QuantizationSpec, TilePlanner, \
     parse_memory_budget, resolve_precision
-from ..registry import decode_options, encode_options
+from ..registry import SpecDocument, check_count, decode_options
 from ..runtime.backends import BACKENDS
 from ..runtime.scheduler import FrameRequest
 from ..scenarios import SCENARIOS, SCHEMES
@@ -45,9 +46,15 @@ __all__ = [
 ]
 
 
+def _check_noise(noise_std: float) -> None:
+    """Channel noise must be a finite, non-negative standard deviation."""
+    if not math.isfinite(noise_std) or noise_std < 0:
+        raise ValueError("noise_std must be finite and non-negative")
+
+
 # ------------------------------------------------------------- engine spec
 @dataclass(frozen=True)
-class EngineSpec:
+class EngineSpec(SpecDocument):
     """Declarative description of one complete beamforming engine.
 
     Fields accept both rich objects and their plain-dict/JSON forms (the
@@ -185,8 +192,7 @@ class EngineSpec:
             self.quantization.validate_for(
                 self.precision, self.interpolation,
                 self.resolve_system().echo_buffer_samples)
-        if not isinstance(self.cache_capacity, int) or self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be a positive integer")
+        check_count("cache_capacity", self.cache_capacity)
         if not isinstance(self.trace, bool):
             raise ValueError("trace must be a boolean")
         if self.memory_budget_bytes is not None:
@@ -210,54 +216,6 @@ class EngineSpec:
             return get_preset(self.system)
         return self.system
 
-    def with_updates(self, **changes: Any) -> "EngineSpec":
-        """A copy with the given fields replaced (and re-validated)."""
-        return replace(self, **changes)
-
-    # ------------------------------------------------------- serialisation
-    def to_dict(self) -> dict:
-        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
-        return {
-            "system": self.system if isinstance(self.system, str)
-            else self.system.to_dict(),
-            "architecture": self.architecture,
-            "architecture_options": encode_options(self.architecture_options),
-            "backend": self.backend,
-            "backend_options": encode_options(self.backend_options),
-            "apodization": encode_options(self.apodization),
-            "interpolation": self.interpolation.value,
-            "precision": self.precision.value,
-            "quantization": encode_options(self.quantization),
-            "scheme": self.scheme,
-            "scheme_options": encode_options(self.scheme_options),
-            "cache_capacity": self.cache_capacity,
-            "trace": self.trace,
-            "memory_budget_bytes": self.memory_budget_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys raise)."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"engine spec must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown engine spec field(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(known))}")
-        return cls(**data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EngineSpec":
-        """Rebuild a spec from its :meth:`to_json` form."""
-        return cls.from_dict(json.loads(text))
-
 
 # ---------------------------------------------------------- scan scenarios
 # The SCENARIOS registry and its builders live in repro.scenarios.scan
@@ -265,7 +223,7 @@ class EngineSpec:
 
 
 @dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(SpecDocument):
     """Declarative description of one cine acquisition to stream."""
 
     scenario: str = "moving_point"
@@ -285,10 +243,8 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         entry = SCENARIOS.get(self.scenario)
-        if not isinstance(self.frames, int) or self.frames < 1:
-            raise ValueError("frames must be a positive integer")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        check_count("frames", self.frames)
+        _check_noise(self.noise_std)
         if self.options is not None:
             object.__setattr__(self, "options",
                                entry.make_options(self.options))
@@ -298,43 +254,10 @@ class ScanSpec:
         entry = SCENARIOS.get(self.scenario)
         return entry.factory(system, self, entry.make_options(self.options))
 
-    def to_dict(self) -> dict:
-        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
-        return {
-            "scenario": self.scenario,
-            "frames": self.frames,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-            "options": encode_options(self.options),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScanSpec":
-        """Rebuild a scan spec from :meth:`to_dict` output."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"scan spec must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown scan spec field(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(known))}")
-        return cls(**data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScanSpec":
-        """Rebuild a scan spec from its :meth:`to_json` form."""
-        return cls.from_dict(json.loads(text))
-
 
 # ------------------------------------------------------------- sweep spec
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(SpecDocument):
     """Declarative scenario x scheme x architecture (x backend) grid.
 
     One JSON document describes a whole comparative study; feed it to
@@ -395,8 +318,7 @@ class SweepSpec:
                 for name in names:
                     registry.get(name)
                 object.__setattr__(self, field_name, names)
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        _check_noise(self.noise_std)
 
     def resolve_grid(self, default_architecture: str, default_backend: str
                      ) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
@@ -428,43 +350,6 @@ class SweepSpec:
                 f"{field_name} must be a list of names, not the string "
                 f"{value!r}")
         return tuple(value)
-
-    def to_dict(self) -> dict:
-        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
-        return {
-            "scenarios": list(self.scenarios),
-            "schemes": list(self.schemes),
-            "architectures": None if self.architectures is None
-            else list(self.architectures),
-            "backends": None if self.backends is None
-            else list(self.backends),
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-            "score": self.score,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        """Rebuild a sweep spec from :meth:`to_dict` output."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"sweep spec must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown sweep spec field(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(known))}")
-        return cls(**data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        """Rebuild a sweep spec from its :meth:`to_json` form."""
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------- overrides

@@ -51,6 +51,27 @@ _EXPERIMENT_TITLES = {
 
 
 # ------------------------------------------------------------ spec plumbing
+def _read_spec_file(path: str | None) -> dict:
+    """The JSON object in the ``--spec`` file (``{}`` without one).
+
+    Raises :class:`ValueError` naming the file when it cannot be read, is
+    not valid JSON or holds something other than an object.
+    """
+    if not path:
+        return {}
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read spec file {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"spec file {path!r} is not valid JSON: "
+                         f"{exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"spec file {path!r} must hold a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
+
+
 def _merged_spec_data(args: argparse.Namespace,
                       default_system: str | None = None,
                       default_backend: str | None = None) -> dict:
@@ -62,17 +83,7 @@ def _merged_spec_data(args: argparse.Namespace,
     """
     from .api import apply_overrides
 
-    data: dict = {}
-    spec_path = getattr(args, "spec", None)
-    if spec_path:
-        try:
-            data = json.loads(Path(spec_path).read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read spec file {spec_path!r}: {exc}") \
-                from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"spec file {spec_path!r} is not valid JSON: "
-                             f"{exc}") from None
+    data = _read_spec_file(getattr(args, "spec", None))
     if getattr(args, "system", None):
         data["system"] = args.system
     elif "system" not in data and default_system is not None:
@@ -110,6 +121,21 @@ def _resolve_engine_spec(args: argparse.Namespace,
     return EngineSpec.from_dict(
         _merged_spec_data(args, default_system=default_system,
                           default_backend=default_backend))
+
+
+def _nested_spec_data(args: argparse.Namespace) -> dict:
+    """The ``serve`` / ``sweep`` spec-file document with the engine-level
+    flags (``--system``, ``--architecture``, ``--backend``, ``--scheme``)
+    merged into its nested ``engine`` document (default: ``small``,
+    ``vectorized``)."""
+    data = _read_spec_file(args.spec)
+    engine = data.setdefault("engine", {})
+    for key in ("system", "architecture", "backend", "scheme"):
+        if getattr(args, key):
+            engine[key] = getattr(args, key)
+    engine.setdefault("system", "small")
+    engine.setdefault("backend", "vectorized")
+    return data
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser,
@@ -325,25 +351,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--frames must be at least 1", file=sys.stderr)
         return 2
     try:
-        data: dict = {}
-        if args.spec:
-            try:
-                data = json.loads(Path(args.spec).read_text())
-            except OSError as exc:
-                raise ValueError(
-                    f"cannot read spec file {args.spec!r}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"spec file {args.spec!r} is not valid "
-                                 f"JSON: {exc}") from None
-        # Engine-level flags land inside the nested engine document.
-        for key, value in (("system", args.system),
-                           ("architecture", args.architecture),
-                           ("backend", args.backend),
-                           ("scheme", args.scheme)):
-            if value:
-                data.setdefault("engine", {})[key] = value
-        data.setdefault("engine", {}).setdefault("system", "small")
-        data.setdefault("engine", {}).setdefault("backend", "vectorized")
+        data = _nested_spec_data(args)
         for key, value in (("workers", args.workers),
                            ("queue_capacity", args.queue_capacity),
                            ("policy", args.policy),
@@ -407,25 +415,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import SweepExecutor, SweepRunSpec
 
     try:
-        data: dict = {}
-        if args.spec:
-            try:
-                data = json.loads(Path(args.spec).read_text())
-            except OSError as exc:
-                raise ValueError(
-                    f"cannot read spec file {args.spec!r}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"spec file {args.spec!r} is not valid "
-                                 f"JSON: {exc}") from None
-        # Engine-level flags land inside the nested engine document.
-        for key, value in (("system", args.system),
-                           ("architecture", args.architecture),
-                           ("backend", args.backend),
-                           ("scheme", args.scheme)):
-            if value:
-                data.setdefault("engine", {})[key] = value
-        data.setdefault("engine", {}).setdefault("system", "small")
-        data.setdefault("engine", {}).setdefault("backend", "vectorized")
+        data = _nested_spec_data(args)
         if args.store is not None:
             data["store"] = args.store
         if args.workers is not None:

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..observability.tracing import resolve_tracer
-from .ops import coerce_samples, pad_frames
+from .ops import pad_frames
 from .plan import (_leaf_ordered, check_finite, compile_plan,
                    plan_key, plan_storage_bytes)
 from .precision import Precision, resolve_precision
@@ -345,19 +345,10 @@ class TiledPlan:
 
     def execute(self, channel_data: "ChannelData | np.ndarray",
                 tracer=None) -> np.ndarray:
-        """Beamform one frame tile by tile; shape ``grid_shape``."""
-        tracer = resolve_tracer(tracer)
-        # Coerced once here; the segments' own (idempotent) coercion passes
-        # the result through unchanged.
-        samples = coerce_samples(channel_data, self.dtype, self.quantization)
-        out = np.empty(self.n_points, dtype=self.dtype)
-
-        def body(tile: Tile, segment) -> None:
-            out[tile.rows] = segment.execute(
-                samples, tracer=tracer, **self._variant_kwargs).reshape(-1)
-
-        self._run_tiles(body, tracer)
-        return out.reshape(self.grid_shape)
+        """Beamform one frame tile by tile; shape ``grid_shape``: the
+        one-frame case of :meth:`execute_batch`, so the frame is padded
+        and checked once, not once per tile."""
+        return self.execute_batch([channel_data], tracer)[0]
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
                       tracer=None) -> np.ndarray:
@@ -368,22 +359,28 @@ class TiledPlan:
         gathers from the same buffer — and every tile's
         segment executes the full batch before moving on: the segment (the
         expensive artifact) is amortised across frames, exactly the access
-        order the LRU favours.  CSR segments refuse a NaN or infinite
-        sample (:func:`~repro.kernels.plan.check_finite`), checked once
-        here for every tile.
+        order the LRU favours.  The buffer is built once the first tile's
+        segment is in hand, so a cold compile of a one-tile plan never
+        holds it beside its own scratch.  CSR segments refuse a NaN or
+        infinite sample (:func:`~repro.kernels.plan.check_finite`), checked
+        once here for every tile.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        padded = pad_frames(frames, self.dtype, self.quantization,
-                            (self.beamformer.transducer.element_count,
-                             self.beamformer.system.echo_buffer_samples))
-        if _leaf_ordered(self.beamformer.interpolation, self.quantization,
-                         self._variant):
-            check_finite(padded)
         out = np.empty((len(frames), self.n_points), dtype=self.dtype)
+        padded = None
 
         def body(tile: Tile, segment) -> None:
+            nonlocal padded
+            if padded is None:
+                padded = pad_frames(
+                    frames, self.dtype, self.quantization,
+                    (self.beamformer.transducer.element_count,
+                     self.beamformer.system.echo_buffer_samples))
+                if _leaf_ordered(self.beamformer.interpolation,
+                                 self.quantization, self._variant):
+                    check_finite(padded)
             out[:, tile.rows] = segment.execute_padded(
                 padded, tracer=tracer, **self._variant_kwargs)
 

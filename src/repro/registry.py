@@ -18,15 +18,18 @@ options type can be round-tripped through plain dicts (and therefore JSON)
 with :func:`encode_options` / :func:`decode_options`, which understand
 nested dataclasses (e.g. :class:`repro.fixedpoint.format.QFormat` inside
 :class:`repro.core.tablefree.TableFreeConfig`), enums and optional fields.
+The spec documents (:class:`SpecDocument`) use the same encoder.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 
 class RegistryError(ValueError):
@@ -94,20 +97,99 @@ def decode_options(options_type: type, data: dict) -> Any:
     """
     if not (isinstance(options_type, type) and is_dataclass(options_type)):
         raise RegistryError(f"{options_type!r} is not an options dataclass")
-    if not isinstance(data, dict):
-        raise RegistryError(
-            f"options for {options_type.__name__} must be a mapping, "
-            f"got {type(data).__name__}")
-    known = {f.name for f in fields(options_type)}
-    unknown = set(data) - known
-    if unknown:
-        raise RegistryError(
-            f"unknown option(s) for {options_type.__name__}: "
-            f"{', '.join(sorted(unknown))}; known: {', '.join(sorted(known))}")
+    _check_fields(options_type, data,
+                  f"options for {options_type.__name__}",
+                  f"unknown option(s) for {options_type.__name__}")
     hints = typing.get_type_hints(options_type)
     kwargs = {name: _decode(hints.get(name, Any), value)
               for name, value in data.items()}
     return options_type(**kwargs)
+
+
+def _check_fields(cls: type, data: Any, subject: str, unknown: str) -> None:
+    """Refuse a non-dict ``data`` or one naming a field ``cls`` lacks."""
+    if not isinstance(data, dict):
+        raise RegistryError(
+            f"{subject} must be a mapping, got {type(data).__name__}")
+    known = {f.name for f in fields(cls)}
+    extra = set(data) - known
+    if extra:
+        raise RegistryError(
+            f"{unknown}: {', '.join(sorted(extra))}; "
+            f"known: {', '.join(sorted(known))}")
+
+
+def check_count(name: str, value: Any, optional: bool = False) -> None:
+    """Refuse anything but a positive ``int`` (``True`` is not a count);
+    ``optional`` also lets ``None`` through."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer"
+                         + (" or null" if optional else ""))
+
+
+# ------------------------------------------------------------ spec documents
+_Spec = TypeVar("_Spec", bound="SpecDocument")
+
+
+class SpecDocument:
+    """The one document codec of the frozen spec dataclasses
+    (``EngineSpec``, ``ScanSpec``, ``SweepSpec``, ``ServerSpec``,
+    ``SweepRunSpec``).
+
+    A document is the dataclass encoded field by field, as options are
+    (:func:`encode_options`): nested dataclasses and specs become
+    mappings, enums their values, tuples lists.  Decoding hands the
+    mapping's fields to the constructor, whose validation coerces the
+    plain forms back.  Unknown fields are refused, naming the spec's kind
+    (``SweepRunSpec`` -> "sweep run spec").
+    """
+
+    @classmethod
+    def _kind(cls) -> str:
+        return re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+
+    def to_dict(self) -> dict:
+        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
+        return _encode(self)
+
+    @classmethod
+    def from_dict(cls: type[_Spec], data: dict) -> _Spec:
+        """Rebuild a spec from :meth:`to_dict` output (unknown keys raise)."""
+        kind = cls._kind()
+        _check_fields(cls, data, kind, f"unknown {kind} field(s)")
+        return cls(**data)
+
+    def to_json(self, indent: int | None = 2) -> str:
+        """Standard JSON form of :meth:`to_dict` (sorted keys; a NaN or
+        infinite value raises instead of writing ``NaN``/``Infinity``)."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
+                          allow_nan=False)
+
+    @classmethod
+    def from_json(cls: type[_Spec], text: str) -> _Spec:
+        """Rebuild a spec from its :meth:`to_json` form."""
+        return cls.from_dict(json.loads(text))
+
+    def with_updates(self: _Spec, **changes: Any) -> _Spec:
+        """A copy with the given fields replaced (and re-validated)."""
+        return replace(self, **changes)
+
+    @classmethod
+    def coerce(cls: type[_Spec], value: Any, name: str | None = None
+               ) -> _Spec:
+        """``value`` as a spec: an instance passes through, a mapping is
+        decoded (:meth:`from_dict`); anything else raises, naming the
+        field (``name``, default the spec's kind)."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, Mapping):
+            return cls.from_dict(dict(value))
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(
+            f"{name or cls._kind()} must be {article} {cls.__name__} or its "
+            f"dict form, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------- registry

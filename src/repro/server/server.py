@@ -54,7 +54,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from ..acoustics.echo import ChannelData, EchoSimulator
@@ -373,23 +373,14 @@ class BeamformingServer:
                  simulator: EchoSimulator | None = None) -> None:
         if spec is None:
             spec = ServerSpec()
-        elif isinstance(spec, EngineSpec):
+        elif isinstance(spec, EngineSpec) or (
+                isinstance(spec, Mapping)
+                and not {f.name for f in fields(ServerSpec)} & set(spec)):
+            # Accept an EngineSpec (document) where a ServerSpec is
+            # expected: a mapping without server keys is the engine.
             spec = ServerSpec(engine=spec)
-        elif isinstance(spec, Mapping):
-            data = dict(spec)
-            # Accept an EngineSpec document where a ServerSpec is expected:
-            # a mapping without server keys is treated as the engine.
-            server_fields = {"engine", "workers", "queue_capacity", "policy",
-                             "ring_slots", "max_sessions",
-                             "session_memory_budget_bytes"}
-            if not server_fields & set(data):
-                spec = ServerSpec(engine=EngineSpec.from_dict(data))
-            else:
-                spec = ServerSpec.from_dict(data)
-        elif not isinstance(spec, ServerSpec):
-            raise ValueError(
-                "spec must be a ServerSpec, an EngineSpec or a mapping, "
-                f"got {type(spec).__name__}")
+        else:
+            spec = ServerSpec.coerce(spec, "spec")
         self.spec = spec
         self.workers = spec.resolve_workers()
         self.tracer = resolve_tracer(tracer)
@@ -440,16 +431,8 @@ class BeamformingServer:
         (an :class:`repro.api.EngineSpec` or its dict form); queue bound
         and backpressure policy default to the server spec's.
         """
-        if spec is None:
-            engine = self.spec.engine
-        elif isinstance(spec, EngineSpec):
-            engine = spec
-        elif isinstance(spec, Mapping):
-            engine = EngineSpec.from_dict(dict(spec))
-        else:
-            raise ValueError(
-                "session spec must be an EngineSpec or its dict form, "
-                f"got {type(spec).__name__}")
+        engine = self.spec.engine if spec is None \
+            else EngineSpec.coerce(spec, "session spec")
         capacity = queue_capacity if queue_capacity is not None \
             else self.spec.queue_capacity
         if capacity < 1:

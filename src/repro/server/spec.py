@@ -12,13 +12,12 @@ or ``repro serve --spec server.json``.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
 
 from ..api.specs import EngineSpec
+from ..registry import SpecDocument, check_count
 
 __all__ = ["BackpressurePolicy", "ServerSpec"]
 
@@ -68,7 +67,7 @@ def default_workers() -> int:
 
 
 @dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(SpecDocument):
     """Declarative description of one multi-session beamforming server."""
 
     engine: EngineSpec = field(default_factory=EngineSpec)
@@ -104,27 +103,13 @@ class ServerSpec:
     under the cap (see ``docs/memory.md``).  ``None`` = unbounded."""
 
     def __post_init__(self) -> None:
-        engine = self.engine
-        if isinstance(engine, Mapping):
-            engine = EngineSpec.from_dict(dict(engine))
-        elif not isinstance(engine, EngineSpec):
-            raise ValueError(
-                "engine must be an EngineSpec or its dict form, got "
-                f"{type(engine).__name__}")
-        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "engine",
+                           EngineSpec.coerce(self.engine, "engine"))
         object.__setattr__(self, "policy", resolve_policy(self.policy))
-        if self.workers is not None and (
-                not isinstance(self.workers, int) or self.workers < 1):
-            raise ValueError("workers must be a positive integer or null")
-        if not isinstance(self.queue_capacity, int) or self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be a positive integer")
-        if self.ring_slots is not None and (
-                not isinstance(self.ring_slots, int) or self.ring_slots < 1):
-            raise ValueError("ring_slots must be a positive integer or null")
-        if self.max_sessions is not None and (
-                not isinstance(self.max_sessions, int)
-                or self.max_sessions < 1):
-            raise ValueError("max_sessions must be a positive integer or null")
+        check_count("workers", self.workers, optional=True)
+        check_count("queue_capacity", self.queue_capacity)
+        check_count("ring_slots", self.ring_slots, optional=True)
+        check_count("max_sessions", self.max_sessions, optional=True)
         if self.session_memory_budget_bytes is not None:
             from ..kernels.tiling import parse_memory_budget
             object.__setattr__(self, "session_memory_budget_bytes",
@@ -145,43 +130,3 @@ class ServerSpec:
         if self.ring_slots is not None:
             return self.ring_slots
         return self.queue_capacity + self.resolve_workers()
-
-    def with_updates(self, **changes: Any) -> "ServerSpec":
-        """A copy with the given fields replaced (and re-validated)."""
-        return replace(self, **changes)
-
-    # ------------------------------------------------------- serialisation
-    def to_dict(self) -> dict:
-        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
-        return {
-            "engine": self.engine.to_dict(),
-            "workers": self.workers,
-            "queue_capacity": self.queue_capacity,
-            "policy": self.policy.value,
-            "ring_slots": self.ring_slots,
-            "max_sessions": self.max_sessions,
-            "session_memory_budget_bytes": self.session_memory_budget_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServerSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys raise)."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"server spec must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown server spec field(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(known))}")
-        return cls(**data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServerSpec":
-        """Rebuild a spec from its :meth:`to_json` form."""
-        return cls.from_dict(json.loads(text))

@@ -36,10 +36,8 @@ def run_sweep(spec: "SweepRunSpec | dict | str") -> dict:
     """
     from ..api.session import Session
 
-    if isinstance(spec, str):
-        spec = SweepRunSpec.from_json(spec)
-    elif isinstance(spec, dict):
-        spec = SweepRunSpec.from_dict(spec)
+    spec = SweepRunSpec.from_json(spec) if isinstance(spec, str) \
+        else SweepRunSpec.coerce(spec)
     with Session(spec.engine) as session:
         executor = SweepExecutor(session, store=spec.store,
                                  workers=spec.workers, resume=spec.resume,

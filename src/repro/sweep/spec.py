@@ -11,17 +11,16 @@ policy — ships as one document for ``repro sweep --spec``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field
 
 from ..api.specs import EngineSpec, SweepSpec
+from ..registry import SpecDocument, check_count
 
 __all__ = ["SweepRunSpec"]
 
 
 @dataclass(frozen=True)
-class SweepRunSpec:
+class SweepRunSpec(SpecDocument):
     """Everything needed to execute (or resume) one sweep run."""
 
     engine: EngineSpec = field(default_factory=EngineSpec)
@@ -48,28 +47,14 @@ class SweepRunSpec:
     it; takes precedence over ``resume``."""
 
     def __post_init__(self) -> None:
-        engine = self.engine
-        if isinstance(engine, Mapping):
-            engine = EngineSpec.from_dict(dict(engine))
-        elif not isinstance(engine, EngineSpec):
-            raise ValueError(
-                "engine must be an EngineSpec or its dict form, "
-                f"got {type(engine).__name__}")
-        object.__setattr__(self, "engine", engine)
-        sweep = self.sweep
-        if isinstance(sweep, Mapping):
-            sweep = SweepSpec.from_dict(dict(sweep))
-        elif not isinstance(sweep, SweepSpec):
-            raise ValueError(
-                "sweep must be a SweepSpec or its dict form, "
-                f"got {type(sweep).__name__}")
-        object.__setattr__(self, "sweep", sweep)
+        object.__setattr__(self, "engine",
+                           EngineSpec.coerce(self.engine, "engine"))
+        object.__setattr__(self, "sweep",
+                           SweepSpec.coerce(self.sweep, "sweep"))
         if self.store is not None and not isinstance(self.store, str):
             raise ValueError(
                 f"store must be a path string, got {type(self.store).__name__}")
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool) \
-                or self.workers < 1:
-            raise ValueError("workers must be a positive integer")
+        check_count("workers", self.workers)
         if self.workers > 1 and self.store is None:
             raise ValueError(
                 "parallel dispatch (workers > 1) requires a store: worker "
@@ -78,43 +63,3 @@ class SweepRunSpec:
         for name in ("resume", "overwrite"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")
-
-    def with_updates(self, **changes: Any) -> "SweepRunSpec":
-        """A copy with the given fields replaced (and re-validated)."""
-        return replace(self, **changes)
-
-    # ------------------------------------------------------- serialisation
-    def to_dict(self) -> dict:
-        """Plain-dict (JSON-safe) form; inverse of :meth:`from_dict`."""
-        return {
-            "engine": self.engine.to_dict(),
-            "sweep": self.sweep.to_dict(),
-            "store": self.store,
-            "workers": self.workers,
-            "resume": self.resume,
-            "overwrite": self.overwrite,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepRunSpec":
-        """Rebuild a run spec from :meth:`to_dict` output (unknown keys raise)."""
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"sweep run spec must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown sweep run spec field(s): "
-                f"{', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(known))}")
-        return cls(**data)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepRunSpec":
-        """Rebuild a run spec from its :meth:`to_json` form."""
-        return cls.from_dict(json.loads(text))

@@ -82,6 +82,8 @@ class TestEngineSpecValidation:
     def test_bad_cache_capacity_rejected(self):
         with pytest.raises(ValueError, match="cache_capacity"):
             EngineSpec(cache_capacity=0)
+        with pytest.raises(ValueError, match="cache_capacity"):
+            EngineSpec(cache_capacity=True)
 
     def test_precision_coerced_and_validated(self):
         assert EngineSpec().precision is Precision.FLOAT64
@@ -203,6 +205,20 @@ class TestScanSpec:
     def test_frame_count_validated(self):
         with pytest.raises(ValueError, match="frames"):
             ScanSpec(frames=0)
+        with pytest.raises(ValueError, match="frames"):
+            ScanSpec(frames=True)
+
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -0.1])
+    def test_noise_must_be_finite_and_non_negative(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            ScanSpec(noise_std=noise_std)
+
+    def test_documents_are_standard_json(self):
+        # A NaN that reaches a document (here an unchecked scenario
+        # option) is refused, never written as non-standard JSON.
+        scan = ScanSpec(options={"theta_fraction": float("nan")})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            scan.to_json()
 
     def test_build_frames_moving_point(self, tiny):
         scan = ScanSpec(scenario="moving_point", frames=5, noise_std=0.2)

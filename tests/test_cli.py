@@ -365,6 +365,18 @@ class TestServeCommand:
         assert main(["serve", "--check", "--spec", str(bad)]) == 2
         assert "is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stream", "serve", "sweep"])
+    def test_spec_file_must_hold_an_object(self, tmp_path, capsys, command):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        assert main([command, "--spec", str(listed)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_sweep_non_finite_noise_rejected(self, capsys):
+        assert main(["sweep", "--check", "--system", "tiny",
+                     "--set", "sweep.noise_std=NaN"]) == 2
+        assert "noise_std" in capsys.readouterr().err
+
     def test_serve_unknown_spec_field_rejected(self, capsys):
         assert main(["serve", "--check", "--set", "worker_count=4"]) == 2
         assert "unknown server spec field" in capsys.readouterr().err
@@ -372,3 +384,19 @@ class TestServeCommand:
     def test_serve_bad_session_count_rejected(self, capsys):
         assert main(["serve", "--sessions", "0"]) == 2
         assert "--sessions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,check", [
+    ("spec", []), ("serve", ["--check"]), ("sweep", ["--check"])])
+def test_printed_document_round_trips_through_spec(tmp_path, capsys,
+                                                   command, check):
+    """A document printed by a command, fed back through ``--spec``,
+    prints the identical text."""
+    assert main([command, *check, "--system", "tiny",
+                 "--set", "engine.quantization=18" if check
+                 else "quantization=18"]) == 0
+    text = capsys.readouterr().out
+    document = tmp_path / "doc.json"
+    document.write_text(text)
+    assert main([command, *check, "--spec", str(document)]) == 0
+    assert capsys.readouterr().out == text

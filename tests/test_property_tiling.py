@@ -176,6 +176,39 @@ def test_an_evicted_segment_is_freed_before_the_next_is_built(
     assert live_at_build == [0] * (2 * planner.n_tiles)
 
 
+def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
+                                                     monkeypatch):
+    """A budgeted single frame is padded (and finite-checked) once, not
+    once per tile: every segment reads the one padded buffer, built after
+    the first segment's compile so no compile holds it before it is
+    needed."""
+    from repro.kernels import plan as plan_module
+    from repro.kernels import tiling
+
+    beamformer, frame, oracle = tiled_substrate
+    per_scanline = plan_storage_bytes(
+        16, beamformer.transducer.element_count, None,
+        beamformer.interpolation)
+    planner = TilePlanner.for_beamformer(beamformer, per_scanline * 16)
+    assert planner.n_tiles > 1
+    events = []
+
+    def recording(event, function):
+        def wrapper(*args, **kwargs):
+            events.append(event)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module in (tiling, plan_module):
+        monkeypatch.setattr(module, "pad_frames",
+                            recording("pad", module.pad_frames))
+    monkeypatch.setattr(tiling, "compile_plan",
+                        recording("compile", compile_plan))
+    volume = TiledPlan(beamformer, planner).execute(frame)
+    assert events == ["compile", "pad"] + ["compile"] * (planner.n_tiles - 1)
+    assert volume.tobytes() == oracle.tobytes()
+
+
 @given(budget_units=st.integers(1, 64))
 @settings(max_examples=20, deadline=None)
 def test_any_scanline_budget_bit_identical(tiled_substrate, budget_units):

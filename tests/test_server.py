@@ -91,7 +91,8 @@ class TestServerSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("workers", 0), ("queue_capacity", 0), ("ring_slots", -1),
-        ("max_sessions", 0)])
+        ("max_sessions", 0), ("workers", True), ("queue_capacity", True),
+        ("ring_slots", True), ("max_sessions", True)])
     def test_positive_int_validation(self, field, value):
         with pytest.raises(ValueError):
             ServerSpec(**{field: value})

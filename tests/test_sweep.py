@@ -173,6 +173,14 @@ def test_run_spec_rejects_unknown_fields_and_bad_values():
         SweepRunSpec(resume=1)
 
 
+@pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -0.1])
+def test_sweep_spec_refuses_non_finite_or_negative_noise(noise_std):
+    with pytest.raises(ValueError, match="noise_std"):
+        SweepSpec(noise_std=noise_std)
+    with pytest.raises(ValueError, match="noise_std"):
+        SweepRunSpec.from_dict({"sweep": {"noise_std": noise_std}})
+
+
 def test_executor_rejects_parallel_dispatch_without_store():
     with Session(TINY) as session:
         with pytest.raises(ValueError, match="requires a store"):
