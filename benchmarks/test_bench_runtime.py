@@ -5,7 +5,10 @@ cine sequence is streamed through the ``reference`` and ``vectorized``
 backends (plus ``compiled`` on numba hosts) under both kernel
 precisions, per-frame and batched.  A compile row times one budgeted
 ``small`` segment per delay architecture: the regime where segments are
-regenerated on every batch.
+regenerated on every batch.  Another times a 3-firing planewave group's
+whole-grid plans compiled in one pass beside the per-firing loop, and a
+``32M``-budgeted planewave stream row times the compounding regime whose
+firings do not compile as a group.
 The compiled-plan backends amortise delay generation through the
 :class:`PlanCache`, so — like the paper's table-streaming architecture —
 they must beat the regenerate-per-scanline reference path; and the fast
@@ -22,6 +25,7 @@ counts) always run; an unset flag merely reports the measured figures.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -31,8 +35,9 @@ from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.config import small_system, tiny_system
 from repro.experiments import e11_runtime_throughput
-from repro.kernels import TilePlanner, compile_plan
+from repro.kernels import TilePlanner, compile_plan, compile_plans
 from repro.runtime import BeamformingService, PlanCache, static_cine
+from repro.scenarios import SchemeEngine, acquire_firings, resolve_scheme
 
 BENCH_STRICT = os.environ.get("REPRO_BENCH_STRICT", "") not in ("", "0")
 """Whether timing-ordering assertions are enforced (see module docstring)."""
@@ -257,3 +262,71 @@ def test_bench_compile_budgeted_segment(benchmark, architecture):
     plan = benchmark(compile_plan, beamformer, tile=tile)
     assert plan.matrix is not None
     assert plan.n_points == tile.n_points < system.volume.focal_point_count
+
+
+@pytest.mark.parametrize("architecture", ["exact", "tablefree",
+                                          "tablesteer"])
+def test_bench_compile_firing_group(benchmark, report, architecture):
+    """Compile layer of a firing group: the whole-grid plans of a 3-angle
+    planewave ``small`` engine in one :func:`compile_plans` pass (each base
+    slab generated once), beside the per-firing :func:`compile_plan` loop
+    (best of three).  The shared weights are built before timing."""
+    system = small_system()
+    beamformer = DelayAndSumBeamformer(
+        system, ARCHITECTURES.create(architecture, system))
+    scheme = resolve_scheme(system, "planewave", {"n_angles": 3})
+    firings = [backend.beamformer
+               for backend in SchemeEngine(beamformer, scheme).backends]
+    compile_plan(firings[0])
+    loop = []
+    for _ in range(3):
+        start = time.perf_counter()
+        alone = [compile_plan(firing) for firing in firings]
+        loop.append(time.perf_counter() - start)
+    grouped = []
+
+    def timed():
+        start = time.perf_counter()
+        plans = compile_plans(firings)
+        grouped.append(time.perf_counter() - start)
+        return plans
+
+    plans = benchmark.pedantic(timed, rounds=3, iterations=1)
+    report(f"firing group compile ({architecture}, small, 3 firings): "
+           f"grouped {min(grouped) * 1e3:.0f} ms vs per firing "
+           f"{min(loop) * 1e3:.0f} ms"
+           + ("" if BENCH_STRICT else "   [REPRO_BENCH_STRICT unset: "
+              "ordering reported, not asserted]"))
+    assert [plan.key for plan in plans] == [plan.key for plan in alone]
+    assert_faster(1 / min(grouped), 1 / min(loop),
+                  "a firing group must compile faster than its firings "
+                  "one by one")
+
+
+def test_bench_budgeted_planewave_stream(benchmark, report):
+    """A ``32M``-budgeted 3-angle planewave stream on ``small``, batches of
+    4 pre-recorded frames: a full segment per firing does not fit the
+    budget, so every batch recompiles each firing's segments one by one —
+    the compounding regime no group compile reaches."""
+    system = small_system()
+    service = BeamformingService(system, architecture="tablesteer",
+                                 backend="vectorized", scheme="planewave",
+                                 scheme_options={"n_angles": 3},
+                                 memory_budget_bytes="32M",
+                                 cache=PlanCache())
+    simulator = EchoSimulator.from_config(system)
+    grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
+    batch = [tuple(acquire_firings(simulator, service.scheme,
+                                   point_target(depth=grid_mid_depth)))] * 4
+    service.submit_batch(batch)
+    misses = service.stats().cache.misses
+    segments = misses // 3
+    assert misses == 3 * segments and segments > 1
+    start = time.perf_counter()
+    results = benchmark.pedantic(service.submit_batch, args=(batch,),
+                                 rounds=3, iterations=1)
+    seconds = (time.perf_counter() - start) / 3
+    report(f"32M planewave stream (tablesteer, small, 3 firings x "
+           f"{segments} segments): {4 / seconds:.2f} volumes/s")
+    assert len(results) == 4
+    assert service.stats().cache.misses == 4 * misses

@@ -21,7 +21,8 @@ every entry point at once.
   :func:`receive_weights` tensor every plan of one geometry shares; a
   float nearest plan executes as one leaf-ordered CSR product of only its
   non-zero-weight entries (the shared :func:`leaf_rows`), bit for bit the
-  chunked loop's ``np.sum``.
+  chunked loop's ``np.sum``.  :func:`compile_plans` compiles a transmit
+  scheme's firings in one pass over their shared base delays.
 * :mod:`repro.kernels.precision` — the :class:`Precision` dtype policy
   (``float64`` exact / ``float32`` fast) with pinned equivalence
   tolerances.
@@ -63,6 +64,7 @@ from .ops import (
 from .plan import (
     BeamformingPlan,
     compile_plan,
+    compile_plans,
     leaf_rows,
     plan_key,
     plan_storage_bytes,
@@ -90,6 +92,7 @@ __all__ = [
     "build_gather_index",
     "compile_compiled_plan",
     "compile_plan",
+    "compile_plans",
     "delay_and_sum",
     "gather_interp",
     "leaf_rows",

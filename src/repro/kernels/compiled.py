@@ -61,8 +61,8 @@ import numpy as np
 from ..observability.tracing import resolve_tracer
 from ..registry import RegistryError
 from .ops import pad_samples
-from .plan import BeamformingPlan, _extent, _tile_tensors, plan_key
-from .precision import Precision, resolve_precision
+from .plan import BeamformingPlan, compile_plan, plan_key
+from .precision import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..acoustics.echo import ChannelData
@@ -500,7 +500,7 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
                           tile: "object | None" = None
                           ) -> CompiledPlan:
     """Compile a :class:`CompiledPlan` (tensors + jitted kernels) for an
-    engine.
+    engine: ``compile_plan(..., variant="compiled")``.
 
     The weights and gather index are built by the NumPy plan's tensor
     builder, in natural ``(n_points, n_elements)`` order (the kernels index
@@ -515,6 +515,21 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
     :class:`repro.kernels.tiling.Tile` over the same streamed tensors the
     NumPy segment would use (the key carries both variant and tile).
     """
+    return compile_plan(beamformer, precision, variant="compiled",
+                        options=options, tile=tile)
+
+
+def compiled_plan_assembler(beamformer: "DelayAndSumBeamformer",
+                            precision: Precision,
+                            options: CompiledOptions | None,
+                            tile: "object | None",
+                            grid_shape: tuple[int, int, int]):
+    """How :func:`repro.kernels.plan.compile_plans` wraps each of a
+    group's natural-order tensors as a warmed-up :class:`CompiledPlan`.
+
+    Refuses a quantized engine (a :class:`ValueError`) and, without numba,
+    raises :class:`BackendUnavailable` — both before any tensor is built.
+    """
     if getattr(beamformer, "quantization", None) is not None:
         raise ValueError(
             "the 'compiled' backend does not support quantized execution: "
@@ -523,15 +538,16 @@ def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
             "engines")
     require_numba()
     options = CompiledOptions() if options is None else options
-    precision = resolve_precision(precision)
-    start, stop, grid_shape = _extent(beamformer, tile)
-    index, weights = _tile_tensors(beamformer, start, stop, precision.dtype,
-                                   None, leaf_ordered=False)
-    plan = CompiledPlan(
-        key=plan_key(beamformer, precision, variant=options.variant(),
-                     tile=tile),
-        stored_weights=weights, grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, stored_index=index,
-        options=options)
-    plan.warmup()
-    return plan
+
+    def assemble(event_beamformer, index, weights) -> CompiledPlan:
+        plan = CompiledPlan(
+            key=plan_key(event_beamformer, precision,
+                         variant=options.variant(), tile=tile),
+            stored_weights=weights, grid_shape=grid_shape,
+            precision=precision,
+            interpolation=event_beamformer.interpolation,
+            stored_index=index, options=options)
+        plan.warmup()
+        return plan
+
+    return assemble

@@ -30,8 +30,8 @@ one CSR product per plan reproduces :func:`accumulate` bit for bit.
 :class:`LeafLayout` is the ``(leaf, point, j)`` order of such a plan's
 rows, and :class:`LeafRows` those rows with the zero-weight entries
 pruned — a dropped ``(±0.0)·x`` term changes no bit of a sum of finite
-samples; :meth:`GatherIndex.write_leaves` rounds each leaf's delays
-straight into them.
+samples; :meth:`GatherIndex.write_leaf_group` rounds each leaf's delays
+straight into them, for one plan or a firing group's plans in lockstep.
 
 Arithmetic runs in the dtype of ``samples`` (see
 :class:`repro.kernels.precision.Precision`); delays are always rounded in
@@ -302,7 +302,7 @@ class LeafRows:
     Built once per geometry, dtype and point range (:meth:`build`) and
     shared, read-only, by every plan of that range; a plan adds only its
     own gather index, written leaf by leaf through
-    :meth:`GatherIndex.write_leaves`.
+    :meth:`GatherIndex.write_leaf_group`.
     """
 
     layout: LeafLayout
@@ -414,7 +414,7 @@ class GatherIndex:
               dtype: np.dtype | type = np.float64, *,
               leaves: LeafRows | None = None) -> "GatherIndex":
         """An unfilled index of ``n_points`` rows; :meth:`write` fills it,
-        or :meth:`write_leaves` a leaf-ordered one.
+        or :meth:`write_leaf_group` a leaf-ordered one.
 
         Given ``leaves`` (the range's :class:`LeafRows`), it stores one
         offset per kept entry in their row order.
@@ -494,14 +494,14 @@ class GatherIndex:
 
     def write(self, rows: slice, delays: np.ndarray) -> None:
         """Round the ``float64`` fractional-sample ``delays`` of ``rows``
-        into place in a natural index.  With :meth:`write_leaves` (the
+        into place in a natural index.  With :meth:`write_leaf_group` (the
         leaf-ordered index) this is the only place delays are rounded, both
         through :meth:`_offsets`, so nearest/linear addressing is defined
         once for every execution path.  The delays must be finite (every
         delay provider's are)."""
         if self.leaves is not None:
             raise ValueError("a leaf-ordered index is written leaf by leaf "
-                             "(write_leaves)")
+                             "(write_leaf_group)")
         bases = np.arange(0, self.pad_slot, self.n_samples, dtype=np.int32)
         if self.upper is None:
             self._offsets(np.add(delays, 0.5), bases, self.flat[rows])
@@ -512,51 +512,80 @@ class GatherIndex:
         lower += 1.0
         self._offsets(lower, bases, self.upper[rows])
 
-    def write_leaves(self, slabs: Iterable[tuple[int, slice, np.ndarray]]
-                     ) -> None:
-        """Round a leaf-ordered index into place, one slab at a time.
+    @staticmethod
+    def write_leaf_group(
+            indexes: Sequence["GatherIndex"],
+            slabs: Iterable[tuple[int, slice,
+                                  Sequence[tuple[np.ndarray,
+                                                 np.ndarray | None]]]]
+    ) -> None:
+        """Round several leaf-ordered indexes into place in lockstep, one
+        slab at a time.
 
-        ``slabs`` yields ``(slot, rows, delays)``: ``delays`` are the
-        finite ``float64`` ``(len(rows), k)`` delays of point ``rows`` at
-        the elements of the leaf in storage ``slot``
+        The indexes share one :class:`LeafRows` and buffer length, as the
+        plans of one range do.  ``slabs`` yields ``(slot, rows, pairs)``,
+        one ``(delays, shift)`` pair per index, in order: ``delays`` are
+        the finite ``float64`` ``(len(rows), k)`` delays of point ``rows``
+        at the elements of the leaf in storage ``slot``
         (:attr:`LeafLayout.stored_leaves`), columns in that order — already
-        in summation order, so no natural-order block is ever permuted.
-        Each slab is rounded as :meth:`write` rounds a nearest index, in scratch
-        buffers reused from slab to slab: add 0.5, floor into int32, one
-        unsigned range test, add the leaf's element bases, the pad slot
-        where outside.  It is then compressed by the leaf's kept mask
-        straight into its contiguous run of ``flat``, the CSR rows ``slot *
-        n_points + rows``.  Every entry is rounded exactly as in the
-        natural index, so the result is that index permuted into leaf order
-        and pruned.
+        in summation order, so no natural-order block is ever permuted —
+        and ``shift`` is ``None`` or a ``(len(rows),)`` per-point term
+        added to every column first: ``delays + shift[:, None]``, the very
+        float add a caller would make.  Pairs may share one ``delays``
+        array: a firing group passes its base slab once per firing.
+
+        Each pair is rounded as :meth:`write` rounds a nearest index, in
+        scratch buffers reused from slab to slab and index to index: add
+        the shift, add 0.5, floor into int32, one unsigned range test, add
+        the leaf's element bases, the pad slot where outside.  It is then
+        compressed by the leaf's kept mask straight into its index's
+        contiguous run of ``flat``, the CSR rows ``slot * n_points +
+        rows``.  Every entry is rounded exactly as in the natural index,
+        so each result is that index permuted into leaf order and pruned,
+        and no index ever holds more than its own entries.
         """
-        leaves = self.leaves
+        first = indexes[0]
+        leaves = first.leaves
         if leaves is None:
             raise ValueError("a natural index is written by write()")
+        if any(index.leaves is not leaves
+               or index.n_samples != first.n_samples for index in indexes):
+            raise ValueError("indexes written in lockstep share one "
+                             "LeafRows and one buffer length")
         n_points, layout = leaves.n_points, leaves.layout
         masks = tuple(layout._rows(leaves.kept, n_points))
         scratch = (np.empty(0), np.empty(0, np.int32), np.empty(0, bool))
-        for slot, rows, delays in slabs:
+        for slot, rows, pairs in slabs:
             lo, hi, _ = rows.indices(n_points)
             leaf = layout.stored_leaves[slot]
-            delays = np.asarray(delays, dtype=np.float64)
-            if delays.shape != (hi - lo, leaf.size):
-                raise ValueError(f"leaf slot {slot} of rows [{lo}, {hi}) "
-                                 f"takes ({hi - lo}, {leaf.size}) delays, "
-                                 f"got {delays.shape}")
-            if delays.size > scratch[0].size:
-                scratch = tuple(np.empty(delays.size, dtype=buffer.dtype)
+            shape = (hi - lo, leaf.size)
+            if len(pairs) != len(indexes):
+                raise ValueError(f"{len(indexes)} indexes take as many "
+                                 f"delay slabs, got {len(pairs)}")
+            if shape[0] * shape[1] > scratch[0].size:
+                scratch = tuple(np.empty(shape[0] * shape[1],
+                                         dtype=buffer.dtype)
                                 for buffer in scratch)
             sample, offsets, outside = (
-                buffer[:delays.size].reshape(delays.shape)
+                buffer[:shape[0] * shape[1]].reshape(shape)
                 for buffer in scratch)
-            np.add(delays, 0.5, out=sample)
-            self._offsets(sample, leaf.astype(np.int32) * self.n_samples,
-                          offsets, outside)
+            bases = leaf.astype(np.int32) * first.n_samples
+            mask = masks[slot][lo:hi].ravel()
             row = slot * n_points
-            np.compress(masks[slot][lo:hi].ravel(), offsets.ravel(),
-                        out=self.flat[leaves.indptr[row + lo]:
-                                      leaves.indptr[row + hi]])
+            run = slice(leaves.indptr[row + lo], leaves.indptr[row + hi])
+            for index, (delays, shift) in zip(indexes, pairs):
+                delays = np.asarray(delays, dtype=np.float64)
+                if delays.shape != shape:
+                    raise ValueError(f"leaf slot {slot} of rows [{lo}, {hi}) "
+                                     f"takes {shape} delays, got "
+                                     f"{delays.shape}")
+                if shift is None:
+                    np.add(delays, 0.5, out=sample)
+                else:
+                    np.add(delays, shift[:, None], out=sample)
+                    sample += 0.5
+                index._offsets(sample, bases, offsets, outside)
+                np.compress(mask, offsets.ravel(), out=index.flat[run])
 
     def _offsets(self, sample: np.ndarray, bases: np.ndarray,
                  out: np.ndarray, outside: np.ndarray | None = None

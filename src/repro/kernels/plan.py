@@ -35,7 +35,9 @@ geometry and layout and shared by every plan (:func:`receive_weights`, or
 leaf-major: the provider generates each summation leaf's columns for a run
 of scanlines, and the slab is rounded and compressed straight into its run
 of the CSR index, so its matrix is views of the stored arrays, built
-without a copy.  It
+without a copy.  The firings of one transmit scheme compile as one group
+(:func:`compile_plans`): each slab of their shared base delays is
+generated once and each firing's transmit correction added to it.  It
 is the software analogue of the paper's precomputed delay table: the
 expensive float work happens once, streaming frames only gather.  Plans
 are immutable and safe to share across backends and threads;
@@ -50,7 +52,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -67,7 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from .quantized import QuantizationSpec
 
 __all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
-           "leaf_rows", "plan_key", "plan_storage_bytes", "receive_weights"]
+           "compile_plans", "leaf_rows", "plan_key", "plan_storage_bytes",
+           "receive_weights"]
 
 
 BATCH_BLOCK_ELEMENTS = 1 << 17
@@ -80,7 +83,7 @@ inside the CPU caches; see :meth:`BeamformingPlan._chunked`.  Measured on the
 
 _RUN_ENTRIES = 1 << 16
 """Target entries of one leaf's slab in a leaf-ordered compile
-(:func:`_tile_tensors`): the size of the scratch buffers it rounds in.
+(:func:`_group_tensors`): the size of the scratch buffers it rounds in.
 2^15 to 2^17 measured alike on ``small`` (2-vCPU Xeon host)."""
 
 
@@ -327,62 +330,115 @@ def _runs(start: int, stop: int, step: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _tile_tensors(beamformer: "DelayAndSumBeamformer", start: int,
-                  stop: int, dtype: np.dtype,
-                  quantization: "QuantizationSpec | None",
-                  leaf_ordered: bool) -> tuple[GatherIndex, np.ndarray]:
-    """Gather index and weights of flat points ``[start, stop)``, in
-    natural order or, ``leaf_ordered``, as the pruned leaf rows of a CSR
-    plan (the shared :func:`leaf_rows`).
+def _delay_source(provider) -> tuple[object, "Callable | None"]:
+    """A provider's ``(base, correction)``: a transmit-adjusted provider
+    (:class:`repro.scenarios.delays.TransmitAdjustedProvider`, any provider
+    exposing ``base`` and ``range_correction``) delays a range as its
+    base's rows plus ``range_correction(lo, hi)[:, None]``; any other is
+    its own base, uncorrected."""
+    correction = getattr(provider, "range_correction", None)
+    if correction is None:
+        return provider, None
+    return provider.base, correction
+
+
+def _base_delays(sources, lo: int, hi: int, *elements) -> list[np.ndarray]:
+    """Each source's base delays of flat points ``[lo, hi)`` (at
+    ``elements``, when given), generated once per distinct base."""
+    made: dict[int, np.ndarray] = {}
+    for base, _ in sources:
+        if id(base) not in made:
+            made[id(base)] = np.asarray(
+                base.tile_delays_samples(lo, hi, *elements),
+                dtype=np.float64)
+    return [made[id(base)] for base, _ in sources]
+
+
+def _group_tensors(beamformers: "Sequence[DelayAndSumBeamformer]",
+                   start: int, stop: int, dtype: np.dtype,
+                   quantization: "QuantizationSpec | None",
+                   leaf_ordered: bool
+                   ) -> list[tuple[GatherIndex, np.ndarray]]:
+    """Gather index and weights of flat points ``[start, stop)`` for each
+    of ``beamformers``, in natural order or, ``leaf_ordered``, as the
+    pruned leaf rows of a CSR plan (the shared :func:`leaf_rows`).
 
     The one tensor builder of every plan (NumPy or compiled, float or
-    quantized); a whole-grid plan is the range ``[0, n_points)``.  Delays
-    come from the provider's bulk ``tile_delays_samples``, so no
-    ``(n_points, n_elements)`` delay tensor is ever held; the weights are
-    shared:
+    quantized); a whole-grid plan is the range ``[0, n_points)``, and one
+    plan is a group of one.  The beamformers differ only in their delay
+    providers, so they share one weight tensor (a :class:`ValueError`
+    otherwise).  Delays come from the providers' bulk
+    ``tile_delays_samples``, so no ``(n_points, n_elements)`` delay tensor
+    is ever held.  A transmit-adjusted provider is split into its base and
+    its per-range correction (:func:`_delay_source`): each slab of a base
+    is generated once for the whole group, and each firing's correction
+    once per range, then added per firing — ``base + correction[:, None]``,
+    the float add the provider itself makes, so every index is bit for bit
+    the one compiled alone.
 
-    * natural: in point blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries,
-      each rounded into its index rows (:meth:`GatherIndex.write`) as it
-      arrives; ``quantization`` (the beamformer's spec) first quantises
-      delays and weights;
+    * natural: in point blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries;
+      per block, each firing's delays (quantised by ``quantization``, the
+      beamformers' spec, after the add) are rounded into its index rows
+      (:meth:`GatherIndex.write`) as they arrive;
     * leaf-ordered: leaf-major.  The range is cut into runs of whole
       scanlines (~:data:`_RUN_ENTRIES` entries of the longest leaf); for
-      each run, every leaf slot in storage order asks the provider for
-      that leaf's columns only (``tile_delays_samples(lo, hi,
-      elements)``) — a slab already in summation order — which
-      :meth:`GatherIndex.write_leaves` rounds and compresses straight into
-      its run of the CSR index.  Consecutive calls share their range, so
-      a provider can reuse its per-point work across the leaves.
+      each run, every leaf slot in storage order asks each base for that
+      leaf's columns only (``tile_delays_samples(lo, hi, elements)``) — a
+      slab already in summation order — which
+      :meth:`GatherIndex.write_leaf_group` shifts, rounds and compresses
+      straight into each index's run of the CSR index.
 
     Every step is elementwise, so a tile's rows are exact row slices of
     the whole-grid tensors, and the leaf-ordered index is the natural one
     permuted and pruned.
     """
-    provider = beamformer.delays
-    leaves = leaf_rows(beamformer, start, stop, dtype) if leaf_ordered \
-        else None
-    index = GatherIndex.empty(beamformer.interpolation, stop - start,
-                              beamformer.transducer.element_count,
-                              beamformer.system.echo_buffer_samples, dtype,
-                              leaves=leaves)
+    first = beamformers[0]
+    weights = [leaf_rows(beamformer, start, stop, dtype) if leaf_ordered
+               else receive_weights(beamformer, start, stop, dtype,
+                                    quantization)
+               for beamformer in beamformers]
+    if any(shared is not weights[0] for shared in weights) or any(
+            beamformer.interpolation != first.interpolation
+            or repr(beamformer.quantization) != repr(first.quantization)
+            for beamformer in beamformers):
+        raise ValueError("a plan group compiles beamformers that differ "
+                         "only in their delay providers: one system, "
+                         "apodization, interpolation and quantization")
+    leaves = weights[0] if leaf_ordered else None
+    indexes = [GatherIndex.empty(first.interpolation, stop - start,
+                                 first.transducer.element_count,
+                                 first.system.echo_buffer_samples, dtype,
+                                 leaves=leaves)
+               for _ in beamformers]
+    sources = [_delay_source(beamformer.delays)
+               for beamformer in beamformers]
     if leaves is not None:
-        n_depth = beamformer.grid.shape[-1]
+        n_depth = first.grid.shape[-1]
         stored = leaves.layout.stored_leaves
         step = n_depth * max(1, _RUN_ENTRIES // (stored[0].size * n_depth))
-        index.write_leaves(
-            (slot, slice(lo - start, hi - start),
-             provider.tile_delays_samples(lo, hi, leaf))
-            for lo, hi in _runs(start, stop, step)
-            for slot, leaf in enumerate(stored))
-        return index, leaves.weights
-    for lo, hi in _blocks(start, stop, index.n_elements):
-        delays = np.asarray(provider.tile_delays_samples(lo, hi),
-                            dtype=np.float64)
-        if quantization is not None:
-            delays = quantization.quantize_delays(delays)
-        index.write(slice(lo - start, hi - start), delays)
-    return index, receive_weights(beamformer, start, stop, dtype,
-                                  quantization)
+
+        def slabs():
+            for lo, hi in _runs(start, stop, step):
+                shifts = [None if correction is None
+                          else correction(lo, hi)
+                          for _, correction in sources]
+                for slot, leaf in enumerate(stored):
+                    yield slot, slice(lo - start, hi - start), tuple(zip(
+                        _base_delays(sources, lo, hi, leaf), shifts))
+
+        GatherIndex.write_leaf_group(indexes, slabs())
+    else:
+        for lo, hi in _blocks(start, stop, first.transducer.element_count):
+            bases = _base_delays(sources, lo, hi)
+            for index, base, (_, correction) in zip(indexes, bases,
+                                                    sources):
+                delays = base if correction is None \
+                    else base + correction(lo, hi)[:, None]
+                if quantization is not None:
+                    delays = quantization.quantize_delays(delays)
+                index.write(slice(lo - start, hi - start), delays)
+    shared = weights[0] if leaves is None else leaves.weights
+    return [(index, shared) for index in indexes]
 
 
 @dataclass(frozen=True)
@@ -670,16 +726,60 @@ class BeamformingPlan:
         return out
 
 
+def compile_plans(beamformers: "Sequence[DelayAndSumBeamformer]",
+                  precision: Precision | str | None = None, *,
+                  variant: str | None = None,
+                  options: object | None = None,
+                  tile: "object | None" = None) -> list[BeamformingPlan]:
+    """Compile the plans of several beamformers in one pass: the plans of
+    a firing group.
+
+    The beamformers differ only in their delay providers — the firings of
+    one transmit scheme over one architecture
+    (:class:`repro.scenarios.SchemeEngine`).  Their tensors come from one
+    :func:`_group_tensors` pass, which asks a shared base provider for
+    each slab once and rounds each firing's ``base + correction`` into
+    that firing's own index; every plan references the same shared weight
+    tensor.  Each plan is bit for bit, and keyed exactly as, the one
+    :func:`compile_plan` builds for its beamformer alone.  ``precision``,
+    ``variant``, ``options`` and ``tile`` are as for :func:`compile_plan`.
+    """
+    if variant is not None and variant != "compiled":
+        raise ValueError(f"unknown plan variant {variant!r}; "
+                         "available: compiled")
+    precision = resolve_precision(precision)
+    first = beamformers[0]
+    start, stop, grid_shape = _extent(first, tile)
+    quantization = first.quantization
+    if variant is None:
+        def assemble(beamformer, index, weights) -> BeamformingPlan:
+            return BeamformingPlan(
+                key=plan_key(beamformer, precision, tile=tile),
+                stored_weights=weights, grid_shape=grid_shape,
+                precision=precision, interpolation=beamformer.interpolation,
+                stored_index=index, quantization=quantization)
+    else:
+        from .compiled import compiled_plan_assembler
+        assemble = compiled_plan_assembler(first, precision, options, tile,
+                                           grid_shape)
+    tensors = _group_tensors(
+        beamformers, start, stop, precision.dtype, quantization,
+        _leaf_ordered(first.interpolation, quantization, variant))
+    return [assemble(beamformer, index, weights)
+            for beamformer, (index, weights) in zip(beamformers, tensors)]
+
+
 def compile_plan(beamformer: "DelayAndSumBeamformer",
                  precision: Precision | str | None = None, *,
                  variant: str | None = None,
                  options: object | None = None,
                  tile: "object | None" = None) -> BeamformingPlan:
-    """Compile the beamforming plan for a configured beamformer.
+    """Compile the beamforming plan for a configured beamformer: the group
+    of one of :func:`compile_plans`.
 
     Generates the gather index for the system's echo-buffer length and
     fetches the shared weight tensor (in the execution dtype), both
-    through :func:`_tile_tensors` — as pruned leaf rows, so the plan runs
+    through :func:`_group_tensors` — as pruned leaf rows, so the plan runs
     as one CSR product of its non-zero-weight entries, for a float
     nearest-sample engine.  This is the expensive
     step the :class:`repro.runtime.cache.PlanCache` amortises across frames
@@ -691,9 +791,9 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     float and a quantised plan never share a cache slot.
 
     ``variant`` selects an alternative plan implementation over the same
-    tensors in natural order: ``"compiled"`` dispatches to
-    :func:`repro.kernels.compiled.compile_compiled_plan` (fused Numba
-    kernels; ``options`` is its :class:`~repro.kernels.compiled.CompiledOptions`),
+    tensors in natural order: ``"compiled"`` builds a
+    :class:`repro.kernels.compiled.CompiledPlan` (fused Numba kernels;
+    ``options`` is its :class:`~repro.kernels.compiled.CompiledOptions`),
     raising :class:`repro.kernels.compiled.BackendUnavailable` when numba is
     not importable.  The default ``None`` is the NumPy plan.
 
@@ -706,21 +806,5 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     :class:`repro.kernels.tiling.TiledPlan` streams through the cache;
     their rows are bit-identical slices of the whole-grid tensors.
     """
-    if variant is not None:
-        if variant != "compiled":
-            raise ValueError(f"unknown plan variant {variant!r}; "
-                             "available: compiled")
-        from .compiled import compile_compiled_plan
-        return compile_compiled_plan(beamformer, precision, options,
-                                     tile=tile)
-    precision = resolve_precision(precision)
-    start, stop, grid_shape = _extent(beamformer, tile)
-    quantization = beamformer.quantization
-    index, weights = _tile_tensors(
-        beamformer, start, stop, precision.dtype, quantization,
-        _leaf_ordered(beamformer.interpolation, quantization))
-    return BeamformingPlan(
-        key=plan_key(beamformer, precision, tile=tile),
-        stored_weights=weights, grid_shape=grid_shape, precision=precision,
-        interpolation=beamformer.interpolation, stored_index=index,
-        quantization=quantization)
+    return compile_plans([beamformer], precision, variant=variant,
+                         options=options, tile=tile)[0]

@@ -13,7 +13,7 @@ that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``):
   delay providers stream);
 * :class:`TiledPlan` mirrors the :class:`BeamformingPlan` execute surface
   but compiles one *segment* plan per tile on demand — via
-  ``compile_plan(..., tile=...)`` — and writes each tile's rows into the
+  ``compile_plans(..., tile=...)`` — and writes each tile's rows into the
   caller's output array, one tile after the other.  Every plan-backed
   runtime backend executes through one; without a budget it is a single
   tile;
@@ -33,6 +33,7 @@ the one-tile result.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -40,8 +41,8 @@ import numpy as np
 
 from ..observability.tracing import resolve_tracer
 from .ops import pad_frames
-from .plan import (_leaf_ordered, check_finite, compile_plan,
-                   plan_key, plan_storage_bytes)
+from .plan import (_leaf_ordered, check_finite, compile_plans, plan_key,
+                   plan_storage_bytes)
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -248,9 +249,11 @@ class TiledPlan:
     surface (``execute`` / ``execute_batch``); every plan-backed runtime
     backend holds one, with a single tile when unbudgeted.  Each call runs
     one body over the planner's tiles in order: fetch the tile's segment
-    plan from the cache (compiling through ``compile_plan(..., tile=...)``
+    plan from the cache (compiling through ``compile_plans(..., tile=...)``
     on miss, under a ``compile`` span), execute it whole, and write its
     rows into the output array — one ``tile`` tracer span per tile.
+    Plans linked as a firing group (:meth:`link`) may compile a missed tile
+    for the whole group at once (:meth:`segment`).
 
     ``variant="compiled"`` streams fused
     :class:`~repro.kernels.compiled.CompiledPlan` segments instead, keyed
@@ -298,6 +301,23 @@ class TiledPlan:
             cache = PlanCache(capacity=planner.n_tiles, metrics=None,
                               max_bytes=planner.memory_budget_bytes)
         self.cache = cache
+        self._group: tuple = ()
+
+    @staticmethod
+    def link(plans: "Sequence[TiledPlan]") -> None:
+        """Link ``plans`` as one firing group: the tiled plans of one
+        transmit scheme's firings, which differ only in their delay
+        providers (:class:`repro.scenarios.SchemeEngine` links them).
+
+        A linked plan whose segment misses compiles that tile for every
+        plan of the group that misses it too, in one
+        :func:`~repro.kernels.plan.compile_plans` pass, when the group
+        shares one cache that can hold a full segment per firing (see
+        :meth:`segment`).  The links are weak: a group never keeps a
+        dropped plan alive."""
+        refs = tuple(weakref.ref(plan) for plan in plans)
+        for plan in plans:
+            plan._group = refs
 
     # ------------------------------------------------------------ geometry
     @property
@@ -312,22 +332,52 @@ class TiledPlan:
 
     # ------------------------------------------------------------ execution
     def segment(self, tile: Tile, tracer=None):
-        """The compiled segment plan for one tile (cached; builds on miss)."""
+        """The compiled segment plan for one tile (cached; builds on miss).
+
+        A linked plan (:meth:`link`) builds a miss for its whole group when
+        the group's cache can hold one full segment per firing — a count
+        bound of at least the firing count, or a byte budget of at least
+        that many :attr:`TilePlanner.tile_bytes` — so no group segment is
+        evicted before its firing uses it.  Under a smaller budget the
+        firings stream their segments one at a time, as unlinked plans
+        do."""
         tracer = resolve_tracer(tracer)
+        group = self._grouped() or [self]
 
-        def build():
+        def build(positions: list[int]) -> list:
             with tracer.span("compile") as span:
-                plan = compile_plan(self.beamformer, self.precision,
-                                    variant=self._variant, tile=tile,
-                                    **self._variant_kwargs)
-                span.set(bytes=int(plan.nbytes), points=tile.n_points,
-                         elements=self.planner.n_elements,
-                         tile=tile.index)
-            return plan
+                plans = compile_plans(
+                    [group[i].beamformer for i in positions],
+                    self.precision, variant=self._variant, tile=tile,
+                    **self._variant_kwargs)
+                span.set(bytes=sum(int(plan.nbytes) for plan in plans),
+                         points=tile.n_points,
+                         elements=self.planner.n_elements, tile=tile.index)
+                if len(plans) > 1:
+                    span.set(firings=len(plans))
+            return plans
 
-        return self.cache.get_or_build(
-            self._tile_keys[tile.index], build,
+        return self.cache.get_or_build_group(
+            [plan._tile_keys[tile.index] for plan in group],
+            group.index(self), build,
             size_hint=self.planner.tile_nbytes(tile))
+
+    def _grouped(self) -> "list[TiledPlan] | None":
+        """The linked plans, when they compile as one group: two or more,
+        alive, tiled alike and sharing a cache that holds a full segment
+        of each."""
+        group = [ref() for ref in self._group]
+        if len(group) < 2 or any(
+                plan is None or plan.cache is not self.cache
+                or plan.planner.tile_points != self.planner.tile_points
+                for plan in group):
+            return None
+        if self.cache.max_bytes is None:
+            fits = self.cache.capacity >= len(group)
+        else:
+            fits = len(group) * self.planner.tile_bytes \
+                <= self.cache.max_bytes
+        return group if fits else None
 
     def _run_tiles(self, body: Callable, tracer) -> None:
         """Run ``body(tile, segment)`` for every tile, in order, each under

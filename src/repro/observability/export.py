@@ -201,9 +201,10 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"# HELP {name} {instrument.description}")
         if isinstance(instrument, Histogram):
             lines.append(f"# TYPE {name} summary")
-            for quantile in (0.5, 0.95, 0.99):
-                lines.append(f'{name}{{quantile="{quantile}"}} '
-                             f"{instrument.percentile(100 * quantile):.9g}")
+            quantiles = (0.5, 0.95, 0.99)
+            for quantile, value in zip(quantiles, instrument.percentiles(
+                    [100 * quantile for quantile in quantiles])):
+                lines.append(f'{name}{{quantile="{quantile}"}} {value:.9g}')
             lines.append(f"{name}_sum {instrument.sum:.9g}")
             lines.append(f"{name}_count {instrument.count}")
         else:

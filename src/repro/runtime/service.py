@@ -404,6 +404,7 @@ class BeamformingService:
         always safe to call.
         """
         latency = self._latency
+        p50, p95, p99 = latency.percentiles((50, 95, 99))
         return RuntimeStats(
             backend=self.backend_name,
             precision=self.precision.value,
@@ -418,10 +419,8 @@ class BeamformingService:
             if self.quantization is not None else None,
             scheme=None if self.scheme.is_trivial()
             else self.scheme.describe(),
-            p50_latency_seconds=latency.percentile(50),
-            p95_latency_seconds=latency.percentile(95),
-            p99_latency_seconds=latency.percentile(99),
-        )
+            p50_latency_seconds=p50, p95_latency_seconds=p95,
+            p99_latency_seconds=p99)
 
     def export_metrics(self) -> MetricsRegistry:
         """The service's complete exportable metric state.

@@ -55,8 +55,6 @@ class TransmitAdjustedProvider(BulkDelayProviderMixin):
     reference: TransmitEvent = field(default=None)  # type: ignore[assignment]
     """Canonical transmit of ``base`` (spherical at its origin); defaults to
     the base provider's ``origin`` attribute (the probe centre when absent)."""
-    _last_range: tuple | None = field(default=None, init=False, repr=False)
-    """``((start, stop), correction)`` of the last flat range corrected."""
 
     @classmethod
     def from_provider(cls, base: Any, event: TransmitEvent,
@@ -122,23 +120,20 @@ class TransmitAdjustedProvider(BulkDelayProviderMixin):
                             elements: np.ndarray | None = None
                             ) -> np.ndarray:
         """Delays of flat grid points ``[start, stop)`` (at ``elements``
-        only, when given): the base's bulk rows plus one transmit
-        correction over the range's points."""
+        only, when given): the base's bulk rows plus
+        :meth:`range_correction` over the range's points."""
         base = self.base.tile_delays_samples(start, stop, elements)
-        return base + self._range_correction(start, stop)[:, None]
+        return base + self.range_correction(start, stop)[:, None]
 
-    def _range_correction(self, start: int, stop: int) -> np.ndarray:
-        """The transmit correction of flat points ``[start, stop)``, kept
-        for the last range asked: a leaf-major compile asks for each range
-        once per summation leaf.  The entry is replaced whole, so a
-        concurrent caller at worst recomputes it."""
-        last = self._last_range
-        if last is not None and last[0] == (start, stop):
-            return last[1]
-        correction = self.transmit_correction_samples(
+    def range_correction(self, start: int, stop: int) -> np.ndarray:
+        """The transmit correction of flat points ``[start, stop)``, shape
+        ``(stop - start,)``: what :meth:`tile_delays_samples` adds to every
+        column of :attr:`base`'s rows.  A firing group's compile
+        (:func:`repro.kernels.compile_plans`) asks :attr:`base` for each
+        slab once and adds each firing's correction itself, the same
+        float add."""
+        return self.transmit_correction_samples(
             self.grid.range_points(start, stop))
-        object.__setattr__(self, "_last_range", ((start, stop), correction))
-        return correction
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for a grid nappe, shape ``(n_theta, n_phi, n_elements)``."""

@@ -16,7 +16,10 @@ This is the one place that turns a beamformer into executing backends:
 :class:`repro.pipeline.ImagingPipeline` both execute through a
 :class:`SchemeEngine`.  The trivial focused scheme is a one-firing engine
 on the base beamformer itself, with no transmit wrap, so it keeps the bare
-architecture's plan key, compile cost and bits.
+architecture's plan key, compile cost and bits.  A compounding engine
+links its firings' tiled plans as one group, so a missed segment compiles
+for every firing in one pass over their shared base delays
+(:meth:`repro.kernels.TiledPlan.link`, :func:`repro.kernels.compile_plans`).
 
 Compounding is a plain ordered sum of per-firing volumes.  The summation
 order is the event order of the scheme in both the per-frame and the
@@ -36,7 +39,8 @@ from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
 from ..beamformer.das import DelayAndSumBeamformer
 from ..observability.tracing import resolve_tracer
-from ..runtime.backends import BACKENDS
+from ..kernels.tiling import TiledPlan
+from ..runtime.backends import BACKENDS, VectorizedBackend
 from .delays import TransmitAdjustedProvider
 from .transmit import TransmitScheme
 
@@ -138,6 +142,7 @@ class SchemeEngine:
             cache.reserve(sum(b.plan_slots for b in self.backends))
         self.memory_budget_bytes: int | None = \
             self.backends[0].memory_budget_bytes
+        self._linked: tuple = ()
 
     def _event_beamformer(self, event: Any) -> DelayAndSumBeamformer:
         """The base beamformer with its transmit leg swapped for ``event``."""
@@ -173,6 +178,22 @@ class SchemeEngine:
         """
         for backend in self.backends:
             backend.close()
+        self._linked = ()
+
+    def _link_plans(self) -> None:
+        """Link the firings' tiled plans as one compile group
+        (:meth:`repro.kernels.TiledPlan.link`), relinking whenever a
+        backend has rebuilt its plan.  A missed segment then compiles for
+        every firing in one pass over the shared base delays
+        (:func:`repro.kernels.compile_plans`); a trivial scheme or the
+        plan-less ``reference`` backend has nothing to link."""
+        if not self._compounds or \
+                not isinstance(self.backends[0], VectorizedBackend):
+            return
+        plans = tuple(backend.plan() for backend in self.backends)
+        if plans != self._linked:       # compared by identity
+            TiledPlan.link(plans)
+            self._linked = plans
 
     def __enter__(self) -> "SchemeEngine":
         return self
@@ -204,6 +225,7 @@ class SchemeEngine:
         A frame with a non-finite sample is refused (:func:`require_finite`),
         named by ``frame_id``."""
         self._check_firings(firings, frame_id)
+        self._link_plans()
         volume = None
         with self._compound_span():
             for backend, firing in zip(self.backends, firings):
@@ -232,6 +254,7 @@ class SchemeEngine:
             frame_ids = range(len(frames))
         for firings, frame_id in zip(frames, frame_ids):
             self._check_firings(firings, frame_id)
+        self._link_plans()
         volumes = None
         with self._compound_span(frames=len(frames)):
             for index, backend in enumerate(self.backends):

@@ -311,14 +311,14 @@ class SessionHandle:
     def stats(self) -> SessionStats:
         """Snapshot of the session's counters and latency percentiles."""
         state = self._state
+        p50, p95, p99 = state.latency.percentiles((50, 95, 99))
         return SessionStats(
             session_id=state.session_id,
             frames=int(state.frames_counter.value),
             drops=int(state.drops_counter.value),
             queue_depth=len(state.queue),
-            p50_latency_seconds=state.latency.percentile(50),
-            p95_latency_seconds=state.latency.percentile(95),
-            p99_latency_seconds=state.latency.percentile(99))
+            p50_latency_seconds=p50, p95_latency_seconds=p95,
+            p99_latency_seconds=p99)
 
     # ----------------------------------------------------------- lifecycle
     def close(self, drain: bool = True) -> None:
@@ -651,14 +651,14 @@ class BeamformingServer:
             sessions = tuple(
                 SessionHandle(self, state).stats()
                 for state in self._sessions.values())
+        p50, p95, p99 = self._latency.percentiles((50, 95, 99))
         return ServerStats(
             workers=self.workers,
             frames=int(self._frames.value),
             drops=int(self._drops.value),
             voxels=int(self._voxels.value),
-            p50_latency_seconds=self._latency.percentile(50),
-            p95_latency_seconds=self._latency.percentile(95),
-            p99_latency_seconds=self._latency.percentile(99),
+            p50_latency_seconds=p50, p95_latency_seconds=p95,
+            p99_latency_seconds=p99,
             sessions=sessions)
 
     def export_metrics(self) -> MetricsRegistry:

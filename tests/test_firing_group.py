@@ -1,0 +1,352 @@
+"""A transmit scheme's firings compile as one group.
+
+Pins what :func:`repro.kernels.compile_plans` and the linked
+:class:`~repro.kernels.TiledPlan` group promise:
+
+* every plan of a group is bit for bit (and keyed exactly as) the plan
+  :func:`compile_plan` builds for its firing alone, over the same shared
+  weight tensor — exact, TABLEFREE and TABLESTEER; float64 and float32
+  nearest, linear and 18-bit quantized; whole grid and a tile that cuts
+  scanlines; planewave, diverging and synthetic aperture;
+* the shared base provider is asked for each slab once for the whole
+  group, not once per firing;
+* a scheme engine's group build leaves the plan cache's misses, hits and
+  evictions as firing-by-firing builds leave them, makes room before it
+  builds, and falls back to one firing at a time under a byte budget that
+  cannot hold a full segment per firing.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.api import EngineSpec, ScanSpec, Session
+from repro.architectures import ARCHITECTURES
+from repro.beamformer.das import DelayAndSumBeamformer
+from repro.beamformer.interpolation import InterpolationKind
+from repro.kernels import (
+    QuantizationSpec,
+    TiledPlan,
+    TilePlanner,
+    compile_plan,
+    compile_plans,
+    plan_storage_bytes,
+)
+from repro.kernels import tiling
+from repro.kernels.ops import LeafLayout
+from repro.kernels.plan import _RUN_ENTRIES, _blocks, _leaf_ordered, _runs
+from repro.runtime.cache import PlanCache
+from repro.scenarios import SchemeEngine, resolve_scheme
+
+SCHEMES = {"planewave": {"n_angles": 3}, "diverging": None,
+           "synthetic_aperture": {"every": 16}}
+
+DATAPATHS = {
+    "float64": ("float64", InterpolationKind.NEAREST, None),
+    "float32": ("float32", InterpolationKind.NEAREST, None),
+    "linear": ("float64", InterpolationKind.LINEAR, None),
+    "q18": ("float64", InterpolationKind.NEAREST,
+            QuantizationSpec.from_total_bits(18)),
+}
+
+
+class _Counting:
+    """A delay provider that counts its bulk ``tile_delays_samples`` calls
+    and otherwise is the provider it wraps."""
+
+    def __init__(self, provider) -> None:
+        self.provider = provider
+        self.calls = 0
+
+    def tile_delays_samples(self, *args):
+        self.calls += 1
+        return self.provider.tile_delays_samples(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.provider, name)
+
+
+def _firings(system, architecture, datapath, scheme):
+    """The counting base provider and the scheme's per-firing
+    beamformers over it."""
+    precision, interpolation, quantization = DATAPATHS[datapath]
+    base = _Counting(ARCHITECTURES.create(architecture, system))
+    beamformer = DelayAndSumBeamformer(
+        system, base, interpolation=interpolation, precision=precision,
+        quantization=quantization)
+    engine = SchemeEngine(beamformer,
+                          resolve_scheme(system, scheme, SCHEMES[scheme]))
+    return base, [backend.beamformer for backend in engine.backends]
+
+
+def _slab_calls(beamformer, tile, variant=None) -> int:
+    """Base slabs one firing's compile asks for: runs x leaves (CSR) or
+    point blocks (natural)."""
+    n_points = beamformer.grid.point_count
+    start, stop = (0, n_points) if tile is None else (tile.start, tile.stop)
+    n_elements = beamformer.transducer.element_count
+    if not _leaf_ordered(beamformer.interpolation, beamformer.quantization,
+                         variant):
+        return len(list(_blocks(start, stop, n_elements)))
+    layout = LeafLayout.of(n_elements)
+    n_depth = beamformer.grid.shape[-1]
+    step = n_depth * max(1, _RUN_ENTRIES
+                         // (layout.stored_leaves[0].size * n_depth))
+    return len(list(_runs(start, stop, step))) * layout.n_leaves
+
+
+def _cutting_tile(beamformer):
+    """A :class:`TilePlanner` tile whose ends cut scanlines."""
+    planner = TilePlanner.for_beamformer(
+        beamformer, plan_storage_bytes(
+            21, beamformer.transducer.element_count,
+            beamformer.precision, beamformer.interpolation,
+            quantization=beamformer.quantization),
+        precision=beamformer.precision, granularity=7)
+    tile = planner.tile(1)
+    n_depth = beamformer.grid.shape[-1]
+    assert tile.start % n_depth and tile.stop % n_depth
+    return tile
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("datapath", list(DATAPATHS))
+@pytest.mark.parametrize("architecture", ["exact", "tablefree",
+                                          "tablesteer"])
+@pytest.mark.parametrize("whole", [True, False], ids=["grid", "tile"])
+def test_group_plans_are_the_plans_compiled_alone(tiny, architecture,
+                                                  datapath, scheme, whole):
+    base, beamformers = _firings(tiny, architecture, datapath, scheme)
+    assert len(beamformers) > 1
+    precision = DATAPATHS[datapath][0]
+    tile = None if whole else _cutting_tile(beamformers[0])
+    alone = [compile_plan(beamformer, precision, tile=tile)
+             for beamformer in beamformers]
+    slabs = _slab_calls(beamformers[0], tile)
+    assert base.calls == len(beamformers) * slabs
+    base.calls = 0
+    group = compile_plans(beamformers, precision, tile=tile)
+    assert base.calls == slabs
+    assert len(group) == len(alone)
+    for one, grouped in zip(alone, group):
+        assert grouped.key == one.key
+        assert grouped.grid_shape == one.grid_shape
+        assert grouped.stored_weights is group[0].stored_weights
+        assert grouped.stored_weights is one.stored_weights
+        for name in ("flat", "upper", "fraction"):
+            expected = getattr(one.stored_index, name)
+            stored = getattr(grouped.stored_index, name)
+            if expected is None:
+                assert stored is None
+            else:
+                assert np.array_equal(stored, expected)
+                assert stored.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("datapath", ["float64", "float32", "linear"])
+@pytest.mark.parametrize("architecture", ["exact", "tablefree",
+                                          "tablesteer"])
+@pytest.mark.parametrize("whole", [True, False], ids=["grid", "tile"])
+def test_compiled_group_plans_are_the_plans_compiled_alone(
+        tiny, architecture, datapath, whole):
+    """The ``compiled`` variant's natural-order tensors group alike."""
+    pytest.importorskip("numba")
+    from repro.kernels import compile_compiled_plan
+
+    base, beamformers = _firings(tiny, architecture, datapath, "planewave")
+    precision = DATAPATHS[datapath][0]
+    tile = None if whole else _cutting_tile(beamformers[0])
+    alone = [compile_compiled_plan(beamformer, precision, tile=tile)
+             for beamformer in beamformers]
+    base.calls = 0
+    group = compile_plans(beamformers, precision, variant="compiled",
+                          tile=tile)
+    assert base.calls == _slab_calls(beamformers[0], tile, "compiled")
+    for one, grouped in zip(alone, group):
+        assert type(grouped) is type(one) and grouped.key == one.key
+        assert grouped.stored_weights is one.stored_weights
+        assert np.array_equal(grouped.stored_index.flat,
+                              one.stored_index.flat)
+
+
+def test_a_compiled_group_is_refused_before_it_compiles(tiny, monkeypatch):
+    """A quantized group, or any group without numba, is refused before a
+    single base slab is generated."""
+    from repro.kernels import BackendUnavailable, compiled
+
+    quantized_base, quantized = _firings(tiny, "exact", "q18", "planewave")
+    with pytest.raises(ValueError, match="does not support quantized"):
+        compile_plans(quantized, variant="compiled")
+    monkeypatch.setattr(compiled, "NUMBA_AVAILABLE", False)
+    base, beamformers = _firings(tiny, "exact", "float64", "planewave")
+    with pytest.raises(BackendUnavailable):
+        compile_plans(beamformers, variant="compiled")
+    with pytest.raises(ValueError, match="unknown plan variant"):
+        compile_plans(beamformers, variant="gpu")
+    assert quantized_base.calls == base.calls == 0
+
+
+def test_a_group_shares_one_geometry(tiny):
+    """Beamformers that differ in more than their delay providers cannot
+    share one pass."""
+    _, (event, *_) = _firings(tiny, "exact", "float64", "planewave")
+    linear = DelayAndSumBeamformer(tiny, event.delays,
+                                   interpolation=InterpolationKind.LINEAR)
+    with pytest.raises(ValueError, match="differ only in their delay"):
+        compile_plans([event, linear])
+
+
+def _unlinked(monkeypatch) -> None:
+    """Firing-by-firing compiles: linking does nothing."""
+    monkeypatch.setattr(TiledPlan, "link", staticmethod(lambda plans: None))
+
+
+def _engines_on(cache, tiny, architectures):
+    scheme = resolve_scheme(tiny, "planewave", SCHEMES["planewave"])
+    return [SchemeEngine(DelayAndSumBeamformer(
+        tiny, ARCHITECTURES.create(architecture, tiny)), scheme,
+        cache=cache) for architecture in architectures]
+
+
+def _run_two_groups(tiny, frame, cache):
+    """Two planewave groups on ``cache``, grown to a slot per firing, each
+    beamforming one frame twice over, alternately; their volumes."""
+    engines = _engines_on(cache, tiny, ("exact", "tablesteer"))
+    assert cache.capacity == 3
+    firings = [frame] * 3
+    return [engine.beamform_volume(firings)
+            for _ in range(2) for engine in engines]
+
+
+def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
+                                         monkeypatch):
+    """On a count-bounded cache reserved for one group, each group's
+    build first evicts the other group's plans, the cache never holds
+    more than one group, and the misses, hits and evictions are the
+    firing-by-firing builds' own."""
+    cache, seen = PlanCache(capacity=1), []
+
+    def recording(beamformers, *args, **kwargs):
+        seen.append(len(cache))
+        return compile_plans(beamformers, *args, **kwargs)
+
+    monkeypatch.setattr(tiling, "compile_plans", recording)
+    volumes = _run_two_groups(tiny, tiny_channel_data, cache)
+    grouped = cache.stats
+    assert seen == [0, 0, 0, 0]
+    assert grouped.size == 3 and grouped.peak_bytes == grouped.bytes
+
+    monkeypatch.undo()
+    _unlinked(monkeypatch)
+    cache = PlanCache(capacity=1)
+    alone_volumes = _run_two_groups(tiny, tiny_channel_data, cache)
+    alone = cache.stats
+    assert (grouped.misses, grouped.hits, grouped.evictions) \
+        == (alone.misses, alone.hits, alone.evictions) == (12, 0, 9)
+    assert grouped.peak_bytes == alone.peak_bytes
+    for volume, expected in zip(volumes, alone_volumes):
+        assert volume.tobytes() == expected.tobytes()
+
+
+def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data):
+    """One ``compile`` span builds every firing's plan (its bytes summed);
+    each built plan counts one miss, and the siblings' first lookups are
+    those misses, not hits."""
+    session = Session(EngineSpec(system="tiny", backend="vectorized",
+                                 scheme="planewave",
+                                 scheme_options=SCHEMES["planewave"],
+                                 trace=True))
+    service = session.service()
+    for _ in range(2):
+        service.submit_frame(tuple([tiny_channel_data] * 3))
+    stats = session.cache.stats
+    assert (stats.misses, stats.hits, stats.evictions) == (3, 3, 0)
+    (span,) = session.tracer.find("compile")
+    assert span.attributes["firings"] == 3
+    assert span.attributes["bytes"] == stats.bytes
+
+
+def _stream_counts(budget):
+    """A 2-batch planewave stream on ``tiny``: cache counters, the firings
+    each compile span built, and the volumes."""
+    session = Session(EngineSpec(system="tiny", backend="vectorized",
+                                 scheme="planewave",
+                                 memory_budget_bytes=budget, trace=True))
+    results = session.stream(ScanSpec(scenario="static_point", frames=4),
+                             batch_size=2)
+    stats = session.cache.stats
+    firings = [span.attributes.get("firings", 1)
+               for span in session.tracer.find("compile")]
+    return (stats.misses, stats.hits, stats.evictions), firings, \
+        [result.rf for result in results]
+
+
+@pytest.mark.parametrize("budget, groups", [("512K", False), ("8M", True)])
+def test_a_budgeted_stream_groups_only_when_the_group_fits(budget, groups,
+                                                           monkeypatch):
+    """Under a byte budget that cannot hold a full segment per firing the
+    firings compile one at a time, exactly as unlinked plans do — no
+    group segment is evicted before use; under one that can, the group
+    compiles together.  Either way the cache counts what firing-by-firing
+    builds count."""
+    counts, firings, volumes = _stream_counts(budget)
+    assert set(firings) == ({5} if groups else {1})
+    _unlinked(monkeypatch)
+    alone_counts, alone_firings, alone_volumes = _stream_counts(budget)
+    assert counts == alone_counts
+    assert sum(firings) == len(alone_firings) == counts[0]
+    for volume, expected in zip(volumes, alone_volumes):
+        assert volume.tobytes() == expected.tobytes()
+
+
+def test_groups_on_a_shared_cache_under_thread_contention(
+        tiny, tiny_channel_data, monkeypatch):
+    """Engines on more threads than cores share one cache, as server
+    sessions do, with a shortened switch interval: every volume is the
+    serial one, every plan is built once, and each lookup counts exactly
+    one hit or miss — a lost update to the unclaimed set would break the
+    count."""
+    firings = [tiny_channel_data] * 3
+    oracle = {architecture: engine.beamform_volume(firings)
+              for architecture, engine in zip(
+                  ("exact", "tablesteer"),
+                  _engines_on(PlanCache(), tiny, ("exact", "tablesteer")))}
+    built = []
+
+    def counting(beamformers, *args, **kwargs):
+        built.extend(beamformers)
+        return compile_plans(beamformers, *args, **kwargs)
+
+    monkeypatch.setattr(tiling, "compile_plans", counting)
+    cache = PlanCache(capacity=8)
+    architectures = ["exact", "tablesteer"] * 3
+    engines = _engines_on(cache, tiny, architectures)
+    volumes: dict[int, list] = {}
+
+    def run(index: int) -> None:
+        volumes[index] = [engines[index].beamform_volume(firings)
+                          for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(len(engines))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index, architecture in enumerate(architectures):
+        for volume in volumes[index]:
+            assert volume.tobytes() == oracle[architecture].tobytes()
+    stats = cache.stats
+    assert len(built) == stats.misses == 2 * 3
+    assert stats.hits + stats.misses == len(engines) * 3 * 3
+    assert stats.evictions == 0

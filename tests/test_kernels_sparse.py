@@ -42,7 +42,7 @@ from repro.kernels import (
 )
 from repro.kernels.ops import LeafLayout, LeafRows, gather_padded, \
     pad_samples, total, weigh
-from repro.kernels.plan import _tile_tensors
+from repro.kernels.plan import _group_tensors
 
 
 def _frames(system, n_frames: int, seed: int) -> np.ndarray:
@@ -107,7 +107,7 @@ def test_leaf_major_index_is_the_natural_index_permuted_and_pruned(
         system, architecture, precision):
     """The leaf-major compile (one provider slab per leaf and run, rounded
     and compressed straight into its CSR run) writes exactly the natural
-    index of ``_tile_tensors(..., leaf_ordered=False)``, permuted into leaf
+    index of ``_group_tensors(..., leaf_ordered=False)``, permuted into leaf
     order and pruned of its zero-weight entries — over the whole grid and
     over budgeted tiles that cut scanlines (a granularity not dividing
     ``n_depth``)."""
@@ -128,9 +128,10 @@ def test_leaf_major_index_is_the_natural_index_permuted_and_pruned(
     for start, stop in [(0, system.volume.focal_point_count),
                         *((tile.start, tile.stop)
                           for tile in planner.tiles())]:
-        index, _ = _tile_tensors(beamformer, start, stop, dtype, None, True)
-        natural, weights = _tile_tensors(beamformer, start, stop, dtype,
-                                         None, False)
+        [(index, _)] = _group_tensors([beamformer], start, stop, dtype,
+                                      None, True)
+        [(natural, weights)] = _group_tensors([beamformer], start, stop,
+                                              dtype, None, False)
         expected = np.concatenate([natural.flat[:, leaf][weights[:, leaf]
                                                          != 0]
                                    for leaf in stored])

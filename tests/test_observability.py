@@ -225,6 +225,43 @@ class TestMetrics:
         summary = histogram.summary()
         assert summary["p95"] == float(np.percentile(samples, 95.0))
 
+    def test_histogram_percentiles_copy_the_window_once(self, monkeypatch):
+        """All of a summary's quantiles come from one copy of the window
+        and one ``np.percentile`` call, each equal to its own
+        ``percentile(q)`` bit for bit — in the summary and the Prometheus
+        export alike."""
+        from repro.observability import metrics
+
+        samples = np.random.default_rng(3).lognormal(-5.0, 1.5, 70_000)
+        registry = MetricsRegistry()
+        histogram = registry.histogram("latency_seconds")
+        for value in samples:
+            histogram.observe(float(value))
+        quantiles = (50.0, 95.0, 99.0, 0.0, 100.0, 12.5)
+        singles = [histogram.percentile(q) for q in quantiles]
+        assert histogram.percentiles(quantiles) == singles
+        for single, q in zip(singles, quantiles):
+            assert single == float(np.percentile(samples[-Histogram.WINDOW:],
+                                                 q))
+        assert Histogram("empty").percentiles((50, 99)) == [0.0, 0.0]
+
+        calls = []
+        percentile = np.percentile
+
+        def counted(values, q, *args, **kwargs):
+            calls.append(np.size(q))
+            return percentile(values, q, *args, **kwargs)
+
+        monkeypatch.setattr(metrics.np, "percentile", counted)
+        summary = histogram.summary()
+        assert [summary[name] for name in ("p50", "p95", "p99")] \
+            == singles[:3]
+        exported = parse_prometheus(render_prometheus(registry))
+        for quantile, single in zip(("0.5", "0.95", "0.99"), singles):
+            assert exported[f'latency_seconds{{quantile="{quantile}"}}'] \
+                == float(f"{single:.9g}")
+        assert calls == [3, 3]
+
     def test_empty_histogram_is_all_zero(self):
         histogram = Histogram("h")
         assert histogram.count == 0

@@ -239,7 +239,7 @@ def test_pruned_product_is_the_unpruned_product_byte_for_byte(
 @pytest.mark.parametrize("n", [1, 5, 8, 13, 64, 129, 256, 1000])
 def test_layout_write_and_natural_round_trip(n):
     """Block builds of the rows equal one whole build; the leaf-ordered
-    index written slab by slab (:meth:`GatherIndex.write_leaves`, slots in
+    index written slab by slab (:meth:`GatherIndex.write_leaf_group`, slots in
     storage order, blocks of rows cutting the range anywhere) is the
     natural index (:meth:`GatherIndex.write`) permuted and pruned, out-of-
     buffer delays at the pad slot included; :meth:`LeafRows.natural`
@@ -259,11 +259,11 @@ def test_layout_write_and_natural_round_trip(n):
     natural = build_gather_index(delays, n_samples).flat
     index = GatherIndex.empty("nearest", n_points, n, n_samples,
                               leaves=whole)
-    index.write_leaves(
+    GatherIndex.write_leaf_group((index,), (
         (slot, slice(lo, min(lo + step, n_points)),
-         delays[lo:lo + step, leaf])
+         ((delays[lo:lo + step, leaf], None),))
         for slot, leaf in enumerate(whole.layout.stored_leaves)
-        for step in (3 + slot % 5,) for lo in range(0, n_points, step))
+        for step in (3 + slot % 5,) for lo in range(0, n_points, step)))
     flat = index.flat
     np.testing.assert_array_equal(flat, _leaf_index(values, natural))
     np.testing.assert_array_equal(whole.natural(whole.weights, 0), values)
@@ -289,8 +289,10 @@ def test_leaf_slabs_must_fit_their_rows():
     leaves = _leaf_rows(np.ones((4, 20)))    # 8 leaves of 2, 4 of 1
     index = GatherIndex.empty("nearest", 4, 20, 16, leaves=leaves)
     with pytest.raises(ValueError, match=r"takes \(4, 2\) delays"):
-        index.write_leaves([(0, slice(0, 4), np.zeros((4, 20)))])
+        GatherIndex.write_leaf_group(
+            (index,), [(0, slice(0, 4), ((np.zeros((4, 20)), None),))])
     with pytest.raises(ValueError, match="leaf by leaf"):
         index.write(slice(0, 4), np.zeros((4, 20)))
     with pytest.raises(ValueError, match="natural index"):
-        build_gather_index(np.zeros((4, 20)), 16).write_leaves([])
+        GatherIndex.write_leaf_group(
+            (build_gather_index(np.zeros((4, 20)), 16),), [])

@@ -25,6 +25,7 @@ from repro.kernels import (
     TiledPlan,
     TilePlanner,
     compile_plan,
+    compile_plans,
     parse_memory_budget,
     plan_storage_bytes,
 )
@@ -165,11 +166,11 @@ def test_an_evicted_segment_is_freed_before_the_next_is_built(
 
     def compile_and_track(*args, **kwargs):
         live_at_build.append(sum(ref() is not None for ref in built))
-        plan = compile_plan(*args, **kwargs)
-        built.append(weakref.ref(plan))
-        return plan
+        plans = compile_plans(*args, **kwargs)
+        built.extend(weakref.ref(plan) for plan in plans)
+        return plans
 
-    monkeypatch.setattr(tiling, "compile_plan", compile_and_track)
+    monkeypatch.setattr(tiling, "compile_plans", compile_and_track)
     plan = TiledPlan(beamformer, planner)
     np.testing.assert_array_equal(plan.execute(frame), oracle)
     np.testing.assert_array_equal(plan.execute_batch([frame])[0], oracle)
@@ -202,8 +203,8 @@ def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
     for module in (tiling, plan_module):
         monkeypatch.setattr(module, "pad_frames",
                             recording("pad", module.pad_frames))
-    monkeypatch.setattr(tiling, "compile_plan",
-                        recording("compile", compile_plan))
+    monkeypatch.setattr(tiling, "compile_plans",
+                        recording("compile", compile_plans))
     volume = TiledPlan(beamformer, planner).execute(frame)
     assert events == ["compile", "pad"] + ["compile"] * (planner.n_tiles - 1)
     assert volume.tobytes() == oracle.tobytes()
