@@ -248,12 +248,15 @@ def test_bench_streamed_cine(benchmark):
 
 
 @pytest.mark.parametrize("architecture", ["exact", "tablefree",
-                                          "tablesteer"])
+                                          "tablesteer", "tablesteer_float"])
 def test_bench_compile_budgeted_segment(benchmark, architecture):
     """Compile layer per architecture: the first segment of a ``32M``-
-    budgeted ``small`` engine (the float nearest CSR plan, compiled leaf by
-    leaf), as a budgeted stream recompiles it on every batch.  The shared
-    weights are built before timing, as a running engine holds them."""
+    budgeted ``small`` engine (the nearest-sample CSR plan, compiled leaf by
+    leaf), as a budgeted stream recompiles it on every batch.  Fixed-point
+    ``tablesteer`` rounds each slab in its integer datapath;
+    ``tablesteer_float`` keeps the float round of the other providers, so
+    both paths stay measured.  The shared weights are built before timing,
+    as a running engine holds them."""
     system = small_system()
     beamformer = DelayAndSumBeamformer(
         system, ARCHITECTURES.create(architecture, system))

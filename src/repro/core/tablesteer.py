@@ -75,6 +75,9 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
     _reference_fixed: np.ndarray | None = field(default=None, repr=False)
     _terms_fixed: tuple[np.ndarray, np.ndarray] | None = field(default=None,
                                                                repr=False)
+    _reference_codes: np.ndarray | None = field(default=None, repr=False)
+    _terms_codes: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                               repr=False)
 
     @classmethod
     def from_config(cls, system: SystemConfig,
@@ -92,12 +95,28 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
             # values), so each term is quantised on its own before the
             # addition — once here, as the reference quadrant is.
             ref_fmt, corr_fmt = design.formats()
-            object.__setattr__(generator, "_reference_fixed",
-                               reference.quantized_quadrant(ref_fmt))
-            object.__setattr__(generator, "_terms_fixed",
-                               (quantize(corrections.x_terms, corr_fmt),
-                                quantize(corrections.y_terms, corr_fmt)))
+            reference_fixed = reference.quantized_quadrant(ref_fmt)
+            terms_fixed = (quantize(corrections.x_terms, corr_fmt),
+                           quantize(corrections.y_terms, corr_fmt))
+            object.__setattr__(generator, "_reference_fixed", reference_fixed)
+            object.__setattr__(generator, "_terms_fixed", terms_fixed)
+            # The same values as int32 codes at the reference's binary
+            # point F (exact: each is a multiple of 2^-F below 2^14), the
+            # rounding half 2^(F-1) folded into the reference once, so a
+            # summed delay rounds to its index by ``>> F`` alone.
+            point = float(1 << ref_fmt.fraction_bits)
+            object.__setattr__(generator, "_reference_codes",
+                               (reference_fixed * point).astype(np.int32)
+                               + np.int32((1 << ref_fmt.fraction_bits) >> 1))
+            object.__setattr__(generator, "_terms_codes", tuple(
+                (terms * point).astype(np.int32) for terms in terms_fixed))
         return generator
+
+    @property
+    def integer_datapath(self) -> bool:
+        """Whether :meth:`tile_delay_indices` forms rounded indices in the
+        fixed-point datapath: a fixed-point design (not the float mode)."""
+        return self._reference_codes is not None
 
     # ------------------------------------------------------------- grid API
     #
@@ -123,27 +142,54 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         inside its first or last scanline adds that line's plane to the
         rows it covers.
         """
+        return self._tile_sums(start, stop, elements, codes=False)
+
+    def tile_delay_indices(self, start: int, stop: int,
+                           elements: np.ndarray | None = None
+                           ) -> np.ndarray:
+        """The delays of :meth:`tile_delays_samples` rounded to int32
+        echo-buffer indices in the fixed-point datapath (Fig. 4).
+
+        The same plane-plus-row sums are made of the int32 codes at the
+        reference's binary point F, the rounding half already in the
+        reference, and shifted right by F in place.  Every stored value is
+        a multiple of 2^-F below 2^14 in magnitude, so the float sum is
+        exact and this equals ``floor(tile_delays_samples + 0.5)`` bit for
+        bit.  Fixed-point designs only (:attr:`integer_datapath`).
+        """
+        if not self.integer_datapath:
+            raise ValueError("the float mode has no integer datapath")
+        indices = self._tile_sums(start, stop, elements, codes=True)
+        fraction = self.design.formats()[0].fraction_bits
+        if fraction:
+            indices >>= fraction
+        return indices
+
+    def _tile_sums(self, start: int, stop: int,
+                   elements: np.ndarray | None, codes: bool) -> np.ndarray:
+        """Plane plus row over flat grid points ``[start, stop)``: the
+        delays in samples, or with ``codes`` the int32 code sums."""
         _n_theta, n_phi, n_depth = self.grid.shape
         first = start // n_depth
         planes = self._correction_planes(
             *np.divmod(np.arange(first, -(-stop // n_depth)), n_phi),
-            elements)
-        rows = self._reference_rows(np.arange(n_depth), elements)
-        delays = np.empty((stop - start, planes.shape[1]))
+            elements, codes)
+        rows = self._reference_rows(np.arange(n_depth), elements, codes)
+        sums = np.empty((stop - start, planes.shape[1]), dtype=planes.dtype)
         point, line, depth = 0, 0, start - first * n_depth
         if depth:  # the rest of a cut first scanline
             point = min(n_depth - depth, stop - start)
-            np.add(planes[0], rows[depth:depth + point], out=delays[:point])
+            np.add(planes[0], rows[depth:depth + point], out=sums[:point])
             line = 1
         whole = (stop - start - point) // n_depth
         np.add(planes[line:line + whole, None], rows,
-               out=delays[point:point + whole * n_depth].reshape(
+               out=sums[point:point + whole * n_depth].reshape(
                    whole, n_depth, planes.shape[1]))
         point += whole * n_depth
         # The start of a cut last scanline (empty rows when there is none).
         np.add(planes[line + whole:line + whole + 1],
-               rows[:stop - start - point], out=delays[point:])
-        return delays
+               rows[:stop - start - point], out=sums[point:])
+        return sums
 
     def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
         """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)`` [samples]."""
@@ -195,13 +241,19 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         delays += self._reference_rows(depths)[depth_of]
         return delays
 
-    def _correction_planes(self, i_theta, i_phi, elements=None
-                           ) -> np.ndarray:
+    def _correction_planes(self, i_theta, i_phi, elements=None,
+                           codes: bool = False) -> np.ndarray:
         """Correction planes of scanlines ``(i_theta[k], i_phi[k])``, shape
         ``(n, n_elements)`` [samples], element ``ix * ey + iy`` — or only
-        the columns of ``elements``, ``(n, len(elements))``."""
-        x_terms, y_terms = self._terms_fixed if self.design.is_fixed_point \
-            else (self.corrections.x_terms, self.corrections.y_terms)
+        the columns of ``elements``, ``(n, len(elements))``; with
+        ``codes``, the int32 codes of the fixed-point terms."""
+        if codes:
+            x_terms, y_terms = self._terms_codes
+        elif self.design.is_fixed_point:
+            x_terms, y_terms = self._terms_fixed
+        else:
+            x_terms, y_terms = (self.corrections.x_terms,
+                                self.corrections.y_terms)
         x_terms = x_terms[:, i_theta, i_phi].T                    # (n, ex)
         y_terms = y_terms[:, i_phi].T                             # (n, ey)
         if elements is not None:
@@ -210,12 +262,18 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         planes = x_terms[:, :, None] + y_terms[:, None, :]
         return planes.reshape(len(planes), self.transducer.element_count)
 
-    def _reference_rows(self, i_depth, elements=None) -> np.ndarray:
+    def _reference_rows(self, i_depth, elements=None,
+                        codes: bool = False) -> np.ndarray:
         """Reference delays at depths ``i_depth``, shape ``(n, n_elements)``
         [samples]: the stored (quantised) quadrant expanded by symmetry —
-        or only the columns of ``elements``, ``(n, len(elements))``."""
-        quadrant = self._reference_fixed if self.design.is_fixed_point \
-            else self.reference.quadrant
+        or only the columns of ``elements``, ``(n, len(elements))``; with
+        ``codes``, the int32 codes (rounding half included)."""
+        if codes:
+            quadrant = self._reference_codes
+        elif self.design.is_fixed_point:
+            quadrant = self._reference_fixed
+        else:
+            quadrant = self.reference.quadrant
         if elements is not None:
             i_x, i_y = np.divmod(elements, len(self.reference.quadrant_y_index))
             return quadrant[self.reference.quadrant_x_index[i_x],

@@ -495,22 +495,25 @@ class GatherIndex:
     def write(self, rows: slice, delays: np.ndarray) -> None:
         """Round the ``float64`` fractional-sample ``delays`` of ``rows``
         into place in a natural index.  With :meth:`write_leaf_group` (the
-        leaf-ordered index) this is the only place delays are rounded, both
-        through :meth:`_offsets`, so nearest/linear addressing is defined
-        once for every execution path.  The delays must be finite (every
-        delay provider's are)."""
+        leaf-ordered index) this is the only place delays are rounded —
+        nearest through :func:`_round_nearest`, linear by a floor — and
+        both address through :meth:`_offsets`, so nearest/linear
+        addressing is defined once for every execution path.  The delays
+        must be finite (every delay provider's are)."""
         if self.leaves is not None:
             raise ValueError("a leaf-ordered index is written leaf by leaf "
                              "(write_leaf_group)")
         bases = np.arange(0, self.pad_slot, self.n_samples, dtype=np.int32)
+        flat = self.flat[rows]
         if self.upper is None:
-            self._offsets(np.add(delays, 0.5), bases, self.flat[rows])
+            self._offsets(_round_nearest(delays, flat), bases, flat)
             return
         lower = np.floor(delays)
         self.fraction[rows] = delays - lower
-        self._offsets(lower, bases, self.flat[rows])
-        lower += 1.0
-        self._offsets(lower, bases, self.upper[rows])
+        upper = self.upper[rows]
+        np.add(_floor_into(lower, flat), 1, out=upper)
+        self._offsets(flat, bases, flat)
+        self._offsets(upper, bases, upper)
 
     @staticmethod
     def write_leaf_group(
@@ -531,18 +534,24 @@ class GatherIndex:
         in summation order, so no natural-order block is ever permuted —
         and ``shift`` is ``None`` or a ``(len(rows),)`` per-point term
         added to every column first: ``delays + shift[:, None]``, the very
-        float add a caller would make.  Pairs may share one ``delays``
-        array: a firing group passes its base slab once per firing.
+        float add a caller would make.  ``delays`` may instead be int32
+        sample positions already rounded to nearest — a provider that
+        rounds in its own fixed-point datapath (TABLESTEER's
+        ``tile_delay_indices``) — which take no shift.  Pairs may share
+        one ``delays`` array: a firing group passes its base slab once per
+        firing.
 
-        Each pair is rounded as :meth:`write` rounds a nearest index, in
-        scratch buffers reused from slab to slab and index to index: add
-        the shift, add 0.5, floor into int32, one unsigned range test, add
-        the leaf's element bases, the pad slot where outside.  It is then
-        compressed by the leaf's kept mask straight into its index's
-        contiguous run of ``flat``, the CSR rows ``slot * n_points +
-        rows``.  Every entry is rounded exactly as in the natural index,
-        so each result is that index permuted into leaf order and pruned,
-        and no index ever holds more than its own entries.
+        Each float pair is rounded as :meth:`write` rounds a nearest
+        index, in scratch buffers reused from slab to slab and index to
+        index: add the shift, then :func:`_round_nearest` (add 0.5, floor
+        into int32).  Every slab's positions then take one unsigned range
+        test, the leaf's element bases and the pad slot where outside
+        (:meth:`_offsets`), and are compressed by the leaf's kept mask
+        straight into its index's contiguous run of ``flat``, the CSR rows
+        ``slot * n_points + rows``.  Every entry is rounded exactly as in
+        the natural index, so each result is that index permuted into leaf
+        order and pruned, and no index ever holds more than its own
+        entries.
         """
         first = indexes[0]
         leaves = first.leaves
@@ -574,40 +583,65 @@ class GatherIndex:
             row = slot * n_points
             run = slice(leaves.indptr[row + lo], leaves.indptr[row + hi])
             for index, (delays, shift) in zip(indexes, pairs):
-                delays = np.asarray(delays, dtype=np.float64)
+                delays = np.asarray(delays)
+                rounded = delays.dtype == np.int32
+                if not rounded:
+                    if delays.dtype.kind in "iub":
+                        raise ValueError(
+                            "rounded sample positions are int32, got "
+                            f"{delays.dtype}")
+                    delays = delays.astype(np.float64, copy=False)
                 if delays.shape != shape:
                     raise ValueError(f"leaf slot {slot} of rows [{lo}, {hi}) "
                                      f"takes {shape} delays, got "
                                      f"{delays.shape}")
-                if shift is None:
-                    np.add(delays, 0.5, out=sample)
+                if rounded:
+                    if shift is not None:
+                        raise ValueError("rounded int32 positions take no "
+                                         "shift; shift the float delays")
+                    positions = delays
                 else:
-                    np.add(delays, shift[:, None], out=sample)
-                    sample += 0.5
-                index._offsets(sample, bases, offsets, outside)
+                    if shift is not None:
+                        delays = np.add(delays, shift[:, None], out=sample)
+                    positions = _round_nearest(delays, offsets, sample)
+                index._offsets(positions, bases, offsets, outside)
                 np.compress(mask, offsets.ravel(), out=index.flat[run])
 
-    def _offsets(self, sample: np.ndarray, bases: np.ndarray,
+    def _offsets(self, positions: np.ndarray, bases: np.ndarray,
                  out: np.ndarray, outside: np.ndarray | None = None
                  ) -> np.ndarray:
-        """Sample positions -> int32 flat offsets into ``out``: ``bases``
-        (each column's element base) plus the floored position, or the pad
-        slot when outside the echo buffer.
+        """int32 sample ``positions`` -> flat offsets into ``out`` (which
+        may be ``positions``): ``bases`` (each column's element base) plus
+        the position, or the pad slot when outside the echo buffer.
 
-        The positions are floored straight into int32, so ``0 <= sample <
-        n_samples`` is one unsigned compare (into ``outside``, when given):
-        a negative position wraps past ``n_samples``, and one beyond the
-        int32 range casts to a value that does too.  The element bases are
-        then added in place.  Inside the buffer every step is exact, so the
-        offsets equal the float sum's.
+        ``0 <= position < n_samples`` is one unsigned compare (into
+        ``outside``, when given): a negative position wraps past
+        ``n_samples``, and so does one :func:`_floor_into` cast from
+        beyond the int32 range.  Inside the buffer every step is exact, so
+        the offsets equal the float sum's.
         """
-        with np.errstate(invalid="ignore"):
-            np.floor(sample, out=out, casting="unsafe")
-        outside = np.greater_equal(out.view(np.uint32), self.n_samples,
-                                   out=outside)
-        out += bases
-        np.putmask(out, outside, self.pad_slot)
+        outside = np.greater_equal(positions.view(np.uint32),
+                                   self.n_samples, out=outside)
+        np.add(positions, bases, out=out)
+        np.copyto(out, self.pad_slot, where=outside)
         return out
+
+
+def _floor_into(sample: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Floor float sample positions straight into int32 ``out``.  A
+    position beyond the int32 range casts to one outside every echo
+    buffer, which :meth:`GatherIndex._offsets` sends to the pad slot."""
+    with np.errstate(invalid="ignore"):
+        np.floor(sample, out=out, casting="unsafe")
+    return out
+
+
+def _round_nearest(delays: np.ndarray, out: np.ndarray,
+                   sample: np.ndarray | None = None) -> np.ndarray:
+    """The one nearest rounding of float delays: add 0.5 (into the float
+    scratch ``sample`` when given, which may be ``delays``), then floor
+    into int32 ``out`` (:func:`_floor_into`)."""
+    return _floor_into(np.add(delays, 0.5, out=sample), out)
 
 
 def build_gather_index(delays_samples: np.ndarray, n_samples: int,

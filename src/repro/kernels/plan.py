@@ -342,15 +342,28 @@ def _delay_source(provider) -> tuple[object, "Callable | None"]:
     return provider.base, correction
 
 
-def _base_delays(sources, lo: int, hi: int, *elements) -> list[np.ndarray]:
+def _integer_source(sources) -> bool:
+    """Whether a group's slabs come from its bases' integer source,
+    ``tile_delay_indices`` — int32 positions rounded in a provider's own
+    fixed-point datapath (fixed-point TABLESTEER, whose
+    ``integer_datapath`` says so): only when every base has one and no
+    firing adds a transmit correction, which is not in that format."""
+    return all(correction is None and getattr(base, "integer_datapath", False)
+               for base, correction in sources)
+
+
+def _base_delays(sources, lo: int, hi: int, *elements,
+                 rounded: bool = False) -> list[np.ndarray]:
     """Each source's base delays of flat points ``[lo, hi)`` (at
-    ``elements``, when given), generated once per distinct base."""
+    ``elements``, when given), generated once per distinct base — float64
+    samples, or ``rounded`` the int32 positions of its integer source."""
     made: dict[int, np.ndarray] = {}
     for base, _ in sources:
         if id(base) not in made:
-            made[id(base)] = np.asarray(
-                base.tile_delays_samples(lo, hi, *elements),
-                dtype=np.float64)
+            made[id(base)] = base.tile_delay_indices(lo, hi, *elements) \
+                if rounded else np.asarray(
+                    base.tile_delays_samples(lo, hi, *elements),
+                    dtype=np.float64)
     return [made[id(base)] for base, _ in sources]
 
 
@@ -386,7 +399,11 @@ def _group_tensors(beamformers: "Sequence[DelayAndSumBeamformer]",
       leaf's columns only (``tile_delays_samples(lo, hi, elements)``) — a
       slab already in summation order — which
       :meth:`GatherIndex.write_leaf_group` shifts, rounds and compresses
-      straight into each index's run of the CSR index.
+      straight into each index's run of the CSR index.  A group of
+      uncorrected fixed-point TABLESTEER firings (:func:`_integer_source`)
+      asks for ``tile_delay_indices`` instead: the same slab already
+      rounded to int32 in the provider's own datapath, bit for bit the
+      float round.
 
     Every step is elementwise, so a tile's rows are exact row slices of
     the whole-grid tensors, and the leaf-ordered index is the natural one
@@ -416,6 +433,7 @@ def _group_tensors(beamformers: "Sequence[DelayAndSumBeamformer]",
         n_depth = first.grid.shape[-1]
         stored = leaves.layout.stored_leaves
         step = n_depth * max(1, _RUN_ENTRIES // (stored[0].size * n_depth))
+        rounded = _integer_source(sources)
 
         def slabs():
             for lo, hi in _runs(start, stop, step):
@@ -424,7 +442,8 @@ def _group_tensors(beamformers: "Sequence[DelayAndSumBeamformer]",
                           for _, correction in sources]
                 for slot, leaf in enumerate(stored):
                     yield slot, slice(lo - start, hi - start), tuple(zip(
-                        _base_delays(sources, lo, hi, leaf), shifts))
+                        _base_delays(sources, lo, hi, leaf,
+                                     rounded=rounded), shifts))
 
         GatherIndex.write_leaf_group(indexes, slabs())
     else:
