@@ -27,10 +27,12 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.acoustics.echo import EchoSimulator
 from repro.acoustics.phantom import point_target
+from repro.api import ScanSpec
 from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.config import small_system, tiny_system
@@ -333,3 +335,48 @@ def test_bench_budgeted_planewave_stream(benchmark, report):
            f"{segments} segments): {4 / seconds:.2f} volumes/s")
     assert len(results) == 4
     assert service.stats().cache.misses == 4 * misses
+
+
+@pytest.mark.parametrize("scheme_name", ["focused", "planewave"])
+def test_bench_acquire_firings(benchmark, report, scheme_name):
+    """Echo simulation layer: one noisy ``small`` cyst acquisition, as the
+    design-space sweep acquires it, under the focused scheme and a
+    3-angle plane wave.  The scheme's firings share one element-major pass
+    over the phantom; the plane wave is reported beside its firings
+    simulated one by one (best of three), which it must beat."""
+    system = small_system()
+    simulator = EchoSimulator.from_config(system)
+    scheme = resolve_scheme(system, scheme_name, {"n_angles": 3}
+                            if scheme_name == "planewave" else None)
+    phantom = ScanSpec(scenario="cyst", frames=1).build_frames(system)[0] \
+        .phantom
+    seeds = [0] + [(0, index) for index in range(1, scheme.firing_count)]
+    loop = []
+    for _ in range(3):
+        start = time.perf_counter()
+        alone = [simulator.simulate_event(phantom, event, 0.01, seed)
+                 for event, seed in zip(scheme.events, seeds)]
+        loop.append(time.perf_counter() - start)
+    shared = []
+
+    def timed():
+        start = time.perf_counter()
+        firings = acquire_firings(simulator, scheme, phantom,
+                                  noise_std=0.01, seed=0)
+        shared.append(time.perf_counter() - start)
+        return firings
+
+    firings = benchmark.pedantic(timed, rounds=3, iterations=1)
+    report(f"echo simulation ({scheme_name}, small cyst, "
+           f"{scheme.firing_count} firings): shared pass "
+           f"{min(shared) * 1e3:.0f} ms vs per firing "
+           f"{min(loop) * 1e3:.0f} ms"
+           + ("" if BENCH_STRICT else "   [REPRO_BENCH_STRICT unset: "
+              "ordering reported, not asserted]"))
+    assert len(firings) == scheme.firing_count
+    for data, expected in zip(firings, alone, strict=True):
+        assert np.array_equal(data.samples, expected.samples)
+    if scheme.firing_count > 1:
+        assert_faster(1 / min(shared), 1 / min(loop),
+                      "a scheme's firings must simulate faster in one "
+                      "shared pass than one by one")

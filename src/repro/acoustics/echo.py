@@ -12,52 +12,80 @@ simulation approach (it is what Field II does, minus the element impulse
 responses) and is sufficient to exercise the full beamforming code path and
 to visualise how delay-generation errors affect image quality.
 
-**Chunked, order-preserving scatter-add.**  Scatterers are processed in
-chunks.  Per chunk the receive distances, two-way delays, centre samples
-and spreading are ``(chunk, n_elements)`` arrays, and the pulse copies
-become ``(chunk, n_elements, n_pulse)`` flat trace indices and values,
-applied with one :func:`numpy.add.at` into the flattened trace buffer.
-Entries falling outside the echo buffer are dropped, as a hardware buffer
-drops writes past its end.
+**One element-major pass for every firing.**
+:meth:`EchoSimulator.simulate_events` acquires all the firings of a
+transmit scheme in one pass; :meth:`EchoSimulator.simulate_event` and
+:meth:`EchoSimulator.simulate` are its one-firing case.  The pass loops
+over blocks of elements outside and chunks of scatterers inside, in
+phantom order.  Per (block, chunk) the receive distances, the spreading
+and the pulse values are ``(chunk, block)`` and ``(chunk, block,
+n_pulse)`` arrays built once for all firings.  Each firing then adds its
+own transmit leg (``transmit.transmit_distance`` is called once per
+scatterer and firing), rounds its centre samples, tests each
+(scatterer, element) pair against the buffer and applies one
+:func:`numpy.add.at` of flat trace indices and values.  That scatter
+writes only the block's trace rows, which stay in the CPU caches, instead
+of striding across the whole trace buffer.  Entries falling outside their
+trace row are dropped, as a hardware buffer drops writes past its end:
+they go to a sink sample stored behind the traces and never read.  Only
+the few pairs not wholly inside the buffer are patched, so the entries
+need no compaction.
 
 **Bit identity.**  Each trace sample is a floating-point sum, so its bits
 depend on the order of its terms.  ``np.add.at`` is unbuffered and applies
-its entries in index order, which here is scatterer → element → pulse
-sample, and chunks run in scatterer order — the order of a plain loop over
-scatterers and elements, term for term.  The per-entry arithmetic is the
-same elementwise expression, and ``transmit.transmit_distance`` is still
-called once per scatterer, so the output does not depend on the chunk
-size.  A pulse whose samples round to a repeated offset keeps only the
-last sample of each repeat, matching a buffered ``trace[idx] += v``
-(where the last write wins).  ``tests/test_acoustics_echo.py`` pins the
-simulator ``np.array_equal`` to a per-scatterer, per-element reference
-loop.
+its entries in index order, which within a (block, chunk) is scatterer →
+element → pulse sample; chunks run in scatterer order.  Blocks write
+disjoint trace rows, so running them one after another reorders no sum:
+every trace sample still adds its terms in scatterer order, the order of
+a plain loop over scatterers and elements, term for term.  Sharing across
+firings is exact too: the shared arrays are the same elementwise
+expressions on the same inputs the firing would compute alone, and each
+firing's delays, rounding and scatter are its own.  The spreading is
+normalised by each scatterer's peak over *all* elements, which a block
+does not see; :meth:`EchoSimulator._peak_spreading` gets it as
+``1 / max(min_e r, 1e-4)``, equal bit for bit to ``np.max`` of the
+spreading row because ``1 / max(r, 1e-4)`` falls monotonically in ``r``.
+The output therefore does not depend on the block or chunk size.  A
+pulse whose samples round to a repeated offset keeps only the last
+sample of each repeat, matching a buffered ``trace[idx] += v`` (where the
+last write wins).  ``tests/test_acoustics_echo.py`` pins every firing of
+the simulator ``np.array_equal`` to a per-scatterer, per-element
+reference loop.
 
-**Memory bound.**  A chunk holds at most :data:`SCATTER_BLOCK_ENTRIES`
-(scatterer, element, pulse sample) entries, or one scatterer's entries
-when a single scatterer exceeds the budget.  Its temporaries (indices,
-validity mask, values and their compacted copies) take about 34 bytes
-per entry, so a ``small`` firing needs its trace buffer plus ~2 MB, and
-the ``paper`` preset's 10 000 elements get one-scatterer chunks (~8 MB of
-temporaries).
+**Memory bound.**  A block holds at most :data:`SCATTER_BLOCK_ENTRIES`
+trace samples per firing (at least one element row), and a chunk at most
+:data:`SCATTER_BLOCK_ENTRIES` (scatterer, element, pulse sample) entries,
+or one scatterer's entries when a single scatterer exceeds the budget.
+The firings scatter one after another, so the temporaries (the shared
+values and one firing's indices, ~10 bytes each per entry with NumPy's
+broadcasting buffers) peak at about 29 bytes per entry whatever the
+firing count.  Beyond the ``F`` trace buffers, an acquisition keeps
+``8·F`` bytes per scatterer of transmit legs: a 3-firing ``small``
+acquisition needs its trace buffers plus ~1.8 MB.  The ``paper`` preset's 8001-sample traces give 8-element
+blocks, so its chunks (327 scatterers) stay inside the budget too, where
+a chunk spanning all 10 000 elements held one scatterer and ~8 MB.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SystemConfig
+from ..geometry.coordinates import squared_distances
 from ..geometry.transducer import MatrixTransducer
 from .phantom import Phantom
 from .pulse import GaussianPulse
 
 SCATTER_BLOCK_ENTRIES = 1 << 16
 """Target (scatterer, element, pulse sample) entries per scatter-add chunk
-(512 KB per float64 temporary).  Keeps the chunk's temporaries inside the
-CPU caches: on ``small`` larger chunks ran slower, not faster.  See the
-module docstring for the memory bound."""
+and trace samples per firing in an element block (512 KB per float64
+array).  Keeps the chunk's temporaries and the block's trace rows inside
+the CPU caches: on ``small`` larger chunks ran slower, not faster, and a
+3-angle plane-wave cyst acquisition over whole-probe blocks took ~1.3x as
+long.  See the module docstring for the memory bound."""
 
 
 def _last_of_each_offset(offsets: np.ndarray, amplitudes: np.ndarray
@@ -158,7 +186,7 @@ class EchoSimulator:
         The transmit wavefront is spherical from the simulator's own
         ``origin`` — the paper's focused baseline.  Other transmit schemes
         (plane waves, per-element synthetic-aperture firings) go through
-        :meth:`simulate_event`.
+        :meth:`simulate_events`, one call per scheme.
 
         Parameters
         ----------
@@ -186,46 +214,116 @@ class EchoSimulator:
         reproduces :meth:`simulate` bit for bit.  ``seed`` may be an int
         or an entropy tuple (anything ``numpy.random.default_rng``
         accepts); multi-firing schemes use ``(seed, firing_index)`` pairs
-        to decorrelate per-firing noise from per-frame seeds.
+        to decorrelate per-firing noise from per-frame seeds.  This is the
+        one-firing case of :meth:`simulate_events`.
         """
+        return self.simulate_events(phantom, (transmit,), noise_std=noise_std,
+                                    seeds=(seed,))[0]
+
+    def simulate_events(self, phantom: Phantom, transmits: Sequence[object],
+                        noise_std: float = 0.0,
+                        seeds: "Sequence[int | tuple[int, ...]] | None" = None
+                        ) -> list[ChannelData]:
+        """Generate channel data for several transmit events of ``phantom``.
+
+        One pass over the phantom serves every event: the receive legs,
+        spreading and pulse values are shared, and each event adds only
+        its transmit leg (see the module docstring).  Firing ``f`` is
+        bit-identical to ``simulate_event(phantom, transmits[f],
+        noise_std, seeds[f])``.  ``seeds`` holds one noise seed per event
+        (``None``: seed 0 for every event).
+        """
+        transmits = tuple(transmits)
+        seeds = (0,) * len(transmits) if seeds is None else tuple(seeds)
+        if len(seeds) != len(transmits):
+            raise ValueError(f"{len(seeds)} seeds for {len(transmits)} "
+                             f"transmit events; pass one seed per event")
         acoustic = self.system.acoustic
         fs = acoustic.sampling_frequency
         c = acoustic.speed_of_sound
         n_samples = self.system.echo_buffer_samples
         n_elements = self.transducer.element_count
-        traces = np.zeros((n_elements, n_samples))
+        # One flat buffer per firing: the traces, then a sink sample that
+        # takes every write falling outside its row (never read).
+        sink = n_elements * n_samples
+        buffers = [np.zeros(sink + 1) for _ in transmits]
 
         pulse_times, pulse_amps = self.pulse.waveform()
         pulse_offsets, pulse_amps = _last_of_each_offset(
             np.round(pulse_times * fs).astype(np.int64), pulse_amps)
+        # A pair whose centre sample lies in [first, stop) lands its whole
+        # pulse inside the buffer.
+        first = -int(pulse_offsets.min())
+        stop = n_samples - int(pulse_offsets.max())
 
-        positions = self.transducer.positions
-        flat_traces = traces.reshape(-1)
-        row_starts = np.arange(n_elements, dtype=np.int64)[:, None] * n_samples
-        chunk = max(1, SCATTER_BLOCK_ENTRIES
-                    // (n_elements * pulse_offsets.size))
-        for start in range(0, phantom.scatterer_count, chunk):
-            scatterers = phantom.positions[start:start + chunk]
-            amplitudes = phantom.amplitudes[start:start + chunk]
-            tx_distances = np.array([transmit.transmit_distance(scatterer)
-                                     for scatterer in scatterers])
-            rx_distances = np.linalg.norm(
-                positions[None, :, :] - scatterers[:, None, :], axis=2)
-            delays = (tx_distances[:, None] + rx_distances) / c
-            center_samples = np.round(delays * fs).astype(np.int64)
-            # 1/r spreading on the receive path; avoid blowing up at r ~ 0.
-            spreading = 1.0 / np.maximum(rx_distances, 1e-4)
-            spreading = spreading / np.max(spreading, axis=1, keepdims=True)
-            indices = center_samples[:, :, None] + pulse_offsets
-            valid = (indices >= 0) & (indices < n_samples)
-            indices += row_starts
-            values = (amplitudes[:, None] * spreading)[:, :, None] * pulse_amps
-            # Most chunks lie wholly inside the buffer: skip the compaction.
-            if not valid.all():
-                indices, values = indices[valid], values[valid]
-            # A 1-D index keeps np.add.at on its fast path (~5x a 3-D one).
-            np.add.at(flat_traces, indices.reshape(-1), values.reshape(-1))
+        scatterers = phantom.positions
+        amplitudes = phantom.amplitudes
+        tx_distances = [np.array([transmit.transmit_distance(scatterer)
+                                  for scatterer in scatterers])
+                        for transmit in transmits]
+        peaks = self._peak_spreading(scatterers)
+
+        rows = max(1, SCATTER_BLOCK_ENTRIES // n_samples)
+        for row in range(0, n_elements, rows):
+            elements = self.transducer.positions[row:row + rows]
+            row_starts = np.arange(len(elements), dtype=np.int64) * n_samples
+            # The block's rows and everything after them, sink included.
+            blocks = [buffer[row * n_samples:] for buffer in buffers]
+            block_sink = sink - row * n_samples
+            chunk = max(1, SCATTER_BLOCK_ENTRIES
+                        // (len(elements) * pulse_offsets.size))
+            for start in range(0, phantom.scatterer_count, chunk):
+                end = start + chunk
+                rx_distances = np.sqrt(
+                    squared_distances(scatterers[start:end], elements))
+                # 1/r spreading on the receive path; avoid blowing up at
+                # r ~ 0.
+                spreading = 1.0 / np.maximum(rx_distances, 1e-4)
+                spreading /= peaks[start:end, None]
+                values = ((amplitudes[start:end, None] * spreading)[:, :, None]
+                          * pulse_amps)
+                for block, tx in zip(blocks, tx_distances):
+                    delays = (tx[start:end, None] + rx_distances) / c
+                    centers = np.round(delays * fs).astype(np.int64)
+                    indices = ((centers + row_starts)[:, :, None]
+                               + pulse_offsets)
+                    # The few pairs not wholly inside the buffer send
+                    # their lost samples to the sink, so the entries need
+                    # no compaction and keep their order.
+                    partial = (centers < first) | (centers >= stop)
+                    if partial.any():
+                        samples = centers[partial][:, None] + pulse_offsets
+                        patched = indices[partial]
+                        patched[(samples < 0) | (samples >= n_samples)] = \
+                            block_sink
+                        indices[partial] = patched
+                    # A 1-D index keeps np.add.at on its fast path (~5x a
+                    # 3-D one).
+                    np.add.at(block, indices.reshape(-1), values.reshape(-1))
+        traces = [buffer[:sink].reshape(n_elements, n_samples)
+                  for buffer in buffers]
         if noise_std > 0:
-            rng = np.random.default_rng(seed)
-            traces += rng.normal(0.0, noise_std, traces.shape)
-        return ChannelData(samples=traces, sampling_frequency=fs)
+            for trace, seed in zip(traces, seeds):
+                rng = np.random.default_rng(seed)
+                trace += rng.normal(0.0, noise_std, trace.shape)
+        return [ChannelData(samples=trace, sampling_frequency=fs)
+                for trace in traces]
+
+    def _peak_spreading(self, scatterers: np.ndarray) -> np.ndarray:
+        """Each scatterer's largest receive spreading over all elements.
+
+        ``sqrt`` and ``1 / max(r, 1e-4)`` are correctly rounded, so they
+        stay monotonic in floating point: the spreading's maximum over the
+        elements is ``1 / max(sqrt(min_e r²), 1e-4)``, the bits of
+        ``np.max`` over the whole spreading row, from one minimum per
+        scatterer.  Runs in chunks of at most
+        :data:`SCATTER_BLOCK_ENTRIES` (scatterer, element) pairs.
+        """
+        positions = self.transducer.positions
+        chunk = max(1, SCATTER_BLOCK_ENTRIES // positions.shape[0])
+        nearest = np.empty(scatterers.shape[0])
+        for start in range(0, scatterers.shape[0], chunk):
+            np.min(squared_distances(scatterers[start:start + chunk],
+                                     positions),
+                   axis=1, out=nearest[start:start + chunk])
+        return 1.0 / np.maximum(np.sqrt(nearest), 1e-4)

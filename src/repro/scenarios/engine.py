@@ -50,6 +50,8 @@ def acquire_firings(simulator: EchoSimulator, scheme: TransmitScheme,
                     seed: int = 0) -> list[ChannelData]:
     """Simulate one frame of ``phantom`` under every firing of ``scheme``.
 
+    The firings share one :meth:`EchoSimulator.simulate_events` pass over
+    the phantom; each is bit-identical to its own ``simulate_event`` call.
     Firing 0 uses ``seed`` directly, so the trivial focused scheme
     reproduces :meth:`EchoSimulator.simulate` bit for bit (noise
     included).  Later firings seed their RNG with the ``(seed, index)``
@@ -57,10 +59,10 @@ def acquire_firings(simulator: EchoSimulator, scheme: TransmitScheme,
     consecutive per-frame seeds the cine scenarios hand out and inject
     bit-identical noise into adjacent frames.
     """
-    return [simulator.simulate_event(phantom, event, noise_std=noise_std,
-                                     seed=seed if index == 0
-                                     else (seed, index))
-            for index, event in enumerate(scheme.events)]
+    return simulator.simulate_events(
+        phantom, scheme.events, noise_std=noise_std,
+        seeds=[seed if index == 0 else (seed, index)
+               for index in range(len(scheme.events))])
 
 
 def require_finite(firings: Sequence[ChannelData], frame: Any) -> None:

@@ -83,7 +83,8 @@ def _events(system) -> dict[str, "TransmitEvent | None"]:
 
 def _assert_matches_loop(simulator: EchoSimulator, phantom: Phantom,
                          event: "TransmitEvent | None", noise_std: float,
-                         seed) -> None:
+                         seed, samples: "np.ndarray | None" = None) -> None:
+    """A one-firing call (and ``samples``, when given) equals the loop."""
     if event is None:
         data = simulator.simulate(phantom, noise_std=noise_std, seed=seed)
         event = TransmitEvent.focused(origin=simulator.origin)
@@ -92,6 +93,45 @@ def _assert_matches_loop(simulator: EchoSimulator, phantom: Phantom,
                                         seed=seed)
     expected = _loop_simulate_event(simulator, phantom, event, noise_std, seed)
     assert np.array_equal(data.samples, expected)
+    if samples is not None:
+        assert np.array_equal(samples, expected)
+
+
+def _firing_seeds(seed, n_firings: int) -> list:
+    """Firing 0 keeps ``seed``; firing ``i`` gets the ``(seed, i)`` entropy
+    tuple, as :func:`repro.scenarios.acquire_firings` hands out."""
+    base = seed if isinstance(seed, tuple) else (seed,)
+    return [seed if i == 0 else (*base, i) for i in range(n_firings)]
+
+
+def _assert_events_match(simulator: EchoSimulator, phantom: Phantom,
+                         events: list, noise_std: float, seed) -> None:
+    """Every firing of one :meth:`EchoSimulator.simulate_events` call
+    equals the reference loop and a one-firing call, bit for bit.  A
+    ``None`` event is the simulator's own origin (one-firing call:
+    :meth:`EchoSimulator.simulate`)."""
+    seeds = _firing_seeds(seed, len(events))
+    firings = simulator.simulate_events(
+        phantom, [TransmitEvent.focused(origin=simulator.origin)
+                  if event is None else event for event in events],
+        noise_std=noise_std, seeds=seeds)
+    assert len(firings) == len(events)
+    for event, firing_seed, data in zip(events, seeds, firings):
+        _assert_matches_loop(simulator, phantom, event, noise_std,
+                             firing_seed, data.samples)
+
+
+def _scheme_events(system) -> dict[str, tuple]:
+    """The multi-firing schemes, each as one ``simulate_events`` call."""
+    return {
+        "planewave": SCHEMES.create("planewave", system,
+                                    options={"n_angles": 3}).events,
+        "diverging": SCHEMES.create("diverging", system).events,
+        "synthetic_aperture": SCHEMES.create(
+            "synthetic_aperture", system,
+            options={"every": 4 if system.transducer.element_count <= 64
+                     else 32}).events,
+    }
 
 
 def _scenario_phantom(system, scenario: str) -> Phantom:
@@ -222,14 +262,22 @@ class TestMatchesReferenceLoop:
 
     def test_output_does_not_depend_on_the_chunk_size(self, tiny,
                                                       monkeypatch):
+        """One element row and one scatterer per chunk; the default; the
+        whole probe and phantom at once — for several firings.  Every
+        4th cyst scatterer: one (row, scatterer) pair per chunk is slow."""
         simulator = EchoSimulator.from_config(tiny)
-        phantom = _scenario_phantom(tiny, "cyst")
-        event = _events(tiny)["planewave0"]
-        default = simulator.simulate_event(phantom, event).samples
-        for entries in (1, 10 ** 12):  # one scatterer; the whole phantom
+        cyst = _scenario_phantom(tiny, "cyst")
+        phantom = Phantom(positions=cyst.positions[::4],
+                          amplitudes=cyst.amplitudes[::4])
+        events = _scheme_events(tiny)["planewave"]
+        seeds = _firing_seeds(7, len(events))
+        expected = [simulator.simulate_event(phantom, event, 0.01, seed)
+                    .samples for event, seed in zip(events, seeds)]
+        for entries in (1, SCATTER_BLOCK_ENTRIES, 10 ** 12):
             monkeypatch.setattr(echo, "SCATTER_BLOCK_ENTRIES", entries)
-            chunked = simulator.simulate_event(phantom, event).samples
-            assert np.array_equal(chunked, default)
+            firings = simulator.simulate_events(phantom, events, 0.01, seeds)
+            for data, samples in zip(firings, expected, strict=True):
+                assert np.array_equal(data.samples, samples)
 
     def test_duplicate_pulse_offsets_land_only_the_last_sample(self, tiny):
         """A pulse spanning ~6.2 samples rounds two of its 8 samples to the
@@ -252,19 +300,107 @@ class TestMatchesReferenceLoop:
 
     def test_firing_memory_is_the_trace_buffer_plus_a_bounded_chunk(
             self, small):
-        """About 34 bytes per chunk entry were measured; 48 is the bound."""
+        """About 29 bytes per chunk entry were measured; 48 is the bound.
+        Firings share the chunk, so only the trace buffers grow with
+        their count: one firing, then a 3-angle plane wave."""
         simulator = EchoSimulator.from_config(small)
         phantom = speckle_phantom(small, n_scatterers=2000)
-        simulator.simulate(phantom)  # first-call allocations are not the cost
-        tracemalloc.start()
-        try:
-            simulator.simulate(phantom)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         trace_bytes = small.transducer.element_count \
             * small.echo_buffer_samples * 8
-        assert peak <= trace_bytes + 48 * SCATTER_BLOCK_ENTRIES
+        planewave = _scheme_events(small)["planewave"]
+        for n_firings, acquire in (
+                (1, lambda: [simulator.simulate(phantom)]),
+                (3, lambda: simulator.simulate_events(phantom, planewave))):
+            # First-call allocations are not the cost.
+            assert len(acquire()) == n_firings
+            tracemalloc.start()
+            try:
+                acquire()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (n_firings * trace_bytes
+                            + 48 * SCATTER_BLOCK_ENTRIES), n_firings
+
+
+class TestSimulateEvents:
+    """One ``simulate_events`` call: every firing equals its own
+    one-firing call and the reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", ["planewave", "diverging",
+                                        "synthetic_aperture"])
+    @pytest.mark.parametrize("system_name, scenario", [
+        ("tiny", "static_point"),
+        ("tiny", "moving_scatterers"),
+        ("small", "moving_scatterers"),
+    ])
+    def test_every_firing_of_a_scheme(self, system_name, scenario, scheme):
+        system = get_preset(system_name)
+        simulator = EchoSimulator.from_config(system)
+        phantom = _scenario_phantom(system, scenario)
+        events = _scheme_events(system)[scheme]
+        assert len(events) > 1
+        for noise_std, seed in NOISES:
+            _assert_events_match(simulator, phantom, list(events),
+                                 noise_std, seed)
+
+    def test_pulse_straddling_the_buffer_end_at_some_elements(self, tiny):
+        """A scatterer (and one 0.1 mm deeper) whose pulse fits the buffer
+        at the centre elements but runs past its end at the edge ones: the
+        chunk mixes whole and clipped pairs."""
+        simulator = EchoSimulator.from_config(tiny)
+        fs = tiny.acoustic.sampling_frequency
+        c = tiny.acoustic.speed_of_sound
+        n_samples = tiny.echo_buffer_samples
+        offsets = np.round(simulator.pulse.waveform()[0] * fs)
+        # Centre sample of the nearest element just keeps the whole pulse.
+        nearest = np.min(np.linalg.norm(simulator.transducer.positions
+                                        [:, :2], axis=1))
+        last = n_samples - 1 - offsets.max()
+        depth = np.sqrt((last * c / fs / 2.0) ** 2 - nearest ** 2)
+        target = np.array([0.0, 0.0, depth])
+        phantom = Phantom(positions=np.array([target, target + [0, 0, 1e-4]]),
+                          amplitudes=np.array([1.0, -0.5]))
+        rx = np.linalg.norm(simulator.transducer.positions - target, axis=1)
+        centres = np.round((depth + rx) / c * fs)
+        assert (centres + offsets.max() < n_samples).any()
+        straddle = ((centres + offsets.max() >= n_samples)
+                    & (centres + offsets.min() < n_samples))
+        assert straddle.any() and not straddle.all()
+        events = [None] + list(_scheme_events(tiny)["planewave"])
+        for noise_std, seed in NOISES:
+            _assert_events_match(simulator, phantom, events, noise_std, seed)
+        firings = simulator.simulate_events(
+            phantom, [TransmitEvent.focused(origin=simulator.origin)])
+        assert firings[0].samples[:, -1].any()
+
+    def test_empty_phantom(self, tiny):
+        simulator = EchoSimulator.from_config(tiny)
+        phantom = Phantom(positions=np.zeros((0, 3)), amplitudes=np.zeros(0))
+        events = list(_scheme_events(tiny)["diverging"])
+        for noise_std, seed in NOISES:
+            _assert_events_match(simulator, phantom, events, noise_std, seed)
+        for data in simulator.simulate_events(phantom, events):
+            assert not data.samples.any()
+
+    def test_scatterer_on_an_element(self, tiny):
+        """Receive distance 0: the spreading clamp sets the peak."""
+        simulator = EchoSimulator.from_config(tiny)
+        on_element = simulator.transducer.positions[9]
+        phantom = Phantom(
+            positions=np.array([[0.0, 0.0, 6e-3], on_element,
+                                on_element + [0.0, 0.0, 3e-5]]),
+            amplitudes=np.array([1.0, 0.75, -1.25]))
+        events = [None] + list(_scheme_events(tiny)["synthetic_aperture"])
+        for noise_std, seed in NOISES:
+            _assert_events_match(simulator, phantom, events, noise_std, seed)
+
+    def test_one_seed_per_event(self, tiny):
+        simulator = EchoSimulator.from_config(tiny)
+        events = _scheme_events(tiny)["planewave"]
+        with pytest.raises(ValueError, match="one seed per event"):
+            simulator.simulate_events(point_target(depth=0.01), events,
+                                      noise_std=0.01, seeds=[1, 2])
 
 
 _TINY = tiny_system()
@@ -292,15 +428,19 @@ _ON_ELEMENT = tuple(_TINY_SIMULATOR.transducer.positions[5])
 
 @settings(max_examples=40, deadline=None)
 @given(scatterers=st.lists(st.tuples(_point, _amplitude), max_size=6),
-       event=st.sampled_from(_TINY_EVENTS),
+       events=st.lists(st.sampled_from(_TINY_EVENTS), min_size=1,
+                       max_size=3),
        noise=st.sampled_from(NOISES))
-@example(scatterers=[], event=None, noise=NOISES[2])
-@example(scatterers=[((0.0, 0.0, 8e-3), 0.0)], event=None, noise=NOISES[0])
-@example(scatterers=[((0.0, 0.0, 0.5), 1.0)], event=None, noise=NOISES[0])
+@example(scatterers=[], events=[None], noise=NOISES[2])
+@example(scatterers=[((0.0, 0.0, 8e-3), 0.0)], events=[None],
+         noise=NOISES[0])
+@example(scatterers=[((0.0, 0.0, 0.5), 1.0)], events=[None], noise=NOISES[0])
 @example(scatterers=[(_ON_ELEMENT, 1.0), ((0.0, 0.0, 8e-3), -1.0)],
-         event=None, noise=NOISES[0])
-def test_random_phantoms_match_reference_loop(scatterers, event, noise):
+         events=[None], noise=NOISES[0])
+@example(scatterers=[(_ON_ELEMENT, 1.0), ((0.0, 0.0, 8e-3), -1.0)],
+         events=_TINY_EVENTS[2:5], noise=NOISES[1])
+def test_random_phantoms_match_reference_loop(scatterers, events, noise):
     phantom = Phantom(
         positions=np.array([p for p, _ in scatterers]).reshape(-1, 3),
         amplitudes=np.array([a for _, a in scatterers]))
-    _assert_matches_loop(_TINY_SIMULATOR, phantom, event, *noise)
+    _assert_events_match(_TINY_SIMULATOR, phantom, events, *noise)
