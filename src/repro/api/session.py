@@ -428,9 +428,8 @@ class Session:
         Delegates to :class:`repro.sweep.SweepExecutor` (without a store:
         pure in-process execution, same shared-firings/shared-provider
         grid walk this method historically inlined).  Store-backed,
-        resumable and parallel runs build the executor directly — the
-        in-process path is the same code, so both are bit-identical by
-        construction.
+        resumable runs build the executor directly — the in-process path
+        is the same code, so both are bit-identical by construction.
         """
         from ..sweep.executor import SweepExecutor
         return SweepExecutor(self).run(sweep)

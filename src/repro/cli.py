@@ -418,8 +418,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         data = _nested_spec_data(args)
         if args.store is not None:
             data["store"] = args.store
-        if args.workers is not None:
-            data["workers"] = args.workers
         if args.resume is not None:
             data["resume"] = args.resume
         if args.overwrite:
@@ -436,8 +434,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     engine = spec.engine.with_updates(trace=True) if tracing else spec.engine
     with Session(engine) as session:
         executor = SweepExecutor(session, store=spec.store,
-                                 workers=spec.workers, resume=spec.resume,
-                                 overwrite=spec.overwrite)
+                                 resume=spec.resume, overwrite=spec.overwrite)
         sweep = spec.sweep
         architectures, backends, _ = sweep.resolve_grid(
             engine.architecture, engine.backend)
@@ -450,7 +447,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{len(sweep.schemes)} schemes x "
               f"{len(architectures)} architectures x "
               f"{len(backends)} backends; store={store_text}, "
-              f"workers={spec.workers}, resume={spec.resume}, "
+              f"resume={spec.resume}, "
               f"overwrite={spec.overwrite})")
         start = time.perf_counter()
         try:
@@ -675,9 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="content-addressed result store; "
                                    "completed cells are skipped on rerun "
                                    "[default: in-memory only]")
-    sweep_parser.add_argument("--workers", type=int, default=None,
-                              help="parallel cell-dispatch processes "
-                                   "(requires --store) [default: 1]")
     sweep_parser.add_argument("--resume", default=None,
                               action=argparse.BooleanOptionalAction,
                               help="serve store-completed cells instead of "

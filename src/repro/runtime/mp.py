@@ -5,12 +5,11 @@ until 3.14, ``spawn`` on macOS/Windows), and forked workers inherit an
 arbitrary snapshot of the parent — thread locks mid-acquire, BLAS thread
 pools, open shared-memory handles — which is exactly the class of
 platform-dependent behaviour a bit-pinned reproduction cannot tolerate.
-Everything in this repo that creates processes or process-shared state
-— the server's shared-memory frame ring (:mod:`repro.server.ring`), whose
-segments spawned producers attach to by name, and the sweep executor's
-spawn workers (:class:`repro.sweep.SweepExecutor` with ``workers > 1``) —
-therefore resolves its context through :func:`spawn_context` instead of
-touching :mod:`multiprocessing` directly, so the start method is pinned to
+The one thing in this repo that creates process-shared state — the
+server's shared-memory frame ring (:mod:`repro.server.ring`), whose
+segments spawned producers attach to by name — therefore resolves its
+context through :func:`spawn_context` instead of touching
+:mod:`multiprocessing` directly, so the start method is pinned to
 ``spawn`` in exactly one line.
 
 ``tests/test_mp.py`` enforces the "one place" rule mechanically: it scans

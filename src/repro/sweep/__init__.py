@@ -5,8 +5,7 @@ from scratch on every run; this package makes sweeps *durable*.  A
 :class:`SweepStore` maps content-addressed cell keys
 (:func:`repro.sweep.hashing.cell_key` over the fully-resolved cell spec)
 to on-disk artifacts, a :class:`SweepExecutor` runs grids against it —
-skipping completed cells, resuming interrupted runs, optionally fanning
-cells out over ``repro.runtime.mp`` spawn workers — and a
+skipping completed cells and resuming interrupted runs — and a
 :class:`SweepRunSpec` makes the whole run (engine + grid + store +
 policy) one JSON document for the ``repro sweep`` CLI subcommand.  See
 ``docs/sweeps.md``.
@@ -40,6 +39,5 @@ def run_sweep(spec: "SweepRunSpec | dict | str") -> dict:
         else SweepRunSpec.coerce(spec)
     with Session(spec.engine) as session:
         executor = SweepExecutor(session, store=spec.store,
-                                 workers=spec.workers, resume=spec.resume,
-                                 overwrite=spec.overwrite)
+                                 resume=spec.resume, overwrite=spec.overwrite)
         return executor.run(spec.sweep)

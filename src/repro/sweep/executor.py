@@ -10,21 +10,17 @@
 2. With a store and ``resume=True``, cells whose key is already complete
    in the store are *skipped* — their artifacts are read back instead
    (``sweep_cells_cached_total``).  ``overwrite=True`` forces recompute.
-3. Pending cells run *plan-major*, one (scheme, architecture) group at a
-   time, through :func:`run_group`: a group's plans are compiled for its
-   first scenario, reused by every other scenario of the scheme, then
-   left for the plan cache's LRU to evict, so the cache only has to hold
-   one group's working set (``max(firing_count)`` plans), not the whole
-   grid's.  ``workers=1`` loops :func:`run_group` in-process, keeping
-   the current scheme's firings and one delay provider per architecture;
-   ``workers>1`` hands each group to a ``repro.runtime.mp`` spawn worker
-   (:func:`repro.sweep.worker.run_cell_group`) that rebuilds the session
-   and calls the same function.
+3. Pending cells run in-process and *plan-major*, one (scheme,
+   architecture) group at a time, through :func:`run_group`: a group's
+   plans are compiled for its first scenario, reused by every other
+   scenario of the scheme, then left for the plan cache's LRU to evict,
+   so the cache only has to hold one group's working set
+   (``max(firing_count)`` plans), not the whole grid's.  The loop keeps
+   the current scheme's firings and one delay provider per architecture.
 4. Results always come back in grid order as the same
    ``{(scenario, scheme, architecture[, backend]): {"volume", "metrics"}}``
-   mapping ``Session.sweep`` has always produced; cached, serial and
-   parallel cells are indistinguishable (bit-identical float64, pinned by
-   the conformance suite).
+   mapping ``Session.sweep`` has always produced; cached and computed
+   cells are indistinguishable (bit-identical float64 across the store).
 
 Per-cell engines are released immediately after use via
 ``Session._release`` — the executor is also the fix for the historical
@@ -69,9 +65,7 @@ def acquire_cell_inputs(session: "Session", sweep: SweepSpec,
 
     Grid cells image one representative acquisition: frame 0 of the
     scenario's cine, built from the registry with the sweep's noise/seed.
-    Acquisition is deterministic in (phantom, noise_std, seed), which is
-    what lets a worker process re-acquire the identical firings a serial
-    run would have shared in memory.
+    Acquisition is deterministic in (phantom, noise_std, seed).
     """
     scan = ScanSpec(scenario=scenario, frames=1,
                     noise_std=sweep.noise_std, seed=sweep.seed)
@@ -157,28 +151,17 @@ class SweepExecutor:
     store:
         A :class:`SweepStore`, a path to create one at, or ``None`` for
         purely in-memory execution (no artifacts, no resume).
-    workers:
-        Parallel spawn-process dispatch width; ``> 1`` requires a store.
     resume / overwrite:
         The reuse policy, as on :class:`repro.sweep.SweepRunSpec`.
     """
 
     def __init__(self, session: "Session", *,
                  store: "SweepStore | str | None" = None,
-                 workers: int = 1, resume: bool = True,
-                 overwrite: bool = False) -> None:
+                 resume: bool = True, overwrite: bool = False) -> None:
         self.session = session
         if store is not None and not isinstance(store, SweepStore):
             store = SweepStore(store)
         self.store = store
-        if workers < 1:
-            raise ValueError("workers must be a positive integer")
-        if workers > 1 and store is None:
-            raise ValueError(
-                "parallel dispatch (workers > 1) requires a store: worker "
-                "processes return their results through the store's "
-                "artifacts")
-        self.workers = workers
         self.resume = resume
         self.overwrite = overwrite
         metrics = session.metrics
@@ -233,7 +216,6 @@ class SweepExecutor:
                         cells.append(_Cell(scenario, scheme, architecture,
                                            backend, result_key, store_key))
         with session.tracer.span("sweep", cells=len(cells),
-                                 workers=self.workers,
                                  store=self.store is not None):
             return self._run_cells(sweep, cells, architectures)
 
@@ -265,44 +247,33 @@ class SweepExecutor:
         for cell in cells:
             if cell not in cached:
                 groups[(cell.scheme, cell.architecture)].append(cell)
-        groups = {key: group for key, group in groups.items() if group}
-        computed: dict[tuple, dict] = {}
-        if groups:
-            if self.workers > 1:
-                self._run_parallel(sweep, groups)
-            else:
-                self._run_serial(sweep, groups, computed)
+        computed = self._run_groups(sweep, groups)
 
         results: dict[tuple, dict] = {}
         self.statuses = {}
         for cell in cells:
-            if cell.result_key in computed:
-                results[cell.result_key] = computed[cell.result_key]
-                self.statuses[cell.result_key] = "computed"
-            else:
-                # Cached up front, or computed by a worker process: either
-                # way the artifact is the result.
+            if cell in cached:
                 with session.tracer.span("cell", scenario=cell.scenario,
                                          scheme=cell.scheme,
                                          architecture=cell.architecture,
-                                         backend=cell.backend,
-                                         cached=cell in cached):
+                                         backend=cell.backend, cached=True):
                     results[cell.result_key] = self.store.read(cell.store_key)
-                if cell in cached:
-                    self._cached.inc()
-                    self.statuses[cell.result_key] = "cached"
-                else:
-                    self.statuses[cell.result_key] = "computed"
+                self._cached.inc()
+                self.statuses[cell.result_key] = "cached"
+            else:
+                results[cell.result_key] = computed[cell.result_key]
+                self.statuses[cell.result_key] = "computed"
         return results
 
-    # -------------------------------------------------------------- serial
-    def _run_serial(self, sweep: SweepSpec,
-                    groups: dict[tuple[str, str], list[_Cell]],
-                    computed: dict[tuple, dict]) -> None:
+    def _run_groups(self, sweep: SweepSpec,
+                    groups: dict[tuple[str, str], list[_Cell]]
+                    ) -> dict[tuple, dict]:
+        """Run the pending groups in order; returns results by result key."""
         # One delay provider per architecture for the *whole* grid: the
         # provider is scheme-independent (the per-firing engines wrap it
         # per event), so rebuilding it per group would repeat the most
         # expensive step.  Firings are kept for the current scheme only.
+        computed: dict[tuple, dict] = {}
         providers: dict[str, Any] = {}
         inputs: dict[str, tuple[list, Any]] = {}
         current = None
@@ -319,35 +290,4 @@ class SweepExecutor:
             except BaseException:
                 self._failed.inc()
                 raise
-
-    # ------------------------------------------------------------ parallel
-    def _run_parallel(self, sweep: SweepSpec,
-                      groups: dict[tuple[str, str], list[_Cell]]) -> None:
-        """Dispatch each group to a spawn worker, results via the store.
-
-        The work unit is the serial path's (scheme, architecture) group:
-        the worker rebuilds the session and calls :func:`run_group`, so it
-        compiles each of the group's plans once for all its scenarios.
-        Worker output is bit-identical to serial because acquisition and
-        provider construction are deterministic in the specs.
-        """
-        from ..runtime.mp import spawn_context
-        from .worker import run_cell_group
-
-        engine_json = self.session.spec.to_json(indent=None)
-        sweep_json = sweep.to_json(indent=None)
-        jobs = [(engine_json, sweep_json, str(self.store.root),
-                 scheme, architecture,
-                 tuple((cell.scenario, cell.backend) for cell in group))
-                for (scheme, architecture), group in groups.items()]
-        ctx = spawn_context()
-        pool = ctx.Pool(processes=min(self.workers, len(jobs)))
-        try:
-            for done in pool.imap_unordered(run_cell_group, jobs):
-                self._completed.inc(len(done))
-        except BaseException:
-            self._failed.inc()
-            raise
-        finally:
-            pool.terminate()
-            pool.join()
+        return computed

@@ -3,10 +3,10 @@
 A :class:`SweepRunSpec` bundles *what to sweep* (an
 :class:`repro.api.EngineSpec` + :class:`repro.api.SweepSpec`, both
 accepted in dict/JSON form) with *how to run it*: the content-addressed
-store directory, the worker count and the resume/overwrite policy.  Like
-every other spec in the repo it is frozen, eagerly validated and
-JSON-round-trippable, so a whole study — grid, engine and execution
-policy — ships as one document for ``repro sweep --spec``.
+store directory and the resume/overwrite policy.  Like every other spec
+in the repo it is frozen, eagerly validated and JSON-round-trippable, so
+a whole study — grid, engine and execution policy — ships as one
+document for ``repro sweep --spec``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..api.specs import EngineSpec, SweepSpec
-from ..registry import SpecDocument, check_count
+from ..registry import SpecDocument
 
 __all__ = ["SweepRunSpec"]
 
@@ -33,11 +33,6 @@ class SweepRunSpec(SpecDocument):
     """Content-addressed result store directory (``None`` = in-memory
     only: no artifacts, no resume — every run recomputes)."""
 
-    workers: int = 1
-    """Parallel cell-dispatch processes (``repro.runtime.mp`` spawn
-    children).  ``1`` executes in-process; ``> 1`` requires a store —
-    the artifacts are how workers hand results back."""
-
     resume: bool = True
     """Serve cells already completed in the store instead of recomputing
     them (the point of content addressing).  Ignored without a store."""
@@ -54,12 +49,6 @@ class SweepRunSpec(SpecDocument):
         if self.store is not None and not isinstance(self.store, str):
             raise ValueError(
                 f"store must be a path string, got {type(self.store).__name__}")
-        check_count("workers", self.workers)
-        if self.workers > 1 and self.store is None:
-            raise ValueError(
-                "parallel dispatch (workers > 1) requires a store: worker "
-                "processes return their results through the store's "
-                "artifacts")
         for name in ("resume", "overwrite"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")

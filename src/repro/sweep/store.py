@@ -13,9 +13,7 @@ the same directory plus :func:`os.replace` (atomic on POSIX), and
 ``cell.json`` is written *after* the volume, so its existence is the
 completion marker.  A cell directory holding a volume but no ``cell.json``
 is an interrupted write; :meth:`SweepStore.__contains__` reports it
-missing and the executor simply recomputes it.  Parallel workers never
-share a cell (the executor partitions the grid), so concurrent writers
-only ever race on *different* keys.
+missing and the executor simply recomputes it.
 
 Bit-identity across the store boundary: ``np.savez`` round-trips float64
 arrays bit-exactly, and Python's ``json`` round-trips floats through

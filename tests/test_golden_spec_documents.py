@@ -7,7 +7,12 @@ corpus covers the five spec document classes (``EngineSpec``,
 defaults and options-heavy: an inline system, quantization, architecture,
 backend and scheme options, a memory budget and nested engine/sweep
 documents.  Spec files written by any earlier version must keep loading,
-and re-saving them must not churn a byte.
+and re-saving them must not churn a byte — with one deliberate exception:
+``SweepRunSpec`` documents that still carry the retired ``"workers"``
+field (the sweep's spawn-worker dispatch was deleted) are refused as an
+unknown field, so a stale document fails loudly rather than silently
+running serially.  ``tests/golden/sweep_run_documents_with_workers.json``
+keeps the last two such texts to pin that refusal.
 
 After an *intentional* change to the document format, regenerate with::
 
@@ -30,6 +35,8 @@ from repro.server import ServerSpec
 from repro.sweep import SweepRunSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "spec_documents.json"
+WITH_WORKERS_PATH = (Path(__file__).parent / "golden"
+                     / "sweep_run_documents_with_workers.json")
 
 
 def _inline_system():
@@ -90,7 +97,7 @@ CORPUS = {
     "sweep_run_default": SweepRunSpec,
     "sweep_run_options": lambda: SweepRunSpec(
         engine=_quantized_engine(), sweep=_grid(), store="results/store",
-        workers=2, resume=False, overwrite=True),
+        resume=False, overwrite=True),
 }
 
 
@@ -126,3 +133,11 @@ def test_document_round_trips(golden, name):
     loaded = type(spec).from_json(golden[name])
     assert loaded == spec
     assert loaded.to_json() == golden[name]
+
+
+@pytest.mark.parametrize("name", ["sweep_run_default", "sweep_run_options"])
+def test_sweep_run_documents_with_workers_are_refused(name):
+    text = json.loads(WITH_WORKERS_PATH.read_text())[name]
+    with pytest.raises(ValueError, match="unknown sweep run spec field"
+                                         r"\(s\): workers;"):
+        SweepRunSpec.from_json(text)

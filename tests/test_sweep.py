@@ -1,6 +1,5 @@
 """Tests for repro.sweep: content-addressed store, resumable executor,
-SweepRunSpec, parallel dispatch, CLI subcommand and the sweep-path
-PlanCache/leak fixes."""
+SweepRunSpec, CLI subcommand and the sweep-path PlanCache/leak fixes."""
 
 from __future__ import annotations
 
@@ -150,8 +149,7 @@ def test_run_spec_roundtrips_through_json():
     spec = SweepRunSpec(engine={"system": "tiny", "backend": "vectorized"},
                         sweep={"scenarios": ["cyst"],
                                "architectures": ["exact", "tablefree"]},
-                        store="/tmp/sweeps", workers=4, resume=False,
-                        overwrite=True)
+                        store="/tmp/sweeps", resume=False, overwrite=True)
     rebuilt = SweepRunSpec.from_json(spec.to_json())
     assert rebuilt == spec
     assert rebuilt.engine.backend == "vectorized"
@@ -161,12 +159,6 @@ def test_run_spec_roundtrips_through_json():
 def test_run_spec_rejects_unknown_fields_and_bad_values():
     with pytest.raises(ValueError, match="unknown sweep run spec field"):
         SweepRunSpec.from_dict({"stor": "/tmp/x"})
-    with pytest.raises(ValueError, match="workers must be"):
-        SweepRunSpec(workers=0, store="/tmp/x")
-    with pytest.raises(ValueError, match="workers must be"):
-        SweepRunSpec(workers=True, store="/tmp/x")
-    with pytest.raises(ValueError, match="requires a store"):
-        SweepRunSpec(workers=2)
     with pytest.raises(ValueError, match="engine must be"):
         SweepRunSpec(engine="tiny")
     with pytest.raises(ValueError, match="resume must be"):
@@ -179,12 +171,6 @@ def test_sweep_spec_refuses_non_finite_or_negative_noise(noise_std):
         SweepSpec(noise_std=noise_std)
     with pytest.raises(ValueError, match="noise_std"):
         SweepRunSpec.from_dict({"sweep": {"noise_std": noise_std}})
-
-
-def test_executor_rejects_parallel_dispatch_without_store():
-    with Session(TINY) as session:
-        with pytest.raises(ValueError, match="requires a store"):
-            SweepExecutor(session, workers=2)
 
 
 # ------------------------------------------------------- executor + resume
@@ -328,30 +314,20 @@ def test_run_sweep_convenience_from_json(tmp_path):
                                       again[key]["volume"])
 
 
-@pytest.mark.conformance
-def test_parallel_dispatch_bit_identical_to_serial(tmp_path):
+def test_store_backed_sweep_bit_identical_to_in_process(tmp_path):
     grid = SweepSpec(scenarios=("static_point",),
                      schemes=("focused", "planewave"),
                      architectures=("exact", "tablesteer"))
     with Session(TINY) as session:
         in_process = session.sweep(spec=grid)
     with Session(TINY) as session:
-        serial = SweepExecutor(session,
-                               store=tmp_path / "serial").run(grid)
-    with Session(TINY) as session:
-        executor = SweepExecutor(session, store=tmp_path / "parallel",
-                                 workers=2)
-        parallel = executor.run(grid)
-        assert executor.completed == len(in_process)
-        assert executor.cached == 0
-    assert list(parallel) == list(serial) == list(in_process)
+        stored = SweepExecutor(session, store=tmp_path / "store").run(grid)
+    assert list(stored) == list(in_process)
     for key in in_process:
         np.testing.assert_array_equal(in_process[key]["volume"],
-                                      serial[key]["volume"])
-        np.testing.assert_array_equal(in_process[key]["volume"],
-                                      parallel[key]["volume"])
+                                      stored[key]["volume"])
         np.testing.assert_equal(in_process[key]["metrics"],
-                                parallel[key]["metrics"])
+                                stored[key]["metrics"])
 
 
 GROUPS = SweepSpec(scenarios=("static_point", "cyst"),
@@ -376,23 +352,20 @@ def test_sweep_keeps_one_plan_group_resident():
         * per_plan
 
 
-@pytest.mark.conformance
-def test_parallel_groups_write_the_serial_store(tmp_path):
-    """workers=2 runs (scheme, architecture) groups of two scenarios each;
-    every volume it stores equals the serial store's."""
+def test_grouped_grid_rerun_is_served_entirely_from_the_store(tmp_path):
+    """A rerun of the 12-cell plan-major grid computes nothing: every cell
+    is served from the store, equal to the volume the first run stored."""
     with Session(TINY) as session:
-        SweepExecutor(session, store=tmp_path / "serial").run(GROUPS)
+        first = SweepExecutor(session, store=tmp_path / "store").run(GROUPS)
     with Session(TINY) as session:
-        executor = SweepExecutor(session, store=tmp_path / "parallel",
-                                 workers=2)
-        executor.run(GROUPS)
-        assert executor.completed == 12 and executor.failed == 0
-    serial = SweepStore(tmp_path / "serial")
-    parallel = SweepStore(tmp_path / "parallel")
-    assert sorted(serial.keys()) == sorted(parallel.keys())
-    for key in serial.keys():
-        np.testing.assert_array_equal(serial.read(key)["volume"],
-                                      parallel.read(key)["volume"])
+        executor = SweepExecutor(session, store=tmp_path / "store")
+        again = executor.run(GROUPS)
+        assert (executor.cached, executor.completed, executor.failed) == \
+            (12, 0, 0)
+    assert list(again) == list(first)
+    for key in first:
+        np.testing.assert_array_equal(first[key]["volume"],
+                                      again[key]["volume"])
 
 
 # ------------------------------------------------------- session leak fixes
@@ -593,12 +566,14 @@ def test_cli_sweep_runs_then_serves_from_cache(tmp_path, capsys):
 
 def test_cli_sweep_check_prints_resolved_spec(tmp_path, capsys):
     assert main(["sweep", "--system", "tiny", "--check",
-                 "--store", str(tmp_path), "--workers", "3",
-                 "--no-resume", "--overwrite"]) == 0
-    spec = SweepRunSpec.from_json(capsys.readouterr().out)
+                 "--store", str(tmp_path), "--no-resume",
+                 "--overwrite"]) == 0
+    out = capsys.readouterr().out
+    assert '"workers"' not in out
+    spec = SweepRunSpec.from_json(out)
     assert spec.engine.system == "tiny"
     assert spec.engine.backend == "vectorized"
-    assert (spec.workers, spec.resume, spec.overwrite) == (3, False, True)
+    assert (spec.resume, spec.overwrite) == (False, True)
 
 
 def test_cli_sweep_spec_file_roundtrip(tmp_path, capsys):
@@ -613,8 +588,12 @@ def test_cli_sweep_rejects_bad_input(tmp_path, capsys):
     assert main(["sweep", "--set",
                  'sweep.scenarios=["nope"]']) == 2
     assert "nope" in capsys.readouterr().err
-    assert main(["sweep", "--workers", "2"]) == 2
-    assert "requires a store" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--workers", "2"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(["sweep", "--check", "--set", "workers=2"]) == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_cli_sweep_writes_metrics_snapshot(tmp_path, capsys):
