@@ -32,7 +32,7 @@ import pytest
 
 from repro.acoustics.echo import EchoSimulator
 from repro.acoustics.phantom import point_target
-from repro.api import ScanSpec
+from repro.api import EngineSpec, ScanSpec
 from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.config import small_system, tiny_system
@@ -43,6 +43,13 @@ from repro.scenarios import SchemeEngine, acquire_firings, resolve_scheme
 
 BENCH_STRICT = os.environ.get("REPRO_BENCH_STRICT", "") not in ("", "0")
 """Whether timing-ordering assertions are enforced (see module docstring)."""
+
+
+def service_for(system, **fields) -> BeamformingService:
+    """A service on a fresh plan cache, built from
+    ``EngineSpec(system=system, **fields)``."""
+    return BeamformingService(EngineSpec(system=system, **fields)
+                              .build_engine(cache=PlanCache()))
 
 
 def assert_faster(fast: float, slow: float, message: str) -> None:
@@ -108,9 +115,9 @@ def test_bench_float32_batched_beats_float64_per_frame(report):
 
     def best_fps(precision: str, batch_size: int) -> float:
         """Best of three runs — insulates the ordering assert from noise."""
-        service = BeamformingService(system, architecture="tablefree",
-                                     backend="vectorized",
-                                     precision=precision, cache=PlanCache())
+        service = service_for(system, architecture="tablefree",
+                              backend="vectorized",
+                              precision=precision)
         service.submit_frame(data)   # compile the plan outside the clock
         best = 0.0
         for _ in range(3):
@@ -153,8 +160,8 @@ def test_bench_compiled_beats_vectorized(report):
     cine = static_cine(data, 8)
 
     def best_fps(backend: str, batch_size: int) -> float:
-        service = BeamformingService(system, architecture="tablefree",
-                                     backend=backend, cache=PlanCache())
+        service = service_for(system, architecture="tablefree",
+                              backend=backend)
         service.submit_frame(data)   # plan compile + JIT outside the clock
         best = 0.0
         for _ in range(3):
@@ -193,8 +200,8 @@ def test_bench_compiled_frame(benchmark):
     """Micro-benchmark: one cached-plan fused frame (steady state)."""
     pytest.importorskip("numba")
     system = tiny_system()
-    service = BeamformingService(system, architecture="tablefree",
-                                 backend="compiled", cache=PlanCache())
+    service = service_for(system, architecture="tablefree",
+                          backend="compiled")
     grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
     data = EchoSimulator.from_config(system).simulate(
         point_target(depth=grid_mid_depth))
@@ -207,9 +214,8 @@ def test_bench_compiled_frame(benchmark):
 def test_bench_vectorized_frame(benchmark):
     """Micro-benchmark: one cached-plan vectorized frame (steady state)."""
     system = tiny_system()
-    service = BeamformingService(system, architecture="tablefree",
-                                 backend="vectorized",
-                                 cache=PlanCache())
+    service = service_for(system, architecture="tablefree",
+                          backend="vectorized")
     grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
     data = EchoSimulator.from_config(system).simulate(
         point_target(depth=grid_mid_depth))
@@ -222,9 +228,8 @@ def test_bench_vectorized_frame(benchmark):
 def test_bench_batched_float32_cine(benchmark):
     """Throughput of an 8-frame static cine on the fast kernel path."""
     system = tiny_system()
-    service = BeamformingService(system, architecture="tablefree",
-                                 backend="vectorized", precision="float32",
-                                 cache=PlanCache())
+    service = service_for(system, architecture="tablefree",
+                          backend="vectorized", precision="float32")
     grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
     data = EchoSimulator.from_config(system).simulate(
         point_target(depth=grid_mid_depth))
@@ -238,8 +243,8 @@ def test_bench_batched_float32_cine(benchmark):
 def test_bench_streamed_cine(benchmark):
     """Throughput of an 8-frame static cine submitted frame by frame."""
     system = tiny_system()
-    service = BeamformingService(system, architecture="tablefree",
-                                 backend="vectorized", cache=PlanCache())
+    service = service_for(system, architecture="tablefree",
+                          backend="vectorized")
     grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
     data = EchoSimulator.from_config(system).simulate(
         point_target(depth=grid_mid_depth))
@@ -314,11 +319,10 @@ def test_bench_budgeted_planewave_stream(benchmark, report):
     budget, so every batch recompiles each firing's segments one by one —
     the compounding regime no group compile reaches."""
     system = small_system()
-    service = BeamformingService(system, architecture="tablesteer",
-                                 backend="vectorized", scheme="planewave",
-                                 scheme_options={"n_angles": 3},
-                                 memory_budget_bytes="32M",
-                                 cache=PlanCache())
+    service = service_for(system, architecture="tablesteer",
+                          backend="vectorized", scheme="planewave",
+                          scheme_options={"n_angles": 3},
+                          memory_budget_bytes="32M")
     simulator = EchoSimulator.from_config(system)
     grid_mid_depth = system.volume.depth_min + 0.5 * system.volume.depth_span
     batch = [tuple(acquire_firings(simulator, service.scheme,

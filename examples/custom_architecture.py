@@ -99,7 +99,7 @@ def main() -> None:
     service = session.service(backend="vectorized")
     result = service.submit_frame(phantom)
     print(f"Streamed one frame through architecture "
-          f"'{service.architecture}' on backend '{result.backend}': "
+          f"'{session.spec.architecture}' on backend '{result.backend}': "
           f"volume {result.rf.shape}, "
           f"latency {result.latency_seconds * 1e3:.1f} ms")
 

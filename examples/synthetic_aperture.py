@@ -8,9 +8,10 @@ origin — an advantage the conclusions call out.
 
 This example makes both halves concrete:
 
-1. it acquires a point-target volume with a multi-origin (virtual source)
-   insonification plan and coherently compounds the per-insonification
-   volumes, showing the imaging chain supports synthetic aperture end to end;
+1. it acquires a point-target volume with diverging waves from virtual
+   sources behind the probe (the ``diverging`` transmit scheme) and
+   coherently compounds the per-firing volumes, showing the imaging chain
+   supports synthetic aperture end to end;
 2. it tabulates how the TABLESTEER reference-table storage grows with the
    number of distinct origins for the paper-scale system, versus TABLEFREE's
    constant (zero) table cost.
@@ -24,35 +25,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import paper_system, tiny_system
+from repro import paper_system
 from repro.acoustics import point_target
+from repro.api import EngineSpec, Session
 from repro.beamformer import envelope, point_spread_metrics
 from repro.core import OriginSchedule, synthetic_aperture_cost_comparison
-from repro.geometry import FocalGrid
-from repro.pipeline import InsonificationPlan, acquisition_summary, compound_volume
+from repro.pipeline import InsonificationPlan, acquisition_summary
 
 
 def imaging_demo() -> None:
-    system = tiny_system()
-    grid = FocalGrid.from_config(system)
+    focused = Session(EngineSpec(system="tiny"))
+    system, grid = focused.system, focused.grid
     depth = float(grid.depths[len(grid.depths) // 2])
     phantom = point_target(depth=depth)
 
-    print("1. Multi-origin acquisition and coherent compounding")
+    print("1. Multi-origin (diverging-wave) acquisition and coherent "
+          "compounding")
     print(f"   system: {system.transducer.elements_x}x"
           f"{system.transducer.elements_y} elements, "
           f"{system.volume.n_theta}x{system.volume.n_phi}x"
           f"{system.volume.n_depth} focal points")
     print(f"   point target at {1e3 * depth:.1f} mm\n")
 
-    for label, schedule, insonifications in (
-            ("single centred origin", OriginSchedule.single_center(), 2),
-            ("4 virtual sources",
-             OriginSchedule.virtual_sources_behind_probe(system, 4), 4)):
-        plan = InsonificationPlan.from_system(system, schedule=schedule,
-                                              insonifications=insonifications)
+    # The diverging scheme fires from OriginSchedule's virtual sources
+    # behind the probe, one transmit origin per firing.
+    diverging = Session(EngineSpec(system="tiny", scheme="diverging",
+                                   scheme_options={"count": 4}))
+    for label, session in (("single centred origin", focused),
+                           ("4 virtual sources", diverging)):
+        volume = session.pipeline().image_scheme(phantom).rf
+        # Every firing is beamformed over the whole volume.
+        events = session.scheme.events
+        plan = InsonificationPlan(
+            schedule=OriginSchedule([event.origin for event in events]),
+            scanline_groups=(np.arange(system.volume.scanline_count),)
+            * len(events))
         summary = acquisition_summary(system, plan)
-        volume = compound_volume(system, phantom, plan)
         centre_plane = envelope(volume[:, system.volume.n_phi // 2, :], axis=1)
         axial = point_spread_metrics(centre_plane[np.argmax(
             np.max(centre_plane, axis=1))])

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
-from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
 from ..kernels import Precision
 from ..observability.metrics import MetricsRegistry
@@ -26,7 +25,8 @@ from ..pipeline.imaging import ImagingPipeline
 from ..runtime.cache import PlanCache
 from ..runtime.scheduler import FrameResult
 from ..runtime.service import BeamformingService
-from ..scenarios import TransmitScheme, acquire_firings, resolve_scheme
+from ..scenarios import SchemeEngine, TransmitScheme, acquire_firings, \
+    resolve_scheme
 from .specs import EngineSpec, ScanSpec, SweepSpec
 
 __all__ = ["Session"]
@@ -61,9 +61,9 @@ class Session:
         spec = EngineSpec() if spec is None else EngineSpec.coerce(spec)
         self.spec = spec
         self.system = spec.resolve_system()
-        self.transducer = MatrixTransducer.from_config(self.system)
-        self.grid = FocalGrid.from_config(self.system)
         self.simulator = EchoSimulator.from_config(self.system)
+        self.transducer = self.simulator.transducer
+        self.grid = FocalGrid.from_config(self.system)
         self.scheme = resolve_scheme(self.system, spec.scheme,
                                      spec.scheme_options)
         # spec.trace=True records a live span tree on this session;
@@ -122,133 +122,80 @@ class Session:
         self.close()
 
     # ------------------------------------------------------------ builders
-    def _resolve_variant(self, architecture: str | None, backend: str | None,
-                         architecture_options: Any, backend_options: Any
-                         ) -> tuple[str, Any, str, Any]:
-        """Fill architecture/backend (and options) from the session spec.
-
-        Spec options are inherited only when the name still matches the
-        spec's — overriding the architecture/backend switches to that
-        variant's registered defaults unless options are given explicitly.
-        """
-        architecture = architecture or self.spec.architecture
-        if architecture_options is None and \
-                architecture == self.spec.architecture:
-            architecture_options = self.spec.architecture_options
-        backend = backend or self.spec.backend
-        if backend_options is None and backend == self.spec.backend:
-            backend_options = self.spec.backend_options
-        return architecture, architecture_options, backend, backend_options
-
-    def _resolve_scheme_variant(self, scheme: Any, scheme_options: Any
-                                ) -> "TransmitScheme":
-        """Resolve the per-call scheme override against the session spec.
-
-        Mirrors the architecture/backend resolution: no override reuses
-        the spec's resolved scheme; an options-only override re-derives
-        the spec's scheme *name* with the given options; a different name
-        switches to that scheme's registered defaults unless options are
-        given.  The result is always a resolved
-        :class:`repro.scenarios.TransmitScheme`.
-        """
-        if scheme is None:
-            if scheme_options is None:
-                return self.scheme
-            scheme = self.spec.scheme
-        elif scheme == self.spec.scheme and scheme_options is None:
-            return self.scheme
-        return resolve_scheme(self.system, scheme, scheme_options)
-
-    def pipeline(self, architecture: str | None = None,
+    def _variant(self, *, architecture: str | None = None,
                  backend: str | None = None,
                  architecture_options: Any = None,
                  backend_options: Any = None,
-                 cache: PlanCache | None = None,
-                 provider: Any = None,
                  precision: Precision | str | None = None,
                  quantization: Any = _INHERIT,
-                 scheme: Any = None,
+                 scheme: str | None = None,
                  scheme_options: Any = None,
-                 memory_budget_bytes: Any = _INHERIT) -> ImagingPipeline:
+                 memory_budget_bytes: Any = _INHERIT) -> EngineSpec:
+        """The session spec with per-call overrides (see :meth:`pipeline`),
+        validated exactly like a spec document."""
+        changes: dict[str, Any] = {}
+        for name, value, options in (
+                ("architecture", architecture, architecture_options),
+                ("backend", backend, backend_options),
+                ("scheme", scheme, scheme_options)):
+            if value is not None and value != getattr(self.spec, name):
+                changes[name] = value
+                changes[f"{name}_options"] = options
+            elif options is not None:
+                changes[f"{name}_options"] = options
+        if precision is not None:
+            changes["precision"] = precision
+        if quantization is not _INHERIT:
+            changes["quantization"] = quantization
+        if memory_budget_bytes is not _INHERIT:
+            changes["memory_budget_bytes"] = memory_budget_bytes
+        return self.spec.with_updates(**changes) if changes else self.spec
+
+    def _scheme(self, spec: EngineSpec) -> TransmitScheme:
+        """``spec``'s transmit scheme; the session's own when unchanged."""
+        if (spec.scheme, spec.scheme_options) == \
+                (self.spec.scheme, self.spec.scheme_options):
+            return self.scheme
+        return resolve_scheme(self.system, spec.scheme, spec.scheme_options)
+
+    def _engine(self, cache: PlanCache | None, provider: Any,
+                overrides: dict[str, Any]) -> SchemeEngine:
+        """The engine of one vended facade, over the shared substrates."""
+        spec = self._variant(**overrides)
+        return spec.build_engine(
+            cache=cache if cache is not None else self.cache,
+            simulator=self.simulator, grid=self.grid, tracer=self.tracer,
+            provider=provider, scheme=self._scheme(spec))
+
+    def pipeline(self, cache: PlanCache | None = None, provider: Any = None,
+                 **overrides: Any) -> ImagingPipeline:
         """An :class:`ImagingPipeline` over the shared substrates.
 
-        ``architecture`` / ``backend`` (and their options), ``precision``,
-        ``quantization`` and ``memory_budget_bytes`` default to the session
-        spec; overriding them swaps the variant while keeping the
-        simulator, transducer, grid and cache shared.  Pass
-        ``quantization=None`` to explicitly *disable* a spec-level
-        quantisation (e.g. to compare the float and bit-true variants of
-        one quantized session); likewise ``memory_budget_bytes=None`` lifts
-        a spec-level budget for this one pipeline.  A pre-built
-        ``provider`` skips delay-generator construction entirely.
+        ``overrides`` swap the variant while the simulator, transducer,
+        grid and cache stay shared: ``architecture``, ``backend`` and
+        ``scheme`` (each with its ``*_options``), ``precision``,
+        ``quantization`` and ``memory_budget_bytes``.  Each defaults to
+        the session spec.  Switching the architecture, backend or scheme
+        drops the spec's options for it (they belong to the spec's
+        variant) unless options are given; options alone re-derive the
+        spec's variant.  ``quantization=None`` explicitly *disables* a
+        spec-level quantisation (e.g. to compare the float and bit-true
+        variants of one quantized session); likewise
+        ``memory_budget_bytes=None`` lifts a spec-level budget.
+
+        ``cache`` replaces the session's plan cache for this one
+        pipeline; a pre-built ``provider`` skips delay-generator
+        construction entirely.
         """
-        architecture, architecture_options, backend, backend_options = \
-            self._resolve_variant(architecture, backend,
-                                  architecture_options, backend_options)
-        scheme = self._resolve_scheme_variant(scheme, scheme_options)
-        pipeline = ImagingPipeline(
-            self.system,
-            architecture=architecture,
-            architecture_options=architecture_options,
-            apodization=self.spec.apodization,
-            interpolation=self.spec.interpolation,
-            backend=backend,
-            backend_options=backend_options,
-            precision=precision if precision is not None
-            else self.spec.precision,
-            quantization=self.spec.quantization
-            if quantization is _INHERIT else quantization,
-            scheme=scheme,
-            cache=cache if cache is not None else self.cache,
-            simulator=self.simulator,
-            transducer=self.transducer,
-            grid=self.grid,
-            provider=provider,
-            memory_budget_bytes=self.spec.memory_budget_bytes
-            if memory_budget_bytes is _INHERIT else memory_budget_bytes,
-            tracer=self.tracer)
+        pipeline = ImagingPipeline(self._engine(cache, provider, overrides))
         self._owned.append(pipeline)
         return pipeline
 
-    def service(self, architecture: str | None = None,
-                backend: str | None = None,
-                architecture_options: Any = None,
-                backend_options: Any = None,
-                cache: PlanCache | None = None,
-                precision: Precision | str | None = None,
-                quantization: Any = _INHERIT,
-                scheme: Any = None,
-                scheme_options: Any = None,
-                memory_budget_bytes: Any = _INHERIT) -> BeamformingService:
-        """A streaming :class:`BeamformingService` over the shared substrates.
-
-        Note the service's default backend is the spec's backend — for a
-        spec built with the ``reference`` default this includes the classic
-        per-scanline path, unlike ``BeamformingService``'s own
-        ``vectorized`` default.
-        """
-        architecture, architecture_options, backend, backend_options = \
-            self._resolve_variant(architecture, backend,
-                                  architecture_options, backend_options)
-        scheme = self._resolve_scheme_variant(scheme, scheme_options)
-        service = BeamformingService(
-            self.system,
-            architecture=architecture,
-            architecture_options=architecture_options,
-            backend=backend,
-            backend_options=backend_options,
-            apodization=self.spec.apodization,
-            interpolation=self.spec.interpolation,
-            precision=precision if precision is not None
-            else self.spec.precision,
-            quantization=self.spec.quantization
-            if quantization is _INHERIT else quantization,
-            scheme=scheme,
-            cache=cache if cache is not None else self.cache,
-            simulator=self.simulator,
-            memory_budget_bytes=self.spec.memory_budget_bytes
-            if memory_budget_bytes is _INHERIT else memory_budget_bytes,
-            tracer=self.tracer)
+    def service(self, cache: PlanCache | None = None,
+                **overrides: Any) -> BeamformingService:
+        """A streaming :class:`BeamformingService` over the shared
+        substrates; ``cache`` and ``overrides`` as in :meth:`pipeline`."""
+        service = BeamformingService(self._engine(cache, None, overrides))
         self._owned.append(service)
         return service
 
@@ -311,7 +258,8 @@ class Session:
         the shared simulator, ready for
         :meth:`repro.pipeline.ImagingPipeline.compound_volume`.
         """
-        resolved = self._resolve_scheme_variant(scheme, scheme_options)
+        resolved = self._scheme(self._variant(scheme=scheme,
+                                              scheme_options=scheme_options))
         with self.tracer.span("simulate", firings=resolved.firing_count):
             return acquire_firings(self.simulator, resolved, phantom,
                                    noise_std=noise_std, seed=seed)
@@ -389,7 +337,8 @@ class Session:
                 images = {}
                 for name in architectures:
                     with self.tracer.span("cell", architecture=name):
-                        pipeline = self.pipeline(architecture=name)
+                        pipeline = self.pipeline(architecture=name,
+                                                 scheme="focused")
                         try:
                             images[name] = pipeline.image_plane(channel_data)
                         finally:
@@ -413,6 +362,7 @@ class Session:
                                           backend=backend):
                         pipeline = self.pipeline(architecture=name,
                                                  backend=backend,
+                                                 scheme="focused",
                                                  provider=provider)
                         provider = pipeline.delay_provider
                         try:

@@ -4,7 +4,8 @@ An :class:`EngineSpec` describes *everything needed to build a beamforming
 engine* — system (preset name or inline :class:`repro.config.SystemConfig`),
 delay architecture + options, execution backend + options, apodization,
 interpolation and cache sizing — as one frozen, JSON-round-trippable
-document.  A :class:`ScanSpec` describes *what to image*: a registered cine
+document, and :meth:`EngineSpec.build_engine` is the one place that builds
+that engine.  A :class:`ScanSpec` describes *what to image*: a registered cine
 scenario plus frame count, noise and seed.  Together they make a whole run
 portable: ship the JSON, rebuild the identical engine anywhere with
 ``Session(EngineSpec.from_json(text))``.
@@ -24,16 +25,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..acoustics.echo import EchoSimulator
 from ..architectures import ARCHITECTURES, architecture_name
-from ..beamformer.das import ApodizationSettings
+from ..beamformer.das import ApodizationSettings, DelayAndSumBeamformer, \
+    DelayProvider
 from ..beamformer.interpolation import InterpolationKind
 from ..config import PRESETS, SystemConfig, get_preset
+from ..geometry.volume import FocalGrid
 from ..kernels import Precision, QuantizationSpec, TilePlanner, \
     parse_memory_budget, resolve_precision
 from ..registry import SpecDocument, check_count, decode_options
 from ..runtime.backends import BACKENDS
+from ..runtime.cache import PlanCache
 from ..runtime.scheduler import FrameRequest
-from ..scenarios import SCENARIOS, SCHEMES
+from ..scenarios import SCENARIOS, SCHEMES, SchemeEngine, TransmitScheme, \
+    resolve_scheme
 
 __all__ = [
     "EngineSpec",
@@ -167,9 +173,9 @@ class EngineSpec(SpecDocument):
 
         if not isinstance(self.scheme, str):
             raise ValueError(
-                "scheme must be a registered scheme name (pre-built "
-                "TransmitScheme objects are accepted by pipelines, not "
-                f"JSON specs), got {type(self.scheme).__name__}")
+                "scheme must be a registered scheme name (a pre-built "
+                "TransmitScheme goes to build_engine(scheme=...), not to "
+                f"a JSON spec), got {type(self.scheme).__name__}")
         scheme_entry = SCHEMES.get(self.scheme)
         if self.scheme_options is not None:
             object.__setattr__(self, "scheme_options",
@@ -215,6 +221,54 @@ class EngineSpec(SpecDocument):
         if isinstance(self.system, str):
             return get_preset(self.system)
         return self.system
+
+    def build_engine(self, *, cache: PlanCache | None = None,
+                     simulator: EchoSimulator | None = None,
+                     grid: FocalGrid | None = None, tracer: Any = None,
+                     provider: DelayProvider | None = None,
+                     scheme: TransmitScheme | None = None) -> SchemeEngine:
+        """The one :class:`repro.scenarios.SchemeEngine` this spec describes.
+
+        The service, the pipeline, a server session and a sweep cell all
+        run the engine built here.  Every argument is a shared substrate
+        that is built when left out:
+
+        * ``cache`` — the compiled-plan cache; by default a private one
+          sized like a session's (``cache_capacity``, byte-bounded by
+          ``memory_budget_bytes``);
+        * ``simulator`` — the echo simulator the engine acquires with;
+          the engine's beamformer reuses its system and transducer;
+        * ``grid`` — the focal grid;
+        * ``tracer`` — the span tracer; the process default when left out
+          (a :class:`repro.api.Session` passes its own);
+        * ``provider`` — a pre-built delay provider for this spec's
+          architecture (a sweep shares one per architecture);
+        * ``scheme`` — this spec's transmit scheme, pre-resolved.
+        """
+        if simulator is None:
+            simulator = EchoSimulator.from_config(self.resolve_system())
+        system = simulator.system
+        if provider is None:
+            provider = ARCHITECTURES.create(self.architecture, system,
+                                            options=self.architecture_options)
+        if scheme is None:
+            scheme = resolve_scheme(system, self.scheme, self.scheme_options)
+        if cache is None:
+            cache = PlanCache(capacity=self.cache_capacity,
+                              max_bytes=self.memory_budget_bytes)
+        beamformer = DelayAndSumBeamformer(
+            system, provider, apodization=self.apodization,
+            interpolation=self.interpolation,
+            transducer=simulator.transducer, grid=grid,
+            precision=self.precision, quantization=self.quantization)
+        # A budget tiles every per-firing backend and byte-bounds the
+        # (possibly shared) plan cache.
+        return SchemeEngine(
+            beamformer, scheme, backend=self.backend,
+            backend_options=self.backend_options, cache=cache,
+            precision=self.precision, tracer=tracer,
+            memory_budget_bytes=self.memory_budget_bytes,
+            simulator=simulator)
 
 
 # ---------------------------------------------------------- scan scenarios

@@ -312,7 +312,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     quantized = f", quantized [{service.quantization.describe()}]" \
         if service.quantization is not None else ""
     print(f"Streaming {len(frames)} frames on system '{session.system.name}' "
-          f"(architecture={service.architecture}, "
+          f"(architecture={session.spec.architecture}, "
           f"backend={service.backend_name}, "
           f"dtype={service.precision.value}, batch={args.batch}, "
           f"scheme={service.scheme.describe()}, "

@@ -7,9 +7,10 @@ sparse ``spmv`` of a float nearest plan (or the echo-buffer ``gather`` and
 ``weights``/``accumulate`` arithmetic of a chunked one) versus scheme
 ``compound`` versus acoustic ``simulate``.  The runtime layers
 (:class:`repro.kernels.BeamformingPlan`, the execution backends,
-:class:`repro.scenarios.SchemeEngine`, :class:`repro.runtime.BeamformingService`,
-:class:`repro.api.Session`) all accept a tracer and open spans around those
-stages.
+:class:`repro.scenarios.SchemeEngine` — given one by
+:meth:`repro.api.EngineSpec.build_engine` — and the
+:class:`repro.runtime.BeamformingService` that runs it) open spans around
+those stages.
 
 Tracing is **opt-in and observation-only**: the default is
 :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns one shared
@@ -127,14 +128,17 @@ class Span:
 
 
 class Tracer:
-    """Collects a span tree; hand one to a service/session/plan to profile.
+    """Collects a span tree; hand one to an engine/server/plan to profile.
 
     Usage::
 
         tracer = Tracer()
-        service = BeamformingService(system, tracer=tracer)
-        service.submit_frame(phantom)
+        engine = EngineSpec(system="tiny").build_engine(tracer=tracer)
+        BeamformingService(engine).submit_frame(phantom)
         print(render_span_tree(tracer))
+
+    (``Session(EngineSpec(..., trace=True))`` builds one for the session,
+    read back as ``session.tracer``.)
 
     Spans opened while another span of the *same thread* is active nest
     under it; spans opened with no active span become roots.

@@ -1,29 +1,19 @@
-"""Multi-insonification acquisition and coherent compounding.
+"""Multi-insonification acquisition bookkeeping (Section V-B).
 
 The paper's throughput budget assumes 64 insonifications per volume with 256
 scanlines beamformed per insonification (Section V-B), and mentions
 synthetic-aperture schemes that move the transmit origin between
-insonifications.  This module models that acquisition structure in software:
+insonifications.  :class:`InsonificationPlan` models that acquisition
+structure — how the scanlines of a volume are divided across
+insonifications, and which transmit origin each insonification uses — and
+:func:`acquisition_summary` derives the paper's rate arithmetic from it.
 
-* :class:`InsonificationPlan` — how the scanlines of a volume are divided
-  across insonifications, and which transmit origin each insonification uses;
-* :func:`compound_volume` — acquire every insonification of a plan and sum
-  the per-insonification beamformed volumes coherently, each insonification
-  beamformed with the delay law of its own origin.
-
-It is the software counterpart of the "multiple precalculated delay tables"
-the paper says TABLESTEER would need for such schemes, and it is what the
-synthetic-aperture example exercises.
-
-.. note::
-   This module predates :mod:`repro.scenarios`, which generalises the idea:
-   a registered :class:`repro.scenarios.TransmitScheme` (plane-wave sets,
-   per-element synthetic-aperture firings, diverging waves) runs through
-   *any* delay architecture and *any* execution backend via the
-   transmit/receive delay split, with per-firing coherent compounding on
-   :meth:`repro.pipeline.ImagingPipeline.compound_volume`.  The
-   :class:`InsonificationPlan` path here stays as the scanline-partitioned,
-   exact-delay formulation of Section V-B's throughput bookkeeping.
+Imaging such an acquisition is a registered
+:class:`repro.scenarios.TransmitScheme` (plane-wave sets, per-element
+synthetic-aperture firings, diverging waves from virtual sources): it runs
+through any delay architecture and any execution backend, with per-firing
+coherent compounding on
+:meth:`repro.pipeline.ImagingPipeline.compound_volume`.
 """
 
 from __future__ import annotations
@@ -32,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..acoustics.echo import EchoSimulator
-from ..acoustics.phantom import Phantom
-from ..beamformer.das import ApodizationSettings, DelayAndSumBeamformer
 from ..config import SystemConfig
-from ..core.exact import ExactDelayEngine
 from ..core.multi_origin import OriginSchedule
 
 
@@ -88,44 +74,6 @@ class InsonificationPlan:
     def scanlines_per_insonification(self) -> float:
         """Average number of scanlines reconstructed per transmit event."""
         return float(np.mean([len(group) for group in self.scanline_groups]))
-
-
-def compound_volume(system: SystemConfig, phantom: Phantom,
-                    plan: InsonificationPlan,
-                    apodization: ApodizationSettings | None = None,
-                    noise_std: float = 0.0,
-                    seed: int = 0) -> np.ndarray:
-    """Acquire and coherently compound a volume according to a plan.
-
-    For every insonification, channel data are simulated with that
-    insonification's transmit origin, its assigned scanlines are beamformed
-    with the matching (exact) delay law, and the results are accumulated into
-    the output volume.  Returns the beamformed RF volume of shape
-    ``(n_theta, n_phi, n_depth)``.
-    """
-    n_theta = system.volume.n_theta
-    n_phi = system.volume.n_phi
-    n_depth = system.volume.n_depth
-    volume = np.zeros((n_theta, n_phi, n_depth))
-    coverage = np.zeros((n_theta, n_phi), dtype=int)
-
-    for insonification, group in enumerate(plan.scanline_groups):
-        origin = plan.origin_for(insonification)
-        simulator = EchoSimulator.from_config(system, origin=origin)
-        channel_data = simulator.simulate(phantom, noise_std=noise_std,
-                                          seed=seed + insonification)
-        provider = ExactDelayEngine.from_config(system, origin=origin)
-        beamformer = DelayAndSumBeamformer(system, provider,
-                                           apodization=apodization)
-        for flat_index in group:
-            i_theta, i_phi = divmod(int(flat_index), n_phi)
-            volume[i_theta, i_phi, :] += beamformer.beamform_scanline(
-                channel_data, i_theta, i_phi)
-            coverage[i_theta, i_phi] += 1
-
-    if np.any(coverage == 0):
-        raise RuntimeError("insonification plan left some scanlines unreconstructed")
-    return volume
 
 
 def acquisition_summary(system: SystemConfig, plan: InsonificationPlan) -> dict[str, float]:

@@ -1,11 +1,12 @@
 """The streaming beamforming service: frames in, volumes + metrics out.
 
 :class:`BeamformingService` is the facade over the whole runtime subsystem.
-It binds a system configuration to one delay architecture, one execution
-backend and one :class:`repro.kernels.Precision` policy, simulates
-acquisitions when a frame arrives as a phantom, beamforms each frame (or
-batches of frames at once), and keeps per-frame latency plus aggregate
-throughput counters — the software analogue of the paper's
+It runs one engine — a delay architecture, an execution backend and a
+:class:`repro.kernels.Precision` policy, built from an
+:class:`repro.api.EngineSpec` by :meth:`repro.api.EngineSpec.build_engine`.
+It simulates acquisitions when a frame arrives as a phantom, beamforms
+each frame (or batches of frames at once), and keeps per-frame latency
+plus aggregate throughput counters — the software analogue of the paper's
 volumes-per-second budget (Section II-C).  Compiled
 :class:`repro.kernels.BeamformingPlan` artifacts flow through a shared
 :class:`repro.runtime.cache.PlanCache`, so a cine sequence pays the plan
@@ -13,11 +14,12 @@ compilation cost exactly once.
 
 Typical use::
 
-    from repro import small_system
-    from repro.runtime import BeamformingService, moving_point_cine
+    from repro.api import EngineSpec, Session
+    from repro.runtime import moving_point_cine
 
-    service = BeamformingService(small_system(), architecture="tablesteer",
-                                 backend="vectorized")
+    session = Session(EngineSpec(system="small", architecture="tablesteer",
+                                 backend="vectorized"))
+    service = session.service()
     for result in service.stream(moving_point_cine(service.system, 8)):
         print(result.frame_id, result.latency_seconds)
     print(service.stats().frames_per_second)
@@ -27,19 +29,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ..acoustics.echo import ChannelData, EchoSimulator
+from ..acoustics.echo import ChannelData
 from ..acoustics.phantom import Phantom
-from ..architectures import ARCHITECTURES, architecture_name
-from ..beamformer.das import ApodizationSettings, DelayAndSumBeamformer
-from ..beamformer.interpolation import InterpolationKind
-from ..config import SystemConfig
-from ..kernels import Precision, QuantizationSpec, resolve_precision
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracing import resolve_tracer
-from .cache import CacheStats, PlanCache
+from .cache import CacheStats
 from .scheduler import FrameRequest, FrameResult
+
+if TYPE_CHECKING:  # pragma: no cover - repro.scenarios builds on this package
+    from ..scenarios.engine import SchemeEngine
 
 
 @dataclass(frozen=True)
@@ -90,116 +89,37 @@ class RuntimeStats:
 
 
 class BeamformingService:
-    """Streaming frame-to-volume beamforming bound to one backend.
+    """Streaming frame-to-volume beamforming over one engine.
 
-    Parameters
-    ----------
-    system:
-        System configuration shared by every frame of the stream.
-    architecture:
-        Delay-generation architecture name, resolved through
-        :data:`repro.architectures.ARCHITECTURES` (any registered name,
-        including user plugins).
-    backend:
-        Execution backend name, resolved through
-        :data:`repro.runtime.backends.BACKENDS`.
-    architecture_options:
-        Options dataclass instance (or plain dict) for the architecture;
-        ``None`` uses the registered defaults.
-    precision:
-        Execution dtype policy (``"float64"`` exact / ``"float32"`` fast;
-        see :class:`repro.kernels.Precision`).  Applies to the beamformer
-        and the backend alike, and is part of the plan cache key.
-    quantization:
-        Optional :class:`repro.kernels.QuantizationSpec` (or its dict /
-        total-bit-width / Q-format-string spelling) switching every frame
-        to the bit-true fixed-point datapath.  Part of the plan cache key,
-        so quantized and float engines sharing a cache never exchange
-        plans.  Requires ``float64`` precision.
-    cache:
-        Compiled-plan cache; pass a shared instance to reuse plans across
-        services over the same probe and backend.  ``None`` creates a
-        private cache.
-    scheme:
-        Transmit scheme: a registered :data:`repro.scenarios.SCHEMES`
-        name, a pre-built :class:`repro.scenarios.TransmitScheme` or
-        ``None`` (the focused baseline).  Every frame runs through one
-        :class:`repro.scenarios.SchemeEngine`: multi-firing schemes
-        simulate one acquisition per event and coherently compound the
-        per-firing volumes; the focused baseline is a one-firing engine on
-        the bare architecture, with no transmit wrap.
-    scheme_options:
-        Options dataclass/dict for a scheme given by name.
-    simulator:
-        Optional pre-built echo simulator, shared with other services to
-        avoid rebuilding the transducer per service.
-    backend_options:
-        Options dataclass/dict for the backend (:class:`CompiledOptions`
-        for ``compiled``; the NumPy backends take none).
-    tracer:
-        Optional :class:`repro.observability.Tracer`; opens ``frame`` /
-        ``simulate`` / ``beamform`` spans (nesting the backend's
-        ``compile``/``execute``/``gather``/… spans) around every frame.
-        ``None`` resolves to the process default — normally the free
-        :data:`repro.observability.NULL_TRACER`.
-    metrics:
-        Optional :class:`repro.observability.MetricsRegistry` the service
-        registers its instruments in (frame/voxel counters, the latency
-        histogram).  ``None`` creates a private registry; see
-        :meth:`export_metrics` for the exported view.
-    memory_budget_bytes:
-        Plan-memory budget (bytes or a suffixed string like ``"64K"``);
-        grids whose plan would exceed it execute tiled.  Read back parsed,
-        in bytes.
+    ``engine`` is the :class:`repro.scenarios.SchemeEngine` built by
+    :meth:`repro.api.EngineSpec.build_engine` (normally via
+    :meth:`repro.api.Session.service`); the service reads its system,
+    beamformer, precision, quantisation, scheme, plan cache, tracer and
+    memory budget off it.  Every frame runs through that engine: a
+    multi-firing scheme simulates one acquisition per event and coherently
+    compounds the per-firing volumes; the focused baseline is a one-firing
+    engine on the bare architecture.  The tracer opens ``frame`` /
+    ``simulate`` / ``beamform`` spans (nesting the backend's
+    ``compile``/``execute``/``gather``/… spans) around every frame.
+
+    ``metrics`` is the :class:`repro.observability.MetricsRegistry` the
+    service registers its instruments in (frame/voxel counters, the
+    latency histogram); ``None`` creates a private registry.  See
+    :meth:`export_metrics` for the exported view.
     """
 
-    def __init__(self, system: SystemConfig,
-                 architecture: str = "exact",
-                 backend: str = "vectorized",
-                 apodization: ApodizationSettings | None = None,
-                 interpolation: InterpolationKind = InterpolationKind.NEAREST,
-                 cache: PlanCache | None = None,
-                 architecture_options: object | None = None,
-                 simulator: EchoSimulator | None = None,
-                 backend_options: object | None = None,
-                 precision: Precision | str | None = None,
-                 quantization: "QuantizationSpec | str | int | None" = None,
-                 scheme: object | str | None = None,
-                 scheme_options: object | None = None,
-                 tracer=None,
-                 metrics: MetricsRegistry | None = None,
-                 memory_budget_bytes: int | str | None = None
-                 ) -> None:
-        # Imported lazily: repro.scenarios builds on this package.
-        from ..scenarios import SchemeEngine, resolve_scheme
-
-        self.system = system
-        self.architecture = architecture_name(architecture)
-        self.precision = resolve_precision(precision)
-        self.quantization = QuantizationSpec.coerce(quantization)
-        self.scheme = resolve_scheme(system, scheme, scheme_options)
-        self.tracer = resolve_tracer(tracer)
+    def __init__(self, engine: "SchemeEngine",
+                 metrics: MetricsRegistry | None = None) -> None:
+        self.engine = engine
+        self.system = engine.system
+        self.beamformer = engine.beamformer
+        self.precision = engine.precision
+        self.quantization = engine.quantization
+        self.scheme = engine.scheme
+        self.cache = engine.cache
+        self.tracer = engine.tracer
+        self.memory_budget_bytes = engine.memory_budget_bytes
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # A private cache registers its counters alongside the service's
-        # instruments; a shared cache keeps its own registry (its counters
-        # span several services) and is merged in export_metrics().
-        self.cache = cache if cache is not None \
-            else PlanCache(metrics=self.metrics)
-        provider = ARCHITECTURES.create(self.architecture, system,
-                                        options=architecture_options)
-        self.beamformer = DelayAndSumBeamformer(
-            system, provider, apodization=apodization,
-            interpolation=interpolation, precision=self.precision,
-            quantization=self.quantization)
-        # A budget tiles every per-firing backend and byte-bounds the
-        # (possibly shared) plan cache.
-        self._engine = SchemeEngine(
-            self.beamformer, self.scheme, backend=backend,
-            backend_options=backend_options, cache=self.cache,
-            precision=self.precision, tracer=self.tracer,
-            memory_budget_bytes=memory_budget_bytes)
-        self.memory_budget_bytes = self._engine.memory_budget_bytes
-        self._simulator = simulator or EchoSimulator.from_config(system)
         # Monotonic id source for auto-assigned frames; unlike the stats
         # counters it survives reset_stats(), so ids never repeat within
         # one service lifetime.
@@ -222,7 +142,7 @@ class BeamformingService:
     @property
     def backend_name(self) -> str:
         """Name of the active execution backend."""
-        return self._engine.backends[0].name
+        return self.engine.backends[0].name
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -234,10 +154,10 @@ class BeamformingService:
         usable afterwards (plans rebuild lazily), so ``close()`` is always
         safe.  The service is a context manager::
 
-            with BeamformingService(system, backend="vectorized") as service:
+            with session.service() as service:
                 service.submit_frame(frame)
         """
-        self._engine.close()
+        self.engine.close()
 
     def __enter__(self) -> "BeamformingService":
         return self
@@ -292,9 +212,9 @@ class BeamformingService:
             return tuple(payload), 0.0
         start = time.perf_counter()
         with self.tracer.span("simulate"):
-            firings = tuple(self._engine.acquire(
-                self._simulator, request.phantom,
-                noise_std=request.noise_std, seed=request.seed))
+            firings = tuple(self.engine.acquire(
+                request.phantom, noise_std=request.noise_std,
+                seed=request.seed))
         return firings, time.perf_counter() - start
 
     def _record(self, result: FrameResult) -> FrameResult:
@@ -320,7 +240,7 @@ class BeamformingService:
 
             start = time.perf_counter()
             with self.tracer.span("beamform"):
-                rf = self._engine.beamform_volume(
+                rf = self.engine.beamform_volume(
                     firings, frame_id=request.frame_id)
             beamform_seconds = time.perf_counter() - start
 
@@ -351,7 +271,7 @@ class BeamformingService:
 
             start = time.perf_counter()
             with self.tracer.span("beamform"):
-                volumes = self._engine.beamform_batch(
+                volumes = self.engine.beamform_batch(
                     [firings for firings, _ in acquired],
                     frame_ids=[request.frame_id for request in requests])
             per_frame_seconds = (time.perf_counter() - start) / len(requests)
@@ -426,8 +346,8 @@ class BeamformingService:
         """The service's complete exportable metric state.
 
         A fresh registry adopting (by reference) the service's own
-        instruments, the plan cache's counters (already co-located when the
-        cache is private, merged in when it is shared), and derived
+        instruments, the plan cache's counters (merged in from the cache's
+        registry, which a shared cache fills across services), and derived
         ``service_frames_per_second`` / ``service_voxels_per_second``
         gauges — the payload behind the CLI's ``--metrics-out``.
         """

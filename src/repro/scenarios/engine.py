@@ -11,12 +11,14 @@ base, and an execution backend resolved through
 :data:`repro.runtime.backends.BACKENDS` — so every scheme runs on every
 backend, per frame or batched, without new kernel code.
 
-This is the one place that turns a beamformer into executing backends:
-:class:`repro.runtime.BeamformingService` and
-:class:`repro.pipeline.ImagingPipeline` both execute through a
-:class:`SchemeEngine`.  The trivial focused scheme is a one-firing engine
-on the base beamformer itself, with no transmit wrap, so it keeps the bare
-architecture's plan key, compile cost and bits.  A compounding engine
+:meth:`repro.api.EngineSpec.build_engine` is the one place that builds
+a :class:`SchemeEngine` from a spec, and every facade runs the engine it
+returns: :class:`repro.runtime.BeamformingService`,
+:class:`repro.pipeline.ImagingPipeline`, a
+:class:`repro.server.BeamformingServer` session and a sweep cell.  The
+trivial focused scheme is a one-firing engine on the base beamformer
+itself, with no transmit wrap, so it keeps the bare architecture's plan
+key, compile cost and bits.  A compounding engine
 links its firings' tiled plans as one group, so a missed segment compiles
 for every firing in one pass over their shared base delays
 (:meth:`repro.kernels.TiledPlan.link`, :func:`repro.kernels.compile_plans`).
@@ -38,8 +40,10 @@ import numpy as np
 from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
 from ..beamformer.das import DelayAndSumBeamformer
-from ..observability.tracing import resolve_tracer
+from ..config import SystemConfig
+from ..kernels import QuantizationSpec
 from ..kernels.tiling import TiledPlan
+from ..observability.tracing import resolve_tracer
 from ..runtime.backends import BACKENDS, VectorizedBackend
 from .delays import TransmitAdjustedProvider
 from .transmit import TransmitScheme
@@ -114,16 +118,23 @@ class SchemeEngine:
         a shared cache is byte-bounded once and the per-firing segment
         plans stream through it.  Read back parsed, in bytes, from
         :attr:`memory_budget_bytes`.
+    simulator:
+        Optional :class:`repro.acoustics.echo.EchoSimulator` that
+        :meth:`acquire` simulates with; an engine without one beamforms
+        given channel data only.
     """
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  scheme: TransmitScheme, backend: str = "vectorized",
                  backend_options: Any = None, cache: Any = None,
                  precision: Any = None, tracer: Any = None,
-                 memory_budget_bytes: int | str | None = None) -> None:
+                 memory_budget_bytes: int | str | None = None,
+                 simulator: EchoSimulator | None = None) -> None:
         self.beamformer = beamformer
         self.scheme = scheme
         self.backend_name = backend
+        self.cache = cache
+        self.simulator = simulator
         self.tracer = resolve_tracer(tracer)
         self._compounds = not scheme.is_trivial()
         beamformers = [self._event_beamformer(event)
@@ -144,6 +155,7 @@ class SchemeEngine:
             cache.reserve(sum(b.plan_slots for b in self.backends))
         self.memory_budget_bytes: int | None = \
             self.backends[0].memory_budget_bytes
+        self.precision = self.backends[0].precision
         self._linked: tuple = ()
 
     def _event_beamformer(self, event: Any) -> DelayAndSumBeamformer:
@@ -158,23 +170,37 @@ class SchemeEngine:
             quantization=base.quantization)
 
     @property
+    def system(self) -> SystemConfig:
+        """The system configuration the engine beamforms for."""
+        return self.beamformer.system
+
+    @property
+    def quantization(self) -> QuantizationSpec | None:
+        """The bit-true datapath spec, or ``None`` for float execution."""
+        return self.beamformer.quantization
+
+    @property
     def firing_count(self) -> int:
         """Number of transmit events (channel-data frames per volume)."""
         return self.scheme.firing_count
 
     # ------------------------------------------------------------ acquire
-    def acquire(self, simulator: EchoSimulator, phantom: Phantom,
-                noise_std: float = 0.0, seed: int = 0) -> list[ChannelData]:
-        """Simulate the scheme's firings for one frame (see
-        :func:`acquire_firings`)."""
-        return acquire_firings(simulator, self.scheme, phantom,
+    def acquire(self, phantom: Phantom, noise_std: float = 0.0,
+                seed: int = 0) -> list[ChannelData]:
+        """Simulate the scheme's firings for one frame with the engine's
+        simulator (see :func:`acquire_firings`)."""
+        if self.simulator is None:
+            raise ValueError(
+                "this engine has no echo simulator; build it with "
+                "EngineSpec.build_engine to acquire phantoms")
+        return acquire_firings(self.simulator, self.scheme, phantom,
                                noise_std=noise_std, seed=seed)
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Close every per-firing backend (idempotent).
 
-        Drops their privately memoised plans; the facades that build a
+        Drops their privately memoised plans; the facades that run a
         :class:`SchemeEngine` (service, pipeline) forward their own
         ``close()`` here.
         """

@@ -473,22 +473,8 @@ class BeamformingServer:
         if simulator is None:
             simulator = EchoSimulator.from_config(system)
             self._simulators[system.cache_key()] = simulator
-        return BeamformingService(
-            system,
-            architecture=engine.architecture,
-            architecture_options=engine.architecture_options,
-            backend=engine.backend,
-            backend_options=engine.backend_options,
-            apodization=engine.apodization,
-            interpolation=engine.interpolation,
-            precision=engine.precision,
-            quantization=engine.quantization,
-            scheme=engine.scheme,
-            scheme_options=engine.scheme_options,
-            cache=self.cache,
-            simulator=simulator,
-            tracer=self.tracer,
-            memory_budget_bytes=engine.memory_budget_bytes)
+        return BeamformingService(engine.build_engine(
+            cache=self.cache, simulator=simulator, tracer=self.tracer))
 
     def _sampling_frequency(self, state: _SessionState) -> float:
         return state.service.system.acoustic.sampling_frequency

@@ -228,7 +228,7 @@ class SweepExecutor:
         # working-set byte figure rides along and PlanCache.reserve warns
         # when it exceeds the budget (possible segment thrash) instead of
         # staying silent.
-        slots = max(session._resolve_scheme_variant(s, None).firing_count
+        slots = max(session._scheme(session._variant(scheme=s)).firing_count
                     for s in sweep.schemes)
         per_plan = plan_storage_bytes(
             session.grid.point_count, session.transducer.element_count,

@@ -48,7 +48,7 @@ def _resolved_options(engine_name: str, engine_options: Any,
                       registry: Any, name: str) -> dict | None:
     """Registry options for ``name``, resolved like a per-call override.
 
-    Mirrors :meth:`repro.api.Session._resolve_variant`: a grid axis value
+    Mirrors :meth:`repro.api.Session._variant`: a grid axis value
     matching the session spec's name inherits the spec's options, any
     other name uses its registered defaults.  The *resolved* instance is
     then encoded, so a cell keyed today still matches after a registry

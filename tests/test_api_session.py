@@ -4,7 +4,7 @@ The load-bearing claims: a Session builds shared substrates once, its sweep
 images every architecture from one shared acquisition, and a brand new
 delay architecture registered via ``@ARCHITECTURES.register(...)`` plus
 an options dataclass runs through ``Session.pipeline()`` and
-``BeamformingService`` without modifying any repro module.
+``Session.service()`` without modifying any repro module.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.bulk import BulkDelayProviderMixin
 from repro.core.exact import ExactDelayEngine
 from repro.geometry.volume import FocalGrid
 from repro.kernels import Precision
-from repro.runtime import BeamformingService, PlanCache
+from repro.runtime import PlanCache
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,10 @@ class TestSessionConstruction:
     def test_shared_substrates_are_reused(self, tiny_session):
         pipeline = tiny_session.pipeline(architecture="tablesteer")
         service = tiny_session.service(backend="vectorized")
-        assert pipeline._simulator is tiny_session.simulator
+        assert pipeline.engine.simulator is tiny_session.simulator
         assert pipeline.beamformer.transducer is tiny_session.transducer
         assert pipeline.beamformer.grid is tiny_session.grid
-        assert service._simulator is tiny_session.simulator
+        assert service.engine.simulator is tiny_session.simulator
         assert service.cache is tiny_session.cache
         assert pipeline.cache is tiny_session.cache
 
@@ -214,13 +214,11 @@ class TestCustomArchitectureEndToEnd:
         np.testing.assert_allclose(image, baseline)
 
         # ...and through the streaming service, on a batched backend.
-        service = BeamformingService(
-            tiny, architecture=toy_architecture,
-            architecture_options={"offset_samples": 0.0},
-            backend="vectorized", cache=PlanCache())
+        service = Session(rebuilt.with_updates(backend="vectorized")) \
+            .service(cache=PlanCache())
         result = service.submit_frame(centred_target)
         assert result.rf.shape == FocalGrid.from_config(tiny).shape
-        assert service.architecture == toy_architecture
+        assert isinstance(service.beamformer.delays, _ToyProvider)
 
     def test_nonzero_offset_changes_the_image(self, tiny, centred_target,
                                               toy_architecture):

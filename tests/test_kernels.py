@@ -371,7 +371,7 @@ def _segments(service) -> list:
     """Every segment plan of a service's engine (compiling on first use),
     firing by firing."""
     plans = []
-    for backend in service._engine.backends:
+    for backend in service.engine.backends:
         tiled = backend.plan()
         plans += [tiled.segment(tile) for tile in tiled.planner.tiles()]
     return plans

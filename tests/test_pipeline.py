@@ -1,4 +1,5 @@
-"""Tests for repro.pipeline: the high-level imaging pipeline and compounding."""
+"""Tests for repro.pipeline: the high-level imaging pipeline and the
+multi-insonification bookkeeping."""
 
 from __future__ import annotations
 
@@ -6,19 +7,20 @@ import numpy as np
 import pytest
 
 from repro.acoustics.phantom import point_target
+from repro.api import EngineSpec, Session
 from repro.config import tiny_system
 from repro.core.multi_origin import OriginSchedule
-from repro.pipeline.compounding import (
-    InsonificationPlan,
-    acquisition_summary,
-    compound_volume,
-)
-from repro.pipeline.imaging import ImagingPipeline
+from repro.pipeline.compounding import InsonificationPlan, acquisition_summary
 
 
 @pytest.fixture(scope="module")
 def system():
     return tiny_system()
+
+
+def pipeline_for(system, cache=None, **fields):
+    """An imaging pipeline built from ``EngineSpec(system=system, ...)``."""
+    return Session(EngineSpec(system=system, **fields)).pipeline(cache=cache)
 
 
 @pytest.fixture(scope="module")
@@ -30,38 +32,38 @@ def centred_target(system):
 
 class TestImagingPipeline:
     def test_image_phantom_roundtrip(self, system, centred_target):
-        pipeline = ImagingPipeline(system, architecture="exact")
+        pipeline = pipeline_for(system, architecture="exact")
         image = pipeline.image_phantom(centred_target)
         assert image.shape == (system.volume.n_theta, system.volume.n_depth)
         assert image.max() > 0
 
     def test_log_compressed_output_range(self, system, centred_target):
-        pipeline = ImagingPipeline(system, architecture="exact")
+        pipeline = pipeline_for(system, architecture="exact")
         data = pipeline.acquire(centred_target)
         db_image = pipeline.image_plane(data, dynamic_range_db=50.0)
         assert db_image.max() == pytest.approx(0.0)
         assert db_image.min() >= -50.0
 
     def test_volume_orders_agree(self, system, centred_target):
-        pipeline = ImagingPipeline(system, architecture="tablesteer")
+        pipeline = pipeline_for(system, architecture="tablesteer")
         data = pipeline.acquire(centred_target)
         nappe = pipeline.image_volume(data, order="nappe")
         scanline = pipeline.image_volume(data, order="scanline")
         np.testing.assert_allclose(nappe.rf, scanline.rf)
 
     def test_bad_order_rejected(self, system, centred_target):
-        pipeline = ImagingPipeline(system)
+        pipeline = pipeline_for(system)
         data = pipeline.acquire(centred_target)
         with pytest.raises(ValueError):
             pipeline.image_volume(data, order="diagonal")
 
     def test_architecture_accessible(self, system):
-        pipeline = ImagingPipeline(system, architecture="tablefree")
+        pipeline = pipeline_for(system, architecture="tablefree")
         from repro.core.tablefree import TableFreeDelayGenerator
         assert isinstance(pipeline.delay_provider, TableFreeDelayGenerator)
 
     def test_noise_changes_image(self, system, centred_target):
-        pipeline = ImagingPipeline(system)
+        pipeline = pipeline_for(system)
         clean = pipeline.image_phantom(centred_target, noise_std=0.0)
         noisy = pipeline.image_phantom(centred_target, noise_std=0.5, seed=3)
         assert not np.allclose(clean, noisy)
@@ -71,10 +73,10 @@ class TestPipelineBackends:
     @pytest.mark.parametrize("backend", ["vectorized"])
     def test_runtime_backend_matches_reference(self, system, centred_target,
                                                backend):
-        reference = ImagingPipeline(system, architecture="tablefree")
+        reference = pipeline_for(system, architecture="tablefree")
         data = reference.acquire(centred_target)
         want = reference.image_volume(data, order="scanline")
-        batched = ImagingPipeline(system, architecture="tablefree",
+        batched = pipeline_for(system, architecture="tablefree",
                                   backend=backend)
         got = batched.image_volume(data)
         assert got.order == backend
@@ -83,7 +85,7 @@ class TestPipelineBackends:
     def test_backend_shares_cache(self, system, centred_target):
         from repro.runtime import PlanCache
         cache = PlanCache()
-        pipeline = ImagingPipeline(system, backend="vectorized", cache=cache)
+        pipeline = pipeline_for(system, backend="vectorized", cache=cache)
         data = pipeline.acquire(centred_target)
         pipeline.image_volume(data)
         pipeline.image_volume(data)
@@ -92,43 +94,45 @@ class TestPipelineBackends:
 
     def test_unknown_backend_rejected(self, system):
         with pytest.raises(ValueError):
-            ImagingPipeline(system, backend="quantum")
+            pipeline_for(system, backend="quantum")
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_precision_respected_by_every_backend(self, system,
                                                   centred_target, backend):
         from repro.kernels import Precision
-        pipeline = ImagingPipeline(system, backend=backend,
+        pipeline = pipeline_for(system, backend=backend,
                                    precision="float32")
         data = pipeline.acquire(centred_target)
         volume = pipeline.image_volume(data)
         assert volume.rf.dtype == np.float32
-        exact = ImagingPipeline(system, backend=backend)
+        exact = pipeline_for(system, backend=backend)
         Precision.FLOAT32.tolerance.assert_allclose(
             volume.rf, exact.image_volume(data).rf)
 
-    def test_shared_objects_are_reused(self, system):
-        from repro.acoustics.echo import EchoSimulator
-        from repro.geometry.transducer import MatrixTransducer
-        from repro.geometry.volume import FocalGrid
-        simulator = EchoSimulator.from_config(system)
-        transducer = MatrixTransducer.from_config(system)
-        grid = FocalGrid.from_config(system)
-        pipeline = ImagingPipeline(system, simulator=simulator,
-                                   transducer=transducer, grid=grid)
-        assert pipeline._simulator is simulator
-        assert pipeline.beamformer.transducer is transducer
-        assert pipeline.beamformer.grid is grid
+    def test_shared_objects_are_reused(self):
+        session = Session(EngineSpec(system="tiny", backend="vectorized"))
+        assert session.transducer is session.simulator.transducer
+        for facade in (session.service(), session.pipeline()):
+            assert facade.beamformer.transducer is session.transducer
+            assert facade.beamformer.grid is session.grid
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_compounding_scheme_refuses_image_volume(self, system,
+                                                     centred_target, backend):
+        pipeline = pipeline_for(system, backend=backend, scheme="planewave")
+        data = pipeline.acquire(centred_target)
+        with pytest.raises(ValueError, match="compound_volume"):
+            pipeline.image_volume(data)
 
 
 class TestRegistryIntegration:
     def test_architecture_options_override_legacy_knobs(self, system):
         from repro.core.tablesteer import TableSteerConfig
-        pipeline = ImagingPipeline(
+        pipeline = pipeline_for(
             system, architecture="tablesteer",
             architecture_options=TableSteerConfig(total_bits=13))
         assert pipeline.delay_provider.design.total_bits == 13
-        as_dict = ImagingPipeline(system, architecture="tablesteer",
+        as_dict = pipeline_for(system, architecture="tablesteer",
                                   architecture_options={"total_bits": 13})
         assert as_dict.delay_provider.design.total_bits == 13
 
@@ -165,27 +169,3 @@ class TestInsonificationPlan:
         assert summary["scanlines_per_insonification"] == pytest.approx(256.0)
         assert summary["delay_values_per_second"] == pytest.approx(2.46e12,
                                                                    rel=0.01)
-
-
-class TestCompoundVolume:
-    def test_single_origin_compound_matches_plain_reconstruction(self, system,
-                                                                 centred_target):
-        plan = InsonificationPlan.from_system(system, insonifications=2)
-        compounded = compound_volume(system, centred_target, plan)
-        pipeline = ImagingPipeline(system, architecture="exact")
-        data = pipeline.acquire(centred_target)
-        direct = pipeline.image_volume(data, order="scanline")
-        np.testing.assert_allclose(compounded, direct.rf)
-
-    def test_multi_origin_compound_produces_focused_volume(self, system,
-                                                           centred_target):
-        schedule = OriginSchedule.translated_subapertures(system, count=2)
-        plan = InsonificationPlan.from_system(system, schedule=schedule,
-                                              insonifications=2)
-        volume = compound_volume(system, centred_target, plan)
-        assert volume.shape == (system.volume.n_theta, system.volume.n_phi,
-                                system.volume.n_depth)
-        # The brightest voxel sits at the target depth index.
-        depth_profile = np.max(np.abs(volume), axis=(0, 1))
-        assert abs(int(np.argmax(depth_profile))
-                   - system.volume.n_depth // 2) <= 1

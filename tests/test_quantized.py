@@ -35,7 +35,7 @@ from repro.kernels import (
     parse_qformat,
     plan_key,
 )
-from repro.runtime import BACKENDS, BeamformingService, PlanCache, static_cine
+from repro.runtime import BACKENDS, PlanCache, static_cine
 
 
 # --------------------------------------------------------------- the oracle
@@ -299,9 +299,10 @@ class TestQuantizedBackends:
         np.testing.assert_array_equal(batch[0], volume)
 
     def test_service_streams_quantized(self, tiny, tiny_channel_data):
-        service = BeamformingService(tiny, architecture="exact",
-                                     backend="vectorized", quantization=18,
-                                     cache=PlanCache())
+        from repro.api import EngineSpec, Session
+        service = Session(EngineSpec(
+            system=tiny, architecture="exact", backend="vectorized",
+            quantization=18)).service(cache=PlanCache())
         results = service.stream_all(static_cine(tiny_channel_data, 4),
                                      batch_size=2)
         assert len(results) == 4

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from repro.acoustics.phantom import point_target
+from repro.api import EngineSpec, Session
 from repro.kernels import Precision
-from repro.pipeline import ImagingPipeline
 from repro.runtime import (
-    BeamformingService,
     FrameRequest,
     PlanCache,
     moving_point_cine,
@@ -23,6 +22,17 @@ from repro.runtime import (
 )
 
 N_FRAMES = 8
+
+
+def session_for(system, **fields) -> Session:
+    """A session over ``system``; the backend defaults to ``vectorized``."""
+    fields.setdefault("backend", "vectorized")
+    return Session(EngineSpec(system=system, **fields))
+
+
+def service_for(system, cache=None, **fields):
+    """A streaming service built from ``EngineSpec(system=system, ...)``."""
+    return session_for(system, **fields).service(cache=cache)
 
 
 class TestFrameRequest:
@@ -59,7 +69,7 @@ class TestCineScenarios:
 class TestBeamformingService:
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_streams_cine_through_backend(self, tiny, backend):
-        service = BeamformingService(tiny, architecture="tablesteer",
+        service = service_for(tiny, architecture="tablesteer",
                                      backend=backend)
         results = service.stream_all(moving_point_cine(tiny, n_frames=N_FRAMES))
         assert len(results) == N_FRAMES
@@ -77,14 +87,14 @@ class TestBeamformingService:
         cine = moving_point_cine(tiny, n_frames=N_FRAMES)
         volumes = {}
         for backend in ("reference", "vectorized"):
-            service = BeamformingService(tiny, backend=backend)
+            service = service_for(tiny, backend=backend)
             volumes[backend] = service.stream_all(cine)
         for got, want in zip(volumes["vectorized"], volumes["reference"]):
             np.testing.assert_allclose(got.rf, want.rf, rtol=0, atol=1e-9)
 
     def test_cached_frames_skip_delay_regeneration(self, tiny):
         cache = PlanCache()
-        service = BeamformingService(tiny, backend="vectorized", cache=cache)
+        service = service_for(tiny, backend="vectorized", cache=cache)
         service.stream_all(moving_point_cine(tiny, n_frames=N_FRAMES))
         stats = service.stats()
         assert stats.cache.misses == 1
@@ -92,7 +102,7 @@ class TestBeamformingService:
         assert stats.cache.evictions == 0
 
     def test_stats_aggregate_counts(self, tiny, tiny_channel_data):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         service.stream_all(static_cine(tiny_channel_data, n_frames=4))
         stats = service.stats()
         assert stats.frames == 4
@@ -106,7 +116,7 @@ class TestBeamformingService:
         assert stats.max_latency_seconds >= stats.mean_latency_seconds
 
     def test_submit_accepts_raw_payloads(self, tiny, tiny_channel_data):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         from_data = service.submit_frame(tiny_channel_data)
         assert from_data.acquire_seconds == 0.0
         from_phantom = service.submit_frame(point_target(depth=0.01))
@@ -115,7 +125,7 @@ class TestBeamformingService:
 
     def test_frame_ids_stay_monotonic_across_reset(self, tiny,
                                                    tiny_channel_data):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         first = service.submit_frame(tiny_channel_data)
         second = service.submit_frame(tiny_channel_data)
         assert (first.frame_id, second.frame_id) == (0, 1)
@@ -126,7 +136,7 @@ class TestBeamformingService:
 
     def test_auto_ids_continue_above_explicit_requests(self, tiny,
                                                        tiny_channel_data):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         service.submit_frame(FrameRequest(frame_id=7,
                                           channel_data=tiny_channel_data))
         auto = service.submit_frame(tiny_channel_data)
@@ -134,18 +144,18 @@ class TestBeamformingService:
 
     def test_architecture_options_accepted(self, tiny, tiny_channel_data):
         from repro.core.tablesteer import TableSteerConfig
-        service = BeamformingService(
+        service = service_for(
             tiny, architecture="tablesteer",
             architecture_options=TableSteerConfig(total_bits=13))
         assert service.beamformer.delays.design.total_bits == 13
-        as_dict = BeamformingService(
+        as_dict = service_for(
             tiny, architecture="tablesteer",
             architecture_options={"total_bits": 13})
         assert as_dict.beamformer.delays.design.total_bits == 13
 
     def test_reset_stats_keeps_cache(self, tiny, tiny_channel_data):
         cache = PlanCache()
-        service = BeamformingService(tiny, backend="vectorized", cache=cache)
+        service = service_for(tiny, backend="vectorized", cache=cache)
         service.submit_frame(tiny_channel_data)
         service.reset_stats()
         assert service.stats().frames == 0
@@ -154,17 +164,18 @@ class TestBeamformingService:
         assert cache.stats.hits == 1
 
     def test_backend_name_exposed(self, tiny):
-        service = BeamformingService(tiny, backend="reference")
+        service = service_for(tiny, backend="reference")
         assert service.backend_name == "reference"
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-@pytest.mark.parametrize("build", [BeamformingService, ImagingPipeline],
+@pytest.mark.parametrize("build", [Session.service, Session.pipeline],
                          ids=["service", "pipeline"])
 def test_memory_budget_reads_back_parsed(tiny, build, backend):
     """A suffixed budget reads back as the int it was parsed to, on every
     backend and on both facades."""
-    engine = build(tiny, backend=backend, memory_budget_bytes="64K")
+    session = session_for(tiny, backend=backend)
+    engine = build(session, memory_budget_bytes="64K")
     assert engine.memory_budget_bytes == 64 * 1024
 
 
@@ -172,27 +183,27 @@ class TestPrecisionPolicy:
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_float32_stream_within_tolerance(self, tiny, backend):
         cine = moving_point_cine(tiny, n_frames=3)
-        exact = BeamformingService(tiny, backend=backend).stream_all(cine)
-        fast = BeamformingService(tiny, backend=backend,
+        exact = service_for(tiny, backend=backend).stream_all(cine)
+        fast = service_for(tiny, backend=backend,
                                   precision="float32").stream_all(cine)
         for got, want in zip(fast, exact):
             assert got.rf.dtype == np.float32
             Precision.FLOAT32.tolerance.assert_allclose(got.rf, want.rf)
 
     def test_stats_report_precision(self, tiny, tiny_channel_data):
-        service = BeamformingService(tiny, precision="float32")
+        service = service_for(tiny, precision="float32")
         service.submit_frame(tiny_channel_data)
         assert service.stats().precision == "float32"
-        assert BeamformingService(tiny).stats().precision == "float64"
+        assert service_for(tiny).stats().precision == "float64"
 
     def test_unknown_precision_rejected(self, tiny):
         with pytest.raises(ValueError, match="precision|float32"):
-            BeamformingService(tiny, precision="float16")
+            service_for(tiny, precision="float16")
 
     def test_precisions_never_share_plans(self, tiny, tiny_channel_data):
         cache = PlanCache()
         for precision in ("float64", "float32"):
-            service = BeamformingService(tiny, backend="vectorized",
+            service = service_for(tiny, backend="vectorized",
                                          cache=cache, precision=precision)
             service.submit_frame(tiny_channel_data)
             service.submit_frame(tiny_channel_data)
@@ -203,8 +214,8 @@ class TestPrecisionPolicy:
 class TestBatchedSubmission:
     def test_submit_batch_matches_per_frame(self, tiny):
         cine = moving_point_cine(tiny, n_frames=4)
-        per_frame = BeamformingService(tiny, backend="vectorized")
-        batched = BeamformingService(tiny, backend="vectorized")
+        per_frame = service_for(tiny, backend="vectorized")
+        batched = service_for(tiny, backend="vectorized")
         singles = per_frame.stream_all(cine)
         results = batched.submit_batch(cine)
         assert [r.frame_id for r in results] == [r.frame_id for r in singles]
@@ -216,22 +227,22 @@ class TestBatchedSubmission:
 
     def test_stream_with_batch_size_preserves_order(self, tiny):
         cine = moving_point_cine(tiny, n_frames=5)
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         results = service.stream_all(cine, batch_size=2)  # 2 + 2 + 1 frames
         assert [r.frame_id for r in results] == [0, 1, 2, 3, 4]
         assert service.stats().frames == 5
 
     def test_batched_stream_matches_per_frame_volumes(self, tiny):
         cine = moving_point_cine(tiny, n_frames=4)
-        per_frame = BeamformingService(tiny, backend="vectorized")
-        batched = BeamformingService(tiny, backend="vectorized")
+        per_frame = service_for(tiny, backend="vectorized")
+        batched = service_for(tiny, backend="vectorized")
         singles = per_frame.stream_all(cine)
         results = batched.stream_all(cine, batch_size=4)
         for got, want in zip(results, singles):
             np.testing.assert_array_equal(got.rf, want.rf)
 
     def test_batch_accepts_raw_payloads(self, tiny, tiny_channel_data):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         results = service.submit_batch(
             [tiny_channel_data, point_target(depth=0.01)])
         assert [r.frame_id for r in results] == [0, 1]
@@ -239,12 +250,12 @@ class TestBatchedSubmission:
         assert results[1].acquire_seconds > 0
 
     def test_empty_batch_is_a_noop(self, tiny):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         assert service.submit_batch([]) == []
         assert service.stats().frames == 0
 
     def test_bad_batch_size_rejected(self, tiny, tiny_channel_data):
-        service = BeamformingService(tiny, backend="vectorized")
+        service = service_for(tiny, backend="vectorized")
         with pytest.raises(ValueError, match="batch_size"):
             service.stream_all(static_cine(tiny_channel_data, 2),
                                batch_size=0)

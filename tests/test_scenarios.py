@@ -450,7 +450,9 @@ class TestServiceScheme:
         # scheme used to thrash its 4-slot private cache (5 plan keys),
         # recompiling the whole event bank every frame.
         from repro.runtime.service import BeamformingService
-        service = BeamformingService(tiny, scheme="planewave")
+        service = BeamformingService(EngineSpec(
+            system=tiny, backend="vectorized",
+            scheme="planewave").build_engine())
         assert service.cache.capacity >= 5
         for _ in range(2):
             service.submit_frame(phantom)

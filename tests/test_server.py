@@ -137,8 +137,9 @@ class TestMultiplexing:
     def test_sessions_match_single_stream_service(self, server):
         """Served volumes are bit-identical to a direct service run."""
         system = TINY.resolve_system()
-        reference = BeamformingService(system, backend="vectorized")
-        payload = reference._simulator.simulate(_phantom(system), seed=3)
+        reference = BeamformingService(TINY.build_engine())
+        payload = reference.engine.simulator.simulate(_phantom(system),
+                                                      seed=3)
         expected = reference.submit_frame(payload).rf
         reference.close()
 
@@ -489,7 +490,7 @@ class TestSessionFacade:
         session = Session(TINY.with_updates(backend="vectorized"))
         service = session.service()
         service.submit_frame(_phantom(session.system))
-        (backend,) = service._engine.backends
+        (backend,) = service.engine.backends
         assert backend._tiled is not None
         session.close()
         # The memoised plan was dropped by Session.close().
@@ -505,7 +506,7 @@ class TestSessionFacade:
 
     def test_service_context_manager_usable_after_close(self):
         system = tiny_system()
-        with BeamformingService(system, backend="vectorized") as service:
+        with BeamformingService(TINY.build_engine()) as service:
             first = service.submit_frame(_phantom(system))
         # close() ran; the service still works (the plan rebuilds lazily).
         again = service.submit_frame(_phantom(system))
