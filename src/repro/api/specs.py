@@ -135,10 +135,10 @@ class EngineSpec(SpecDocument):
 
     ``None`` (the default) keeps the historical unbounded behaviour.  With
     a budget, the session's :class:`repro.runtime.cache.PlanCache` is
-    byte-bounded, and :class:`repro.kernels.TilePlanner` sizes every
-    engine's :class:`repro.kernels.TiledPlan` tiles to it — as many as the
-    budget needs, streamed through the cache, bit-identical to untiled
-    execution (see ``docs/memory.md``).
+    byte-bounded, and :class:`repro.kernels.TilePlanner` sizes the plan
+    tiles of every engine's backends to it — as many as the budget needs,
+    streamed through the cache, bit-identical to untiled execution (see
+    ``docs/memory.md``).
     A budget too small to hold even one scanline of the resolved system is
     rejected here with an actionable error."""
 
@@ -266,8 +266,7 @@ class EngineSpec(SpecDocument):
         return SchemeEngine(
             beamformer, scheme, backend=self.backend,
             backend_options=self.backend_options, cache=cache,
-            precision=self.precision, tracer=tracer,
-            memory_budget_bytes=self.memory_budget_bytes,
+            tracer=tracer, memory_budget_bytes=self.memory_budget_bytes,
             simulator=simulator)
 
 

@@ -38,12 +38,12 @@ every entry point at once.
   ``prange``-parallel over voxel blocks.  Optional: importable (and
   introspectable) without numba, but building a plan raises
   :class:`BackendUnavailable` unless numba is installed.
-* :mod:`repro.kernels.tiling` — memory-budgeted tiled execution:
+* :mod:`repro.kernels.tiling` — memory-budgeted tiling:
   :class:`TilePlanner` splits any grid into budget-sized :class:`Tile`
-  ranges from per-point plan cost, and :class:`TiledPlan` streams per-tile
-  segment plans (NumPy or compiled) through a byte-budgeted
-  :class:`repro.runtime.cache.PlanCache` — the software analogue of the
-  paper's on-the-fly delay generation (see ``docs/memory.md``).
+  ranges from per-point plan cost; the plan-backed runtime backends
+  stream per-tile segment plans (NumPy or compiled) through a
+  byte-budgeted plan cache — the software analogue of the paper's
+  on-the-fly delay generation (see ``docs/memory.md``).
 """
 
 from .compiled import (
@@ -72,7 +72,7 @@ from .plan import (
 )
 from .precision import TOLERANCES, Precision, Tolerance, resolve_precision
 from .quantized import QuantizationSpec, parse_qformat
-from .tiling import Tile, TiledPlan, TilePlanner, parse_memory_budget
+from .tiling import Tile, TilePlanner, parse_memory_budget
 
 __all__ = [
     "BackendUnavailable",
@@ -85,7 +85,6 @@ __all__ = [
     "TOLERANCES",
     "Tile",
     "TilePlanner",
-    "TiledPlan",
     "Tolerance",
     "accumulate",
     "apply_weights",

@@ -452,8 +452,8 @@ class CompiledPlan(BeamformingPlan):
                        ) -> np.ndarray:
         """``(n_frames, n_points)`` sums of a stacked
         :func:`~repro.kernels.ops.pad_samples` buffer in one batch-kernel
-        launch (the buffer a :class:`~repro.kernels.tiling.TiledPlan`
-        shares across its segments)."""
+        launch (the buffer a plan-backed runtime backend shares across its
+        tile segments)."""
         tracer = resolve_tracer(tracer)
         options = self.options if options is None else options
         self._check_padded(padded)

@@ -21,8 +21,8 @@ quantised plans run one chunked gather/weigh/total loop through the datapath hel
 a plan carrying a :class:`~repro.kernels.quantized.QuantizationSpec` (the
 bit-true fixed-point datapath of the same loop, not another plan class)
 rounds every product, so neither is one product.  The runtime
-backends run whole *segment* plans, one per tile of a
-:class:`repro.kernels.tiling.TiledPlan` (``compile_plan(..., tile=...)``),
+backends run whole *segment* plans, one per
+:class:`repro.kernels.tiling.Tile` (``compile_plan(..., tile=...)``),
 through the same two methods; an unbudgeted engine is one tile.
 
 Compilation builds the flat int32 gather index
@@ -681,12 +681,12 @@ class BeamformingPlan:
     def execute_padded(self, padded: np.ndarray, tracer=None) -> np.ndarray:
         """``(n_frames, n_points)`` sums of an ``(n_elements * n_samples +
         1, n_frames)`` :func:`~repro.kernels.ops.pad_samples` buffer of
-        coerced frames — the buffer every segment of a
-        :class:`~repro.kernels.tiling.TiledPlan` shares.  A CSR plan runs
+        coerced frames — the buffer every tile segment of a plan-backed
+        runtime backend shares.  A CSR plan runs
         one sparse product over the whole batch (:meth:`_leaf_products`);
         the chunked plans gather block by block (:meth:`_chunked`).  The
         buffer's owner has refused non-finite samples (:func:`check_finite`;
-        :meth:`execute_batch` and ``TiledPlan.execute_batch`` do): a CSR
+        :meth:`execute_batch` and the plan-backed backends do): a CSR
         plan does not check again."""
         tracer = resolve_tracer(tracer)
         self._check_padded(padded)
@@ -821,8 +821,8 @@ def compile_plan(beamformer: "DelayAndSumBeamformer",
     compiles a *segment* plan for only that range of the focal grid: the
     key carries the tile's point range, and ``grid_shape`` degenerates to
     ``(1, 1, tile.n_points)`` — the segment behaves like a plan for a
-    one-scanline grid of the tile's length.  Segments are what
-    :class:`repro.kernels.tiling.TiledPlan` streams through the cache;
+    one-scanline grid of the tile's length.  Segments are what the
+    plan-backed runtime backends stream through the cache;
     their rows are bit-identical slices of the whole-grid tensors.
     """
     return compile_plans([beamformer], precision, variant=variant,

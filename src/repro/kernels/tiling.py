@@ -1,26 +1,20 @@
-"""Memory-budgeted tiled execution: budget -> tiles -> streamed segments.
+"""Memory-budgeted tiling: budget -> tiles.
 
 Experiment E9 puts the paper's storage argument in numbers: a compiled
 whole-grid :class:`~repro.kernels.plan.BeamformingPlan` costs terabytes at
 paper scale — the very reason the DATE'15 architecture generates delays on
 the fly instead of storing them.  This module is the software analogue of
-that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``):
-
-* :class:`TilePlanner` splits the flat focal-point axis into contiguous
-  :class:`Tile` ranges whose per-tile plan cost
-  (:func:`~repro.kernels.plan.plan_storage_bytes`) fits the budget,
-  aligned to whole scanlines by default (the minimal unit the per-scanline
-  delay providers stream);
-* :class:`TiledPlan` mirrors the :class:`BeamformingPlan` execute surface
-  but compiles one *segment* plan per tile on demand — via
-  ``compile_plans(..., tile=...)`` — and writes each tile's rows into the
-  caller's output array, one tile after the other.  Every plan-backed
-  runtime backend executes through one; without a budget it is a single
-  tile;
-* segments are cached in a byte-budgeted
-  :class:`repro.runtime.cache.PlanCache` (segment-level LRU): the budget is
-  *enforced*, never silently exceeded, and the achieved peak is reported
-  through the cache's ``plan_cache_peak_bytes`` gauge.
+that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``),
+:class:`TilePlanner` splits the flat focal-point axis into contiguous
+:class:`Tile` ranges whose per-tile plan cost
+(:func:`~repro.kernels.plan.plan_storage_bytes`) fits the budget, aligned
+to whole scanlines by default (the minimal unit the per-scanline delay
+providers stream).  The plan-backed runtime backends
+(:mod:`repro.runtime.backends`) compile one *segment* plan per tile on
+demand — via ``compile_plans(..., tile=...)`` — stream the segments
+through a byte-budgeted :class:`repro.runtime.cache.PlanCache` and write
+each tile's rows into the output array, one tile after the other; without
+a budget there is a single tile.
 
 Bit-identity with untiled execution is structural, and pinned by the
 conformance matrix and ``tests/test_property_tiling.py``: every plan's
@@ -33,24 +27,18 @@ the one-tile result.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..observability.tracing import resolve_tracer
-from .ops import pad_frames
-from .plan import (_leaf_ordered, check_finite, compile_plans, plan_key,
-                   plan_storage_bytes)
+from .plan import plan_storage_bytes
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from ..acoustics.echo import ChannelData
     from ..beamformer.das import DelayAndSumBeamformer
-    from ..runtime.cache import PlanCache
 
-__all__ = ["Tile", "TilePlanner", "TiledPlan", "parse_memory_budget"]
+__all__ = ["Tile", "TilePlanner", "parse_memory_budget"]
 
 
 _BUDGET_SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
@@ -233,206 +221,13 @@ class TilePlanner:
                        variant: str | None = None,
                        granularity: int | None = None) -> "TilePlanner":
         """Planner for a configured beamformer's grid/channels/interp/spec,
-        compiling ``variant`` plans."""
+        compiling ``variant`` plans; ``precision`` defaults to the
+        beamformer's."""
         return cls(beamformer.grid.shape,
                    beamformer.transducer.element_count,
-                   memory_budget_bytes, precision=precision,
+                   memory_budget_bytes,
+                   precision=beamformer.precision if precision is None
+                   else precision,
                    interpolation=beamformer.interpolation,
                    quantization=beamformer.quantization, variant=variant,
                    granularity=granularity)
-
-
-class TiledPlan:
-    """An engine's plan as tile segments, compiled and cached on demand.
-
-    Mirrors the :class:`~repro.kernels.plan.BeamformingPlan` execute
-    surface (``execute`` / ``execute_batch``); every plan-backed runtime
-    backend holds one, with a single tile when unbudgeted.  Each call runs
-    one body over the planner's tiles in order: fetch the tile's segment
-    plan from the cache (compiling through ``compile_plans(..., tile=...)``
-    on miss, under a ``compile`` span), execute it whole, and write its
-    rows into the output array — one ``tile`` tracer span per tile.
-    Plans linked as a firing group (:meth:`link`) may compile a missed tile
-    for the whole group at once (:meth:`segment`).
-
-    ``variant="compiled"`` streams fused
-    :class:`~repro.kernels.compiled.CompiledPlan` segments instead, keyed
-    by ``options.variant()`` and launched with ``options`` (so a segment
-    shared through the cache runs with this plan's threads/block size); a
-    beamformer carrying a ``quantization`` spec compiles segments that
-    carry it, and frames are coerced once into its sample format.
-    """
-
-    def __init__(self, beamformer: "DelayAndSumBeamformer",
-                 planner: TilePlanner,
-                 precision: Precision | str | None = None, *,
-                 cache: "PlanCache | None" = None,
-                 variant: str | None = None,
-                 options: object | None = None) -> None:
-        self.beamformer = beamformer
-        self.planner = planner
-        self.precision = resolve_precision(precision)
-        self.grid_shape = beamformer.grid.shape
-        self.quantization = beamformer.quantization
-        if variant is not None and variant != "compiled":
-            raise ValueError(f"unknown plan variant {variant!r}; "
-                             "available: compiled")
-        self._variant = variant
-        # Compiled segments also take the options per execute call: a
-        # cached segment may have been built by a backend launching with
-        # other threads/block size.
-        self._variant_kwargs: dict = {}
-        key_variant = None
-        if variant == "compiled":
-            from .compiled import CompiledOptions
-            options = CompiledOptions() if options is None else options
-            self._variant_kwargs = {"options": options}
-            key_variant = options.variant()
-        # Keyed once per tile, not per lookup: a key hashes the whole
-        # system config, a per-tile cost on every frame otherwise.
-        self._tile_keys = [plan_key(beamformer, self.precision,
-                                    variant=key_variant, tile=tile)
-                           for tile in planner.tiles()]
-        if cache is None:
-            # Private per-plan cache with a slot per tile, bounded by the
-            # same budget the tiles were sized for.  Imported lazily:
-            # repro.runtime imports the kernels package, not the reverse.
-            from ..runtime.cache import PlanCache
-            cache = PlanCache(capacity=planner.n_tiles, metrics=None,
-                              max_bytes=planner.memory_budget_bytes)
-        self.cache = cache
-        self._group: tuple = ()
-
-    @staticmethod
-    def link(plans: "Sequence[TiledPlan]") -> None:
-        """Link ``plans`` as one firing group: the tiled plans of one
-        transmit scheme's firings, which differ only in their delay
-        providers (:class:`repro.scenarios.SchemeEngine` links them).
-
-        A linked plan whose segment misses compiles that tile for every
-        plan of the group that misses it too, in one
-        :func:`~repro.kernels.plan.compile_plans` pass, when the group
-        shares one cache that can hold a full segment per firing (see
-        :meth:`segment`).  The links are weak: a group never keeps a
-        dropped plan alive."""
-        refs = tuple(weakref.ref(plan) for plan in plans)
-        for plan in plans:
-            plan._group = refs
-
-    # ------------------------------------------------------------ geometry
-    @property
-    def n_points(self) -> int:
-        """Number of focal points (product of ``grid_shape``)."""
-        return self.planner.n_points
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Execution dtype of the output volumes."""
-        return self.precision.dtype
-
-    # ------------------------------------------------------------ execution
-    def segment(self, tile: Tile, tracer=None):
-        """The compiled segment plan for one tile (cached; builds on miss).
-
-        A linked plan (:meth:`link`) builds a miss for its whole group when
-        the group's cache can hold one full segment per firing — a count
-        bound of at least the firing count, or a byte budget of at least
-        that many :attr:`TilePlanner.tile_bytes` — so no group segment is
-        evicted before its firing uses it.  Under a smaller budget the
-        firings stream their segments one at a time, as unlinked plans
-        do."""
-        tracer = resolve_tracer(tracer)
-        group = self._grouped() or [self]
-
-        def build(positions: list[int]) -> list:
-            with tracer.span("compile") as span:
-                plans = compile_plans(
-                    [group[i].beamformer for i in positions],
-                    self.precision, variant=self._variant, tile=tile,
-                    **self._variant_kwargs)
-                span.set(bytes=sum(int(plan.nbytes) for plan in plans),
-                         points=tile.n_points,
-                         elements=self.planner.n_elements, tile=tile.index)
-                if len(plans) > 1:
-                    span.set(firings=len(plans))
-            return plans
-
-        return self.cache.get_or_build_group(
-            [plan._tile_keys[tile.index] for plan in group],
-            group.index(self), build,
-            size_hint=self.planner.tile_nbytes(tile))
-
-    def _grouped(self) -> "list[TiledPlan] | None":
-        """The linked plans, when they compile as one group: two or more,
-        alive, tiled alike and sharing a cache that holds a full segment
-        of each."""
-        group = [ref() for ref in self._group]
-        if len(group) < 2 or any(
-                plan is None or plan.cache is not self.cache
-                or plan.planner.tile_points != self.planner.tile_points
-                for plan in group):
-            return None
-        if self.cache.max_bytes is None:
-            fits = self.cache.capacity >= len(group)
-        else:
-            fits = len(group) * self.planner.tile_bytes \
-                <= self.cache.max_bytes
-        return group if fits else None
-
-    def _run_tiles(self, body: Callable, tracer) -> None:
-        """Run ``body(tile, segment)`` for every tile, in order, each under
-        a ``tile`` span (index, point count, segment bytes)."""
-        for tile in self.planner.tiles():
-            with tracer.span("tile", index=tile.index,
-                             tiles=self.planner.n_tiles,
-                             points=tile.n_points) as span:
-                segment = self.segment(tile, tracer)
-                span.set(bytes=int(segment.nbytes))
-                body(tile, segment)
-            # Held no longer than the cache holds it: an evicted segment
-            # must be freed before the next tile's segment is built.
-            del segment
-
-    def execute(self, channel_data: "ChannelData | np.ndarray",
-                tracer=None) -> np.ndarray:
-        """Beamform one frame tile by tile; shape ``grid_shape``: the
-        one-frame case of :meth:`execute_batch`, so the frame is padded
-        and checked once, not once per tile."""
-        return self.execute_batch([channel_data], tracer)[0]
-
-    def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
-                      tracer=None) -> np.ndarray:
-        """Beamform a cine batch tile by tile; ``(n_frames, *grid_shape)``.
-
-        Frames are coerced and padded once, each written straight into its
-        column (:func:`~repro.kernels.ops.pad_frames`) — every tile
-        gathers from the same buffer — and every tile's
-        segment executes the full batch before moving on: the segment (the
-        expensive artifact) is amortised across frames, exactly the access
-        order the LRU favours.  The buffer is built once the first tile's
-        segment is in hand, so a cold compile of a one-tile plan never
-        holds it beside its own scratch.  CSR segments refuse a NaN or
-        infinite sample (:func:`~repro.kernels.plan.check_finite`), checked
-        once here for every tile.
-        """
-        tracer = resolve_tracer(tracer)
-        if len(frames) == 0:
-            return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        out = np.empty((len(frames), self.n_points), dtype=self.dtype)
-        padded = None
-
-        def body(tile: Tile, segment) -> None:
-            nonlocal padded
-            if padded is None:
-                padded = pad_frames(
-                    frames, self.dtype, self.quantization,
-                    (self.beamformer.transducer.element_count,
-                     self.beamformer.system.echo_buffer_samples))
-                if _leaf_ordered(self.beamformer.interpolation,
-                                 self.quantization, self._variant):
-                    check_finite(padded)
-            out[:, tile.rows] = segment.execute_padded(
-                padded, tracer=tracer, **self._variant_kwargs)
-
-        self._run_tiles(body, tracer)
-        return out.reshape((len(frames), *self.grid_shape))

@@ -53,8 +53,9 @@ class ImagingPipeline:
     def close(self) -> None:
         """Release the execution backend(s) of the pipeline's engine.
 
-        Drops their privately memoised plans; shared caches are untouched.
-        Idempotent, and the pipeline stays usable (plans rebuild lazily).
+        Drops the plans of the engine's private cache; shared caches are
+        untouched.  Idempotent, and the pipeline stays usable (plans
+        rebuild lazily).
         The pipeline is a context manager::
 
             with session.pipeline() as pipeline:

@@ -283,10 +283,12 @@ class Registry:
                 f"unknown {self.kind} {name!r}; "
                 f"available: {', '.join(self.names())}") from None
 
-    def create(self, name: str, *args: Any, options: Any = None) -> Any:
-        """Instantiate ``name`` by calling its factory with coerced options."""
+    def create(self, name: str, *args: Any, options: Any = None,
+               **kwargs: Any) -> Any:
+        """Instantiate ``name`` by calling its factory with coerced options
+        (after ``args``; keyword arguments pass through)."""
         entry = self.get(name)
-        return entry.factory(*args, entry.make_options(options))
+        return entry.factory(*args, entry.make_options(options), **kwargs)
 
     def names(self) -> tuple[str, ...]:
         """Registered names in registration order."""

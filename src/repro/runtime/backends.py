@@ -43,15 +43,16 @@ import numpy as np
 
 from ..acoustics.echo import ChannelData
 from ..beamformer.das import DelayAndSumBeamformer
-from ..kernels import Precision, delay_and_sum, resolve_precision
+from ..kernels import Precision, compile_plans, delay_and_sum, plan_key
 from ..kernels.compiled import (
     BackendUnavailable as BackendUnavailable,  # re-exported for callers
     CompiledOptions,
     numba_available,
     require_numba,
 )
-from ..kernels.ops import coerce_samples
-from ..kernels.tiling import TiledPlan, TilePlanner, parse_memory_budget
+from ..kernels.ops import coerce_samples, pad_frames
+from ..kernels.plan import check_finite
+from ..kernels.tiling import Tile, TilePlanner
 from ..observability.tracing import resolve_tracer
 from ..registry import Registry
 from .cache import PlanCache
@@ -64,106 +65,25 @@ class ExecutionBackend:
     ----------
     beamformer:
         The configured delay-and-sum beamformer (supplies grid, provider,
-        apodization and interpolation settings).
-    cache:
-        Optional shared :class:`PlanCache`.  Without one the backend still
-        memoises its own compiled plan for the lifetime of the instance.
-    precision:
-        Execution dtype policy (``float64`` default; see
-        :class:`repro.kernels.Precision`).
+        apodization, interpolation, precision and quantisation settings).
+    tracer:
+        Optional :class:`repro.observability.Tracer` the backend's spans
+        are recorded in; ``None`` resolves to the process default
+        (normally a no-op).
     """
 
     name: str = "abstract"
 
-    def __init__(self, beamformer: DelayAndSumBeamformer,
-                 cache: PlanCache | None = None,
-                 precision: Precision | str | None = None,
+    def __init__(self, beamformer: DelayAndSumBeamformer, *,
                  tracer=None) -> None:
         self.beamformer = beamformer
-        self.cache = cache
-        self.precision = resolve_precision(precision)
-        # Mutable on purpose: repro.scenarios.SchemeEngine builds backends
-        # through the BACKENDS registry and attaches its tracer afterwards.
         self.tracer = resolve_tracer(tracer)
-        quantization = getattr(beamformer, "quantization", None)
-        if quantization is not None:
-            # Every backend (including the plan-less reference loop, whose
-            # output array is allocated in the execution dtype) would
-            # silently truncate the exact fixed-point codes under float32.
-            quantization.validate_for(self.precision,
-                                      beamformer.interpolation)
-        self.memory_budget_bytes: int | None = None
-        self._planner = self._plan_tiles(None)
-        self._tiled: TiledPlan | None = None
-
-    # ----------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Drop the privately memoised plan; idempotent.
-
-        A shared cache's entries belong to the cache.  A closed backend
-        may be used again — the plan is rebuilt lazily.
-        """
-        self._tiled = None
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -------------------------------------------------------- memory budget
-    def set_memory_budget(self, memory_budget_bytes: int | str | None
-                          ) -> None:
-        """Cap this backend's plan memory; ``None`` removes the cap.
-
-        Builds the :class:`repro.kernels.tiling.TilePlanner` for the
-        engine's grid/channels/precision immediately — a budget too small
-        to hold one scanline is rejected right here with an actionable
-        :class:`ValueError`, not at first frame.  Without a budget the
-        planner has one tile.  A shared
-        :class:`PlanCache` is tightened to the same byte bound so resident
-        plans can never exceed it either.
-
-        The ``reference`` backend inherits the same validation but needs no
-        tiling: its per-scanline loop already streams one scanline of
-        delays at a time (the budget floor).
-        """
-        budget = None if memory_budget_bytes is None \
-            else parse_memory_budget(memory_budget_bytes)
-        self._planner = self._plan_tiles(budget)
-        self.memory_budget_bytes = budget
-        self._tiled = None
-        if budget is not None and self.cache is not None:
-            self.cache.limit_bytes(budget)
-
-    def _plan_tiles(self, budget: int | None) -> TilePlanner:
-        """The tiling for ``budget``."""
-        return TilePlanner.for_beamformer(self.beamformer, budget,
-                                          precision=self.precision)
 
     @property
-    def plan_slots(self) -> int:
-        """Plan-cache entries one frame uses: one per tile."""
-        return self._planner.n_tiles
-
-    def _build_tiled(self) -> TiledPlan:
-        """Build the tiled plan — variant backends override."""
-        return TiledPlan(self.beamformer, self._planner, self.precision,
-                         cache=self.cache)
-
-    def plan(self) -> TiledPlan:
-        """The :class:`~repro.kernels.tiling.TiledPlan` for this engine.
-
-        Its tile segments are compiled on first use, through the shared
-        cache when one is attached — the hit/miss counters then directly
-        record that repeated frames skip plan compilation, and a ``compile``
-        span is opened only when a segment is actually built.  The shell
-        is memoised privately (only its segments live in the shared cache;
-        caching the shell too would double-count the bytes).
-        """
-        if self._tiled is None:
-            self._tiled = self._build_tiled()
-        return self._tiled
+    def precision(self) -> Precision:
+        """Execution dtype policy: the beamformer's (see
+        :class:`repro.kernels.Precision`)."""
+        return self.beamformer.precision
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         """Beamformed RF volume, shape ``(n_theta, n_phi, n_depth)``."""
@@ -187,8 +107,10 @@ class ReferenceBackend(ExecutionBackend):
 
     Delays and weights are regenerated for every scanline of every frame
     and consumed by the *uncompiled* kernel entry point — deliberately no
-    plan, no cache: this is the baseline the compiled backends are measured
-    against (and the oracle they are verified against).
+    plan, no cache and no tiling: this is the baseline the compiled
+    backends are measured against (and the oracle they are verified
+    against).  Its loop already streams one scanline of delays at a time,
+    the floor of any memory budget.
     """
 
     name = "reference"
@@ -219,24 +141,153 @@ class ReferenceBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """Batched gather/sum over the tiles of a compiled plan, in order."""
+    """Batched gather/sum over a compiled plan's tile segments, in order.
+
+    Each call runs one loop over the planner's tiles: fetch the tile's
+    segment plan from the cache (compiling it on a miss, under a
+    ``compile`` span), execute it on the whole batch, and write its rows
+    into the output array — one ``tile`` span per tile, all under one
+    ``execute`` span.
+
+    Parameters
+    ----------
+    beamformer:
+        As for :class:`ExecutionBackend`.
+    planner:
+        The :class:`repro.kernels.tiling.TilePlanner` of the beamformer's
+        grid: budget-sized tiles, or one tile without a budget.
+    cache:
+        Optional shared :class:`PlanCache` the tile segments live in; the
+        hit/miss counters then record that repeated frames skip plan
+        compilation.  Without one the backend keeps a private cache with a
+        slot per tile, bounded by the planner's budget.
+    tracer:
+        As for :class:`ExecutionBackend`.
+    group:
+        The firing group: one list that
+        :class:`repro.scenarios.SchemeEngine` hands every backend of one
+        transmit scheme's firings, which share this backend's ``planner``
+        tiling and ``cache``.  Each backend adds its beamformer and segment
+        keys at construction.  A missed segment is then compiled for every
+        firing that misses it too, in one
+        :func:`~repro.kernels.plan.compile_plans` pass (see
+        :meth:`segment`).  ``None`` makes a group of one.
+    """
 
     name = "vectorized"
+    variant: str | None = None
+    """Plan family of the segments (``None``: the NumPy plan)."""
+    options: CompiledOptions | None = None
+    """Launch options of ``compiled`` segments."""
 
-    def _execute_span(self, **attributes):
-        """The ``execute`` span around one plan call."""
-        return self.tracer.span("execute", tiles=self._planner.n_tiles,
-                                **attributes)
+    def __init__(self, beamformer: DelayAndSumBeamformer,
+                 planner: TilePlanner, cache: PlanCache | None = None, *,
+                 tracer=None, group: list | None = None) -> None:
+        super().__init__(beamformer, tracer=tracer)
+        self.planner = planner
+        self.cache = cache if cache is not None else PlanCache(
+            capacity=planner.n_tiles, max_bytes=planner.memory_budget_bytes)
+        # Compiled segments take the options per execute call too: a
+        # cached segment may have been built by a backend launching with
+        # other threads/block size.
+        self._launch = {} if self.options is None \
+            else {"options": self.options}
+        key_variant = None if self.options is None else self.options.variant()
+        # Keyed once per tile, not per lookup: a key hashes the whole
+        # system config, a per-tile cost on every frame otherwise.
+        tile_keys = [plan_key(beamformer, self.precision,
+                              variant=key_variant, tile=tile)
+                     for tile in planner.tiles()]
+        self._group = [] if group is None else group
+        self._firing = len(self._group)
+        self._group.append((beamformer, tile_keys))
+
+    # ------------------------------------------------------------ execution
+    def segment(self, tile: Tile):
+        """The compiled segment plan for one tile (cached; built on a miss).
+
+        A miss is built for the whole firing group when the cache can hold
+        one full segment per firing (:meth:`_fits_group`), so no group
+        segment is evicted before its firing uses it.  Under a smaller
+        budget the firings stream their segments one at a time."""
+        group, first = self._group, self._firing
+        if not self._fits_group():
+            group, first = [group[first]], 0
+
+        def build(positions: list[int]) -> list:
+            with self.tracer.span("compile") as span:
+                plans = compile_plans(
+                    [group[i][0] for i in positions], self.precision,
+                    variant=self.variant, tile=tile, **self._launch)
+                span.set(bytes=sum(int(plan.nbytes) for plan in plans),
+                         points=tile.n_points,
+                         elements=self.planner.n_elements, tile=tile.index)
+                if len(plans) > 1:
+                    span.set(firings=len(plans))
+            return plans
+
+        return self.cache.get_or_build_group(
+            [tile_keys[tile.index] for _, tile_keys in group], first, build,
+            size_hint=self.planner.tile_nbytes(tile))
+
+    def _fits_group(self) -> bool:
+        """Whether the cache holds a full segment of every firing: a count
+        bound of at least the firing count, or a byte budget of at least
+        that many :attr:`TilePlanner.tile_bytes`."""
+        firings = len(self._group)
+        if self.cache.max_bytes is None:
+            return self.cache.capacity >= firings
+        return firings * self.planner.tile_bytes <= self.cache.max_bytes
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
-        plan = self.plan()
-        with self._execute_span():
-            return plan.execute(channel_data, tracer=self.tracer)
+        with self.tracer.span("execute", tiles=self.planner.n_tiles):
+            return self._run_tiles([channel_data])[0]
 
     def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
-        plan = self.plan()
-        with self._execute_span(frames=len(frames)):
-            return plan.execute_batch(frames, tracer=self.tracer)
+        with self.tracer.span("execute", tiles=self.planner.n_tiles,
+                              frames=len(frames)):
+            return self._run_tiles(frames)
+
+    def _run_tiles(self, frames: Sequence[ChannelData]) -> np.ndarray:
+        """Beamform frames tile by tile; ``(n_frames, *grid_shape)``.
+
+        Frames are coerced and padded once, each written straight into its
+        column (:func:`~repro.kernels.ops.pad_frames`) — every tile
+        gathers from the same buffer — and every tile's segment executes
+        the full batch before moving on: the segment (the expensive
+        artifact) is amortised across frames, exactly the access order the
+        LRU favours.  The buffer is built once the first tile's segment is
+        in hand, so a cold compile of a one-tile plan never holds it beside
+        its own scratch.  CSR segments refuse a NaN or infinite sample
+        (:func:`~repro.kernels.plan.check_finite`), checked once here for
+        every tile.
+        """
+        grid_shape = self.beamformer.grid.shape
+        dtype = self.precision.dtype
+        if len(frames) == 0:
+            return np.empty((0, *grid_shape), dtype=dtype)
+        planner = self.planner
+        out = np.empty((len(frames), planner.n_points), dtype=dtype)
+        padded = None
+        for tile in planner.tiles():
+            with self.tracer.span("tile", index=tile.index,
+                                  tiles=planner.n_tiles,
+                                  points=tile.n_points) as span:
+                segment = self.segment(tile)
+                span.set(bytes=int(segment.nbytes))
+                if padded is None:
+                    padded = pad_frames(
+                        frames, dtype, self.beamformer.quantization,
+                        (planner.n_elements,
+                         self.beamformer.system.echo_buffer_samples))
+                    if segment.matrix is not None:
+                        check_finite(padded)
+                out[:, tile.rows] = segment.execute_padded(
+                    padded, tracer=self.tracer, **self._launch)
+            # Held no longer than the cache holds it: an evicted segment
+            # must be freed before the next tile's segment is built.
+            del segment
+        return out.reshape((len(frames), *grid_shape))
 
 
 class CompiledBackend(VectorizedBackend):
@@ -249,6 +300,10 @@ class CompiledBackend(VectorizedBackend):
     blocks.  Float64 volumes match the NumPy backends within the pinned
     summation-order tolerance (:data:`repro.kernels.TOLERANCES`
     ``float64`` row); see ``docs/kernels.md`` for the bit-identity stance.
+    The launch options join the segment keys: a cache shared with NumPy
+    backends never serves this backend a plain
+    :class:`~repro.kernels.BeamformingPlan` (or a fastmath plan where
+    strict math was requested).
 
     Requires the optional ``numba`` package: construction raises
     :class:`repro.kernels.compiled.BackendUnavailable` without it, and
@@ -259,12 +314,13 @@ class CompiledBackend(VectorizedBackend):
     """
 
     name = "compiled"
+    variant = "compiled"
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
-                 cache: PlanCache | None = None,
-                 precision: Precision | str | None = None,
-                 options: CompiledOptions | None = None) -> None:
-        if getattr(beamformer, "quantization", None) is not None:
+                 planner: TilePlanner, cache: PlanCache | None = None, *,
+                 options: CompiledOptions | None = None, tracer=None,
+                 group: list | None = None) -> None:
+        if beamformer.quantization is not None:
             # Checked before the numba gate so the error is about the real
             # incompatibility even on numba-free hosts.
             raise ValueError(
@@ -273,27 +329,16 @@ class CompiledBackend(VectorizedBackend):
                 "on the NumPy plan only — use the 'vectorized' backend "
                 "for quantized engines")
         require_numba()
-        super().__init__(beamformer, cache=cache, precision=precision)
         self.options = options if options is not None else CompiledOptions()
-
-    def _plan_tiles(self, budget: int | None) -> TilePlanner:
-        # Natural-order segments: no CSR row pointers to budget for.
-        return TilePlanner.for_beamformer(self.beamformer, budget,
-                                          precision=self.precision,
-                                          variant="compiled")
-
-    def _build_tiled(self) -> TiledPlan:
-        # The variant joins the segment keys: a cache shared with NumPy
-        # backends never serves this backend a plain BeamformingPlan (or a
-        # fastmath plan where strict math was requested).
-        return TiledPlan(self.beamformer, self._planner, self.precision,
-                         cache=self.cache, variant="compiled",
-                         options=self.options)
+        super().__init__(beamformer, planner, cache, tracer=tracer,
+                         group=group)
 
 
 BACKENDS = Registry("backend")
 """Registry of execution backends (factory:
-``(beamformer, cache, precision, options)``)."""
+``(beamformer, cache, memory_budget_bytes, options, *, tracer, group)``;
+the plan-backed factories turn the budget into the backend's
+:class:`~repro.kernels.tiling.TilePlanner`)."""
 
 
 @BACKENDS.register(
@@ -301,9 +346,10 @@ BACKENDS = Registry("backend")
     description="per-scanline classic delay-and-sum loop (ground truth)")
 def _build_reference(beamformer: DelayAndSumBeamformer,
                      cache: PlanCache | None,
-                     precision: Precision | str | None,
-                     options: None) -> ReferenceBackend:
-    return ReferenceBackend(beamformer, precision=precision)
+                     memory_budget_bytes: int | str | None,
+                     options: None, *, tracer=None,
+                     group: list | None = None) -> ReferenceBackend:
+    return ReferenceBackend(beamformer, tracer=tracer)
 
 
 @BACKENDS.register(
@@ -311,9 +357,13 @@ def _build_reference(beamformer: DelayAndSumBeamformer,
     description="whole-volume batched gather/sum over a compiled plan")
 def _build_vectorized(beamformer: DelayAndSumBeamformer,
                       cache: PlanCache | None,
-                      precision: Precision | str | None,
-                      options: None) -> VectorizedBackend:
-    return VectorizedBackend(beamformer, cache=cache, precision=precision)
+                      memory_budget_bytes: int | str | None,
+                      options: None, *, tracer=None,
+                      group: list | None = None) -> VectorizedBackend:
+    return VectorizedBackend(
+        beamformer, TilePlanner.for_beamformer(beamformer,
+                                               memory_budget_bytes),
+        cache, tracer=tracer, group=group)
 
 
 @BACKENDS.register(
@@ -324,10 +374,15 @@ def _build_vectorized(beamformer: DelayAndSumBeamformer,
                    else " (unavailable: numba is not installed)"))
 def _build_compiled(beamformer: DelayAndSumBeamformer,
                     cache: PlanCache | None,
-                    precision: Precision | str | None,
-                    options: CompiledOptions) -> CompiledBackend:
-    return CompiledBackend(beamformer, cache=cache, precision=precision,
-                           options=options)
+                    memory_budget_bytes: int | str | None,
+                    options: CompiledOptions, *, tracer=None,
+                    group: list | None = None) -> CompiledBackend:
+    # Natural-order segments: no CSR row pointers to budget for.
+    return CompiledBackend(
+        beamformer, TilePlanner.for_beamformer(beamformer,
+                                               memory_budget_bytes,
+                                               variant="compiled"),
+        cache, options=options, tracer=tracer, group=group)
 
 
 BACKEND_NAMES: tuple[str, ...] = BACKENDS.names()

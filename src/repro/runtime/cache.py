@@ -161,7 +161,8 @@ class PlanCache:
         ``builder(positions)`` returns the values of ``keys[i]`` for the
         missing positions ``i``, in order, and ``size_hint`` predicts the
         bytes of each.  The caller checks that the cache can hold the
-        whole group (see :class:`repro.kernels.tiling.TiledPlan`).
+        whole group (see
+        :meth:`repro.runtime.backends.VectorizedBackend.segment`).
 
         Each built value counts one miss, and room for all of them is made
         *before* the builder runs: LRU entries are evicted until the count

@@ -148,9 +148,9 @@ class BeamformingService:
     def close(self) -> None:
         """Release the execution backend(s) this service constructed.
 
-        Drops the privately memoised plans of every per-firing backend; a
-        shared :class:`PlanCache` is left untouched — its plans belong to
-        whoever owns the cache.  Idempotent, and the service remains
+        Drops the plans of the engine's private cache; a shared
+        :class:`PlanCache` is left untouched — its plans belong to whoever
+        owns the cache.  Idempotent, and the service remains
         usable afterwards (plans rebuild lazily), so ``close()`` is always
         safe.  The service is a context manager::
 

@@ -18,10 +18,11 @@ returns: :class:`repro.runtime.BeamformingService`,
 :class:`repro.server.BeamformingServer` session and a sweep cell.  The
 trivial focused scheme is a one-firing engine on the base beamformer
 itself, with no transmit wrap, so it keeps the bare architecture's plan
-key, compile cost and bits.  A compounding engine
-links its firings' tiled plans as one group, so a missed segment compiles
-for every firing in one pass over their shared base delays
-(:meth:`repro.kernels.TiledPlan.link`, :func:`repro.kernels.compile_plans`).
+key, compile cost and bits.  A compounding engine builds its firings'
+backends as one group over one cache and one tiling, so a missed segment
+compiles for every firing in one pass over their shared base delays
+(:meth:`repro.runtime.backends.VectorizedBackend.segment`,
+:func:`repro.kernels.compile_plans`).
 
 Compounding is a plain ordered sum of per-firing volumes.  The summation
 order is the event order of the scheme in both the per-frame and the
@@ -41,10 +42,11 @@ from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
 from ..beamformer.das import DelayAndSumBeamformer
 from ..config import SystemConfig
-from ..kernels import QuantizationSpec
-from ..kernels.tiling import TiledPlan
+from ..kernels import Precision, QuantizationSpec
+from ..kernels.tiling import TilePlanner, parse_memory_budget
 from ..observability.tracing import resolve_tracer
-from ..runtime.backends import BACKENDS, VectorizedBackend
+from ..runtime.backends import BACKENDS
+from ..runtime.cache import PlanCache
 from .delays import TransmitAdjustedProvider
 from .transmit import TransmitScheme
 
@@ -94,7 +96,7 @@ class SchemeEngine:
     beamformer:
         The configured base beamformer; its delay provider, apodization,
         interpolation, precision and quantisation are shared by every
-        per-firing engine.
+        per-firing engine, and its precision is the engine's.
     scheme:
         The transmit scheme; one execution backend is built per event.  A
         trivial scheme (:meth:`TransmitScheme.is_trivial`) runs its single
@@ -106,18 +108,21 @@ class SchemeEngine:
         Optional shared :class:`repro.runtime.cache.PlanCache`; per-firing
         plans have distinct keys (the firing is part of the provider
         design), so a shared cache never mixes firings.  A count-bounded
-        cache is grown to one slot per firing and tile.
+        cache is grown to one slot per firing and tile.  Without one the
+        engine keeps one private cache for all its firings, bounded by
+        the budget.
     tracer:
         Optional :class:`repro.observability.Tracer`, shared with every
         per-firing backend; compounding opens a ``compound`` span whose
         children are the per-firing ``compile``/``execute`` spans.
         ``None`` resolves to the process default (normally a no-op).
     memory_budget_bytes:
-        Optional plan-memory budget applied to every per-firing backend
-        (see :meth:`repro.runtime.backends.ExecutionBackend.set_memory_budget`);
-        a shared cache is byte-bounded once and the per-firing segment
-        plans stream through it.  Read back parsed, in bytes, from
-        :attr:`memory_budget_bytes`.
+        Optional plan-memory budget: every per-firing backend tiles its
+        plan to it (:class:`repro.kernels.tiling.TilePlanner`; a budget
+        too small to hold one scanline is rejected here, whatever the
+        backend) and the cache is byte-bounded to it once, so the
+        per-firing segment plans stream through it.  Read back parsed, in
+        bytes, from :attr:`memory_budget_bytes`.
     simulator:
         Optional :class:`repro.acoustics.echo.EchoSimulator` that
         :meth:`acquire` simulates with; an engine without one beamforms
@@ -126,37 +131,43 @@ class SchemeEngine:
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  scheme: TransmitScheme, backend: str = "vectorized",
-                 backend_options: Any = None, cache: Any = None,
-                 precision: Any = None, tracer: Any = None,
+                 backend_options: Any = None,
+                 cache: PlanCache | None = None, tracer: Any = None,
                  memory_budget_bytes: int | str | None = None,
                  simulator: EchoSimulator | None = None) -> None:
         self.beamformer = beamformer
         self.scheme = scheme
         self.backend_name = backend
-        self.cache = cache
         self.simulator = simulator
         self.tracer = resolve_tracer(tracer)
+        budget = None if memory_budget_bytes is None \
+            else parse_memory_budget(memory_budget_bytes)
+        self.memory_budget_bytes: int | None = budget
         self._compounds = not scheme.is_trivial()
         beamformers = [self._event_beamformer(event)
                        for event in scheme.events] \
             if self._compounds else [beamformer]
-        self.backends = []
-        for event_beamformer in beamformers:
-            event_backend = BACKENDS.create(
-                backend, event_beamformer, cache, precision,
-                options=backend_options)
-            event_backend.tracer = self.tracer
-            event_backend.set_memory_budget(memory_budget_bytes)
-            self.backends.append(event_backend)
-        if cache is not None and cache.max_bytes is None:
-            # One slot per plan or tile segment (firings x tiles), or a
-            # smaller cache would recompile the event bank every frame.
-            # Under a byte budget the count bound is inert.
-            cache.reserve(sum(b.plan_slots for b in self.backends))
-        self.memory_budget_bytes: int | None = \
-            self.backends[0].memory_budget_bytes
-        self.precision = self.backends[0].precision
-        self._linked: tuple = ()
+        # One slot per plan or tile segment (firings x tiles), or a
+        # smaller cache would recompile the event bank every frame.  Under
+        # a byte budget the count bound is inert.
+        slots = len(beamformers) * TilePlanner.for_beamformer(
+            beamformer, budget).n_tiles
+        self._owns_cache = cache is None
+        if cache is None:
+            cache = PlanCache(capacity=slots, max_bytes=budget)
+        elif budget is not None:
+            cache.limit_bytes(budget)
+        elif cache.max_bytes is None:
+            cache.reserve(slots)
+        self.cache = cache
+        # One group list for all firings: a missed tile compiles for the
+        # whole group at once.
+        group: list = []
+        self.backends = [
+            BACKENDS.create(backend, event_beamformer, cache, budget,
+                            options=backend_options, tracer=self.tracer,
+                            group=group)
+            for event_beamformer in beamformers]
 
     def _event_beamformer(self, event: Any) -> DelayAndSumBeamformer:
         """The base beamformer with its transmit leg swapped for ``event``."""
@@ -168,6 +179,11 @@ class SchemeEngine:
             interpolation=base.interpolation, transducer=base.transducer,
             grid=base.grid, precision=base.precision,
             quantization=base.quantization)
+
+    @property
+    def precision(self) -> Precision:
+        """The execution dtype policy: the beamformer's."""
+        return self.beamformer.precision
 
     @property
     def system(self) -> SystemConfig:
@@ -198,30 +214,15 @@ class SchemeEngine:
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Close every per-firing backend (idempotent).
+        """Drop the plans of the engine's private cache (idempotent).
 
-        Drops their privately memoised plans; the facades that run a
-        :class:`SchemeEngine` (service, pipeline) forward their own
-        ``close()`` here.
+        A shared cache's plans belong to whoever owns the cache.  The
+        engine stays usable: plans rebuild on the next frame.  The facades
+        that run a :class:`SchemeEngine` (service, pipeline) forward their
+        own ``close()`` here.
         """
-        for backend in self.backends:
-            backend.close()
-        self._linked = ()
-
-    def _link_plans(self) -> None:
-        """Link the firings' tiled plans as one compile group
-        (:meth:`repro.kernels.TiledPlan.link`), relinking whenever a
-        backend has rebuilt its plan.  A missed segment then compiles for
-        every firing in one pass over the shared base delays
-        (:func:`repro.kernels.compile_plans`); a trivial scheme or the
-        plan-less ``reference`` backend has nothing to link."""
-        if not self._compounds or \
-                not isinstance(self.backends[0], VectorizedBackend):
-            return
-        plans = tuple(backend.plan() for backend in self.backends)
-        if plans != self._linked:       # compared by identity
-            TiledPlan.link(plans)
-            self._linked = plans
+        if self._owns_cache:
+            self.cache.clear()
 
     def __enter__(self) -> "SchemeEngine":
         return self
@@ -253,7 +254,6 @@ class SchemeEngine:
         A frame with a non-finite sample is refused (:func:`require_finite`),
         named by ``frame_id``."""
         self._check_firings(firings, frame_id)
-        self._link_plans()
         volume = None
         with self._compound_span():
             for backend, firing in zip(self.backends, firings):
@@ -276,13 +276,11 @@ class SchemeEngine:
         """
         if len(frames) == 0:
             grid_shape = self.beamformer.grid.shape
-            return np.empty((0, *grid_shape),
-                            dtype=self.beamformer.precision.dtype)
+            return np.empty((0, *grid_shape), dtype=self.precision.dtype)
         if frame_ids is None:
             frame_ids = range(len(frames))
         for firings, frame_id in zip(frames, frame_ids):
             self._check_firings(firings, frame_id)
-        self._link_plans()
         volumes = None
         with self._compound_span(frames=len(frames)):
             for index, backend in enumerate(self.backends):

@@ -1,7 +1,7 @@
 """A transmit scheme's firings compile as one group.
 
-Pins what :func:`repro.kernels.compile_plans` and the linked
-:class:`~repro.kernels.TiledPlan` group promise:
+Pins what :func:`repro.kernels.compile_plans` and the firing group of a
+scheme engine's backends promise:
 
 * every plan of a group is bit for bit (and keyed exactly as) the plan
   :func:`compile_plan` builds for its firing alone, over the same shared
@@ -30,15 +30,14 @@ from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
 from repro.kernels import (
     QuantizationSpec,
-    TiledPlan,
     TilePlanner,
     compile_plan,
     compile_plans,
     plan_storage_bytes,
 )
-from repro.kernels import tiling
 from repro.kernels.ops import LeafLayout
 from repro.kernels.plan import _RUN_ENTRIES, _blocks, _leaf_ordered, _runs
+from repro.runtime import backends
 from repro.runtime.cache import PlanCache
 from repro.scenarios import SchemeEngine, resolve_scheme
 
@@ -201,8 +200,9 @@ def test_a_group_shares_one_geometry(tiny):
 
 
 def _unlinked(monkeypatch) -> None:
-    """Firing-by-firing compiles: linking does nothing."""
-    monkeypatch.setattr(TiledPlan, "link", staticmethod(lambda plans: None))
+    """Firing-by-firing compiles: no cache fits a group."""
+    monkeypatch.setattr(backends.VectorizedBackend, "_fits_group",
+                        lambda backend: False)
 
 
 def _engines_on(cache, tiny, architectures):
@@ -234,7 +234,7 @@ def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
         seen.append(len(cache))
         return compile_plans(beamformers, *args, **kwargs)
 
-    monkeypatch.setattr(tiling, "compile_plans", recording)
+    monkeypatch.setattr(backends, "compile_plans", recording)
     volumes = _run_two_groups(tiny, tiny_channel_data, cache)
     grouped = cache.stats
     assert seen == [0, 0, 0, 0]
@@ -252,22 +252,33 @@ def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
         assert volume.tobytes() == expected.tobytes()
 
 
-def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data):
+@pytest.mark.parametrize("reopened", [False, True],
+                         ids=["fresh", "closed_then_cleared"])
+def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data,
+                                             reopened):
     """One ``compile`` span builds every firing's plan (its bytes summed);
     each built plan counts one miss, and the siblings' first lookups are
-    those misses, not hits."""
+    those misses, not hits.  A closed service whose cache was cleared
+    still compiles its firings as one group."""
     session = Session(EngineSpec(system="tiny", backend="vectorized",
                                  scheme="planewave",
                                  scheme_options=SCHEMES["planewave"],
                                  trace=True))
     service = session.service()
+    frame = tuple([tiny_channel_data] * 3)
+    if reopened:
+        service.submit_frame(frame)
+        service.close()
+        session.cache.clear()
     for _ in range(2):
-        service.submit_frame(tuple([tiny_channel_data] * 3))
+        service.submit_frame(frame)
     stats = session.cache.stats
-    assert (stats.misses, stats.hits, stats.evictions) == (3, 3, 0)
-    (span,) = session.tracer.find("compile")
-    assert span.attributes["firings"] == 3
-    assert span.attributes["bytes"] == stats.bytes
+    spans = session.tracer.find("compile")
+    assert [span.attributes["firings"] for span in spans] \
+        == [3] * (1 + reopened)
+    assert (stats.misses, stats.hits, stats.evictions) \
+        == (3 * len(spans), 3, 0)
+    assert spans[-1].attributes["bytes"] == stats.bytes
 
 
 def _stream_counts(budget):
@@ -321,7 +332,7 @@ def test_groups_on_a_shared_cache_under_thread_contention(
         built.extend(beamformers)
         return compile_plans(beamformers, *args, **kwargs)
 
-    monkeypatch.setattr(tiling, "compile_plans", counting)
+    monkeypatch.setattr(backends, "compile_plans", counting)
     cache = PlanCache(capacity=8)
     architectures = ["exact", "tablesteer"] * 3
     engines = _engines_on(cache, tiny, architectures)

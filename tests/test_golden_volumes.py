@@ -69,7 +69,7 @@ def _compute_volumes(tiny, engine):
     provider, channel_data = engine
     return {config: BACKENDS.create("vectorized",
                                     _beamformer(tiny, provider, config),
-                                    None, CONFIGS[config][0])
+                                    None, None)
             .beamform_volume(channel_data)
             for config in CONFIGS}
 
@@ -104,7 +104,7 @@ def test_backends_reproduce_golden_bit_for_bit(tiny, engine, golden,
     """No execution strategy may drift from the frozen volumes."""
     provider, channel_data = engine
     instance = BACKENDS.create(backend, _beamformer(tiny, provider, config),
-                               None, CONFIGS[config][0])
+                               None, None)
     np.testing.assert_array_equal(instance.beamform_volume(channel_data),
                                   golden[config])
 
@@ -115,7 +115,7 @@ def test_batched_execution_reproduces_golden(tiny, engine, golden, config):
     provider, channel_data = engine
     instance = BACKENDS.create("vectorized",
                                _beamformer(tiny, provider, config),
-                               None, CONFIGS[config][0])
+                               None, None)
     batch = instance.beamform_batch([channel_data, channel_data])
     np.testing.assert_array_equal(batch[0], golden[config])
     np.testing.assert_array_equal(batch[1], golden[config])

@@ -372,8 +372,7 @@ def _segments(service) -> list:
     firing by firing."""
     plans = []
     for backend in service.engine.backends:
-        tiled = backend.plan()
-        plans += [tiled.segment(tile) for tile in tiled.planner.tiles()]
+        plans += [backend.segment(tile) for tile in backend.planner.tiles()]
     return plans
 
 

@@ -254,15 +254,19 @@ class TestCompiledPlanJitted:
         """Traces attribute JIT warm-up to compile time, and execution runs
         under a single ``fused`` span (no gather/weights/accumulate
         stages — fusing them away is the point)."""
+        from repro.kernels import TilePlanner
         from repro.observability import Tracer
         from repro.runtime import CompiledBackend
-        backend = CompiledBackend(_beamformer(tiny))
-        backend.tracer = tracer = Tracer()
+        beamformer = _beamformer(tiny)
+        tracer = Tracer()
+        backend = CompiledBackend(
+            beamformer, TilePlanner.for_beamformer(beamformer, None,
+                                                   variant="compiled"),
+            tracer=tracer)
         volume = backend.beamform_volume(tiny_channel_data)
-        plan = backend.plan()
-        (tile,) = plan.planner.tiles()
-        assert isinstance(plan.segment(tile), CompiledPlan)
-        assert volume.shape == plan.grid_shape
+        (tile,) = backend.planner.tiles()
+        assert isinstance(backend.segment(tile), CompiledPlan)
+        assert volume.shape == beamformer.grid.shape
         assert tracer.find("compile")
         assert tracer.find("fused")
         for stage in ("gather", "weights", "accumulate"):

@@ -6,7 +6,7 @@ Pins what the sparse execution promises beyond the conformance matrix:
   ``accumulate`` replay over the plan's natural ``gather_index()`` and
   ``weights`` — the sequence ``bench/layers.py`` replays — bit for bit, on
   ``tiny`` and ``small``, float64 and float32, one frame, a batch and
-  every segment of a budgeted :class:`TiledPlan`;
+  every segment of a budgeted ``vectorized`` backend;
 * linear and quantised plans keep the natural layout and the chunked loop;
 * the CSR ``data``/``indices``/``indptr`` are the stored tensors (no copy,
   int32 indices), every nearest float plan of one geometry shares one
@@ -31,7 +31,6 @@ from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
 from repro.kernels import (
     GatherIndex,
-    TiledPlan,
     TilePlanner,
     accumulate,
     apply_weights,
@@ -43,6 +42,7 @@ from repro.kernels import (
 from repro.kernels.ops import LeafLayout, LeafRows, gather_padded, \
     pad_samples, total, weigh
 from repro.kernels.plan import _group_tensors
+from repro.runtime.backends import VectorizedBackend
 
 
 def _frames(system, n_frames: int, seed: int) -> np.ndarray:
@@ -83,15 +83,14 @@ def test_budgeted_segments_equal_the_split_replay(system, precision):
     """Every segment of a budgeted engine (as the bench compiles them)
     replays bit for bit, and the tiled volumes are their rows."""
     beamformer = DelayAndSumBeamformer(
-        system, ARCHITECTURES.create("exact", system))
+        system, ARCHITECTURES.create("exact", system), precision=precision)
     per_point = plan_storage_bytes(1, system.transducer.element_count,
                                    precision)
     planner = TilePlanner.for_beamformer(
-        beamformer, per_point * system.volume.focal_point_count // 3,
-        precision=precision)
+        beamformer, per_point * system.volume.focal_point_count // 3)
     assert planner.n_tiles > 1
     frames = _frames(system, 2, seed=7).astype(np.dtype(precision))
-    tiled = TiledPlan(beamformer, planner, precision).execute_batch(
+    tiled = VectorizedBackend(beamformer, planner).beamform_batch(
         list(frames)).reshape(2, -1)
     for tile in planner.tiles():
         segment = compile_plan(beamformer, precision, tile=tile)

@@ -13,8 +13,8 @@ frame unchanged.
 
 A CSR plan also refuses such samples itself, once per padded buffer in the
 execution dtype, so the precondition holds on the public entry points
-below the service: ``compile_plan(...).execute``/``execute_batch``,
-``TiledPlan`` and the ``vectorized`` backend used directly.
+below the service: ``compile_plan(...).execute``/``execute_batch`` and
+the ``vectorized`` backend used directly, tiled or not.
 The chunked (linear) plans skip no term and give the reference's NaN.
 """
 
@@ -28,8 +28,7 @@ from repro.api import EngineSpec, Session
 from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
-from repro.kernels import TiledPlan, TilePlanner, compile_plan, \
-    plan_storage_bytes
+from repro.kernels import TilePlanner, compile_plan, plan_storage_bytes
 from repro.runtime import FrameRequest
 from repro.runtime.backends import VectorizedBackend
 from repro.server import BeamformingServer, ServerSpec
@@ -138,17 +137,18 @@ def test_csr_plan_checks_in_the_execution_dtype(tiny, tiny_channel_data):
 
 
 @pytest.mark.parametrize("poison", sorted(POISONS))
-def test_tiled_plan_refuses_non_finite_samples(tiny, tiny_channel_data,
-                                               poison):
+def test_a_tiled_backend_refuses_non_finite_samples(tiny,
+                                                    tiny_channel_data,
+                                                    poison):
     beamformer = _beamformer(tiny)
     planner = TilePlanner.for_beamformer(beamformer, TILE_BUDGET)
     assert planner.n_tiles > 1
-    tiled = TiledPlan(beamformer, planner)
+    tiled = VectorizedBackend(beamformer, planner)
     bad = _poisoned(tiny_channel_data, POISONS[poison])
     with pytest.raises(ValueError, match="non-finite echo samples"):
-        tiled.execute(bad)
+        tiled.beamform_volume(bad)
     with pytest.raises(ValueError, match="non-finite echo samples"):
-        tiled.execute_batch([tiny_channel_data, bad])
+        tiled.beamform_batch([tiny_channel_data, bad])
 
 
 @pytest.mark.parametrize("budget", [None, TILE_BUDGET])
@@ -156,13 +156,14 @@ def test_tiled_plan_refuses_non_finite_samples(tiny, tiny_channel_data,
 def test_backends_used_directly_refuse_non_finite_samples(
         tiny, tiny_channel_data, backend_type, budget):
     bad = _poisoned(tiny_channel_data, np.nan)
-    with backend_type(_beamformer(tiny)) as backend:
-        backend.set_memory_budget(budget)
-        with pytest.raises(ValueError, match="non-finite echo samples"):
-            backend.beamform_volume(bad)
-        with pytest.raises(ValueError, match="non-finite echo samples"):
-            backend.beamform_batch([tiny_channel_data, bad])
-        assert np.isfinite(backend.beamform_volume(tiny_channel_data)).all()
+    beamformer = _beamformer(tiny)
+    backend = backend_type(beamformer,
+                           TilePlanner.for_beamformer(beamformer, budget))
+    with pytest.raises(ValueError, match="non-finite echo samples"):
+        backend.beamform_volume(bad)
+    with pytest.raises(ValueError, match="non-finite echo samples"):
+        backend.beamform_batch([tiny_channel_data, bad])
+    assert np.isfinite(backend.beamform_volume(tiny_channel_data)).all()
 
 
 def test_linear_plan_propagates_nan_like_the_reference(tiny,

@@ -22,13 +22,14 @@ from hypothesis import strategies as st
 from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.kernels import (
-    TiledPlan,
     TilePlanner,
     compile_plan,
     compile_plans,
     parse_memory_budget,
     plan_storage_bytes,
 )
+from repro.runtime import backends
+from repro.runtime.backends import VectorizedBackend
 
 grid_shapes = st.tuples(st.integers(1, 6), st.integers(1, 6),
                         st.integers(1, 12))
@@ -133,7 +134,7 @@ def test_degenerate_granularities_bit_identical(tiled_substrate, granularity):
     planner = TilePlanner.for_beamformer(
         beamformer, per_point * unit * 5, granularity=granularity)
     assert planner.n_tiles > 1
-    volume = TiledPlan(beamformer, planner).execute(frame)
+    volume = VectorizedBackend(beamformer, planner).beamform_volume(frame)
     np.testing.assert_array_equal(volume, oracle)
 
 
@@ -144,17 +145,16 @@ def test_oversized_budget_is_one_tile_and_bit_identical(tiled_substrate):
     planner = TilePlanner.for_beamformer(beamformer, "1G")
     assert planner.n_tiles == 1
     assert planner.tile_points == planner.n_points
-    volume = TiledPlan(beamformer, planner).execute(frame)
+    volume = VectorizedBackend(beamformer, planner).beamform_volume(frame)
     np.testing.assert_array_equal(volume, oracle)
 
 
 def test_an_evicted_segment_is_freed_before_the_next_is_built(
         tiled_substrate, monkeypatch):
     """With room for one segment, each tile's segment is built after the
-    previous one is freed: the plan holds no segment the cache evicted."""
+    previous one is freed: the backend holds no segment the cache
+    evicted."""
     import weakref
-
-    from repro.kernels import tiling
 
     beamformer, frame, oracle = tiled_substrate
     per_scanline = plan_storage_bytes(
@@ -170,10 +170,11 @@ def test_an_evicted_segment_is_freed_before_the_next_is_built(
         built.extend(weakref.ref(plan) for plan in plans)
         return plans
 
-    monkeypatch.setattr(tiling, "compile_plans", compile_and_track)
-    plan = TiledPlan(beamformer, planner)
-    np.testing.assert_array_equal(plan.execute(frame), oracle)
-    np.testing.assert_array_equal(plan.execute_batch([frame])[0], oracle)
+    monkeypatch.setattr(backends, "compile_plans", compile_and_track)
+    backend = VectorizedBackend(beamformer, planner)
+    np.testing.assert_array_equal(backend.beamform_volume(frame), oracle)
+    np.testing.assert_array_equal(backend.beamform_batch([frame])[0],
+                                  oracle)
     assert live_at_build == [0] * (2 * planner.n_tiles)
 
 
@@ -184,7 +185,6 @@ def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
     the first segment's compile so no compile holds it before it is
     needed."""
     from repro.kernels import plan as plan_module
-    from repro.kernels import tiling
 
     beamformer, frame, oracle = tiled_substrate
     per_scanline = plan_storage_bytes(
@@ -200,12 +200,12 @@ def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
             return function(*args, **kwargs)
         return wrapper
 
-    for module in (tiling, plan_module):
+    for module in (backends, plan_module):
         monkeypatch.setattr(module, "pad_frames",
                             recording("pad", module.pad_frames))
-    monkeypatch.setattr(tiling, "compile_plans",
+    monkeypatch.setattr(backends, "compile_plans",
                         recording("compile", compile_plans))
-    volume = TiledPlan(beamformer, planner).execute(frame)
+    volume = VectorizedBackend(beamformer, planner).beamform_volume(frame)
     assert events == ["compile", "pad"] + ["compile"] * (planner.n_tiles - 1)
     assert volume.tobytes() == oracle.tobytes()
 
@@ -221,5 +221,5 @@ def test_any_scanline_budget_bit_identical(tiled_substrate, budget_units):
         beamformer.interpolation)
     planner = TilePlanner.for_beamformer(beamformer,
                                          per_scanline * budget_units)
-    plan = TiledPlan(beamformer, planner)
-    np.testing.assert_array_equal(plan.execute(frame), oracle)
+    backend = VectorizedBackend(beamformer, planner)
+    np.testing.assert_array_equal(backend.beamform_volume(frame), oracle)

@@ -229,13 +229,18 @@ class TestQuantizedPlan:
             DelayAndSumBeamformer(tiny, tiny_exact, precision="float32",
                                   quantization=18)
 
-    def test_float32_reference_backend_rejected(self, tiny_beamformer_q18):
-        """The plan-less reference loop must refuse float32 too — its
-        output array would silently truncate the exact fixed-point codes."""
+    def test_float32_reference_backend_rejected(self, tiny, tiny_exact,
+                                                tiny_beamformer_q18):
+        """No backend runs a quantized engine in float32, the plan-less
+        reference loop included — its output array would silently
+        truncate the exact fixed-point codes: a backend executes in its
+        beamformer's precision, and the beamformer refuses float32."""
         for backend in ("reference", "vectorized"):
-            with pytest.raises(ValueError, match="float64"):
-                BACKENDS.create(backend, tiny_beamformer_q18, None,
-                                "float32")
+            assert BACKENDS.create(backend, tiny_beamformer_q18, None,
+                                   None).precision is Precision.FLOAT64
+        with pytest.raises(ValueError, match="float64"):
+            DelayAndSumBeamformer(tiny, tiny_exact, precision="float32",
+                                  quantization=18)
 
     def test_delay_format_too_narrow_for_buffer_rejected(self, tiny,
                                                          tiny_exact):

@@ -60,12 +60,14 @@ class TestBackendEquivalence:
         np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("backend", BUILDABLE_BACKENDS)
-    def test_float32_within_pinned_tolerance(self, beamformers,
+    def test_float32_within_pinned_tolerance(self, tiny, beamformers,
                                              tiny_channel_data, backend):
         beamformer = beamformers["tablesteer"]
         reference = ReferenceBackend(beamformer).beamform_volume(
             tiny_channel_data)
-        fast = BACKENDS.create(backend, beamformer, None, "float32") \
+        fast_beamformer = DelayAndSumBeamformer(tiny, beamformer.delays,
+                                                precision="float32")
+        fast = BACKENDS.create(backend, fast_beamformer, None, None) \
             .beamform_volume(tiny_channel_data)
         assert fast.dtype == np.float32
         Precision.FLOAT32.tolerance.assert_allclose(fast, reference)
@@ -235,11 +237,11 @@ class TestPlanCacheKeys:
         cache = PlanCache(capacity=8)
         volumes = {}
         for kind in (InterpolationKind.NEAREST, InterpolationKind.LINEAR):
-            beamformer = DelayAndSumBeamformer(tiny, provider,
-                                               interpolation=kind)
             for precision in ("float64", "float32"):
+                beamformer = DelayAndSumBeamformer(
+                    tiny, provider, interpolation=kind, precision=precision)
                 backend = BACKENDS.create("vectorized", beamformer, cache,
-                                          precision)
+                                          None)
                 volumes[(kind, precision)] = backend.beamform_volume(
                     tiny_channel_data)
         assert cache.stats.misses == 4        # four distinct plans compiled
@@ -302,7 +304,7 @@ class TestPlanCache:
         first, second = (BACKENDS.create("vectorized", beamformer, cache,
                                          None) for _ in range(2))
         first.beamform_volume(tiny_channel_data)
-        n_tiles = first.plan().planner.n_tiles
+        n_tiles = first.planner.n_tiles
         assert cache.stats.misses == n_tiles   # one segment per tile
         second.beamform_volume(tiny_channel_data)
         stats = cache.stats

@@ -226,6 +226,37 @@ class TestSchemeEngine:
             scheme)
         assert engine.beamform_batch([]).shape == (0, 8, 8, 16)
 
+    def test_the_beamformer_sets_the_precision(self, tiny, simulator,
+                                               phantom):
+        """An engine runs in its beamformer's precision, empty batch and
+        real batch alike."""
+        scheme = resolve_scheme(tiny, "planewave", {"n_angles": 3})
+        engine = SchemeEngine(DelayAndSumBeamformer(
+            tiny, ARCHITECTURES.create("exact", tiny), precision="float32"),
+            scheme)
+        firings = acquire_firings(simulator, scheme, phantom)
+        assert engine.precision.value == "float32"
+        assert engine.beamform_batch([]).dtype == np.float32
+        assert engine.beamform_batch([firings]).dtype == np.float32
+        assert all(backend.precision is engine.precision
+                   for backend in engine.backends)
+
+    def test_a_cacheless_engine_holds_its_budget(self, tiny, simulator,
+                                                 phantom):
+        """Without a cache, the engine keeps one private cache for all its
+        firings, so its budget bounds the engine, not each firing."""
+        budget = 51_200                       # four tiny scanlines
+        scheme = resolve_scheme(tiny, "planewave", {"n_angles": 3})
+        engine = SchemeEngine(DelayAndSumBeamformer(
+            tiny, ARCHITECTURES.create("tablesteer", tiny)), scheme,
+            memory_budget_bytes=budget)
+        firings = acquire_firings(simulator, scheme, phantom)
+        engine.beamform_batch([firings, firings])
+        assert all(backend.cache is engine.cache
+                   for backend in engine.backends)
+        stats = engine.cache.stats
+        assert 0 < stats.bytes <= stats.peak_bytes <= budget
+
     def test_trivial_scheme_runs_the_bare_beamformer(self, tiny):
         # No transmit wrap: the focused engine keeps the architecture's own
         # plan keys, so it shares plans with every other focused engine.
@@ -233,9 +264,9 @@ class TestSchemeEngine:
             tiny, ARCHITECTURES.create("tablesteer", tiny))
         (backend,) = SchemeEngine(beamformer, resolve_scheme(tiny)).backends
         assert backend.beamformer is beamformer
-        plan = backend.plan()
-        (tile,) = plan.planner.tiles()
-        assert plan.segment(tile).key == plan_key(beamformer, None, tile=tile)
+        (tile,) = backend.planner.tiles()
+        assert backend.segment(tile).key == plan_key(beamformer, None,
+                                                     tile=tile)
 
 
 def test_only_the_scheme_engine_assembles_backends():
@@ -258,8 +289,9 @@ def test_only_the_scheme_engine_assembles_backends():
 
 
 def test_only_tiled_plans_compile_above_the_kernels():
-    """Above the kernel layer every plan is a TiledPlan segment: no module
-    in these packages calls ``compile_plan(`` and opens a second path."""
+    """Above the kernel layer every plan is a backend's tile segment: no
+    module in these packages calls ``compile_plan(`` and opens a second
+    path."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     offenders = [
         f"{path.relative_to(src)}:{lineno}: {line.strip()}"
@@ -269,6 +301,21 @@ def test_only_tiled_plans_compile_above_the_kernels():
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if "compile_plan(" in line]
     assert not offenders, "direct plan compiles:\n" + "\n".join(offenders)
+
+
+def test_the_kernels_import_nothing_above_them():
+    """The kernel layer sits below the runtime: no module under
+    ``repro/kernels/`` imports from the packages built on it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    above = re.compile(r"^\s*(from|import)\s+(repro\.|\.\.)"
+                       r"(runtime|scenarios|api|server|sweep)\b")
+    offenders = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for path in (src / "kernels").rglob("*.py")
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if above.search(line)]
+    assert not offenders, "kernel imports from above:\n" + "\n".join(
+        offenders)
 
 
 class TestScoring:

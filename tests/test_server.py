@@ -486,17 +486,22 @@ class TestSessionFacade:
             session.server(spec=ServerSpec(
                 engine=EngineSpec(system="paper")))
 
-    def test_session_close_closes_vended_services(self):
+    def test_session_close_closes_vended_services(self, monkeypatch):
         session = Session(TINY.with_updates(backend="vectorized"))
         service = session.service()
         service.submit_frame(_phantom(session.system))
-        (backend,) = service.engine.backends
-        assert backend._tiled is not None
+        closed = []
+        monkeypatch.setattr(service.engine, "close",
+                            lambda: closed.append(service.engine))
         session.close()
-        # The memoised plan was dropped by Session.close().
-        assert backend._tiled is None
-        # Idempotent and re-usable: the plan rebuilds lazily.
+        # Session.close() closed the service's engine, once.
+        assert closed == [service.engine]
+        # Idempotent and re-usable: the service still beamforms, from
+        # the session's cached plan.
         session.close()
+        assert closed == [service.engine]
+        service.submit_frame(_phantom(session.system))
+        assert session.cache.stats.misses == 1
 
     def test_stream_releases_its_service(self):
         session = Session(TINY)
