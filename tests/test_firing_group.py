@@ -252,14 +252,10 @@ def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
         assert volume.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("reopened", [False, True],
-                         ids=["fresh", "closed_then_cleared"])
-def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data,
-                                             reopened):
-    """One ``compile`` span builds every firing's plan (its bytes summed);
-    each built plan counts one miss, and the siblings' first lookups are
-    those misses, not hits.  A closed service whose cache was cleared
-    still compiles its firings as one group."""
+def _compile_spans(tiny_channel_data, reopened):
+    """Two planewave frames on a traced ``tiny`` service, after a frame,
+    ``close()`` and ``cache.clear()`` when ``reopened``: the ``compile``
+    spans and the cache counters."""
     session = Session(EngineSpec(system="tiny", backend="vectorized",
                                  scheme="planewave",
                                  scheme_options=SCHEMES["planewave"],
@@ -272,12 +268,26 @@ def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data,
         session.cache.clear()
     for _ in range(2):
         service.submit_frame(frame)
-    stats = session.cache.stats
-    spans = session.tracer.find("compile")
-    assert [span.attributes["firings"] for span in spans] \
-        == [3] * (1 + reopened)
-    assert (stats.misses, stats.hits, stats.evictions) \
-        == (3 * len(spans), 3, 0)
+    return session.tracer.find("compile"), session.cache.stats
+
+
+def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data):
+    """One ``compile`` span builds every firing's plan (its bytes summed);
+    each built plan counts one miss, and the siblings' first lookups are
+    those misses, not hits."""
+    (span,), stats = _compile_spans(tiny_channel_data, reopened=False)
+    assert (stats.misses, stats.hits, stats.evictions) == (3, 3, 0)
+    assert span.attributes["firings"] == 3
+    assert span.attributes["bytes"] == stats.bytes
+
+
+def test_a_closed_engine_on_a_cleared_cache_compiles_its_firings_once(
+        tiny, tiny_channel_data):
+    """A closed service whose cache was cleared still compiles its
+    firings as one group: one more ``compile`` span, three more misses."""
+    spans, stats = _compile_spans(tiny_channel_data, reopened=True)
+    assert [span.attributes["firings"] for span in spans] == [3, 3]
+    assert (stats.misses, stats.hits, stats.evictions) == (6, 3, 0)
     assert spans[-1].attributes["bytes"] == stats.bytes
 
 

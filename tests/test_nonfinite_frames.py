@@ -137,9 +137,9 @@ def test_csr_plan_checks_in_the_execution_dtype(tiny, tiny_channel_data):
 
 
 @pytest.mark.parametrize("poison", sorted(POISONS))
-def test_a_tiled_backend_refuses_non_finite_samples(tiny,
-                                                    tiny_channel_data,
-                                                    poison):
+def test_tiled_plan_refuses_non_finite_samples(tiny, tiny_channel_data,
+                                               poison):
+    """A backend over more than one tile refuses them, single and batched."""
     beamformer = _beamformer(tiny)
     planner = TilePlanner.for_beamformer(beamformer, TILE_BUDGET)
     assert planner.n_tiles > 1
