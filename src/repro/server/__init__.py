@@ -2,16 +2,15 @@
 
 Everything needed to serve many concurrent probe sessions from one
 process: the :class:`BeamformingServer` (async session multiplexing over
-a worker pool), :class:`ServerSpec` (the JSON-round-trippable deployment
-document), :class:`SharedFrameRing` (zero-copy shared-memory frame
-transport), and the backpressure vocabulary
-(:class:`BackpressurePolicy`, :class:`FrameDropped`).  See
+a worker pool; frames enter through :meth:`SessionHandle.submit`),
+:class:`ServerSpec` (the JSON-round-trippable deployment document), and
+the backpressure vocabulary (:class:`BackpressurePolicy`,
+:class:`FrameDropped`).  See
 ``docs/server.md`` for the architecture walk-through and
 :mod:`repro.server.soak` for the multi-session throughput soak, which
 prints one aggregate-throughput row per run.
 """
 
-from .ring import RingExhausted, SharedFrameRing, SlotLease
 from .server import (
     BeamformingServer,
     FrameDropped,
@@ -28,12 +27,9 @@ __all__ = [
     "BeamformingServer",
     "FrameDropped",
     "FrameTicket",
-    "RingExhausted",
     "ServerClosed",
     "ServerSpec",
     "ServerStats",
     "SessionHandle",
     "SessionStats",
-    "SharedFrameRing",
-    "SlotLease",
 ]

@@ -8,10 +8,9 @@ backend / scheme / quantisation, described by an
 beamforming worker threads.  The moving parts:
 
 * **Sessions** (:meth:`BeamformingServer.open_session` ->
-  :class:`SessionHandle`): a bounded pending-frame queue, a private
-  :class:`repro.runtime.BeamformingService`, and optionally a
-  :class:`repro.server.ring.SharedFrameRing` for zero-copy ingest.
-  Frames of one session execute strictly in submission order (at most one
+  :class:`SessionHandle`): a bounded pending-frame queue and a private
+  :class:`repro.runtime.BeamformingService`; frames enter through
+  :meth:`SessionHandle.submit`.  Frames of one session execute strictly in submission order (at most one
   in flight), so a session's output stream is deterministic.
 * **Scheduling**: workers pick the next frame round-robin across sessions
   with pending work — one slow session cannot starve the others.
@@ -32,7 +31,7 @@ beamforming worker threads.  The moving parts:
 
 Bit-identity: beamforming happens in the session's own
 ``BeamformingService`` on ordinary kernels — the server adds queueing and
-transport, never arithmetic — so each session's volumes are bit-identical
+scheduling, never arithmetic — so each session's volumes are bit-identical
 to :class:`repro.pipeline.ImagingPipeline` on the same spec, including
 under concurrent load (pinned in the conformance matrix).
 
@@ -57,14 +56,13 @@ from concurrent.futures import Future
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
-from ..acoustics.echo import ChannelData, EchoSimulator
+from ..acoustics.echo import EchoSimulator
 from ..api.specs import EngineSpec
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import resolve_tracer
 from ..runtime.cache import PlanCache
 from ..runtime.scheduler import FrameResult
 from ..runtime.service import BeamformingService
-from .ring import SharedFrameRing, SlotLease
 from .spec import BackpressurePolicy, ServerSpec, resolve_policy
 
 __all__ = [
@@ -156,7 +154,6 @@ class _QueuedFrame:
     payload: Any
     noise_std: float
     seed: int
-    lease: SlotLease | None
     submitted_at: float
 
 
@@ -181,7 +178,6 @@ class _SessionState:
         self.in_flight = False
         self.closed = False
         self.next_frame_id = 0
-        self.ring: SharedFrameRing | None = None
         # block-policy submitters wait here; workers notify on dequeue.
         self.space = threading.Condition(lock)
         sid = _metric_id(session_id)
@@ -233,7 +229,7 @@ class SessionHandle:
 
     Obtained from :meth:`BeamformingServer.open_session`; all methods are
     thread-safe.  Closing the handle (or using it as a context manager)
-    drains the session and releases its engine and ring.
+    drains the session and releases its engine.
     """
 
     def __init__(self, server: "BeamformingServer",
@@ -270,35 +266,7 @@ class SessionHandle:
         forever); the drop policies never block.
         """
         return self._server._submit(self._state, frame, noise_std, seed,
-                                    lease=None, timeout=timeout)
-
-    def acquire_slot(self, timeout: float | None = None) -> SlotLease:
-        """Lease a writable shared-memory frame slot for zero-copy ingest.
-
-        Write the RF samples into ``lease.array`` (shape
-        ``(n_elements, n_samples)``) and hand the lease to
-        :meth:`submit_slot`; the worker beamforms straight out of the
-        shared segment and the slot returns to the ring when the frame
-        retires.  The ring is created on first use; multi-firing schemes
-        submit per-firing tuples through :meth:`submit` instead.
-        """
-        return self._server._acquire_slot(self._state, timeout)
-
-    def submit_slot(self, lease: SlotLease, timeout: float | None = None
-                    ) -> FrameTicket:
-        """Submit the frame previously written into ``lease.array``.
-
-        The slot stays leased until the frame retires (result, drop or
-        error) — the server releases it, so the caller must not.
-        """
-        if lease.ring is not self._state.ring:
-            raise ValueError(
-                "lease does not belong to this session's ring")
-        payload = ChannelData(
-            samples=lease.array,
-            sampling_frequency=self._server._sampling_frequency(self._state))
-        return self._server._submit(self._state, payload, 0.0, 0,
-                                    lease=lease, timeout=timeout)
+                                    timeout=timeout)
 
     # ------------------------------------------------------------- waiting
     def drain(self, timeout: float | None = None) -> bool:
@@ -476,37 +444,11 @@ class BeamformingServer:
         return BeamformingService(engine.build_engine(
             cache=self.cache, simulator=simulator, tracer=self.tracer))
 
-    def _sampling_frequency(self, state: _SessionState) -> float:
-        return state.service.system.acoustic.sampling_frequency
-
-    # ---------------------------------------------------------------- rings
-    def _acquire_slot(self, state: _SessionState,
-                      timeout: float | None) -> SlotLease:
-        with self._lock:
-            if self._closed or state.closed:
-                raise ServerClosed("session is closed")
-            if state.ring is None:
-                if not state.service.scheme.is_trivial():
-                    raise ValueError(
-                        f"scheme {state.service.scheme.name!r} takes "
-                        "per-firing tuples; submit them via submit(), not "
-                        "the single-frame ring")
-                service = state.service
-                shape = (service.beamformer.transducer.element_count,
-                         service.system.echo_buffer_samples)
-                state.ring = SharedFrameRing(
-                    shape, slots=self.spec.resolve_ring_slots())
-            ring = state.ring
-        return ring.acquire(timeout=timeout)
-
     # ----------------------------------------------------------- submission
     def _submit(self, state: _SessionState, payload: Any, noise_std: float,
-                seed: int, lease: SlotLease | None,
-                timeout: float | None) -> FrameTicket:
+                seed: int, timeout: float | None) -> FrameTicket:
         with self._lock:
             if self._closed or state.closed:
-                if lease is not None:
-                    lease.release()
                 raise ServerClosed(
                     f"session {state.session_id!r} is closed")
             ticket = FrameTicket(state.session_id, state.next_frame_id)
@@ -519,14 +461,10 @@ class BeamformingServer:
                         or self._closed or state.closed,
                         timeout=timeout)
                     if self._closed or state.closed:
-                        if lease is not None:
-                            lease.release()
                         raise ServerClosed(
                             f"session {state.session_id!r} closed while "
                             "blocked on a full queue")
                     if not ok:
-                        if lease is not None:
-                            lease.release()
                         raise TimeoutError(
                             f"queue of session {state.session_id!r} still "
                             f"full after {timeout} s (block policy)")
@@ -535,20 +473,15 @@ class BeamformingServer:
                 else:  # DROP_LATEST: shed the new frame itself.
                     state.drops_counter.inc()
                     self._drops.inc()
-                    if lease is not None:
-                        lease.release()
                     ticket._future.set_exception(FrameDropped(
                         state.session_id, ticket.frame_id, state.policy))
                     return ticket
             state.queue.append(_QueuedFrame(
-                ticket, payload, noise_std, seed, lease,
-                time.perf_counter()))
+                ticket, payload, noise_std, seed, time.perf_counter()))
             state.depth_gauge.set(len(state.queue))
             if dropped is not None:
                 state.drops_counter.inc()
                 self._drops.inc()
-                if dropped.lease is not None:
-                    dropped.lease.release()
             self._work.notify()
         if dropped is not None:
             # Resolve outside the lock: ticket callbacks are user code.
@@ -592,9 +525,6 @@ class BeamformingServer:
                         seed=item.seed)
             except BaseException as exc:  # propagate through the ticket
                 error = exc
-            finally:
-                if item.lease is not None:
-                    item.lease.release()
             latency = time.perf_counter() - item.submitted_at
             with self._lock:
                 state.in_flight = False
@@ -666,9 +596,6 @@ class BeamformingServer:
         cancelled = list(state.queue)
         state.queue.clear()
         state.depth_gauge.set(0)
-        for item in cancelled:
-            if item.lease is not None:
-                item.lease.release()
         state.space.notify_all()
         return cancelled
 
@@ -692,29 +619,25 @@ class BeamformingServer:
             item.ticket._future.set_exception(ServerClosed(
                 f"session {state.session_id!r} closed before frame "
                 f"{item.ticket.frame_id} ran"))
-        # The frame in flight (if any) still reads the service/ring; wait
-        # for it before tearing them down.
+        # The frame in flight (if any) still reads the service; wait for
+        # it before tearing it down.
         with self._work:
             self._work.wait_for(lambda: not state.in_flight)
         state.service.close()
-        if state.ring is not None:
-            state.ring.close()
-            state.ring = None
 
     def close(self, drain: bool = True) -> None:
         """Shut the server down.
 
         With ``drain`` (default) every queued frame finishes first; without
         it pending frames are cancelled (tickets resolve
-        :class:`ServerClosed`).  Worker threads are joined, every session's
-        engine closed and every ring released.  Idempotent.
+        :class:`ServerClosed`).  Worker threads are joined and every
+        session's engine is closed.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
-            if drain:
-                pass  # mark closed only after the queues empty
-            else:
+            # Draining marks the sessions closed only after the queues empty.
+            if not drain:
                 for state in self._sessions.values():
                     state.closed = True
         if drain:
@@ -739,9 +662,6 @@ class BeamformingServer:
             thread.join()
         for state in states:
             state.service.close()
-            if state.ring is not None:
-                state.ring.close()
-                state.ring = None
 
     def __enter__(self) -> "BeamformingServer":
         return self

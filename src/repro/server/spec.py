@@ -4,10 +4,10 @@ A :class:`ServerSpec` is to :class:`repro.server.BeamformingServer` what
 :class:`repro.api.EngineSpec` is to a single engine: one frozen, validated
 document describing the whole multi-session deployment — the default
 per-session engine (a nested ``EngineSpec``), the worker-pool width, the
-per-session queue bound and its backpressure policy, and the
-shared-memory ring sizing.  Ship the JSON, rebuild the identical server
-anywhere with ``BeamformingServer.from_spec(ServerSpec.from_json(text))``
-or ``repro serve --spec server.json``.
+per-session queue bound and its backpressure policy, and the session
+limits.  Ship the JSON, rebuild the identical server anywhere with
+``BeamformingServer(ServerSpec.from_json(text))`` or
+``repro serve --spec server.json``.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class ServerSpec(SpecDocument):
     """Default backpressure policy for a full session queue (name or
     enum; per-session override via ``open_session(policy=...)``)."""
 
-    ring_slots: int | None = None
-    """Shared-memory frame slots per session ring (``None`` = auto:
-    ``queue_capacity + workers`` so a full queue plus every in-flight
-    frame fit without copying)."""
-
     max_sessions: int | None = None
     """Refuse ``open_session`` beyond this many live sessions
     (``None`` = unbounded)."""
@@ -108,7 +103,6 @@ class ServerSpec(SpecDocument):
         object.__setattr__(self, "policy", resolve_policy(self.policy))
         check_count("workers", self.workers, optional=True)
         check_count("queue_capacity", self.queue_capacity)
-        check_count("ring_slots", self.ring_slots, optional=True)
         check_count("max_sessions", self.max_sessions, optional=True)
         if self.session_memory_budget_bytes is not None:
             from ..kernels.tiling import parse_memory_budget
@@ -124,9 +118,3 @@ class ServerSpec(SpecDocument):
     def resolve_workers(self) -> int:
         """Concrete worker-pool width."""
         return self.workers if self.workers is not None else default_workers()
-
-    def resolve_ring_slots(self) -> int:
-        """Concrete per-session ring size."""
-        if self.ring_slots is not None:
-            return self.ring_slots
-        return self.queue_capacity + self.resolve_workers()

@@ -8,11 +8,17 @@ defaults and options-heavy: an inline system, quantization, architecture,
 backend and scheme options, a memory budget and nested engine/sweep
 documents.  Spec files written by any earlier version must keep loading,
 and re-saving them must not churn a byte — with one deliberate exception:
-``SweepRunSpec`` documents that still carry the retired ``"workers"``
-field (the sweep's spawn-worker dispatch was deleted) are refused as an
-unknown field, so a stale document fails loudly rather than silently
-running serially.  ``tests/golden/sweep_run_documents_with_workers.json``
-keeps the last two such texts to pin that refusal.
+documents that still carry a retired field are refused as an unknown
+field, so a stale document fails loudly rather than silently running
+without it.  Two fields are retired:
+
+* ``SweepRunSpec``'s ``"workers"`` (the sweep's spawn-worker dispatch was
+  deleted); ``tests/golden/sweep_run_documents_with_workers.json`` keeps
+  the last two such texts;
+* ``ServerSpec``'s ``"ring_slots"`` (the shared-memory frame ring was
+  deleted; frames enter a session only through ``submit``);
+  ``tests/golden/server_documents_with_ring_slots.json`` keeps the last
+  two such texts.
 
 After an *intentional* change to the document format, regenerate with::
 
@@ -37,6 +43,8 @@ from repro.sweep import SweepRunSpec
 GOLDEN_PATH = Path(__file__).parent / "golden" / "spec_documents.json"
 WITH_WORKERS_PATH = (Path(__file__).parent / "golden"
                      / "sweep_run_documents_with_workers.json")
+WITH_RING_SLOTS_PATH = (Path(__file__).parent / "golden"
+                        / "server_documents_with_ring_slots.json")
 
 
 def _inline_system():
@@ -92,7 +100,7 @@ CORPUS = {
     "server_default": ServerSpec,
     "server_options": lambda: ServerSpec(
         engine=_scheme_engine(), workers=2, queue_capacity=3,
-        policy="drop_oldest", ring_slots=6, max_sessions=4,
+        policy="drop_oldest", max_sessions=4,
         session_memory_budget_bytes="64M"),
     "sweep_run_default": SweepRunSpec,
     "sweep_run_options": lambda: SweepRunSpec(
@@ -141,3 +149,11 @@ def test_sweep_run_documents_with_workers_are_refused(name):
     with pytest.raises(ValueError, match="unknown sweep run spec field"
                                          r"\(s\): workers;"):
         SweepRunSpec.from_json(text)
+
+
+@pytest.mark.parametrize("name", ["server_default", "server_options"])
+def test_server_documents_with_ring_slots_are_refused(name):
+    text = json.loads(WITH_RING_SLOTS_PATH.read_text())[name]
+    with pytest.raises(ValueError, match="unknown server spec field"
+                                         r"\(s\): ring_slots;"):
+        ServerSpec.from_json(text)

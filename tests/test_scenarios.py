@@ -318,6 +318,21 @@ def test_the_kernels_import_nothing_above_them():
         offenders)
 
 
+def test_nothing_in_src_starts_a_process():
+    """One level of parallelism: the library runs on threads only, so no
+    module under ``repro/`` imports ``multiprocessing`` or starts a
+    process pool or a fork."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    process = re.compile(r"^\s*(from|import)\s+multiprocessing\b"
+                         r"|ProcessPoolExecutor|os\.fork\(")
+    offenders = [
+        f"{path.relative_to(src)}:{lineno}: {line.strip()}"
+        for path in src.rglob("*.py")
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if process.search(line)]
+    assert not offenders, "process-parallel code:\n" + "\n".join(offenders)
+
+
 class TestScoring:
     def test_score_volume_always_reports_every_key(self, tiny):
         volume = np.zeros((8, 8, 16))

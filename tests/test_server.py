@@ -2,10 +2,10 @@
 
 Covers the ``repro.server`` subsystem end to end on the ``tiny`` preset:
 spec round-trips, session multiplexing with bit-exact results, the three
-backpressure policies (with drop accounting), zero-copy ring ingest, the
-async ticket API, cross-session plan sharing, metrics export and clean
-shutdown — plus the Session facade's engine-lifecycle guarantees this PR
-introduced (``Session.close()`` and closeable services/backends).
+backpressure policies (with drop accounting), the async ticket API,
+cross-session plan sharing, metrics export and clean shutdown — plus the
+Session facade's engine-lifecycle guarantees (``Session.close()`` and
+closeable services/backends).
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from repro.server import (
     BackpressurePolicy,
     BeamformingServer,
     FrameDropped,
-    RingExhausted,
     ServerClosed,
     ServerSpec,
-    SharedFrameRing,
 )
 from repro.server.soak import main as soak_main
 from repro.server.spec import resolve_policy
@@ -76,7 +74,7 @@ def _stall_session(handle):
 class TestServerSpec:
     def test_json_round_trip(self):
         spec = ServerSpec(engine=TINY, workers=3, queue_capacity=5,
-                          policy="drop_oldest", ring_slots=7, max_sessions=2)
+                          policy="drop_oldest", max_sessions=2)
         assert ServerSpec.from_json(spec.to_json()) == spec
         assert spec.policy is BackpressurePolicy.DROP_OLDEST
 
@@ -90,9 +88,8 @@ class TestServerSpec:
             ServerSpec.from_dict({"worker_count": 4})
 
     @pytest.mark.parametrize("field,value", [
-        ("workers", 0), ("queue_capacity", 0), ("ring_slots", -1),
-        ("max_sessions", 0), ("workers", True), ("queue_capacity", True),
-        ("ring_slots", True), ("max_sessions", True)])
+        ("workers", 0), ("queue_capacity", 0), ("max_sessions", 0),
+        ("workers", True), ("queue_capacity", True), ("max_sessions", True)])
     def test_positive_int_validation(self, field, value):
         with pytest.raises(ValueError):
             ServerSpec(**{field: value})
@@ -100,11 +97,6 @@ class TestServerSpec:
     def test_unknown_policy_lists_names(self):
         with pytest.raises(ValueError, match="block, drop_oldest"):
             resolve_policy("newest_only")
-
-    def test_ring_slots_default_covers_queue_plus_workers(self):
-        spec = ServerSpec(workers=3, queue_capacity=5)
-        assert spec.resolve_ring_slots() == 8
-        assert spec.with_updates(ring_slots=2).resolve_ring_slots() == 2
 
     def test_session_memory_budget_roundtrip(self):
         spec = ServerSpec(engine=TINY, session_memory_budget_bytes="1M")
@@ -278,69 +270,12 @@ class TestBackpressure:
         assert session._state.policy is BackpressurePolicy.DROP_LATEST
 
 
-# ------------------------------------------------------------------- rings
-class TestRingIngest:
-    def test_submit_slot_matches_direct_submit(self, server):
-        system = TINY.resolve_system()
-        direct = server.open_session()
-        ring_fed = server.open_session()
-        payload = server._simulators[system.cache_key()] \
-            .simulate(_phantom(system), seed=11)
-        expected = direct.submit(payload).result(timeout=60).rf
-        lease = ring_fed.acquire_slot()
-        lease.array[:] = payload.samples
-        result = ring_fed.submit_slot(lease).result(timeout=60)
-        np.testing.assert_array_equal(result.rf, expected)
-
-    def test_slot_returns_to_ring_after_frame(self, server):
-        session = server.open_session()
-        system = TINY.resolve_system()
-        payload = server._simulators[system.cache_key()] \
-            .simulate(_phantom(system), seed=12)
-        lease = session.acquire_slot()
-        ring = session._state.ring
-        before = ring.free_slots
-        lease.array[:] = payload.samples
-        session.submit_slot(lease).result(timeout=60)
-        _wait(lambda: ring.free_slots == before + 1)
-
-    def test_foreign_lease_rejected(self, server):
-        a = server.open_session()
-        b = server.open_session()
-        lease = a.acquire_slot()
-        b.acquire_slot().release()  # force b's ring to exist
-        with pytest.raises(ValueError, match="does not belong"):
-            b.submit_slot(lease)
-        lease.release()
-
-    def test_ring_exhaustion_raises(self):
-        ring = SharedFrameRing((2, 4), slots=1)
-        try:
-            lease = ring.acquire()
-            with pytest.raises(RingExhausted):
-                ring.acquire(timeout=0.01)
-            lease.release()
-            ring.acquire(timeout=0.01).release()
-        finally:
-            ring.close()
-
-    def test_released_lease_array_refused(self):
-        ring = SharedFrameRing((2, 4), slots=1)
-        try:
-            lease = ring.acquire()
-            lease.release()
-            with pytest.raises(RuntimeError, match="already released"):
-                lease.array
-        finally:
-            ring.close()
-
-
 # ------------------------------------------------------------ worker faults
 class TestWorkerFaults:
     def test_raising_frame_fails_only_its_ticket(self, server):
         """A frame whose beamforming raises resolves its own ticket with the
-        error and counts one server error; its ring slot comes back, the
-        session's next frame is unaffected, and so is every other session."""
+        error and counts one server error; the session's next frame is
+        unaffected, and so is every other session."""
         system = TINY.resolve_system()
         faulty = server.open_session()
         healthy = server.open_session()
@@ -359,13 +294,8 @@ class TestWorkerFaults:
             return original(frame, noise_std=noise_std, seed=seed)
 
         service.submit_frame = fail_once
-        lease = faulty.acquire_slot()
-        ring = faulty._state.ring
-        before = ring.free_slots
-        lease.array[:] = payload.samples
-        ticket = faulty.submit_slot(lease)
+        ticket = faulty.submit(payload)
         assert ticket.exception(timeout=60) is injected
-        _wait(lambda: ring.free_slots == before + 1)
         assert server.metrics.get("server_errors_total").value == 1
 
         np.testing.assert_array_equal(
