@@ -315,9 +315,9 @@ def test_bench_compile_firing_group(benchmark, report, architecture):
 
 def test_bench_budgeted_planewave_stream(benchmark, report):
     """A ``32M``-budgeted 3-angle planewave stream on ``small``, batches of
-    4 pre-recorded frames: a full segment per firing does not fit the
-    budget, so every batch recompiles each firing's segments one by one —
-    the compounding regime no group compile reaches."""
+    4 pre-recorded frames: tiles are sized so that a tile's three segments,
+    one per firing, fit the budget together, and every batch compiles each
+    tile group once — one cache miss per tile group, never over budget."""
     system = small_system()
     service = service_for(system, architecture="tablesteer",
                           backend="vectorized", scheme="planewave",
@@ -328,17 +328,18 @@ def test_bench_budgeted_planewave_stream(benchmark, report):
     batch = [tuple(acquire_firings(simulator, service.scheme,
                                    point_target(depth=grid_mid_depth)))] * 4
     service.submit_batch(batch)
-    misses = service.stats().cache.misses
-    segments = misses // 3
-    assert misses == 3 * segments and segments > 1
+    groups = service.stats().cache.misses
+    assert groups == service.engine.backends[0].planner.n_tiles > 1
     start = time.perf_counter()
     results = benchmark.pedantic(service.submit_batch, args=(batch,),
                                  rounds=3, iterations=1)
     seconds = (time.perf_counter() - start) / 3
     report(f"32M planewave stream (tablesteer, small, 3 firings x "
-           f"{segments} segments): {4 / seconds:.2f} volumes/s")
+           f"{groups} tile groups): {4 / seconds:.2f} volumes/s")
     assert len(results) == 4
-    assert service.stats().cache.misses == 4 * misses
+    stats = service.stats().cache
+    assert stats.misses == 4 * groups
+    assert stats.peak_bytes <= stats.max_bytes == 32 << 20
 
 
 @pytest.mark.parametrize("scheme_name", ["focused", "planewave"])

@@ -137,10 +137,11 @@ class EngineSpec(SpecDocument):
     a budget, the session's :class:`repro.runtime.cache.PlanCache` is
     byte-bounded, and :class:`repro.kernels.TilePlanner` sizes the plan
     tiles of every engine's backends to it — as many as the budget needs,
-    streamed through the cache, bit-identical to untiled execution (see
-    ``docs/memory.md``).
-    A budget too small to hold even one scanline of the resolved system is
-    rejected here with an actionable error."""
+    each holding one segment per firing of the scheme, streamed through the
+    cache, bit-identical to untiled execution (see ``docs/memory.md``).
+    A budget too small to hold one scanline per firing of the resolved
+    system and scheme is rejected here with an actionable error naming the
+    minimum."""
 
     def __post_init__(self) -> None:
         system = self.system
@@ -204,15 +205,18 @@ class EngineSpec(SpecDocument):
         if self.memory_budget_bytes is not None:
             budget = parse_memory_budget(self.memory_budget_bytes)
             # Plan the tiling eagerly against the resolved system: a budget
-            # too small for one scanline fails at spec load with the
-            # minimum stated, not at first frame.
+            # too small for one scanline per firing (a tile's firings share
+            # the budget) fails at spec load with the minimum stated, not
+            # at first frame.
             system = self.resolve_system()
             TilePlanner(
                 (system.volume.n_theta, system.volume.n_phi,
                  system.volume.n_depth),
                 system.transducer.element_count, budget,
                 precision=self.precision, interpolation=self.interpolation,
-                quantization=self.quantization)
+                quantization=self.quantization,
+                firings=resolve_scheme(system, self.scheme,
+                                       self.scheme_options).firing_count)
             object.__setattr__(self, "memory_budget_bytes", budget)
 
     # ------------------------------------------------------------ building

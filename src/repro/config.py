@@ -272,11 +272,17 @@ class SystemConfig:
         :class:`repro.runtime.cache.PlanCache`) are shared between
         presets that describe the same probe and grid.  The key is a hex
         string, safe to embed in file names or composite dictionary keys.
+        Digested once per (frozen) instance: every compiled plan and weight
+        memo asks for it, one per firing of every tile.
         """
-        payload = asdict(self)
-        payload.pop("name", None)
-        canonical = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            payload = asdict(self)
+            payload.pop("name", None)
+            canonical = json.dumps(payload, sort_keys=True, default=repr)
+            key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def with_volume(self, **kwargs) -> "SystemConfig":
         """Return a copy with selected :class:`VolumeConfig` fields replaced."""

@@ -10,8 +10,9 @@ that choice.  Given a ``memory_budget_bytes`` cap (e.g. ``"8G"``),
 (:func:`~repro.kernels.plan.plan_storage_bytes`) fits the budget, aligned
 to whole scanlines by default (the minimal unit the per-scanline delay
 providers stream).  The plan-backed runtime backends
-(:mod:`repro.runtime.backends`) compile one *segment* plan per tile on
-demand — via ``compile_plans(..., tile=...)`` — stream the segments
+(:mod:`repro.runtime.backends`) compile one *segment* plan per tile and
+firing on demand — a tile's firings in one ``compile_plans(..., tile=...)``
+pass — stream the segments
 through a byte-budgeted :class:`repro.runtime.cache.PlanCache` and write
 each tile's rows into the output array, one tile after the other; without
 a budget there is a single tile.
@@ -134,10 +135,14 @@ class TilePlanner:
         scanlines, the minimal unit the per-scanline delay providers
         stream.  Property tests use ``granularity=1`` (single-voxel tiles)
         to pin the degenerate partition.
+    firings:
+        Segment plans per tile: a transmit scheme's firings compile and
+        cache a tile's segments together, so tiles are sized for that many
+        segments to fit the budget at once.
 
-    A budget too small to hold one granularity unit is rejected with an
-    actionable error naming the real minimum (the MWA-pointing stance:
-    fail loudly, never degrade silently).
+    A budget too small to hold one granularity unit per firing is rejected
+    with an actionable error naming the real minimum (the MWA-pointing
+    stance: fail loudly, never degrade silently).
     """
 
     def __init__(self, grid_shape: Sequence[int], n_elements: int,
@@ -146,7 +151,7 @@ class TilePlanner:
                  interpolation="nearest",
                  quantization: object | None = None,
                  variant: str | None = None,
-                 granularity: int | None = None) -> None:
+                 granularity: int | None = None, firings: int = 1) -> None:
         self.grid_shape = tuple(int(n) for n in grid_shape)
         if len(self.grid_shape) != 3 or min(self.grid_shape) < 1:
             raise ValueError(f"grid_shape must be three positive extents, "
@@ -167,10 +172,12 @@ class TilePlanner:
         unit_bytes = self.bytes_per_point * self.granularity
         units = math.ceil(self.n_points / self.granularity)
         if self.memory_budget_bytes is not None:
-            budget_units = self.memory_budget_bytes // unit_bytes
+            budget_units = self.memory_budget_bytes // (firings * unit_bytes)
             if budget_units < 1:
                 unit = "scanline" if granularity is None else \
                     f"{self.granularity}-point tile"
+                if firings > 1:
+                    unit += f" per firing ({firings} firings)"
                 raise ValueError(
                     f"memory budget of {self.memory_budget_bytes} bytes "
                     f"cannot hold one {unit}: a single segment plan of "
@@ -178,7 +185,7 @@ class TilePlanner:
                     f"elements costs {unit_bytes} bytes "
                     f"({self.bytes_per_point} bytes/point at "
                     f"{self.precision.value}); raise the budget to at least "
-                    f"{unit_bytes} bytes")
+                    f"{firings * unit_bytes} bytes")
             units = min(units, budget_units)
         self.tile_points = int(min(units * self.granularity, self.n_points))
         self.n_tiles = math.ceil(self.n_points / self.tile_points)
@@ -219,10 +226,11 @@ class TilePlanner:
                        memory_budget_bytes: int | str | None, *,
                        precision: Precision | str | None = None,
                        variant: str | None = None,
-                       granularity: int | None = None) -> "TilePlanner":
+                       granularity: int | None = None,
+                       firings: int = 1) -> "TilePlanner":
         """Planner for a configured beamformer's grid/channels/interp/spec,
-        compiling ``variant`` plans; ``precision`` defaults to the
-        beamformer's."""
+        compiling ``variant`` plans, ``firings`` per tile; ``precision``
+        defaults to the beamformer's."""
         return cls(beamformer.grid.shape,
                    beamformer.transducer.element_count,
                    memory_budget_bytes,
@@ -230,4 +238,4 @@ class TilePlanner:
                    else precision,
                    interpolation=beamformer.interpolation,
                    quantization=beamformer.quantization, variant=variant,
-                   granularity=granularity)
+                   granularity=granularity, firings=firings)

@@ -43,7 +43,8 @@ import numpy as np
 
 from ..acoustics.echo import ChannelData
 from ..beamformer.das import DelayAndSumBeamformer
-from ..kernels import Precision, compile_plans, delay_and_sum, plan_key
+from ..beamformer.drivers import reconstruct_scanline_order
+from ..kernels import Precision, compile_plans, plan_key
 from ..kernels.compiled import (
     BackendUnavailable as BackendUnavailable,  # re-exported for callers
     CompiledOptions,
@@ -101,6 +102,19 @@ class ExecutionBackend:
             out[i] = self.beamform_volume(frame)
         return out
 
+    def compound(self, backends: Sequence["ExecutionBackend"],
+                 firings: Sequence[Sequence[ChannelData]], *,
+                 batched: bool = True) -> np.ndarray:
+        """A scheme's volumes, ``(n_frames, n_theta, n_phi, n_depth)``:
+        ``backends[i]`` (``self`` first, sharing its class, tracer, tiling
+        and cache) beamforms ``firings[i]``, its firing's frames, and the
+        volumes are summed in firing order.  ``batched=False`` marks one
+        frame beamformed alone."""
+        volumes = backends[0].beamform_batch(firings[0])
+        for backend, frames in zip(backends[1:], firings[1:]):
+            volumes += backend.beamform_batch(frames)
+        return volumes
+
 
 class ReferenceBackend(ExecutionBackend):
     """Per-scanline loop through the classic delay-and-sum path.
@@ -117,37 +131,29 @@ class ReferenceBackend(ExecutionBackend):
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
         beamformer = self.beamformer
-        quantization = beamformer.quantization
-        dtype = self.precision.dtype
-        n_theta, n_phi, n_depth = beamformer.grid.shape
-        rf = np.empty((n_theta, n_phi, n_depth), dtype=dtype)
+        n_theta, n_phi, _ = beamformer.grid.shape
         # Cast (or quantise) the echo buffer once per volume, not once per
         # scanline — otherwise the float32 baseline pays a full-buffer copy
         # per scanline and benchmarks slower than float64.  Re-coercing the
         # coerced buffer inside the scanline kernel is the identity, so the
         # hoisting is invisible numerically.
-        samples = coerce_samples(channel_data, dtype, quantization)
+        frame = ChannelData(
+            coerce_samples(channel_data, self.precision.dtype,
+                           beamformer.quantization),
+            beamformer.system.acoustic.sampling_frequency)
         with self.tracer.span("execute", scanlines=n_theta * n_phi):
-            for i_theta in range(n_theta):
-                for i_phi in range(n_phi):
-                    rf[i_theta, i_phi] = delay_and_sum(
-                        samples,
-                        beamformer.delays.scanline_delays_samples(
-                            i_theta, i_phi),
-                        beamformer.weights_for_scanline(i_theta, i_phi),
-                        kind=beamformer.interpolation, dtype=dtype,
-                        quantization=quantization)
-        return rf
+            return reconstruct_scanline_order(beamformer, frame).rf
 
 
 class VectorizedBackend(ExecutionBackend):
     """Batched gather/sum over a compiled plan's tile segments, in order.
 
     Each call runs one loop over the planner's tiles: fetch the tile's
-    segment plan from the cache (compiling it on a miss, under a
-    ``compile`` span), execute it on the whole batch, and write its rows
-    into the output array — one ``tile`` span per tile, all under one
-    ``execute`` span.
+    segment plans from the cache (compiling them on a miss, under a
+    ``compile`` span), execute them on the whole batch, and write their
+    rows into the output array — one ``tile`` span per tile, all under one
+    ``execute`` span.  A transmit scheme's firings share the loop
+    (:meth:`compound`).
 
     Parameters
     ----------
@@ -163,15 +169,6 @@ class VectorizedBackend(ExecutionBackend):
         slot per tile, bounded by the planner's budget.
     tracer:
         As for :class:`ExecutionBackend`.
-    group:
-        The firing group: one list that
-        :class:`repro.scenarios.SchemeEngine` hands every backend of one
-        transmit scheme's firings, which share this backend's ``planner``
-        tiling and ``cache``.  Each backend adds its beamformer and segment
-        keys at construction.  A missed segment is then compiled for every
-        firing that misses it too, in one
-        :func:`~repro.kernels.plan.compile_plans` pass (see
-        :meth:`segment`).  ``None`` makes a group of one.
     """
 
     name = "vectorized"
@@ -182,7 +179,7 @@ class VectorizedBackend(ExecutionBackend):
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  planner: TilePlanner, cache: PlanCache | None = None, *,
-                 tracer=None, group: list | None = None) -> None:
+                 tracer=None) -> None:
         super().__init__(beamformer, tracer=tracer)
         self.planner = planner
         self.cache = cache if cache is not None else PlanCache(
@@ -195,99 +192,112 @@ class VectorizedBackend(ExecutionBackend):
         key_variant = None if self.options is None else self.options.variant()
         # Keyed once per tile, not per lookup: a key hashes the whole
         # system config, a per-tile cost on every frame otherwise.
-        tile_keys = [plan_key(beamformer, self.precision,
-                              variant=key_variant, tile=tile)
-                     for tile in planner.tiles()]
-        self._group = [] if group is None else group
-        self._firing = len(self._group)
-        self._group.append((beamformer, tile_keys))
+        self._tile_keys = [plan_key(beamformer, self.precision,
+                                    variant=key_variant, tile=tile)
+                           for tile in planner.tiles()]
 
     # ------------------------------------------------------------ execution
     def segment(self, tile: Tile):
-        """The compiled segment plan for one tile (cached; built on a miss).
+        """This backend's segment plan for one tile (cached; built on a
+        miss)."""
+        return self._segments([self], tile)[0]
 
-        A miss is built for the whole firing group when the cache can hold
-        one full segment per firing (:meth:`_fits_group`), so no group
-        segment is evicted before its firing uses it.  Under a smaller
-        budget the firings stream their segments one at a time."""
-        group, first = self._group, self._firing
-        if not self._fits_group():
-            group, first = [group[first]], 0
+    def _segments(self, backends: Sequence["VectorizedBackend"],
+                  tile: Tile) -> tuple:
+        """Every backend's segment plan for one tile: one cache entry (one
+        backend's plan under its own key, else the tuple of F plans),
+        built on a miss by one :func:`~repro.kernels.plan.compile_plans`
+        pass under one ``compile`` span."""
+        keys = tuple(backend._tile_keys[tile.index] for backend in backends)
+        one = len(keys) == 1
 
-        def build(positions: list[int]) -> list:
+        def build():
             with self.tracer.span("compile") as span:
                 plans = compile_plans(
-                    [group[i][0] for i in positions], self.precision,
-                    variant=self.variant, tile=tile, **self._launch)
+                    [backend.beamformer for backend in backends],
+                    self.precision, variant=self.variant, tile=tile,
+                    **self._launch)
                 span.set(bytes=sum(int(plan.nbytes) for plan in plans),
                          points=tile.n_points,
                          elements=self.planner.n_elements, tile=tile.index)
-                if len(plans) > 1:
+                if not one:
                     span.set(firings=len(plans))
-            return plans
+            return plans[0] if one else tuple(plans)
 
-        return self.cache.get_or_build_group(
-            [tile_keys[tile.index] for _, tile_keys in group], first, build,
-            size_hint=self.planner.tile_nbytes(tile))
-
-    def _fits_group(self) -> bool:
-        """Whether the cache holds a full segment of every firing: a count
-        bound of at least the firing count, or a byte budget of at least
-        that many :attr:`TilePlanner.tile_bytes`."""
-        firings = len(self._group)
-        if self.cache.max_bytes is None:
-            return self.cache.capacity >= firings
-        return firings * self.planner.tile_bytes <= self.cache.max_bytes
+        entry = self.cache.get_or_build(
+            keys[0] if one else keys, build, plans=len(keys),
+            size_hint=len(keys) * self.planner.tile_nbytes(tile))
+        return (entry,) if one else entry
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
-        with self.tracer.span("execute", tiles=self.planner.n_tiles):
-            return self._run_tiles([channel_data])[0]
+        return self.compound([self], [[channel_data]], batched=False)[0]
 
     def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
-        with self.tracer.span("execute", tiles=self.planner.n_tiles,
-                              frames=len(frames)):
-            return self._run_tiles(frames)
+        return self.compound([self], [frames])
 
-    def _run_tiles(self, frames: Sequence[ChannelData]) -> np.ndarray:
+    def compound(self, backends: Sequence["ExecutionBackend"],
+                 firings: Sequence[Sequence[ChannelData]], *,
+                 batched: bool = True) -> np.ndarray:
+        """Tile-major, under one ``execute`` span: per tile, one lookup
+        fetches every firing's segment (:meth:`_segments`), and each adds
+        its firing's rows in firing order — the float adds of summing
+        per-firing volumes, bit for bit.  A standalone backend's
+        :meth:`beamform_volume` / :meth:`beamform_batch` are the
+        one-firing case."""
+        span = {"frames": len(firings[0])} if batched else {}
+        with self.tracer.span("execute", tiles=self.planner.n_tiles, **span):
+            return self._run_tiles(backends, firings)
+
+    def _run_tiles(self, backends: Sequence["VectorizedBackend"],
+                   firings: Sequence[Sequence[ChannelData]]) -> np.ndarray:
         """Beamform frames tile by tile; ``(n_frames, *grid_shape)``.
 
-        Frames are coerced and padded once, each written straight into its
-        column (:func:`~repro.kernels.ops.pad_frames`) — every tile
-        gathers from the same buffer — and every tile's segment executes
-        the full batch before moving on: the segment (the expensive
-        artifact) is amortised across frames, exactly the access order the
-        LRU favours.  The buffer is built once the first tile's segment is
-        in hand, so a cold compile of a one-tile plan never holds it beside
-        its own scratch.  CSR segments refuse a NaN or infinite sample
-        (:func:`~repro.kernels.plan.check_finite`), checked once here for
-        every tile.
+        A firing's frames are padded once per call into one buffer every
+        tile gathers from (:func:`~repro.kernels.ops.pad_frames`), and each
+        segment executes the whole batch, amortised across frames.  The
+        buffer is built once its firing's first segment is in hand, so a
+        cold compile never holds it beside its own scratch, and dropped
+        after the last tile, so an untiled engine holds one padded firing
+        at a time.  CSR segments refuse a non-finite sample
+        (:func:`~repro.kernels.plan.check_finite`), checked per buffer.
         """
         grid_shape = self.beamformer.grid.shape
         dtype = self.precision.dtype
-        if len(frames) == 0:
+        n_frames = len(firings[0])
+        if n_frames == 0:
             return np.empty((0, *grid_shape), dtype=dtype)
         planner = self.planner
-        out = np.empty((len(frames), planner.n_points), dtype=dtype)
-        padded = None
+        out = np.empty((n_frames, planner.n_points), dtype=dtype)
+        padded: list = [None] * len(backends)
         for tile in planner.tiles():
+            last = tile.index == planner.n_tiles - 1
             with self.tracer.span("tile", index=tile.index,
                                   tiles=planner.n_tiles,
                                   points=tile.n_points) as span:
-                segment = self.segment(tile)
-                span.set(bytes=int(segment.nbytes))
-                if padded is None:
-                    padded = pad_frames(
-                        frames, dtype, self.beamformer.quantization,
-                        (planner.n_elements,
-                         self.beamformer.system.echo_buffer_samples))
-                    if segment.matrix is not None:
-                        check_finite(padded)
-                out[:, tile.rows] = segment.execute_padded(
-                    padded, tracer=self.tracer, **self._launch)
-            # Held no longer than the cache holds it: an evicted segment
-            # must be freed before the next tile's segment is built.
-            del segment
-        return out.reshape((len(frames), *grid_shape))
+                segments = self._segments(backends, tile)
+                span.set(bytes=sum(int(segment.nbytes)
+                                   for segment in segments))
+                for firing, segment in enumerate(segments):
+                    if padded[firing] is None:
+                        padded[firing] = pad_frames(
+                            firings[firing], dtype,
+                            self.beamformer.quantization,
+                            (planner.n_elements,
+                             self.beamformer.system.echo_buffer_samples))
+                        if segment.matrix is not None:
+                            check_finite(padded[firing])
+                    rows = segment.execute_padded(
+                        padded[firing], tracer=self.tracer, **self._launch)
+                    if firing:
+                        out[:, tile.rows] += rows
+                    else:
+                        out[:, tile.rows] = rows
+                    if last:
+                        padded[firing] = None
+            # Held no longer than the cache holds them: an evicted segment
+            # must be freed before the next tile's segments are built.
+            del segments, segment
+        return out.reshape((n_frames, *grid_shape))
 
 
 class CompiledBackend(VectorizedBackend):
@@ -318,8 +328,8 @@ class CompiledBackend(VectorizedBackend):
 
     def __init__(self, beamformer: DelayAndSumBeamformer,
                  planner: TilePlanner, cache: PlanCache | None = None, *,
-                 options: CompiledOptions | None = None, tracer=None,
-                 group: list | None = None) -> None:
+                 options: CompiledOptions | None = None,
+                 tracer=None) -> None:
         if beamformer.quantization is not None:
             # Checked before the numba gate so the error is about the real
             # incompatibility even on numba-free hosts.
@@ -330,13 +340,12 @@ class CompiledBackend(VectorizedBackend):
                 "for quantized engines")
         require_numba()
         self.options = options if options is not None else CompiledOptions()
-        super().__init__(beamformer, planner, cache, tracer=tracer,
-                         group=group)
+        super().__init__(beamformer, planner, cache, tracer=tracer)
 
 
 BACKENDS = Registry("backend")
 """Registry of execution backends (factory:
-``(beamformer, cache, memory_budget_bytes, options, *, tracer, group)``;
+``(beamformer, cache, memory_budget_bytes, options, *, tracer)``;
 the plan-backed factories turn the budget into the backend's
 :class:`~repro.kernels.tiling.TilePlanner`)."""
 
@@ -347,8 +356,7 @@ the plan-backed factories turn the budget into the backend's
 def _build_reference(beamformer: DelayAndSumBeamformer,
                      cache: PlanCache | None,
                      memory_budget_bytes: int | str | None,
-                     options: None, *, tracer=None,
-                     group: list | None = None) -> ReferenceBackend:
+                     options: None, *, tracer=None) -> ReferenceBackend:
     return ReferenceBackend(beamformer, tracer=tracer)
 
 
@@ -358,12 +366,11 @@ def _build_reference(beamformer: DelayAndSumBeamformer,
 def _build_vectorized(beamformer: DelayAndSumBeamformer,
                       cache: PlanCache | None,
                       memory_budget_bytes: int | str | None,
-                      options: None, *, tracer=None,
-                      group: list | None = None) -> VectorizedBackend:
+                      options: None, *, tracer=None) -> VectorizedBackend:
     return VectorizedBackend(
         beamformer, TilePlanner.for_beamformer(beamformer,
                                                memory_budget_bytes),
-        cache, tracer=tracer, group=group)
+        cache, tracer=tracer)
 
 
 @BACKENDS.register(
@@ -375,14 +382,14 @@ def _build_vectorized(beamformer: DelayAndSumBeamformer,
 def _build_compiled(beamformer: DelayAndSumBeamformer,
                     cache: PlanCache | None,
                     memory_budget_bytes: int | str | None,
-                    options: CompiledOptions, *, tracer=None,
-                    group: list | None = None) -> CompiledBackend:
+                    options: CompiledOptions, *, tracer=None
+                    ) -> CompiledBackend:
     # Natural-order segments: no CSR row pointers to budget for.
     return CompiledBackend(
         beamformer, TilePlanner.for_beamformer(beamformer,
                                                memory_budget_bytes,
                                                variant="compiled"),
-        cache, options=options, tracer=tracer, group=group)
+        cache, options=options, tracer=tracer)
 
 
 BACKEND_NAMES: tuple[str, ...] = BACKENDS.names()

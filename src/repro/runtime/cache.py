@@ -24,7 +24,7 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 from ..observability.metrics import MetricsRegistry
 
@@ -57,8 +57,9 @@ class PlanCache:
     Parameters
     ----------
     capacity:
-        Maximum number of entries kept; the least recently *used* entry is
-        evicted when a new key is inserted into a full cache.  Each entry for
+        Maximum number of plans kept (an entry holding a firing group's F
+        plans counts F); the least recently *used* entry is evicted when a
+        new key is inserted into a full cache.  Each entry for
         a paper-scale system can be hundreds of megabytes, so the default is
         deliberately small.
     metrics:
@@ -100,9 +101,6 @@ class PlanCache:
         # compiling the same plan twice on both threads.
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        # Keys a group build stored for a sibling that has not looked them
-        # up yet: that first lookup is the miss the build already counted.
-        self._unclaimed: set = set()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._hits = self.metrics.counter(
             "plan_cache_hits_total", "plan-cache lookups served from cache")
@@ -120,105 +118,65 @@ class PlanCache:
 
     # ------------------------------------------------------------- lookups
     @staticmethod
-    def _entry_bytes(value: object) -> int:
+    def _plans(value: object) -> tuple:
+        """The plans one entry holds: a firing group's tile is the tuple of
+        its firings' plans; any other value is one plan."""
+        return value if isinstance(value, tuple) else (value,)
+
+    @classmethod
+    def _entry_bytes(cls, value: object) -> int:
         """Tracked size of one entry (plans expose ``nbytes``; 0 otherwise)."""
-        return int(getattr(value, "nbytes", 0) or 0)
+        return sum(int(getattr(plan, "nbytes", 0) or 0)
+                   for plan in cls._plans(value))
 
     def _evict_oldest(self) -> None:
         """Drop the least-recently-used entry (caller holds the lock)."""
-        key, value = self._entries.popitem(last=False)
-        self._unclaimed.discard(key)
+        _, value = self._entries.popitem(last=False)
         self._bytes -= self._entry_bytes(value)
         self._evictions.inc()
         self._bytes_gauge.set(self._bytes)
 
     def get_or_build(self, key: Hashable, builder: Callable[[], T], *,
-                     size_hint: int | None = None) -> T:
+                     size_hint: int | None = None, plans: int = 1) -> T:
         """Return the cached value for ``key``, building (and storing) it on miss.
 
         Thread-safe: concurrent callers asking for the same missing key
         block until the first caller's ``builder()`` finishes and then all
         receive the one built value (one miss, n-1 hits).
 
-        ``size_hint`` is the predicted byte size of the value about to be
-        built.  Under a byte budget the cache pre-evicts LRU entries until
-        the hint fits *before* invoking the builder, so the budget holds
-        even while the new value is being materialised.  The one-key case
-        of :meth:`get_or_build_group`.
-        """
-        return self.get_or_build_group(
-            [key], 0, lambda _: [builder()],
-            size_hint=0 if size_hint is None else size_hint)
-
-    def get_or_build_group(self, keys: Sequence[Hashable], first: int,
-                           builder: Callable[[list[int]], list], *,
-                           size_hint: int) -> object:
-        """Return the value of ``keys[first]``; on its miss, build it in
-        one pass together with every other key of ``keys`` that misses too.
-
-        ``keys`` are the entries of a group that is used together (the
-        firings of one transmit scheme for one tile);
-        ``builder(positions)`` returns the values of ``keys[i]`` for the
-        missing positions ``i``, in order, and ``size_hint`` predicts the
-        bytes of each.  The caller checks that the cache can hold the
-        whole group (see
-        :meth:`repro.runtime.backends.VectorizedBackend.segment`).
-
-        Each built value counts one miss, and room for all of them is made
-        *before* the builder runs: LRU entries are evicted until the count
-        bound, or the byte budget by the hint, holds the new values too.
-        So resident plus in-flight values never exceed what building them
-        one lookup at a time would hold, and the misses and evictions are
-        the same.  A value built for a sibling key is *unclaimed* until
-        that key is first looked up: the lookup is the miss the build
-        already counted, not a hit.
+        A firing group's tile is one entry, the tuple of its plans
+        (:meth:`repro.runtime.backends.VectorizedBackend.compound`), which
+        the count bound counts as that many plans.  ``plans`` and
+        ``size_hint`` predict the plan count and bytes of the value about
+        to be built, and room is made for them *before* the builder runs,
+        so resident plus in-flight values never exceed the bound.
         """
         with self._lock:
-            if keys[first] in self._entries:
-                return self._hit(keys[first])
-            missing = [i for i, key in enumerate(keys)
-                       if key not in self._entries]
-            self._misses.inc(len(missing))
+            if key in self._entries:
+                self._hits.inc()
+                self._entries.move_to_end(key)
+                return self._entries[key]  # type: ignore[return-value]
+            self._misses.inc()
             if self.max_bytes is None:
+                while self._entries and plans + sum(
+                        len(self._plans(value))
+                        for value in self._entries.values()) > self.capacity:
+                    self._evict_oldest()
+            elif size_hint is not None:
                 while self._entries and \
-                        len(self._entries) + len(missing) > self.capacity:
+                        self._bytes + int(size_hint) > self.max_bytes:
                     self._evict_oldest()
-            else:
-                need = int(size_hint) * len(missing)
-                while self._entries and self._bytes + need > self.max_bytes:
-                    self._evict_oldest()
-            for i, value in zip(missing, builder(missing)):
-                self._insert(keys[i], value)
-                if i != first:
-                    self._unclaimed.add(keys[i])
+            value = builder()
+            self._entries[key] = value
+            self._bytes += self._entry_bytes(value)
             if self.max_bytes is not None:
-                while self._bytes > self.max_bytes and \
-                        len(self._entries) > len(missing):
+                # Never evict the entry just inserted (the caller uses it).
+                while self._bytes > self.max_bytes and len(self._entries) > 1:
                     self._evict_oldest()
-            self._note_bytes()
-            return self._entries[keys[first]]
-
-    def _hit(self, key: Hashable) -> object:
-        """A resident entry, made most recent (caller holds the lock); a
-        hit unless it is an unclaimed group value's first lookup."""
-        if key in self._unclaimed:
-            self._unclaimed.discard(key)
-        else:
-            self._hits.inc()
-        self._entries.move_to_end(key)
-        return self._entries[key]
-
-    def _insert(self, key: Hashable, value: object) -> None:
-        """Store a built value as the most recent entry (caller holds the
-        lock)."""
-        self._entries[key] = value
-        self._bytes += self._entry_bytes(value)
-
-    def _note_bytes(self) -> None:
-        """Update the peak and the byte gauges (caller holds the lock)."""
-        self._peak_bytes = max(self._peak_bytes, self._bytes)
-        self._bytes_gauge.set(self._bytes)
-        self._peak_gauge.set(self._peak_bytes)
+            self._peak_bytes = max(self._peak_bytes, self._bytes)
+            self._bytes_gauge.set(self._bytes)
+            self._peak_gauge.set(self._peak_bytes)
+            return value
 
     def limit_bytes(self, max_bytes: int | str) -> None:
         """Impose (or tighten) the byte budget; never loosens an existing
@@ -290,7 +248,6 @@ class PlanCache:
         """Drop all entries (counters and the byte high-water mark are kept)."""
         with self._lock:
             self._entries.clear()
-            self._unclaimed.clear()
             self._bytes = 0
             self._bytes_gauge.set(0)
 
@@ -300,7 +257,7 @@ class PlanCache:
 
         Taken under the cache lock: concurrent server workers mutate
         ``size``/``bytes``/``peak_bytes`` together inside
-        :meth:`get_or_build_group`, so an unlocked read could observe a torn
+        :meth:`get_or_build`, so an unlocked read could observe a torn
         combination (e.g. the new entry counted in ``size`` but not yet in
         ``bytes``).
         """

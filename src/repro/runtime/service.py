@@ -255,10 +255,10 @@ class BeamformingService:
                      ) -> list[FrameResult]:
         """Beamform several frames in one batched kernel execution.
 
-        All frames are beamformed by one
-        :meth:`ExecutionBackend.beamform_batch` call per firing (one stacked
-        gather on the plan-based backends), which amortises per-frame
-        dispatch; the batch's beamform time is attributed evenly across its
+        All frames are beamformed in one
+        :meth:`ExecutionBackend.compound` call (one stacked gather per
+        firing and tile on the plan-based backends), which amortises
+        per-frame dispatch; the batch's beamform time is attributed evenly across its
         frames so the aggregate throughput stats stay comparable with
         per-frame submission.
         """

@@ -18,17 +18,18 @@ returns: :class:`repro.runtime.BeamformingService`,
 :class:`repro.server.BeamformingServer` session and a sweep cell.  The
 trivial focused scheme is a one-firing engine on the base beamformer
 itself, with no transmit wrap, so it keeps the bare architecture's plan
-key, compile cost and bits.  A compounding engine builds its firings'
-backends as one group over one cache and one tiling, so a missed segment
-compiles for every firing in one pass over their shared base delays
-(:meth:`repro.runtime.backends.VectorizedBackend.segment`,
+key, compile cost and bits.  A compounding engine's firings share one
+cache and one tiling and run tile-major: a tile's segment plans, one per
+firing, are one cache entry, compiled on a miss in one pass over their
+shared base delays
+(:meth:`repro.runtime.backends.VectorizedBackend.compound`,
 :func:`repro.kernels.compile_plans`).
 
 Compounding is a plain ordered sum of per-firing volumes.  The summation
 order is the event order of the scheme in both the per-frame and the
-batched path, so the compounded volume is bit-identical across backends
-and batching whenever the per-firing volumes are (which the kernel layer
-pins at ``float64``).
+batched path, so the compounded volume is bit-identical across backends,
+tilings and batching whenever the per-firing volumes are (which the
+kernel layer pins at ``float64``).
 """
 
 from __future__ import annotations
@@ -110,19 +111,22 @@ class SchemeEngine:
         design), so a shared cache never mixes firings.  A count-bounded
         cache is grown to one slot per firing and tile.  Without one the
         engine keeps one private cache for all its firings, bounded by
-        the budget.
+        the budget.  A tile's firings are one entry, weighing one slot per
+        firing.
     tracer:
         Optional :class:`repro.observability.Tracer`, shared with every
-        per-firing backend; compounding opens a ``compound`` span whose
-        children are the per-firing ``compile``/``execute`` spans.
+        per-firing backend; compounding opens a ``compound`` span around
+        the firings' one ``execute`` span (a ``tile`` span per tile, with
+        one group ``compile`` and a segment execution per firing).
         ``None`` resolves to the process default (normally a no-op).
     memory_budget_bytes:
-        Optional plan-memory budget: every per-firing backend tiles its
-        plan to it (:class:`repro.kernels.tiling.TilePlanner`; a budget
-        too small to hold one scanline is rejected here, whatever the
-        backend) and the cache is byte-bounded to it once, so the
-        per-firing segment plans stream through it.  Read back parsed, in
-        bytes, from :attr:`memory_budget_bytes`.
+        Optional plan-memory budget: the firings' backends tile the grid
+        so that a tile's F segment plans, one per firing, fit it together
+        (:class:`repro.kernels.tiling.TilePlanner`; a budget too small to
+        hold one scanline per firing is rejected here, whatever the
+        backend) and the cache is byte-bounded to it once, so the tiles'
+        segments stream through it.  Read back parsed, in bytes, from
+        :attr:`memory_budget_bytes`.
     simulator:
         Optional :class:`repro.acoustics.echo.EchoSimulator` that
         :meth:`acquire` simulates with; an engine without one beamforms
@@ -147,11 +151,12 @@ class SchemeEngine:
         beamformers = [self._event_beamformer(event)
                        for event in scheme.events] \
             if self._compounds else [beamformer]
+        firings = len(beamformers)
         # One slot per plan or tile segment (firings x tiles), or a
         # smaller cache would recompile the event bank every frame.  Under
         # a byte budget the count bound is inert.
-        slots = len(beamformers) * TilePlanner.for_beamformer(
-            beamformer, budget).n_tiles
+        slots = firings * TilePlanner.for_beamformer(
+            beamformer, budget, firings=firings).n_tiles
         self._owns_cache = cache is None
         if cache is None:
             cache = PlanCache(capacity=slots, max_bytes=budget)
@@ -160,13 +165,12 @@ class SchemeEngine:
         elif cache.max_bytes is None:
             cache.reserve(slots)
         self.cache = cache
-        # One group list for all firings: a missed tile compiles for the
-        # whole group at once.
-        group: list = []
+        # Each firing's backend tiles to its share of the budget, so all
+        # tile alike and a tile's segments fit the budget together.
+        share = None if budget is None else budget // firings
         self.backends = [
-            BACKENDS.create(backend, event_beamformer, cache, budget,
-                            options=backend_options, tracer=self.tracer,
-                            group=group)
+            BACKENDS.create(backend, event_beamformer, cache, share,
+                            options=backend_options, tracer=self.tracer)
             for event_beamformer in beamformers]
 
     def _event_beamformer(self, event: Any) -> DelayAndSumBeamformer:
@@ -254,13 +258,10 @@ class SchemeEngine:
         A frame with a non-finite sample is refused (:func:`require_finite`),
         named by ``frame_id``."""
         self._check_firings(firings, frame_id)
-        volume = None
         with self._compound_span():
-            for backend, firing in zip(self.backends, firings):
-                contribution = backend.beamform_volume(firing)
-                volume = contribution if volume is None \
-                    else volume + contribution
-        return volume
+            return self.backends[0].compound(
+                self.backends, [[firing] for firing in firings],
+                batched=False)[0]
 
     def beamform_batch(self, frames: Sequence[Sequence[ChannelData]],
                        frame_ids: Sequence[Any] | None = None
@@ -268,11 +269,12 @@ class SchemeEngine:
         """Compound a cine batch, shape ``(n_frames, n_theta, n_phi, n_depth)``.
 
         Each firing index is batched across frames on its own backend
-        (one stacked gather per event), then the per-event batches are
-        summed in event order — the same per-voxel addition order as
-        :meth:`beamform_volume`, so batching never changes the bits.  A
-        frame with a non-finite sample refuses the batch, named by its
-        ``frame_ids`` entry (default: its position in the batch).
+        (one stacked gather per event) and the per-event volumes are
+        summed in event order, tile by tile on a plan-backed backend — the
+        same per-voxel addition order as :meth:`beamform_volume`, so
+        batching never changes the bits.  A frame with a non-finite sample
+        refuses the batch, named by its ``frame_ids`` entry (default: its
+        position in the batch).
         """
         if len(frames) == 0:
             grid_shape = self.beamformer.grid.shape
@@ -281,11 +283,7 @@ class SchemeEngine:
             frame_ids = range(len(frames))
         for firings, frame_id in zip(frames, frame_ids):
             self._check_firings(firings, frame_id)
-        volumes = None
         with self._compound_span(frames=len(frames)):
-            for index, backend in enumerate(self.backends):
-                contribution = backend.beamform_batch(
-                    [firings[index] for firings in frames])
-                volumes = contribution if volumes is None \
-                    else volumes + contribution
-        return volumes
+            return self.backends[0].compound(
+                self.backends, [[firings[index] for firings in frames]
+                                for index in range(self.firing_count)])

@@ -16,7 +16,8 @@
    scenario of the scheme, then left for the plan cache's LRU to evict,
    so the cache only has to hold one group's working set
    (``max(firing_count)`` plans), not the whole grid's.  The loop keeps
-   the current scheme's firings and one delay provider per architecture.
+   the current scheme's firings and one released pipeline per
+   architecture, for its delay provider and the shared receive weights.
 4. Results always come back in grid order as the same
    ``{(scenario, scheme, architecture[, backend]): {"volume", "metrics"}}``
    mapping ``Session.sweep`` has always produced; cached and computed
@@ -81,18 +82,18 @@ def execute_cell(session: "Session", sweep: SweepSpec, scenario: str,
                  scheme: str, architecture: str, backend: str,
                  firings: list, options: Any,
                  provider: Any = None) -> tuple[dict, Any]:
-    """Compute one grid cell; returns ``(cell_dict, delay_provider)``.
+    """Compute one grid cell; returns ``(cell_dict, pipeline)``.
 
     The pipeline is vended from the session, used for one compound, and
-    released immediately (closed and dropped from ``Session._owned``) so
-    sweeps of any size retain no per-cell engines.  The delay provider is
-    returned for reuse — it is scheme- and backend-independent, and
-    rebuilding e.g. a TABLESTEER reference table per cell would repeat
-    the most expensive step of the sweep.
+    released immediately (closed and dropped from ``Session._owned``).  It
+    is returned to hold its delay provider for reuse — rebuilding e.g. a
+    TABLESTEER reference table per cell would repeat the most expensive
+    step of the sweep — and the receive weights its beamformers compiled
+    with, which every cell of the geometry shares and the plan cache drops
+    with a whole group's entry.
     """
     pipeline = session.pipeline(architecture=architecture, backend=backend,
                                 scheme=scheme, provider=provider)
-    provider = pipeline.delay_provider
     try:
         volume = pipeline.compound_volume(firings).rf
     finally:
@@ -101,12 +102,12 @@ def execute_cell(session: "Session", sweep: SweepSpec, scenario: str,
     if sweep.score:
         cell["metrics"] = score_volume(session.system, volume,
                                        scenario=scenario, options=options)
-    return cell, provider
+    return cell, pipeline
 
 
 def run_group(session: "Session", sweep: SweepSpec, scheme: str,
               architecture: str, cells: list[tuple[str, str]],
-              providers: dict[str, Any], store: SweepStore | None,
+              pipelines: dict[str, Any], store: SweepStore | None,
               inputs: dict[str, tuple[list, Any]]
               ) -> Iterator[tuple[str, str, dict]]:
     """Compute one (scheme, architecture) group; yields each finished cell.
@@ -116,8 +117,9 @@ def run_group(session: "Session", sweep: SweepSpec, scheme: str,
     backend-independent), so the plans compile for the first scenario and
     are cache hits for the rest.  Each scenario's firings are acquired
     once into ``inputs`` (pass the same dict to every architecture of a
-    scheme to share them), the architecture's delay provider is taken from
-    and kept in ``providers``, and each cell is written to ``store`` (if
+    scheme to share them), the architecture's first released pipeline is
+    kept in ``pipelines`` for its provider and weights (see
+    :func:`execute_cell`), and each cell is written to ``store`` (if
     any) under its unchanged key as soon as it is computed, before
     ``(scenario, backend, cell_dict)`` is yielded.
     """
@@ -129,9 +131,12 @@ def run_group(session: "Session", sweep: SweepSpec, scheme: str,
         with session.tracer.span("cell", scenario=scenario, scheme=scheme,
                                  architecture=architecture, backend=backend,
                                  cached=False):
-            result, providers[architecture] = execute_cell(
+            first = pipelines.get(architecture)
+            result, pipeline = execute_cell(
                 session, sweep, scenario, scheme, architecture, backend,
-                firings, options, providers.get(architecture))
+                firings, options,
+                None if first is None else first.delay_provider)
+            pipelines.setdefault(architecture, pipeline)
         if store is not None:
             spec = resolved_cell_spec(session.spec, sweep, scenario, scheme,
                                       architecture, backend)
@@ -269,12 +274,13 @@ class SweepExecutor:
                     groups: dict[tuple[str, str], list[_Cell]]
                     ) -> dict[tuple, dict]:
         """Run the pending groups in order; returns results by result key."""
-        # One delay provider per architecture for the *whole* grid: the
-        # provider is scheme-independent (the per-firing engines wrap it
-        # per event), so rebuilding it per group would repeat the most
-        # expensive step.  Firings are kept for the current scheme only.
+        # One delay provider per architecture for the *whole* grid, held by
+        # the architecture's first released pipeline: the provider is
+        # scheme-independent (the per-firing engines wrap it per event), so
+        # rebuilding it per group would repeat the most expensive step.
+        # Firings are kept for the current scheme only.
         computed: dict[tuple, dict] = {}
-        providers: dict[str, Any] = {}
+        pipelines: dict[str, Any] = {}
         inputs: dict[str, tuple[list, Any]] = {}
         current = None
         for (scheme, architecture), group in groups.items():
@@ -284,7 +290,7 @@ class SweepExecutor:
             try:
                 for scenario, backend, result in run_group(
                         self.session, sweep, scheme, architecture,
-                        list(by_pair), providers, self.store, inputs):
+                        list(by_pair), pipelines, self.store, inputs):
                     computed[by_pair[(scenario, backend)].result_key] = result
                     self._completed.inc()
             except BaseException:

@@ -180,6 +180,21 @@ class TestEngineSpecRoundTrip:
         with pytest.raises(ValueError, match="scanline"):
             EngineSpec(system="tiny").with_updates(memory_budget_bytes="1K")
 
+    def test_memory_budget_holds_one_scanline_per_firing(self):
+        """A tile's firings share the budget: a 3-angle plane wave needs
+        three tiny scanlines (3 x 12800 B), and two are refused with that
+        minimum named."""
+        planewave = {"scheme": "planewave", "scheme_options": {"n_angles": 3}}
+        with pytest.raises(ValueError, match=r"scanline per firing \(3 "
+                           r"firings\).*raise the budget to at least "
+                           r"38400 bytes"):
+            EngineSpec(system="tiny", memory_budget_bytes=2 * 12800,
+                       **planewave)
+        spec = EngineSpec(system="tiny", memory_budget_bytes=3 * 12800,
+                          **planewave)
+        assert spec.memory_budget_bytes == 38400
+        assert EngineSpec(system="tiny", memory_budget_bytes=12800)
+
     def test_memory_budget_garbage_rejected(self):
         with pytest.raises(ValueError, match="memory budget"):
             EngineSpec(system="tiny", memory_budget_bytes="lots")

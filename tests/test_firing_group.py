@@ -10,10 +10,10 @@ scheme engine's backends promise:
   scanlines; planewave, diverging and synthetic aperture;
 * the shared base provider is asked for each slab once for the whole
   group, not once per firing;
-* a scheme engine's group build leaves the plan cache's misses, hits and
-  evictions as firing-by-firing builds leave them, makes room before it
-  builds, and falls back to one firing at a time under a byte budget that
-  cannot hold a full segment per firing.
+* a scheme engine runs tile-major: a tile's F plans are one cache entry,
+  looked up once (one miss per tile group, not one per plan), compiled
+  under one ``compile`` span with ``firings=F``, made room for before the
+  build, and weighing F under the count bound — budgeted or not.
 """
 
 from __future__ import annotations
@@ -199,12 +199,6 @@ def test_a_group_shares_one_geometry(tiny):
         compile_plans([event, linear])
 
 
-def _unlinked(monkeypatch) -> None:
-    """Firing-by-firing compiles: no cache fits a group."""
-    monkeypatch.setattr(backends.VectorizedBackend, "_fits_group",
-                        lambda backend: False)
-
-
 def _engines_on(cache, tiny, architectures):
     scheme = resolve_scheme(tiny, "planewave", SCHEMES["planewave"])
     return [SchemeEngine(DelayAndSumBeamformer(
@@ -225,9 +219,9 @@ def _run_two_groups(tiny, frame, cache):
 def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
                                          monkeypatch):
     """On a count-bounded cache reserved for one group, each group's
-    build first evicts the other group's plans, the cache never holds
-    more than one group, and the misses, hits and evictions are the
-    firing-by-firing builds' own."""
+    build first evicts the other group's entry (3 plans weigh 3 slots),
+    so the cache never holds more than one group; each build is one miss
+    and one eviction, and the volumes are each engine's own."""
     cache, seen = PlanCache(capacity=1), []
 
     def recording(beamformers, *args, **kwargs):
@@ -236,19 +230,14 @@ def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
 
     monkeypatch.setattr(backends, "compile_plans", recording)
     volumes = _run_two_groups(tiny, tiny_channel_data, cache)
-    grouped = cache.stats
+    stats = cache.stats
     assert seen == [0, 0, 0, 0]
-    assert grouped.size == 3 and grouped.peak_bytes == grouped.bytes
-
-    monkeypatch.undo()
-    _unlinked(monkeypatch)
-    cache = PlanCache(capacity=1)
-    alone_volumes = _run_two_groups(tiny, tiny_channel_data, cache)
-    alone = cache.stats
-    assert (grouped.misses, grouped.hits, grouped.evictions) \
-        == (alone.misses, alone.hits, alone.evictions) == (12, 0, 9)
-    assert grouped.peak_bytes == alone.peak_bytes
-    for volume, expected in zip(volumes, alone_volumes):
+    assert stats.size == 1 and stats.peak_bytes == stats.bytes
+    assert (stats.misses, stats.hits, stats.evictions) == (4, 0, 3)
+    firings = [tiny_channel_data] * 3
+    alone = [engine.beamform_volume(firings) for engine in _engines_on(
+        PlanCache(), tiny, ("exact", "tablesteer"))] * 2
+    for volume, expected in zip(volumes, alone):
         assert volume.tobytes() == expected.tobytes()
 
 
@@ -272,11 +261,11 @@ def _compile_spans(tiny_channel_data, reopened):
 
 
 def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data):
-    """One ``compile`` span builds every firing's plan (its bytes summed);
-    each built plan counts one miss, and the siblings' first lookups are
-    those misses, not hits."""
+    """One ``compile`` span builds every firing's plan (its bytes summed)
+    into one cache entry: one miss, then one hit per frame."""
     (span,), stats = _compile_spans(tiny_channel_data, reopened=False)
-    assert (stats.misses, stats.hits, stats.evictions) == (3, 3, 0)
+    assert (stats.misses, stats.hits, stats.evictions) == (1, 1, 0)
+    assert stats.size == 1
     assert span.attributes["firings"] == 3
     assert span.attributes["bytes"] == stats.bytes
 
@@ -284,53 +273,63 @@ def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data):
 def test_a_closed_engine_on_a_cleared_cache_compiles_its_firings_once(
         tiny, tiny_channel_data):
     """A closed service whose cache was cleared still compiles its
-    firings as one group: one more ``compile`` span, three more misses."""
+    firings as one group: one more ``compile`` span, one more miss."""
     spans, stats = _compile_spans(tiny_channel_data, reopened=True)
     assert [span.attributes["firings"] for span in spans] == [3, 3]
-    assert (stats.misses, stats.hits, stats.evictions) == (6, 3, 0)
+    assert (stats.misses, stats.hits, stats.evictions) == (2, 1, 0)
     assert spans[-1].attributes["bytes"] == stats.bytes
 
 
-def _stream_counts(budget):
-    """A 2-batch planewave stream on ``tiny``: cache counters, the firings
-    each compile span built, and the volumes."""
-    session = Session(EngineSpec(system="tiny", backend="vectorized",
+#: A quarter of the tiny system's untiled plan (the conformance matrix's).
+TILE_BUDGET = plan_storage_bytes(8 * 8 * 16, 64, "float64") // 4
+
+
+def _stream(system, budget, frames, batch_size):
+    """A traced 3-angle planewave stream: its session and volumes."""
+    session = Session(EngineSpec(system=system, backend="vectorized",
+                                 architecture="tablesteer",
                                  scheme="planewave",
+                                 scheme_options=SCHEMES["planewave"],
                                  memory_budget_bytes=budget, trace=True))
-    results = session.stream(ScanSpec(scenario="static_point", frames=4),
-                             batch_size=2)
+    results = session.stream(ScanSpec(scenario="static_point",
+                                      frames=frames), batch_size=batch_size)
+    return session, [result.rf for result in results]
+
+
+@pytest.mark.parametrize("system, budget, frames, batch_size",
+                         [("tiny", TILE_BUDGET, 4, 2),
+                          ("small", "32M", 2, 2)],
+                         ids=["tiny-TILE_BUDGET", "small-32M"])
+def test_a_budgeted_batch_compiles_each_tile_group_once(system, budget,
+                                                        frames, batch_size):
+    """Under a budget that tiles the grid, each batch compiles each tile's
+    three firings once, under one ``compile`` span with ``firings=3`` —
+    one miss per tile group — and the cache's peak stays within the
+    budget; the volumes are the unbudgeted stream's, bit for bit."""
+    session, volumes = _stream(system, budget, frames, batch_size)
+    (backend, *_) = session.service().engine.backends
+    n_tiles, batches = backend.planner.n_tiles, frames // batch_size
+    assert n_tiles > 1
+    spans = session.tracer.find("compile")
+    assert [span.attributes["firings"] for span in spans] \
+        == [3] * (n_tiles * batches)
+    assert [span.attributes["tile"] for span in spans] \
+        == list(range(n_tiles)) * batches
     stats = session.cache.stats
-    firings = [span.attributes.get("firings", 1)
-               for span in session.tracer.find("compile")]
-    return (stats.misses, stats.hits, stats.evictions), firings, \
-        [result.rf for result in results]
-
-
-@pytest.mark.parametrize("budget, groups", [("512K", False), ("8M", True)])
-def test_a_budgeted_stream_groups_only_when_the_group_fits(budget, groups,
-                                                           monkeypatch):
-    """Under a byte budget that cannot hold a full segment per firing the
-    firings compile one at a time, exactly as unlinked plans do — no
-    group segment is evicted before use; under one that can, the group
-    compiles together.  Either way the cache counts what firing-by-firing
-    builds count."""
-    counts, firings, volumes = _stream_counts(budget)
-    assert set(firings) == ({5} if groups else {1})
-    _unlinked(monkeypatch)
-    alone_counts, alone_firings, alone_volumes = _stream_counts(budget)
-    assert counts == alone_counts
-    assert sum(firings) == len(alone_firings) == counts[0]
-    for volume, expected in zip(volumes, alone_volumes):
-        assert volume.tobytes() == expected.tobytes()
+    assert (stats.misses, stats.hits) == (n_tiles * batches, 0)
+    assert 0 < stats.peak_bytes <= stats.max_bytes \
+        == session.spec.memory_budget_bytes
+    _, expected = _stream(system, None, frames, batch_size)
+    for volume, oracle in zip(volumes, expected):
+        assert volume.tobytes() == oracle.tobytes()
 
 
 def test_groups_on_a_shared_cache_under_thread_contention(
         tiny, tiny_channel_data, monkeypatch):
     """Engines on more threads than cores share one cache, as server
     sessions do, with a shortened switch interval: every volume is the
-    serial one, every plan is built once, and each lookup counts exactly
-    one hit or miss — a lost update to the unclaimed set would break the
-    count."""
+    serial one, every group is built once, and each lookup counts exactly
+    one hit or miss."""
     firings = [tiny_channel_data] * 3
     oracle = {architecture: engine.beamform_volume(firings)
               for architecture, engine in zip(
@@ -368,6 +367,6 @@ def test_groups_on_a_shared_cache_under_thread_contention(
         for volume in volumes[index]:
             assert volume.tobytes() == oracle[architecture].tobytes()
     stats = cache.stats
-    assert len(built) == stats.misses == 2 * 3
-    assert stats.hits + stats.misses == len(engines) * 3 * 3
+    assert len(built) == 2 * 3 and stats.misses == 2
+    assert stats.hits + stats.misses == len(engines) * 3
     assert stats.evictions == 0

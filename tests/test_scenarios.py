@@ -423,8 +423,9 @@ class TestSpecThreading:
                             "schemes": ["planewave"],
                             "architectures": ["exact", "tablesteer"]})
         stats = session.cache.stats
-        assert stats.misses == 2 * 5      # architectures x firings, once
-        assert stats.hits == 2 * 5        # second scenario reuses them all
+        # One entry per architecture holds its 5 firings' plans.
+        assert stats.misses == 2          # architectures, once
+        assert stats.hits == 2            # second scenario reuses them all
 
     def test_spec_driven_sweep_rejects_per_call_arguments(self):
         session = Session(EngineSpec(system="tiny"))
@@ -519,8 +520,10 @@ class TestServiceScheme:
         for _ in range(2):
             service.submit_frame(phantom)
         stats = service.stats().cache
-        assert stats.misses == 5 and stats.evictions == 0
-        assert stats.hits == 5
+        # The 5 firings' plans are one entry, weighing 5 slots.
+        assert stats.misses == 1 and stats.evictions == 0
+        assert stats.hits == 1
+        assert stats.size == 1
 
 
 
