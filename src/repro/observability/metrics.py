@@ -251,6 +251,12 @@ class MetricsRegistry:
         """Get or create the histogram ``name``."""
         return self._get_or_create(Histogram, name, description)
 
+    def remove(self, name: str) -> Instrument | None:
+        """Unregister the instrument ``name`` and return it (``None`` if
+        absent).  Holders keep a working instrument; a later get-or-create
+        under ``name`` makes a fresh one."""
+        return self._instruments.pop(name, None)
+
     # ------------------------------------------------------------- contents
     def get(self, name: str) -> Instrument | None:
         """The instrument registered under ``name`` (``None`` if absent)."""

@@ -24,8 +24,8 @@ written exactly once:
 ``compiled``
     The same tiles executed by fused Numba kernels (optional dependency).
 
-A NumPy backend runs a frame's tiles in order on the calling thread;
-frames run in parallel on the worker pool of
+A NumPy backend runs a frame's tiles on the calling thread, the ones its
+cache still holds first; frames run in parallel on the worker pool of
 :class:`repro.server.BeamformingServer` (``docs/runtime.md``, "One level
 of parallelism").
 
@@ -146,14 +146,14 @@ class ReferenceBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """Batched gather/sum over a compiled plan's tile segments, in order.
+    """Batched gather/sum over a compiled plan's tile segments.
 
-    Each call runs one loop over the planner's tiles: fetch the tile's
-    segment plans from the cache (compiling them on a miss, under a
-    ``compile`` span), execute them on the whole batch, and write their
-    rows into the output array — one ``tile`` span per tile, all under one
-    ``execute`` span.  A transmit scheme's firings share the loop
-    (:meth:`compound`).
+    Each call runs one loop over the planner's tiles, the cached ones
+    first (:meth:`_run_tiles`): fetch the tile's segment plans from the
+    cache (compiling them on a miss, under a ``compile`` span), execute
+    them on the whole batch, and write their rows into the output array —
+    one ``tile`` span per tile, all under one ``execute`` span.  A
+    transmit scheme's firings share the loop (:meth:`compound`).
 
     Parameters
     ----------
@@ -202,14 +202,20 @@ class VectorizedBackend(ExecutionBackend):
         miss)."""
         return self._segments([self], tile)[0]
 
+    @staticmethod
+    def _entry_key(backends: Sequence["VectorizedBackend"], tile: Tile):
+        """The cache key of a tile's entry: one backend's plan key, else
+        the tuple of every firing's."""
+        keys = tuple(backend._tile_keys[tile.index] for backend in backends)
+        return keys[0] if len(keys) == 1 else keys
+
     def _segments(self, backends: Sequence["VectorizedBackend"],
                   tile: Tile) -> tuple:
         """Every backend's segment plan for one tile: one cache entry (one
         backend's plan under its own key, else the tuple of F plans),
         built on a miss by one :func:`~repro.kernels.plan.compile_plans`
         pass under one ``compile`` span."""
-        keys = tuple(backend._tile_keys[tile.index] for backend in backends)
-        one = len(keys) == 1
+        one = len(backends) == 1
 
         def build():
             with self.tracer.span("compile") as span:
@@ -225,8 +231,8 @@ class VectorizedBackend(ExecutionBackend):
             return plans[0] if one else tuple(plans)
 
         entry = self.cache.get_or_build(
-            keys[0] if one else keys, build, plans=len(keys),
-            size_hint=len(keys) * self.planner.tile_nbytes(tile))
+            self._entry_key(backends, tile), build, plans=len(backends),
+            size_hint=len(backends) * self.planner.tile_nbytes(tile))
         return (entry,) if one else entry
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
@@ -252,13 +258,21 @@ class VectorizedBackend(ExecutionBackend):
                    firings: Sequence[Sequence[ChannelData]]) -> np.ndarray:
         """Beamform frames tile by tile; ``(n_frames, *grid_shape)``.
 
+        With more than one tile, the tiles whose entry the cache already
+        holds run first, then the rest, each in index order: the held
+        entries are looked up before a miss can evict them, so a call hits
+        every tile the previous one left resident, where a fixed 0…n−1
+        sweep would evict each before its turn (the cyclic scan that
+        defeats LRU).  Each tile writes its own rows and adds firings in
+        firing order, so the run order leaves every volume bit for bit.
+
         A firing's frames are padded once per call into one buffer every
         tile gathers from (:func:`~repro.kernels.ops.pad_frames`), and each
         segment executes the whole batch, amortised across frames.  The
         buffer is built once its firing's first segment is in hand, so a
         cold compile never holds it beside its own scratch, and dropped
-        after the last tile, so an untiled engine holds one padded firing
-        at a time.  CSR segments refuse a non-finite sample
+        after the last tile run, so an untiled engine holds one padded
+        firing at a time.  CSR segments refuse a non-finite sample
         (:func:`~repro.kernels.plan.check_finite`), checked per buffer.
         """
         grid_shape = self.beamformer.grid.shape
@@ -267,10 +281,17 @@ class VectorizedBackend(ExecutionBackend):
         if n_frames == 0:
             return np.empty((0, *grid_shape), dtype=dtype)
         planner = self.planner
+        tiles = planner.tiles()
+        if len(tiles) > 1:
+            # ``in`` counts no hit and leaves the LRU order alone.
+            # A stable sort: held tiles first, each part in index order.
+            held = [self._entry_key(backends, tile) in self.cache
+                    for tile in tiles]
+            tiles = sorted(tiles, key=lambda tile: not held[tile.index])
         out = np.empty((n_frames, planner.n_points), dtype=dtype)
         padded: list = [None] * len(backends)
-        for tile in planner.tiles():
-            last = tile.index == planner.n_tiles - 1
+        for tile in tiles:
+            last = tile is tiles[-1]
             with self.tracer.span("tile", index=tile.index,
                                   tiles=planner.n_tiles,
                                   points=tile.n_points) as span:

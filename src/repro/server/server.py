@@ -612,6 +612,13 @@ class BeamformingServer:
             cancelled = self._cancel_queue(state)
             del self._sessions[state.session_id]
             self._order.remove(state.session_id)
+            # Per-session series live only while the session is open.  The
+            # state keeps its instruments (SessionHandle.stats(), the frame
+            # in flight), and unregistering them in the step that frees
+            # the id means a re-opened id starts from fresh ones.
+            for instrument in (state.depth_gauge, state.frames_counter,
+                               state.drops_counter, state.latency):
+                self.metrics.remove(instrument.name)
             self._cursor = 0
             self._sessions_gauge.set(len(self._sessions))
             self._work.notify_all()

@@ -302,21 +302,32 @@ def _stream(system, budget, frames, batch_size):
                          ids=["tiny-TILE_BUDGET", "small-32M"])
 def test_a_budgeted_batch_compiles_each_tile_group_once(system, budget,
                                                         frames, batch_size):
-    """Under a budget that tiles the grid, each batch compiles each tile's
-    three firings once, under one ``compile`` span with ``firings=3`` —
-    one miss per tile group — and the cache's peak stays within the
-    budget; the volumes are the unbudgeted stream's, bit for bit."""
+    """Under a budget that tiles the grid, a batch compiles each tile's
+    three firings at most once, under one ``compile`` span with
+    ``firings=3`` — one miss per tile group.  The first batch compiles
+    every tile; each later one runs the ``r`` tiles the cache still holds
+    first and compiles the rest, in index order.  The cache's peak stays
+    within the budget; the volumes are the unbudgeted stream's, bit for
+    bit."""
     session, volumes = _stream(system, budget, frames, batch_size)
     (backend, *_) = session.service().engine.backends
     n_tiles, batches = backend.planner.n_tiles, frames // batch_size
     assert n_tiles > 1
-    spans = session.tracer.find("compile")
-    assert [span.attributes["firings"] for span in spans] \
-        == [3] * (n_tiles * batches)
-    assert [span.attributes["tile"] for span in spans] \
-        == list(range(n_tiles)) * batches
     stats = session.cache.stats
-    assert (stats.misses, stats.hits) == (n_tiles * batches, 0)
+    resident = stats.size
+    assert 0 < resident < n_tiles
+    spans = session.tracer.find("compile")
+    compiles = n_tiles + (batches - 1) * (n_tiles - resident)
+    assert [span.attributes["firings"] for span in spans] == [3] * compiles
+    expected, held = [], []
+    for execute in session.tracer.find("execute"):
+        missed = sorted(set(range(n_tiles)) - set(held))
+        expected += missed
+        held = ([tile.attributes["index"] for tile in execute.find("tile")]
+                [-resident:])
+    assert [span.attributes["tile"] for span in spans] == expected
+    assert (stats.misses, stats.hits) \
+        == (compiles, (batches - 1) * resident)
     assert 0 < stats.peak_bytes <= stats.max_bytes \
         == session.spec.memory_budget_bytes
     _, expected = _stream(system, None, frames, batch_size)

@@ -542,8 +542,9 @@ class TestServiceObservability:
         assert gather.attributes["bytes"] > 0
 
     def test_budgeted_trace_has_one_root_per_frame(self, tiny_channel_data):
-        """A budgeted frame's tiles all nest under its one execute span,
-        and every tile's segment is compiled again on every frame."""
+        """A budgeted frame's tiles all nest under its one execute span;
+        the first frame compiles every tile's segment, and each later one
+        only the tiles the cache no longer holds."""
         from repro.kernels import compile_plan, plan_storage_bytes
         budget = plan_storage_bytes(8 * 8 * 16, 64, "float64") // 8
         session = Session(EngineSpec(system="tiny", backend="vectorized",
@@ -564,7 +565,10 @@ class TestServiceObservability:
             assert [child.name for child in execute.children] \
                 == ["tile"] * n_tiles
         assert len(session.tracer.find("tile")) == 3 * n_tiles
-        assert len(session.tracer.find("compile")) == 3 * n_tiles
+        resident = session.cache.stats.size
+        assert 0 < resident < n_tiles
+        assert len(session.tracer.find("compile")) \
+            == n_tiles + 2 * (n_tiles - resident)
 
     def test_acquire_firings_opens_a_simulate_span(self, session):
         phantom = ScanSpec(scenario="static_point").build_frames(

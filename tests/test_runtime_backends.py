@@ -10,19 +10,31 @@ on.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import EngineSpec, ScanSpec, Session
 from repro.architectures import ARCHITECTURES
 from repro.beamformer.das import DelayAndSumBeamformer
 from repro.beamformer.interpolation import InterpolationKind
-from repro.kernels import CompiledOptions, Precision, numba_available, plan_key
+from repro.kernels import (
+    CompiledOptions,
+    Precision,
+    numba_available,
+    plan_key,
+    plan_storage_bytes,
+)
+from repro.kernels.tiling import TilePlanner
+from repro.observability import Tracer
 from repro.runtime import (
     BACKEND_NAMES,
     BACKENDS,
     BackendUnavailable,
     PlanCache,
     ReferenceBackend,
+    VectorizedBackend,
 )
 
 ARCH_NAMES = ("exact", "tablefree", "tablesteer")
@@ -448,3 +460,121 @@ class TestPlanCacheByteBudget:
         assert "plan_cache_bytes 200" in text
         assert "plan_cache_peak_bytes 200" in text
         assert "plan_cache_evictions_total 1" in text
+
+
+#: A quarter of the tiny system's untiled plan (the conformance matrix's).
+TILE_BUDGET = plan_storage_bytes(8 * 8 * 16, 64, "float64") // 4
+
+HELD_SCHEMES = {"focused": None, "planewave": {"n_angles": 3}}
+
+
+class TestHeldTilesRunFirst:
+    """A budgeted engine runs the tiles its cache still holds first, so a
+    call hits every tile the previous call left resident instead of
+    evicting it before its turn (the cyclic scan that defeats LRU)."""
+
+    @staticmethod
+    def _session(scheme, budget):
+        return Session(EngineSpec(system="tiny", backend="vectorized",
+                                  architecture="tablesteer", scheme=scheme,
+                                  scheme_options=HELD_SCHEMES[scheme],
+                                  memory_budget_bytes=budget, trace=True))
+
+    @staticmethod
+    def _batch(session):
+        return [tuple(session.acquire_firings(request.phantom))
+                for request in ScanSpec(scenario="static_point", frames=2)
+                .build_frames(session.system)]
+
+    @staticmethod
+    def _resident(backends) -> list[int]:
+        """Indices of the tiles whose entry the cache holds (a peek)."""
+        (backend, *_) = backends
+        return [tile.index for tile in backend.planner.tiles()
+                if backend._entry_key(backends, tile) in backend.cache]
+
+    @staticmethod
+    def _digests(results) -> list[str]:
+        return [hashlib.sha256(result.rf.tobytes()).hexdigest()
+                for result in results]
+
+    def _call(self, session, service, batch):
+        """One batch: the tiles held before it, its run order, the tiles
+        it compiled, and its volumes' digests."""
+        held = self._resident(service.engine.backends)
+        session.tracer.reset()
+        digests = self._digests(service.submit_batch(batch))
+        (execute,) = session.tracer.find("execute")
+        order = [tile.attributes["index"] for tile in execute.find("tile")]
+        compiled = [span.attributes["tile"]
+                    for span in session.tracer.find("compile")]
+        return held, order, compiled, digests
+
+    @pytest.mark.parametrize("divisor", [1, 2],
+                             ids=["TILE_BUDGET", "half"])
+    @pytest.mark.parametrize("scheme", list(HELD_SCHEMES))
+    def test_held_tiles_run_first(self, scheme, divisor):
+        budget = TILE_BUDGET // divisor
+        session = self._session(scheme, budget)
+        batch = self._batch(session)
+        oracle = self._digests(
+            self._session(scheme, None).service().submit_batch(batch))
+        service = session.service()
+        n_tiles = service.engine.backends[0].planner.n_tiles
+        for call in range(3):
+            held, order, compiled, digests = self._call(session, service,
+                                                        batch)
+            if call == 0:
+                assert held == [] and compiled == list(range(n_tiles))
+            else:
+                assert 0 < len(held) < n_tiles
+                assert compiled == [index for index in range(n_tiles)
+                                    if index not in held]
+                assert order == held + compiled
+            assert digests == oracle
+            stats = session.cache.stats
+            assert 0 < stats.peak_bytes <= budget == stats.max_bytes
+        session.close()
+
+    @pytest.mark.parametrize("scheme", list(HELD_SCHEMES))
+    def test_a_second_service_hits_the_tiles_the_first_left(self, scheme):
+        session = self._session(scheme, TILE_BUDGET)
+        batch = self._batch(session)
+        first, second = session.service(), session.service()
+        _, _, _, oracle = self._call(session, first, batch)
+        hits = session.cache.stats.hits
+        held, order, compiled, digests = self._call(session, second, batch)
+        assert 0 < len(held) < len(order)
+        assert order[:len(held)] == held
+        assert len(compiled) == len(order) - len(held)
+        assert session.cache.stats.hits - hits == len(held)
+        assert digests == oracle
+        session.close()
+
+    def test_several_held_tiles_run_in_index_order(self, beamformers,
+                                                   tiny_channel_data):
+        """A cache with room for two tiles: each later call runs the two
+        it holds first, in index order, then compiles the rest."""
+        beamformer = beamformers["tablesteer"]
+        planner = TilePlanner.for_beamformer(beamformer, TILE_BUDGET // 2)
+        tracer = Tracer()
+        backend = VectorizedBackend(beamformer, planner, PlanCache(
+            capacity=planner.n_tiles,
+            max_bytes=2 * planner.memory_budget_bytes), tracer=tracer)
+        oracle = BACKENDS.create("vectorized", beamformer, None, None) \
+            .beamform_volume(tiny_channel_data)
+        n_tiles, order = planner.n_tiles, []
+        for call in range(3):
+            held = self._resident([backend])
+            assert held == sorted(order[-2:])
+            before = backend.cache.stats
+            tracer.reset()
+            volume = backend.beamform_volume(tiny_channel_data)
+            after = backend.cache.stats
+            order = [tile.attributes["index"] for tile in tracer.find("tile")]
+            assert order == held + [index for index in range(n_tiles)
+                                    if index not in held]
+            assert after.hits - before.hits == len(held)
+            assert after.misses - before.misses == n_tiles - len(held)
+            assert volume.tobytes() == oracle.tobytes()
+        assert len(held) == 2 < n_tiles

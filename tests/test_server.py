@@ -326,6 +326,26 @@ class TestMetrics:
         assert 'server_session_probe_1_latency_seconds{quantile="0.5"}' in text
         assert 'server_session_probe_1_latency_seconds{quantile="0.99"}' in text
 
+    def test_a_closed_sessions_instruments_are_dropped(self, server):
+        """Open/submit/close cycles leave the registry at its size after
+        the first close: a closed session's four series are unregistered,
+        the aggregate still counts every frame, and a re-opened id starts
+        its counters at 0."""
+        frame = Session(TINY).acquire(_phantom(TINY.resolve_system()))
+        sizes = []
+        for cycle in range(50):
+            handle = server.open_session(session_id="cycle")
+            assert server.metrics.get(
+                "server_session_cycle_frames_total").value == 0
+            handle.submit(frame).result(timeout=60)
+            assert handle.stats().frames == 1
+            handle.close()
+            assert handle.stats().frames == 1
+            assert "server_session_cycle_frames_total" not in server.metrics
+            sizes.append(len(server.metrics))
+        assert sizes == [sizes[0]] * 50
+        assert server.metrics.get("server_frames_total").value == 50
+
     def test_stats_percentiles_and_counts(self, server):
         session = server.open_session()
         system = TINY.resolve_system()
