@@ -87,8 +87,13 @@ def main() -> None:
     depth = float(session.grid.depths[len(session.grid.depths) // 2])
     phantom = point_target(depth=depth)
 
-    # The plugin flows through sweep/pipeline/service like any built-in.
-    images = session.sweep(phantom, architectures=("exact", "exact_offset"))
+    # The plugin flows through pipeline/service like any built-in: image
+    # one acquisition with it and with the exact engine.
+    channel_data = session.acquire(phantom)
+    images = {}
+    for name in ("exact", "exact_offset"):
+        with session.pipeline(architecture=name) as pipeline:
+            images[name] = pipeline.image_plane(channel_data)
     peaks = {name: np.unravel_index(int(np.argmax(img)), img.shape)
              for name, img in images.items()}
     shift = peaks["exact_offset"][1] - peaks["exact"][1]

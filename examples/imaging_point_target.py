@@ -66,8 +66,10 @@ def main() -> None:
           f"{channel_data.sample_count} samples of RF data\n")
 
     # One acquisition, one shared grid/transducer — three delay engines.
-    images = session.sweep(channel_data=channel_data,
-                           architectures=ARCHITECTURES_TO_COMPARE)
+    images = {}
+    for name in ARCHITECTURES_TO_COMPARE:
+        with session.pipeline(architecture=name) as pipeline:
+            images[name] = pipeline.image_plane(channel_data)
 
     reference = images["exact"]
     for name, image in images.items():

@@ -11,9 +11,7 @@ rebuilt per variant).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
-
-import numpy as np
+from typing import Any, Mapping
 
 from ..acoustics.echo import ChannelData, EchoSimulator
 from ..acoustics.phantom import Phantom
@@ -49,7 +47,11 @@ class Session:
                                      backend="vectorized"))
         image = session.pipeline().image_phantom(phantom)
         results = session.stream(ScanSpec(frames=8))
-        images = session.sweep(phantom, architectures=("exact", "tablefree"))
+        channel_data = session.acquire(phantom)
+        images = {}
+        for name in ("exact", "tablefree"):
+            with session.pipeline(architecture=name) as pipeline:
+                images[name] = pipeline.image_plane(channel_data)
 
     The simulator, transducer, focal grid and delay-table cache are built
     once in the constructor and shared by every pipeline/service the
@@ -282,107 +284,27 @@ class Session:
             # now instead of holding them until the session closes.
             self._release(service)
 
-    def sweep(self, phantom: Phantom | None = None,
-              architectures: Iterable[str] | None = None,
-              backends: Iterable[str] | None = None,
-              noise_std: float = 0.0, seed: int = 0,
-              channel_data: ChannelData | None = None,
-              spec: SweepSpec | Mapping | str | None = None
-              ) -> dict:
-        """Image one phantom under several architecture/backend variants.
+    def sweep(self, spec: SweepSpec | Mapping | str) -> dict[tuple, dict]:
+        """Run a scenario x scheme x architecture (x backend) grid.
 
-        The phantom is insonified *once* with the shared simulator (or pass
-        pre-acquired ``channel_data`` to skip the simulation entirely);
-        every variant beamforms the identical channel data, so result
-        differences come from delay generation (and nothing else).
-
-        With ``backends=None`` the result maps each architecture name to
-        the envelope image of the centre elevation plane (the classic
-        comparison).  With ``backends`` given, the result maps
-        ``(architecture, backend)`` pairs to full RF volumes, letting
-        equivalence across execution strategies be asserted in the same
-        sweep.
-
-        With ``spec`` given (a :class:`repro.api.SweepSpec`, its dict form
-        or its JSON text), the sweep instead runs the declared scenario x
-        scheme x architecture (x backend) grid: each scenario's phantom is
-        built from its registry entry, its firings are acquired once per
-        scheme and shared across every architecture/backend variant, and
-        each cell maps ``(scenario, scheme, architecture[, backend])`` to
+        ``spec`` is a :class:`repro.api.SweepSpec`, its dict form or its
+        JSON text.  Each scenario's phantom is built from its registry
+        entry, its firings are acquired once per scheme and shared across
+        every architecture/backend variant, and each cell maps
+        ``(scenario, scheme, architecture[, backend])`` to
         ``{"volume": rf, "metrics": {...}}`` with the
         :func:`repro.scenarios.score_volume` figures of merit.
-        """
-        if spec is not None:
-            if phantom is not None or channel_data is not None or \
-                    architectures is not None or backends is not None or \
-                    noise_std != 0.0 or seed != 0:
-                raise ValueError(
-                    "spec-driven sweeps take every parameter from the "
-                    "SweepSpec document (scenarios, schemes, "
-                    "architectures, backends, noise_std, seed); do not "
-                    "also pass the per-call sweep arguments")
-            spec = SweepSpec.from_json(spec) if isinstance(spec, str) \
-                else SweepSpec.coerce(spec)
-            return self._sweep_grid(spec)
-        if architectures is None:
-            architectures = (self.spec.architecture,)
-        architectures = tuple(architectures)
-        if channel_data is None:
-            if phantom is None:
-                raise ValueError("provide a phantom or channel_data to sweep")
-            channel_data = self.acquire(phantom, noise_std=noise_std,
-                                        seed=seed)
-        if backends is None:
-            with self.tracer.span("sweep", cells=len(architectures)):
-                images = {}
-                for name in architectures:
-                    with self.tracer.span("cell", architecture=name):
-                        pipeline = self.pipeline(architecture=name,
-                                                 scheme="focused")
-                        try:
-                            images[name] = pipeline.image_plane(channel_data)
-                        finally:
-                            # Built for this one cell — release its backend
-                            # now rather than holding every cell's engine
-                            # until session close.
-                            self._release(pipeline)
-                return images
-        backends = tuple(backends)
-        volumes: dict[tuple[str, str], np.ndarray] = {}
-        with self.tracer.span("sweep",
-                              cells=len(architectures) * len(backends)):
-            for name in architectures:
-                # One delay provider per architecture, shared across
-                # backends (rebuilding e.g. the TABLESTEER reference table
-                # per backend would triple the most expensive step for
-                # identical inputs).
-                provider = None
-                for backend in backends:
-                    with self.tracer.span("cell", architecture=name,
-                                          backend=backend):
-                        pipeline = self.pipeline(architecture=name,
-                                                 backend=backend,
-                                                 scheme="focused",
-                                                 provider=provider)
-                        provider = pipeline.delay_provider
-                        try:
-                            volumes[(name, backend)] = \
-                                pipeline.image_volume(channel_data).rf
-                        finally:
-                            self._release(pipeline)
-        return volumes
 
-    def _sweep_grid(self, sweep: SweepSpec) -> dict[tuple, dict]:
-        """Run a :class:`SweepSpec` grid over the shared substrates.
-
-        Delegates to :class:`repro.sweep.SweepExecutor` (without a store:
-        pure in-process execution, same shared-firings/shared-provider
-        grid walk this method historically inlined).  Store-backed,
-        resumable runs build the executor directly — the in-process path
-        is the same code, so both are bit-identical by construction.
+        The grid runs through :class:`repro.sweep.SweepExecutor` without a
+        store; store-backed, resumable runs build the executor directly
+        and are bit-identical by construction.  To compare architectures
+        on one acquisition, loop over :meth:`pipeline` (see the class
+        docstring).
         """
         from ..sweep.executor import SweepExecutor
-        return SweepExecutor(self).run(sweep)
+        spec = SweepSpec.from_json(spec) if isinstance(spec, str) \
+            else SweepSpec.coerce(spec)
+        return SweepExecutor(self).run(spec)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         system = self.system.name

@@ -10,12 +10,7 @@
 
 from .bulk import BulkDelayProviderMixin
 from .exact import ExactDelayEngine, propagation_delay, receive_delay, transmit_delay
-from .multi_origin import (
-    MultiOriginTableFree,
-    MultiOriginTableSteer,
-    OriginSchedule,
-    synthetic_aperture_cost_comparison,
-)
+from .multi_origin import OriginSchedule, synthetic_aperture_cost_comparison
 from .piecewise import IncrementalSqrtEvaluator, PiecewiseSqrt, minimax_linear_sqrt
 from .recursive import RecursiveConfig, RecursiveDelayGenerator
 from .reference_table import ReferenceDelayTable
@@ -49,7 +44,5 @@ __all__ = [
     "RecursiveConfig",
     "RecursiveDelayGenerator",
     "OriginSchedule",
-    "MultiOriginTableSteer",
-    "MultiOriginTableFree",
     "synthetic_aperture_cost_comparison",
 ]

@@ -13,28 +13,22 @@ This module makes that comparison concrete:
 * :class:`OriginSchedule` — a set of transmit origins (one per
   insonification), with factories for the common synthetic-aperture layouts
   (virtual sources behind the probe, translated sub-apertures).
-* :class:`MultiOriginTableSteer` — one TABLESTEER reference table per origin
-  plus the shared steering corrections; exposes per-origin delay generation
-  and the aggregate storage / bandwidth cost, which is what the paper means
-  by "extra hardware cost".
-* :class:`MultiOriginTableFree` — a thin wrapper that re-targets a single
-  TABLEFREE generator to each origin, demonstrating that its cost is
-  independent of the origin count.
+* :func:`synthetic_aperture_cost_comparison` — the TABLESTEER reference
+  table storage as the origin count grows (what the paper means by "extra
+  hardware cost"), against TABLEFREE's zero table storage.
+
+Imaging with virtual sources runs through the transmit-scheme layer:
+:class:`repro.scenarios.TransmitAdjustedProvider` re-targets the transmit
+leg of any delay architecture to each firing's origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import SystemConfig
-from ..fixedpoint.format import QFormat, REFERENCE_DELAY_18B
-from ..geometry.transducer import MatrixTransducer
-from ..geometry.volume import FocalGrid
-from .exact import ExactDelayEngine
-from .steering import SteeringCorrections
-from .tablefree import TableFreeConfig, TableFreeDelayGenerator
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,14 @@ class OriginSchedule:
 
     def __post_init__(self) -> None:
         origins = np.atleast_2d(np.asarray(self.origins, dtype=np.float64))
-        if origins.shape[1] != 3:
-            raise ValueError("origins must have shape (n, 3)")
+        if origins.ndim != 2 or origins.shape[1] != 3:
+            raise ValueError(
+                f"origins must have shape (n, 3), got {origins.shape}")
+        if origins.shape[0] == 0:
+            raise ValueError("an origin schedule needs at least one origin")
+        if not np.all(np.isfinite(origins)):
+            raise ValueError("origins must be finite, got a NaN or inf "
+                             "coordinate")
         object.__setattr__(self, "origins", origins)
 
     @property
@@ -97,157 +97,6 @@ class OriginSchedule:
         xs = (np.arange(count) - (count - 1) / 2) * aperture / max(count, 1)
         origins = np.stack([xs, np.zeros(count), np.zeros(count)], axis=-1)
         return cls(origins=origins, name="subapertures")
-
-
-@dataclass
-class MultiOriginTableSteer:
-    """TABLESTEER extended to a schedule of transmit origins.
-
-    One reference delay table is (conceptually) stored per origin; the
-    steering corrections depend only on the receive geometry and are shared.
-    The tables here are generated from the exact engine per origin — the
-    point of this class is the delay values and the *cost accounting*, not a
-    new approximation.
-    """
-
-    system: SystemConfig
-    schedule: OriginSchedule
-    corrections: SteeringCorrections
-    transducer: MatrixTransducer
-    grid: FocalGrid
-    _engines: list[ExactDelayEngine] = field(default_factory=list, repr=False)
-
-    @classmethod
-    def from_config(cls, system: SystemConfig,
-                    schedule: OriginSchedule) -> "MultiOriginTableSteer":
-        """Build per-origin engines and the shared steering corrections."""
-        corrections = SteeringCorrections.build(system)
-        transducer = MatrixTransducer.from_config(system)
-        grid = FocalGrid.from_config(system)
-        engines = [ExactDelayEngine.from_config(system, origin=origin)
-                   for origin in schedule.origins]
-        return cls(system=system, schedule=schedule, corrections=corrections,
-                   transducer=transducer, grid=grid, _engines=engines)
-
-    # ------------------------------------------------------------------ API
-    def reference_scanline(self, origin_index: int) -> np.ndarray:
-        """Broadside reference delays for one origin, shape ``(n_depth, n_elements)``.
-
-        This is the column of the per-origin reference table that the
-        steering corrections are applied to.
-        """
-        engine = self._engine(origin_index)
-        depths = self.grid.depths
-        points = np.stack([np.zeros_like(depths), np.zeros_like(depths), depths],
-                          axis=-1)
-        return engine.delays_samples(points)
-
-    def scanline_delays_samples(self, origin_index: int, i_theta: int,
-                                i_phi: int) -> np.ndarray:
-        """Steered delays for one origin and scanline (reference + plane)."""
-        reference = self.reference_scanline(origin_index)
-        plane = self.corrections.plane(i_theta, i_phi).ravel()
-        return reference + plane[None, :]
-
-    def exact_scanline_delays(self, origin_index: int, i_theta: int,
-                              i_phi: int) -> np.ndarray:
-        """Exact delays for the same origin/scanline (for error analysis)."""
-        engine = self._engine(origin_index)
-        return engine.delays_samples(self.grid.scanline_points(i_theta, i_phi))
-
-    def _engine(self, origin_index: int) -> ExactDelayEngine:
-        if not 0 <= origin_index < self.schedule.count:
-            raise IndexError(f"origin index {origin_index} out of range")
-        return self._engines[origin_index]
-
-    # ----------------------------------------------------------------- cost
-    def reference_entries_per_origin(self) -> int:
-        """Stored table entries per origin (one quadrant only when centred).
-
-        Off-centre origins break the four-fold symmetry: only origins on the
-        z axis (x = y = 0) allow quadrant pruning, mirroring the paper's
-        remark that "the table needs to be proportionally larger as the sound
-        origin is displaced from the vertical of the transducer's centre".
-        """
-        ex = self.system.transducer.elements_x
-        ey = self.system.transducer.elements_y
-        n_depth = self.system.volume.n_depth
-        return ((ex + 1) // 2) * ((ey + 1) // 2) * n_depth
-
-    def reference_entries_for_origin(self, origin_index: int) -> int:
-        """Stored entries for one specific origin, accounting for lost symmetry."""
-        origin = self.schedule.origins[origin_index]
-        ex = self.system.transducer.elements_x
-        ey = self.system.transducer.elements_y
-        n_depth = self.system.volume.n_depth
-        x_factor = (ex + 1) // 2 if abs(origin[0]) < 1e-12 else ex
-        y_factor = (ey + 1) // 2 if abs(origin[1]) < 1e-12 else ey
-        return x_factor * y_factor * n_depth
-
-    def total_reference_entries(self) -> int:
-        """Stored entries across all origins."""
-        return sum(self.reference_entries_for_origin(i)
-                   for i in range(self.schedule.count))
-
-    def storage_megabits(self, fmt: QFormat = REFERENCE_DELAY_18B) -> float:
-        """Total reference-table storage across origins [Mb]."""
-        return self.total_reference_entries() * fmt.total_bits / 1e6
-
-    def dram_bandwidth_bytes_per_second(self, fmt: QFormat = REFERENCE_DELAY_18B) -> float:
-        """DRAM bandwidth when streaming the per-origin tables.
-
-        Each insonification uses exactly one origin, so the traffic per
-        second equals the single-origin streaming traffic — the *bandwidth*
-        cost of synthetic aperture is unchanged, only the off-chip *storage*
-        grows with the origin count.
-        """
-        single_origin_entries = self.reference_entries_per_origin()
-        insonifications_per_second = (self.system.beamformer.frame_rate
-                                      * self.system.beamformer.insonifications_per_volume)
-        return single_origin_entries * fmt.total_bits / 8.0 * insonifications_per_second
-
-
-@dataclass
-class MultiOriginTableFree:
-    """TABLEFREE re-targeted to each origin of a synthetic-aperture schedule.
-
-    The generator's hardware cost does not depend on the origin at all (the
-    transmit term is computed per focal point), so this wrapper simply builds
-    one :class:`TableFreeDelayGenerator` per origin and exposes the same
-    per-origin API as :class:`MultiOriginTableSteer` for comparison.
-    """
-
-    system: SystemConfig
-    schedule: OriginSchedule
-    design: TableFreeConfig
-    _generators: list[TableFreeDelayGenerator] = field(default_factory=list,
-                                                       repr=False)
-
-    @classmethod
-    def from_config(cls, system: SystemConfig, schedule: OriginSchedule,
-                    design: TableFreeConfig | None = None) -> "MultiOriginTableFree":
-        """Build one generator per origin (they share the PWL design)."""
-        design = design or TableFreeConfig()
-        generators = [TableFreeDelayGenerator.from_config(system, design,
-                                                          origin=origin)
-                      for origin in schedule.origins]
-        return cls(system=system, schedule=schedule, design=design,
-                   _generators=generators)
-
-    def scanline_delays_samples(self, origin_index: int, i_theta: int,
-                                i_phi: int) -> np.ndarray:
-        """Delays for one origin and grid scanline."""
-        if not 0 <= origin_index < self.schedule.count:
-            raise IndexError(f"origin index {origin_index} out of range")
-        return self._generators[origin_index].scanline_delays_samples(i_theta, i_phi)
-
-    def table_storage_megabits(self) -> float:
-        """Delay-table storage: zero, for any number of origins."""
-        return 0.0
-
-    def segment_count(self) -> int:
-        """PWL segments of the shared square-root approximation."""
-        return self._generators[0].segment_count if self._generators else 0
 
 
 def synthetic_aperture_cost_comparison(system: SystemConfig,

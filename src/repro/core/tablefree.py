@@ -85,20 +85,20 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
 
     @classmethod
     def from_config(cls, system: SystemConfig,
-                    design: TableFreeConfig | None = None,
-                    origin: np.ndarray | None = None) -> "TableFreeDelayGenerator":
+                    design: TableFreeConfig | None = None
+                    ) -> "TableFreeDelayGenerator":
         """Build the generator, constructing the PWL segmentation for the system.
 
         The PWL argument is the squared distance expressed in *squared sample*
         units, so that its square root is directly a delay in sample units and
-        ``delta`` is an error in samples.
+        ``delta`` is an error in samples.  The transmit origin is the probe
+        centre; other origins are a transmit scheme's job
+        (:class:`repro.scenarios.TransmitAdjustedProvider`).
         """
         design = design or TableFreeConfig()
         transducer = MatrixTransducer.from_config(system)
         grid = FocalGrid.from_config(system)
-        if origin is None:
-            origin = np.zeros(3)
-        origin = np.asarray(origin, dtype=np.float64)
+        origin = np.zeros(3)
 
         samples_per_meter = (system.acoustic.sampling_frequency
                              / system.acoustic.speed_of_sound)

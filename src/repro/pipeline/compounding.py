@@ -55,14 +55,19 @@ class InsonificationPlan:
         """Divide the volume's scanlines evenly across insonifications.
 
         Defaults to the system's ``insonifications_per_volume`` and a single
-        centred origin, i.e. the paper's baseline acquisition.
+        centred origin, i.e. the paper's baseline acquisition.  A count
+        above the scanline count is clamped to one scanline per
+        insonification.
         """
         if schedule is None:
             schedule = OriginSchedule.single_center()
         if insonifications is None:
             insonifications = system.beamformer.insonifications_per_volume
+        if insonifications < 1:
+            raise ValueError(f"insonifications must be >= 1, "
+                             f"got {insonifications}")
         total_scanlines = system.volume.scanline_count
-        insonifications = max(1, min(insonifications, total_scanlines))
+        insonifications = min(insonifications, total_scanlines)
         indices = np.arange(total_scanlines)
         groups = tuple(np.array_split(indices, insonifications))
         return cls(schedule=schedule, scanline_groups=groups)

@@ -1,10 +1,11 @@
 """Tests for repro.api.session — and the registry extension acceptance test.
 
-The load-bearing claims: a Session builds shared substrates once, its sweep
-images every architecture from one shared acquisition, and a brand new
-delay architecture registered via ``@ARCHITECTURES.register(...)`` plus
-an options dataclass runs through ``Session.pipeline()`` and
-``Session.service()`` without modifying any repro module.
+The load-bearing claims: a Session builds shared substrates once, its
+pipelines image every architecture from one shared acquisition, and a
+brand new delay architecture registered via
+``@ARCHITECTURES.register(...)`` plus an options dataclass runs through
+``Session.pipeline()`` and ``Session.service()`` without modifying any
+repro module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.acoustics.phantom import point_target
-from repro.api import ARCHITECTURES, EngineSpec, ScanSpec, Session
+from repro.api import ARCHITECTURES, EngineSpec, ScanSpec, Session, SweepSpec
 from repro.core.bulk import BulkDelayProviderMixin
 from repro.core.exact import ExactDelayEngine
 from repro.geometry.volume import FocalGrid
@@ -107,14 +108,22 @@ class TestSessionStreaming:
             np.testing.assert_array_equal(got.rf, want.rf)
 
 
+def _images(session, channel_data, architectures):
+    """Centre-plane image of one acquisition under each architecture."""
+    images = {}
+    for name in architectures:
+        with session.pipeline(architecture=name) as pipeline:
+            images[name] = pipeline.image_plane(channel_data)
+    return images
+
+
 class TestSweep:
     def test_images_similar_across_architectures(self, tiny_session,
                                                  centred_target):
         """Every architecture's image peaks within one lateral sample of
         the exact engine's."""
-        images = tiny_session.sweep(
-            centred_target, architectures=("exact", "tablefree",
-                                           "tablesteer"))
+        images = _images(tiny_session, tiny_session.acquire(centred_target),
+                         ("exact", "tablefree", "tablesteer"))
         assert set(images) == {"exact", "tablefree", "tablesteer"}
         reference = images["exact"]
         peak_ref = np.unravel_index(np.argmax(reference), reference.shape)
@@ -123,30 +132,31 @@ class TestSweep:
             peak_img = np.unravel_index(np.argmax(image), image.shape)
             assert abs(peak_ref[1] - peak_img[1]) <= 1, name
 
-    def test_sweep_defaults_to_spec_architecture(self, tiny_session,
-                                                 centred_target):
-        images = tiny_session.sweep(centred_target)
-        assert set(images) == {"exact"}
-
     def test_sweep_backends_returns_identical_volumes(self, tiny_session,
                                                       centred_target):
-        volumes = tiny_session.sweep(
-            centred_target, architectures=("tablefree",),
-            backends=("reference", "vectorized"))
-        np.testing.assert_allclose(volumes[("tablefree", "vectorized")],
-                                   volumes[("tablefree", "reference")],
-                                   rtol=0, atol=1e-9)
-
-    def test_sweep_accepts_preacquired_channel_data(self, tiny_session,
-                                                    centred_target):
         channel_data = tiny_session.acquire(centred_target)
-        images = tiny_session.sweep(channel_data=channel_data,
-                                    architectures=("exact",))
-        np.testing.assert_array_equal(
-            images["exact"],
-            tiny_session.sweep(centred_target)["exact"])
-        with pytest.raises(ValueError, match="phantom or channel_data"):
-            tiny_session.sweep()
+        volumes = {}
+        provider = None
+        for backend in ("reference", "vectorized"):
+            with tiny_session.pipeline(architecture="tablefree",
+                                       backend=backend,
+                                       provider=provider) as pipeline:
+                provider = pipeline.delay_provider
+                volumes[backend] = pipeline.image_volume(channel_data).rf
+        np.testing.assert_allclose(volumes["vectorized"],
+                                   volumes["reference"], rtol=0, atol=1e-9)
+
+    def test_sweep_takes_only_a_sweep_spec(self, tiny_session,
+                                           centred_target):
+        """Session.sweep takes only a SweepSpec: a phantom is refused by
+        the SweepSpec coercion, and no per-call keyword exists."""
+        with pytest.raises(ValueError, match="sweep spec must be a "
+                           "SweepSpec or its dict form, got Phantom"):
+            tiny_session.sweep(centred_target)
+        grid = SweepSpec(scenarios=("static_point",), schemes=("focused",),
+                         architectures=("exact",))
+        with pytest.raises(TypeError):
+            tiny_session.sweep(spec=grid, architectures=("exact",))
 
     def test_prebuilt_provider_is_reused(self, tiny_session):
         first = tiny_session.pipeline(architecture="tablesteer")
@@ -223,15 +233,14 @@ class TestCustomArchitectureEndToEnd:
     def test_nonzero_offset_changes_the_image(self, tiny, centred_target,
                                               toy_architecture):
         session = Session(EngineSpec(system=tiny))
-        images = session.sweep(centred_target,
-                               architectures=("exact", toy_architecture))
+        channel_data = session.acquire(centred_target)
+        images = _images(session, channel_data, ("exact", toy_architecture))
         np.testing.assert_array_equal(images[toy_architecture],
                                       images["exact"])
         offset_pipeline = session.pipeline(
             architecture=toy_architecture,
             architecture_options={"offset_samples": 40.0})
-        shifted = offset_pipeline.image_plane(
-            session.acquire(centred_target))
+        shifted = offset_pipeline.image_plane(channel_data)
         assert not np.allclose(shifted, images["exact"])
 
     def test_unregistered_name_gone_again(self):

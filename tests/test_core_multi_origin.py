@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import paper_system
-from repro.core.exact import ExactDelayEngine
 from repro.core.multi_origin import (
-    MultiOriginTableFree,
-    MultiOriginTableSteer,
     OriginSchedule,
     synthetic_aperture_cost_comparison,
 )
@@ -46,92 +43,15 @@ class TestOriginSchedule:
         with pytest.raises(ValueError):
             OriginSchedule(origins=np.zeros((3, 2)))
 
-
-class TestMultiOriginTableSteer:
-    @pytest.fixture(scope="class")
-    def generator(self, tiny):
-        schedule = OriginSchedule.virtual_sources_behind_probe(tiny, count=3)
-        return MultiOriginTableSteer.from_config(tiny, schedule)
-
-    def test_reference_scanline_shape(self, generator, tiny):
-        reference = generator.reference_scanline(0)
-        assert reference.shape == (tiny.volume.n_depth,
-                                   tiny.transducer.element_count)
-
-    def test_origin_changes_reference_delays(self, generator):
-        a = generator.reference_scanline(0)
-        b = generator.reference_scanline(1)
-        assert not np.allclose(a, b)
-
-    def test_centered_origin_matches_single_origin_engine(self, tiny):
-        schedule = OriginSchedule.single_center()
-        generator = MultiOriginTableSteer.from_config(tiny, schedule)
-        exact = ExactDelayEngine.from_config(tiny)
-        depths = generator.grid.depths
-        points = np.stack([np.zeros_like(depths), np.zeros_like(depths), depths],
-                          axis=-1)
-        np.testing.assert_allclose(generator.reference_scanline(0),
-                                   exact.delays_samples(points))
-
-    def test_steered_delays_approximate_exact(self, generator, tiny):
-        """The steered table stays within a few samples of the exact delays
-        for this small geometry, for every origin."""
-        i_theta = tiny.volume.n_theta // 2
-        i_phi = tiny.volume.n_phi // 2
-        for origin_index in range(generator.schedule.count):
-            approx = generator.scanline_delays_samples(origin_index, i_theta, i_phi)
-            exact = generator.exact_scanline_delays(origin_index, i_theta, i_phi)
-            assert np.mean(np.abs(approx - exact)) < 3.0
-
-    def test_invalid_origin_index(self, generator):
-        with pytest.raises(IndexError):
-            generator.reference_scanline(99)
-
-    def test_storage_grows_with_origin_count(self, tiny):
-        one = MultiOriginTableSteer.from_config(tiny, OriginSchedule.single_center())
-        many = MultiOriginTableSteer.from_config(
-            tiny, OriginSchedule.virtual_sources_behind_probe(tiny, count=4))
-        assert many.total_reference_entries() > one.total_reference_entries()
-        assert many.storage_megabits() > one.storage_megabits()
-
-    def test_off_center_origin_loses_symmetry_pruning(self, tiny):
-        centered = MultiOriginTableSteer.from_config(
-            tiny, OriginSchedule.single_center())
-        shifted = MultiOriginTableSteer.from_config(
-            tiny, OriginSchedule(origins=np.array([[1e-3, 0.0, 0.0]])))
-        assert shifted.reference_entries_for_origin(0) > \
-            centered.reference_entries_for_origin(0)
-
-    def test_bandwidth_independent_of_origin_count(self, tiny):
-        one = MultiOriginTableSteer.from_config(tiny, OriginSchedule.single_center())
-        many = MultiOriginTableSteer.from_config(
-            tiny, OriginSchedule.virtual_sources_behind_probe(tiny, count=8))
-        assert one.dram_bandwidth_bytes_per_second() == pytest.approx(
-            many.dram_bandwidth_bytes_per_second())
-
-
-class TestMultiOriginTableFree:
-    def test_storage_is_zero_regardless_of_origins(self, tiny):
-        schedule = OriginSchedule.virtual_sources_behind_probe(tiny, count=6)
-        generator = MultiOriginTableFree.from_config(tiny, schedule)
-        assert generator.table_storage_megabits() == 0.0
-        assert generator.segment_count() > 0
-
-    def test_per_origin_delays_match_standalone_generator(self, tiny):
-        from repro.core.tablefree import TableFreeDelayGenerator
-        schedule = OriginSchedule.translated_subapertures(tiny, count=2)
-        multi = MultiOriginTableFree.from_config(tiny, schedule)
-        standalone = TableFreeDelayGenerator.from_config(
-            tiny, origin=schedule.origins[1])
-        np.testing.assert_allclose(
-            multi.scanline_delays_samples(1, 2, 3),
-            standalone.scanline_delays_samples(2, 3))
-
-    def test_invalid_origin_index(self, tiny):
-        generator = MultiOriginTableFree.from_config(
-            tiny, OriginSchedule.single_center())
-        with pytest.raises(IndexError):
-            generator.scanline_delays_samples(5, 0, 0)
+    @pytest.mark.parametrize("origins, message", [
+        (np.zeros((2, 3, 3)), r"shape \(n, 3\)"),
+        (np.zeros((0, 3)), "at least one origin"),
+        ([[np.nan, 0.0, 0.0]], "finite"),
+        ([[0.0, np.inf, 0.0]], "finite"),
+    ], ids=["three_dimensional", "empty", "nan", "inf"])
+    def test_malformed_origins_rejected(self, origins, message):
+        with pytest.raises(ValueError, match=message):
+            OriginSchedule(origins=origins)
 
 
 class TestCostComparison:

@@ -148,6 +148,13 @@ class TestInsonificationPlan:
         plan = InsonificationPlan.from_system(system, insonifications=10_000)
         assert plan.insonification_count <= system.volume.scanline_count
 
+    @pytest.mark.parametrize("insonifications", [0, -3])
+    def test_fewer_than_one_insonification_rejected(self, system,
+                                                    insonifications):
+        with pytest.raises(ValueError, match="insonifications must be >= 1"):
+            InsonificationPlan.from_system(system,
+                                           insonifications=insonifications)
+
     def test_origin_cycling(self, system):
         schedule = OriginSchedule.translated_subapertures(system, count=2)
         plan = InsonificationPlan.from_system(system, schedule=schedule,

@@ -428,11 +428,13 @@ class TestSpecThreading:
         assert stats.hits == 2            # second scenario reuses them all
 
     def test_spec_driven_sweep_rejects_per_call_arguments(self):
+        # Session.sweep takes only the spec: every other parameter lives
+        # in the SweepSpec document.
         session = Session(EngineSpec(system="tiny"))
-        with pytest.raises(ValueError, match="SweepSpec document"):
+        with pytest.raises(TypeError):
             session.sweep(spec={"scenarios": ["static_point"]},
                           architectures=("exact",))
-        with pytest.raises(ValueError, match="SweepSpec document"):
+        with pytest.raises(TypeError):
             session.sweep(spec={"scenarios": ["static_point"]},
                           noise_std=0.1)
 

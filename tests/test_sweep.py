@@ -383,23 +383,6 @@ def test_grid_sweep_retains_no_per_cell_engines():
         assert session._owned == []
 
 
-def test_legacy_sweeps_retain_no_per_cell_engines(tiny):
-    from repro.api import ScanSpec
-
-    with Session(TINY) as session:
-        scan = ScanSpec(scenario="static_point", frames=1)
-        phantom = scan.build_frames(session.system)[0].phantom
-        images = session.sweep(phantom,
-                               architectures=("exact", "tablesteer"))
-        assert set(images) == {"exact", "tablesteer"}
-        assert session._owned == []
-        volumes = session.sweep(phantom,
-                                architectures=("exact", "tablesteer"),
-                                backends=("reference", "vectorized"))
-        assert len(volumes) == 4
-        assert session._owned == []
-
-
 # --------------------------------------------------------- PlanCache fixes
 class _Sized:
     def __init__(self, nbytes: int) -> None:
