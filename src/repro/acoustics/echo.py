@@ -80,12 +80,13 @@ from .phantom import Phantom
 from .pulse import GaussianPulse
 
 SCATTER_BLOCK_ENTRIES = 1 << 16
-"""Target (scatterer, element, pulse sample) entries per scatter-add chunk
-and trace samples per firing in an element block (512 KB per float64
-array).  Keeps the chunk's temporaries and the block's trace rows inside
-the CPU caches: on ``small`` larger chunks ran slower, not faster, and a
-3-angle plane-wave cyst acquisition over whole-probe blocks took ~1.3x as
-long.  See the module docstring for the memory bound."""
+"""Target (scatterer, element, pulse sample) entries per scatter-add chunk,
+trace samples per firing in an element block, and noise samples per draw
+(512 KB per float64 array).  Keeps the chunk's temporaries and the block's
+trace rows inside the CPU caches: on ``small`` larger chunks ran slower,
+not faster, and a 3-angle plane-wave cyst acquisition over whole-probe
+blocks took ~1.3x as long.  See the module docstring for the memory
+bound."""
 
 
 def _last_of_each_offset(offsets: np.ndarray, amplitudes: np.ndarray
@@ -303,9 +304,17 @@ class EchoSimulator:
         traces = [buffer[:sink].reshape(n_elements, n_samples)
                   for buffer in buffers]
         if noise_std > 0:
+            # The normal draws of ``rng.normal(0, noise_std, shape)`` in the
+            # same order, a block at a time: no trace-sized temporary.
+            scratch = np.empty(min(SCATTER_BLOCK_ENTRIES, sink))
             for trace, seed in zip(traces, seeds):
                 rng = np.random.default_rng(seed)
-                trace += rng.normal(0.0, noise_std, trace.shape)
+                flat = trace.reshape(-1)
+                for lo in range(0, flat.size, scratch.size):
+                    noise = scratch[:flat.size - lo]
+                    rng.standard_normal(out=noise)
+                    noise *= noise_std
+                    flat[lo:lo + noise.size] += noise
         return [ChannelData(samples=trace, sampling_frequency=fs)
                 for trace in traces]
 

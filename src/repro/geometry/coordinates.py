@@ -124,7 +124,17 @@ def off_axis_angle(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
     # summed in the same order, so the same bits.
     norm = squared_distances(p[:, :2], o[:, :2])
     norm += np.square(dz)
-    np.sqrt(norm, out=norm)
+    return axial_angle(dz, norm)
+
+
+def axial_angle(dz: np.ndarray, squared_norm: np.ndarray) -> np.ndarray:
+    """Angle between the z axis and vectors of z component ``dz`` and
+    squared length ``squared_norm`` (same shape; both are overwritten).
+
+    The tail of :func:`off_axis_angle`: square root, divide, clip and
+    arccos, elementwise, so any subset of its entries gives the same bits.
+    """
+    norm = np.sqrt(squared_norm, out=squared_norm)
     # Divided in place.  A point on an element (or a NaN distance) has no
     # direction: its cosine is 1, angle 0.
     seen = norm > 0

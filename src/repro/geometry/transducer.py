@@ -26,7 +26,7 @@ class MatrixTransducer:
         Element y coordinates, shape ``(ey,)`` [m].
     positions:
         Full element position array, shape ``(ex * ey, 3)`` [m], ordered
-        row-major (x fastest).
+        row-major: element ``ix * ey + iy`` is ``(x[ix], y[iy], 0)``.
     """
 
     config: TransducerConfig
@@ -67,6 +67,25 @@ class MatrixTransducer:
     def element_position(self, ix: int, iy: int) -> np.ndarray:
         """Position of element ``(ix, iy)`` as a length-3 vector [m]."""
         return self.positions[self.element_index(ix, iy)]
+
+    def axis_squared_distances(self, points: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+        """Squared x and y offsets of ``points`` from the element columns
+        and rows, shapes ``(ex, n_points)`` and ``(ey, n_points)``.
+
+        The probe is separable: element ``e = ix * ey + iy`` sits at
+        ``(x[ix], y[iy], 0)``, so ``sx[ix] + sy[iy]`` is its squared
+        in-plane distance — the same operands added in the same order as
+        :func:`~repro.geometry.coordinates.squared_distances` over the
+        positions' first two columns, so the same bits, from ``ex + ey``
+        differences per point instead of ``2 * ex * ey``.
+        """
+        p = np.asarray(points, dtype=np.float64)
+        sx = p[None, :, 0] - self.x[:, None]
+        sy = p[None, :, 1] - self.y[:, None]
+        sx *= sx
+        sy *= sy
+        return sx, sy
 
     def grid_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Return meshgrid arrays ``(X, Y)`` of shape ``(ex, ey)`` [m]."""

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
     "GatherIndex",
     "LeafLayout",
     "LeafRows",
+    "WeightSplit",
     "accumulate",
     "apply_weights",
     "build_gather_index",
@@ -200,6 +201,10 @@ class LeafLayout:
     stored_leaves: tuple[np.ndarray, ...]
     """Element positions of the leaf in each storage slot, in summation
     order: the rows of :attr:`groups`, one after another."""
+    offsets: np.ndarray
+    """``(3, n_elements)`` int64 ``(slab, column, stride)`` of each
+    element: in an ``n_points`` range, element ``e`` of point ``p`` is
+    stored at ``n_points * slab[e] + p * stride[e] + column[e]``."""
 
     @classmethod
     @lru_cache(maxsize=64)
@@ -215,12 +220,21 @@ class LeafLayout:
         groups = tuple(np.stack([leaves[i] for i in order
                                  if len(leaves[i]) == k])
                        for k in lengths)
+        offsets = np.empty((3, n_elements), dtype=np.int64)
+        slab = 0
         for positions in groups:
+            n, k = positions.shape
+            offsets[0, positions] = slab + k * np.arange(n)[:, None]
+            offsets[1, positions] = np.arange(k)
+            offsets[2, positions] = k
+            slab += n * k
             positions.flags.writeable = False
+        offsets.flags.writeable = False
         return cls(n_elements=int(n_elements), groups=groups,
                    slots=tuple(slots),
                    stored_leaves=tuple(leaf for block in groups
-                                       for leaf in block))
+                                       for leaf in block),
+                   offsets=offsets)
 
     @property
     def n_leaves(self) -> int:
@@ -269,19 +283,23 @@ _COMPRESS_BLOCK = 1 << 16
 """Entries compressed per step of :meth:`LeafRows.build`."""
 
 
-def _in_leaf_order(layout: LeafLayout, n_points: int,
-                  blocks: Iterable[tuple[slice, np.ndarray]]) -> np.ndarray:
-    """A fresh flat array of ``n_points`` points' values in ``layout``
-    order, written block by block from natural ``(rows, values)`` pairs."""
-    stored = None
-    for rows, values in blocks:
-        if stored is None:
-            stored = np.empty(n_points * layout.n_elements,
-                              dtype=values.dtype)
-        for block, positions in layout._blocks(stored, n_points):
-            block[:, rows] = np.moveaxis(np.take(values, positions, axis=1),
-                                         1, 0)
-    return stored
+class WeightSplit(NamedTuple):
+    """The receive weights of a block of points, by how each is known:
+    :meth:`repro.beamformer.das.DelayAndSumBeamformer.split_weights`.
+
+    An ``inside`` entry weighs its aperture weight (directivity 1), an
+    entry listed in ``elements`` / ``points`` weighs the matching
+    ``weights`` entry, and every other entry weighs zero.
+    """
+
+    inside: np.ndarray
+    """``(n_elements, n_points)`` bool, element-major."""
+    elements: np.ndarray
+    """Element of each exactly computed entry."""
+    points: np.ndarray
+    """Point (within the block) of each exactly computed entry."""
+    weights: np.ndarray
+    """float64 weight of each exactly computed entry."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,24 +333,31 @@ class LeafRows:
     """The kept weights in row order: the CSR ``data``."""
 
     @classmethod
-    def build(cls, n_elements: int, n_points: int,
-              blocks: Iterable[tuple[slice, np.ndarray]]) -> "LeafRows":
-        """The leaf rows of ``n_points`` points from ``blocks`` of weights:
-        ``(rows, values)`` pairs covering the points in order, ``values``
-        the natural ``(len(rows), n_elements)`` weights of point ``rows``
-        in the execution dtype.
+    def build(cls, aperture: np.ndarray, n_points: int,
+              splits: Iterable[tuple[slice, WeightSplit]]) -> "LeafRows":
+        """The leaf rows of ``n_points`` points from ``splits`` of their
+        weights: ``(rows, split)`` pairs covering the points in order,
+        ``split`` the :class:`WeightSplit` of points ``rows``, and
+        ``aperture`` the ``(n_elements,)`` aperture weights in the
+        execution dtype.
 
-        The blocks are permuted into leaf order as they arrive (one
-        strided copy per distinct leaf length).  The range is then masked
-        and counted row by row, and its weights are compressed in place,
-        front to back — a kept entry only ever moves left — before the
-        pruned tail is handed back: the unpruned tensor is the one
-        range-sized buffer the build holds.  The CSR matrix needs int32
-        row pointers (SciPy would copy the index into int64 otherwise), so
-        a range of more than 2^31 - 1 unpruned entries is refused before
-        anything is built, naming the memory budget that splits it into
-        segments.
+        Each split is written straight into leaf order.  An inside entry is
+        kept where its aperture weight is non-zero, and stores it: its
+        weight is ``1.0 * a``, cast, which is ``a`` cast.  Each leaf's
+        inside rows are one row gather of the element-major mask, and its
+        weights one copy of the leaf's aperture weights per point.  The
+        few exactly computed entries are then cast and scattered to their
+        leaf-order offsets (:attr:`LeafLayout.offsets`), kept where
+        non-zero in the execution dtype.  The range is then counted row by
+        row, and its weights are compressed in place, front to back — a
+        kept entry only ever moves left — before the pruned tail is handed
+        back: the unpruned weights are the one range-sized buffer the build
+        holds beside the mask.  The CSR matrix needs int32 row pointers
+        (SciPy would copy the index into int64 otherwise), so a range of
+        more than 2^31 - 1 unpruned entries is refused before anything is
+        built, naming the memory budget that splits it into segments.
         """
+        n_elements = aperture.shape[0]
         if n_points * n_elements > np.iinfo(np.int32).max:
             raise ValueError(
                 f"a plan of {n_points} points x {n_elements} elements "
@@ -340,8 +365,24 @@ class LeafRows:
                 "memory budget (memory_budget_bytes) so it compiles as "
                 "smaller tile segments")
         layout = LeafLayout.of(n_elements)
-        weights = _in_leaf_order(layout, n_points, blocks)
-        kept = np.not_equal(weights, 0)
+        kept = np.empty(n_points * n_elements, dtype=bool)
+        weights = np.empty(n_points * n_elements, dtype=aperture.dtype)
+        nonzero = (aperture != 0)[:, None]
+        slab, column, stride = layout.offsets
+        for rows, split in splits:
+            inside = split.inside & nonzero
+            for (mask, positions), (block, _) in zip(
+                    layout._blocks(kept, n_points),
+                    layout._blocks(weights, n_points)):
+                mask[:, rows] = np.take(inside, positions,
+                                        axis=0).transpose(0, 2, 1)
+                block[:, rows] = aperture[positions][:, None, :]
+            elements = split.elements
+            at = (n_points * slab[elements] + column[elements]
+                  + (rows.start + split.points) * stride[elements])
+            values = split.weights.astype(aperture.dtype, copy=False)
+            weights[at] = values
+            kept[at] = values != 0
         indptr = np.zeros(layout.n_leaves * n_points + 1, dtype=np.int32)
         row = 0
         for mask, positions in layout._blocks(kept, n_points):

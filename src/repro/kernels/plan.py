@@ -308,14 +308,19 @@ def leaf_rows(beamformer: "DelayAndSumBeamformer", start: int, stop: int,
     weights of a float nearest plan, memoised and shared exactly as
     :func:`receive_weights` is (same key, leaf layout) — every plan of the
     range, any architecture or firing, references the same three arrays
-    and adds only its own index."""
+    and adds only its own index.  Built from
+    :meth:`~repro.beamformer.das.DelayAndSumBeamformer.split_weights` in
+    blocks of ~:data:`BATCH_BLOCK_ELEMENTS` entries, written straight into
+    leaf order (:meth:`~repro.kernels.ops.LeafRows.build`)."""
     dtype = np.dtype(dtype)
 
     def build() -> LeafRows:
         return LeafRows.build(
-            beamformer.transducer.element_count, stop - start,
-            ((rows, values.astype(dtype, copy=False)) for rows, values
-             in _weight_blocks(beamformer, start, stop, None)))
+            beamformer.aperture_weights.astype(dtype), stop - start,
+            ((slice(lo - start, hi - start), beamformer.split_weights(
+                beamformer.grid.range_points(lo, hi)))
+             for lo, hi in _blocks(start, stop,
+                                   beamformer.transducer.element_count)))
 
     return _shared_weights(beamformer, start, stop, dtype, None, True, build)
 

@@ -401,13 +401,13 @@ class TestSharedReceiveWeights:
         hits); the beamformer's hold on its tensors keeps the memo warm,
         so the weights builder runs for the first frame only."""
         calls = []
-        build = DelayAndSumBeamformer.weights_for_points
+        build = DelayAndSumBeamformer.split_weights
 
         def counting(self, points):
             calls.append(len(points))
             return build(self, points)
 
-        monkeypatch.setattr(DelayAndSumBeamformer, "weights_for_points",
+        monkeypatch.setattr(DelayAndSumBeamformer, "split_weights",
                             counting)
         # An apodization no other test compiles with: a cold memo.
         spec = EngineSpec(system=small, architecture="tablesteer",

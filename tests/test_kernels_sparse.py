@@ -39,8 +39,8 @@ from repro.kernels import (
     plan_storage_bytes,
     receive_weights,
 )
-from repro.kernels.ops import LeafLayout, LeafRows, gather_padded, \
-    pad_samples, total, weigh
+from repro.kernels.ops import LeafLayout, LeafRows, WeightSplit, \
+    gather_padded, pad_samples, total, weigh
 from repro.kernels.plan import _group_tensors
 from repro.runtime.backends import VectorizedBackend
 
@@ -207,9 +207,10 @@ def test_oversized_segment_is_refused_with_the_budget_named():
     n_elements = 64
     n_points = np.iinfo(np.int32).max // n_elements + 1
     with pytest.raises(ValueError, match="set a memory budget"):
-        LeafRows.build(n_elements, n_points, iter(()))
-    leaves = LeafRows.build(n_elements, 4, [(slice(0, 4),
-                                             np.ones((4, n_elements)))])
+        LeafRows.build(np.ones(n_elements), n_points, iter(()))
+    none = np.empty(0, dtype=np.intp)
+    leaves = LeafRows.build(np.ones(n_elements), 4, [(slice(0, 4), WeightSplit(
+        np.ones((n_elements, 4), dtype=bool), none, none, np.empty(0)))])
     with pytest.raises(ValueError, match="linear one stays natural"):
         GatherIndex.empty("linear", 4, n_elements, 128, leaves=leaves)
 

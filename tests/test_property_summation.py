@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.kernels.ops import GatherIndex, LeafLayout, LeafRows, \
-    build_gather_index, combine_leaf_sums, summation_leaves
+    WeightSplit, build_gather_index, combine_leaf_sums, summation_leaves
 
 row_lengths = st.one_of(st.integers(1, 2048), st.just(10_000))
 dtypes = st.sampled_from([np.float64, np.float32])
@@ -113,9 +113,16 @@ def _leaf_rows(weights: np.ndarray, rows_per_block: int | None = None
     """The pruned leaf rows of ``weights``, built in blocks of rows."""
     n_points, n = weights.shape
     step = rows_per_block or n_points
-    return LeafRows.build(n, n_points, [
-        (slice(lo, min(lo + step, n_points)), weights[lo:lo + step])
+    return LeafRows.build(np.ones(n, dtype=weights.dtype), n_points, [
+        (slice(lo, min(lo + step, n_points)), _listed(weights[lo:lo + step]))
         for lo in range(0, n_points, step)])
+
+
+def _listed(weights: np.ndarray) -> WeightSplit:
+    """A split of natural ``weights`` listing every entry explicitly."""
+    elements, points = np.indices(weights.shape[::-1]).reshape(2, -1)
+    return WeightSplit(np.zeros(weights.shape[::-1], dtype=bool), elements,
+                       points, weights.T.ravel())
 
 
 def _leaf_index(weights: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from repro.beamformer.interpolation import InterpolationKind
 from repro.core.tablesteer import TableSteerConfig, TableSteerDelayGenerator
 from repro.kernels import QuantizationSpec, TilePlanner, compile_plan, \
     compile_plans, plan_storage_bytes
-from repro.kernels.ops import GatherIndex, LeafRows
+from repro.kernels.ops import GatherIndex, LeafRows, WeightSplit
 from repro.scenarios import SchemeEngine, resolve_scheme
 
 BITS = [13, 14, 18]
@@ -164,8 +164,11 @@ def test_float_shifted_quantized_and_linear_plans_round_floats(
 
 
 def _one_leaf_index(n_points=4, n_elements=20, n_samples=16):
-    leaves = LeafRows.build(n_elements, n_points, [(
-        slice(0, n_points), np.ones((n_points, n_elements)))])
+    none = np.empty(0, dtype=np.intp)
+    leaves = LeafRows.build(np.ones(n_elements), n_points, [(
+        slice(0, n_points), WeightSplit(
+            np.ones((n_elements, n_points), dtype=bool), none, none,
+            np.empty(0)))])
     return GatherIndex.empty("nearest", n_points, n_elements, n_samples,
                              leaves=leaves)
 
