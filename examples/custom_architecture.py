@@ -90,10 +90,9 @@ def main() -> None:
     # The plugin flows through pipeline/service like any built-in: image
     # one acquisition with it and with the exact engine.
     channel_data = session.acquire(phantom)
-    images = {}
-    for name in ("exact", "exact_offset"):
-        with session.pipeline(architecture=name) as pipeline:
-            images[name] = pipeline.image_plane(channel_data)
+    images = {name: session.pipeline(architecture=name)
+              .image_plane(channel_data)
+              for name in ("exact", "exact_offset")}
     peaks = {name: np.unravel_index(int(np.argmax(img)), img.shape)
              for name, img in images.items()}
     shift = peaks["exact_offset"][1] - peaks["exact"][1]

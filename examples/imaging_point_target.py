@@ -66,10 +66,9 @@ def main() -> None:
           f"{channel_data.sample_count} samples of RF data\n")
 
     # One acquisition, one shared grid/transducer — three delay engines.
-    images = {}
-    for name in ARCHITECTURES_TO_COMPARE:
-        with session.pipeline(architecture=name) as pipeline:
-            images[name] = pipeline.image_plane(channel_data)
+    images = {name: session.pipeline(architecture=name)
+              .image_plane(channel_data)
+              for name in ARCHITECTURES_TO_COMPARE}
 
     reference = images["exact"]
     for name, image in images.items():

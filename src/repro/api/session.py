@@ -48,15 +48,19 @@ class Session:
         image = session.pipeline().image_phantom(phantom)
         results = session.stream(ScanSpec(frames=8))
         channel_data = session.acquire(phantom)
-        images = {}
-        for name in ("exact", "tablefree"):
-            with session.pipeline(architecture=name) as pipeline:
-                images[name] = pipeline.image_plane(channel_data)
+        images = {name: session.pipeline(architecture=name)
+                  .image_plane(channel_data)
+                  for name in ("exact", "tablefree")}
 
     The simulator, transducer, focal grid and delay-table cache are built
     once in the constructor and shared by every pipeline/service the
     session vends — including across ``architecture=``/``backend=``
     overrides, so sweeps differ only in what the spec says they differ in.
+
+    Pipelines and services hold no resource of their own (their plans
+    live in the shared cache), so the session does not track them: one
+    dropped by the caller is freed.  Only the servers it vends, which run
+    worker threads, are closed by :meth:`close`.
     """
 
     def __init__(self, spec: EngineSpec | Mapping | None = None) -> None:
@@ -76,46 +80,26 @@ class Session:
         # A spec-level memory budget byte-bounds the shared cache: every
         # pipeline/service/server this session vends then streams tiled
         # plan segments through it instead of overflowing it.  Without a
-        # budget, each engine built on it grows its slot count to the
-        # engine's firings x tiles.
+        # budget, it holds ``cache_capacity`` plans; an entry holding more
+        # (a compounding engine's firings) is kept alone.
         self.cache = PlanCache(capacity=spec.cache_capacity,
                                metrics=self.metrics,
                                max_bytes=spec.memory_budget_bytes)
-        # Everything closeable the session vends (pipelines, services,
-        # servers) is remembered so close() can release the worker pools
-        # the session caused to exist.
-        self._owned: list[Any] = []
+        self._servers: list[Any] = []
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release every pipeline/service/server this session vended.
+        """Close every server this session vended, joining its workers.
 
-        Server worker pools shut down and private plans are dropped; the
-        shared simulator, grid and plan cache stay.  Idempotent, and the session remains
-        usable — later builders simply register anew.  The session is a
-        context manager::
+        The shared simulator, grid and plan cache stay.  Idempotent, and
+        the session remains usable.  The session is a context manager::
 
             with Session(spec) as session:
-                session.stream(ScanSpec(frames=4))
+                server = session.server(workers=2)
         """
-        owned, self._owned = self._owned, []
-        for obj in reversed(owned):
-            obj.close()
-
-    def _release(self, engine: Any) -> None:
-        """Close one vended engine *now* and stop tracking it.
-
-        The counterpart of the ``self._owned.append`` in every builder,
-        for engines built for a single call (a stream's service, a sweep
-        cell's pipeline): their private plans are released immediately
-        instead of accumulating until session close.  Tolerates an engine
-        already dropped by :meth:`close`.
-        """
-        engine.close()
-        try:
-            self._owned.remove(engine)
-        except ValueError:
-            pass
+        servers, self._servers = self._servers, []
+        for server in reversed(servers):
+            server.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -189,17 +173,13 @@ class Session:
         pipeline; a pre-built ``provider`` skips delay-generator
         construction entirely.
         """
-        pipeline = ImagingPipeline(self._engine(cache, provider, overrides))
-        self._owned.append(pipeline)
-        return pipeline
+        return ImagingPipeline(self._engine(cache, provider, overrides))
 
     def service(self, cache: PlanCache | None = None,
                 **overrides: Any) -> BeamformingService:
         """A streaming :class:`BeamformingService` over the shared
         substrates; ``cache`` and ``overrides`` as in :meth:`pipeline`."""
-        service = BeamformingService(self._engine(cache, None, overrides))
-        self._owned.append(service)
-        return service
+        return BeamformingService(self._engine(cache, None, overrides))
 
     def server(self, spec: "ServerSpec | Mapping | None" = None,
                workers: int | None = None,
@@ -213,7 +193,7 @@ class Session:
         a full :class:`repro.server.ServerSpec` to control everything, or
         just the common knobs; a spec's ``engine`` must be left at the
         default — the session's own spec is the engine.  The server is
-        tracked by :meth:`close` like any other vended engine.
+        closed by :meth:`close`.
         """
         from ..server import BeamformingServer, ServerSpec
 
@@ -239,7 +219,7 @@ class Session:
         server = BeamformingServer(spec, cache=self.cache,
                                    tracer=self.tracer, metrics=self.metrics,
                                    simulator=self.simulator)
-        self._owned.append(server)
+        self._servers.append(server)
         return server
 
     # ------------------------------------------------------------- running
@@ -275,14 +255,8 @@ class Session:
         (see :meth:`BeamformingService.submit_batch`).
         """
         scan = ScanSpec() if scan is None else ScanSpec.coerce(scan)
-        service = self.service(**service_overrides)
-        try:
-            return service.stream_all(scan.build_frames(self.system),
-                                      batch_size=batch_size)
-        finally:
-            # The service was built for this one call; release its plans
-            # now instead of holding them until the session closes.
-            self._release(service)
+        return self.service(**service_overrides).stream_all(
+            scan.build_frames(self.system), batch_size=batch_size)
 
     def sweep(self, spec: SweepSpec | Mapping | str) -> dict[tuple, dict]:
         """Run a scenario x scheme x architecture (x backend) grid.

@@ -114,10 +114,11 @@ class EngineSpec(SpecDocument):
     """Options dataclass/dict for the scheme (``None`` = defaults)."""
 
     cache_capacity: int = 4
-    """Capacity of the session's shared compiled-plan LRU cache.
+    """Capacity of the session's shared compiled-plan LRU cache, in plans.
 
-    Engines grow this to one slot per firing and tile when needed, so
-    multi-firing compounding never thrashes its own per-event plans."""
+    A compounding engine's firings are one entry of F plans, kept alone
+    when F exceeds the capacity, so it never thrashes its own plans.
+    Under ``memory_budget_bytes`` the byte bound replaces this one."""
 
     trace: bool = False
     """Record a span trace of every session operation.

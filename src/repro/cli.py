@@ -631,9 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "[default: block]")
     serve_parser.add_argument("--memory-budget", metavar="BYTES",
                               default=None,
-                              help="default per-session plan-memory budget "
-                                   "(e.g. 512K, 8G); sessions whose engine "
-                                   "carries its own budget keep it "
+                              help="default session plan-memory budget "
+                                   "(e.g. 512K, 8G); it caps the server's "
+                                   "one shared plan cache, for all "
+                                   "sessions together "
                                    "[default: unbounded]")
     serve_parser.add_argument("--check", action="store_true",
                               help="validate and print the resolved "

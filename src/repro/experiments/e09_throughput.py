@@ -171,19 +171,10 @@ def run_tiled_demo(memory_budget_bytes: int | str = "256K",
     scan = ScanSpec(scenario="moving_point", frames=frames)
     budget = parse_memory_budget(memory_budget_bytes)
 
-    with Session(spec) as session:
-        frame_requests = scan.build_frames(session.system)
-        with session.service() as service:
-            untiled = [result.rf
-                       for result in service.stream_all(frame_requests)]
-
-    tiled_spec = spec.with_updates(memory_budget_bytes=budget)
-    with Session(tiled_spec) as session:
-        frame_requests = scan.build_frames(session.system)
-        with session.service() as service:
-            tiled = [result.rf
-                     for result in service.stream_all(frame_requests)]
-        stats = session.cache.stats
+    untiled = [result.rf for result in Session(spec).stream(scan)]
+    session = Session(spec.with_updates(memory_budget_bytes=budget))
+    tiled = [result.rf for result in session.stream(scan)]
+    stats = session.cache.stats
 
     bit_identical = len(tiled) == len(untiled) and all(
         np.array_equal(a, b) for a, b in zip(tiled, untiled))

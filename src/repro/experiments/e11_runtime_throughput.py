@@ -82,8 +82,6 @@ def run(system: SystemConfig | None = None,
         backends = default_backends()
     spec = EngineSpec(system=system if system is not None else tiny_system(),
                       architecture=architecture, scheme=scheme)
-    # Services close as soon as their row is measured, and the session on
-    # exit.
     with Session(spec) as session:
         system = session.system
         scan = ScanSpec(scenario=scenario, frames=n_frames)
@@ -104,16 +102,16 @@ def run(system: SystemConfig | None = None,
             for precision in precisions:
                 # A private cache per variant keeps the hit/miss counters
                 # comparable across rows.
-                with session.service(backend=backend, cache=PlanCache(),
-                                     precision=precision) as service:
-                    for data in recorded:
-                        service.submit_frame(data)
-                    stats = service.stats()
+                service = session.service(backend=backend, cache=PlanCache(),
+                                          precision=precision)
+                for data in recorded:
+                    service.submit_frame(data)
+                stats = service.stats()
 
-                with session.service(backend=backend, cache=PlanCache(),
-                                     precision=precision) as batched:
-                    batched.stream_all(list(recorded), batch_size=batch)
-                    batched_stats = batched.stats()
+                batched = session.service(backend=backend, cache=PlanCache(),
+                                          precision=precision)
+                batched.stream_all(list(recorded), batch_size=batch)
+                batched_stats = batched.stats()
 
                 results[backend][precision] = {
                     "frames": stats.frames,

@@ -525,11 +525,8 @@ class BeamformingPlan:
             self.quantization.validate_for(self.precision,
                                            self.interpolation,
                                            self.n_samples)
-        self._attach()
-
-    def _attach(self) -> None:
-        """Set the views derived from the stored tensors: the CSR matrix
-        over them (no copy) and the empty memo of natural copies."""
+        # The views derived from the stored tensors: the CSR matrix over
+        # them (no copy) and the empty memo of natural copies.
         index = self.stored_index
         matrix = None if index.leaves is None else sparse.csr_array(
             (self.stored_weights, index.flat, index.leaves.indptr),
@@ -537,16 +534,6 @@ class BeamformingPlan:
                    index.pad_slot + 1), copy=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_natural", weakref.WeakValueDictionary())
-
-    def __getstate__(self) -> dict:
-        # A pickled matrix would unpickle as copies of the stored tensors,
-        # and the memo is process-local: both are rebuilt instead.
-        return {name: value for name, value in self.__dict__.items()
-                if name not in ("matrix", "_natural")}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._attach()
 
     # ------------------------------------------------------------ geometry
     @property

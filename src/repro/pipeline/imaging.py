@@ -49,26 +49,6 @@ class ImagingPipeline:
         self.tracer = engine.tracer
         self.memory_budget_bytes = engine.memory_budget_bytes
 
-    # ----------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Release the execution backend(s) of the pipeline's engine.
-
-        Drops the plans of the engine's private cache; shared caches are
-        untouched.  Idempotent, and the pipeline stays usable (plans
-        rebuild lazily).
-        The pipeline is a context manager::
-
-            with session.pipeline() as pipeline:
-                pipeline.image_volume(channel_data)
-        """
-        self.engine.close()
-
-    def __enter__(self) -> "ImagingPipeline":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     @property
     def delay_provider(self) -> DelayProvider:
         """The underlying delay generator."""

@@ -21,7 +21,6 @@ without a second bookkeeping path.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
@@ -58,8 +57,9 @@ class PlanCache:
     ----------
     capacity:
         Maximum number of plans kept (an entry holding a firing group's F
-        plans counts F); the least recently *used* entry is evicted when a
-        new key is inserted into a full cache.  Each entry for
+        plans counts F, and one heavier than the bound is kept alone); the
+        least recently *used* entry is evicted when a new key is inserted
+        into a full cache.  Each entry for
         a paper-scale system can be hundreds of megabytes, so the default is
         deliberately small.
     metrics:
@@ -189,51 +189,6 @@ class PlanCache:
                 else min(self.max_bytes, budget)
             while self._bytes > self.max_bytes and len(self._entries) > 1:
                 self._evict_oldest()
-
-    def reserve(self, capacity: int, *, nbytes: int | None = None) -> None:
-        """Grow the eviction bound to at least ``capacity`` (never shrink).
-
-        Used by engines whose working set is known up front — e.g. a
-        multi-firing transmit scheme needs one plan slot per firing, or
-        every compounded frame would evict and recompile its own event
-        bank.
-
-        Under a byte budget (``max_bytes`` set) the entry-count bound is
-        inactive, so a count-only reservation cannot actually be honoured:
-        the LRU evicts by bytes regardless of how many slots were reserved.
-        Callers that know their working set's size pass ``nbytes`` (e.g.
-        ``plan_storage_bytes(...) * slots``); a reservation whose bytes fit
-        the budget is then genuinely safe (nothing inside the budget is
-        ever evicted) and stays silent.  A reservation that *exceeds* the
-        budget — or states no byte figure while asking for growth — emits a
-        :class:`RuntimeWarning` instead of silently doing nothing, so
-        budget-limited sweeps learn up front that their plan working set
-        may thrash through segment recompiles.  The budget itself is never
-        loosened: it is the user's hard memory cap.
-        """
-        with self._lock:
-            capacity = int(capacity)
-            grows = capacity > self.capacity
-            self.capacity = max(self.capacity, capacity)
-            if self.max_bytes is None:
-                return
-            if nbytes is not None:
-                if int(nbytes) > self.max_bytes:
-                    warnings.warn(
-                        f"plan-cache reservation of {capacity} slots "
-                        f"(~{int(nbytes)} bytes) exceeds the "
-                        f"{self.max_bytes}-byte budget; the byte budget "
-                        "replaces the entry-count bound, so the working set "
-                        "may thrash through segment recompiles",
-                        RuntimeWarning, stacklevel=2)
-            elif grows:
-                warnings.warn(
-                    f"plan-cache reservation of {capacity} slots cannot be "
-                    f"honoured under the {self.max_bytes}-byte budget (the "
-                    "byte budget replaces the entry-count bound); pass "
-                    "nbytes= to state the working-set size, or expect "
-                    "segment recompiles",
-                    RuntimeWarning, stacklevel=2)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:

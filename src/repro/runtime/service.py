@@ -144,27 +144,6 @@ class BeamformingService:
         """Name of the active execution backend."""
         return self.engine.backends[0].name
 
-    # ----------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Release the execution backend(s) this service constructed.
-
-        Drops the plans of the engine's private cache; a shared
-        :class:`PlanCache` is left untouched — its plans belong to whoever
-        owns the cache.  Idempotent, and the service remains
-        usable afterwards (plans rebuild lazily), so ``close()`` is always
-        safe.  The service is a context manager::
-
-            with session.service() as service:
-                service.submit_frame(frame)
-        """
-        self.engine.close()
-
-    def __enter__(self) -> "BeamformingService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------- frames
     def _coerce_request(self, frame: FrameRequest | ChannelData | Phantom,
                         noise_std: float, seed: int) -> FrameRequest:

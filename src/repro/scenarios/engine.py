@@ -44,7 +44,7 @@ from ..acoustics.phantom import Phantom
 from ..beamformer.das import DelayAndSumBeamformer
 from ..config import SystemConfig
 from ..kernels import Precision, QuantizationSpec
-from ..kernels.tiling import TilePlanner, parse_memory_budget
+from ..kernels.tiling import parse_memory_budget
 from ..observability.tracing import resolve_tracer
 from ..runtime.backends import BACKENDS
 from ..runtime.cache import PlanCache
@@ -108,11 +108,10 @@ class SchemeEngine:
     cache:
         Optional shared :class:`repro.runtime.cache.PlanCache`; per-firing
         plans have distinct keys (the firing is part of the provider
-        design), so a shared cache never mixes firings.  A count-bounded
-        cache is grown to one slot per firing and tile.  Without one the
-        engine keeps one private cache for all its firings, bounded by
-        the budget.  A tile's firings are one entry, weighing one slot per
-        firing.
+        design), so a shared cache never mixes firings.  A tile's firings
+        are one entry, so the engine never evicts its own plans to make
+        room for them.  Without a cache the engine keeps one private cache
+        for all its firings, bounded by the budget.
     tracer:
         Optional :class:`repro.observability.Tracer`, shared with every
         per-firing backend; compounding opens a ``compound`` span around
@@ -122,11 +121,12 @@ class SchemeEngine:
     memory_budget_bytes:
         Optional plan-memory budget: the firings' backends tile the grid
         so that a tile's F segment plans, one per firing, fit it together
-        (:class:`repro.kernels.tiling.TilePlanner`; a budget too small to
-        hold one scanline per firing is rejected here, whatever the
-        backend) and the cache is byte-bounded to it once, so the tiles'
-        segments stream through it.  Read back parsed, in bytes, from
-        :attr:`memory_budget_bytes`.
+        (:class:`repro.kernels.tiling.TilePlanner`, which rejects a share
+        too small to hold one scanline) and the cache is byte-bounded to
+        it once, so the tiles' segments stream through it.
+        :class:`repro.api.EngineSpec` refuses a budget too small for one
+        scanline per firing with that minimum named.  Read back parsed, in
+        bytes, from :attr:`memory_budget_bytes`.
     simulator:
         Optional :class:`repro.acoustics.echo.EchoSimulator` that
         :meth:`acquire` simulates with; an engine without one beamforms
@@ -151,23 +151,14 @@ class SchemeEngine:
         beamformers = [self._event_beamformer(event)
                        for event in scheme.events] \
             if self._compounds else [beamformer]
-        firings = len(beamformers)
-        # One slot per plan or tile segment (firings x tiles), or a
-        # smaller cache would recompile the event bank every frame.  Under
-        # a byte budget the count bound is inert.
-        slots = firings * TilePlanner.for_beamformer(
-            beamformer, budget, firings=firings).n_tiles
-        self._owns_cache = cache is None
         if cache is None:
-            cache = PlanCache(capacity=slots, max_bytes=budget)
+            cache = PlanCache(max_bytes=budget)
         elif budget is not None:
             cache.limit_bytes(budget)
-        elif cache.max_bytes is None:
-            cache.reserve(slots)
         self.cache = cache
         # Each firing's backend tiles to its share of the budget, so all
         # tile alike and a tile's segments fit the budget together.
-        share = None if budget is None else budget // firings
+        share = None if budget is None else budget // len(beamformers)
         self.backends = [
             BACKENDS.create(backend, event_beamformer, cache, share,
                             options=backend_options, tracer=self.tracer)
@@ -215,24 +206,6 @@ class SchemeEngine:
                 "EngineSpec.build_engine to acquire phantoms")
         return acquire_firings(self.simulator, self.scheme, phantom,
                                noise_std=noise_std, seed=seed)
-
-    # ----------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Drop the plans of the engine's private cache (idempotent).
-
-        A shared cache's plans belong to whoever owns the cache.  The
-        engine stays usable: plans rebuild on the next frame.  The facades
-        that run a :class:`SchemeEngine` (service, pipeline) forward their
-        own ``close()`` here.
-        """
-        if self._owns_cache:
-            self.cache.clear()
-
-    def __enter__(self) -> "SchemeEngine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def _check_firings(self, firings: Sequence[ChannelData],
                        frame: Any) -> None:

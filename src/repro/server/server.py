@@ -432,8 +432,9 @@ class BeamformingServer:
         """One session's engine, sharing the server cache and simulator."""
         if self.spec.session_memory_budget_bytes is not None \
                 and engine.memory_budget_bytes is None:
-            # Server-wide per-session default; an engine carrying its own
-            # budget (even a larger one) keeps it.
+            # Server-wide default; an engine carrying its own budget (even
+            # a larger one) tiles to it.  Either way the budget bounds the
+            # one shared cache, for every session.
             engine = engine.with_updates(
                 memory_budget_bytes=self.spec.session_memory_budget_bytes)
         system = engine.resolve_system()
@@ -626,19 +627,13 @@ class BeamformingServer:
             item.ticket._future.set_exception(ServerClosed(
                 f"session {state.session_id!r} closed before frame "
                 f"{item.ticket.frame_id} ran"))
-        # The frame in flight (if any) still reads the service; wait for
-        # it before tearing it down.
-        with self._work:
-            self._work.wait_for(lambda: not state.in_flight)
-        state.service.close()
 
     def close(self, drain: bool = True) -> None:
         """Shut the server down.
 
         With ``drain`` (default) every queued frame finishes first; without
         it pending frames are cancelled (tickets resolve
-        :class:`ServerClosed`).  Worker threads are joined and every
-        session's engine is closed.  Idempotent.
+        :class:`ServerClosed`).  Worker threads are joined.  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -652,8 +647,7 @@ class BeamformingServer:
         cancelled: list[tuple[_SessionState, list[_QueuedFrame]]] = []
         with self._lock:
             self._closed = True
-            states = list(self._sessions.values())
-            for state in states:
+            for state in self._sessions.values():
                 state.closed = True
                 cancelled.append((state, self._cancel_queue(state)))
             self._sessions.clear()
@@ -667,8 +661,6 @@ class BeamformingServer:
                     f"of session {state.session_id!r} ran"))
         for thread in self._threads:
             thread.join()
-        for state in states:
-            state.service.close()
 
     def __enter__(self) -> "BeamformingServer":
         return self

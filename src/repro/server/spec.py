@@ -92,10 +92,14 @@ class ServerSpec(SpecDocument):
     (``None`` = unbounded)."""
 
     session_memory_budget_bytes: int | str | None = None
-    """Default plan-memory budget per session, in bytes (suffixed strings
-    like ``"8G"`` accepted).  Applied to any session engine that does not
-    carry its own ``memory_budget_bytes``: its plans then execute tiled
-    under the cap (see ``docs/memory.md``).  ``None`` = unbounded."""
+    """Default plan-memory budget of the sessions, in bytes (suffixed
+    strings like ``"8G"`` accepted).  Applied to any session engine that
+    does not carry its own ``memory_budget_bytes``: its plans then execute
+    tiled under the cap (see ``docs/memory.md``).  Every session compiles
+    through the server's one plan cache, which each budgeted session
+    byte-bounds, so the cap covers all sessions together, not each one:
+    the cache holds at most the smallest budget any session brought.
+    ``None`` = unbounded."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "engine",

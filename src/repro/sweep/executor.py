@@ -14,19 +14,17 @@
    architecture) group at a time, through :func:`run_group`: a group's
    plans are compiled for its first scenario, reused by every other
    scenario of the scheme, then left for the plan cache's LRU to evict,
-   so the cache only has to hold one group's working set
-   (``max(firing_count)`` plans), not the whole grid's.  The loop keeps
-   the current scheme's firings and one released pipeline per
-   architecture, for its delay provider and the shared receive weights.
+   so the cache only has to hold one group's plans, not the whole grid's.
+   The loop keeps the current scheme's firings and the first pipeline of
+   each architecture, for its delay provider and the shared receive
+   weights.
 4. Results always come back in grid order as the same
    ``{(scenario, scheme, architecture[, backend]): {"volume", "metrics"}}``
    mapping ``Session.sweep`` has always produced; cached and computed
    cells are indistinguishable (bit-identical float64 across the store).
 
-Per-cell engines are released immediately after use via
-``Session._release`` — the executor is also the fix for the historical
-sweep leak where every grid cell's pipeline (and its backend worker
-pools) stayed alive in ``Session._owned`` until session close.
+Every other cell's pipeline is dropped as soon as its volume is computed;
+nothing outlives :meth:`SweepExecutor.run`.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Iterator, TYPE_CHECKING
 
 from ..api.specs import ScanSpec, SweepSpec
-from ..kernels.plan import plan_storage_bytes
 from ..scenarios import SCENARIOS, score_volume
 from .hashing import cell_key, resolved_cell_spec
 from .store import SweepStore
@@ -84,9 +81,8 @@ def execute_cell(session: "Session", sweep: SweepSpec, scenario: str,
                  provider: Any = None) -> tuple[dict, Any]:
     """Compute one grid cell; returns ``(cell_dict, pipeline)``.
 
-    The pipeline is vended from the session, used for one compound, and
-    released immediately (closed and dropped from ``Session._owned``).  It
-    is returned to hold its delay provider for reuse — rebuilding e.g. a
+    The pipeline is vended from the session and used for one compound.
+    It is returned to hold its delay provider for reuse — rebuilding e.g. a
     TABLESTEER reference table per cell would repeat the most expensive
     step of the sweep — and the receive weights its beamformers compiled
     with, which every cell of the geometry shares and the plan cache drops
@@ -94,10 +90,7 @@ def execute_cell(session: "Session", sweep: SweepSpec, scenario: str,
     """
     pipeline = session.pipeline(architecture=architecture, backend=backend,
                                 scheme=scheme, provider=provider)
-    try:
-        volume = pipeline.compound_volume(firings).rf
-    finally:
-        session._release(pipeline)
+    volume = pipeline.compound_volume(firings).rf
     cell: dict[str, Any] = {"volume": volume}
     if sweep.score:
         cell["metrics"] = score_volume(session.system, volume,
@@ -117,11 +110,11 @@ def run_group(session: "Session", sweep: SweepSpec, scheme: str,
     backend-independent), so the plans compile for the first scenario and
     are cache hits for the rest.  Each scenario's firings are acquired
     once into ``inputs`` (pass the same dict to every architecture of a
-    scheme to share them), the architecture's first released pipeline is
-    kept in ``pipelines`` for its provider and weights (see
-    :func:`execute_cell`), and each cell is written to ``store`` (if
-    any) under its unchanged key as soon as it is computed, before
-    ``(scenario, backend, cell_dict)`` is yielded.
+    scheme to share them), the architecture's first pipeline is kept in
+    ``pipelines`` for its provider and weights (see :func:`execute_cell`),
+    and each cell is written to ``store`` (if any) under its unchanged key
+    as soon as it is computed, before ``(scenario, backend, cell_dict)``
+    is yielded.
     """
     for scenario, backend in cells:
         if scenario not in inputs:
@@ -227,20 +220,6 @@ class SweepExecutor:
     def _run_cells(self, sweep: SweepSpec, cells: list[_Cell],
                    architectures: tuple[str, ...]) -> dict[tuple, dict]:
         session = self.session
-        # Cells run plan-major (see run_group), so the working set is one
-        # (scheme, architecture) group's plans: the largest scheme's firing
-        # count.  Under a byte budget the count cannot be honoured, so the
-        # working-set byte figure rides along and PlanCache.reserve warns
-        # when it exceeds the budget (possible segment thrash) instead of
-        # staying silent.
-        slots = max(session._scheme(session._variant(scheme=s)).firing_count
-                    for s in sweep.schemes)
-        per_plan = plan_storage_bytes(
-            session.grid.point_count, session.transducer.element_count,
-            session.spec.precision, session.spec.interpolation,
-            quantization=session.spec.quantization)
-        session.cache.reserve(slots, nbytes=per_plan * slots)
-
         cached = set()
         if self.store is not None and not self.overwrite and self.resume:
             cached = {cell for cell in cells if cell.store_key in self.store}
@@ -275,7 +254,7 @@ class SweepExecutor:
                     ) -> dict[tuple, dict]:
         """Run the pending groups in order; returns results by result key."""
         # One delay provider per architecture for the *whole* grid, held by
-        # the architecture's first released pipeline: the provider is
+        # the architecture's first pipeline: the provider is
         # scheme-independent (the per-firing engines wrap it per event), so
         # rebuilding it per group would repeat the most expensive step.
         # Firings are kept for the current scheme only.

@@ -9,6 +9,8 @@ tables) that many test modules share.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,21 @@ def tiny_channel_data(tiny):
 def rng():
     """A seeded random generator for per-test randomness."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def vended_refs(monkeypatch):
+    """``record(session, name)``: weak references to every facade that
+    ``session.<name>(...)`` vends from then on (``pipeline``/``service``)."""
+    def record(session, name):
+        refs = []
+        build = getattr(session, name)
+
+        def recording(*args, **kwargs):
+            facade = build(*args, **kwargs)
+            refs.append(weakref.ref(facade))
+            return facade
+
+        monkeypatch.setattr(session, name, recording)
+        return refs
+    return record

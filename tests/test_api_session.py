@@ -110,11 +110,8 @@ class TestSessionStreaming:
 
 def _images(session, channel_data, architectures):
     """Centre-plane image of one acquisition under each architecture."""
-    images = {}
-    for name in architectures:
-        with session.pipeline(architecture=name) as pipeline:
-            images[name] = pipeline.image_plane(channel_data)
-    return images
+    return {name: session.pipeline(architecture=name)
+            .image_plane(channel_data) for name in architectures}
 
 
 class TestSweep:
@@ -138,11 +135,11 @@ class TestSweep:
         volumes = {}
         provider = None
         for backend in ("reference", "vectorized"):
-            with tiny_session.pipeline(architecture="tablefree",
-                                       backend=backend,
-                                       provider=provider) as pipeline:
-                provider = pipeline.delay_provider
-                volumes[backend] = pipeline.image_volume(channel_data).rf
+            pipeline = tiny_session.pipeline(architecture="tablefree",
+                                             backend=backend,
+                                             provider=provider)
+            provider = pipeline.delay_provider
+            volumes[backend] = pipeline.image_volume(channel_data).rf
         np.testing.assert_allclose(volumes["vectorized"],
                                    volumes["reference"], rtol=0, atol=1e-9)
 

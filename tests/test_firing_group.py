@@ -207,10 +207,9 @@ def _engines_on(cache, tiny, architectures):
 
 
 def _run_two_groups(tiny, frame, cache):
-    """Two planewave groups on ``cache``, grown to a slot per firing, each
-    beamforming one frame twice over, alternately; their volumes."""
+    """Two planewave groups on ``cache``, each beamforming one frame twice
+    over, alternately; their volumes."""
     engines = _engines_on(cache, tiny, ("exact", "tablesteer"))
-    assert cache.capacity == 3
     firings = [frame] * 3
     return [engine.beamform_volume(firings)
             for _ in range(2) for engine in engines]
@@ -218,7 +217,7 @@ def _run_two_groups(tiny, frame, cache):
 
 def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
                                          monkeypatch):
-    """On a count-bounded cache reserved for one group, each group's
+    """On a count-bounded cache smaller than one group, each group's
     build first evicts the other group's entry (3 plans weigh 3 slots),
     so the cache never holds more than one group; each build is one miss
     and one eviction, and the volumes are each engine's own."""
@@ -242,9 +241,9 @@ def test_a_group_evicts_before_it_builds(tiny, tiny_channel_data,
 
 
 def _compile_spans(tiny_channel_data, reopened):
-    """Two planewave frames on a traced ``tiny`` service, after a frame,
-    ``close()`` and ``cache.clear()`` when ``reopened``: the ``compile``
-    spans and the cache counters."""
+    """Two planewave frames on a traced ``tiny`` service, after a frame
+    and ``cache.clear()`` when ``reopened``: the ``compile`` spans and the
+    cache counters."""
     session = Session(EngineSpec(system="tiny", backend="vectorized",
                                  scheme="planewave",
                                  scheme_options=SCHEMES["planewave"],
@@ -253,7 +252,6 @@ def _compile_spans(tiny_channel_data, reopened):
     frame = tuple([tiny_channel_data] * 3)
     if reopened:
         service.submit_frame(frame)
-        service.close()
         session.cache.clear()
     for _ in range(2):
         service.submit_frame(frame)
@@ -272,8 +270,8 @@ def test_an_engine_compiles_its_firings_once(tiny, tiny_channel_data):
 
 def test_a_closed_engine_on_a_cleared_cache_compiles_its_firings_once(
         tiny, tiny_channel_data):
-    """A closed service whose cache was cleared still compiles its
-    firings as one group: one more ``compile`` span, one more miss."""
+    """A service whose cache was cleared still compiles its firings as
+    one group: one more ``compile`` span, one more miss."""
     spans, stats = _compile_spans(tiny_channel_data, reopened=True)
     assert [span.attributes["firings"] for span in spans] == [3, 3]
     assert (stats.misses, stats.hits, stats.evictions) == (2, 1, 0)

@@ -15,13 +15,10 @@ Pins what the sparse execution promises beyond the conformance matrix:
   in ``nbytes``, and :func:`plan_storage_bytes` bounds that from above;
 * the leaf-major compile writes the natural index permuted and pruned,
   over the whole grid and over tiles that cut scanlines;
-* a segment too large for int32 row pointers is refused at compile, and
-  a pickled plan rebuilds its matrix over the unpickled tensors.
+* a segment too large for int32 row pointers is refused at compile.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -213,15 +210,3 @@ def test_oversized_segment_is_refused_with_the_budget_named():
         np.ones((n_elements, 4), dtype=bool), none, none, np.empty(0)))])
     with pytest.raises(ValueError, match="linear one stays natural"):
         GatherIndex.empty("linear", 4, n_elements, 128, leaves=leaves)
-
-
-def test_pickled_plan_rebuilds_its_views(tiny, tiny_channel_data):
-    """A plan pickles without its matrix and memo; unpickled, the matrix
-    views the unpickled tensors again and executes identically."""
-    plan = compile_plan(DelayAndSumBeamformer(
-        tiny, ARCHITECTURES.create("exact", tiny)))
-    clone = pickle.loads(pickle.dumps(plan))
-    assert np.shares_memory(clone.matrix.data, clone.stored_weights)
-    assert np.shares_memory(clone.matrix.indices, clone.stored_index.flat)
-    np.testing.assert_array_equal(clone.execute(tiny_channel_data),
-                                  plan.execute(tiny_channel_data))

@@ -447,13 +447,18 @@ class TestSpecThreading:
         # Different name -> that scheme's registered defaults.
         assert session.pipeline(scheme="diverging").scheme.firing_count == 4
 
-    def test_session_cache_grows_to_firing_count(self):
+    def test_session_cache_grows_to_firing_count(self, phantom):
+        # The 8 firings' plans are one entry: on a 4-plan session cache it
+        # is kept alone, and the second frame compiles nothing.
         session = Session(EngineSpec(
-            system="tiny", scheme="synthetic_aperture",
+            system="tiny", backend="vectorized", scheme="synthetic_aperture",
             scheme_options={"every": 8}, cache_capacity=4))
         assert session.scheme.firing_count == 8
-        session.service()
-        assert session.cache.capacity >= 8
+        service = session.service()
+        for _ in range(2):
+            service.submit_frame(phantom)
+        stats = session.cache.stats
+        assert (stats.misses, stats.hits, stats.evictions) == (1, 1, 0)
 
     def test_scheme_options_only_override_applies_to_spec_scheme(self):
         # Regression: an options-only override used to be dropped
@@ -462,14 +467,17 @@ class TestSpecThreading:
         pipeline = session.pipeline(scheme_options={"n_angles": 3})
         assert pipeline.scheme.firing_count == 3
 
-    def test_per_call_scheme_override_reserves_cache_slots(self):
-        # Regression: only the spec's scheme used to size the cache, so
-        # an overridden multi-firing scheme thrashed its event bank.
-        session = Session(EngineSpec(system="tiny", cache_capacity=4))
-        assert session.cache.capacity == 4
-        session.service(scheme="synthetic_aperture",
-                        scheme_options={"every": 8})
-        assert session.cache.capacity >= 8
+    def test_per_call_scheme_override_reserves_cache_slots(self, phantom):
+        # Regression: an overridden multi-firing scheme used to thrash its
+        # event bank on the 4-plan session cache.
+        session = Session(EngineSpec(system="tiny", backend="vectorized",
+                                     cache_capacity=4))
+        service = session.service(scheme="synthetic_aperture",
+                                  scheme_options={"every": 8})
+        for _ in range(2):
+            service.submit_frame(phantom)
+        stats = session.cache.stats
+        assert (stats.misses, stats.hits, stats.evictions) == (1, 1, 0)
 
 
 class TestServiceScheme:
@@ -513,18 +521,16 @@ class TestServiceScheme:
     def test_direct_service_reserves_cache_for_firings(self, tiny, phantom):
         # Regression: a directly-constructed service with a multi-firing
         # scheme used to thrash its 4-slot private cache (5 plan keys),
-        # recompiling the whole event bank every frame.
+        # recompiling the whole event bank every frame.  The 5 firings'
+        # plans are one entry, kept alone.
         from repro.runtime.service import BeamformingService
         service = BeamformingService(EngineSpec(
             system=tiny, backend="vectorized",
             scheme="planewave").build_engine())
-        assert service.cache.capacity >= 5
         for _ in range(2):
             service.submit_frame(phantom)
         stats = service.stats().cache
-        # The 5 firings' plans are one entry, weighing 5 slots.
-        assert stats.misses == 1 and stats.evictions == 0
-        assert stats.hits == 1
+        assert (stats.misses, stats.hits, stats.evictions) == (1, 1, 0)
         assert stats.size == 1
 
 

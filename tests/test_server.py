@@ -4,20 +4,20 @@ Covers the ``repro.server`` subsystem end to end on the ``tiny`` preset:
 spec round-trips, session multiplexing with bit-exact results, the three
 backpressure policies (with drop accounting), the async ticket API,
 cross-session plan sharing, metrics export and clean shutdown — plus the
-Session facade's engine-lifecycle guarantees (``Session.close()`` and
-closeable services/backends).
+Session facade's lifecycle guarantees (``Session.close()`` closes the
+servers it vended and keeps no pipeline or service alive).
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import tiny_system
 from repro.acoustics.phantom import point_target
 from repro.api import EngineSpec, ScanSpec, Session
 from repro.observability import render_prometheus
@@ -123,6 +123,16 @@ class TestServerSpec:
             own_state = server._sessions[own.session_id]
             assert own_state.service.memory_budget_bytes == 800 * 1024
 
+    def test_session_memory_budget_caps_all_sessions_together(self):
+        """Every session compiles through the server's one cache, so the
+        budget caps all sessions together, not each one."""
+        spec = ServerSpec(engine=TINY, workers=1,
+                          session_memory_budget_bytes="200K")
+        with BeamformingServer(spec) as server:
+            server.open_session()
+            server.open_session()
+            assert server.cache.max_bytes == 200 * 1024
+
 
 # ----------------------------------------------------------- multiplexing
 class TestMultiplexing:
@@ -133,7 +143,6 @@ class TestMultiplexing:
         payload = reference.engine.simulator.simulate(_phantom(system),
                                                       seed=3)
         expected = reference.submit_frame(payload).rf
-        reference.close()
 
         handles = [server.open_session() for _ in range(3)]
         tickets = [handle.submit(payload) for handle in handles]
@@ -426,9 +435,11 @@ class TestSessionFacade:
             expected = session.pipeline().image_volume(payload).rf
             np.testing.assert_array_equal(
                 handle.submit(payload).result(timeout=60).rf, expected)
-        # Session.close() closed the vended server.
+        # Session.close() closed the vended server; closing again is a
+        # no-op.
         with pytest.raises(ServerClosed):
             server.open_session()
+        session.close()
 
     def test_session_server_rejects_custom_engine(self):
         session = Session(TINY)
@@ -436,36 +447,25 @@ class TestSessionFacade:
             session.server(spec=ServerSpec(
                 engine=EngineSpec(system="paper")))
 
-    def test_session_close_closes_vended_services(self, monkeypatch):
+    def test_session_keeps_no_vended_pipeline_alive(self, vended_refs):
+        """Comparing architectures by a ``session.pipeline`` loop leaves
+        no pipeline alive: the session tracks only its servers."""
         session = Session(TINY.with_updates(backend="vectorized"))
-        service = session.service()
-        service.submit_frame(_phantom(session.system))
-        closed = []
-        monkeypatch.setattr(service.engine, "close",
-                            lambda: closed.append(service.engine))
-        session.close()
-        # Session.close() closed the service's engine, once.
-        assert closed == [service.engine]
-        # Idempotent and re-usable: the service still beamforms, from
-        # the session's cached plan.
-        session.close()
-        assert closed == [service.engine]
-        service.submit_frame(_phantom(session.system))
-        assert session.cache.stats.misses == 1
+        refs = vended_refs(session, "pipeline")
+        payload = session.acquire(_phantom(session.system))
+        for name in ("exact", "tablefree", "tablesteer"):
+            session.pipeline(architecture=name).image_volume(payload)
+        gc.collect()
+        assert len(refs) == 3
+        assert all(ref() is None for ref in refs)
 
-    def test_stream_releases_its_service(self):
+    def test_stream_releases_its_service(self, vended_refs):
+        """The service a stream runs on is freed once the stream returns."""
         session = Session(TINY)
-        results = session.stream(ScanSpec(frames=2))
-        assert len(results) == 2
-        assert session._owned == []
-
-    def test_service_context_manager_usable_after_close(self):
-        system = tiny_system()
-        with BeamformingService(TINY.build_engine()) as service:
-            first = service.submit_frame(_phantom(system))
-        # close() ran; the service still works (the plan rebuilds lazily).
-        again = service.submit_frame(_phantom(system))
-        np.testing.assert_array_equal(first.rf, again.rf)
+        refs = vended_refs(session, "service")
+        assert len(session.stream(ScanSpec(frames=2))) == 2
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
 
 
 # ------------------------------------------------------------- soak CLI

@@ -3,6 +3,7 @@ SweepRunSpec, CLI subcommand and the sweep-path PlanCache/leak fixes."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
@@ -370,17 +371,31 @@ def test_grouped_grid_rerun_is_served_entirely_from_the_store(tmp_path):
 
 
 # ------------------------------------------------------- session leak fixes
-def test_grid_sweep_retains_no_per_cell_engines():
-    """A 24-cell grid must leave Session._owned empty (the historical leak
-    kept one pipeline — and its backend pools — alive per cell)."""
+def test_grid_sweep_retains_no_per_cell_engines(vended_refs):
+    """A 24-cell grid keeps no cell's pipeline alive once it returns (the
+    historical leak kept one pipeline per cell until session close)."""
     grid = SweepSpec(scenarios=("static_point", "cyst"),
                      schemes=("focused", "planewave"),
                      architectures=("exact", "tablefree", "tablesteer"),
                      backends=("reference", "vectorized"))
     with Session(TINY) as session:
+        refs = vended_refs(session, "pipeline")
         results = session.sweep(spec=grid)
         assert len(results) == 24
-        assert session._owned == []
+    gc.collect()
+    assert len(refs) == 24
+    assert all(ref() is None for ref in refs)
+
+
+def test_budgeted_sweep_does_not_warn():
+    """A budget the untiled plans exceed is what tiling is for: the sweep
+    runs tiled and warns about nothing."""
+    spec = TINY.with_updates(memory_budget_bytes="200K")
+    with Session(spec) as session, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        session.sweep(spec=SweepSpec(scenarios=("static_point",),
+                                     schemes=("focused", "planewave")))
+        assert session.cache.stats.peak_bytes <= 200 * 1024
 
 
 # --------------------------------------------------------- PlanCache fixes
@@ -439,42 +454,9 @@ def test_cache_stats_never_torn_under_concurrent_mutation():
         thread.join(5.0)
 
 
-def test_reserve_warns_when_budget_replaces_count_bound():
-    cache = PlanCache(capacity=2, max_bytes=1000)
-    with pytest.warns(RuntimeWarning, match="cannot be honoured"):
-        cache.reserve(8)
-    assert cache.capacity == 8  # still grows: budget removal restores it
-
-
-def test_reserve_with_fitting_byte_hint_is_silent():
-    cache = PlanCache(capacity=2, max_bytes=1000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cache.reserve(8, nbytes=900)
-    assert cache.capacity == 8
-
-
-def test_reserve_warns_when_byte_hint_exceeds_budget():
-    cache = PlanCache(capacity=8, max_bytes=1000)
-    with pytest.warns(RuntimeWarning, match="exceeds the 1000-byte budget"):
-        cache.reserve(2, nbytes=4000)
-    assert cache.max_bytes == 1000  # the user's cap is never loosened
-
-
-def test_reserve_stays_silent_without_budget_or_growth():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        unbounded = PlanCache(capacity=2)
-        unbounded.reserve(16)
-        assert unbounded.capacity == 16
-        budgeted = PlanCache(capacity=4, max_bytes=100)
-        budgeted.reserve(2)  # no growth requested: nothing to warn about
-
-
 def test_sweep_cache_hits_pinned_under_memory_budget():
     """With a budget large enough for the grid's working set, the second
-    identical sweep must be all hits — and the reserve byte hint must keep
-    the budget warning quiet (the reservation genuinely fits)."""
+    identical sweep must be all hits, and nothing warns."""
     spec = TINY.with_updates(memory_budget_bytes=8_000_000)
     with Session(spec) as session:
         with warnings.catch_warnings(record=True) as caught:
