@@ -27,9 +27,13 @@ scatterer and firing), rounds its centre samples, tests each
 writes only the block's trace rows, which stay in the CPU caches, instead
 of striding across the whole trace buffer.  Entries falling outside their
 trace row are dropped, as a hardware buffer drops writes past its end:
-they go to a sink sample stored behind the traces and never read.  Only
-the few pairs not wholly inside the buffer are patched, so the entries
-need no compaction.
+they go to a sink sample stored behind the traces.  Only the few pairs
+not wholly inside the buffer are patched, so the entries need no
+compaction.  Once the acquisition is done the sink is zeroed, so each
+trace is a C-contiguous ``(n_elements, n_samples)`` view at the start of
+a buffer one sample longer whose last sample is 0: the zero-padded echo
+buffer a float nearest plan reads, in place
+(:func:`repro.kernels.ops.frame_vector`).
 
 **Bit identity.**  Each trace sample is a floating-point sum, so its bits
 depend on the order of its terms.  ``np.add.at`` is unbuffered and applies
@@ -245,7 +249,8 @@ class EchoSimulator:
         n_samples = self.system.echo_buffer_samples
         n_elements = self.transducer.element_count
         # One flat buffer per firing: the traces, then a sink sample that
-        # takes every write falling outside its row (never read).
+        # takes every write falling outside its row, zeroed once the
+        # acquisition is done.
         sink = n_elements * n_samples
         buffers = [np.zeros(sink + 1) for _ in transmits]
 
@@ -301,6 +306,8 @@ class EchoSimulator:
                     # A 1-D index keeps np.add.at on its fast path (~5x a
                     # 3-D one).
                     np.add.at(block, indices.reshape(-1), values.reshape(-1))
+        for buffer in buffers:
+            buffer[sink] = 0
         traces = [buffer[:sink].reshape(n_elements, n_samples)
                   for buffer in buffers]
         if noise_std > 0:

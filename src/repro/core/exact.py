@@ -121,7 +121,9 @@ class ExactDelayEngine(BulkDelayProviderMixin):
     def delay_indices(self, points: np.ndarray) -> np.ndarray:
         """Exact delays quantised to integer echo-buffer indices.
 
-        Rounding is half-away-from-zero, matching the hardware rounding stage
+        Rounding is ``floor(x + 0.5)``: halves round up, the nearest
+        rounding of every plan's gather index.  Delays are non-negative, and
+        there it agrees with the half-away-from-zero rounding stage
         modelled by :mod:`repro.fixedpoint`.
         """
         samples = self.delays_samples(points)

@@ -60,7 +60,7 @@ import numpy as np
 
 from ..observability.tracing import resolve_tracer
 from ..registry import RegistryError
-from .ops import pad_samples
+from .ops import PaddedFrames, pad_frames, pad_samples
 from .plan import BeamformingPlan, compile_plan, plan_key
 from .precision import Precision
 
@@ -442,21 +442,22 @@ class CompiledPlan(BeamformingPlan):
         """
         if len(frames) == 0:
             return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        stacked = np.stack([self.coerce_samples(frame) for frame in frames])
-        padded = pad_samples(stacked, self.gather_index(stacked.shape[-1]))
+        padded = pad_frames(frames, self.dtype, None,
+                            (self.n_elements, self.n_samples))
         return self.execute_padded(padded, tracer, options).reshape(
             (len(frames), *self.grid_shape))
 
-    def execute_padded(self, padded: np.ndarray, tracer=None,
+    def execute_padded(self, padded: PaddedFrames, tracer=None,
                        options: CompiledOptions | None = None
                        ) -> np.ndarray:
-        """``(n_frames, n_points)`` sums of a stacked
-        :func:`~repro.kernels.ops.pad_samples` buffer in one batch-kernel
-        launch (the buffer a plan-backed runtime backend shares across its
-        tile segments)."""
+        """``(n_frames, n_points)`` sums of a call's
+        :class:`~repro.kernels.ops.PaddedFrames` in one batch-kernel launch
+        over their interleaved copy (the frames a plan-backed runtime
+        backend shares across its tile segments)."""
         tracer = resolve_tracer(tracer)
         options = self.options if options is None else options
         self._check_padded(padded)
+        padded = padded.interleaved()
         out = np.empty((padded.shape[1], self.n_points), dtype=self.dtype)
         with tracer.span("fused") as span:
             self._launch("batch", padded, out, options)

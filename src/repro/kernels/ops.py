@@ -69,14 +69,17 @@ __all__ = [
     "GatherIndex",
     "LeafLayout",
     "LeafRows",
+    "PaddedFrames",
     "WeightSplit",
     "accumulate",
+    "all_finite",
     "apply_weights",
     "build_gather_index",
     "check_samples",
     "coerce_samples",
     "combine_leaf_sums",
     "delay_and_sum",
+    "frame_vector",
     "gather_interp",
     "gather_padded",
     "pad_frames",
@@ -735,12 +738,129 @@ def check_samples(compiled: int, n_samples: int) -> None:
             f"got a frame of {int(n_samples)} samples")
 
 
+def all_finite(samples: "np.ndarray | object", dtype: np.dtype | type
+               ) -> bool:
+    """Whether every sample of a frame (a ``ChannelData`` or an array) is
+    finite in the execution ``dtype``.
+
+    One scan, in place: the frame's minimum and maximum, each cast to
+    ``dtype``.  A NaN makes both NaN, and rounding is monotonic, so every
+    sample casts between the two casts: both are finite exactly when every
+    cast sample is.  So a float64 sample beyond float32's range, which a
+    float32 plan coerces to inf, is caught without a coerced copy.
+    """
+    samples = np.asarray(getattr(samples, "samples", samples))
+    if samples.size == 0:
+        return True
+    dtype = np.dtype(dtype).type
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(dtype(samples.min()))
+                    and np.isfinite(dtype(samples.max())))
+
+
+def frame_vector(samples: np.ndarray, dtype: np.dtype | type
+                 ) -> np.ndarray | None:
+    """The ``(E*S + 1,)`` padded vector a frame already lies in, or
+    ``None``.
+
+    A frame qualifies when it is a C-contiguous view, in the execution
+    ``dtype``, at the start of a buffer one element longer whose last
+    element is 0: that buffer *is* :func:`pad_samples` of the frame, and is
+    read in place.  The echo simulator leaves every trace so
+    (:meth:`repro.acoustics.echo.EchoSimulator.simulate_events`).
+    """
+    base = samples.base
+    if (samples.dtype != dtype or not samples.flags.c_contiguous
+            or not isinstance(base, np.ndarray) or base.ndim != 1
+            or base.dtype != samples.dtype
+            or base.size != samples.size + 1
+            or base.ctypes.data != samples.ctypes.data):
+        return None
+    return base if base[-1] == 0 else None
+
+
+class PaddedFrames:
+    """One call's frames as the zero-padded buffers a plan reads
+    (:func:`pad_frames`).
+
+    A float nearest (CSR) plan reads frame by frame: ``padded[i]`` is frame
+    ``i``'s ``(E*S + 1,)`` vector.  A frame already lying in one
+    (:func:`frame_vector`, without ``quantization``) is read in place; any
+    other is coerced (:func:`coerce_samples`) and padded on its own when
+    its turn comes.  The chunked and compiled plans read
+    :meth:`interleaved` instead: one ``(E*S + 1, n_frames)`` buffer of
+    coerced frames, frames innermost, so one flat offset fetches every
+    frame's sample from one cache line.  With ``hold`` every copy is kept
+    for the call's later reads (the other tiles of a tiled run); without
+    it a copy is dropped once read, so a reader that drops each vector
+    before it reads the next holds one frame-sized copy at a time.
+    """
+
+    def __init__(self, frames: "Sequence[object]", dtype: np.dtype | type,
+                 quantization: "QuantizationSpec | None",
+                 shape: tuple[int, int], hold: bool) -> None:
+        self.frames = frames
+        self.dtype = np.dtype(dtype)
+        self.quantization = quantization
+        self.shape = tuple(shape)
+        self._held: dict | None = {} if hold else None
+        for frame in frames:
+            got = np.shape(getattr(frame, "samples", frame))
+            if got != self.shape:
+                if len(got) == 2:
+                    check_samples(self.shape[1], got[1])
+                raise ValueError(f"a frame must be {self.shape} (n_elements, "
+                                 f"n_samples), got {got}")
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, position: int) -> np.ndarray:
+        return self._read(position, self._vector)
+
+    def interleaved(self) -> np.ndarray:
+        """The ``(E*S + 1, n_frames)`` buffer: each frame coerced and
+        written straight into its column, without stacking them first."""
+        return self._read("interleaved", self._interleave)
+
+    def _read(self, key, build) -> np.ndarray:
+        if self._held is None:
+            return build(key)
+        if key not in self._held:
+            self._held[key] = build(key)
+        return self._held[key]
+
+    def _vector(self, position: int) -> np.ndarray:
+        samples = np.asarray(getattr(self.frames[position], "samples",
+                                     self.frames[position]))
+        if self.quantization is None:
+            vector = frame_vector(samples, self.dtype)
+            if vector is not None:
+                return vector
+        else:
+            samples = coerce_samples(samples, self.dtype, self.quantization)
+        vector = np.empty(samples.size + 1, dtype=self.dtype)
+        # Cast on assignment: no coerced temporary beside the copy.
+        vector[:-1].reshape(self.shape)[...] = samples
+        vector[-1] = 0
+        return vector
+
+    def _interleave(self, _key) -> np.ndarray:
+        n = self.shape[0] * self.shape[1]
+        padded = np.empty((n + 1, len(self.frames)), dtype=self.dtype)
+        padded[n] = 0
+        for column, frame in enumerate(self.frames):
+            padded[:n, column] = coerce_samples(
+                frame, self.dtype, self.quantization).reshape(n)
+        return padded
+
+
 def pad_frames(frames: "Sequence[object]", dtype: np.dtype | type,
                quantization: "QuantizationSpec | None",
-               shape: tuple[int, int]) -> np.ndarray:
-    """:func:`pad_samples` of the coerced ``frames``, without stacking
-    them first: each frame is coerced (:func:`coerce_samples`) and written
-    straight into its column of the ``(E*S + 1, n_frames)`` buffer.
+               shape: tuple[int, int], hold: bool = False) -> PaddedFrames:
+    """The :class:`PaddedFrames` of ``frames`` in ``dtype`` (coerced under
+    ``quantization``): nothing is copied until a plan reads them, and
+    ``hold`` keeps each copy for a caller that reads them more than once.
 
     Every frame must be ``shape``, ``(n_elements, n_samples)``; a frame of
     another buffer length is refused naming both lengths
@@ -748,19 +868,7 @@ def pad_frames(frames: "Sequence[object]", dtype: np.dtype | type,
     ``ChannelData``, arrays, or the frames of an ``(n_frames, n_elements,
     n_samples)`` array.
     """
-    shape = tuple(shape)
-    n = shape[0] * shape[1]
-    padded = np.empty((n + 1, len(frames)), dtype=dtype)
-    padded[n] = 0
-    for column, frame in enumerate(frames):
-        samples = coerce_samples(frame, dtype, quantization)
-        if samples.shape != shape:
-            if samples.ndim == 2:
-                check_samples(shape[1], samples.shape[1])
-            raise ValueError(f"a frame must be {shape} (n_elements, "
-                             f"n_samples), got {samples.shape}")
-        padded[:n, column] = samples.reshape(n)
-    return padded
+    return PaddedFrames(frames, dtype, quantization, shape, hold)
 
 
 def gather_padded(padded: np.ndarray, index: GatherIndex) -> np.ndarray:

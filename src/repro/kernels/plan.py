@@ -13,7 +13,8 @@ of frames:
 A frame is a batch of one.  The float nearest-sample plan is a sparse
 matrix: it executes as one SciPy CSR product of its leaf-ordered tensors
 (:class:`repro.kernels.ops.LeafRows`, which keep only the entries with a
-non-zero weight) with the padded frames, its leaf sums then added in
+non-zero weight) with each frame's padded vector — the frame itself, read
+in place, wherever it already lies in one — its leaf sums then added in
 NumPy's summation order (:func:`repro.kernels.ops.combine_leaf_sums`) —
 bit for bit the chunked loop's ``np.sum`` for finite samples.  Linear and
 quantised plans run one chunked gather/weigh/total loop through the datapath helpers of
@@ -59,8 +60,9 @@ from scipy import sparse
 
 from ..beamformer.interpolation import InterpolationKind
 from ..observability.tracing import resolve_tracer
-from .ops import GatherIndex, LeafLayout, LeafRows, check_samples, \
-    coerce_samples, gather_padded, pad_frames, total, weigh
+from .ops import GatherIndex, LeafLayout, LeafRows, PaddedFrames, \
+    all_finite, check_samples, coerce_samples, gather_padded, pad_frames, \
+    total, weigh
 from .precision import Precision, resolve_precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -127,15 +129,18 @@ def plan_storage_bytes(n_points: int, n_elements: int,
     return int(n_points) * per_point
 
 
-def check_finite(padded: np.ndarray) -> None:
-    """Refuse a CSR plan's padded buffer holding a NaN or infinite sample.
+def check_finite(frames: "Sequence[ChannelData | np.ndarray]",
+                 dtype: np.dtype | type) -> None:
+    """Refuse frames holding a NaN or infinite sample for a CSR plan.
 
     The CSR plan skips its zero-weight terms, which leaves every sum's bits
-    unchanged only for finite samples (``0 * inf`` is NaN).  Checked in the
-    execution dtype, once per buffer: a float64 sample beyond float32's
-    range is finite before a float32 plan coerces it and infinite after.
+    unchanged only for finite samples (``0 * inf`` is NaN).  Each frame is
+    scanned once, in place, in the execution ``dtype``
+    (:func:`~repro.kernels.ops.all_finite`): a float64 sample beyond
+    float32's range is finite before a float32 plan coerces it and
+    infinite after.
     """
-    if not np.isfinite(padded).all():
+    if not all(all_finite(frame, dtype) for frame in frames):
         raise ValueError(
             "frames hold non-finite echo samples (NaN or inf) in the "
             "execution dtype; the float nearest CSR plan skips zero-weight "
@@ -615,12 +620,12 @@ class BeamformingPlan:
         if n_samples is not None:
             check_samples(self.n_samples, n_samples)
 
-    def _check_padded(self, padded: np.ndarray) -> None:
-        rows = self.stored_index.pad_slot + 1
-        if padded.ndim != 2 or padded.shape[0] != rows:
+    def _check_padded(self, padded: PaddedFrames) -> None:
+        expected = (self.n_elements, self.n_samples)
+        if padded.shape != expected or padded.dtype != self.dtype:
             raise ValueError(
-                f"a padded buffer of {self.n_elements} x {self.n_samples}-"
-                f"sample frames is ({rows}, n_frames); got {padded.shape}")
+                f"this plan reads {expected} frames in {self.dtype}; got "
+                f"padded {padded.shape} frames in {padded.dtype}")
 
     # ------------------------------------------------------------ execution
     def coerce_samples(self, channel_data: "ChannelData | np.ndarray"
@@ -643,22 +648,21 @@ class BeamformingPlan:
         records one ``spmv`` span (CSR plan) or per-chunk ``gather`` /
         ``weights`` / ``accumulate`` spans with wall time and byte counts.
         """
-        samples = np.asarray(getattr(channel_data, "samples", channel_data))
-        return self.execute_batch(samples[np.newaxis], tracer)[0]
+        return self.execute_batch([channel_data], tracer)[0]
 
     def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
                       tracer=None) -> np.ndarray:
         """Beamform a cine batch at once; shape ``(n_frames, *grid_shape)``.
 
-        Each frame is coerced and copied once, straight into its column of
-        the padded, frames-innermost buffer the flat index addresses
-        (:func:`repro.kernels.ops.pad_frames`), so per-frame NumPy dispatch
-        is paid once per batch and each fetch reads every frame's sample
-        from one cache line; :meth:`execute_padded` then beamforms it.
-        Frames must share the plan's buffer length.  A pre-stacked
-        ``(n_frames, n_elements, n_samples)`` array is a sequence of
-        frames too.  A CSR plan refuses a NaN or infinite sample
-        (:func:`check_finite`) with a :class:`ValueError`.
+        The frames are handed to :meth:`execute_padded` as
+        :class:`~repro.kernels.ops.PaddedFrames`: a CSR plan reads each
+        frame in place where it lies in its padded vector, and pads any
+        other on its own, one frame at a time; the chunked plans copy the
+        coerced frames once into their interleaved buffer.  Frames must
+        share the plan's buffer length.  A pre-stacked ``(n_frames,
+        n_elements, n_samples)`` array is a sequence of frames too.  A CSR
+        plan refuses a NaN or infinite sample (:func:`check_finite`, one
+        scan per frame) with a :class:`ValueError`.
         """
         tracer = resolve_tracer(tracer)
         if len(frames) == 0:
@@ -666,46 +670,51 @@ class BeamformingPlan:
         padded = pad_frames(frames, self.dtype, self.quantization,
                             (self.n_elements, self.n_samples))
         if self.matrix is not None:
-            check_finite(padded)
+            check_finite(frames, self.dtype)
         return self.execute_padded(padded, tracer).reshape(
             (len(frames), *self.grid_shape))
 
-    def execute_padded(self, padded: np.ndarray, tracer=None) -> np.ndarray:
-        """``(n_frames, n_points)`` sums of an ``(n_elements * n_samples +
-        1, n_frames)`` :func:`~repro.kernels.ops.pad_samples` buffer of
-        coerced frames — the buffer every tile segment of a plan-backed
-        runtime backend shares.  A CSR plan runs
-        one sparse product over the whole batch (:meth:`_leaf_products`);
-        the chunked plans gather block by block (:meth:`_chunked`).  The
-        buffer's owner has refused non-finite samples (:func:`check_finite`;
-        :meth:`execute_batch` and the plan-backed backends do): a CSR
-        plan does not check again."""
+    def execute_padded(self, padded: PaddedFrames,
+                       tracer=None) -> np.ndarray:
+        """``(n_frames, n_points)`` sums of a call's
+        :class:`~repro.kernels.ops.PaddedFrames` — the frames every tile
+        segment of a plan-backed runtime backend shares.  A CSR plan reads
+        them frame by frame, in place where a frame qualifies
+        (:meth:`_leaf_products`); the chunked plans gather block by block
+        from their interleaved copy (:meth:`_chunked`).  The caller has
+        refused non-finite samples (:func:`check_finite`;
+        :meth:`execute_batch`, the plan-backed backends and the scheme
+        engine do): a CSR plan does not check again."""
         tracer = resolve_tracer(tracer)
         self._check_padded(padded)
-        return self._chunked(padded, tracer) if self.matrix is None \
-            else self._leaf_products(padded, tracer)
+        return self._chunked(padded.interleaved(), tracer) \
+            if self.matrix is None else self._leaf_products(padded, tracer)
 
-    def _leaf_products(self, padded: np.ndarray, tracer) -> np.ndarray:
-        """``(n_frames, n_points)`` sums of a CSR plan, under one ``spmv``
-        span.
+    def _leaf_products(self, padded: PaddedFrames, tracer) -> np.ndarray:
+        """``(n_frames, n_points)`` sums of a CSR plan, one sparse
+        matrix-vector product per frame, under one ``spmv`` span.
 
         Row ``l * n_points + p`` of :attr:`matrix` sums leaf ``l`` of point
         ``p`` sequentially (SciPy's row loop, over the same ``w * x``
         products the chunked loop forms, less the zero-weight ones, which
-        change no bit of a sum of finite samples), so the product is every
-        leaf sum at once; adding the ``(n_points, n_frames)`` leaf slabs in NumPy's
-        pairwise order (:meth:`repro.kernels.ops.LeafLayout.combine`)
-        reproduces ``np.sum(w * x[flat], axis=-1)`` bit for bit.  No
-        gathered ``(n_frames, n_points, n_elements)`` values exist.
+        change no bit of a sum of finite samples), so the product with a
+        frame's padded vector is every leaf sum at once; adding the
+        ``(n_points,)`` leaf slabs in NumPy's pairwise order
+        (:meth:`repro.kernels.ops.LeafLayout.combine`) reproduces
+        ``np.sum(w * x[flat], axis=-1)`` bit for bit.  The vector is the
+        frame itself wherever it qualifies, so no padded copy and no
+        gathered ``(n_points, n_elements)`` values exist.
         """
-        n_frames = padded.shape[1]
+        out = np.empty((len(padded), self.n_points), dtype=self.dtype)
+        combine = self.stored_index.leaves.layout.combine
         with tracer.span("spmv") as span:
-            sums = self.matrix @ (padded[:, 0] if n_frames == 1 else padded)
-            summed = self.stored_index.leaves.layout.combine(
-                sums.reshape(-1, self.n_points, n_frames))
+            for frame in range(len(padded)):
+                # No name holds a vector past its product, so a copied
+                # frame is freed before the next is padded.
+                out[frame] = combine(
+                    (self.matrix @ padded[frame]).reshape(-1, self.n_points))
             span.set(bytes=int(self.nbytes))
-        # A copy, never a view: a volume must not pin the leaf sums.
-        return summed.T.copy()
+        return out
 
     def _chunked(self, padded: np.ndarray, tracer) -> np.ndarray:
         """``(n_frames, n_points)`` sums gathered in point blocks of

@@ -71,7 +71,7 @@ class ImagingPipeline:
         With ``dynamic_range_db`` set, the image is additionally
         log-compressed to that range.
         """
-        require_finite((channel_data,), 0)
+        require_finite((channel_data,), 0, self.engine.precision.dtype)
         rf = reconstruct_plane(self.beamformer, channel_data, i_phi=i_phi)
         env = envelope(rf, axis=1)
         if dynamic_range_db is None:
@@ -98,7 +98,7 @@ class ImagingPipeline:
                 f"times per volume; use compound_volume (or image_scheme)")
         backend = self.engine.backend_name
         if backend == "reference":
-            require_finite((channel_data,), 0)
+            require_finite((channel_data,), 0, self.engine.precision.dtype)
             driver = reconstruct_nappe_order if order == "nappe" \
                 else reconstruct_scanline_order
             return driver(self.beamformer, channel_data)

@@ -52,7 +52,7 @@ from ..kernels.compiled import (
     require_numba,
 )
 from ..kernels.ops import coerce_samples, pad_frames
-from ..kernels.plan import check_finite
+from ..kernels.plan import _leaf_ordered, check_finite
 from ..kernels.tiling import Tile, TilePlanner
 from ..observability.tracing import resolve_tracer
 from ..registry import Registry
@@ -190,6 +190,10 @@ class VectorizedBackend(ExecutionBackend):
         self._launch = {} if self.options is None \
             else {"options": self.options}
         key_variant = None if self.options is None else self.options.variant()
+        # CSR segments skip zero-weight terms, exact only for finite samples.
+        self._finite_only = _leaf_ordered(beamformer.interpolation,
+                                          beamformer.quantization,
+                                          self.variant)
         # Keyed once per tile, not per lookup: a key hashes the whole
         # system config, a per-tile cost on every frame otherwise.
         self._tile_keys = [plan_key(beamformer, self.precision,
@@ -236,10 +240,19 @@ class VectorizedBackend(ExecutionBackend):
         return (entry,) if one else entry
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
+        self._check_finite([channel_data])
         return self.compound([self], [[channel_data]], batched=False)[0]
 
     def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
+        self._check_finite(frames)
         return self.compound([self], [frames])
+
+    def _check_finite(self, frames: Sequence[ChannelData]) -> None:
+        """A backend used directly is its own boundary: CSR segments refuse
+        a non-finite sample (:func:`~repro.kernels.plan.check_finite`), one
+        scan per frame."""
+        if self._finite_only:
+            check_finite(frames, self.precision.dtype)
 
     def compound(self, backends: Sequence["ExecutionBackend"],
                  firings: Sequence[Sequence[ChannelData]], *,
@@ -249,7 +262,9 @@ class VectorizedBackend(ExecutionBackend):
         its firing's rows in firing order — the float adds of summing
         per-firing volumes, bit for bit.  A standalone backend's
         :meth:`beamform_volume` / :meth:`beamform_batch` are the
-        one-firing case."""
+        one-firing case.  The caller has refused non-finite frames (the
+        scheme engine, or :meth:`beamform_batch`): nothing here scans
+        them again."""
         span = {"frames": len(firings[0])} if batched else {}
         with self.tracer.span("execute", tiles=self.planner.n_tiles, **span):
             return self._run_tiles(backends, firings)
@@ -266,14 +281,16 @@ class VectorizedBackend(ExecutionBackend):
         defeats LRU).  Each tile writes its own rows and adds firings in
         firing order, so the run order leaves every volume bit for bit.
 
-        A firing's frames are padded once per call into one buffer every
-        tile gathers from (:func:`~repro.kernels.ops.pad_frames`), and each
-        segment executes the whole batch, amortised across frames.  The
-        buffer is built once its firing's first segment is in hand, so a
-        cold compile never holds it beside its own scratch, and dropped
-        after the last tile run, so an untiled engine holds one padded
-        firing at a time.  CSR segments refuse a non-finite sample
-        (:func:`~repro.kernels.plan.check_finite`), checked per buffer.
+        Each segment executes a firing's whole batch, read through one
+        :class:`~repro.kernels.ops.PaddedFrames` per firing and call
+        (:func:`~repro.kernels.ops.pad_frames`), made once its firing's
+        first segment is in hand.  A CSR segment reads every frame that
+        lies in its padded vector in place, so a simulated frame is never
+        copied; any other frame, and a chunked segment's interleaved
+        buffer, is copied when first read.  With several tiles the copies
+        are held for the other tiles, so each is made once per call; with
+        one tile a CSR segment holds one copied frame at a time.  The
+        frames are dropped after the last tile run.
         """
         grid_shape = self.beamformer.grid.shape
         dtype = self.precision.dtype
@@ -304,9 +321,8 @@ class VectorizedBackend(ExecutionBackend):
                             firings[firing], dtype,
                             self.beamformer.quantization,
                             (planner.n_elements,
-                             self.beamformer.system.echo_buffer_samples))
-                        if segment.matrix is not None:
-                            check_finite(padded[firing])
+                             self.beamformer.system.echo_buffer_samples),
+                            hold=len(tiles) > 1)
                     rows = segment.execute_padded(
                         padded[firing], tracer=self.tracer, **self._launch)
                     if firing:

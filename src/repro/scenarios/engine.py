@@ -44,6 +44,7 @@ from ..acoustics.phantom import Phantom
 from ..beamformer.das import DelayAndSumBeamformer
 from ..config import SystemConfig
 from ..kernels import Precision, QuantizationSpec
+from ..kernels.ops import all_finite
 from ..kernels.tiling import parse_memory_budget
 from ..observability.tracing import resolve_tracer
 from ..runtime.backends import BACKENDS
@@ -72,18 +73,22 @@ def acquire_firings(simulator: EchoSimulator, scheme: TransmitScheme,
                for index in range(len(scheme.events))])
 
 
-def require_finite(firings: Sequence[ChannelData], frame: Any) -> None:
+def require_finite(firings: Sequence[ChannelData], frame: Any,
+                   dtype: np.dtype | type) -> None:
     """Refuse a frame holding a NaN or infinite echo sample.
 
     The float nearest plan skips the terms a zero weight switches off.
     That leaves every sum's bits unchanged only for finite samples: a
-    skipped ``0 * inf`` would have been NaN.  So a frame is checked once
-    where the service or the pipeline hands it to a backend, and every
-    backend refuses it alike, with a :class:`ValueError` naming ``frame``.
+    skipped ``0 * inf`` would have been NaN.  So a frame is checked once,
+    in place and in the execution ``dtype``
+    (:func:`repro.kernels.ops.all_finite`: a float64 sample beyond
+    float32's range is refused by a float32 engine), where the service or
+    the pipeline hands it to a backend; no backend scans it again, and
+    every backend refuses it alike, with a :class:`ValueError` naming
+    ``frame``.
     """
     for index, firing in enumerate(firings):
-        samples = np.asarray(getattr(firing, "samples", firing))
-        if not np.isfinite(samples).all():
+        if not all_finite(firing, dtype):
             raise ValueError(
                 f"frame {frame} holds non-finite echo samples (NaN or "
                 f"inf) in firing {index}; beamforming needs finite samples")
@@ -214,7 +219,7 @@ class SchemeEngine:
                 f"scheme {self.scheme.name!r} expects "
                 f"{self.firing_count} firing(s) per frame, got "
                 f"{len(firings)}")
-        require_finite(firings, frame)
+        require_finite(firings, frame, self.precision.dtype)
 
     def _compound_span(self, **attributes: Any) -> Any:
         """The ``compound`` span; a trivial scheme has nothing to compound."""

@@ -17,6 +17,7 @@ from repro.acoustics.pulse import GaussianPulse
 from repro.api import ScanSpec
 from repro.config import get_preset, tiny_system
 from repro.core.exact import ExactDelayEngine
+from repro.kernels.ops import frame_vector
 from repro.scenarios import SCHEMES, TransmitEvent
 
 
@@ -93,8 +94,19 @@ def _assert_matches_loop(simulator: EchoSimulator, phantom: Phantom,
                                         seed=seed)
     expected = _loop_simulate_event(simulator, phantom, event, noise_std, seed)
     assert np.array_equal(data.samples, expected)
+    _assert_zero_sink(data.samples)
     if samples is not None:
         assert np.array_equal(samples, expected)
+
+
+def _assert_zero_sink(samples: np.ndarray) -> None:
+    """The traces sit at the start of their flat buffer, whose one extra
+    sample (the sink) is 0 once the acquisition is done: the zero-padded
+    buffer a float nearest plan reads in place."""
+    buffer = samples.base
+    assert buffer is not None and buffer.shape == (samples.size + 1,)
+    assert buffer[-1] == 0
+    assert frame_vector(samples, np.float64) is buffer
 
 
 def _firing_seeds(seed, n_firings: int) -> list:
@@ -117,6 +129,7 @@ def _assert_events_match(simulator: EchoSimulator, phantom: Phantom,
         noise_std=noise_std, seeds=seeds)
     assert len(firings) == len(events)
     for event, firing_seed, data in zip(events, seeds, firings):
+        _assert_zero_sink(data.samples)
         _assert_matches_loop(simulator, phantom, event, noise_std,
                              firing_seed, data.samples)
 
@@ -373,6 +386,26 @@ class TestSimulateEvents:
         firings = simulator.simulate_events(
             phantom, [TransmitEvent.focused(origin=simulator.origin)])
         assert firings[0].samples[:, -1].any()
+
+    def test_every_firing_ends_with_a_zero_sink(self, tiny):
+        """Writes past each trace's end land in the sink during the
+        scatter; once the acquisition is done it is 0 in every firing,
+        noise or not."""
+        simulator = EchoSimulator.from_config(tiny)
+        c = tiny.acoustic.speed_of_sound
+        fs = tiny.acoustic.sampling_frequency
+        # Half the pulse lands past the last sample at every element.
+        depth = tiny.echo_buffer_samples * c / fs / 2.0
+        phantom = Phantom(positions=np.array([[0.0, 0.0, depth]]),
+                          amplitudes=np.array([1.0]))
+        events = [TransmitEvent.focused(origin=simulator.origin)] \
+            + list(_scheme_events(tiny)["planewave"])
+        for noise_std, seed in NOISES:
+            firings = simulator.simulate_events(
+                phantom, events, noise_std=noise_std,
+                seeds=_firing_seeds(seed, len(events)))
+            for data in firings:
+                _assert_zero_sink(data.samples)
 
     def test_empty_phantom(self, tiny):
         simulator = EchoSimulator.from_config(tiny)

@@ -182,10 +182,10 @@ def test_an_evicted_segment_is_freed_before_the_next_is_built(
 
 def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
                                                      monkeypatch):
-    """A budgeted single frame is padded (and finite-checked) once, not
-    once per tile: every segment reads the one padded buffer, built after
-    the first segment's compile so no compile holds it before it is
-    needed."""
+    """A budgeted single frame is handed to its segments once, not once
+    per tile: every segment reads the one ``PaddedFrames`` of the call,
+    made after the first segment's compile so no compile holds a padded
+    copy before it is needed."""
     from repro.kernels import plan as plan_module
 
     beamformer, frame, oracle = tiled_substrate
