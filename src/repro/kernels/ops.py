@@ -738,24 +738,27 @@ def check_samples(compiled: int, n_samples: int) -> None:
             f"got a frame of {int(n_samples)} samples")
 
 
+# Samples per block of all_finite's scan: its cast and boolean temporaries
+# stay a few hundred KiB, in cache, whatever the frame size.
+_SCAN_BLOCK = 1 << 16
+
+
 def all_finite(samples: "np.ndarray | object", dtype: np.dtype | type
                ) -> bool:
     """Whether every sample of a frame (a ``ChannelData`` or an array) is
     finite in the execution ``dtype``.
 
-    One scan, in place: the frame's minimum and maximum, each cast to
-    ``dtype``.  A NaN makes both NaN, and rounding is monotonic, so every
-    sample casts between the two casts: both are finite exactly when every
-    cast sample is.  So a float64 sample beyond float32's range, which a
-    float32 plan coerces to inf, is caught without a coerced copy.
+    One pass over the frame, in blocks of about 65 536 samples
+    (whole rows, views of the frame): each block is cast to ``dtype`` and
+    tested with ``np.isfinite``, so a float64 sample beyond float32's
+    range, which a float32 plan coerces to inf, is caught, and no
+    temporary grows with the frame.
     """
-    samples = np.asarray(getattr(samples, "samples", samples))
-    if samples.size == 0:
-        return True
-    dtype = np.dtype(dtype).type
+    samples = np.atleast_2d(np.asarray(getattr(samples, "samples", samples)))
+    step = max(1, _SCAN_BLOCK // max(1, samples[0].size))
     with np.errstate(over="ignore"):
-        return bool(np.isfinite(dtype(samples.min()))
-                    and np.isfinite(dtype(samples.max())))
+        return all(np.isfinite(samples[start:start + step].astype(
+            dtype, copy=False)).all() for start in range(0, len(samples), step))
 
 
 def frame_vector(samples: np.ndarray, dtype: np.dtype | type
@@ -783,84 +786,60 @@ class PaddedFrames:
     """One call's frames as the zero-padded buffers a plan reads
     (:func:`pad_frames`).
 
-    A float nearest (CSR) plan reads frame by frame: ``padded[i]`` is frame
-    ``i``'s ``(E*S + 1,)`` vector.  A frame already lying in one
-    (:func:`frame_vector`, without ``quantization``) is read in place; any
-    other is coerced (:func:`coerce_samples`) and padded on its own when
-    its turn comes.  The chunked and compiled plans read
-    :meth:`interleaved` instead: one ``(E*S + 1, n_frames)`` buffer of
+    When every frame already lies in its ``(E*S + 1,)`` padded vector
+    (:func:`frame_vector`, without ``quantization``), :attr:`vectors` lists
+    those vectors and a float nearest (CSR) plan reads them in place, one
+    frame at a time.  Otherwise :attr:`vectors` is ``None`` and every plan
+    reads :meth:`interleaved`: one ``(E*S + 1, n_frames)`` buffer of
     coerced frames, frames innermost, so one flat offset fetches every
-    frame's sample from one cache line.  With ``hold`` every copy is kept
-    for the call's later reads (the other tiles of a tiled run); without
-    it a copy is dropped once read, so a reader that drops each vector
-    before it reads the next holds one frame-sized copy at a time.
+    frame's sample from one cache line.  It is built on the first read and
+    kept for the call's later reads (the other tiles of a tiled run), so
+    each frame is copied once per call.
     """
 
     def __init__(self, frames: "Sequence[object]", dtype: np.dtype | type,
                  quantization: "QuantizationSpec | None",
-                 shape: tuple[int, int], hold: bool) -> None:
+                 shape: tuple[int, int]) -> None:
         self.frames = frames
         self.dtype = np.dtype(dtype)
         self.quantization = quantization
         self.shape = tuple(shape)
-        self._held: dict | None = {} if hold else None
-        for frame in frames:
-            got = np.shape(getattr(frame, "samples", frame))
-            if got != self.shape:
-                if len(got) == 2:
-                    check_samples(self.shape[1], got[1])
+        self._interleaved: np.ndarray | None = None
+        samples = [np.asarray(getattr(frame, "samples", frame))
+                   for frame in frames]
+        for got in samples:
+            if got.shape != self.shape:
+                if got.ndim == 2:
+                    check_samples(self.shape[1], got.shape[1])
                 raise ValueError(f"a frame must be {self.shape} (n_elements, "
-                                 f"n_samples), got {got}")
+                                 f"n_samples), got {got.shape}")
+        vectors = [] if quantization is not None else \
+            [frame_vector(frame, self.dtype) for frame in samples]
+        self.vectors = vectors if vectors and \
+            all(vector is not None for vector in vectors) else None
 
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __getitem__(self, position: int) -> np.ndarray:
-        return self._read(position, self._vector)
-
     def interleaved(self) -> np.ndarray:
         """The ``(E*S + 1, n_frames)`` buffer: each frame coerced and
         written straight into its column, without stacking them first."""
-        return self._read("interleaved", self._interleave)
-
-    def _read(self, key, build) -> np.ndarray:
-        if self._held is None:
-            return build(key)
-        if key not in self._held:
-            self._held[key] = build(key)
-        return self._held[key]
-
-    def _vector(self, position: int) -> np.ndarray:
-        samples = np.asarray(getattr(self.frames[position], "samples",
-                                     self.frames[position]))
-        if self.quantization is None:
-            vector = frame_vector(samples, self.dtype)
-            if vector is not None:
-                return vector
-        else:
-            samples = coerce_samples(samples, self.dtype, self.quantization)
-        vector = np.empty(samples.size + 1, dtype=self.dtype)
-        # Cast on assignment: no coerced temporary beside the copy.
-        vector[:-1].reshape(self.shape)[...] = samples
-        vector[-1] = 0
-        return vector
-
-    def _interleave(self, _key) -> np.ndarray:
-        n = self.shape[0] * self.shape[1]
-        padded = np.empty((n + 1, len(self.frames)), dtype=self.dtype)
-        padded[n] = 0
-        for column, frame in enumerate(self.frames):
-            padded[:n, column] = coerce_samples(
-                frame, self.dtype, self.quantization).reshape(n)
-        return padded
+        if self._interleaved is None:
+            n = self.shape[0] * self.shape[1]
+            padded = np.empty((n + 1, len(self.frames)), dtype=self.dtype)
+            padded[n] = 0
+            for column, frame in enumerate(self.frames):
+                padded[:n, column] = coerce_samples(
+                    frame, self.dtype, self.quantization).reshape(n)
+            self._interleaved = padded
+        return self._interleaved
 
 
 def pad_frames(frames: "Sequence[object]", dtype: np.dtype | type,
                quantization: "QuantizationSpec | None",
-               shape: tuple[int, int], hold: bool = False) -> PaddedFrames:
+               shape: tuple[int, int]) -> PaddedFrames:
     """The :class:`PaddedFrames` of ``frames`` in ``dtype`` (coerced under
-    ``quantization``): nothing is copied until a plan reads them, and
-    ``hold`` keeps each copy for a caller that reads them more than once.
+    ``quantization``): nothing is copied until a plan reads them.
 
     Every frame must be ``shape``, ``(n_elements, n_samples)``; a frame of
     another buffer length is refused naming both lengths
@@ -868,7 +847,7 @@ def pad_frames(frames: "Sequence[object]", dtype: np.dtype | type,
     ``ChannelData``, arrays, or the frames of an ``(n_frames, n_elements,
     n_samples)`` array.
     """
-    return PaddedFrames(frames, dtype, quantization, shape, hold)
+    return PaddedFrames(frames, dtype, quantization, shape)
 
 
 def gather_padded(padded: np.ndarray, index: GatherIndex) -> np.ndarray:

@@ -13,8 +13,9 @@ of frames:
 A frame is a batch of one.  The float nearest-sample plan is a sparse
 matrix: it executes as one SciPy CSR product of its leaf-ordered tensors
 (:class:`repro.kernels.ops.LeafRows`, which keep only the entries with a
-non-zero weight) with each frame's padded vector — the frame itself, read
-in place, wherever it already lies in one — its leaf sums then added in
+non-zero weight) with the padded frames — each frame itself, read in
+place, when every frame of the batch already lies in its padded vector —
+its leaf sums then added in
 NumPy's summation order (:func:`repro.kernels.ops.combine_leaf_sums`) —
 bit for bit the chunked loop's ``np.sum`` for finite samples.  Linear and
 quantised plans run one chunked gather/weigh/total loop through the datapath helpers of
@@ -70,9 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..beamformer.das import DelayAndSumBeamformer
     from .quantized import QuantizationSpec
 
-__all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "compile_plan",
-           "compile_plans", "leaf_rows", "plan_key", "plan_storage_bytes",
-           "receive_weights"]
+__all__ = ["BATCH_BLOCK_ELEMENTS", "BeamformingPlan", "check_finite",
+           "compile_plan", "compile_plans", "leaf_ordered", "leaf_rows",
+           "plan_key", "plan_storage_bytes", "receive_weights"]
 
 
 BATCH_BLOCK_ELEMENTS = 1 << 17
@@ -89,12 +90,13 @@ _RUN_ENTRIES = 1 << 16
 2^15 to 2^17 measured alike on ``small`` (2-vCPU Xeon host)."""
 
 
-def _leaf_ordered(interpolation: "InterpolationKind | str",
+def leaf_ordered(interpolation: "InterpolationKind | str",
                  quantization: object | None = None,
                  variant: Hashable = None) -> bool:
     """Whether a plan family runs as the leaf-ordered CSR product: the
     NumPy plan (``variant=None``) of a float (unquantised) nearest-sample
-    engine."""
+    engine.  Such a plan skips its zero-weight terms, so its frames must
+    be finite (:func:`check_finite`)."""
     return variant is None and quantization is None and \
         getattr(interpolation, "value", interpolation) == "nearest"
 
@@ -109,7 +111,7 @@ def plan_storage_bytes(n_points: int, n_elements: int,
     Counts the weights and the compiled gather index: the int32 flat
     index, plus for ``linear`` the int32 upper neighbour and the fraction
     in the execution dtype, plus for the leaf-ordered CSR plan
-    (:func:`_leaf_ordered` of ``interpolation``, ``quantization`` and
+    (:func:`leaf_ordered` of ``interpolation``, ``quantization`` and
     ``variant``) one int32 row pointer per (point, leaf).  Exact for every
     plan but the CSR plan, which stores only its non-zero-weight entries
     (:class:`~repro.kernels.ops.LeafRows`): for it, this is the upper
@@ -124,7 +126,7 @@ def plan_storage_bytes(n_points: int, n_elements: int,
     if getattr(interpolation, "value", interpolation) == "linear":
         per_entry += 4 + itemsize                   # upper + fraction
     per_point = int(n_elements) * per_entry
-    if _leaf_ordered(interpolation, quantization, variant):
+    if leaf_ordered(interpolation, quantization, variant):
         per_point += 4 * LeafLayout.of(int(n_elements)).n_leaves
     return int(n_points) * per_point
 
@@ -655,10 +657,10 @@ class BeamformingPlan:
         """Beamform a cine batch at once; shape ``(n_frames, *grid_shape)``.
 
         The frames are handed to :meth:`execute_padded` as
-        :class:`~repro.kernels.ops.PaddedFrames`: a CSR plan reads each
-        frame in place where it lies in its padded vector, and pads any
-        other on its own, one frame at a time; the chunked plans copy the
-        coerced frames once into their interleaved buffer.  Frames must
+        :class:`~repro.kernels.ops.PaddedFrames`: a CSR plan reads a batch
+        whose frames all lie in their padded vectors in place, frame by
+        frame; any other batch, and every batch of a chunked plan, is
+        copied once into the interleaved buffer.  Frames must
         share the plan's buffer length.  A pre-stacked ``(n_frames,
         n_elements, n_samples)`` array is a sequence of frames too.  A CSR
         plan refuses a NaN or infinite sample (:func:`check_finite`, one
@@ -679,9 +681,9 @@ class BeamformingPlan:
         """``(n_frames, n_points)`` sums of a call's
         :class:`~repro.kernels.ops.PaddedFrames` — the frames every tile
         segment of a plan-backed runtime backend shares.  A CSR plan reads
-        them frame by frame, in place where a frame qualifies
-        (:meth:`_leaf_products`); the chunked plans gather block by block
-        from their interleaved copy (:meth:`_chunked`).  The caller has
+        them in place frame by frame when they all qualify, else from their
+        interleaved copy (:meth:`_leaf_products`); the chunked plans gather
+        block by block from their interleaved copy (:meth:`_chunked`).  The caller has
         refused non-finite samples (:func:`check_finite`;
         :meth:`execute_batch`, the plan-backed backends and the scheme
         engine do): a CSR plan does not check again."""
@@ -691,28 +693,38 @@ class BeamformingPlan:
             if self.matrix is None else self._leaf_products(padded, tracer)
 
     def _leaf_products(self, padded: PaddedFrames, tracer) -> np.ndarray:
-        """``(n_frames, n_points)`` sums of a CSR plan, one sparse
-        matrix-vector product per frame, under one ``spmv`` span.
+        """``(n_frames, n_points)`` sums of a CSR plan, under one ``spmv``
+        span.
 
         Row ``l * n_points + p`` of :attr:`matrix` sums leaf ``l`` of point
         ``p`` sequentially (SciPy's row loop, over the same ``w * x``
         products the chunked loop forms, less the zero-weight ones, which
-        change no bit of a sum of finite samples), so the product with a
-        frame's padded vector is every leaf sum at once; adding the
-        ``(n_points,)`` leaf slabs in NumPy's pairwise order
-        (:meth:`repro.kernels.ops.LeafLayout.combine`) reproduces
-        ``np.sum(w * x[flat], axis=-1)`` bit for bit.  The vector is the
-        frame itself wherever it qualifies, so no padded copy and no
-        gathered ``(n_points, n_elements)`` values exist.
+        change no bit of a sum of finite samples), so the product with
+        padded frames is every leaf sum at once; adding the leaf slabs in
+        NumPy's pairwise order (:meth:`repro.kernels.ops.LeafLayout.combine`)
+        reproduces ``np.sum(w * x[flat], axis=-1)`` bit for bit.  No
+        gathered ``(n_frames, n_points, n_elements)`` values exist.
+
+        A batch whose frames all lie in their padded vectors
+        (:attr:`~repro.kernels.ops.PaddedFrames.vectors`) is read in place,
+        one matrix-vector product per frame, so no frame is copied.  Any
+        other batch is copied once into its interleaved buffer and
+        multiplied at once, which reads the matrix once for the batch.
         """
-        out = np.empty((len(padded), self.n_points), dtype=self.dtype)
         combine = self.stored_index.leaves.layout.combine
         with tracer.span("spmv") as span:
-            for frame in range(len(padded)):
-                # No name holds a vector past its product, so a copied
-                # frame is freed before the next is padded.
-                out[frame] = combine(
-                    (self.matrix @ padded[frame]).reshape(-1, self.n_points))
+            if padded.vectors is not None:
+                out = np.empty((len(padded), self.n_points), dtype=self.dtype)
+                for frame, vector in enumerate(padded.vectors):
+                    out[frame] = combine(
+                        (self.matrix @ vector).reshape(-1, self.n_points))
+            else:
+                batch = padded.interleaved()
+                sums = self.matrix @ (batch[:, 0] if len(padded) == 1
+                                      else batch)
+                # A copy, never a view: a volume must not pin the leaf sums.
+                out = combine(sums.reshape(-1, self.n_points,
+                                           len(padded))).T.copy()
             span.set(bytes=int(self.nbytes))
         return out
 
@@ -784,7 +796,7 @@ def compile_plans(beamformers: "Sequence[DelayAndSumBeamformer]",
                                            grid_shape)
     tensors = _group_tensors(
         beamformers, start, stop, precision.dtype, quantization,
-        _leaf_ordered(first.interpolation, quantization, variant))
+        leaf_ordered(first.interpolation, quantization, variant))
     return [assemble(beamformer, index, weights)
             for beamformer, (index, weights) in zip(beamformers, tensors)]
 

@@ -52,7 +52,7 @@ from ..kernels.compiled import (
     require_numba,
 )
 from ..kernels.ops import coerce_samples, pad_frames
-from ..kernels.plan import _leaf_ordered, check_finite
+from ..kernels.plan import leaf_ordered, check_finite
 from ..kernels.tiling import Tile, TilePlanner
 from ..observability.tracing import resolve_tracer
 from ..registry import Registry
@@ -191,9 +191,9 @@ class VectorizedBackend(ExecutionBackend):
             else {"options": self.options}
         key_variant = None if self.options is None else self.options.variant()
         # CSR segments skip zero-weight terms, exact only for finite samples.
-        self._finite_only = _leaf_ordered(beamformer.interpolation,
-                                          beamformer.quantization,
-                                          self.variant)
+        self._finite_only = leaf_ordered(beamformer.interpolation,
+                                         beamformer.quantization,
+                                         self.variant)
         # Keyed once per tile, not per lookup: a key hashes the whole
         # system config, a per-tile cost on every frame otherwise.
         self._tile_keys = [plan_key(beamformer, self.precision,
@@ -284,12 +284,11 @@ class VectorizedBackend(ExecutionBackend):
         Each segment executes a firing's whole batch, read through one
         :class:`~repro.kernels.ops.PaddedFrames` per firing and call
         (:func:`~repro.kernels.ops.pad_frames`), made once its firing's
-        first segment is in hand.  A CSR segment reads every frame that
-        lies in its padded vector in place, so a simulated frame is never
-        copied; any other frame, and a chunked segment's interleaved
-        buffer, is copied when first read.  With several tiles the copies
-        are held for the other tiles, so each is made once per call; with
-        one tile a CSR segment holds one copied frame at a time.  The
+        first segment is in hand.  A CSR segment reads a batch whose frames
+        all lie in their padded vectors in place, so simulated frames are
+        never copied; any other batch, and every chunked segment's batch,
+        is copied into one interleaved buffer when first read and kept for
+        the other tiles, so each frame is copied once per call.  The
         frames are dropped after the last tile run.
         """
         grid_shape = self.beamformer.grid.shape
@@ -321,8 +320,7 @@ class VectorizedBackend(ExecutionBackend):
                             firings[firing], dtype,
                             self.beamformer.quantization,
                             (planner.n_elements,
-                             self.beamformer.system.echo_buffer_samples),
-                            hold=len(tiles) > 1)
+                             self.beamformer.system.echo_buffer_samples))
                     rows = segment.execute_padded(
                         padded[firing], tracer=self.tracer, **self._launch)
                     if firing:

@@ -36,7 +36,7 @@ from repro.kernels import (
     plan_storage_bytes,
 )
 from repro.kernels.ops import LeafLayout
-from repro.kernels.plan import _RUN_ENTRIES, _blocks, _leaf_ordered, _runs
+from repro.kernels.plan import _RUN_ENTRIES, _blocks, _runs, leaf_ordered
 from repro.runtime import backends
 from repro.runtime.cache import PlanCache
 from repro.scenarios import SchemeEngine, resolve_scheme
@@ -88,7 +88,7 @@ def _slab_calls(beamformer, tile, variant=None) -> int:
     n_points = beamformer.grid.point_count
     start, stop = (0, n_points) if tile is None else (tile.start, tile.stop)
     n_elements = beamformer.transducer.element_count
-    if not _leaf_ordered(beamformer.interpolation, beamformer.quantization,
+    if not leaf_ordered(beamformer.interpolation, beamformer.quantization,
                          variant):
         return len(list(_blocks(start, stop, n_elements)))
     layout = LeafLayout.of(n_elements)

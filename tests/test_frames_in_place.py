@@ -4,10 +4,11 @@ The echo simulator leaves every trace as a C-contiguous view at the start
 of a buffer one sample longer whose last sample is 0 — the zero-padded
 echo buffer a float nearest (CSR) plan reads.  So a CSR plan multiplies
 its matrix with the simulator's buffer itself, one frame at a time, and
-no frame-sized buffer is allocated (``tracemalloc``).  Any other frame is
-padded on its own, one frame at a time, bit for bit.  Each frame is
-scanned for non-finite samples once per call, wherever the call enters:
-the service, the pipeline, a stream, a backend or a plan used directly.
+no frame-sized buffer is allocated (``tracemalloc``).  A batch holding
+any other frame is copied once into the interleaved buffer and
+multiplied at once, bit for bit.  Each frame is scanned for non-finite
+samples once per call, wherever the call enters: the service, the
+pipeline, a stream, a backend or a plan used directly.
 """
 
 from __future__ import annotations
@@ -80,20 +81,24 @@ def test_other_frames_do_not_qualify(tiny):
                         np.float64) is buffer
 
 
-def test_padded_frames_read_in_place_or_copy_one_each(tiny):
+def test_padded_frames_read_in_place_or_interleave_once(tiny):
     samples = EchoSimulator.from_config(tiny).simulate(
         point_target(depth=0.004)).samples
-    frames = [samples, samples.copy()]
-    padded = pad_frames(frames, np.float64, None, samples.shape)
-    assert padded[0] is samples.base
-    assert padded[1] is not padded[1]
-    assert padded[1][-1] == 0
-    np.testing.assert_array_equal(padded[1][:-1], samples.ravel())
-    held = pad_frames(frames, np.float64, None, samples.shape, hold=True)
-    assert held[1] is held[1]
-    interleaved = held.interleaved()
+    in_place = pad_frames([samples, samples], np.float64, None,
+                          samples.shape)
+    assert [vector is samples.base for vector in in_place.vectors] == \
+        [True, True]
+    assert pad_frames([samples], np.float32, None,
+                      samples.shape).vectors is None
+    mixed = pad_frames([samples, samples.copy()], np.float64, None,
+                       samples.shape)
+    assert mixed.vectors is None
+    interleaved = mixed.interleaved()
+    assert interleaved is mixed.interleaved()
     assert interleaved.shape == (samples.size + 1, 2)
-    np.testing.assert_array_equal(interleaved[:, 1], padded[1])
+    assert (interleaved[-1] == 0).all()
+    np.testing.assert_array_equal(interleaved[:-1, 0], samples.ravel())
+    np.testing.assert_array_equal(interleaved[:-1, 1], samples.ravel())
     with pytest.raises(ValueError, match="compiled for"):
         pad_frames([samples[:, :-1]], np.float64, None, samples.shape)
 
@@ -148,9 +153,13 @@ def test_a_budgeted_batch_holds_no_frame_beside_the_compile(monkeypatch):
         assert peak - phases[2][1] < frame_bytes
 
 
-def test_user_built_frames_copy_one_frame_at_a_time(small_session):
-    """Frames without a zero sink behind them are padded one at a time,
-    and beamform bit for bit as the simulator's own buffers do."""
+def test_user_built_frames_are_copied_once_bit_for_bit(small_session):
+    """Frames without a zero sink behind them are copied once per call:
+    a single frame into one padded vector, a batch into one interleaved
+    buffer, which the plan multiplies at once (it reads the matrix once
+    for the batch, where a product per frame would read it per frame).
+    Either way they beamform bit for bit as the simulator's own buffers
+    do."""
     service = small_session.service()
     frames = _acquire(small_session, BATCH)
     user = [_user_built(frame) for frame in frames]
@@ -162,9 +171,13 @@ def test_user_built_frames_copy_one_frame_at_a_time(small_session):
     for a, b in zip(in_place, copied):
         assert a.rf.tobytes() == b.rf.tobytes()
     frame_bytes = frames[0].samples.nbytes
-    assert 0.5 * frame_bytes < copied_peak - in_place_peak < 1.5 * frame_bytes
-    single = service.submit_frame(user[2]).rf
-    assert single.tobytes() == in_place[2].rf.tobytes()
+    # One copy of the batch (beside it, the batch's leaf sums), not two.
+    assert BATCH - 0.5 < (copied_peak - in_place_peak) / frame_bytes \
+        < 2 * BATCH
+    _, read_peak = _traced(lambda: service.submit_frame(frames[2]))
+    single, single_peak = _traced(lambda: service.submit_frame(user[2]))
+    assert single.rf.tobytes() == in_place[2].rf.tobytes()
+    assert 0.5 < (single_peak - read_peak) / frame_bytes < 1.5
 
 
 def test_at_the_paper_element_count(paper):

@@ -182,11 +182,14 @@ def test_an_evicted_segment_is_freed_before_the_next_is_built(
 
 def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
                                                      monkeypatch):
-    """A budgeted single frame is handed to its segments once, not once
+    """A budgeted call hands its frames to the segments once, not once
     per tile: every segment reads the one ``PaddedFrames`` of the call,
     made after the first segment's compile so no compile holds a padded
-    copy before it is needed."""
-    from repro.kernels import plan as plan_module
+    copy before it is needed.  A simulated frame is read in place; a frame
+    in a buffer of its own is copied once per call, whatever the number
+    of tiles."""
+    from repro.acoustics.echo import ChannelData
+    from repro.kernels import ops, plan as plan_module
 
     beamformer, frame, oracle = tiled_substrate
     per_scanline = plan_storage_bytes(
@@ -194,7 +197,7 @@ def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
         beamformer.interpolation)
     planner = TilePlanner.for_beamformer(beamformer, per_scanline * 16)
     assert planner.n_tiles > 1
-    events = []
+    events, copies = [], []
 
     def recording(event, function):
         def wrapper(*args, **kwargs):
@@ -202,14 +205,28 @@ def test_a_single_frame_is_padded_once_for_every_tile(tiled_substrate,
             return function(*args, **kwargs)
         return wrapper
 
+    def copying(samples, *args, coerce=ops.coerce_samples):
+        copies.append(id(samples))
+        return coerce(samples, *args)
+
     for module in (backends, plan_module):
         monkeypatch.setattr(module, "pad_frames",
                             recording("pad", module.pad_frames))
     monkeypatch.setattr(backends, "compile_plans",
                         recording("compile", compile_plans))
-    volume = VectorizedBackend(beamformer, planner).beamform_volume(frame)
+    monkeypatch.setattr(ops, "coerce_samples", copying)
+    backend = VectorizedBackend(beamformer, planner)
+    volume = backend.beamform_volume(frame)
     assert events == ["compile", "pad"] + ["compile"] * (planner.n_tiles - 1)
     assert volume.tobytes() == oracle.tobytes()
+    assert copies == []
+    user = ChannelData(np.array(frame.samples), frame.sampling_frequency)
+    assert backend.beamform_volume(user).tobytes() == oracle.tobytes()
+    assert copies == [id(user)]
+    copies.clear()
+    batch = backend.beamform_batch([user, frame])
+    assert batch.tobytes() == np.stack([oracle, oracle]).tobytes()
+    assert copies == [id(user), id(frame)]
 
 
 @given(budget_units=st.integers(1, 64))
