@@ -23,8 +23,8 @@ from ..pipeline.imaging import ImagingPipeline
 from ..runtime.cache import PlanCache
 from ..runtime.scheduler import FrameResult
 from ..runtime.service import BeamformingService
-from ..scenarios import SchemeEngine, TransmitScheme, acquire_firings, \
-    resolve_scheme
+from ..scenarios import SCHEMES, SchemeEngine, TransmitScheme, \
+    acquire_firings, resolve_scheme
 from .specs import EngineSpec, ScanSpec, SweepSpec
 
 __all__ = ["Session"]
@@ -124,11 +124,7 @@ class Session:
                 ("architecture", architecture, architecture_options),
                 ("backend", backend, backend_options),
                 ("scheme", scheme, scheme_options)):
-            if value is not None and value != getattr(self.spec, name):
-                changes[name] = value
-                changes[f"{name}_options"] = options
-            elif options is not None:
-                changes[f"{name}_options"] = options
+            changes.update(self._override(name, value, options))
         if precision is not None:
             changes["precision"] = precision
         if quantization is not _INHERIT:
@@ -137,12 +133,23 @@ class Session:
             changes["memory_budget_bytes"] = memory_budget_bytes
         return self.spec.with_updates(**changes) if changes else self.spec
 
-    def _scheme(self, spec: EngineSpec) -> TransmitScheme:
-        """``spec``'s transmit scheme; the session's own when unchanged."""
-        if (spec.scheme, spec.scheme_options) == \
-                (self.spec.scheme, self.spec.scheme_options):
+    def _override(self, name: str, value: Any, options: Any
+                  ) -> dict[str, Any]:
+        """The spec changes of one ``name``/``name_options`` override: a
+        new ``value`` drops the spec's options for it unless ``options``
+        are given; ``options`` alone re-derive the spec's variant."""
+        if value is not None and value != getattr(self.spec, name):
+            return {name: value, f"{name}_options": options}
+        return {} if options is None else {f"{name}_options": options}
+
+    def _scheme(self, name: str, options: Any) -> TransmitScheme:
+        """The transmit scheme ``name`` with ``options``; the session's own
+        when unchanged."""
+        if options is not None:
+            options = SCHEMES.get(name).make_options(options)
+        if (name, options) == (self.spec.scheme, self.spec.scheme_options):
             return self.scheme
-        return resolve_scheme(self.system, spec.scheme, spec.scheme_options)
+        return resolve_scheme(self.system, name, options)
 
     def _engine(self, cache: PlanCache | None, provider: Any,
                 overrides: dict[str, Any]) -> SchemeEngine:
@@ -151,7 +158,8 @@ class Session:
         return spec.build_engine(
             cache=cache if cache is not None else self.cache,
             simulator=self.simulator, grid=self.grid, tracer=self.tracer,
-            provider=provider, scheme=self._scheme(spec))
+            provider=provider,
+            scheme=self._scheme(spec.scheme, spec.scheme_options))
 
     def pipeline(self, cache: PlanCache | None = None, provider: Any = None,
                  **overrides: Any) -> ImagingPipeline:
@@ -238,10 +246,15 @@ class Session:
 
         Returns one :class:`ChannelData` per scheme event, acquired with
         the shared simulator, ready for
-        :meth:`repro.pipeline.ImagingPipeline.compound_volume`.
+        :meth:`repro.pipeline.ImagingPipeline.compound_volume`.  The scheme
+        override resolves as in :meth:`pipeline`, but no engine spec is
+        built: a memory budget too small to beamform the scheme's firings
+        does not refuse to simulate them.
         """
-        resolved = self._scheme(self._variant(scheme=scheme,
-                                              scheme_options=scheme_options))
+        changes = self._override("scheme", scheme, scheme_options)
+        resolved = self._scheme(
+            changes.get("scheme", self.spec.scheme),
+            changes.get("scheme_options", self.spec.scheme_options))
         with self.tracer.span("simulate", firings=resolved.firing_count):
             return acquire_firings(self.simulator, resolved, phantom,
                                    noise_std=noise_std, seed=seed)

@@ -50,7 +50,6 @@ from .compiled import (
     BackendUnavailable,
     CompiledOptions,
     CompiledPlan,
-    compile_compiled_plan,
     numba_available,
 )
 from .ops import (
@@ -89,7 +88,6 @@ __all__ = [
     "accumulate",
     "apply_weights",
     "build_gather_index",
-    "compile_compiled_plan",
     "compile_plan",
     "compile_plans",
     "delay_and_sum",

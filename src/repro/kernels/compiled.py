@@ -11,14 +11,17 @@ contiguous voxel blocks.
 
 Layering
 --------
-The kernel bodies (:func:`_fused_nearest_frame` and friends) are plain
-module-level Python functions over the frame buffer padded by
-:func:`repro.kernels.ops.pad_samples` and the same flat int32
-:class:`repro.kernels.ops.GatherIndex` the chunked NumPy plans use, in
-natural ``(n_points, n_elements)`` order: each fetch is
-``padded[flat[p, e]]`` (``padded[flat[p, e], f]`` for a stack), with no
-validity branch.  They
-are jitted lazily, per ``fastmath`` flag, on first use — so importing this
+The kernel bodies (:func:`_fused_nearest_batch` and
+:func:`_fused_linear_batch`) are plain module-level Python functions over
+a call's frames interleaved into one padded buffer
+(:meth:`repro.kernels.ops.PaddedFrames.interleaved`) and the same flat
+int32 :class:`repro.kernels.ops.GatherIndex` the chunked NumPy plans use,
+in natural ``(n_points, n_elements)`` order: each fetch is
+``padded[flat[p, e], f]``, with no validity branch.  One frame is a batch
+of one: the inherited :meth:`BeamformingPlan.execute` and
+:meth:`BeamformingPlan.execute_batch` reach
+:meth:`CompiledPlan.execute_padded`, the one kernel launch.  The bodies are
+jitted lazily, per ``fastmath`` flag, on first use — so importing this
 module never imports ``numba`` and the rest of the library works untouched
 on a numba-free interpreter.  Building the ``compiled`` backend without
 numba raises :class:`BackendUnavailable` (a :class:`ValueError`, so the CLI
@@ -54,25 +57,23 @@ from __future__ import annotations
 
 import importlib.util
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..observability.tracing import resolve_tracer
 from ..registry import RegistryError
-from .ops import PaddedFrames, pad_frames, pad_samples
-from .plan import BeamformingPlan, compile_plan, plan_key
+from .ops import PaddedFrames
+from .plan import BeamformingPlan, plan_key
 from .precision import Precision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..acoustics.echo import ChannelData
     from ..beamformer.das import DelayAndSumBeamformer
 
 __all__ = [
     "BackendUnavailable",
     "CompiledOptions",
     "CompiledPlan",
-    "compile_compiled_plan",
     "numba_available",
 ]
 
@@ -173,89 +174,17 @@ class CompiledOptions:
 # case: 8 interleaved partial sums r[0..7], combined ((r0+r1)+(r2+r3)) +
 # ((r4+r5)+(r6+r7)), sequential tail) instead of calling a shared helper —
 # a helper would be a closure over the jit flags and break on-disk caching.
-# The per-frame and batched bodies are textually identical per point, which
-# is what makes per-frame and batched execution bit-identical.
+# Each frame of a batch runs the same scalar operations per point, in the
+# same order, whatever the batch around it: a volume's bits do not depend
+# on the batch it was beamformed in.
 # --------------------------------------------------------------------------
 
 prange = range
 
 
-def _fused_nearest_frame(padded, flat, weights, out, block_size):
-    """One frame, nearest addressing: ``out[p] = sum_e w*padded[flat]``."""
-    n_points, n_elements = flat.shape
-    zero = np.zeros(1, padded.dtype)[0]
-    n_blocks = (n_points + block_size - 1) // block_size
-    for b in prange(n_blocks):
-        lo = b * block_size
-        hi = min(lo + block_size, n_points)
-        r = np.empty(8, padded.dtype)
-        for p in range(lo, hi):
-            if n_elements < 8:
-                acc = zero
-                for e in range(n_elements):
-                    acc = acc + weights[p, e] * padded[flat[p, e]]
-            else:
-                for k in range(8):
-                    r[k] = weights[p, k] * padded[flat[p, k]]
-                e = 8
-                tail = n_elements - (n_elements % 8)
-                while e < tail:
-                    for k in range(8):
-                        r[k] = r[k] + weights[p, e + k] * padded[flat[p, e + k]]
-                    e += 8
-                acc = ((r[0] + r[1]) + (r[2] + r[3])) \
-                    + ((r[4] + r[5]) + (r[6] + r[7]))
-                while e < n_elements:
-                    acc = acc + weights[p, e] * padded[flat[p, e]]
-                    e += 1
-            out[p] = acc
-
-
-def _fused_linear_frame(padded, flat, upper, fraction, weights, out,
-                        block_size):
-    """One frame, linear interpolation: ``v = (1-f)*below + f*above``."""
-    n_points, n_elements = flat.shape
-    zero = np.zeros(1, padded.dtype)[0]
-    one = np.ones(1, padded.dtype)[0]
-    n_blocks = (n_points + block_size - 1) // block_size
-    for b in prange(n_blocks):
-        lo = b * block_size
-        hi = min(lo + block_size, n_points)
-        r = np.empty(8, padded.dtype)
-        for p in range(lo, hi):
-            if n_elements < 8:
-                acc = zero
-                for e in range(n_elements):
-                    f = fraction[p, e]
-                    acc = acc + weights[p, e] * ((one - f) * padded[flat[p, e]]
-                                                 + f * padded[upper[p, e]])
-            else:
-                for k in range(8):
-                    f = fraction[p, k]
-                    r[k] = weights[p, k] * ((one - f) * padded[flat[p, k]]
-                                            + f * padded[upper[p, k]])
-                e = 8
-                tail = n_elements - (n_elements % 8)
-                while e < tail:
-                    for k in range(8):
-                        f = fraction[p, e + k]
-                        r[k] = r[k] + weights[p, e + k] * (
-                            (one - f) * padded[flat[p, e + k]]
-                            + f * padded[upper[p, e + k]])
-                    e += 8
-                acc = ((r[0] + r[1]) + (r[2] + r[3])) \
-                    + ((r[4] + r[5]) + (r[6] + r[7]))
-                while e < n_elements:
-                    f = fraction[p, e]
-                    acc = acc + weights[p, e] * ((one - f) * padded[flat[p, e]]
-                                                 + f * padded[upper[p, e]])
-                    e += 1
-            out[p] = acc
-
-
 def _fused_nearest_batch(padded, flat, weights, out, block_size):
-    """Stacked cine, nearest addressing; per point identical to the frame
-    kernel (same scalar ops, same order), so batched == per-frame bitwise."""
+    """Stacked cine, nearest addressing:
+    ``out[f, p] = sum_e w * padded[flat, f]``."""
     n_points, n_elements = flat.shape
     n_frames = padded.shape[1]
     zero = np.zeros(1, padded.dtype)[0]
@@ -290,8 +219,8 @@ def _fused_nearest_batch(padded, flat, weights, out, block_size):
 
 def _fused_linear_batch(padded, flat, upper, fraction, weights, out,
                         block_size):
-    """Stacked cine, linear interpolation; per point identical to the frame
-    kernel."""
+    """Stacked cine, linear interpolation:
+    ``v = (1-f)*below + f*above``."""
     n_points, n_elements = flat.shape
     n_frames = padded.shape[1]
     zero = np.zeros(1, padded.dtype)[0]
@@ -337,8 +266,6 @@ def _fused_linear_batch(padded, flat, upper, fraction, weights, out,
 
 
 _KERNEL_BODIES: dict[str, Callable] = {
-    "nearest_frame": _fused_nearest_frame,
-    "linear_frame": _fused_linear_frame,
     "nearest_batch": _fused_nearest_batch,
     "linear_batch": _fused_linear_batch,
 }
@@ -396,128 +323,72 @@ class CompiledPlan(BeamformingPlan):
         """The jitted kernel set this plan executes with (memoised)."""
         return _jit_kernels(self.options.fastmath)
 
-    def _launch(self, shape: str, padded: np.ndarray, out: np.ndarray,
+    def _launch(self, padded: np.ndarray, out: np.ndarray,
                 options: CompiledOptions) -> None:
-        """Run the ``shape`` (``frame``/``batch``) kernel over every point."""
+        """Run the batch kernel over every point of every frame."""
         kernels = self.kernels()
         _set_threads(options.threads)
         block = int(options.block_size or DEFAULT_BLOCK_POINTS)
         index = self.stored_index
         if index.upper is None:
-            kernels[f"nearest_{shape}"](padded, index.flat,
-                                        self.stored_weights, out, block)
+            kernels["nearest_batch"](padded, index.flat, self.stored_weights,
+                                     out, block)
         else:
-            kernels[f"linear_{shape}"](padded, index.flat, index.upper,
-                                       index.fraction, self.stored_weights,
-                                       out, block)
+            kernels["linear_batch"](padded, index.flat, index.upper,
+                                    index.fraction, self.stored_weights,
+                                    out, block)
 
     # ------------------------------------------------------------ execution
-    def execute(self, channel_data: "ChannelData | np.ndarray",
-                tracer=None, options: CompiledOptions | None = None
-                ) -> np.ndarray:
-        """One frame -> one volume through the fused kernel.
-
-        The whole gather/weight/accumulate runs inside a single ``fused``
-        span (there are no separate stages to time — that is the point).
-        """
-        tracer = resolve_tracer(tracer)
-        options = self.options if options is None else options
-        samples = self.coerce_samples(channel_data)
-        padded = pad_samples(samples, self.gather_index(samples.shape[-1]))
-        out = np.empty(self.n_points, dtype=self.dtype)
-        with tracer.span("fused") as span:
-            self._launch("frame", padded, out, options)
-            span.set(bytes=int(padded.nbytes), points=self.n_points)
-        return out.reshape(self.grid_shape)
-
-    def execute_batch(self, frames: "Sequence[ChannelData | np.ndarray]",
-                      tracer=None, options: CompiledOptions | None = None
-                      ) -> np.ndarray:
-        """A stacked cine in one kernel launch; ``(n_frames, *grid_shape)``.
+    def execute_padded(self, padded: PaddedFrames, tracer=None,
+                       options: CompiledOptions | None = None
+                       ) -> np.ndarray:
+        """``(n_frames, n_points)`` sums of a call's
+        :class:`~repro.kernels.ops.PaddedFrames` in one kernel launch over
+        their interleaved copy, under one ``fused`` span (there are no
+        separate gather/weight/accumulate stages to time — that is the
+        point).  The inherited :meth:`execute` and :meth:`execute_batch`
+        reach it with the plan's own ``options``; a plan-backed runtime
+        backend passes its own.
 
         No :data:`repro.kernels.plan.BATCH_BLOCK_ELEMENTS` chunking is
         needed here — the fused kernel never materialises gathered values,
         so its working set is the echo buffers plus the plan regardless of
         batch width.
         """
-        if len(frames) == 0:
-            return np.empty((0, *self.grid_shape), dtype=self.dtype)
-        padded = pad_frames(frames, self.dtype, None,
-                            (self.n_elements, self.n_samples))
-        return self.execute_padded(padded, tracer, options).reshape(
-            (len(frames), *self.grid_shape))
-
-    def execute_padded(self, padded: PaddedFrames, tracer=None,
-                       options: CompiledOptions | None = None
-                       ) -> np.ndarray:
-        """``(n_frames, n_points)`` sums of a call's
-        :class:`~repro.kernels.ops.PaddedFrames` in one batch-kernel launch
-        over their interleaved copy (the frames a plan-backed runtime
-        backend shares across its tile segments)."""
         tracer = resolve_tracer(tracer)
         options = self.options if options is None else options
         self._check_padded(padded)
         padded = padded.interleaved()
         out = np.empty((padded.shape[1], self.n_points), dtype=self.dtype)
         with tracer.span("fused") as span:
-            self._launch("batch", padded, out, options)
+            self._launch(padded, out, options)
             span.set(bytes=int(padded.nbytes), points=self.n_points,
                      frames=padded.shape[1])
         return out
 
     # -------------------------------------------------------------- warmup
     def warmup(self) -> None:
-        """Force-JIT every kernel signature this plan will launch.
+        """Force-JIT the kernel signature this plan will launch.
 
-        Called from :func:`compile_compiled_plan`, i.e. inside the backend's
+        Called as the plan is assembled, i.e. inside the backend's
         ``compile`` tracer span — JIT time is real compile time and shows up
         in traces (and in the plan-cache amortisation counters) as such.
         """
         kernels = self.kernels()
         dtype = self.dtype
-        frame = np.zeros(2, dtype=dtype)
         batch = np.zeros((2, 1), dtype=dtype)
         # Read-only like the shared receive-weight tensor, which numba
         # types as a distinct signature.
         weights = np.ones((1, 1), dtype=dtype)
         weights.flags.writeable = False
         flat = np.zeros((1, 1), dtype=np.int32)
-        out = np.empty(1, dtype=dtype)
-        out_batch = np.empty((1, 1), dtype=dtype)
+        out = np.empty((1, 1), dtype=dtype)
         if self.interpolation.value == "nearest":
-            kernels["nearest_frame"](frame, flat, weights, out, 1)
-            kernels["nearest_batch"](batch, flat, weights, out_batch, 1)
+            kernels["nearest_batch"](batch, flat, weights, out, 1)
         else:
             fraction = np.zeros((1, 1), dtype=dtype)
-            kernels["linear_frame"](frame, flat, flat, fraction, weights,
-                                    out, 1)
             kernels["linear_batch"](batch, flat, flat, fraction, weights,
-                                    out_batch, 1)
-
-
-def compile_compiled_plan(beamformer: "DelayAndSumBeamformer",
-                          precision: Precision | str | None = None,
-                          options: CompiledOptions | None = None, *,
-                          tile: "object | None" = None
-                          ) -> CompiledPlan:
-    """Compile a :class:`CompiledPlan` (tensors + jitted kernels) for an
-    engine: ``compile_plan(..., variant="compiled")``.
-
-    The weights and gather index are built by the NumPy plan's tensor
-    builder, in natural ``(n_points, n_elements)`` order (the kernels index
-    ``[p, e]``) — the fused kernels consume the very same artifacts as the
-    chunked NumPy plans (the weights being the shared, read-only
-    :func:`repro.kernels.plan.receive_weights` tensor), which is what keeps
-    the backend a drop-in peer.
-    The plan key carries :meth:`CompiledOptions.variant`, so a cache shared
-    with NumPy backends can never serve a :class:`CompiledPlan` where a
-    NumPy plan is expected (or vice versa), and fastmath plans never
-    masquerade as strict ones.  ``tile`` compiles the fused segment for one
-    :class:`repro.kernels.tiling.Tile` over the same streamed tensors the
-    NumPy segment would use (the key carries both variant and tile).
-    """
-    return compile_plan(beamformer, precision, variant="compiled",
-                        options=options, tile=tile)
+                                    out, 1)
 
 
 def compiled_plan_assembler(beamformer: "DelayAndSumBeamformer",

@@ -41,6 +41,7 @@ sessions internally.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Iterator
@@ -141,8 +142,13 @@ class Tracer:
     read back as ``session.tracer``.)
 
     Spans opened while another span of the *same thread* is active nest
-    under it; spans opened with no active span become roots.
+    under it; spans opened with no active span become roots.  The most
+    recent :attr:`MAX_ROOTS` roots are kept, so a traced server or stream
+    holds a bounded tree however long it runs.
     """
+
+    MAX_ROOTS = 4_096
+    """Root spans kept; opening one more drops the oldest."""
 
     enabled = True
     """Class-level flag; lets hot paths skip attribute computation with
@@ -152,7 +158,7 @@ class Tracer:
     def __init__(self) -> None:
         self._epoch = perf_counter()
         self._local = threading.local()
-        self._roots: list[Span] = []
+        self._roots: deque[Span] = deque(maxlen=self.MAX_ROOTS)
         self._lock = threading.Lock()
 
     # ----------------------------------------------------------- internals
@@ -189,7 +195,8 @@ class Tracer:
 
     @property
     def roots(self) -> tuple[Span, ...]:
-        """Top-level spans recorded so far (across all threads)."""
+        """Top-level spans recorded so far (across all threads), oldest
+        first: the most recent :attr:`MAX_ROOTS`."""
         with self._lock:
             return tuple(self._roots)
 
@@ -215,7 +222,7 @@ class Tracer:
     def reset(self) -> None:
         """Drop every recorded span (the epoch is kept)."""
         with self._lock:
-            self._roots = []
+            self._roots = deque(maxlen=self.MAX_ROOTS)
         self._local = threading.local()
 
 

@@ -87,29 +87,23 @@ class ExecutionBackend:
         return self.beamformer.precision
 
     def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
-        """Beamformed RF volume, shape ``(n_theta, n_phi, n_depth)``."""
-        raise NotImplementedError
+        """Beamformed RF volume, shape ``(n_theta, n_phi, n_depth)``: the
+        one-frame :meth:`beamform_batch`."""
+        return self.beamform_batch([channel_data])[0]
 
     def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
         """Beamform a cine batch; shape ``(n_frames, n_theta, n_phi, n_depth)``.
 
-        The default stacks per-frame results; plan-based backends override
-        this with a genuinely batched gather.
+        The one execution entry every backend implements.
         """
-        grid_shape = self.beamformer.grid.shape
-        out = np.empty((len(frames), *grid_shape), dtype=self.precision.dtype)
-        for i, frame in enumerate(frames):
-            out[i] = self.beamform_volume(frame)
-        return out
+        raise NotImplementedError
 
     def compound(self, backends: Sequence["ExecutionBackend"],
-                 firings: Sequence[Sequence[ChannelData]], *,
-                 batched: bool = True) -> np.ndarray:
+                 firings: Sequence[Sequence[ChannelData]]) -> np.ndarray:
         """A scheme's volumes, ``(n_frames, n_theta, n_phi, n_depth)``:
         ``backends[i]`` (``self`` first, sharing its class, tracer, tiling
         and cache) beamforms ``firings[i]``, its firing's frames, and the
-        volumes are summed in firing order.  ``batched=False`` marks one
-        frame beamformed alone."""
+        volumes are summed in firing order."""
         volumes = backends[0].beamform_batch(firings[0])
         for backend, frames in zip(backends[1:], firings[1:]):
             volumes += backend.beamform_batch(frames)
@@ -129,20 +123,26 @@ class ReferenceBackend(ExecutionBackend):
 
     name = "reference"
 
-    def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
+    def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
         beamformer = self.beamformer
         n_theta, n_phi, _ = beamformer.grid.shape
-        # Cast (or quantise) the echo buffer once per volume, not once per
-        # scanline — otherwise the float32 baseline pays a full-buffer copy
-        # per scanline and benchmarks slower than float64.  Re-coercing the
-        # coerced buffer inside the scanline kernel is the identity, so the
-        # hoisting is invisible numerically.
-        frame = ChannelData(
-            coerce_samples(channel_data, self.precision.dtype,
-                           beamformer.quantization),
-            beamformer.system.acoustic.sampling_frequency)
-        with self.tracer.span("execute", scanlines=n_theta * n_phi):
-            return reconstruct_scanline_order(beamformer, frame).rf
+        out = np.empty((len(frames), *beamformer.grid.shape),
+                       dtype=self.precision.dtype)
+        for i, channel_data in enumerate(frames):
+            # Cast (or quantise) the echo buffer once per volume, not once
+            # per scanline — otherwise the float32 baseline pays a
+            # full-buffer copy per scanline and benchmarks slower than
+            # float64.  Re-coercing the coerced buffer inside the scanline
+            # kernel is the identity, so the hoisting is invisible
+            # numerically.
+            frame = ChannelData(
+                coerce_samples(channel_data, self.precision.dtype,
+                               beamformer.quantization),
+                beamformer.system.acoustic.sampling_frequency)
+            with self.tracer.span("execute", scanlines=n_theta * n_phi,
+                                  frames=1):
+                out[i] = reconstruct_scanline_order(beamformer, frame).rf
+        return out
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -239,34 +239,25 @@ class VectorizedBackend(ExecutionBackend):
             size_hint=len(backends) * self.planner.tile_nbytes(tile))
         return (entry,) if one else entry
 
-    def beamform_volume(self, channel_data: ChannelData) -> np.ndarray:
-        self._check_finite([channel_data])
-        return self.compound([self], [[channel_data]], batched=False)[0]
-
     def beamform_batch(self, frames: Sequence[ChannelData]) -> np.ndarray:
-        self._check_finite(frames)
-        return self.compound([self], [frames])
-
-    def _check_finite(self, frames: Sequence[ChannelData]) -> None:
         """A backend used directly is its own boundary: CSR segments refuse
         a non-finite sample (:func:`~repro.kernels.plan.check_finite`), one
         scan per frame."""
         if self._finite_only:
             check_finite(frames, self.precision.dtype)
+        return self.compound([self], [frames])
 
     def compound(self, backends: Sequence["ExecutionBackend"],
-                 firings: Sequence[Sequence[ChannelData]], *,
-                 batched: bool = True) -> np.ndarray:
+                 firings: Sequence[Sequence[ChannelData]]) -> np.ndarray:
         """Tile-major, under one ``execute`` span: per tile, one lookup
         fetches every firing's segment (:meth:`_segments`), and each adds
         its firing's rows in firing order — the float adds of summing
         per-firing volumes, bit for bit.  A standalone backend's
-        :meth:`beamform_volume` / :meth:`beamform_batch` are the
-        one-firing case.  The caller has refused non-finite frames (the
-        scheme engine, or :meth:`beamform_batch`): nothing here scans
-        them again."""
-        span = {"frames": len(firings[0])} if batched else {}
-        with self.tracer.span("execute", tiles=self.planner.n_tiles, **span):
+        :meth:`beamform_batch` is the one-firing case.  The caller has
+        refused non-finite frames (the scheme engine, or
+        :meth:`beamform_batch`): nothing here scans them again."""
+        with self.tracer.span("execute", tiles=self.planner.n_tiles,
+                              frames=len(firings[0])):
             return self._run_tiles(backends, firings)
 
     def _run_tiles(self, backends: Sequence["VectorizedBackend"],

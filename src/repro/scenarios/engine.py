@@ -221,25 +221,13 @@ class SchemeEngine:
                 f"{len(firings)}")
         require_finite(firings, frame, self.precision.dtype)
 
-    def _compound_span(self, **attributes: Any) -> Any:
-        """The ``compound`` span; a trivial scheme has nothing to compound."""
-        if not self._compounds:
-            return nullcontext()
-        return self.tracer.span("compound", firings=self.firing_count,
-                                **attributes)
-
     # ------------------------------------------------------------ execute
     def beamform_volume(self, firings: Sequence[ChannelData],
                         frame_id: Any = 0) -> np.ndarray:
-        """Coherently compound one frame's firings into an RF volume.
-
-        A frame with a non-finite sample is refused (:func:`require_finite`),
-        named by ``frame_id``."""
-        self._check_firings(firings, frame_id)
-        with self._compound_span():
-            return self.backends[0].compound(
-                self.backends, [[firing] for firing in firings],
-                batched=False)[0]
+        """Coherently compound one frame's firings into an RF volume: the
+        one-frame :meth:`beamform_batch`, so a frame with a non-finite
+        sample is refused named by ``frame_id``."""
+        return self.beamform_batch([firings], [frame_id])[0]
 
     def beamform_batch(self, frames: Sequence[Sequence[ChannelData]],
                        frame_ids: Sequence[Any] | None = None
@@ -249,8 +237,8 @@ class SchemeEngine:
         Each firing index is batched across frames on its own backend
         (one stacked gather per event) and the per-event volumes are
         summed in event order, tile by tile on a plan-backed backend — the
-        same per-voxel addition order as :meth:`beamform_volume`, so
-        batching never changes the bits.  A frame with a non-finite sample
+        same per-voxel addition order for any batch, so batching never
+        changes the bits.  A frame with a non-finite sample
         refuses the batch, named by its ``frame_ids`` entry (default: its
         position in the batch).
         """
@@ -261,7 +249,11 @@ class SchemeEngine:
             frame_ids = range(len(frames))
         for firings, frame_id in zip(frames, frame_ids):
             self._check_firings(firings, frame_id)
-        with self._compound_span(frames=len(frames)):
+        # A trivial scheme has nothing to compound.
+        span = self.tracer.span("compound", firings=self.firing_count,
+                                frames=len(frames)) \
+            if self._compounds else nullcontext()
+        with span:
             return self.backends[0].compound(
                 self.backends, [[firings[index] for firings in frames]
                                 for index in range(self.firing_count)])

@@ -85,6 +85,38 @@ class TestSessionConstruction:
         assert session.spec.precision is Precision.FLOAT32
 
 
+class TestSessionAcquireFirings:
+    def test_acquiring_a_scheme_needs_no_plan_budget(self, centred_target):
+        """A budget of one tiny scanline (12 800 B) cannot beamform a
+        five-firing plane wave, but simulating its firings needs no plan:
+        they match an unbudgeted session's bit for bit."""
+        budgeted = Session(EngineSpec(system="tiny",
+                                      memory_budget_bytes=12_800))
+        firings = budgeted.acquire_firings(centred_target,
+                                           scheme="planewave", seed=3)
+        expected = Session(EngineSpec(system="tiny")).acquire_firings(
+            centred_target, scheme="planewave", seed=3)
+        assert len(firings) == len(expected) == 5
+        for got, want in zip(firings, expected):
+            assert np.array_equal(got.samples, want.samples)
+        # Beamforming them still needs the budget to hold them.
+        with pytest.raises(ValueError, match="scanline per firing"):
+            budgeted.pipeline(scheme="planewave")
+
+    def test_scheme_overrides_resolve_as_for_a_pipeline(self,
+                                                        centred_target):
+        """Options alone re-derive the spec's scheme, and a new scheme
+        drops the spec's options."""
+        session = Session(EngineSpec(system="tiny", scheme="planewave",
+                                     scheme_options={"n_angles": 3}))
+        assert len(session.acquire_firings(centred_target)) == 3
+        assert len(session.acquire_firings(
+            centred_target, scheme_options={"n_angles": 2})) == 2
+        assert len(session.acquire_firings(
+            centred_target, scheme="diverging")) == len(
+            session.pipeline(scheme="diverging").scheme.events)
+
+
 class TestSessionStreaming:
     def test_stream_scan_spec(self, tiny_session):
         results = tiny_session.stream(ScanSpec(frames=3),

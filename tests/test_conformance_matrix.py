@@ -121,7 +121,7 @@ def test_float64_bit_identical(matrix, scheme, backend, batch_mode):
 @pytest.mark.parametrize("scheme", sorted(SCHEMES_UNDER_TEST))
 def test_compiled_batched_equals_per_frame(matrix, scheme):
     """The compiled backend's batched path must be bit-identical to its
-    per-frame path (the kernel bodies are textually identical per point),
+    per-frame path (a frame runs as a batch of one of the same kernel),
     even though both are only tolerance-close to the NumPy oracle."""
     session, firings, oracle, _ = matrix[scheme]
     per_frame = _volume(session, firings, "compiled", "per_frame")

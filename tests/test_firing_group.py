@@ -154,12 +154,12 @@ def test_compiled_group_plans_are_the_plans_compiled_alone(
         tiny, architecture, datapath, whole):
     """The ``compiled`` variant's natural-order tensors group alike."""
     pytest.importorskip("numba")
-    from repro.kernels import compile_compiled_plan
 
     base, beamformers = _firings(tiny, architecture, datapath, "planewave")
     precision = DATAPATHS[datapath][0]
     tile = None if whole else _cutting_tile(beamformers[0])
-    alone = [compile_compiled_plan(beamformer, precision, tile=tile)
+    alone = [compile_plan(beamformer, precision, variant="compiled",
+                          tile=tile)
              for beamformer in beamformers]
     base.calls = 0
     group = compile_plans(beamformers, precision, variant="compiled",

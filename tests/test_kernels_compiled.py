@@ -4,8 +4,9 @@ The kernel bodies are plain Python functions jitted lazily, so most of
 this file runs on numba-free hosts too: it executes the bodies un-jitted
 and pins their numerics against the NumPy :class:`BeamformingPlan` on the
 tiny preset (64 elements — where the scalar pairwise reduction is
-bit-identical to ``np.sum``).  The last class needs a real numba and
-covers the jitted :class:`CompiledPlan` end to end.
+bit-identical to ``np.sum``).  There is one body per interpolation, over a
+stack of frames; one frame runs as a batch of one.  The last class needs a
+real numba and covers the jitted :class:`CompiledPlan` end to end.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from repro.kernels import (
 from repro.kernels import compiled
 from repro.kernels.compiled import (
     _fused_linear_batch,
-    _fused_linear_frame,
     _fused_nearest_batch,
-    _fused_nearest_frame,
     numba_available,
 )
-from repro.kernels.ops import pad_samples
+from repro.kernels.ops import pad_frames, pad_samples
+from repro.observability import Tracer
 
 requires_numba = pytest.mark.skipif(
     not numba_available(),
@@ -43,21 +43,6 @@ requires_numba = pytest.mark.skipif(
 def _beamformer(system, interpolation=InterpolationKind.NEAREST):
     return DelayAndSumBeamformer(system, ARCHITECTURES.create("exact", system),
                                  interpolation=interpolation)
-
-
-def _run_frame_body(plan, samples, block_size=1024):
-    """Execute the un-jitted frame kernel body over a full plan."""
-    samples = plan.coerce_samples(samples)
-    index = plan.gather_index(samples.shape[-1])
-    padded = pad_samples(samples, index)
-    out = np.empty(plan.n_points, dtype=plan.dtype)
-    if plan.interpolation is InterpolationKind.NEAREST:
-        _fused_nearest_frame(padded, index.flat, plan.weights, out,
-                             block_size)
-    else:
-        _fused_linear_frame(padded, index.flat, index.upper, index.fraction,
-                            plan.weights, out, block_size)
-    return out.reshape(plan.grid_shape)
 
 
 def _run_batch_body(plan, frames, block_size=1024):
@@ -73,6 +58,17 @@ def _run_batch_body(plan, frames, block_size=1024):
         _fused_linear_batch(padded, index.flat, index.upper, index.fraction,
                             plan.weights, out, block_size)
     return out.reshape((len(frames), *plan.grid_shape))
+
+
+def _run_frame_body(plan, samples, block_size=1024):
+    """Execute the un-jitted batch kernel body on one frame: a batch of
+    one, the frame's samples in the padded buffer's one column."""
+    return _run_batch_body(plan, [samples], block_size)[0]
+
+
+def _one_column(samples, index):
+    """One frame padded as the batch bodies read it: ``(E*S + 1, 1)``."""
+    return pad_samples(samples[None], index)
 
 
 class TestKernelBodyNumerics:
@@ -119,13 +115,17 @@ class TestKernelBodyNumerics:
         monkeypatch.setattr("repro.kernels.compiled.NUMBA_AVAILABLE", True)
         monkeypatch.setitem(compiled._JITTED, False, compiled._KERNEL_BODIES)
         beamformer = _beamformer(tiny, kind)
-        plan = compiled.compile_compiled_plan(beamformer)
+        plan = compile_plan(beamformer, variant="compiled")
         expected = compile_plan(beamformer).execute(tiny_channel_data)
-        np.testing.assert_array_equal(plan.execute(tiny_channel_data),
-                                      expected)
+        tracer = Tracer()
+        np.testing.assert_array_equal(
+            plan.execute(tiny_channel_data, tracer), expected)
         batch = plan.execute_batch([tiny_channel_data.samples[::-1],
-                                    tiny_channel_data])
+                                    tiny_channel_data], tracer)
         np.testing.assert_array_equal(batch[1], expected)
+        # One launch per call, a frame being a batch of one.
+        assert [span.attributes["frames"]
+                for span in tracer.find("fused")] == [1, 2]
 
     def test_block_size_never_changes_bits(self, tiny, tiny_channel_data):
         """The block decomposition is pure scheduling: any block size must
@@ -146,25 +146,25 @@ class TestKernelBodyNumerics:
         delays = rng.uniform(-4, n_samples + 4, size=(n_points, n_elements))
         index = build_gather_index(delays, n_samples)
         weights = rng.normal(size=(n_points, n_elements))
-        out = np.empty(n_points)
-        _fused_nearest_frame(pad_samples(samples, index), index.flat,
+        out = np.empty((1, n_points))
+        _fused_nearest_batch(_one_column(samples, index), index.flat,
                              weights, out, 2)
         nearest = np.floor(delays + 0.5).astype(int)
         inside = (nearest >= 0) & (nearest < n_samples)
         gathered = np.where(inside, samples[np.arange(n_elements)[None, :],
                                             np.clip(nearest, 0,
                                                     n_samples - 1)], 0.0)
-        np.testing.assert_allclose(out, (weights * gathered).sum(axis=1),
+        np.testing.assert_allclose(out[0], (weights * gathered).sum(axis=1),
                                    rtol=0, atol=1e-15)
 
     def test_all_invalid_fetches_give_zero(self):
         samples = np.ones((16, 4))
         index = build_gather_index(np.full((3, 16), -1.0), 4)
         weights = np.ones((3, 16))
-        out = np.full(3, np.nan)
-        _fused_nearest_frame(pad_samples(samples, index), index.flat,
+        out = np.full((1, 3), np.nan)
+        _fused_nearest_batch(_one_column(samples, index), index.flat,
                              weights, out, 1024)
-        np.testing.assert_array_equal(out, np.zeros(3))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_float32_stays_float32(self):
         """Typed constants keep the arithmetic in the execution dtype — a
@@ -175,8 +175,8 @@ class TestKernelBodyNumerics:
         index = build_gather_index(delays, 8, "linear", np.float32)
         assert index.fraction.dtype == np.float32
         weights = rng.normal(size=(4, 16)).astype(np.float32)
-        out = np.empty(4, dtype=np.float32)
-        _fused_linear_frame(pad_samples(samples, index), index.flat,
+        out = np.empty((1, 4), dtype=np.float32)
+        _fused_linear_batch(_one_column(samples, index), index.flat,
                             index.upper, index.fraction, weights, out, 1024)
         lower = np.floor(delays).astype(int)
         below = samples[np.arange(16)[None, :], lower]
@@ -184,8 +184,10 @@ class TestKernelBodyNumerics:
         fraction = index.fraction
         expected = (weights * ((np.float32(1.0) - fraction) * below
                                + fraction * above))
+        assert out.dtype == np.float32
         np.testing.assert_allclose(
-            out, expected.sum(axis=1, dtype=np.float32), rtol=2e-6, atol=0)
+            out[0], expected.sum(axis=1, dtype=np.float32), rtol=2e-6,
+            atol=0)
 
 
 class TestVariantDispatch:
@@ -214,9 +216,8 @@ class TestCompiledPlanJitted:
 
     @pytest.fixture(scope="class")
     def plans(self, tiny):
-        from repro.kernels import compile_compiled_plan
         beamformer = _beamformer(tiny)
-        return (compile_compiled_plan(beamformer),
+        return (compile_plan(beamformer, variant="compiled"),
                 compile_plan(beamformer))
 
     def test_execute_within_pinned_float64_row(self, plans,
@@ -243,11 +244,14 @@ class TestCompiledPlanJitted:
             == (0, *compiled.grid_shape)
 
     def test_options_respected(self, plans, tiny_channel_data):
+        """Launch options reach the kernel through ``execute_padded``, the
+        entry a backend launches with its own options."""
         compiled, _ = plans
-        baseline = compiled.execute(tiny_channel_data)
-        tweaked = compiled.execute(
-            tiny_channel_data,
-            options=CompiledOptions(threads=1, block_size=16))
+        padded = pad_frames([tiny_channel_data], compiled.dtype, None,
+                            (compiled.n_elements, compiled.n_samples))
+        baseline = compiled.execute_padded(padded)
+        tweaked = compiled.execute_padded(
+            padded, options=CompiledOptions(threads=1, block_size=16))
         np.testing.assert_array_equal(tweaked, baseline)
 
     def test_jit_warmup_lands_in_compile_span(self, tiny, tiny_channel_data):
@@ -255,7 +259,6 @@ class TestCompiledPlanJitted:
         under a single ``fused`` span (no gather/weights/accumulate
         stages — fusing them away is the point)."""
         from repro.kernels import TilePlanner
-        from repro.observability import Tracer
         from repro.runtime import CompiledBackend
         beamformer = _beamformer(tiny)
         tracer = Tracer()

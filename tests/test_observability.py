@@ -140,6 +140,40 @@ class TestTracer:
         assert names.count("shard") == 4
 
 
+    def test_roots_keep_the_most_recent(self, monkeypatch):
+        """A tracer holds its last ``MAX_ROOTS`` roots, in the order they
+        opened, from any thread — and again after a reset."""
+        import itertools
+        import threading
+
+        monkeypatch.setattr(Tracer, "MAX_ROOTS", 8)
+        tracer = Tracer()
+        labels = itertools.count()
+        lock = threading.Lock()
+
+        def work():
+            for _ in range(10):
+                # The lock makes the label order the registration order.
+                with lock:
+                    with tracer.span("root", index=next(labels)):
+                        pass
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert [root.attributes["index"] for root in tracer.roots] \
+            == list(range(12, 20))
+        tracer.reset()
+        for index in range(10):
+            with tracer.span("root", index=index):
+                pass
+        assert [root.attributes["index"] for root in tracer.roots] \
+            == list(range(2, 10))
+
+
 class TestNullTracer:
     def test_records_nothing(self):
         tracer = NullTracer()
@@ -569,6 +603,23 @@ class TestServiceObservability:
         assert 0 < resident < n_tiles
         assert len(session.tracer.find("compile")) \
             == n_tiles + 2 * (n_tiles - resident)
+
+    @pytest.mark.parametrize("scheme", ["focused", "planewave"])
+    def test_a_frame_is_a_batch_of_one(self, tiny_channel_data, scheme):
+        """A per-frame ``submit_frame`` runs the one-frame batch: its
+        ``execute`` span, and a compounding scheme's ``compound`` span,
+        carry ``frames=1``."""
+        session = Session(EngineSpec(system="tiny", backend="vectorized",
+                                     scheme=scheme, trace=True))
+        firings = session.acquire_firings(
+            ScanSpec(scenario="static_point").build_frames(
+                session.system)[0].phantom)
+        session.service().submit_frame(tuple(firings))
+        (execute,) = session.tracer.find("execute")
+        assert execute.attributes["frames"] == 1
+        compounds = session.tracer.find("compound")
+        assert [span.attributes["frames"] for span in compounds] \
+            == ([1] if scheme == "planewave" else [])
 
     def test_acquire_firings_opens_a_simulate_span(self, session):
         phantom = ScanSpec(scenario="static_point").build_frames(
