@@ -3,7 +3,7 @@
 Install editable with ``pip install -e .`` (``--no-use-pep517`` in offline
 environments without the ``wheel`` package).  NumPy and SciPy are runtime
 dependencies — SciPy's sparse matrices execute the float nearest-sample
-plans, and its signal module filters echoes.  ``numba`` is optional and
+plans, and ``scipy.fft`` runs envelope detection.  ``numba`` is optional and
 enables the ``compiled`` backend only.  Tests run in place with
 ``PYTHONPATH=src python -m pytest``.
 """

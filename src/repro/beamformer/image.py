@@ -12,19 +12,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 
 def envelope(rf: np.ndarray, axis: int = -1) -> np.ndarray:
     """Envelope detection via the analytic signal along ``axis``.
 
+    The analytic signal is the Hilbert transform's: a ``scipy.fft`` FFT
+    along ``axis``, the positive-frequency bins doubled and the negative
+    ones zeroed, then the inverse FFT; the envelope is its magnitude.
     For very short traces (fewer than 8 samples) the magnitude is used
     directly, since the Hilbert transform is meaningless there.
     """
     rf = np.asarray(rf, dtype=np.float64)
-    if rf.shape[axis] < 8:
+    n = rf.shape[axis]
+    if n < 8:
         return np.abs(rf)
-    return np.abs(hilbert(rf, axis=axis))
+    # Imported here: only scoring, the examples and the experiments detect
+    # envelopes, so a process that only beamforms never loads scipy.fft.
+    from scipy import fft
+
+    spectrum = np.moveaxis(fft.fft(rf, axis=axis), axis, -1)
+    spectrum[..., 1:(n + 1) // 2] *= 2.0
+    spectrum[..., n // 2 + 1:] = 0.0
+    return np.abs(fft.ifft(np.moveaxis(spectrum, -1, axis), axis=axis))
 
 
 def log_compress(env: np.ndarray, dynamic_range_db: float = 60.0) -> np.ndarray:

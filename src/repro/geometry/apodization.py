@@ -51,7 +51,7 @@ def window_1d(n: int, kind: WindowType = WindowType.HANN,
 
 
 def _tukey(n: int, alpha: float) -> np.ndarray:
-    """Tukey (tapered cosine) window without requiring scipy.signal."""
+    """Tukey (tapered cosine) window, computed with NumPy alone."""
     if alpha <= 0:
         return np.ones(n)
     if alpha >= 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.signal import hilbert
 
 from repro.beamformer.image import (
     contrast_ratio_db,
@@ -37,6 +38,50 @@ class TestEnvelope:
         env_rows = envelope(rf, axis=1)
         for i in range(4):
             np.testing.assert_allclose(env_rows[i], envelope(rf[i]))
+
+
+class TestEnvelopeIsHilbertsBitForBit:
+    """``envelope`` runs ``hilbert``'s own steps on ``scipy.fft``, so it
+    equals ``np.abs(scipy.signal.hilbert(rf, axis=axis))`` bit for bit."""
+
+    @staticmethod
+    def _hilbert_envelope(rf, axis):
+        return np.abs(hilbert(np.asarray(rf, dtype=np.float64), axis=axis))
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 1601])
+    def test_every_length(self, rng, n):
+        rf = rng.normal(size=n)
+        assert np.array_equal(envelope(rf), self._hilbert_envelope(rf, -1))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2, -3])
+    def test_every_axis_of_a_volume(self, rng, axis):
+        rf = rng.normal(size=(9, 12, 65))
+        assert np.array_equal(envelope(rf, axis=axis),
+                              self._hilbert_envelope(rf, axis))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_contiguous_view(self, rng, axis):
+        rf = rng.normal(size=(20, 13, 130))[::2, :, ::-2]
+        assert not rf.flags.c_contiguous and not rf.flags.f_contiguous
+        assert np.array_equal(envelope(rf, axis=axis),
+                              self._hilbert_envelope(rf, axis))
+
+    def test_float32_input(self, rng):
+        rf = rng.normal(size=(6, 64)).astype(np.float32)
+        assert np.array_equal(envelope(rf, axis=1),
+                              self._hilbert_envelope(rf, 1))
+
+    def test_integer_input(self, rng):
+        rf = rng.integers(-2000, 2000, size=(5, 65))
+        assert np.array_equal(envelope(rf, axis=1),
+                              self._hilbert_envelope(rf, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_short_axis_is_the_magnitude(self, rng, n):
+        rf = rng.normal(size=(4, n, 16))
+        out = envelope(rf, axis=1)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.abs(rf))
 
 
 class TestLogCompress:
