@@ -25,7 +25,7 @@ from ..runtime.scheduler import FrameResult
 from ..runtime.service import BeamformingService
 from ..scenarios import SCHEMES, SchemeEngine, TransmitScheme, \
     acquire_firings, resolve_scheme
-from .specs import EngineSpec, ScanSpec, SweepSpec
+from .specs import EngineSpec, ScanSpec, SweepSpec, name_override
 
 __all__ = ["Session"]
 
@@ -124,7 +124,8 @@ class Session:
                 ("architecture", architecture, architecture_options),
                 ("backend", backend, backend_options),
                 ("scheme", scheme, scheme_options)):
-            changes.update(self._override(name, value, options))
+            changes.update(name_override(name, getattr(self.spec, name),
+                                         value, options))
         if precision is not None:
             changes["precision"] = precision
         if quantization is not _INHERIT:
@@ -132,15 +133,6 @@ class Session:
         if memory_budget_bytes is not _INHERIT:
             changes["memory_budget_bytes"] = memory_budget_bytes
         return self.spec.with_updates(**changes) if changes else self.spec
-
-    def _override(self, name: str, value: Any, options: Any
-                  ) -> dict[str, Any]:
-        """The spec changes of one ``name``/``name_options`` override: a
-        new ``value`` drops the spec's options for it unless ``options``
-        are given; ``options`` alone re-derive the spec's variant."""
-        if value is not None and value != getattr(self.spec, name):
-            return {name: value, f"{name}_options": options}
-        return {} if options is None else {f"{name}_options": options}
 
     def _scheme(self, name: str, options: Any) -> TransmitScheme:
         """The transmit scheme ``name`` with ``options``; the session's own
@@ -172,9 +164,10 @@ class Session:
         the session spec.  Switching the architecture, backend or scheme
         drops the spec's options for it (they belong to the spec's
         variant) unless options are given; options alone re-derive the
-        spec's variant.  ``quantization=None`` explicitly *disables* a
-        spec-level quantisation (e.g. to compare the float and bit-true
-        variants of one quantized session); likewise
+        spec's variant — the rule of :func:`repro.api.specs.name_override`,
+        which the CLI's name flags share.  ``quantization=None``
+        explicitly *disables* a spec-level quantisation (e.g. to compare
+        the float and bit-true variants of one quantized session); likewise
         ``memory_budget_bytes=None`` lifts a spec-level budget.
 
         ``cache`` replaces the session's plan cache for this one
@@ -251,7 +244,8 @@ class Session:
         built: a memory budget too small to beamform the scheme's firings
         does not refuse to simulate them.
         """
-        changes = self._override("scheme", scheme, scheme_options)
+        changes = name_override("scheme", self.spec.scheme, scheme,
+                                scheme_options)
         resolved = self._scheme(
             changes.get("scheme", self.spec.scheme),
             changes.get("scheme_options", self.spec.scheme_options))

@@ -48,6 +48,7 @@ __all__ = [
     "SCENARIOS",
     "SCHEMES",
     "apply_overrides",
+    "name_override",
     "parse_assignment",
 ]
 
@@ -426,6 +427,22 @@ def parse_assignment(text: str) -> tuple[str, Any]:
     except json.JSONDecodeError:
         value = raw.strip()
     return key, value
+
+
+def name_override(name: str, current: str, value: str | None,
+                  options: Any = None) -> dict[str, Any]:
+    """The spec changes of one ``name``/``name_options`` override.
+
+    ``name`` is ``"architecture"``, ``"backend"`` or ``"scheme"`` and
+    ``current`` the spec's value of it.  A new ``value`` drops the spec's
+    ``*_options`` (they belong to the old name) unless ``options`` are
+    given; ``options`` alone re-derive the current name's variant.  This is
+    the one rule behind :meth:`repro.api.Session.pipeline`'s overrides and
+    the CLI's ``--architecture`` / ``--backend`` / ``--scheme`` flags.
+    """
+    if value is not None and value != current:
+        return {name: value, f"{name}_options": options}
+    return {} if options is None else {f"{name}_options": options}
 
 
 def apply_overrides(data: dict, assignments: Iterable[str]) -> dict:

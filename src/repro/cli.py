@@ -12,15 +12,17 @@ Usage::
     python -m repro.cli serve                # multiplex sessions via the server
     python -m repro.cli sweep                # resumable scored grid sweeps
 
-The ``run``, ``spec`` and ``stream`` commands all speak the declarative
-:mod:`repro.api` surface: ``--spec file.json`` loads an
-:class:`repro.api.EngineSpec` document, ``--set key=value`` applies dotted
-overrides (``--set architecture_options.total_bits=14``), and architecture /
-backend names are validated against the registries, so user-registered
-plugins work without CLI changes.
+The ``run``, ``spec``, ``stream``, ``serve`` and ``sweep`` commands speak
+the declarative :mod:`repro.api` surface with one precedence, file < flags <
+``--set``: ``--spec file.json`` loads a spec document, the flags override it
+(``serve`` / ``sweep`` flags land in its ``engine``), and ``--set key=value``
+applies dotted overrides (``--set architecture_options.total_bits=14``).  A
+name flag that switches the architecture, backend or scheme drops the file's
+options for the old name, as ``Session.pipeline`` does.  Names are validated
+against the registries, so user-registered plugins work without CLI changes.
 
 Each experiment prints measured figures next to the values reported in the
-paper (see EXPERIMENTS.md for the recorded comparison).
+paper.
 """
 
 from __future__ import annotations
@@ -72,84 +74,126 @@ def _read_spec_file(path: str | None) -> dict:
     return data
 
 
-def _merged_spec_data(args: argparse.Namespace,
-                      default_system: str | None = None,
-                      default_backend: str | None = None) -> dict:
-    """Merge spec-file / flags / ``--set`` overrides into one spec dict.
+# The engine flags a command may declare (by argparse dest) and the
+# EngineSpec field each one sets.
+_ENGINE_FLAGS = (("system", "system"), ("dtype", "precision"),
+                 ("qformat", "quantization"),
+                 ("memory_budget", "memory_budget_bytes"))
 
-    Precedence (lowest to highest): built-in defaults, spec-file document,
-    explicit ``--system`` / ``--architecture`` / ``--backend`` flags,
-    ``--set`` overrides.
+# The engine defaults of the commands that run a service.
+_SERVICE_DEFAULTS = {"system": "small", "backend": "vectorized"}
+
+
+def _spec_data(args: argparse.Namespace, defaults: dict,
+               nested: bool = False, **fields) -> dict:
+    """The spec document a command runs, with precedence file < flags <
+    ``--set``.
+
+    The ``--spec`` file fills in over the command's engine ``defaults``.
+    Engine flags land in the document itself, or in its ``engine``
+    sub-document when ``nested`` (``serve``, ``sweep``); ``fields`` are the
+    command's own top-level fields, ``None`` when not given.  A name flag
+    (``--architecture``, ``--backend``, ``--scheme``) follows
+    :func:`repro.api.specs.name_override`, as ``Session.pipeline`` does: a
+    new name drops the file's options for the old one.
     """
-    from .api import apply_overrides
+    from .api.specs import EngineSpec, apply_overrides, name_override
 
-    data = _read_spec_file(getattr(args, "spec", None))
-    if getattr(args, "system", None):
-        data["system"] = args.system
-    elif "system" not in data and default_system is not None:
-        data["system"] = default_system
-    if getattr(args, "architecture", None):
-        data["architecture"] = args.architecture
-    if getattr(args, "backend", None):
-        data["backend"] = args.backend
-    elif "backend" not in data and default_backend is not None:
-        data["backend"] = default_backend
-    if getattr(args, "dtype", None):
-        data["precision"] = args.dtype
-    if getattr(args, "qformat", None):
-        # "--qformat 18" (total bits) or "--qformat U13.5" / "S13.4"
-        # (delay Q-format); both resolve through QuantizationSpec.coerce.
-        data["quantization"] = args.qformat
-    if getattr(args, "scheme", None):
-        data["scheme"] = args.scheme
-    if getattr(args, "memory_budget", None):
-        # "--memory-budget 512M" / "8G" / plain bytes; parsed and
-        # validated against the system by EngineSpec.
-        data["memory_budget_bytes"] = args.memory_budget
-    return apply_overrides(data, getattr(args, "set", None) or [])
-
-
-def _resolve_engine_spec(args: argparse.Namespace,
-                         default_system: str | None = None,
-                         default_backend: str | None = None):
-    """Build a validated :class:`repro.api.EngineSpec` from CLI flags.
-
-    Raises :class:`ValueError` with the registry listings for unknown names.
-    """
-    from .api import EngineSpec
-
-    return EngineSpec.from_dict(
-        _merged_spec_data(args, default_system=default_system,
-                          default_backend=default_backend))
-
-
-def _nested_spec_data(args: argparse.Namespace) -> dict:
-    """The ``serve`` / ``sweep`` spec-file document with the engine-level
-    flags (``--system``, ``--architecture``, ``--backend``, ``--scheme``)
-    merged into its nested ``engine`` document (default: ``small``,
-    ``vectorized``)."""
     data = _read_spec_file(args.spec)
-    engine = data.setdefault("engine", {})
-    for key in ("system", "architecture", "backend", "scheme"):
-        if getattr(args, key):
-            engine[key] = getattr(args, key)
-    engine.setdefault("system", "small")
-    engine.setdefault("backend", "vectorized")
-    return data
+    engine = data.setdefault("engine", {}) if nested else data
+    if not isinstance(engine, dict):
+        raise ValueError(f"the engine of spec file {args.spec!r} must be a "
+                         f"JSON object, got {type(engine).__name__}")
+    for key, value in defaults.items():
+        engine.setdefault(key, value)
+    for name in ("architecture", "backend", "scheme"):
+        engine.update(name_override(
+            name, engine.get(name, getattr(EngineSpec, name)),
+            getattr(args, name, None)))
+    for dest, key in _ENGINE_FLAGS:
+        if getattr(args, dest, None):
+            engine[key] = getattr(args, dest)
+    data.update((key, value) for key, value in fields.items()
+                if value is not None)
+    return apply_overrides(data, args.set or [])
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser,
-                        default_system: str) -> None:
+def _report(args: argparse.Namespace, tracer, metrics) -> int:
+    """Print the ``--trace`` tree and write the ``--trace-out`` /
+    ``--metrics-out`` files; 2 when a file cannot be written."""
+    from .observability import render_span_tree, write_metrics, write_trace
+
+    if getattr(args, "trace", False):
+        print("Trace:")
+        print(render_span_tree(tracer))
+    try:
+        if getattr(args, "trace_out", None) is not None:
+            write_trace(args.trace_out, tracer)
+            print(f"wrote trace to {args.trace_out}")
+        if args.metrics_out is not None:
+            write_metrics(args.metrics_out, metrics)
+            print(f"wrote metrics to {args.metrics_out}")
+    except OSError as exc:
+        print(f"cannot write observability output: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _add_spec_arguments(parser: argparse.ArgumentParser, document: str,
+                        default_system: str, example: str) -> None:
     """The shared ``--spec`` / ``--system`` / ``--set`` flag family."""
     parser.add_argument("--spec", metavar="FILE",
-                        help="EngineSpec JSON document to start from")
+                        help=f"{document} JSON document to start from")
     parser.add_argument("--system", default=None,
                         help=f"system preset ({', '.join(sorted(PRESETS))}) "
                              f"[default: {default_system}]")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="dotted spec override, e.g. "
-                             "--set architecture_options.total_bits=14 "
-                             "(repeatable)")
+                        help=f"dotted {document} override, e.g. "
+                             f"--set {example} (repeatable)")
+
+
+def _add_name_arguments(parser: argparse.ArgumentParser,
+                        default_backend: str = "vectorized") -> None:
+    """The shared ``--architecture`` / ``--backend`` / ``--scheme`` flag
+    family; a name other than the spec's drops the spec's options for it."""
+    parser.add_argument("--architecture", default=None,
+                        help="delay architecture (see 'list')")
+    parser.add_argument("--backend", default=None,
+                        help=f"execution backend (see 'list') "
+                             f"[default: {default_backend}]")
+    parser.add_argument("--scheme", default=None,
+                        help="transmit scheme (see 'list'); multi-firing "
+                             "schemes compound one volume per frame "
+                             "[default: focused]")
+
+
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--qformat`` / ``--memory-budget`` flag family."""
+    parser.add_argument("--qformat", metavar="SPEC", default=None,
+                        help="bit-true quantized execution: a total bit "
+                             "width (e.g. 18) or a delay Q-format like "
+                             "U13.5 / S13.4 [default: off]")
+    parser.add_argument("--memory-budget", metavar="BYTES", default=None,
+                        help="plan-memory budget; plain bytes or a suffixed "
+                             "size like 512K or 8G; execution tiles the "
+                             "volume so cached plan segments never exceed "
+                             "it [default: unbounded]")
+
+
+def _add_observability_arguments(parser: argparse.ArgumentParser,
+                                 trace: bool = True) -> None:
+    """The shared ``--trace`` / ``--trace-out`` / ``--metrics-out`` flag
+    family (``--metrics-out`` alone without ``trace``)."""
+    if trace:
+        parser.add_argument("--trace", action="store_true",
+                            help="record a span trace and print its tree "
+                                 "after the run")
+        parser.add_argument("--trace-out", metavar="FILE", default=None,
+                            help="write the span trace as JSON lines "
+                                 "(implies tracing)")
+    parser.add_argument("--metrics-out", metavar="FILE", default=None,
+                        help="write a Prometheus-style metrics snapshot of "
+                             "the run")
 
 
 # ----------------------------------------------------------------- commands
@@ -186,7 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.spec or args.system or args.set:
         try:
             from .api import EngineSpec
-            data = _merged_spec_data(args)
+            data = _spec_data(args, {})
             spec = EngineSpec.from_dict(data)
             # Experiments consume only the spec's *system*, and only when
             # one was actually named — each experiment otherwise keeps its
@@ -262,8 +306,10 @@ def _cmd_specs(args: argparse.Namespace) -> int:
 
 
 def _cmd_spec(args: argparse.Namespace) -> int:
+    from .api import EngineSpec
+
     try:
-        spec = _resolve_engine_spec(args, default_system="small")
+        spec = EngineSpec.from_dict(_spec_data(args, {"system": "small"}))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -282,13 +328,8 @@ def _cmd_spec(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .api import ScanSpec, Session
-    from .observability import (
-        render_runtime_stats,
-        render_span_tree,
-        write_metrics,
-        write_trace,
-    )
+    from .api import EngineSpec, ScanSpec, Session
+    from .observability import render_runtime_stats
 
     if args.frames < 1:
         print("--frames must be at least 1", file=sys.stderr)
@@ -298,8 +339,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
     tracing = args.trace or args.trace_out is not None
     try:
-        spec = _resolve_engine_spec(args, default_system="small",
-                                    default_backend="vectorized")
+        spec = EngineSpec.from_dict(_spec_data(args, _SERVICE_DEFAULTS))
         if tracing:
             spec = spec.with_updates(trace=True)
         session = Session(spec)
@@ -323,25 +363,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
               f"beamform {result.beamform_seconds * 1e3:8.2f} ms")
     print("Aggregate:")
     print(render_runtime_stats(service.stats()))
-    if args.trace:
-        print("Trace:")
-        print(render_span_tree(session.tracer))
-    try:
-        if args.trace_out is not None:
-            write_trace(args.trace_out, session.tracer)
-            print(f"wrote trace to {args.trace_out}")
-        if args.metrics_out is not None:
-            write_metrics(args.metrics_out, service.export_metrics())
-            print(f"wrote metrics to {args.metrics_out}")
-    except OSError as exc:
-        print(f"cannot write observability output: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _report(args, session.tracer, service.export_metrics())
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .api import ScanSpec, apply_overrides
-    from .observability import write_metrics
+    from .api import ScanSpec
     from .server import BeamformingServer, ServerSpec
 
     if args.sessions < 1:
@@ -351,16 +377,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--frames must be at least 1", file=sys.stderr)
         return 2
     try:
-        data = _nested_spec_data(args)
-        for key, value in (("workers", args.workers),
-                           ("queue_capacity", args.queue_capacity),
-                           ("policy", args.policy),
-                           ("session_memory_budget_bytes",
-                            args.memory_budget)):
-            if value is not None:
-                data[key] = value
-        data = apply_overrides(data, args.set or [])
-        spec = ServerSpec.from_dict(data)
+        spec = ServerSpec.from_dict(_spec_data(
+            args, _SERVICE_DEFAULTS, nested=True, workers=args.workers,
+            queue_capacity=args.queue_capacity, policy=args.policy,
+            session_memory_budget_bytes=args.session_memory_budget_bytes))
         scan = ScanSpec(scenario=args.scenario, frames=args.frames)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -398,32 +418,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"Aggregate: {stats.frames} frames, {stats.drops} drops in "
               f"{elapsed:.2f} s — {rate:.3e} voxels/s "
               f"(p99 {stats.p99_latency_seconds * 1e3:.2f} ms)")
-        try:
-            if args.metrics_out is not None:
-                write_metrics(args.metrics_out, server.export_metrics())
-                print(f"wrote metrics to {args.metrics_out}")
-        except OSError as exc:
-            print(f"cannot write observability output: {exc}",
-                  file=sys.stderr)
-            return 2
-    return 0
+        return _report(args, None, server.export_metrics())
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .api import Session, apply_overrides
-    from .observability import render_span_tree, write_metrics, write_trace
+    from .api import Session
     from .sweep import SweepExecutor, SweepRunSpec
 
     try:
-        data = _nested_spec_data(args)
-        if args.store is not None:
-            data["store"] = args.store
-        if args.resume is not None:
-            data["resume"] = args.resume
-        if args.overwrite:
-            data["overwrite"] = True
-        data = apply_overrides(data, args.set or [])
-        spec = SweepRunSpec.from_dict(data)
+        spec = SweepRunSpec.from_dict(_spec_data(
+            args, _SERVICE_DEFAULTS, nested=True, store=args.store,
+            resume=args.resume, overwrite=args.overwrite or None))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -469,21 +474,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{executor.completed:.0f} computed, "
               f"{executor.cached:.0f} cached, "
               f"{executor.failed:.0f} failed in {elapsed:.2f} s")
-        if args.trace:
-            print("Trace:")
-            print(render_span_tree(session.tracer))
-        try:
-            if args.trace_out is not None:
-                write_trace(args.trace_out, session.tracer)
-                print(f"wrote trace to {args.trace_out}")
-            if args.metrics_out is not None:
-                write_metrics(args.metrics_out, session.metrics)
-                print(f"wrote metrics to {args.metrics_out}")
-        except OSError as exc:
-            print(f"cannot write observability output: {exc}",
-                  file=sys.stderr)
-            return 2
-    return 0
+        return _report(args, session.tracer, session.metrics)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,11 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
                "spec file's \"system\"); other spec fields are validated "
                "but not used by 'run'")
     run_parser.add_argument("experiment", help="experiment id (E1..E11) or 'all'")
-    _add_spec_arguments(run_parser, default_system="per-experiment")
+    _add_spec_arguments(run_parser, "EngineSpec", "per-experiment",
+                        "architecture_options.total_bits=14")
     run_parser.add_argument("--trace", action="store_true",
                             help="install a process-wide tracer for the "
                                  "experiment and print its span summary")
-    run_parser.set_defaults(handler=_cmd_run, architecture=None, backend=None)
+    run_parser.set_defaults(handler=_cmd_run)
 
     table_parser = subparsers.add_parser("table2", help="print the Table II model")
     table_parser.add_argument("--system", choices=sorted(PRESETS),
@@ -526,38 +518,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec_parser = subparsers.add_parser(
         "spec", help="resolve an EngineSpec document and print it as JSON")
-    _add_spec_arguments(spec_parser, default_system="small")
-    spec_parser.add_argument("--architecture", default=None,
-                             help="delay architecture (see 'list')")
-    spec_parser.add_argument("--backend", default=None,
-                             help="execution backend (see 'list')")
-    spec_parser.add_argument("--qformat", metavar="SPEC", default=None,
-                             help="bit-true quantized execution: a total "
-                                  "bit width (e.g. 18) or a delay Q-format "
-                                  "like U13.5 / S13.4")
-    spec_parser.add_argument("--scheme", default=None,
-                             help="transmit scheme (see 'list') "
-                                  "[default: focused]")
-    spec_parser.add_argument("--memory-budget", metavar="BYTES", default=None,
-                             help="plan-memory budget; plain bytes or a "
-                                  "suffixed size like 512M or 8G "
-                                  "[default: unbounded]")
+    _add_spec_arguments(spec_parser, "EngineSpec", "small",
+                        "architecture_options.total_bits=14")
+    _add_name_arguments(spec_parser, default_backend="reference")
+    _add_execution_arguments(spec_parser)
     spec_parser.add_argument("--out", metavar="FILE", default=None,
                              help="write the JSON to FILE instead of stdout")
     spec_parser.set_defaults(handler=_cmd_spec)
 
     stream_parser = subparsers.add_parser(
         "stream", help="stream a cine sequence through the beamforming runtime")
-    _add_spec_arguments(stream_parser, default_system="small")
-    stream_parser.add_argument("--architecture", default=None,
-                               help="delay architecture (see 'list')")
-    stream_parser.add_argument("--backend", default=None,
-                               help="execution backend (see 'list') "
-                                    "[default: vectorized]")
-    stream_parser.add_argument("--scheme", default=None,
-                               help="transmit scheme (see 'list'); "
-                                    "multi-firing schemes compound one "
-                                    "volume per frame [default: focused]")
+    _add_spec_arguments(stream_parser, "EngineSpec", "small",
+                        "architecture_options.total_bits=14")
+    _add_name_arguments(stream_parser)
     stream_parser.add_argument("--scenario", default="moving_point",
                                help="scan scenario (see 'list')")
     stream_parser.add_argument("--frames", type=int, default=8,
@@ -566,54 +539,21 @@ def build_parser() -> argparse.ArgumentParser:
                                default=None,
                                help="kernel execution precision "
                                     "[default: float64 (exact)]")
-    stream_parser.add_argument("--qformat", metavar="SPEC", default=None,
-                               help="bit-true quantized execution: a total "
-                                    "bit width (e.g. 18) or a delay "
-                                    "Q-format like U13.5 / S13.4 "
-                                    "[default: off]")
     stream_parser.add_argument("--batch", type=int, default=1,
                                help="frames per batched kernel execution "
                                     "(default 1 = per-frame)")
-    stream_parser.add_argument("--memory-budget", metavar="BYTES",
-                               default=None,
-                               help="plan-memory budget; execution tiles "
-                                    "the volume so cached plan segments "
-                                    "never exceed it (e.g. 512K, 8G) "
-                                    "[default: unbounded]")
-    stream_parser.add_argument("--trace", action="store_true",
-                               help="record a span trace and print the "
-                                    "per-stage tree after streaming")
-    stream_parser.add_argument("--trace-out", metavar="FILE", default=None,
-                               help="write the span trace as JSON lines "
-                                    "(implies tracing)")
-    stream_parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                               help="write a Prometheus-style metrics "
-                                    "snapshot of the run")
+    _add_execution_arguments(stream_parser)
+    _add_observability_arguments(stream_parser)
     stream_parser.set_defaults(handler=_cmd_stream)
 
     serve_parser = subparsers.add_parser(
         "serve", help="multiplex concurrent cine sessions through the "
-                      "multi-stream beamforming server")
-    serve_parser.add_argument("--spec", metavar="FILE",
-                              help="ServerSpec JSON document to start from")
-    serve_parser.add_argument("--system", default=None,
-                              help="system preset for the default engine "
-                                   f"({', '.join(sorted(PRESETS))}) "
-                                   "[default: small]")
-    serve_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                              help="dotted ServerSpec override, e.g. "
-                                   "--set engine.backend=reference or "
-                                   "--set queue_capacity=4 (repeatable)")
-    serve_parser.add_argument("--architecture", default=None,
-                              help="delay architecture for the default "
-                                   "engine (see 'list')")
-    serve_parser.add_argument("--backend", default=None,
-                              help="execution backend for the default "
-                                   "engine (see 'list') "
-                                   "[default: vectorized]")
-    serve_parser.add_argument("--scheme", default=None,
-                              help="transmit scheme for the default engine "
-                                   "(see 'list') [default: focused]")
+                      "multi-stream beamforming server",
+        epilog="the engine flags set the default session engine "
+               "(the document's \"engine\")")
+    _add_spec_arguments(serve_parser, "ServerSpec", "small",
+                        "engine.backend=reference or --set queue_capacity=4")
+    _add_name_arguments(serve_parser)
     serve_parser.add_argument("--scenario", default="moving_point",
                               help="scan scenario every session streams "
                                    "(see 'list')")
@@ -630,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "drop_oldest or drop_latest "
                                    "[default: block]")
     serve_parser.add_argument("--memory-budget", metavar="BYTES",
+                              dest="session_memory_budget_bytes",
                               default=None,
                               help="default session plan-memory budget "
                                    "(e.g. 512K, 8G); it caps the server's "
@@ -640,35 +581,19 @@ def build_parser() -> argparse.ArgumentParser:
                               help="validate and print the resolved "
                                    "ServerSpec JSON, then exit without "
                                    "serving")
-    serve_parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                              help="write a Prometheus-style metrics "
-                                   "snapshot of the run")
+    _add_observability_arguments(serve_parser, trace=False)
     serve_parser.set_defaults(handler=_cmd_serve)
 
     sweep_parser = subparsers.add_parser(
         "sweep", help="run a scored scenario x scheme x architecture grid "
-                      "through the resumable content-addressed executor")
-    sweep_parser.add_argument("--spec", metavar="FILE",
-                              help="SweepRunSpec JSON document to start from")
-    sweep_parser.add_argument("--system", default=None,
-                              help="system preset for the engine "
-                                   f"({', '.join(sorted(PRESETS))}) "
-                                   "[default: small]")
-    sweep_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                              help="dotted SweepRunSpec override, e.g. "
-                                   "--set sweep.scenarios='[\"cyst\"]' or "
-                                   "--set engine.quantization=18 "
-                                   "(repeatable)")
-    sweep_parser.add_argument("--architecture", default=None,
-                              help="delay architecture for the engine (see "
-                                   "'list'); grid axes come from "
-                                   "sweep.architectures")
-    sweep_parser.add_argument("--backend", default=None,
-                              help="execution backend for the engine (see "
-                                   "'list') [default: vectorized]")
-    sweep_parser.add_argument("--scheme", default=None,
-                              help="engine transmit scheme; grid axes come "
-                                   "from sweep.schemes [default: focused]")
+                      "through the resumable content-addressed executor",
+        epilog="the engine flags set the session engine (the document's "
+               "\"engine\"); grid axes come from sweep.architectures and "
+               "sweep.schemes")
+    _add_spec_arguments(sweep_parser, "SweepRunSpec", "small",
+                        "sweep.scenarios='[\"cyst\"]' or "
+                        "--set engine.quantization=18")
+    _add_name_arguments(sweep_parser)
     sweep_parser.add_argument("--store", metavar="DIR", default=None,
                               help="content-addressed result store; "
                                    "completed cells are skipped on rerun "
@@ -684,16 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="validate and print the resolved "
                                    "SweepRunSpec JSON, then exit without "
                                    "sweeping")
-    sweep_parser.add_argument("--trace", action="store_true",
-                              help="record a span trace and print the "
-                                   "per-cell tree after the sweep")
-    sweep_parser.add_argument("--trace-out", metavar="FILE", default=None,
-                              help="write the span trace as JSON lines "
-                                   "(implies tracing)")
-    sweep_parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                              help="write a Prometheus-style metrics "
-                                   "snapshot of the run (includes the "
-                                   "sweep_cells_* counters)")
+    _add_observability_arguments(sweep_parser)
     sweep_parser.set_defaults(handler=_cmd_sweep)
     return parser
 
