@@ -7,9 +7,11 @@ uncompensated fixed pipeline latency — in ~10 lines, then runs it through
 the full imaging pipeline and streaming service *without modifying any
 repro module*:
 
-1. define an options dataclass (this is also the JSON schema of the knob);
-2. register a factory under a public name with ``@ARCHITECTURES.register``;
-3. name the architecture in an :class:`repro.api.EngineSpec` like any
+1. subclass :class:`repro.core.DelayProvider` with a ``grid`` and one
+   method, ``delays_samples`` — the base derives every grid accessor;
+2. define an options dataclass (this is also the JSON schema of the knob);
+3. register a factory under a public name with ``@ARCHITECTURES.register``;
+4. name the architecture in an :class:`repro.api.EngineSpec` like any
    built-in — pipelines, services, sweeps, spec files and the CLI all
    resolve it through the registry.
 
@@ -26,8 +28,7 @@ import numpy as np
 
 from repro.api import ARCHITECTURES, EngineSpec, Session
 from repro.acoustics import point_target
-from repro.core import ExactDelayEngine
-from repro.core.bulk import BulkDelayProviderMixin
+from repro.core import DelayProvider, ExactDelayEngine
 
 
 # ----------------------------------------------------- the custom plugin
@@ -39,8 +40,10 @@ class OffsetOptions:
     """Constant delay offset added to every (point, element) pair."""
 
 
-class OffsetDelayEngine(BulkDelayProviderMixin):
-    """Exact delays plus a constant offset — a minimal ``DelayProvider``."""
+class OffsetDelayEngine(DelayProvider):
+    """Exact delays plus a constant offset — a minimal ``DelayProvider``:
+    a ``grid`` and ``delays_samples``, from which the base derives the
+    scanline, nappe, tile and volume accessors."""
 
     def __init__(self, inner: ExactDelayEngine, offset_samples: float) -> None:
         self.inner = inner
@@ -49,13 +52,6 @@ class OffsetDelayEngine(BulkDelayProviderMixin):
 
     def delays_samples(self, points: np.ndarray) -> np.ndarray:
         return self.inner.delays_samples(points) + self.offset_samples
-
-    def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
-        return self.inner.scanline_delays_samples(i_theta, i_phi) \
-            + self.offset_samples
-
-    def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
-        return self.inner.nappe_delays_samples(i_depth) + self.offset_samples
 
 
 def register() -> None:

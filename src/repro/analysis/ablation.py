@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md.
+"""Ablation studies for the design choices the paper calls out.
 
 Each function isolates one design decision of the paper's architectures and
 quantifies what changes when it is switched off or varied:

@@ -3,21 +3,24 @@
 Implements Eq. (1) of the paper: for every focal point ``S`` the echo samples
 of all elements, fetched at the per-element delay ``tp(O, S, D)``, are
 weighted and summed.  The beamformer is agnostic to *how* the delays are
-produced — any object following :class:`DelayProvider` works — which is
-exactly the property the paper relies on when it argues that image quality
-depends only on delay accuracy, not on the generation architecture.
+produced — any :class:`repro.core.provider.DelayProvider` works, and a
+provider is only its ``grid`` and ``delays_samples``, the base deriving the
+scanline, nappe, tile and volume accessors the drivers and plans read —
+which is exactly the property the paper relies on when it argues that
+image quality depends only on delay accuracy, not on the generation
+architecture.  :class:`DelayProvider` is re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from ..acoustics.echo import ChannelData
 from ..config import SystemConfig
+from ..core.provider import DelayProvider
 from ..geometry.apodization import WindowType, aperture_apodization, directivity_weights
 from ..geometry.coordinates import axial_angle
 from ..geometry.transducer import MatrixTransducer
@@ -26,50 +29,6 @@ from ..kernels.ops import WeightSplit, delay_and_sum
 from ..kernels.precision import Precision, resolve_precision
 from ..kernels.quantized import QuantizationSpec
 from .interpolation import InterpolationKind
-
-
-@runtime_checkable
-class DelayProvider(Protocol):
-    """Anything that can produce per-element delays for focal points.
-
-    Every delay provider of :mod:`repro.core` (exact, TABLEFREE,
-    TABLESTEER, recursive) and the scheme layer's transmit-adjusted
-    wrapper satisfy this protocol.  The grid accessors all address the
-    same scanline-major flat point order, ``(i_theta, i_phi, i_depth)``:
-    the per-scanline and per-nappe methods serve the classic traversal
-    loops (and are the oracle the bulk path is tested against), while
-    plan compilation asks only for flat ranges through
-    :meth:`tile_delays_samples`.  Providers inherit that method and
-    :meth:`volume_delays_samples` from
-    :class:`repro.core.bulk.BulkDelayProviderMixin` (a scanline loop) or
-    override it with one vectorised evaluation; either way its rows equal
-    the scanline rows bit for bit.
-    """
-
-    def delays_samples(self, points: np.ndarray) -> np.ndarray:
-        """Delays in fractional sample units, shape ``(n_points, n_elements)``."""
-        ...  # pragma: no cover - protocol definition
-
-    def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
-        """Delays for a grid scanline, shape ``(n_depth, n_elements)``."""
-        ...  # pragma: no cover - protocol definition
-
-    def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
-        """Delays for a grid nappe, shape ``(n_theta, n_phi, n_elements)``."""
-        ...  # pragma: no cover - protocol definition
-
-    def tile_delays_samples(self, start: int, stop: int,
-                            elements: np.ndarray | None = None
-                            ) -> np.ndarray:
-        """Delays of flat grid points ``[start, stop)``, shape
-        ``(stop - start, n_elements)``; the range may cut scanlines.  Given
-        ``elements``, only those columns, in that order — bit-equal to
-        ``tile_delays_samples(start, stop)[:, elements]``."""
-        ...  # pragma: no cover - protocol definition
-
-    def volume_delays_samples(self) -> np.ndarray:
-        """Delays for the whole grid, shape ``(n_theta, n_phi, n_depth, n_elements)``."""
-        ...  # pragma: no cover - protocol definition
 
 
 @dataclass(frozen=True)

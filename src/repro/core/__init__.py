@@ -1,5 +1,7 @@
 """Core delay-generation algorithms: the paper's primary contribution.
 
+* :mod:`repro.core.provider` — the :class:`DelayProvider` base every
+  generator derives its grid accessors from.
 * :mod:`repro.core.exact` — double-precision reference delays (ground truth).
 * :mod:`repro.core.piecewise` — piecewise-linear square-root approximation.
 * :mod:`repro.core.tablefree` — TABLEFREE on-the-fly delay generation.
@@ -8,10 +10,10 @@
 * :mod:`repro.core.tablesteer` — TABLESTEER table-plus-steering generation.
 """
 
-from .bulk import BulkDelayProviderMixin
 from .exact import ExactDelayEngine, propagation_delay, receive_delay, transmit_delay
 from .multi_origin import OriginSchedule, synthetic_aperture_cost_comparison
 from .piecewise import IncrementalSqrtEvaluator, PiecewiseSqrt, minimax_linear_sqrt
+from .provider import DelayProvider
 from .recursive import RecursiveConfig, RecursiveDelayGenerator
 from .reference_table import ReferenceDelayTable
 from .steering import SteeringCorrections, correction_plane
@@ -24,7 +26,7 @@ from .tablesteer import (
 )
 
 __all__ = [
-    "BulkDelayProviderMixin",
+    "DelayProvider",
     "ExactDelayEngine",
     "propagation_delay",
     "transmit_delay",

@@ -21,7 +21,7 @@ from ..config import SystemConfig
 from ..geometry.coordinates import pairwise_distances, spherical_to_cartesian
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
-from .bulk import BulkDelayProviderMixin
+from .provider import DelayProvider
 
 
 def propagation_delay(origin: np.ndarray,
@@ -77,7 +77,7 @@ def receive_delay(points: np.ndarray, elements: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ExactDelayEngine(BulkDelayProviderMixin):
+class ExactDelayEngine(DelayProvider):
     """Reference delay generator bound to a system configuration.
 
     The engine fixes the transducer element positions, the focal grid and the
@@ -118,22 +118,6 @@ class ExactDelayEngine(BulkDelayProviderMixin):
         return self.delays_seconds(points, elements) \
             * self.config.acoustic.sampling_frequency
 
-    def delay_indices(self, points: np.ndarray) -> np.ndarray:
-        """Exact delays quantised to integer echo-buffer indices.
-
-        Rounding is ``floor(x + 0.5)``: halves round up, the nearest
-        rounding of every plan's gather index.  Delays are non-negative, and
-        there it agrees with the half-away-from-zero rounding stage
-        modelled by :mod:`repro.fixedpoint`.
-        """
-        samples = self.delays_samples(points)
-        return np.floor(samples + 0.5).astype(np.int64)
-
-    def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
-        """Delays (fractional samples) for one scanline, shape ``(n_depth, n_elements)``."""
-        points = self.grid.scanline_points(i_theta, i_phi)
-        return self.delays_samples(points)
-
     def tile_delays_samples(self, start: int, stop: int,
                             elements: np.ndarray | None = None
                             ) -> np.ndarray:
@@ -146,21 +130,6 @@ class ExactDelayEngine(BulkDelayProviderMixin):
         """
         return self.delays_samples(self.grid.range_points(start, stop),
                                    elements)
-
-    def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
-        """Delays (fractional samples) for one nappe, shape ``(n_theta, n_phi, n_elements)``."""
-        points = self.grid.nappe_points(i_depth)
-        shape = points.shape[:-1]
-        flat = points.reshape(-1, 3)
-        delays = self.delays_samples(flat)
-        return delays.reshape(*shape, -1)
-
-    def scanline_points(self, theta: float, phi: float,
-                        depths: np.ndarray | None = None) -> np.ndarray:
-        """Cartesian focal points of an arbitrary (non-grid) scanline."""
-        if depths is None:
-            depths = self.grid.depths
-        return spherical_to_cartesian(theta, phi, np.asarray(depths))
 
     def max_delay_samples(self) -> float:
         """Upper bound on any delay in sample units (sizes the echo buffer).

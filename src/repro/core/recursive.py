@@ -14,9 +14,10 @@ scanline direction.  A small number of adds per depth step plus one square
 root (itself computable iteratively from the previous value with a
 Newton/Heron step) replace the full evaluation.
 
-This module implements that scheme as another :class:`DelayProvider`-style
-baseline so the accuracy experiments can compare three on-the-fly strategies:
-exact, PWL (TABLEFREE) and recursive.  The interesting property — and the
+This module implements that scheme as another
+:class:`~repro.core.provider.DelayProvider` baseline so the accuracy
+experiments can compare three on-the-fly strategies: exact, PWL
+(TABLEFREE) and recursive.  The interesting property — and the
 reason the paper's authors prefer the PWL datapath — is that the Newton-step
 variant *accumulates* error along a scanline unless the iteration is given
 enough steps, whereas the PWL error is bounded per evaluation.
@@ -32,7 +33,7 @@ from ..config import SystemConfig
 from ..geometry.coordinates import spherical_to_cartesian
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
-from .bulk import BulkDelayProviderMixin
+from .provider import DelayProvider
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class RecursiveConfig:
 
 
 @dataclass
-class RecursiveDelayGenerator(BulkDelayProviderMixin):
+class RecursiveDelayGenerator(DelayProvider):
     """Delay generator that updates distances recursively along scanlines."""
 
     system: SystemConfig
@@ -126,47 +127,24 @@ class RecursiveDelayGenerator(BulkDelayProviderMixin):
             out[k] = (tx[k] + d) * scale
         return out
 
-    def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
-        """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)``.
-
-        The recursion runs along depth, so a nappe request replays each
-        scanline up to ``i_depth`` — correct but the unfavourable access
-        pattern for this architecture (the co-design point of Section II-A).
-        """
-        n_theta = len(self.grid.thetas)
-        n_phi = len(self.grid.phis)
-        out = np.empty((n_theta, n_phi, self.transducer.element_count))
-        for i_theta in range(n_theta):
-            for i_phi in range(n_phi):
-                out[i_theta, i_phi] = self.scanline_delays_samples(
-                    i_theta, i_phi)[i_depth]
-        return out
-
     def delays_samples(self, points: np.ndarray) -> np.ndarray:
         """Delays for arbitrary points (mapped to the nearest grid scanline).
 
         Each point is assigned to its nearest grid scanline and depth; the
-        recursion is run down that scanline to the requested depth.
+        recursion is run down that scanline to the requested depth.  A nappe
+        therefore replays each scanline up to its depth — correct but the
+        unfavourable access pattern for this architecture (the co-design
+        point of Section II-A).
         """
-        from .tablesteer import _nearest_index
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        from ..geometry.coordinates import cartesian_to_spherical
-        theta, phi, r = cartesian_to_spherical(points)
-        i_theta = _nearest_index(self.grid.thetas, theta)
-        i_phi = _nearest_index(self.grid.phis, phi)
-        i_depth = _nearest_index(self.grid.depths, r)
-        out = np.empty((points.shape[0], self.transducer.element_count))
+        i_theta, i_phi, i_depth = self.grid.nearest_indices(points)
+        out = np.empty((len(i_depth), self.transducer.element_count))
         cache: dict[tuple[int, int], np.ndarray] = {}
-        for row in range(points.shape[0]):
+        for row in range(len(i_depth)):
             key = (int(i_theta[row]), int(i_phi[row]))
             if key not in cache:
                 cache[key] = self.scanline_delays_samples(*key)
             out[row] = cache[key][int(i_depth[row])]
         return out
-
-    def delay_indices(self, points: np.ndarray) -> np.ndarray:
-        """Delays rounded to integer echo-buffer indices."""
-        return np.floor(self.delays_samples(points) + 0.5).astype(np.int64)
 
     # ------------------------------------------------------------- analysis
     def error_accumulation_along_scanline(self, i_theta: int, i_phi: int,

@@ -30,7 +30,7 @@ from ..fixedpoint.format import QFormat, signed, unsigned
 from ..geometry.coordinates import squared_distances
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
-from .bulk import BulkDelayProviderMixin
+from .provider import DelayProvider
 from .piecewise import IncrementalSqrtEvaluator, PiecewiseSqrt
 
 
@@ -66,7 +66,7 @@ class TableFreeConfig:
 
 
 @dataclass
-class TableFreeDelayGenerator(BulkDelayProviderMixin):
+class TableFreeDelayGenerator(DelayProvider):
     """Delay generator implementing the TABLEFREE scheme.
 
     Use :meth:`from_config` to construct; then :meth:`delay_indices` /
@@ -197,15 +197,6 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
             total *= accumulate_fmt.resolution
         return total.T
 
-    def delay_indices(self, points: np.ndarray) -> np.ndarray:
-        """Approximate delays rounded to integer echo-buffer indices."""
-        samples = self.delays_samples(points)
-        return np.floor(samples + 0.5).astype(np.int64)
-
-    def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
-        """Delays for one grid scanline, shape ``(n_depth, n_elements)``."""
-        return self.delays_samples(self.grid.scanline_points(i_theta, i_phi))
-
     def tile_delays_samples(self, start: int, stop: int,
                             elements: np.ndarray | None = None
                             ) -> np.ndarray:
@@ -215,13 +206,6 @@ class TableFreeDelayGenerator(BulkDelayProviderMixin):
         :meth:`scanline_delays_samples` rows and columns."""
         return self.delays_samples(self.grid.range_points(start, stop),
                                    elements)
-
-    def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
-        """Delays for one nappe, shape ``(n_theta, n_phi, n_elements)``."""
-        points = self.grid.nappe_points(i_depth)
-        shape = points.shape[:-1]
-        delays = self.delays_samples(points.reshape(-1, 3))
-        return delays.reshape(*shape, -1)
 
     def incremental_evaluator(self) -> IncrementalSqrtEvaluator:
         """An incremental segment-tracking evaluator over this generator's PWL.

@@ -16,12 +16,12 @@ The generator supports
   result is rounded to an integer echo-buffer index — exactly the datapath of
   Fig. 4.
 
-Like the other delay providers it exposes ``delays_samples`` /
-``delay_indices`` on arbitrary points (mapped to the nearest grid scanline
-and depth, since TABLESTEER is by construction a gridded generator) plus
-grid-native accessors (``scanline_delays_samples``, ``nappe_delays_samples``,
-the flat-range ``tile_delays_samples`` plans compile from) used by the
-beamformer and the accuracy experiments.
+Like the other delay providers it computes ``delays_samples`` on arbitrary
+points (mapped to the nearest grid scanline and depth, since TABLESTEER is
+by construction a gridded generator).  It overrides the grid accessors
+(``scanline_delays_samples``, ``nappe_delays_samples``, the flat-range
+``tile_delays_samples`` plans compile from) with plane-plus-row sums,
+which run about twice as fast as the lookups over grid points they equal.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from ..config import SystemConfig
 from ..fixedpoint.array import FixedPointArray
 from ..fixedpoint.format import QFormat, tablesteer_formats
 from ..fixedpoint.quantize import quantize
-from ..geometry.coordinates import cartesian_to_spherical
 from ..geometry.transducer import MatrixTransducer
 from ..geometry.volume import FocalGrid
-from .bulk import BulkDelayProviderMixin
+from .provider import DelayProvider
 from .reference_table import ReferenceDelayTable
 from .steering import SteeringCorrections
 
@@ -63,7 +62,7 @@ class TableSteerConfig:
 
 
 @dataclass
-class TableSteerDelayGenerator(BulkDelayProviderMixin):
+class TableSteerDelayGenerator(DelayProvider):
     """Delay generator implementing the TABLESTEER scheme."""
 
     system: SystemConfig
@@ -214,17 +213,7 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
         experiments always evaluate on grid points, where the gridding error
         is zero.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        theta, phi, r = cartesian_to_spherical(points)
-        i_theta = _nearest_index(self.grid.thetas, theta)
-        i_phi = _nearest_index(self.grid.phis, phi)
-        i_depth = _nearest_index(self.grid.depths, r)
-        return self._delays(i_theta, i_phi, i_depth)
-
-    def delay_indices(self, points: np.ndarray) -> np.ndarray:
-        """Delays rounded to integer echo-buffer indices."""
-        samples = self.delays_samples(points)
-        return np.floor(samples + 0.5).astype(np.int64)
+        return self._delays(*self.grid.nearest_indices(points))
 
     # ------------------------------------------------------------ internals
     def _delays(self, i_theta: np.ndarray, i_phi: np.ndarray,
@@ -320,18 +309,6 @@ class TableSteerDelayGenerator(BulkDelayProviderMixin):
             "total_megabits": (self.reference.storage_megabits(ref_fmt)
                                + self.corrections.storage_megabits(corr_fmt)),
         }
-
-
-def _nearest_index(grid_values: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index of the nearest grid value for each element of ``values``."""
-    grid_values = np.asarray(grid_values, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    idx = np.searchsorted(grid_values, values)
-    idx = np.clip(idx, 1, len(grid_values) - 1)
-    left = grid_values[idx - 1]
-    right = grid_values[idx]
-    choose_left = np.abs(values - left) <= np.abs(right - values)
-    return np.where(choose_left, idx - 1, idx).astype(np.int64)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Experiment harness: one module per paper table/figure (see DESIGN.md index).
+"""Experiment harness: one module per paper table/figure (``python -m
+repro.cli list`` prints the index).
 
 Every module exposes ``run(system=None, ...) -> dict`` returning the measured
 figures alongside a ``paper_reference`` entry holding the values printed in

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import SystemConfig, VolumeConfig
-from .coordinates import spherical_to_cartesian
+from .coordinates import cartesian_to_spherical, spherical_to_cartesian
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,20 @@ class FocalGrid:
         tt, pp = self.scanline_directions()
         return spherical_to_cartesian(tt, pp, self.depths[i_depth])
 
+    def nearest_indices(self, points: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indices ``(i_theta, i_phi, i_depth)`` of the grid node nearest to
+        each Cartesian point of ``points`` (``(n, 3)`` [m]), axis by axis.
+
+        A value halfway between two grid values takes the lower index, and
+        a value beyond either end of an axis clips to that end.
+        """
+        theta, phi, r = cartesian_to_spherical(
+            np.atleast_2d(np.asarray(points, dtype=np.float64)))
+        return (_nearest_index(self.thetas, theta),
+                _nearest_index(self.phis, phi),
+                _nearest_index(self.depths, r))
+
     def all_points(self) -> np.ndarray:
         """All focal points, shape ``(n_theta, n_phi, n_depth, 3)`` [m].
 
@@ -137,3 +151,14 @@ class FocalGrid:
         )
         return FocalGrid(config=new_config, thetas=thetas, phis=phis,
                          depths=depths)
+
+
+def _nearest_index(grid_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the nearest of the sorted ``grid_values`` for each of
+    ``values`` (ties to the lower index, clipped to the ends)."""
+    idx = np.searchsorted(grid_values, values)
+    idx = np.clip(idx, 1, len(grid_values) - 1)
+    left = grid_values[idx - 1]
+    right = grid_values[idx]
+    choose_left = np.abs(values - left) <= np.abs(right - values)
+    return np.where(choose_left, idx - 1, idx).astype(np.int64)

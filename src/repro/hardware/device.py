@@ -4,8 +4,7 @@ The paper targets the largest Xilinx Virtex-7, the XC7VX1140T (speed grade
 -2), and projects the TABLEFREE architecture onto the then-upcoming
 UltraScale parts with roughly twice the LUT count.  These device descriptions
 carry the resource capacities the analytical cost models are measured
-against; they replace the Vivado synthesis backend used by the authors (see
-DESIGN.md, substitutions).
+against; they replace the Vivado synthesis backend used by the authors.
 """
 
 from __future__ import annotations

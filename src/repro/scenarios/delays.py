@@ -26,17 +26,17 @@ from typing import Any
 import numpy as np
 
 from ..config import SystemConfig
-from ..core.bulk import BulkDelayProviderMixin
+from ..core.provider import DelayProvider
 from ..geometry.volume import FocalGrid
 from .transmit import TransmitEvent
 
 
 @dataclass(frozen=True, eq=False)
-class TransmitAdjustedProvider(BulkDelayProviderMixin):
+class TransmitAdjustedProvider(DelayProvider):
     """A delay provider with its transmit leg swapped for a scheme event.
 
-    Satisfies the full :class:`repro.beamformer.das.DelayProvider`
-    protocol (``volume_delays_samples`` from the bulk mixin, over its own
+    A :class:`repro.core.provider.DelayProvider` (the nappe, volume and
+    index accessors derived from :meth:`delays_samples` and
     :meth:`tile_delays_samples`), so it drops into the classic
     per-scanline path, plan compilation and every runtime backend
     unchanged.  Identity equality
@@ -111,7 +111,9 @@ class TransmitAdjustedProvider(BulkDelayProviderMixin):
         return base + self.transmit_correction_samples(points)[:, None]
 
     def scanline_delays_samples(self, i_theta: int, i_phi: int) -> np.ndarray:
-        """Delays for a grid scanline, shape ``(n_depth, n_elements)``."""
+        """Delays for a grid scanline, shape ``(n_depth, n_elements)``: the
+        base's scanline rows (its fastest, which the reference backend runs
+        per firing) plus the transmit correction."""
         base = self.base.scanline_delays_samples(i_theta, i_phi)
         points = self.grid.scanline_points(i_theta, i_phi)
         return base + self.transmit_correction_samples(points)[:, None]
@@ -134,10 +136,3 @@ class TransmitAdjustedProvider(BulkDelayProviderMixin):
         float add."""
         return self.transmit_correction_samples(
             self.grid.range_points(start, stop))
-
-    def nappe_delays_samples(self, i_depth: int) -> np.ndarray:
-        """Delays for a grid nappe, shape ``(n_theta, n_phi, n_elements)``."""
-        base = self.base.nappe_delays_samples(i_depth)
-        points = self.grid.nappe_points(i_depth)
-        correction = self.transmit_correction_samples(points.reshape(-1, 3))
-        return base + correction.reshape(points.shape[:-1])[..., None]

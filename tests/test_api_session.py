@@ -17,10 +17,10 @@ import pytest
 
 from repro.acoustics.phantom import point_target
 from repro.api import ARCHITECTURES, EngineSpec, ScanSpec, Session, SweepSpec
-from repro.core.bulk import BulkDelayProviderMixin
-from repro.core.exact import ExactDelayEngine
+from repro.beamformer import reconstruct_nappe_order, reconstruct_scanline_order
+from repro.core import DelayProvider, ExactDelayEngine
 from repro.geometry.volume import FocalGrid
-from repro.kernels import Precision
+from repro.kernels import Precision, plan_storage_bytes
 from repro.runtime import PlanCache
 
 
@@ -201,8 +201,9 @@ class _ToyOptions:
     offset_samples: float = 0.0
 
 
-class _ToyProvider(BulkDelayProviderMixin):
-    """Exact delays plus a constant offset (minimal DelayProvider)."""
+class _ToyProvider(DelayProvider):
+    """Exact delays plus a constant offset: a minimal DelayProvider, its
+    ``grid`` and ``delays_samples`` only."""
 
     def __init__(self, inner: ExactDelayEngine, offset: float) -> None:
         self.inner = inner
@@ -211,12 +212,6 @@ class _ToyProvider(BulkDelayProviderMixin):
 
     def delays_samples(self, points):
         return self.inner.delays_samples(points) + self.offset
-
-    def scanline_delays_samples(self, i_theta, i_phi):
-        return self.inner.scanline_delays_samples(i_theta, i_phi) + self.offset
-
-    def nappe_delays_samples(self, i_depth):
-        return self.inner.nappe_delays_samples(i_depth) + self.offset
 
 
 @pytest.fixture()
@@ -258,6 +253,29 @@ class TestCustomArchitectureEndToEnd:
         result = service.submit_frame(centred_target)
         assert result.rf.shape == FocalGrid.from_config(tiny).shape
         assert isinstance(service.beamformer.delays, _ToyProvider)
+
+        # Both reference drivers (Algorithm 1's two loop nests) read the
+        # derived scanline and nappe accessors and agree bit for bit.
+        channel_data = session.acquire(centred_target)
+        scanline = reconstruct_scanline_order(pipeline.beamformer,
+                                              channel_data)
+        nappe = reconstruct_nappe_order(pipeline.beamformer, channel_data)
+        np.testing.assert_array_equal(nappe.rf, scanline.rf)
+
+        # A budgeted vectorized engine compiles its tiles from the derived
+        # tile_delays_samples and reproduces the reference bit for bit.
+        budget = plan_storage_bytes(FocalGrid.from_config(tiny).point_count,
+                                    tiny.transducer.element_count,
+                                    "float64") // 4
+        budgeted = Session(rebuilt.with_updates(
+            backend="vectorized", memory_budget_bytes=budget)) \
+            .service(cache=PlanCache())
+        volume = session.service(cache=PlanCache()) \
+            .submit_frame(channel_data).rf
+        np.testing.assert_array_equal(volume, scanline.rf)
+        np.testing.assert_array_equal(
+            budgeted.submit_frame(channel_data).rf, volume)
+        assert 0 < budgeted.cache.stats.peak_bytes <= budget
 
     def test_nonzero_offset_changes_the_image(self, tiny, centred_target,
                                               toy_architecture):

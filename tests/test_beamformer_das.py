@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.beamformer
+import repro.core
 from repro.acoustics.echo import ChannelData, EchoSimulator
 from repro.acoustics.phantom import point_target
 from repro.beamformer.das import ApodizationSettings, DelayAndSumBeamformer, DelayProvider
+from repro.architectures import ARCHITECTURES
 from repro.core.exact import ExactDelayEngine
+from repro.core.recursive import RecursiveDelayGenerator
 from repro.geometry.apodization import WindowType
+from repro.scenarios import SCHEMES, TransmitAdjustedProvider
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +30,24 @@ def tiny_setup():
 
 
 class TestProtocol:
-    def test_all_generators_satisfy_delay_provider(self, tiny_exact,
-                                                   tiny_tablefree,
-                                                   tiny_tablesteer):
-        assert isinstance(tiny_exact, DelayProvider)
-        assert isinstance(tiny_tablefree, DelayProvider)
-        assert isinstance(tiny_tablesteer, DelayProvider)
+    def test_all_generators_satisfy_delay_provider(self, tiny):
+        firing = SCHEMES.create("planewave", tiny).events[0]
+        providers = [ARCHITECTURES.create(name, tiny)
+                     for name in ARCHITECTURES.names()]
+        providers += [RecursiveDelayGenerator.from_config(tiny),
+                      TransmitAdjustedProvider.from_provider(
+                          providers[0], firing, tiny)]
+        for provider in providers:
+            assert isinstance(provider, DelayProvider)
+            for accessor in ("delays_samples", "scanline_delays_samples",
+                             "nappe_delays_samples", "tile_delays_samples",
+                             "volume_delays_samples", "delay_indices"):
+                assert callable(getattr(provider, accessor))
+
+    def test_one_contract(self):
+        """The beamformer's DelayProvider is the core base class."""
+        assert DelayProvider is repro.core.DelayProvider
+        assert DelayProvider is repro.beamformer.DelayProvider
 
 
 class TestWeights:

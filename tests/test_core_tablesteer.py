@@ -11,28 +11,48 @@ from repro.core.tablesteer import (
     TableSteerDelayGenerator,
     farfield_error_seconds,
     lagrange_error_bound_seconds,
-    _nearest_index,
 )
+from repro.config import VolumeConfig
 from repro.fixedpoint.quantize import quantize
-from repro.geometry.coordinates import cartesian_to_spherical, \
-    spherical_to_cartesian
+from repro.geometry.coordinates import spherical_to_cartesian
+from repro.geometry.volume import FocalGrid
+
+#: Three nodes per axis: thetas, phis [rad] and depths [m].
+_THETAS, _PHIS, _DEPTHS = ([-0.2, 0.0, 0.2], [-0.1, 0.0, 0.1],
+                           [1.0, 2.0, 3.0])
+_SMALL_GRID = FocalGrid(
+    config=VolumeConfig(n_theta=3, n_phi=3, n_depth=3, theta_max=0.2,
+                        phi_max=0.1, depth_min=1.0, depth_max=3.0),
+    thetas=np.array(_THETAS), phis=np.array(_PHIS), depths=np.array(_DEPTHS))
 
 
 class TestNearestIndex:
+    """The grid lookup both gridded generators (TABLESTEER, recursive)
+    map a point through: ``FocalGrid.nearest_indices``."""
+
     def test_exact_grid_values(self):
-        grid = np.array([0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(_nearest_index(grid, np.array([0.0, 2.0])),
-                                      [0, 2])
+        nodes = [(0, 0, 0), (2, 1, 2), (1, 2, 1)]
+        points = np.stack([spherical_to_cartesian(
+            _THETAS[a], _PHIS[b], _DEPTHS[c]) for a, b, c in nodes])
+        np.testing.assert_array_equal(
+            np.stack(_SMALL_GRID.nearest_indices(points), axis=1), nodes)
 
     def test_between_values_rounds_to_nearest(self):
-        grid = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(
-            _nearest_index(grid, np.array([0.4, 0.6, 1.49, 1.51])), [0, 1, 1, 2])
+        # On the axis (theta = phi = 0) a point's radius is its depth,
+        # exactly; 1.5 is the tie between the first two depths.
+        depths = np.array([1.4, 1.6, 2.49, 2.51, 1.5, 2.5])
+        on_axis = np.stack([np.zeros(6), np.zeros(6), depths], axis=1)
+        i_theta, i_phi, i_depth = _SMALL_GRID.nearest_indices(on_axis)
+        np.testing.assert_array_equal(i_depth, [0, 1, 1, 2, 0, 1])
+        np.testing.assert_array_equal(i_theta, np.ones(6))
+        np.testing.assert_array_equal(i_phi, np.ones(6))
 
     def test_out_of_range_clamped(self):
-        grid = np.array([0.0, 1.0, 2.0])
+        points = np.stack([spherical_to_cartesian(-1.0, 0.9, 0.2),
+                           spherical_to_cartesian(1.0, -0.9, 7.0)])
         np.testing.assert_array_equal(
-            _nearest_index(grid, np.array([-5.0, 7.0])), [0, 2])
+            np.stack(_SMALL_GRID.nearest_indices(points), axis=1),
+            [(0, 2, 0), (2, 0, 2)])
 
 
 class TestConfig:
@@ -266,12 +286,9 @@ class TestVectorisedGridMethods:
             rng.integers(0, grid.point_count, 120)]
         points = np.concatenate(
             [on_grid, on_grid + rng.normal(scale=1e-3, size=on_grid.shape)])
-        theta, phi, r = cartesian_to_spherical(points)
         expected = np.stack([
-            _loop_point(generator, a, b, c) for a, b, c in zip(
-                _nearest_index(grid.thetas, theta),
-                _nearest_index(grid.phis, phi),
-                _nearest_index(grid.depths, r))])
+            _loop_point(generator, a, b, c)
+            for a, b, c in zip(*grid.nearest_indices(points))])
         np.testing.assert_array_equal(generator.delays_samples(points),
                                       expected)
         assert generator.delays_samples(np.empty((0, 3))).shape == \

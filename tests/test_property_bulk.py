@@ -6,9 +6,12 @@ Plan compilation asks providers for flat point ranges
 For any ``[start, stop)`` range — single points, ranges cutting scanlines,
 the whole grid — both must equal the concatenated per-scanline rows bit for
 bit, for every delay provider the library ships, a third-party provider
-relying on the bulk mixin, and transmit-adjusted (scheme) providers.  The
-columns a leaf-major compile asks for (``tile_delays_samples(start, stop,
-elements)``) must be those rows' columns, byte for byte.
+defining only ``grid`` and ``delays_samples``, and transmit-adjusted
+(scheme) providers.  The columns a leaf-major compile asks for
+(``tile_delays_samples(start, stop, elements)``) must be those rows'
+columns, byte for byte.  Every grid accessor a provider overrides must
+equal the :class:`repro.core.DelayProvider` derivation from its
+``delays_samples``, byte for byte.
 """
 
 from __future__ import annotations
@@ -124,8 +127,8 @@ def test_tile_delays_at_elements_are_the_rows_columns(name, span, elements):
     """``tile_delays_samples(start, stop, elements)`` — what a leaf-major
     compile asks for — is the natural rows' ``[:, elements]`` byte for
     byte: ranges cutting scanlines, element subsets and permutations, for
-    every provider (the recursive and third-party ones through the bulk
-    mixin)."""
+    every provider (the recursive and third-party ones through the
+    derived tile)."""
     provider, _rows = _provider_and_rows(name)
     start, stop = span
     columns = provider.tile_delays_samples(start, stop, elements)
@@ -133,6 +136,36 @@ def test_tile_delays_at_elements_are_the_rows_columns(name, span, elements):
     assert columns.dtype == np.float64
     assert columns.shape == (stop - start, len(elements))
     assert columns.tobytes() == natural[:, elements].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+def test_grid_accessors_are_delays_samples_over_grid_points(name):
+    """Each provider's scanline and nappe rows are ``delays_samples`` over
+    the grid points of that scanline or nappe, byte for byte, and its
+    ``delay_indices`` is ``floor(delays_samples + 0.5)`` — what the
+    :class:`repro.core.DelayProvider` base derives, so no override differs
+    from the derivation."""
+    provider, _rows = _provider_and_rows(name)
+    grid = provider.grid
+    for i_theta in range(N_THETA):
+        for i_phi in range(N_PHI):
+            expected = provider.delays_samples(
+                grid.scanline_points(i_theta, i_phi))
+            scanline = provider.scanline_delays_samples(i_theta, i_phi)
+            assert scanline.shape == expected.shape
+            assert scanline.tobytes() == expected.tobytes()
+    for i_depth in range(N_DEPTH):
+        expected = provider.delays_samples(
+            grid.nappe_points(i_depth).reshape(-1, 3)) \
+            .reshape(N_THETA, N_PHI, -1)
+        nappe = provider.nappe_delays_samples(i_depth)
+        assert nappe.shape == expected.shape
+        assert nappe.tobytes() == expected.tobytes()
+    points = grid.all_points().reshape(-1, 3)
+    indices = provider.delay_indices(points)
+    assert indices.dtype == np.int64
+    np.testing.assert_array_equal(
+        indices, np.floor(provider.delays_samples(points) + 0.5))
 
 
 def test_concurrent_ranges_get_their_own_transmit_correction():
